@@ -37,7 +37,7 @@ from .errors import (
     UnknownTable,
     UnsupportedFeature,
 )
-from .field import lagrange_interpolate
+from .field import interpolate_at
 from .keyed import KeyMaterial
 from .sharing import Column, Schema, encode
 from .store import StoredRecord, Warehouse, display_value, order_key
@@ -244,17 +244,21 @@ def _filler_ordinate(km: KeyMaterial, table: str, pk: int, attr: str,
     return int.from_bytes(digest[:16], "big") % km.p
 
 
+def _cell_shares(km: KeyMaterial, value: int, fillers) -> dict[int, int]:
+    """All n providers' shares of the polynomial through the data point,
+    its signature point and the given ordinates at the filler abscissas."""
+    value %= km.p
+    xs = (km.x_kd, km.x_ks, *(km.x_filler(j) for j in range(km.t - 2)))
+    ys = (value, km.he1(value), *fillers)
+    return {i: interpolate_at(xs, ys, km.x_id(i), km.p) for i in range(1, km.n + 1)}
+
+
 def share_cell_chunk(km: KeyMaterial, table: str, pk: int, attr: str,
                      chunk_index: int, value: int) -> dict[int, int]:
     """Shares of one cube field element for all n providers."""
-    value %= km.p
-    points = [(km.x_kd, value), (km.x_ks, km.he1(value))]
-    for j in range(km.t - 2):
-        points.append(
-            (km.x_filler(j), _filler_ordinate(km, table, pk, attr, chunk_index, j))
-        )
-    f = lagrange_interpolate(points, km.p)
-    return {i: f(km.x_id(i)) for i in range(1, km.n + 1)}
+    fillers = [_filler_ordinate(km, table, pk, attr, chunk_index, j)
+               for j in range(km.t - 2)]
+    return _cell_shares(km, value, fillers)
 
 
 def _share_cell_value(wh: Warehouse, table: str, pk: int, col: Column, value):
@@ -395,15 +399,11 @@ def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
 # refresh
 
 
-def _bias_correction_poly(km: KeyMaterial, table: str, terms: int, bias: int):
-    """Polynomial subtracted share-wise so the updated cell keeps exactly
-    one bias offset: it carries terms*bias at the data point, the matching
-    signature value, and zero at every filler."""
-    c = (terms * bias) % km.p
-    points = [(km.x_kd, c), (km.x_ks, km.he1(c))]
-    for j in range(km.t - 2):
-        points.append((km.x_filler(j), 0))
-    return lagrange_interpolate(points, km.p)
+def _bias_correction(km: KeyMaterial, terms: int, bias: int) -> dict[int, int]:
+    """Per-provider shares subtracted so the updated cell keeps exactly one
+    bias offset: their polynomial carries terms*bias at the data point, the
+    matching signature value, and zero at every filler."""
+    return _cell_shares(km, terms * bias, [0] * (km.t - 2))
 
 
 def _apply_share_deltas(wh: Warehouse, schema: Schema, cell_pk: int,
@@ -524,12 +524,12 @@ def _eq2_delta(wh: Warehouse, fact: str, attr: str, pks, bias_terms: int):
     """Each provider's increment for SUM over pks: its own stored share sum
     plus the pseudo-share correction, minus the surplus bias offsets."""
     km = wh.km
-    h = _bias_correction_poly(km, fact, bias_terms * len(pks), wh.bias)
+    h = _bias_correction(km, bias_terms * len(pks), wh.bias)
     out = {}
     for i in sorted(wh.csps):
         a = wh.csps[i].share_sum(fact, attr, pks)
         a = (a + km.he2(wh.type1_pseudo_sum(fact, pks, i), km.id_of(i))) % km.p
-        out[i] = (a - h(km.x_id(i))) % km.p
+        out[i] = (a - h[i]) % km.p
     return out
 
 
@@ -537,7 +537,7 @@ def _eq3_delta(wh: Warehouse, fact: str, x: str, y: str, op: str, pks):
     km = wh.km
     sign = 1 if op == "+" else -1
     terms = 2 * len(pks) if op == "+" else 0
-    h = _bias_correction_poly(km, fact, terms, wh.bias)
+    h = _bias_correction(km, terms, wh.bias)
     out = {}
     for i in sorted(wh.csps):
         a = wh.csps[i].share_sum(
@@ -547,7 +547,7 @@ def _eq3_delta(wh: Warehouse, fact: str, x: str, y: str, op: str, pks):
         if op == "+":
             pseudo = wh.type1_pseudo_sum(fact, pks, i)
             a = (a + 2 * km.he2(pseudo, km.id_of(i))) % km.p
-        out[i] = (a - h(km.x_id(i))) % km.p
+        out[i] = (a - h[i]) % km.p
     return out
 
 

@@ -4,10 +4,20 @@ Everything downstream (shares, signatures, aggregates) is an integer in
 [0, p). The default modulus is the Mersenne prime 2^61 - 1: shares fit a
 64-bit word and Python ints absorb the 122-bit products before reduction.
 Tests mostly run on p = 251 where failures are readable by eye.
+
+The scheme only ever interpolates through a few fixed abscissas (the HF1
+images of K_d, K_s, the CSP IDs and the filler IDs), so the working path
+is `interpolate_at`: a dot product of the ordinates with Lagrange basis
+weights memoized per (abscissas, target, p). `Polynomial` and
+`lagrange_interpolate` build the coefficient form; they are the reference
+the tests compare against, and each weight vector is derived from them
+once.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import DuplicateAbscissa, EmptyInput
@@ -62,7 +72,8 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]], p: int) -> Polynomia
     """Unique polynomial of degree < len(points) through the given points.
 
     Raises DuplicateAbscissa when two x coincide and EmptyInput on an empty
-    list. Cost is O(k^2) in the point count, fine for k <= t.
+    list. Reference path: k basis products of O(k^2) each plus k modular
+    inverses, so O(k^3) per call; hot paths use `interpolate_at` instead.
     """
     if not points:
         raise EmptyInput("no points to interpolate")
@@ -92,3 +103,32 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]], p: int) -> Polynomia
         for d, c in enumerate(basis):
             coeffs[d] = (coeffs[d] + c * scale) % p
     return Polynomial(coeffs, p)
+
+
+@lru_cache(maxsize=4096)
+def lagrange_weights(xs: tuple[int, ...], x: int, p: int) -> tuple[int, ...]:
+    """Lagrange basis values l_i(x) for the abscissas xs, so that the
+    polynomial through (xs[i], y_i) takes sum(l_i(x) * y_i) at x.
+
+    l_i is the reference interpolant of the i-th unit vector, so both
+    paths agree by construction and reject empty or repeated abscissas
+    alike (EmptyInput, DuplicateAbscissa). Memoized: the scheme's
+    abscissa tuples and targets come from a small fixed set per key
+    material, so each weight vector is built once.
+    """
+    if not xs:
+        raise EmptyInput("no points to interpolate")
+    points = [(xj, 0) for xj in xs]
+    weights = []
+    for i, xi in enumerate(xs):
+        points[i] = (xi, 1)
+        weights.append(poly_eval(lagrange_interpolate(points, p), x))
+        points[i] = (xi, 0)
+    return tuple(weights)
+
+
+def interpolate_at(xs: tuple[int, ...], ys: Sequence[int], x: int, p: int) -> int:
+    """Value at x of the polynomial of degree < len(xs) through (xs[i], ys[i])."""
+    if len(ys) != len(xs):
+        raise ValueError(f"{len(xs)} abscissas but {len(ys)} ordinates")
+    return sum(map(mul, lagrange_weights(xs, x, p), ys)) % p

@@ -45,8 +45,7 @@ from .errors import (
     UnknownTable,
     UnsupportedFeature,
 )
-from .field import lagrange_interpolate
-from .sharing import Column
+from .sharing import Column, checked_data_point
 from .store import Warehouse, display_value, order_key
 
 AGG_FNS = ("sum", "avg", "var", "variance", "stddev", "count", "min", "max", "median")
@@ -671,19 +670,13 @@ def _field_sum(wh: Warehouse, table: str, attr: str, pks, rg) -> int:
     """Eq-style share-space sum: per-provider share totals corrected by the
     pseudo-share sum, interpolated, signature-checked."""
     km = wh.km
-    points = []
+    totals = []
     for i in rg:
         a_i = wh.csps[i].share_sum(table, attr, pks)
         pseudo = wh.type1_pseudo_sum(table, pks, i)
-        a_i = (a_i + km.he2(pseudo, km.id_of(i))) % km.p
-        points.append((km.x_id(i), a_i))
-    f = lagrange_interpolate(points, km.p)
-    total, sig = f(km.x_kd), f(km.x_ks)
-    if sig != km.he1(total):
-        raise InnerSignatureMismatch(
-            f"SUM({table}.{attr}): signature point {sig} != HE1({total})"
-        )
-    return total
+        totals.append(a_i + km.he2(pseudo, km.id_of(i)))
+    xs = tuple(km.x_id(i) for i in rg)
+    return checked_data_point(xs, totals, km, f"SUM({table}.{attr})")
 
 
 def _field_sum_combined(wh: Warehouse, table: str, x: str, y: str, op: str,
@@ -694,7 +687,7 @@ def _field_sum_combined(wh: Warehouse, table: str, x: str, y: str, op: str,
     pseudo-share points."""
     km = wh.km
     sign = 1 if op == "+" else -1
-    points = []
+    totals = []
     for i in rg:
         a_i = wh.csps[i].share_sum(
             table, x, pks,
@@ -702,15 +695,10 @@ def _field_sum_combined(wh: Warehouse, table: str, x: str, y: str, op: str,
         )
         if op == "+":
             pseudo = wh.type1_pseudo_sum(table, pks, i)
-            a_i = (a_i + 2 * km.he2(pseudo, km.id_of(i))) % km.p
-        points.append((km.x_id(i), a_i))
-    f = lagrange_interpolate(points, km.p)
-    total, sig = f(km.x_kd), f(km.x_ks)
-    if sig != km.he1(total):
-        raise InnerSignatureMismatch(
-            f"SUM({table}.{x}{op}{y}): signature point {sig} != HE1({total})"
-        )
-    return total
+            a_i += 2 * km.he2(pseudo, km.id_of(i))
+        totals.append(a_i)
+    xs = tuple(km.x_id(i) for i in rg)
+    return checked_data_point(xs, totals, km, f"SUM({table}.{x}{op}{y})")
 
 
 def _decode_sum(total: int, count: int, col: Column, bias_terms: int,

@@ -35,7 +35,7 @@ from .errors import (
     OutOfRange,
     SchemaMismatch,
 )
-from .field import Polynomial, lagrange_interpolate
+from .field import interpolate_at
 from .keyed import KeyMaterial
 
 _EPOCH = _date(1970, 1, 1)
@@ -217,33 +217,44 @@ def select_storage_group(
 def share_value(d: int, pk: int, group: StorageGroup, km: KeyMaterial) -> dict[int, int]:
     """Produce the stored shares of one field element."""
     p = km.p
-    points = [(km.x_kd, d % p), (km.x_ks, km.he1(d))]
-    for i in sorted(group.ug):
-        points.append((km.x_id(i), km.he2(pk % p, km.id_of(i))))
-    f = lagrange_interpolate(points, p)
-    return {i: f(km.x_id(i)) for i in sorted(group.sg)}
+    ug = sorted(group.ug)
+    xs = (km.x_kd, km.x_ks, *(km.x_id(i) for i in ug))
+    ys = (d % p, km.he1(d), *(km.he2(pk % p, km.id_of(i)) for i in ug))
+    return {i: interpolate_at(xs, ys, km.x_id(i), p) for i in sorted(group.sg)}
 
 
-def _interpolate_group(
+def checked_data_point(xs: tuple[int, ...], ys: Sequence[int], km: KeyMaterial,
+                       what: str) -> int:
+    """d = f(HF1(K_d)) of the polynomial through (xs, ys), accepted only
+    when f(HF1(K_s)) equals HE1(d); raises InnerSignatureMismatch otherwise."""
+    d = interpolate_at(xs, ys, km.x_kd, km.p)
+    s = interpolate_at(xs, ys, km.x_ks, km.p)
+    if s != km.he1(d):
+        raise InnerSignatureMismatch(f"{what}: signature point {s} != HE1({d})")
+    return d
+
+
+def _group_points(
     pk: int,
     sg: frozenset[int] | set[int],
     fetched: Mapping[int, int],
     rg: Iterable[int],
     km: KeyMaterial,
-) -> Polynomial:
+) -> tuple[tuple[int, ...], list[int]]:
+    """Abscissas and ordinates of the record polynomial as seen by rg:
+    stored shares from storage-group members, pseudo shares otherwise."""
     rg = sorted(set(rg))
     if len(rg) != km.t:
         raise MissingShare(f"reconstruction group must have t={km.t} members, got {rg}")
-    points = []
+    ys = []
     for i in rg:
         if i in sg:
             if i not in fetched:
                 raise MissingShare(f"CSP {i} is in the storage group but sent no share")
-            y = fetched[i] % km.p
+            ys.append(fetched[i] % km.p)
         else:
-            y = km.he2(pk % km.p, km.id_of(i))
-        points.append((km.x_id(i), y))
-    return lagrange_interpolate(points, km.p)
+            ys.append(km.he2(pk % km.p, km.id_of(i)))
+    return tuple(km.x_id(i) for i in rg), ys
 
 
 def reconstruct_value(
@@ -260,14 +271,8 @@ def reconstruct_value(
     expected to retry with a different reconstruction group.
     """
     RECONSTRUCTIONS.bump()
-    f = _interpolate_group(pk, sg, fetched, rg, km)
-    d = f(km.x_kd)
-    s = f(km.x_ks)
-    if s != km.he1(d):
-        raise InnerSignatureMismatch(
-            f"pk {pk}: signature point {s} != HE1({d})"
-        )
-    return d
+    xs, ys = _group_points(pk, sg, fetched, rg, km)
+    return checked_data_point(xs, ys, km, f"pk {pk}")
 
 
 def recover_share(
@@ -283,10 +288,9 @@ def recover_share(
     The polynomial is rebuilt from t intact shares, the inner signature is
     checked, and the share the target CSP should hold falls out of f.
     """
-    f = _interpolate_group(pk, sg, fetched, rg, km)
-    if f(km.x_ks) != km.he1(f(km.x_kd)):
-        raise InnerSignatureMismatch(f"pk {pk}: refusing to recover from bad shares")
-    return f(km.x_id(target))
+    xs, ys = _group_points(pk, sg, fetched, rg, km)
+    checked_data_point(xs, ys, km, f"pk {pk}: refusing to recover")
+    return interpolate_at(xs, ys, km.x_id(target), km.p)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,19 @@ from .sigtree import BreachReport, SignatureTree, WaryTree
 NULL_LITERAL = "NULL"
 
 
+def _agreed_chunk_count(table: str, pk: int, fetched) -> int | None:
+    """Chunk count every fetched share of one value agrees on, None when
+    all of them mark NULL; MissingShare when the providers disagree."""
+    lengths = {len(c) for c in fetched.values() if c is not None}
+    if any(c is None for c in fetched.values()):
+        if lengths:
+            raise MissingShare(f"pk {pk} of {table}: null marks disagree across CSPs")
+        return None
+    if len(lengths) != 1:
+        raise MissingShare(f"pk {pk} of {table}: chunk counts disagree across CSPs")
+    return lengths.pop()
+
+
 @dataclass
 class StoredRecord:
     pk: int
@@ -656,15 +669,11 @@ class Warehouse:
         }
         if not fetched:
             raise MissingShare(f"no CSP of rg {rg} stores pk {pk} of {table}")
-        lengths = {len(c) for c in fetched.values() if c is not None}
-        if any(c is None for c in fetched.values()):
-            if lengths:
-                raise MissingShare(f"pk {pk} of {table}: null marks disagree across CSPs")
+        count = _agreed_chunk_count(table, pk, fetched)
+        if count is None:
             return None
-        if len(lengths) != 1:
-            raise MissingShare(f"pk {pk} of {table}: chunk counts disagree across CSPs")
         chunks = []
-        for k in range(lengths.pop()):
+        for k in range(count):
             per_chunk = {i: c[k] for i, c in fetched.items()}
             chunks.append(reconstruct_value(pk, group.sg, per_chunk, rg, self.km))
         return decode(chunks, col.kind, scale=col.scale, bias=self.bias)
@@ -721,8 +730,10 @@ class Warehouse:
         """Regenerate every share a CSP lost, from t healthy peers.
 
         Walks all tables in creation order, rebuilds the target's slice
-        record by record via polynomial re-evaluation, and resets its
-        signature trees. Returns the number of share values regenerated.
+        record by record via polynomial re-evaluation, then replaces its
+        slices and resets its signature trees. Donors that disagree on a
+        value's null marker or chunk count raise MissingShare before the
+        target is touched. Returns the number of share values regenerated.
         """
         if target not in self.csps:
             raise UnknownParticipant(f"no CSP {target}")
@@ -737,9 +748,10 @@ class Warehouse:
                     f"recovery needs t={self.km.t} donors, got {len(rg)}"
                 )
         regenerated = 0
+        rebuilt_tables = {}
         for table in self.table_order:
             schema = self._schema(table)
-            records = []
+            records = rebuilt_tables[table] = []
             for pk in self.type1.pks(table):
                 group = group_from_bitmap(self.type1.bitmap(table, pk))
                 if target not in group.sg:
@@ -754,10 +766,10 @@ class Warehouse:
                     donor_chunks = {
                         j: self.csps[j].fetch_share(table, pk, col.name) for j in donors
                     }
-                    if donor_chunks[donors[0]] is None:
+                    count = _agreed_chunk_count(table, pk, donor_chunks)
+                    if count is None:
                         shares[col.name] = None
                         continue
-                    count = len(donor_chunks[donors[0]])
                     rebuilt = []
                     for k in range(count):
                         per_chunk = {j: donor_chunks[j][k] for j in donors}
@@ -767,7 +779,8 @@ class Warehouse:
                         regenerated += 1
                     shares[col.name] = tuple(rebuilt)
                 records.append(StoredRecord(pk=pk, plain=plain, shares=shares))
-            self.csps[target].reset_table(schema, records)
+        for table, records in rebuilt_tables.items():
+            self.csps[target].reset_table(self._schema(table), records)
         return regenerated
 
     # persistence

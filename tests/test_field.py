@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from fvss import P_DEFAULT, Polynomial, lagrange_interpolate, poly_eval
 from fvss.errors import DuplicateAbscissa, EmptyInput
+from fvss.field import interpolate_at, lagrange_weights
 
 from .oracles import eval_poly, interpolate_gauss
 
@@ -108,3 +109,37 @@ def test_eval_matches_oracle_eval():
     f = Polynomial(tuple(coeffs), P)
     for x in range(0, P, 17):
         assert f(x) == eval_poly(coeffs, x, P)
+
+
+# cached Lagrange weights: the path every share, reconstruction and sum takes
+
+
+def _check_weights(points, x, p):
+    xs = tuple(px for px, _ in points)
+    ys = [py for _, py in points]
+    assert interpolate_at(xs, ys, x, p) \
+        == eval_poly(interpolate_gauss(points, p), x, p) \
+        == lagrange_interpolate(points, p)(x % p)
+
+
+@given(point_sets(P), st.integers(-P, 2 * P))
+@settings(max_examples=200)
+def test_weights_match_gaussian_elimination_small_prime(points, x):
+    _check_weights(points, x, P)
+
+
+@given(point_sets(P_DEFAULT), st.integers(0, P_DEFAULT - 1))
+@settings(max_examples=50)
+def test_weights_match_gaussian_elimination_default_prime(points, x):
+    _check_weights(points, x, P_DEFAULT)
+
+
+def test_weights_reject_empty_and_duplicate_abscissas():
+    with pytest.raises(EmptyInput):
+        lagrange_weights((), 3, P)
+    with pytest.raises(EmptyInput):
+        interpolate_at((), (), 3, P)
+    with pytest.raises(DuplicateAbscissa):
+        lagrange_weights((1, 1), 0, P)
+    with pytest.raises(DuplicateAbscissa):
+        interpolate_at((4, 255), (2, 3), 0, P)  # 255 ≡ 4 (mod 251)

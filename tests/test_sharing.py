@@ -1,4 +1,6 @@
 import datetime
+import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,12 +17,14 @@ from fvss import (
     encode,
     group_from_bitmap,
     init_participants,
+    lagrange_interpolate,
     reconstruct_value,
     recover_share,
     select_storage_group,
     share_record,
     share_value,
 )
+from fvss.cube import share_cell_chunk
 from fvss.errors import (
     InnerSignatureMismatch,
     MissingShare,
@@ -28,8 +32,10 @@ from fvss.errors import (
     OutOfRange,
     SchemaMismatch,
 )
+from fvss.field import interpolate_at
 
 from .conftest import SEED
+from .oracles import eval_poly, interpolate_gauss
 
 ALL = (1, 2, 3, 4, 5)
 
@@ -207,6 +213,34 @@ def test_share_reconstruct_round_trip_default_prime(d, pk):
         assert reconstruct_value(pk, group.sg, fetched, rg, km) == d
 
 
+@pytest.mark.parametrize("km_name", ["km_toy", "km_big"])
+def test_weights_match_reference_for_every_group_and_target(km_name, request):
+    """Randomized ordinates through the abscissas of every storage group
+    (sharing), every reconstruction group (reconstruction, recovery,
+    share-space sums) and the cube fillers, evaluated at every abscissa
+    the scheme uses."""
+    km = request.getfixturevalue(km_name)
+    fillers = tuple(km.x_filler(j) for j in range(km.t - 2))
+    targets = (km.x_kd, km.x_ks, *(km.x_id(i) for i in ALL), *fillers)
+    abscissa_sets = [(km.x_kd, km.x_ks, *fillers)]
+    for sg in combinations(ALL, km.n - km.t + 2):
+        group = group_from_bitmap("".join("1" if i in sg else "0" for i in ALL))
+        abscissa_sets.append((km.x_kd, km.x_ks, *(km.x_id(i) for i in sorted(group.ug))))
+    for rg in combinations(ALL, km.t):
+        abscissa_sets.append(tuple(km.x_id(i) for i in rg))
+    assert len(abscissa_sets) == 1 + 10 + 5
+    rng = random.Random(km.p)
+    for xs in abscissa_sets:
+        for _ in range(20):
+            ys = [rng.randrange(km.p) for _ in xs]
+            points = list(zip(xs, ys))
+            coeffs = interpolate_gauss(points, km.p)
+            reference = lagrange_interpolate(points, km.p)
+            for x in targets:
+                assert interpolate_at(xs, ys, x, km.p) \
+                    == eval_poly(coeffs, x, km.p) == reference(x)
+
+
 # record sharing
 
 
@@ -266,3 +300,52 @@ def test_three_rows_make_nine_stored_slices(km_toy):
         )
         total += len(bundle.shares["price"])
     assert total == 9
+
+
+# golden shares: pins the stored bytes of a seeded fixture
+
+# sha256 of the fixture below, captured from the coefficient-form sharing
+# code; any change to how shares are computed must reproduce them exactly
+GOLDEN_TOY = "06c66e184f5f8c479d8db12db6d3027374b9830086bbc46572809fbe332b0047"
+GOLDEN_BIG = "8b73d73d699e53976dd6af60ab4842370c132a6c1f19757bfc3de91b3ea76486"
+
+
+def _golden_share_digest(km, bias) -> str:
+    schema = Schema("sales", (
+        Column("SaleNo", "key"),
+        Column("ProdNo", "fk", fk_table="product"),
+        Column("qty", "int"),
+        Column("price", "real", scale=2),
+        Column("name", "string"),
+        Column("ok", "bool"),
+    ))
+    bitmaps = [group_from_bitmap("".join("1" if i in sg else "0" for i in ALL))
+               for sg in combinations(ALL, km.n - km.t + 2)]
+    rng = random.Random(20141215)
+    h = hashlib.sha256()
+    for pk in range(1, 121):
+        row = dict(
+            SaleNo=pk,
+            ProdNo=rng.randrange(1, 50),
+            qty=None if pk % 7 == 0 else rng.randrange(0, 250),
+            price=Fraction(rng.randrange(0, 250), 100),
+            name="".join(rng.choice("abcxyz") for _ in range(rng.randrange(0, 5))),
+            ok=rng.random() < 0.5,
+        )
+        group = None if pk % 2 else bitmaps[pk // 2 % len(bitmaps)]
+        bundle = share_record(row, schema, (1, 2, 3, 1, 1), ALL, km,
+                              bias=bias, group=group)
+        h.update(repr((bundle.pk, bundle.bitmap, sorted(bundle.plain.items()),
+                       sorted((a, None if s is None else sorted(s.items()))
+                              for a, s in bundle.shares.items()))).encode())
+    for pk in range(1, 41):
+        for k in range(2):
+            value = rng.randrange(km.p)
+            shares = share_cell_chunk(km, "cube:by_year", pk, "sum_price", k, value)
+            h.update(repr(sorted(shares.items())).encode())
+    return h.hexdigest()
+
+
+def test_golden_share_digest(km_toy, km_big):
+    assert _golden_share_digest(km_toy, 0) == GOLDEN_TOY
+    assert _golden_share_digest(km_big, DEFAULT_BIAS) == GOLDEN_BIG

@@ -10,6 +10,7 @@ from fvss.errors import (
     CspUnavailable,
     DuplicateTable,
     EmptyInput,
+    MissingShare,
     NotEnoughAliveCsps,
     NotIndexed,
     UnknownRecordPosition,
@@ -355,6 +356,33 @@ def test_recovery_rejects_target_as_donor(km_toy):
     wh.load_rows("product", _rows())
     with pytest.raises(CspUnavailable):
         wh.recover_csp_shares(1, rg=(1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("fault", ["null", "short"])
+@pytest.mark.parametrize("donor", [0, 1])
+def test_recovery_refuses_disagreeing_donors(km_toy, donor, fault):
+    """A donor whose null mark or chunk count differs from its peer's stops
+    recovery before the target's slice or signature tree is rewritten."""
+    wh = _warehouse(km_toy)
+    wh.load_rows("product", [
+        dict(ProdNo=200 + k, prodName=f"p{k}", price=k / 2, qty=k) for k in range(20)
+    ])
+    target = 5
+    rg = wh.choose_rg(exclude=(target,))
+    pk, bitmap = next((pk, bm) for pk in wh.type1.pks("product")
+                      if (bm := wh.type1.bitmap("product", pk))[target - 1] == "1")
+    donors = [j for j in rg if bitmap[j - 1] == "1"]
+    assert len(donors) == 2
+    store = wh.csps[donors[donor]]
+    rec = store.tables["product"][store.position_of("product", pk)]
+    rec.shares["prodName"] = None if fault == "null" else rec.shares["prodName"][:-1]
+    want = copy.deepcopy(wh.csps[target].tables["product"])
+    with pytest.raises(MissingShare, match="null marks" if fault == "null" else "chunk counts"):
+        wh.recover_csp_shares(target)
+    got = wh.csps[target].tables["product"]
+    assert [(r.pk, r.plain, r.shares) for r in got] == \
+           [(r.pk, r.plain, r.shares) for r in want]
+    assert wh.verify_csp(target).ok
 
 
 # counters and persistence
