@@ -42,12 +42,16 @@ from .keyed import KeyMaterial
 from .sharing import Column, Schema, encode
 from .store import StoredRecord, Warehouse, display_value, order_key
 from .query import (
+    BIAS_TERMS,
     GroupSource,
     exec_count,
     exec_minmax_count,
     exec_sum,
     exec_sum_combined,
     group_key_fn,
+    nonnull_pks,
+    share_space_sums,
+    summed_pks,
 )
 
 MEASURE_FNS = ("sum", "count", "min", "max", "avg")
@@ -285,7 +289,7 @@ def _put_cube_row(wh: Warehouse, schema: Schema, pk: int, row: dict):
         }
         wh.csps[i].put_shared_record(schema, StoredRecord(pk, {}, shares_i))
     wh.type1.set(schema.table, pk, "1" * wh.km.n)
-    wh._index_row(schema, pk, row, old=None)
+    wh._index_row(schema, pk, row)
 
 
 def _require_all_alive(wh: Warehouse):
@@ -343,13 +347,6 @@ def _sort_cell_keys(keys):
     return sorted(keys, key=lambda k: tuple(
         (v is None, isinstance(v, str), v) for v in k
     ))
-
-
-def _nonnull(wh: Warehouse, table: str, attr: str, pks) -> list[int]:
-    nulls: set[int] = set()
-    for csp in wh.csps.values():
-        nulls |= csp.null_pks(table, attr, pks)
-    return sorted(set(pks) - nulls)
 
 
 def _measure_value(wh: Warehouse, spec: CubeSpec, sm: _StoredMeasure, pks, rg):
@@ -436,7 +433,8 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     SUM cells update purely in share space (never reconstructed), COUNT
     cells are reconstructed, incremented and re-shared, and MAX/MIN cells
     re-share the extremal record found through the record index. Returns
-    the number of touched or created cells.
+    the number of touched or created cells. Providers that disagree on a
+    new record's NULL marker raise InnerSignatureMismatch.
     """
     _require_all_alive(wh)
     table = cube_table(spec)
@@ -452,7 +450,7 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     dims = [col for col, _ in _dim_sources(wh, spec)]
     stored = _storage_measures(spec, wh.schemas[spec.table])
     rg = tuple(sorted(rg)) if rg is not None else wh.choose_rg()
-    km = wh.km
+    csps = sorted(wh.csps)
     fact = spec.table
 
     all_pks = wh.type1.pks(fact)
@@ -481,26 +479,16 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
             deltas: dict[str, dict[int, int]] = {}
             replacements: dict[str, object] = {}
             for sm in stored:
-                if sm.fn == "sum":
-                    present = _nonnull(wh, fact, sm.attr, members_new)
+                if sm.fn in ("sum", "sum_pair"):
+                    x = sm.attr or sm.x
+                    present = summed_pks(wh, fact, x, sm.y, members_new, csps)
                     if present:
-                        deltas[sm.column.name] = _eq2_delta(
-                            wh, fact, sm.attr, present, bias_terms=1
-                        )
-                elif sm.fn == "sum_pair":
-                    px = set(_nonnull(wh, fact, sm.x, members_new))
-                    py = set(_nonnull(wh, fact, sm.y, members_new))
-                    if px != py:
-                        raise SchemaMismatch(
-                            f"{sm.x} and {sm.y} have different NULL patterns"
-                        )
-                    if px:
-                        deltas[sm.column.name] = _eq3_delta(
-                            wh, fact, sm.x, sm.y, sm.op, sorted(px)
+                        deltas[sm.column.name] = _sum_delta(
+                            wh, fact, present, x, sm.y, sm.op
                         )
                 elif sm.fn == "count":
                     delta = len(members_new) if sm.attr is None else \
-                        len(_nonnull(wh, fact, sm.attr, members_new))
+                        len(nonnull_pks(wh, fact, sm.attr, members_new, csps))
                     if delta:
                         old = wh.reconstruct_value(table, cell_pk, sm.column.name, rg)
                         replacements[sm.column.name] = (old or 0) + delta
@@ -520,35 +508,13 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     return touched
 
 
-def _eq2_delta(wh: Warehouse, fact: str, attr: str, pks, bias_terms: int):
-    """Each provider's increment for SUM over pks: its own stored share sum
-    plus the pseudo-share correction, minus the surplus bias offsets."""
+def _sum_delta(wh: Warehouse, fact: str, pks, x: str, y: str | None, op: str | None):
+    """Each provider's increment for SUM(x) or SUM(x op y) over pks: its
+    share-space sum minus the surplus bias offsets."""
     km = wh.km
-    h = _bias_correction(km, bias_terms * len(pks), wh.bias)
-    out = {}
-    for i in sorted(wh.csps):
-        a = wh.csps[i].share_sum(fact, attr, pks)
-        a = (a + km.he2(wh.type1_pseudo_sum(fact, pks, i), km.id_of(i))) % km.p
-        out[i] = (a - h[i]) % km.p
-    return out
-
-
-def _eq3_delta(wh: Warehouse, fact: str, x: str, y: str, op: str, pks):
-    km = wh.km
-    sign = 1 if op == "+" else -1
-    terms = 2 * len(pks) if op == "+" else 0
-    h = _bias_correction(km, terms, wh.bias)
-    out = {}
-    for i in sorted(wh.csps):
-        a = wh.csps[i].share_sum(
-            fact, x, pks,
-            combine=lambda rec: rec.shares[x][0] + sign * rec.shares[y][0],
-        )
-        if op == "+":
-            pseudo = wh.type1_pseudo_sum(fact, pks, i)
-            a = (a + 2 * km.he2(pseudo, km.id_of(i))) % km.p
-        out[i] = (a - h[i]) % km.p
-    return out
+    h = _bias_correction(km, BIAS_TERMS[op] * len(pks), wh.bias)
+    sums = share_space_sums(wh, fact, pks, sorted(wh.csps), x, y, op)
+    return {i: (a - h[i]) % km.p for i, a in sums.items()}
 
 
 # querying

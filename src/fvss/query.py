@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from datetime import date as _date
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import eq, ge, gt, le, lt, ne
 
 from .errors import (
     CspUnavailable,
@@ -656,49 +657,60 @@ def _plan_aggregate(agg: Aggregate, names, wh, fact: str) -> PlannedAgg:
 # execution
 
 
-def _nonnull_pks(wh: Warehouse, table: str, attr: str, pks, rg) -> list[int]:
-    """Records in pks whose attr is present, discovered from the providers
-    in rg; every record has at least two group members there, so nulls
-    reported by the contacted providers cover the whole filter."""
-    nulls: set[int] = set()
-    for i in rg:
-        nulls |= wh.csps[i].null_pks(table, attr, pks)
-    return sorted(set(pks) - nulls)
+def nonnull_pks(wh: Warehouse, table: str, attr: str, pks, csps) -> set[int]:
+    """Records in pks whose attr is present, per the NULL markers of the
+    providers in csps. All of them that store a record (per its Type I
+    bitmap) must agree on its marker, else InnerSignatureMismatch makes
+    execute try another reconstruction group, which holds at least two
+    members of every storage group."""
+    pks = set(pks)
+    reported = {i: wh.csps[i].null_pks(table, attr, pks) for i in csps}
+    nulls = set().union(*reported.values())
+    for pk in nulls:
+        bitmap = wh.type1.bitmap(table, pk)
+        if any(bitmap[i - 1] == "1" and pk not in reported[i] for i in csps):
+            raise InnerSignatureMismatch(
+                f"pk {pk} of {table}: NULL marks of {attr} disagree across CSPs"
+            )
+    return pks - nulls
 
 
-def _field_sum(wh: Warehouse, table: str, attr: str, pks, rg) -> int:
-    """Eq-style share-space sum: per-provider share totals corrected by the
-    pseudo-share sum, interpolated, signature-checked."""
-    km = wh.km
-    totals = []
-    for i in rg:
-        a_i = wh.csps[i].share_sum(table, attr, pks)
-        pseudo = wh.type1_pseudo_sum(table, pks, i)
-        totals.append(a_i + km.he2(pseudo, km.id_of(i)))
-    xs = tuple(km.x_id(i) for i in rg)
-    return checked_data_point(xs, totals, km, f"SUM({table}.{attr})")
+# bias offsets, and pseudo-share corrections, one summed record adds to
+# SUM(x), SUM(x+y) and SUM(x-y), where in the last both cancel
+BIAS_TERMS = {None: 1, "+": 2, "-": 0}
 
 
-def _field_sum_combined(wh: Warehouse, table: str, x: str, y: str, op: str,
-                        pks, rg) -> int:
-    """Sum of x op y in one pass: each provider sums its x and y shares
-    together; the pseudo-share correction doubles for '+' and cancels
-    for '-' because both record polynomials pass through the same
-    pseudo-share points."""
+def share_space_sums(wh: Warehouse, table: str, pks, csps, x: str,
+                     y: str | None = None, op: str | None = None) -> dict[int, int]:
+    """Per-provider share of SUM(x), or of SUM(x op y), over pks: its own
+    share sum plus HE2 of the pseudo-share sum of the records it does not
+    store, once per term (both record polynomials of a pair pass through
+    the same pseudo-share points)."""
     km = wh.km
     sign = 1 if op == "+" else -1
-    totals = []
-    for i in rg:
-        a_i = wh.csps[i].share_sum(
-            table, x, pks,
-            combine=lambda rec: rec.shares[x][0] + sign * rec.shares[y][0],
+    combine = None if y is None else (
+        lambda rec: rec.shares[x][0] + sign * rec.shares[y][0]
+    )
+    terms = BIAS_TERMS[op]
+    out = {}
+    for i in csps:
+        a = wh.csps[i].share_sum(table, x, pks, combine=combine)
+        if terms:
+            a += terms * km.he2(wh.type1_pseudo_sum(table, pks, i), km.id_of(i))
+        out[i] = a % km.p
+    return out
+
+
+def summed_pks(wh: Warehouse, table: str, x: str, y: str | None, pks, csps) -> set[int]:
+    """Records SUM(x) or SUM(x op y) adds up: those with x present, which
+    for a pair must be exactly those with y present."""
+    present = nonnull_pks(wh, table, x, pks, csps)
+    if y is not None and present != nonnull_pks(wh, table, y, pks, csps):
+        raise SchemaMismatch(
+            f"{x} and {y} have different NULL patterns; "
+            "a pairwise sum is only defined when both sides are present"
         )
-        if op == "+":
-            pseudo = wh.type1_pseudo_sum(table, pks, i)
-            a_i += 2 * km.he2(pseudo, km.id_of(i))
-        totals.append(a_i)
-    xs = tuple(km.x_id(i) for i in rg)
-    return checked_data_point(xs, totals, km, f"SUM({table}.{x}{op}{y})")
+    return present
 
 
 def _decode_sum(total: int, count: int, col: Column, bias_terms: int,
@@ -711,14 +723,22 @@ def _decode_sum(total: int, count: int, col: Column, bias_terms: int,
     return raw
 
 
+def _exec_sum(wh: Warehouse, table: str, x: str, y: str | None, op: str | None,
+              out_col: Column, pks, rg):
+    present = summed_pks(wh, table, x, y, pks, rg)
+    if not present:
+        return Fraction(0) if out_col.kind == "real" else 0
+    sums = share_space_sums(wh, table, present, rg, x, y, op)
+    xs = tuple(wh.km.x_id(i) for i in rg)
+    what = f"SUM({table}.{x}{op or ''}{y or ''})"
+    total = checked_data_point(xs, [sums[i] for i in rg], wh.km, what)
+    return _decode_sum(total, len(present), out_col, BIAS_TERMS[op], wh.bias, wh.km.p)
+
+
 def exec_sum(wh: Warehouse, table: str, attr: str, pks, rg):
     """SUM(attr) over the filtered records; 0 on an empty filter."""
     col = wh.schemas[table].column(attr)
-    present = _nonnull_pks(wh, table, attr, pks, rg)
-    if not present:
-        return Fraction(0) if col.kind == "real" else 0
-    total = _field_sum(wh, table, attr, present, rg)
-    return _decode_sum(total, len(present), col, 1, wh.bias, wh.km.p)
+    return _exec_sum(wh, table, attr, None, None, col, pks, rg)
 
 
 def exec_sum_combined(wh: Warehouse, table: str, x: str, y: str, op: str, pks, rg):
@@ -727,20 +747,8 @@ def exec_sum_combined(wh: Warehouse, table: str, x: str, y: str, op: str, pks, r
     col_y = wh.schemas[table].column(y)
     if col_x.scale != col_y.scale:
         raise SchemaMismatch(f"{x} and {y} have different scales")
-    present_x = set(_nonnull_pks(wh, table, x, pks, rg))
-    present_y = set(_nonnull_pks(wh, table, y, pks, rg))
-    if present_x != present_y:
-        raise SchemaMismatch(
-            f"{x} and {y} have different NULL patterns; "
-            "a pairwise sum is only defined when both sides are present"
-        )
-    present = sorted(present_x)
     out_col = col_x if col_x.kind == "real" else col_y
-    if not present:
-        return Fraction(0) if out_col.kind == "real" else 0
-    total = _field_sum_combined(wh, table, x, y, op, present, rg)
-    bias_terms = 2 if op == "+" else 0
-    return _decode_sum(total, len(present), out_col, bias_terms, wh.bias, wh.km.p)
+    return _exec_sum(wh, table, x, y, op, out_col, pks, rg)
 
 
 def exec_count(wh: Warehouse, table: str, attr: str | None, pks, rg) -> int:
@@ -748,7 +756,7 @@ def exec_count(wh: Warehouse, table: str, attr: str | None, pks, rg) -> int:
         return len(set(pks))
     if wh.type2.is_indexed(table, attr):
         return wh.type2_aggregate(table, attr, "count", set(pks))
-    return len(_nonnull_pks(wh, table, attr, pks, rg))
+    return len(nonnull_pks(wh, table, attr, pks, rg))
 
 
 def exec_avg(wh: Warehouse, table: str, attr: str, pks, rg) -> Fraction:
@@ -788,17 +796,12 @@ def exec_minmax_count(wh: Warehouse, table: str, attr: str, fn: str, pks, rg):
 
 
 def _apply_pk_predicate(pks, op: str, operand) -> set[int]:
-    ops = {
-        "=": lambda v: v == operand,
-        "!=": lambda v: v != operand,
-        "<": lambda v: v < operand,
-        "<=": lambda v: v <= operand,
-        ">": lambda v: v > operand,
-        ">=": lambda v: v >= operand,
-        "between": lambda v: operand[0] <= v <= operand[1],
-        "in": lambda v: v in set(operand),
-    }
-    return {pk for pk in pks if ops[op](pk)}
+    if op == "in":
+        return set(pks).intersection(operand)
+    if op == "between":
+        return {pk for pk in pks if operand[0] <= pk <= operand[1]}
+    compare = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}[op]
+    return {pk for pk in pks if compare(pk, operand)}
 
 
 def _filter_pks(wh: Warehouse, plan: QueryPlan) -> set[int]:
@@ -843,7 +846,7 @@ def _eval_aggregate(wh: Warehouse, plan: QueryPlan, agg: PlannedAgg, pks, rg):
         total = exec_sum_combined(wh, fact, agg.x, agg.y, agg.op, pks, rg)
         if agg.fn == "sum":
             return total
-        count = len(_nonnull_pks(wh, fact, agg.x, pks, rg))
+        count = len(nonnull_pks(wh, fact, agg.x, pks, rg))
         return Fraction(total) / count if count else None
     attr = agg.attr
     try:

@@ -1,11 +1,15 @@
 """Simulated CSP stores, the trusted index server, and the warehouse facade.
 
 Each CSP keeps its slice of every shared table (records in insertion
-order, positions feed its signature tree), an alive/failed flag for
-experiments, and monotone byte counters. The index server keeps the
-Type I location bitmaps, Type II plaintext ordered indices and the
-Type III derived-column registry; by design it is a trusted node, so
-order keys are stored in the clear there.
+order, positions feed its signature tree), the set of NULL primary keys
+per attribute, an alive/failed flag for experiments, and monotone byte
+counters. The index server keeps the Type I location bitmaps with, per
+provider, the set of primary keys it does not store, the Type II
+plaintext ordered indices with a primary key -> order key map beside
+each, and the Type III derived-column registry; by design it is a
+trusted node, so order keys are stored in the clear there. The sets and
+maps are maintained on every write and rebuilt on load, so filtered
+aggregates cost time in the size of the filter, not of the table.
 
 On disk (all integers decimal text):
     <root>/csp<i>/<table>.shares     tab-separated records, share lists
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from datetime import timedelta
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -56,6 +61,7 @@ from .sharing import (
 from .sigtree import BreachReport, SignatureTree, WaryTree
 
 NULL_LITERAL = "NULL"
+_KEY = itemgetter(0)    # order key of a Type II (key, pk) entry
 
 
 def _agreed_chunk_count(table: str, pk: int, fetched) -> int | None:
@@ -129,6 +135,7 @@ class CspStore:
         self.alive = True
         self.tables: dict[str, list[StoredRecord]] = {}
         self.positions: dict[str, dict[int, int]] = {}
+        self.nulls: dict[str, dict[str, set[int]]] = {}   # table -> attr -> NULL pks
         self.sigtree = SignatureTree(index, w, km)
         self.bytes_stored = 0
         self.bytes_transferred = 0
@@ -140,8 +147,7 @@ class CspStore:
     def create_table(self, table: str):
         if table in self.tables:
             raise DuplicateTable(table)
-        self.tables[table] = []
-        self.positions[table] = {}
+        self._set_slice(table, [])
         self.sigtree.create_table(table)
 
     def has_table(self, table: str) -> bool:
@@ -153,12 +159,27 @@ class CspStore:
         except KeyError:
             raise UnknownTable(table) from None
 
+    def _set_slice(self, table: str, records: list[StoredRecord]):
+        """Install a table slice with its position and NULL indexes."""
+        self.tables[table] = records
+        self.positions[table] = {r.pk: i for i, r in enumerate(records)}
+        self.nulls[table] = {}
+        for r in records:
+            self._track_nulls(table, r)
+
+    def _track_nulls(self, table: str, rec: StoredRecord):
+        nulls = self.nulls[table]
+        for attr, chunks in rec.shares.items():
+            if chunks is None:
+                nulls.setdefault(attr, set()).add(rec.pk)
+
     def put_shared_record(self, schema: Schema, rec: StoredRecord) -> int:
         self._check_alive()
         records = self._records(schema.table)
         records.append(rec)
         pos = len(records) - 1
         self.positions[schema.table][rec.pk] = pos
+        self._track_nulls(schema.table, rec)
         self.sigtree.insert_record(schema.table, canonical_record_bytes(schema, rec))
         self.bytes_stored += len(_record_line(schema, rec).encode()) + 1
         return pos
@@ -169,6 +190,9 @@ class CspStore:
         if not 0 <= pos < len(records):
             raise UnknownRecordPosition(f"{schema.table}[{pos}] at CSP {self.index}")
         records[pos] = rec
+        for pks in self.nulls[schema.table].values():
+            pks.discard(rec.pk)
+        self._track_nulls(schema.table, rec)
         self.sigtree.update_record(schema.table, pos, canonical_record_bytes(schema, rec))
         self.bytes_stored += len(_record_line(schema, rec).encode()) + 1
 
@@ -202,11 +226,7 @@ class CspStore:
     def null_pks(self, table: str, attr: str, pks) -> set[int]:
         """Primary keys among pks stored here whose attr is null."""
         self._check_alive()
-        out = set()
-        for pk in pks:
-            pos = self.positions.get(table, {}).get(pk)
-            if pos is not None and self._records(table)[pos].shares.get(attr) is None:
-                out.add(pk)
+        out = self.nulls.get(table, {}).get(attr, set()).intersection(pks)
         self.bytes_transferred += len(out) * 8
         return out
 
@@ -218,20 +238,17 @@ class CspStore:
         caller; stored shares are already < p.
         """
         self._check_alive()
+        positions = self.positions.get(table, {})
+        records = self.tables.get(table, [])
         total = 0
-        n = 0
-        for pk in pks:
-            pos = self.positions.get(table, {}).get(pk)
+        for pos in map(positions.get, pks):
             if pos is None:
                 continue
-            rec = self._records(table)[pos]
+            rec = records[pos]
             if combine is not None:
                 total += combine(rec)
-            else:
-                chunks = rec.shares.get(attr)
-                if chunks is not None:
-                    total += chunks[0]
-            n += 1
+            elif (chunks := rec.shares.get(attr)) is not None:
+                total += chunks[0]
         self.bytes_transferred += 8
         return total % self.km.p
 
@@ -253,8 +270,7 @@ class CspStore:
         table = schema.table
         if table not in self.tables:
             raise UnknownTable(table)
-        self.tables[table] = list(records)
-        self.positions[table] = {r.pk: i for i, r in enumerate(records)}
+        self._set_slice(table, list(records))
         tree = self.sigtree
         old_root = tree.record_trees[table].root
         leaves = [tree.record_sig(canonical_record_bytes(schema, r)) for r in records]
@@ -266,16 +282,27 @@ class CspStore:
 
 
 class TypeOneIndex:
-    """(table, pk) -> location bitmap, in insertion order per table."""
+    """(table, pk) -> location bitmap, in insertion order per table, plus
+    per table and CSP i the set of pks whose bitmap has 0 at position i."""
 
     def __init__(self):
         self.entries: dict[str, dict[int, str]] = {}
+        self.absent: dict[str, dict[int, set[int]]] = {}
 
     def create_table(self, table: str):
         self.entries.setdefault(table, {})
+        self.absent.setdefault(table, {})
 
     def set(self, table: str, pk: int, bitmap: str):
-        self.entries.setdefault(table, {})[pk] = bitmap
+        entries = self.entries.setdefault(table, {})
+        absent = self.absent.setdefault(table, {})
+        if pk in entries:
+            for pks in absent.values():
+                pks.discard(pk)
+        entries[pk] = bitmap
+        for i, bit in enumerate(bitmap, 1):
+            if bit == "0":
+                absent.setdefault(i, set()).add(pk)
 
     def bitmap(self, table: str, pk: int) -> str:
         try:
@@ -294,88 +321,96 @@ class TypeOneIndex:
     def pseudo_sum(self, table: str, pks, i: int, p: int) -> int:
         """Sum mod p of filtered pks whose shares are NOT stored at CSP i;
         this is the quantity fed to HE2 in share-space aggregation."""
-        total = 0
-        for pk in pks:
-            if self.bitmap(table, pk)[i - 1] == "0":
-                total += pk
-        return total % p
+        return sum(self.absent.get(table, {}).get(i, set()).intersection(pks)) % p
 
 
 class TypeTwoIndex:
-    """Plaintext ordered multimaps at the index server.
+    """Plaintext ordered indices at the index server.
 
-    Order keys are canonical integers (scaled reals, epoch days, 0/1
+    Per indexed attribute, a sorted (key, pk) list answers predicates by
+    bisection and a pk -> key dict beside it answers point reads and
+    filtered aggregates; insert and remove keep both in step, one key per
+    pk. Order keys are canonical integers (scaled reals, epoch days, 0/1
     booleans) or raw strings; nulls are simply absent.
     """
 
     def __init__(self):
         self.maps: dict[tuple[str, str], list[tuple]] = {}
+        self.keys: dict[tuple[str, str], dict[int, object]] = {}
 
     def register(self, table: str, attr: str):
         self.maps.setdefault((table, attr), [])
+        self.keys.setdefault((table, attr), {})
 
     def is_indexed(self, table: str, attr: str) -> bool:
         return (table, attr) in self.maps
 
-    def _entries(self, table: str, attr: str) -> list[tuple]:
+    def _index(self, table: str, attr: str) -> tuple[list[tuple], dict[int, object]]:
         try:
-            return self.maps[(table, attr)]
+            return self.maps[(table, attr)], self.keys[(table, attr)]
         except KeyError:
             raise NotIndexed(f"{table}.{attr} has no Type II index") from None
 
-    def insert(self, table: str, attr: str, key, pk: int):
-        insort(self._entries(table, attr), (key, pk))
+    def value_map(self, table: str, attr: str) -> dict[int, object]:
+        """pk -> order key of every indexed record. This is the maintained
+        map itself: callers must not modify it."""
+        return self._index(table, attr)[1]
 
-    def remove(self, table: str, attr: str, key, pk: int):
-        entries = self._entries(table, attr)
-        i = bisect_left(entries, (key, pk))
-        if i < len(entries) and entries[i] == (key, pk):
-            entries.pop(i)
+    def insert(self, table: str, attr: str, key, pk: int):
+        """Index pk under key, replacing the key it had."""
+        entries, keys = self._index(table, attr)
+        if pk in keys:
+            self.remove(table, attr, pk)
+        insort(entries, (key, pk))
+        keys[pk] = key
+
+    def remove(self, table: str, attr: str, pk: int):
+        """Drop pk from the index; a pk that is not there is ignored."""
+        entries, keys = self._index(table, attr)
+        if pk in keys:
+            del entries[bisect_left(entries, (keys.pop(pk), pk))]
 
     def lookup(self, table: str, attr: str, op: str, operand) -> set[int]:
-        entries = self._entries(table, attr)
-        if op == "=":
-            lo = bisect_left(entries, (operand,))
-            hi = bisect_right(entries, (operand, float("inf"))) if entries else 0
-            return {pk for _, pk in entries[lo:hi] if _ == operand}
-        if op in ("!=", "<>"):
-            return {pk for k, pk in entries if k != operand}
-        if op == "<":
-            return {pk for k, pk in entries[: bisect_left(entries, (operand,))]}
-        if op == "<=":
-            return {pk for k, pk in entries if k <= operand}
-        if op == ">":
-            return {pk for k, pk in entries if k > operand}
-        if op == ">=":
-            return {pk for k, pk in entries[bisect_left(entries, (operand,)):]}
-        if op == "between":
-            lo, hi = operand
-            return {pk for k, pk in entries if lo <= k <= hi}
+        """Primary keys whose order key k satisfies `k op operand`; every
+        operator reads only the bisected runs of matching entries."""
+        entries = self._index(table, attr)[0]
+
+        def run(lo_key, hi_key):
+            return (bisect_left(entries, lo_key, key=_KEY),
+                    bisect_right(entries, hi_key, key=_KEY))
+
         if op == "in":
-            wanted = set(operand)
-            return {pk for k, pk in entries if k in wanted}
-        raise NotIndexed(f"unsupported predicate {op!r}")
+            runs = [run(v, v) for v in set(operand)]
+        elif op == "between":
+            runs = [run(*operand)]
+        else:
+            a, b = run(operand, operand)   # first key >= operand, first key > operand
+            runs = {"=": [(a, b)], "!=": [(0, a), (b, None)], "<>": [(0, a), (b, None)],
+                    "<": [(0, a)], "<=": [(0, b)], ">": [(b, None)], ">=": [(a, None)]}.get(op)
+            if runs is None:
+                raise NotIndexed(f"unsupported predicate {op!r}")
+        return {pk for start, stop in runs for _, pk in entries[start:stop]}
 
     def aggregate(self, table: str, attr: str, fn: str, pks) -> int:
         """MAX/MIN/MEDIAN return the extremal or median record's pk;
-        COUNT returns the cardinality (non-null by construction)."""
-        entries = self._entries(table, attr)
-        filtered = [(k, pk) for k, pk in entries if pk in pks]
+        COUNT returns the cardinality (non-null by construction). Only the
+        filtered records are visited."""
+        keys = self._index(table, attr)[1]
+        hits = keys.keys() & pks
         if fn == "count":
-            return len(filtered)
-        if not filtered:
+            return len(hits)
+        if not hits:
             raise EmptyInput(f"{fn} over empty {table}.{attr} filter")
+        ranked = ((keys[pk], pk) for pk in hits)
         if fn == "max":
-            return filtered[-1][1]
+            return max(ranked)[1]
         if fn == "min":
-            return filtered[0][1]
+            return min(ranked)[1]
         if fn == "median":
             # lower middle of the (value, pk) order keeps it deterministic
-            return filtered[(len(filtered) - 1) // 2][1]
+            ranked = sorted(ranked)
+            return ranked[(len(ranked) - 1) // 2][1]
         raise EmptyInput(f"unknown index aggregate {fn!r}")
-
-    def value_map(self, table: str, attr: str) -> dict[int, object]:
-        return {pk: k for k, pk in self._entries(table, attr)}
 
 
 @dataclass(frozen=True)
@@ -490,7 +525,7 @@ class Warehouse:
         self.type3 = TypeThreeRegistry()
         self.schemas: dict[str, Schema] = {}
         self.table_order: list[str] = []
-        self.indexed_attrs: dict[str, list[str]] = {}
+        self.indexed_columns: dict[str, list[Column]] = {}
 
     # participants
 
@@ -557,11 +592,11 @@ class Warehouse:
         for col in full.columns[1:]:
             if col.kind == "fk" or col.name in index_attrs:
                 self.type2.register(full.table, col.name)
-                indexed.append(col.name)
+                indexed.append(col)
         missing = set(index_attrs) - {c.name for c in full.columns}
         if missing:
             raise SchemaMismatch(f"cannot index unknown columns {sorted(missing)}")
-        self.indexed_attrs[full.table] = indexed
+        self.indexed_columns[full.table] = indexed
         return full
 
     def create_table(self, schema: Schema, index_attrs=(), derived=()) -> Schema:
@@ -600,7 +635,7 @@ class Warehouse:
         for i in sorted(bundle.group.sg):
             self.csps[i].put_shared_record(schema, self._stored_record(bundle, i))
         self.type1.set(table, pk, bundle.group.bitmap)
-        self._index_row(schema, pk, full, old=None)
+        self._index_row(schema, pk, full)
         return pk
 
     def _update(self, schema: Schema, pk: int, full: dict):
@@ -615,22 +650,19 @@ class Warehouse:
             full, schema, self.weights, self.alive_csps(), self.km,
             bias=self.bias, group=group,
         )
-        old = {
-            attr: self.type2.value_map(table, attr).get(pk)
-            for attr in self.indexed_attrs.get(table, [])
-        }
         for i in sorted(group.sg):
             pos = self.csps[i].position_of(table, pk)
             self.csps[i].update_shared_record(schema, pos, self._stored_record(bundle, i))
-        self._index_row(schema, pk, full, old=old)
+        self._index_row(schema, pk, full)
 
-    def _index_row(self, schema: Schema, pk: int, full: dict, old):
-        for attr in self.indexed_attrs.get(schema.table, []):
-            if old is not None and old.get(attr) is not None:
-                self.type2.remove(schema.table, attr, old[attr], pk)
-            key = order_key(full.get(attr), schema.column(attr))
+    def _index_row(self, schema: Schema, pk: int, full: dict):
+        """Point every Type II index of the table at the row's values."""
+        for col in self.indexed_columns.get(schema.table, []):
+            key = order_key(full.get(col.name), col)
             if key is not None:
-                self.type2.insert(schema.table, attr, key, pk)
+                self.type2.insert(schema.table, col.name, key, pk)
+            elif pk in self.type2.value_map(schema.table, col.name):
+                self.type2.remove(schema.table, col.name, pk)
 
     def load_rows(self, table: str, rows) -> int:
         count = 0
@@ -877,8 +909,7 @@ class Warehouse:
                     for line in (d / f"{table}.shares").read_text().splitlines()
                     if line
                 ]
-                csp.tables[table] = records
-                csp.positions[table] = {r.pk: pos for pos, r in enumerate(records)}
+                csp._set_slice(table, records)
                 csp.sigtree.record_trees[table] = WaryTree.from_triples(
                     w, km.p,
                     _parse_triples((d / f"{table}.sigtree").read_text().splitlines()),
@@ -892,12 +923,9 @@ class Warehouse:
         if t2.is_dir():
             for path in sorted(t2.glob("*.idx")):
                 table, attr = path.name[: -len(".idx")].split(".", 1)
-                entries = wh.type2.maps.setdefault((table, attr), [])
-                for line in path.read_text().splitlines():
-                    if line:
-                        key, pk = json.loads(line)
-                        entries.append((key, pk))
-                entries.sort()
+                pairs = [json.loads(line) for line in path.read_text().splitlines() if line]
+                wh.type2.maps[(table, attr)] = sorted((key, pk) for key, pk in pairs)
+                wh.type2.keys[(table, attr)] = {pk: key for key, pk in pairs}
         return wh
 
 

@@ -1,0 +1,20 @@
+"""Fault injection the package has no entry point for."""
+
+from fvss.store import StoredRecord
+
+
+def report_null(wh, i, table, pk, attr):
+    """Make CSP i hold attr of pk as NULL: in its stored record, and so in
+    its null_pks answer, with its signature tree kept in step. Returns the
+    record it replaced, for restore_record."""
+    csp = wh.csps[i]
+    pos = csp.position_of(table, pk)
+    rec = csp.tables[table][pos]
+    lie = StoredRecord(pk, dict(rec.plain), {**rec.shares, attr: None})
+    csp.update_shared_record(wh.schemas[table], pos, lie)
+    return rec
+
+
+def restore_record(wh, i, table, rec):
+    csp = wh.csps[i]
+    csp.update_shared_record(wh.schemas[table], csp.position_of(table, rec.pk), rec)

@@ -41,6 +41,7 @@ from fvss.errors import AvailabilityError, IntegrityError
 from fvss.sharing import RECONSTRUCTIONS
 from fvss.sigtree import SignatureTree
 
+from .faults import report_null, restore_record
 from .oracles import PlainWarehouse
 
 SEED = bytes(range(32))
@@ -256,6 +257,45 @@ def test_thousand_tampers_detected_and_localized(km_big):
 
     assert inner_hits == 1000 and outer_hits == 1000
     assert all(wh.verify_csp(i).ok for i in wh.alive_csps())
+
+
+def test_random_null_marks_never_drop_a_record(km_big):
+    """One storage-group member marks a present value NULL, in its stored
+    record and in its null_pks answer alike. Every query either rotates
+    past it to the plaintext answer or, with a pinned group holding it,
+    raises; none answers with the record left out."""
+    wh, oracle = _aggregation_pair(km_big)
+    rnd = random.Random(43)
+    shapes = {
+        "price": ("SELECT SUM(price), COUNT(price) FROM Sale{p}",
+                  "SELECT AVG(price) FROM Sale{p}",
+                  "SELECT VAR(price) FROM Sale{p}",
+                  "SELECT SUM(price+tax) FROM Sale{p}"),
+        "tax": ("SELECT SUM(tax), COUNT(tax) FROM Sale{p}",
+                "SELECT SUM(price-tax) FROM Sale{p}"),
+        "qty": ("SELECT SUM(qty), COUNT(qty) FROM Sale{p}",
+                "SELECT SaleNo, AVG(qty) FROM Sale{p} GROUP BY SaleNo"),
+    }
+    preds = ("", " WHERE SaleNo BETWEEN 5 AND 45", " WHERE price >= 10.00",
+             " WHERE note = 'red'")
+    refused = 0
+    for _ in range(60):
+        attr = rnd.choice(sorted(shapes))
+        pk = rnd.choice([row["SaleNo"] for row in oracle.rows["Sale"]
+                         if row[attr] is not None])
+        liar = rnd.choice(sorted(group_from_bitmap(wh.type1.bitmap("Sale", pk)).sg))
+        text = rnd.choice(shapes[attr]).format(p=rnd.choice(preds))
+        want = oracle.query(parse(text))
+        rec = report_null(wh, liar, "Sale", pk, attr)
+        assert execute(wh, text)[1] == want, text
+        rg = rnd.choice([g for g in wh.rg_candidates() if liar in g])
+        try:
+            assert execute(wh, text, rg=rg)[1] == want, text
+        except IntegrityError:
+            refused += 1
+        restore_record(wh, liar, "Sale", rec)
+    assert refused > 30
+    assert all(r.ok for r in wh.verify_all().values())
 
 
 # aggregation against the plaintext evaluator

@@ -22,6 +22,7 @@ from fvss.cube import (
 )
 from fvss.errors import (
     CspUnavailable,
+    InnerSignatureMismatch,
     NotIndexed,
     SchemaMismatch,
     UnknownRecordPosition,
@@ -29,9 +30,10 @@ from fvss.errors import (
     UnsupportedFeature,
 )
 from fvss.query import parse
-from fvss.sharing import RECONSTRUCTIONS, Column, Schema
+from fvss.sharing import RECONSTRUCTIONS, Column, Schema, group_from_bitmap
 from fvss.store import Warehouse
 
+from .faults import report_null
 from .oracles import PlainWarehouse, eval_poly, interpolate_gauss
 
 PRODUCT = Schema("Product", (
@@ -401,6 +403,17 @@ def test_sum_only_build_never_reconstructs(km_big):
     RECONSTRUCTIONS.reset()
     cube_build(wh, SUM_SPEC)
     assert RECONSTRUCTIONS.count == 0
+
+
+def test_refresh_refuses_disagreeing_null_marks(km_big):
+    wh = fill_warehouse(km_big, SALES_BASE)
+    cube_build(wh, SUM_SPEC)
+    for row in SALES_EXTRA:
+        wh.insert("Sales", row)
+    liar = min(group_from_bitmap(wh.type1.bitmap("Sales", 11)).sg)
+    report_null(wh, liar, "Sales", 11, "qty")
+    with pytest.raises(InnerSignatureMismatch, match="NULL marks of qty"):
+        cube_refresh(wh, SUM_SPEC, [r["SaleNo"] for r in SALES_EXTRA])
 
 
 def test_refresh_rejects_unknown_facts(km_big):

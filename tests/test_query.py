@@ -32,6 +32,7 @@ from fvss.query import (
     plan,
 )
 
+from .faults import report_null
 from .oracles import PlainWarehouse, eval_poly, interpolate_gauss
 
 FIG9 = """SELECT SUM(S.price+S.tax) AS sumprice, P.prodName FROM Sale AS S
@@ -485,6 +486,22 @@ def test_rotation_past_tampered_share(km_big):
     bad_rg = tuple(sorted([victim] + [i for i in range(1, 6) if i != victim][:3]))
     with pytest.raises(InnerSignatureMismatch):
         execute(wh, "SELECT SUM(price) FROM Sale", rg=bad_rg)
+
+
+def test_null_marker_disagreement_never_drops_a_record(km_big):
+    wh = _flat(km_big, [{"pk": i, "q": 10} for i in range(1, 11)], (Column("q", "int"),))
+    liar = min(group_from_bitmap(wh.type1.bitmap("t", 1)).sg)
+    report_null(wh, liar, "t", 1, "q")
+    assert wh.csps[liar].null_pks("t", "q", set(range(1, 11))) == {1}
+    text = "SELECT SUM(q), COUNT(q) FROM t"
+    # rotation reaches the one group without the liar
+    assert execute(wh, text)[1] == [(100, 10)]
+    for rg in wh.rg_candidates():
+        if liar in rg:
+            with pytest.raises(InnerSignatureMismatch, match="NULL marks"):
+                execute(wh, text, rg=rg)
+        else:
+            assert execute(wh, text, rg=rg)[1] == [(100, 10)]
 
 
 # randomized equivalence against the plaintext evaluator
