@@ -212,15 +212,62 @@ def _parse_literal(text: str):
 # store plumbing
 
 def _lock(root: Path):
+    """Create root/.lock holding this process's pid. A lock left behind
+    by a process that is no longer running is taken over; any other
+    existing lock raises StoreLocked."""
     root.mkdir(parents=True, exist_ok=True)
     path = root / ".lock"
     try:
         fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise StoreLocked(f"{path} exists; another invocation holds this store")
+        _remove_stale_lock(path)
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise _held(path) from None
     os.write(fd, f"{os.getpid()}\n".encode())
     os.close(fd)
     return path
+
+
+def _held(path: Path) -> StoreLocked:
+    return StoreLocked(f"{path} exists; another invocation holds this store")
+
+
+def _pid_running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # signal 0 sends nothing; it only checks the pid
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):
+        return True
+    return True
+
+
+def _remove_stale_lock(path: Path):
+    """Remove a lock whose recorded pid names no running process. Text
+    that is not a pid, or a running holder, raises StoreLocked."""
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        return  # released since the failed create
+    try:
+        pid = int(text)
+    except ValueError:
+        raise _held(path) from None
+    if pid <= 0 or _pid_running(pid):
+        raise _held(path)
+    # Move it aside before deleting: if another invocation took the lock
+    # over since the read, its live lock is what moved, and it goes back.
+    aside = path.with_name(f".lock.{os.getpid()}")
+    try:
+        os.rename(path, aside)
+    except FileNotFoundError:
+        return
+    if aside.read_text() != text:
+        os.rename(aside, path)
+        raise _held(path)
+    aside.unlink()
 
 
 def _open_warehouse(cfg: AppConfig) -> Warehouse:

@@ -48,7 +48,7 @@ from .query import (
     exec_minmax_count,
     exec_sum,
     exec_sum_combined,
-    group_key_fn,
+    group_pks,
     nonnull_pks,
     share_space_sums,
     summed_pks,
@@ -314,19 +314,26 @@ def _active_flags(spec: CubeSpec, combo) -> list[bool]:
     return flags
 
 
-def _fact_keys(wh: Warehouse, spec: CubeSpec, pks) -> dict[int, tuple]:
-    sources = _dim_sources(wh, spec)
-    fns = [group_key_fn(wh, spec.table, src) for _, src in sources]
-    out = {}
-    for pk in pks:
-        key = tuple(fn(pk) for fn in fns)
-        if any(v is None for v in key):
+def _fact_keys(wh: Warehouse, spec: CubeSpec, pks) -> dict[tuple, list[int]]:
+    """Fact pks grouped by their full dimension key."""
+    groups = group_pks(wh, spec.table, [src for _, src in _dim_sources(wh, spec)], pks)
+    for key, members in groups.items():
+        if None in key:
             raise SchemaMismatch(
-                f"fact {pk} has a NULL dimension value; NULL is reserved "
+                f"fact {members[0]} has a NULL dimension value; NULL is reserved "
                 "for cube superaggregates"
             )
-        out[pk] = key
-    return out
+    return groups
+
+
+def _cells(by_key: dict[tuple, list[int]], flags) -> dict[tuple, list[int]]:
+    """Members of each cell at one lattice level: the dimensions whose
+    flag is off are aggregated away to NULL."""
+    cells: dict[tuple, list[int]] = {}
+    for key, members in by_key.items():
+        cell = tuple(v if on else None for v, on in zip(key, flags))
+        cells.setdefault(cell, []).extend(members)
+    return cells
 
 
 def _cells_by_key(wh: Warehouse, spec: CubeSpec) -> dict[tuple, int]:
@@ -373,17 +380,10 @@ def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
     wh.create_table(schema, index_attrs=tuple(col.name for col in dims))
     rg = tuple(sorted(rg)) if rg is not None else wh.choose_rg()
 
-    fact_pks = wh.type1.pks(spec.table)
-    keys = _fact_keys(wh, spec, fact_pks)
+    by_key = _fact_keys(wh, spec, wh.type1.pks(spec.table))
     cell_pk = 0
     for combo in _lattice(spec):
-        flags = _active_flags(spec, combo)
-        groups: dict[tuple, list[int]] = {}
-        for pk in fact_pks:
-            cell = tuple(
-                v if on else None for v, on in zip(keys[pk], flags)
-            )
-            groups.setdefault(cell, []).append(pk)
+        groups = _cells(by_key, _active_flags(spec, combo))
         for cell in _sort_cell_keys(groups):
             cell_pk += 1
             row = dict(zip((c.name for c in dims), cell))
@@ -453,18 +453,19 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     csps = sorted(wh.csps)
     fact = spec.table
 
-    all_pks = wh.type1.pks(fact)
-    keys = _fact_keys(wh, spec, all_pks)
+    new_keys = _fact_keys(wh, spec, new_pks)
+    # MIN/MAX cells are re-derived from every member, old facts included
+    all_keys = None
+    if any(sm.fn in ("min", "max") for sm in stored):
+        all_keys = _fact_keys(wh, spec, wh.type1.pks(fact))
     cells = _cells_by_key(wh, spec)
     next_pk = max(wh.type1.pks(table), default=0)
     touched = 0
 
     for combo in _lattice(spec):
         flags = _active_flags(spec, combo)
-        new_groups: dict[tuple, list[int]] = {}
-        for pk in new_pks:
-            cell = tuple(v if on else None for v, on in zip(keys[pk], flags))
-            new_groups.setdefault(cell, []).append(pk)
+        new_groups = _cells(new_keys, flags)
+        all_groups = None if all_keys is None else _cells(all_keys, flags)
         for cell in _sort_cell_keys(new_groups):
             members_new = new_groups[cell]
             touched += 1
@@ -493,13 +494,9 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
                         old = wh.reconstruct_value(table, cell_pk, sm.column.name, rg)
                         replacements[sm.column.name] = (old or 0) + delta
                 else:
-                    members_all = [
-                        pk for pk in all_pks
-                        if tuple(v if on else None for v, on in zip(keys[pk], flags)) == cell
-                    ]
                     try:
                         value = exec_minmax_count(wh, fact, sm.attr, sm.fn,
-                                                  members_all, rg)
+                                                  all_groups[cell], rg)
                     except EmptyInput:
                         value = None
                     replacements[sm.column.name] = value

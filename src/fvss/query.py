@@ -5,8 +5,9 @@ index-server work (Type II lookups resolve predicates to primary-key
 sets, Type I bitmaps supply pseudo-share sums) plus per-provider share
 sums, and the client recombines: interpolate the summed shares, check
 the aggregate's inner signature, strip bias and scale. Grouping runs on
-plaintext keys, either directly (primary and foreign keys) or through
-the index server for other attributes.
+the raw index keys of whole pk lists, either directly (primary and
+foreign keys) or through the index server's maps for other attributes;
+each distinct key is turned into its plaintext once.
 
 Grammar, roughly::
 
@@ -687,14 +688,15 @@ def share_space_sums(wh: Warehouse, table: str, pks, csps, x: str,
     store, once per term (both record polynomials of a pair pass through
     the same pseudo-share points)."""
     km = wh.km
-    sign = 1 if op == "+" else -1
-    combine = None if y is None else (
-        lambda rec: rec.shares[x][0] + sign * rec.shares[y][0]
-    )
     terms = BIAS_TERMS[op]
     out = {}
     for i in csps:
-        a = wh.csps[i].share_sum(table, x, pks, combine=combine)
+        csp = wh.csps[i]
+        a = csp.share_sum(table, x, pks)
+        if y is not None:
+            # summed_pks has required x and y present on the same records
+            b = csp.share_sum(table, y, pks)
+            a = a + b if op == "+" else a - b
         if terms:
             a += terms * km.he2(wh.type1_pseudo_sum(table, pks, i), km.id_of(i))
         out[i] = a % km.p
@@ -805,14 +807,14 @@ def _apply_pk_predicate(pks, op: str, operand) -> set[int]:
 
 
 def _filter_pks(wh: Warehouse, plan: QueryPlan) -> set[int]:
-    pks = set(wh.type1.pks(plan.fact))
+    pks = set(wh.type1.entries[plan.fact])
     for step in plan.filter_steps:
         if step.route == "fact_pk":
             pks &= _apply_pk_predicate(pks, step.op, step.operand)
         elif step.route == "fact_attr":
             pks &= wh.type2_lookup(plan.fact, step.attr, step.op, step.operand)
         else:
-            dim_pks = set(wh.type1.pks(step.table))
+            dim_pks = set(wh.type1.entries[step.table])
             if step.route == "dim_pk":
                 dim_pks = _apply_pk_predicate(dim_pks, step.op, step.operand)
             else:
@@ -822,20 +824,39 @@ def _filter_pks(wh: Warehouse, plan: QueryPlan) -> set[int]:
 
 
 def group_key_fn(wh: Warehouse, fact: str, source: GroupSource):
-    """Plaintext group key for a fact pk, resolved through the index server."""
+    """Raw group keys of fact pks, resolved through the index server: a
+    function from a list of pks to an iterable of their index keys, in
+    order, None where the key is NULL. display_value(key, source.col)
+    gives a key's plaintext."""
     if source.route == "pk":
-        return lambda pk: pk
-    if source.route == "fk":
-        fk_map = wh.type2.value_map(fact, source.attr)
-        return lambda pk: fk_map.get(pk)
-    if source.route == "fact_attr":
+        return lambda pks: pks
+    if source.route in ("fk", "fact_attr"):
         vm = wh.type2.value_map(fact, source.attr)
-        return lambda pk: display_value(vm.get(pk), source.col)
+        return lambda pks: map(vm.get, pks)
     fk_map = wh.type2.value_map(fact, source.fk)
     if source.route == "dim_pk":
-        return lambda pk: fk_map.get(pk)
+        return lambda pks: map(fk_map.get, pks)
     vm = wh.type2.value_map(source.table, source.attr)
-    return lambda pk: display_value(vm.get(fk_map.get(pk)), source.col)
+    return lambda pks: map(vm.get, map(fk_map.get, pks))
+
+
+def group_pks(wh: Warehouse, fact: str, sources, pks) -> dict[tuple, list[int]]:
+    """Fact pks grouped by their plaintext keys under the group sources.
+    Grouping runs on raw index keys; display_value is injective per
+    column, so converting once per distinct key gives the same groups."""
+    pks = list(pks)
+    columns = [group_key_fn(wh, fact, s)(pks) for s in sources]
+    raw: dict[tuple, list[int]] = {}
+    for pk, key in zip(pks, zip(*columns)):
+        members = raw.get(key)
+        if members is None:
+            raw[key] = [pk]
+        else:
+            members.append(pk)
+    cols = [s.col for s in sources]
+    return {
+        tuple(map(display_value, key, cols)): members for key, members in raw.items()
+    }
 
 
 def _eval_aggregate(wh: Warehouse, plan: QueryPlan, agg: PlannedAgg, pks, rg):
@@ -892,14 +913,10 @@ def _execute_with(wh: Warehouse, plan: QueryPlan, rg) -> list[tuple]:
             rows.append(tuple(row))
         return rows
 
-    key_fns = [group_key_fn(wh, plan.fact, s) for s in plan.group_sources]
-    groups: dict[tuple, list[int]] = {}
-    for pk in sorted(pks):
-        key = tuple(fn(pk) for fn in key_fns)
-        groups.setdefault(key, []).append(pk)
-
-    if not plan.group_sources:
-        groups = {(): sorted(pks)}
+    if plan.group_sources:
+        groups = group_pks(wh, plan.fact, plan.group_sources, pks)
+    else:
+        groups = {(): pks}
 
     rows = []
     for key in sorted(groups, key=lambda k: tuple(_sort_key(v) for v in k)):

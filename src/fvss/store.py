@@ -1,15 +1,18 @@
 """Simulated CSP stores, the trusted index server, and the warehouse facade.
 
 Each CSP keeps its slice of every shared table (records in insertion
-order, positions feed its signature tree), the set of NULL primary keys
-per attribute, an alive/failed flag for experiments, and monotone byte
+order, positions feed its signature tree), per attribute the set of NULL
+primary keys and a share column (primary key -> first-chunk share of
+every non-NULL value, so a share sum is one C-level pass over a flat
+dict), an alive/failed flag for experiments, and monotone byte
 counters. The index server keeps the Type I location bitmaps with, per
 provider, the set of primary keys it does not store, the Type II
 plaintext ordered indices with a primary key -> order key map beside
 each, and the Type III derived-column registry; by design it is a
-trusted node, so order keys are stored in the clear there. The sets and
-maps are maintained on every write and rebuilt on load, so filtered
-aggregates cost time in the size of the filter, not of the table.
+trusted node, so order keys are stored in the clear there. The sets,
+maps and columns live in memory only: they are maintained on every
+write and rebuilt on load, so filtered aggregates cost time in the size
+of the filter, not of the table.
 
 On disk (all integers decimal text):
     <root>/csp<i>/<table>.shares     tab-separated records, share lists
@@ -136,6 +139,8 @@ class CspStore:
         self.tables: dict[str, list[StoredRecord]] = {}
         self.positions: dict[str, dict[int, int]] = {}
         self.nulls: dict[str, dict[str, set[int]]] = {}   # table -> attr -> NULL pks
+        # table -> attr -> pk -> first-chunk share, for the non-NULL values
+        self.columns: dict[str, dict[str, dict[int, int]]] = {}
         self.sigtree = SignatureTree(index, w, km)
         self.bytes_stored = 0
         self.bytes_transferred = 0
@@ -160,18 +165,30 @@ class CspStore:
             raise UnknownTable(table) from None
 
     def _set_slice(self, table: str, records: list[StoredRecord]):
-        """Install a table slice with its position and NULL indexes."""
+        """Install a table slice with its position, NULL and column indexes."""
         self.tables[table] = records
         self.positions[table] = {r.pk: i for i, r in enumerate(records)}
         self.nulls[table] = {}
+        self.columns[table] = {}
         for r in records:
-            self._track_nulls(table, r)
+            self._track_shares(table, r)
 
-    def _track_nulls(self, table: str, rec: StoredRecord):
-        nulls = self.nulls[table]
+    def _track_shares(self, table: str, rec: StoredRecord):
+        """File each attr of rec under its NULL set or, with its first
+        chunk, its share column, and out of the other one."""
+        nulls, columns = self.nulls[table], self.columns[table]
+        pk = rec.pk
         for attr, chunks in rec.shares.items():
+            column = columns.get(attr)
+            if column is None:
+                column = columns[attr] = {}
+                nulls[attr] = set()
             if chunks is None:
-                nulls.setdefault(attr, set()).add(rec.pk)
+                nulls[attr].add(pk)
+                column.pop(pk, None)
+            else:
+                column[pk] = chunks[0]
+                nulls[attr].discard(pk)
 
     def put_shared_record(self, schema: Schema, rec: StoredRecord) -> int:
         self._check_alive()
@@ -179,7 +196,7 @@ class CspStore:
         records.append(rec)
         pos = len(records) - 1
         self.positions[schema.table][rec.pk] = pos
-        self._track_nulls(schema.table, rec)
+        self._track_shares(schema.table, rec)
         self.sigtree.insert_record(schema.table, canonical_record_bytes(schema, rec))
         self.bytes_stored += len(_record_line(schema, rec).encode()) + 1
         return pos
@@ -190,9 +207,7 @@ class CspStore:
         if not 0 <= pos < len(records):
             raise UnknownRecordPosition(f"{schema.table}[{pos}] at CSP {self.index}")
         records[pos] = rec
-        for pks in self.nulls[schema.table].values():
-            pks.discard(rec.pk)
-        self._track_nulls(schema.table, rec)
+        self._track_shares(schema.table, rec)
         self.sigtree.update_record(schema.table, pos, canonical_record_bytes(schema, rec))
         self.bytes_stored += len(_record_line(schema, rec).encode()) + 1
 
@@ -230,27 +245,14 @@ class CspStore:
         self.bytes_transferred += len(out) * 8
         return out
 
-    def share_sum(self, table: str, attr: str, pks, combine=None) -> int:
-        """Sum of this CSP's first-chunk shares of attr over stored pks.
-
-        combine, when given, maps a record to the contribution instead
-        (used for the X +- Y aggregates). The mod reduction happens at the
-        caller; stored shares are already < p.
-        """
+    def share_sum(self, table: str, attr: str, pks) -> int:
+        """Sum mod p of this CSP's first-chunk shares of attr over the
+        distinct pks it stores with a non-NULL attr, read from the share
+        column."""
         self._check_alive()
-        positions = self.positions.get(table, {})
-        records = self.tables.get(table, [])
-        total = 0
-        for pos in map(positions.get, pks):
-            if pos is None:
-                continue
-            rec = records[pos]
-            if combine is not None:
-                total += combine(rec)
-            elif (chunks := rec.shares.get(attr)) is not None:
-                total += chunks[0]
+        column = self.columns.get(table, {}).get(attr, {})
         self.bytes_transferred += 8
-        return total % self.km.p
+        return sum(map(column.__getitem__, column.keys() & pks)) % self.km.p
 
     def tamper(self, table: str, pos: int, attr: str, chunk: int, new_share: int):
         """Overwrite one share without touching the signature tree."""
@@ -263,6 +265,7 @@ class CspStore:
         mutated = list(chunks)
         mutated[chunk] = new_share % self.km.p
         records[pos].shares[attr] = tuple(mutated)
+        self.columns[table][attr][records[pos].pk] = mutated[0]
 
     def reset_table(self, schema: Schema, records: list[StoredRecord]):
         """Replace a table slice wholesale (recovery path); rebuilds the

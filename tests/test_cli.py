@@ -1,4 +1,7 @@
 import datetime
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -292,6 +295,20 @@ def test_lock_blocks_second_invocation(loaded, capsys):
     lock.unlink()
     assert run(loaded, "query", "SELECT SUM(qty) FROM Sales")[0] == 0
     assert not lock.exists()  # released after a normal run
+
+
+def test_lock_of_an_exited_process_is_taken_over(loaded, capsys):
+    lock = loaded / "warehouse" / ".lock"
+    lock.write_text(f"{os.getpid()}\n")  # a running holder still blocks
+    code, _, err = run(loaded, "query", "SELECT SUM(qty) FROM Sales", capsys=capsys)
+    assert code == 1 and "StoreLocked" in err
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert child.wait(timeout=60) == 0
+    lock.write_text(f"{child.pid}\n")
+    code, out, _ = run(loaded, "query", "SELECT SUM(qty) FROM Sales", capsys=capsys)
+    assert code == 0 and out
+    assert not lock.exists()  # taken over, then released
+    assert [p.name for p in lock.parent.glob(".lock*")] == []
 
 
 # configuration and environment

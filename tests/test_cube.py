@@ -498,6 +498,24 @@ def test_null_dimension_value_is_rejected(km_big):
         cube_build(wh, SPEC)
 
 
+def test_refresh_rejects_a_null_dimension_before_writing(km_big):
+    wh = fill_warehouse(km_big, SALES_BASE)
+    cube_build(wh, SPEC)
+    table = cube_table(SPEC)
+
+    def cube_state():
+        return (wh.type1.pks(table), [
+            [(r.pk, dict(r.shares)) for r in wh.csps[i].tables[table]] for i in sorted(wh.csps)
+        ])
+
+    before = cube_state()
+    wh.insert("Sales", SALES_EXTRA[0])   # a valid fact, refreshed first
+    wh.insert("Sales", _sale(99, 12, 2015, None, 100, 8, 1))
+    with pytest.raises(SchemaMismatch, match="NULL dimension"):
+        cube_refresh(wh, SPEC, [SALES_EXTRA[0]["SaleNo"], 99])
+    assert cube_state() == before
+
+
 def test_cube_for_unknown_fact_table(km_big):
     wh = fill_warehouse(km_big, SALES_BASE)
     with pytest.raises(UnknownTable):

@@ -1,12 +1,12 @@
 """Randomized checks of the maintained index structures.
 
 The index server's Type I absent-pk sets, the Type II pk -> key maps and
-the providers' NULL sets are kept up to date on every write instead of
-being derived per call. Each is checked here against the definition it
-replaces, computed by brute force from the primary data (bitmaps, sorted
-entries, stored records), after random insert/update/remove sequences,
-a save/load round trip and a recovery; query answers are checked against
-the plaintext evaluator.
+the providers' NULL sets and share columns are kept up to date on every
+write instead of being derived per call. Each is checked here against
+the definition it replaces, computed by brute force from the primary
+data (bitmaps, sorted entries, stored records), after random
+insert/update/remove sequences, a save/load round trip, a recovery and a
+tamper; query answers are checked against the plaintext evaluator.
 """
 
 import tempfile
@@ -82,6 +82,20 @@ def check_null_sets(wh, table):
         for attr in attrs:
             want = {r.pk for r in csp.tables[table] if r.shares[attr] is None}
             assert csp.null_pks(table, attr, everything) == want, (csp.index, attr)
+
+
+def check_share_columns(wh, table, filters):
+    """Each provider's share column holds the first chunk of exactly its
+    non-NULL stored values, and share_sum adds them up over a filter."""
+    p = wh.km.p
+    for csp in wh.csps.values():
+        for col in wh.schemas[table].data_columns():
+            stored = {r.pk: r.shares[col.name][0] for r in csp.tables[table]
+                      if r.shares[col.name] is not None}
+            assert csp.columns[table].get(col.name, {}) == stored, (csp.index, col.name)
+            for pks in filters:
+                want = sum(v for pk, v in stored.items() if pk in pks) % p
+                assert csp.share_sum(table, col.name, pks) == want
 
 
 # the index structures on their own
@@ -169,6 +183,7 @@ def check_warehouse(wh, rows, probes, filters):
         check_type_two(wh.type2, "r", attr, attr_probes, filters + [set(pks)])
     check_pseudo_sums(wh.type1, "r", set(pks), wh.km.n, wh.km.p)
     check_null_sets(wh, "r")
+    check_share_columns(wh, "r", filters + [set(pks)])
     oracle = PlainWarehouse()
     oracle.add_table(TABLE, list(rows.values()))
     for a, b in probes:
@@ -200,3 +215,8 @@ def test_warehouse_indexes_through_updates_save_load_and_recovery(
     check_warehouse(back, rows, probes, filters)
     back.recover_csp_shares(target)
     check_warehouse(back, rows, probes, filters)
+    victim = next((r for r in back.csps[target].tables["r"] if r.shares["w"] is not None), None)
+    if victim is not None:
+        back.inject_tamper(target, "r", victim.pk, "w", delta=5)
+        check_share_columns(back, "r", filters)
+        check_null_sets(back, "r")
