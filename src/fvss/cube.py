@@ -22,7 +22,6 @@ found through the record index.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,7 +243,7 @@ def cube_schema(wh: Warehouse, spec: CubeSpec) -> Schema:
 def _filler_ordinate(km: KeyMaterial, table: str, pk: int, attr: str,
                      chunk: int, j: int) -> int:
     msg = f"cubefill|{table}|{pk}|{attr}|{chunk}|{j}".encode()
-    digest = hmac.new(km.seed, msg, hashlib.sha256).digest()
+    digest = hmac.digest(km.seed, msg, "sha256")
     return int.from_bytes(digest[:16], "big") % km.p
 
 
@@ -278,18 +277,32 @@ def _share_cell_value(wh: Warehouse, table: str, pk: int, col: Column, value):
     }
 
 
-def _put_cube_row(wh: Warehouse, schema: Schema, pk: int, row: dict):
-    shared = {}
-    for col in schema.columns[1:]:
-        shared[col.name] = _share_cell_value(wh, schema.table, pk, col, row.get(col.name))
-    for i in sorted(wh.csps):
-        shares_i = {
+def _share_cube_row(wh: Warehouse, schema: Schema, pk: int, row: dict):
+    """(pk, row, each provider's record) of one cube row."""
+    shared = {
+        col.name: _share_cell_value(wh, schema.table, pk, col, row.get(col.name))
+        for col in schema.columns[1:]
+    }
+    records = {
+        i: StoredRecord(pk, {}, {
             attr: (None if per_csp is None else per_csp[i])
             for attr, per_csp in shared.items()
-        }
-        wh.csps[i].put_shared_record(schema, StoredRecord(pk, {}, shares_i))
-    wh.type1.set(schema.table, pk, "1" * wh.km.n)
-    wh._index_row(schema, pk, row)
+        })
+        for i in sorted(wh.csps)
+    }
+    return pk, row, records
+
+
+def _put_cube_rows(wh: Warehouse, schema: Schema, shared_rows):
+    """Append shared cube rows, in order, with one call per provider, then
+    set their Type I bitmaps and Type II keys in the same order."""
+    if not shared_rows:
+        return
+    for i in sorted(wh.csps):
+        wh.csps[i].put_shared_records(schema, [recs[i] for _, _, recs in shared_rows])
+    for pk, row, _ in shared_rows:
+        wh.type1.set(schema.table, pk, "1" * wh.km.n)
+        wh._index_row(schema, pk, row)
 
 
 def _require_all_alive(wh: Warehouse):
@@ -381,16 +394,19 @@ def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
     rg = tuple(sorted(rg)) if rg is not None else wh.choose_rg()
 
     by_key = _fact_keys(wh, spec, wh.type1.pks(spec.table))
-    cell_pk = 0
-    for combo in _lattice(spec):
-        groups = _cells(by_key, _active_flags(spec, combo))
-        for cell in _sort_cell_keys(groups):
-            cell_pk += 1
-            row = dict(zip((c.name for c in dims), cell))
-            for sm in stored:
-                row[sm.column.name] = _measure_value(wh, spec, sm, groups[cell], rg)
-            _put_cube_row(wh, schema, cell_pk, row)
-    return cell_pk
+    shared_rows = []
+    try:
+        for combo in _lattice(spec):
+            groups = _cells(by_key, _active_flags(spec, combo))
+            for cell in _sort_cell_keys(groups):
+                row = dict(zip((c.name for c in dims), cell))
+                for sm in stored:
+                    row[sm.column.name] = _measure_value(wh, spec, sm, groups[cell], rg)
+                shared_rows.append(_share_cube_row(wh, schema, len(shared_rows) + 1, row))
+    finally:
+        # cells before a failing one are stored, as if built one at a time
+        _put_cube_rows(wh, schema, shared_rows)
+    return len(shared_rows)
 
 
 # refresh
@@ -474,7 +490,7 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
                 row = dict(zip((c.name for c in dims), cell))
                 for sm in stored:
                     row[sm.column.name] = _measure_value(wh, spec, sm, members_new, rg)
-                _put_cube_row(wh, schema, next_pk, row)
+                _put_cube_rows(wh, schema, [_share_cube_row(wh, schema, next_pk, row)])
                 continue
             cell_pk = cells[cell]
             deltas: dict[str, dict[int, int]] = {}

@@ -19,10 +19,10 @@ keeps share-space aggregation and signature sums consistent.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InvalidThreshold, UnknownParticipant
 from .field import P_DEFAULT
@@ -40,7 +40,7 @@ def _draw(seed: bytes, label: str, lo: int, hi: int) -> int:
     bound = (1 << 64) // span * span
     counter = 0
     while True:
-        digest = hmac.new(seed, f"{label}|{counter}".encode(), hashlib.sha256).digest()
+        digest = hmac.digest(seed, f"{label}|{counter}".encode(), "sha256")
         v = int.from_bytes(digest[:8], "big")
         if v < bound:
             return lo + v % span
@@ -80,12 +80,20 @@ class KeyMaterial:
         return a * m % self.p
 
     def hf_star(self, i: int, record_bytes: bytes) -> int:
-        key = self.hf_star_keys[i]
-        digest = hmac.new(key, record_bytes, hashlib.sha256).digest()
+        digest = hmac.digest(self.hf_star_keys[i], record_bytes, "sha256")
         return int.from_bytes(digest[:16], "big") % self.p
 
     def he_star(self, i: int, h: int) -> int:
         return self.he_star_scalars[i] * h % self.p
+
+    @cached_property
+    def share_basis(self) -> tuple:
+        """Every value a stored share's coefficients depend on, as one
+        hashable tuple: p, the K_d and K_s abscissas, the HE1 scalar, and
+        per CSP (ascending) its abscissa and HE2 multiplier."""
+        return (self.p, self.x_kd, self.x_ks, self.he1_scalar,
+                tuple((self.x_id(i), self.he2_multipliers[self.id_of(i)])
+                      for i in range(1, self.n + 1)))
 
     # interpolation abscissas
 
@@ -162,7 +170,7 @@ def init_participants(n: int, t: int, seed: bytes, p: int = P_DEFAULT) -> KeyMat
     he2_multipliers = {ids[i - 1]: _draw(seed, f"he2|{i}", 1, p - 1) for i in range(1, n + 1)}
     he_star_scalars = {i: _draw(seed, f"hestar|{i}", 1, p - 1) for i in range(1, n + 1)}
     hf_star_keys = {
-        i: hmac.new(seed, f"hfstar|{i}".encode(), hashlib.sha256).digest()
+        i: hmac.digest(seed, f"hfstar|{i}".encode(), "sha256")
         for i in range(1, n + 1)
     }
 

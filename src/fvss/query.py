@@ -725,9 +725,9 @@ def _decode_sum(total: int, count: int, col: Column, bias_terms: int,
     return raw
 
 
-def _exec_sum(wh: Warehouse, table: str, x: str, y: str | None, op: str | None,
-              out_col: Column, pks, rg):
-    present = summed_pks(wh, table, x, y, pks, rg)
+def _sum_present(wh: Warehouse, table: str, x: str, y: str | None, op: str | None,
+                 out_col: Column, present: set[int], rg):
+    """SUM(x) or SUM(x op y) over present, the records summed_pks returned."""
     if not present:
         return Fraction(0) if out_col.kind == "real" else 0
     sums = share_space_sums(wh, table, present, rg, x, y, op)
@@ -740,17 +740,24 @@ def _exec_sum(wh: Warehouse, table: str, x: str, y: str | None, op: str | None,
 def exec_sum(wh: Warehouse, table: str, attr: str, pks, rg):
     """SUM(attr) over the filtered records; 0 on an empty filter."""
     col = wh.schemas[table].column(attr)
-    return _exec_sum(wh, table, attr, None, None, col, pks, rg)
+    return _sum_present(wh, table, attr, None, None, col,
+                        summed_pks(wh, table, attr, None, pks, rg), rg)
 
 
-def exec_sum_combined(wh: Warehouse, table: str, x: str, y: str, op: str, pks, rg):
-    """SUM(x op y) for op in {+, -} without a derived column."""
+def _pair_column(wh: Warehouse, table: str, x: str, y: str) -> Column:
+    """Output column of SUM(x op y); x and y must share a scale."""
     col_x = wh.schemas[table].column(x)
     col_y = wh.schemas[table].column(y)
     if col_x.scale != col_y.scale:
         raise SchemaMismatch(f"{x} and {y} have different scales")
-    out_col = col_x if col_x.kind == "real" else col_y
-    return _exec_sum(wh, table, x, y, op, out_col, pks, rg)
+    return col_x if col_x.kind == "real" else col_y
+
+
+def exec_sum_combined(wh: Warehouse, table: str, x: str, y: str, op: str, pks, rg):
+    """SUM(x op y) for op in {+, -} without a derived column."""
+    out_col = _pair_column(wh, table, x, y)
+    return _sum_present(wh, table, x, y, op, out_col,
+                        summed_pks(wh, table, x, y, pks, rg), rg)
 
 
 def exec_count(wh: Warehouse, table: str, attr: str | None, pks, rg) -> int:
@@ -761,23 +768,27 @@ def exec_count(wh: Warehouse, table: str, attr: str | None, pks, rg) -> int:
     return len(nonnull_pks(wh, table, attr, pks, rg))
 
 
+def _sum_and_count(wh: Warehouse, table: str, attr: str, pks, rg, fn: str):
+    """SUM(attr) and COUNT(attr) from one NULL-marker round: the count is
+    the size of the present set the sum runs over."""
+    present = summed_pks(wh, table, attr, None, pks, rg)
+    if not present:
+        raise EmptyInput(f"{fn}({attr}) over no values")
+    col = wh.schemas[table].column(attr)
+    return _sum_present(wh, table, attr, None, None, col, present, rg), len(present)
+
+
 def exec_avg(wh: Warehouse, table: str, attr: str, pks, rg) -> Fraction:
-    count = exec_count(wh, table, attr, pks, rg)
-    if count == 0:
-        raise EmptyInput(f"AVG({attr}) over no values")
-    total = exec_sum(wh, table, attr, pks, rg)
+    total, count = _sum_and_count(wh, table, attr, pks, rg, "AVG")
     return Fraction(total) / count
 
 
 def exec_var(wh: Warehouse, table: str, attr: str, square_attr: str, pks, rg) -> Fraction:
     """Population variance from SUM(x), SUM(x squared) and COUNT, all three
     reconstructed; the squares come from the derived shared column."""
-    count = exec_count(wh, table, attr, pks, rg)
-    if count == 0:
-        raise EmptyInput(f"VAR({attr}) over no values")
-    s1 = Fraction(exec_sum(wh, table, attr, pks, rg))
+    s1, count = _sum_and_count(wh, table, attr, pks, rg, "VAR")
     s2 = Fraction(exec_sum(wh, table, square_attr, pks, rg))
-    return s2 / count - (s1 / count) ** 2
+    return s2 / count - (Fraction(s1) / count) ** 2
 
 
 def exec_stddev(wh: Warehouse, table: str, attr: str, square_attr: str, pks, rg) -> Decimal:
@@ -864,11 +875,12 @@ def _eval_aggregate(wh: Warehouse, plan: QueryPlan, agg: PlannedAgg, pks, rg):
     if agg.mode == "star":
         return len(pks)
     if agg.mode == "combined":
-        total = exec_sum_combined(wh, fact, agg.x, agg.y, agg.op, pks, rg)
+        out_col = _pair_column(wh, fact, agg.x, agg.y)
+        present = summed_pks(wh, fact, agg.x, agg.y, pks, rg)
+        total = _sum_present(wh, fact, agg.x, agg.y, agg.op, out_col, present, rg)
         if agg.fn == "sum":
             return total
-        count = len(nonnull_pks(wh, fact, agg.x, pks, rg))
-        return Fraction(total) / count if count else None
+        return Fraction(total) / len(present) if present else None
     attr = agg.attr
     try:
         if agg.fn == "sum":

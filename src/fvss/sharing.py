@@ -8,7 +8,11 @@ of degree t-1 is interpolated through exactly t points:
     (HF1(ID_i), HE2(pk, ID_i)) for each of the t-2 CSPs left out of the
                                storage group, their "pseudo shares"
 
-and the stored shares are f evaluated at the storage-group abscissas. Any
+and the stored shares are f evaluated at the storage-group abscissas.
+HE1 and HE2 are linear, so each stored share is A_i*d + B_i*pk mod p,
+where A_i and B_i fold the Lagrange basis weights of member i with the
+HE1 scalar and the left-out CSPs' HE2 multipliers; they depend on the
+storage group and the key material only and are computed once. Any
 t CSPs can reconstruct: members of the storage group supply stored shares,
 the others' pseudo shares are recomputed from the plaintext key. The
 reconstruction is accepted only when f(HF1(K_s)) equals HE1(f(HF1(K_d))),
@@ -20,12 +24,12 @@ at least two reconstruction members hold stored shares of every record.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 from datetime import date as _date
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -35,7 +39,7 @@ from .errors import (
     OutOfRange,
     SchemaMismatch,
 )
-from .field import interpolate_at
+from .field import interpolate_at, lagrange_weights
 from .keyed import KeyMaterial
 
 _EPOCH = _date(1970, 1, 1)
@@ -81,22 +85,36 @@ class Schema:
             raise SchemaMismatch(f"duplicate column in {self.table}: {names}")
         if not self.columns or self.columns[0].kind != "key":
             raise SchemaMismatch(f"first column of {self.table} must be the key")
+        # column lookups, computed once per schema rather than per record
+        derived = {
+            "_by_name": {c.name: c for c in self.columns},
+            "_data": tuple(c for c in self.columns if c.kind in DATA_KINDS),
+            "_plain": tuple(c for c in self.columns if c.kind in PLAIN_KINDS),
+            "_fields": tuple((c.name, c.kind == "fk") for c in self.columns[1:]),
+        }
+        for attr, value in derived.items():
+            object.__setattr__(self, attr, value)
 
     @property
     def key(self) -> str:
         return self.columns[0].name
 
     def column(self, name: str) -> Column:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise SchemaMismatch(f"no column {name} in {self.table}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaMismatch(f"no column {name} in {self.table}") from None
 
     def data_columns(self) -> tuple[Column, ...]:
-        return tuple(c for c in self.columns if c.kind in DATA_KINDS)
+        return self._data
 
     def plain_columns(self) -> tuple[Column, ...]:
-        return tuple(c for c in self.columns if c.kind in PLAIN_KINDS)
+        return self._plain
+
+    def record_fields(self) -> tuple[tuple[str, bool], ...]:
+        """(name, is fk) of every non-key column, in schema order: the
+        field order of a stored record's bytes and text line."""
+        return self._fields
 
 
 @dataclass(frozen=True)
@@ -127,9 +145,7 @@ def encode(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> Encode
     elif kind == "date":
         chunk = (value - _EPOCH).days + bias
     elif kind == "real":
-        if isinstance(value, float):
-            value = Decimal(str(value))
-        chunk = int(round(Fraction(value) * 10**scale)) + bias
+        chunk = scaled_int(value, scale) + bias
     elif kind == "string":
         raw = value.encode("utf-8")
         for b in raw:
@@ -141,6 +157,22 @@ def encode(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> Encode
     if not 0 <= chunk < p:
         raise OutOfRange(f"{kind} value {value!r} encodes to {chunk}, outside [0, {p})")
     return EncodedValue(kind, (chunk,), scale)
+
+
+def scaled_int(value, scale: int) -> int:
+    """round(value * 10^scale) to the nearest integer, ties to even, taken
+    exactly: floats through their shortest decimal repr, everything else
+    (int, Fraction, Decimal, numeric str) through Fraction."""
+    if isinstance(value, float):
+        value = Decimal(str(value))
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    den = value.denominator
+    q, r = divmod(value.numerator * 10**scale, den)
+    # Fraction.__round__: halves go to the even neighbour
+    if 2 * r > den or (2 * r == den and q % 2):
+        q += 1
+    return q
 
 
 def decode(chunks: Sequence[int], kind: str, *, scale: int = 0, bias: int = 0):
@@ -197,7 +229,7 @@ def select_storage_group(
         raise NotEnoughAliveCsps(f"need {k} alive CSPs, have {len(alive)}")
 
     def u01(i: int) -> float:
-        digest = hmac.new(km.seed, f"place|{pk}|{i}".encode(), hashlib.sha256).digest()
+        digest = hmac.digest(km.seed, f"place|{pk}|{i}".encode(), "sha256")
         return (int.from_bytes(digest[:8], "big") + 0.5) / (1 << 64)
 
     weighted = [i for i in sorted(alive) if weights[i - 1] > 0]
@@ -214,13 +246,37 @@ def select_storage_group(
     return StorageGroup(sg, frozenset(range(1, km.n + 1)) - sg, km.n)
 
 
+@lru_cache(maxsize=1024)
+def _share_coefficients(basis: tuple, sg: frozenset[int],
+                        ug: frozenset[int]) -> tuple[tuple[int, int, int], ...]:
+    p, x_kd, x_ks, he1_scalar, per_csp = basis
+    ug = sorted(ug)
+    xs = (x_kd, x_ks, *(per_csp[u - 1][0] for u in ug))
+    out = []
+    for i in sorted(sg):
+        w = lagrange_weights(xs, per_csp[i - 1][0], p)
+        b = sum(wu * per_csp[u - 1][1] for wu, u in zip(w[2:], ug))
+        out.append((i, (w[0] + w[1] * he1_scalar) % p, b % p))
+    return tuple(out)
+
+
+def share_coefficients(group: StorageGroup, km: KeyMaterial) -> tuple[tuple[int, int, int], ...]:
+    """(i, A_i, B_i) for each storage-group member i, ascending, such that
+    member i's share of d in the record keyed pk is (A_i*d + B_i*pk) % p.
+
+    With l_j the Lagrange weights of the sharing abscissas (K_d, K_s, the
+    left-out CSPs u) at member i's abscissa: A_i = l_Kd + l_Ks * HE1
+    scalar, B_i = sum of l_u * m_u over the left-out CSPs' HE2
+    multipliers. Memoized by value (the key material's share basis and
+    the group's member sets), so equal key materials share entries.
+    """
+    return _share_coefficients(km.share_basis, group.sg, group.ug)
+
+
 def share_value(d: int, pk: int, group: StorageGroup, km: KeyMaterial) -> dict[int, int]:
     """Produce the stored shares of one field element."""
     p = km.p
-    ug = sorted(group.ug)
-    xs = (km.x_kd, km.x_ks, *(km.x_id(i) for i in ug))
-    ys = (d % p, km.he1(d), *(km.he2(pk % p, km.id_of(i)) for i in ug))
-    return {i: interpolate_at(xs, ys, km.x_id(i), p) for i in sorted(group.sg)}
+    return {i: (a * d + b * pk) % p for i, a, b in share_coefficients(group, km)}
 
 
 def checked_data_point(xs: tuple[int, ...], ys: Sequence[int], km: KeyMaterial,
@@ -320,22 +376,24 @@ def share_record(
     Pass group to pin the storage group (updates keep a record where it
     already lives; recovery re-shares in place).
     """
-    unknown = set(record) - {c.name for c in schema.columns}
+    unknown = set(record) - schema._by_name.keys()
     if unknown:
         raise SchemaMismatch(f"unknown columns {sorted(unknown)} for {schema.table}")
     pk = int(record[schema.key])  # type: ignore[arg-type]
     if group is None:
         group = select_storage_group(pk, weights, alive, km)
     plain = {c.name: int(record[c.name]) for c in schema.plain_columns() if c.name != schema.key}  # type: ignore[arg-type]
+    p = km.p
+    # share_value per chunk, with B_i*pk folded once per record
+    terms = [(i, a, b * pk % p) for i, a, b in share_coefficients(group, km)]
     shares: dict[str, dict[int, tuple[int, ...]] | None] = {}
     for col in schema.data_columns():
-        enc = encode(record.get(col.name), col.kind, scale=col.scale, bias=bias, p=km.p)
+        enc = encode(record.get(col.name), col.kind, scale=col.scale, bias=bias, p=p)
         if enc.is_null:
             shares[col.name] = None
             continue
-        per_csp: dict[int, list[int]] = {i: [] for i in sorted(group.sg)}
-        for chunk in enc.chunks:
-            for i, share in share_value(chunk, pk, group, km).items():
-                per_csp[i].append(share)
-        shares[col.name] = {i: tuple(v) for i, v in per_csp.items()}
+        chunks = enc.chunks
+        shares[col.name] = {
+            i: tuple([(a * c + bpk) % p for c in chunks]) for i, a, bpk in terms
+        }
     return ShareBundle(pk=pk, group=group, plain=plain, shares=shares)

@@ -3,11 +3,11 @@
 Every internal node holds the mod-p sum of its children, so the root is
 the sum of all leaf signatures. Two layers: a record tree per table whose
 leaves are HF*_i(record bytes), and a table layer whose leaf j carries
-HF*_i(0) plus the j-th table's record-signature total. Appends and updates
-propagate a delta along one root path; verification walks top-down and
-only descends into children whose stored sum disagrees with an
-authoritative recomputation, which pins a breach to its exact leaf in
-about w * depth comparisons.
+HF*_i(0) plus the j-th table's record-signature total. Updates propagate
+a delta along one root path and a batch of appends changes each touched
+node once; verification walks top-down and only descends into children
+whose stored sum disagrees with an authoritative recomputation, which
+pins a breach to its exact leaf in about w * depth comparisons.
 
 The tree is deliberately not hash-chained: additivity is what lets a
 record update touch O(depth) nodes, and compensating double edits are the
@@ -37,8 +37,7 @@ class WaryTree:
     @classmethod
     def from_leaves(cls, w: int, p: int, leaves) -> "WaryTree":
         tree = cls(w, p)
-        for v in leaves:
-            tree.append(v)
+        tree.extend(leaves)
         return tree
 
     @classmethod
@@ -94,6 +93,38 @@ class WaryTree:
             level += 1
             idx = parent
         return pos
+
+    def extend(self, values) -> int:
+        """Append leaves in order, equal to appending them one at a time;
+        returns the position of the first. Each touched parent changes
+        once: an existing one by the sum of its children's deltas, a new
+        one is the sum of its children."""
+        p, w, levels = self.p, self.w, self.levels
+        nodes = levels[0]
+        lo = start = len(nodes)
+        deltas = [v % p for v in values]
+        nodes.extend(deltas)
+        level = 0
+        while deltas and not (len(nodes) == 1 and level == len(levels) - 1):
+            if level + 1 == len(levels):
+                levels.append([])
+            upper = levels[level + 1]
+            existing = len(upper)
+            hi = lo + len(deltas)
+            up_deltas = []
+            for parent in range(lo // w, (hi - 1) // w + 1):
+                first = parent * w
+                if parent < existing:
+                    a, b = max(lo, first), min(hi, first + w)
+                    d = sum(deltas[a - lo:b - lo]) % p
+                    upper[parent] = (upper[parent] + d) % p
+                else:
+                    d = sum(nodes[first:first + w]) % p
+                    upper.append(d)
+                up_deltas.append(d)
+            nodes, lo, deltas = upper, lo // w, up_deltas
+            level += 1
+        return start
 
     def add_delta(self, g: int, delta: int):
         if not 0 <= g < len(self.levels[0]):
@@ -163,12 +194,18 @@ class SignatureTree:
         self.table_pos[table] = self.table_layer.append(self.empty_marker)
         self.table_order.append(table)
 
-    def insert_record(self, table: str, record_bytes: bytes) -> int:
+    def insert_records(self, table: str, records_bytes) -> int:
+        """Append one leaf per record, in order, and add their signature
+        total to the table's layer leaf; returns the first position."""
         tree = self._tree(table)
-        sig = self.record_sig(record_bytes)
-        pos = tree.append(sig)
-        self.table_layer.add_delta(self.table_pos[table], sig)
+        hf_star, csp = self.km.hf_star, self.csp
+        sigs = [hf_star(csp, b) for b in records_bytes]
+        pos = tree.extend(sigs)
+        self.table_layer.add_delta(self.table_pos[table], sum(sigs))
         return pos
+
+    def insert_record(self, table: str, record_bytes: bytes) -> int:
+        return self.insert_records(table, [record_bytes])
 
     def update_record(self, table: str, g: int, new_record_bytes: bytes):
         tree = self._tree(table)

@@ -328,6 +328,40 @@ def test_build_needs_every_provider(km_big):
         cube_build(wh, SPEC)
 
 
+def test_build_failing_part_way_keeps_the_cells_before(km_big, monkeypatch):
+    """A cell whose measure raises stops the build; the cells before it
+    are stored at every provider, indexed and signed, as when cells were
+    appended one at a time."""
+    import fvss.cube as cube_module
+
+    real = cube_module._measure_value
+    calls = []
+
+    def failing(wh, spec, sm, pks, rg):
+        calls.append(sm)
+        if len(calls) > 5 * len(cube_module._storage_measures(SPEC, SALES)):
+            raise InnerSignatureMismatch("injected")
+        return real(wh, spec, sm, pks, rg)
+
+    wh = fill_warehouse(km_big, SALES_BASE)
+    monkeypatch.setattr(cube_module, "_measure_value", failing)
+    with pytest.raises(InnerSignatureMismatch, match="injected"):
+        cube_build(wh, SPEC)
+    monkeypatch.undo()
+    whole = fill_warehouse(km_big, SALES_BASE)
+    cube_build(whole, SPEC)
+    table = cube_table(SPEC)
+    assert wh.type1.pks(table) == [1, 2, 3, 4, 5]
+    for i, csp in wh.csps.items():
+        assert csp.tables[table] == whole.csps[i].tables[table][:5]
+    for col in cube_schema(wh, SPEC).columns[1:5]:
+        assert wh.type2.value_map(table, col.name) == {
+            pk: key for pk, key in whole.type2.value_map(table, col.name).items()
+            if pk <= 5
+        }
+    assert all(r.ok for r in wh.verify_all().values())
+
+
 def test_refresh_needs_every_provider(km_big):
     wh = fill_warehouse(km_big, SALES_BASE)
     cube_build(wh, SPEC)

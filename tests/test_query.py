@@ -504,6 +504,49 @@ def test_null_marker_disagreement_never_drops_a_record(km_big):
             assert execute(wh, text, rg=rg)[1] == [(100, 10)]
 
 
+def _null_pks_calls(wh, monkeypatch, text):
+    """execute(text) and the number of CspStore.null_pks calls it made."""
+    calls = []
+    real = type(wh.csps[1]).null_pks
+
+    def counted(csp, *args):
+        calls.append(csp.index)
+        return real(csp, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(type(wh.csps[1]), "null_pks", counted)
+        rows = execute(wh, text)[1]
+    return rows, len(calls)
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+def test_avg_asks_for_null_markers_no_more_than_sum(km_big, monkeypatch, indexed):
+    """AVG takes its count from the present set its SUM already checked,
+    so it makes no more NULL-marker requests than SUM does."""
+    rng = random.Random(77)
+    rows = []
+    for i in range(1, 31):
+        v = None if rng.random() < 0.3 else rng.randint(-50, 50)
+        rows.append({"pk": i, "v": v, "w": None if v is None else rng.randint(0, 9)})
+    wh = _flat(km_big, rows, (Column("v", "int"), Column("w", "int")),
+               index=("v",) if indexed else (),
+               derived=(DerivedColumn("t", "sq", "square", "v"),))
+    oracle = PlainWarehouse()
+    oracle.add_table(wh.schemas["t"], rows, derived=[("sq", "square", "v", None, 0)])
+    pairs = [
+        ("SELECT SUM(v) FROM t", "SELECT AVG(v) FROM t"),
+        ("SELECT SUM(v) FROM t WHERE pk <= 12", "SELECT AVG(v) FROM t WHERE pk <= 12"),
+        ("SELECT SUM(v+w) FROM t", "SELECT AVG(v+w) FROM t"),
+        ("SELECT SUM(v), SUM(sq) FROM t", "SELECT VAR(v) FROM t"),
+    ]
+    for sum_text, avg_text in pairs:
+        sum_rows, sum_calls = _null_pks_calls(wh, monkeypatch, sum_text)
+        avg_rows, avg_calls = _null_pks_calls(wh, monkeypatch, avg_text)
+        assert sum_rows == oracle.query(parse(sum_text))
+        assert avg_rows == oracle.query(parse(avg_text))
+        assert 0 < avg_calls <= sum_calls, (avg_text, avg_calls, sum_calls)
+
+
 # randomized equivalence against the plaintext evaluator
 
 RANDOM_QUERIES = [

@@ -69,6 +69,24 @@ def test_encode_negative_needs_bias():
         encode(-7, "int", bias=0, p=P_DEFAULT)
 
 
+def test_scaled_int_rounds_like_fraction():
+    """Half-way values go to the even neighbour, as round(Fraction) does,
+    for every input type encode and order_key accept."""
+    from decimal import Decimal
+    from fvss.sharing import scaled_int
+
+    rng = random.Random(3)
+    values = [Fraction(1, 8), Fraction(3, 8), Fraction(-1, 8), Fraction(-3, 8),
+              Fraction(5, 2), Fraction(7, 2), 0.125, 0.375, -0.125, 2.675,
+              Decimal("0.125"), Decimal("-2.5"), "0.375", "12.345", 7, -7, True]
+    values += [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 4000))
+               for _ in range(300)]
+    for value in values:
+        for scale in range(5):
+            exact = Decimal(str(value)) if isinstance(value, float) else value
+            assert scaled_int(value, scale) == int(round(Fraction(exact) * 10**scale))
+
+
 def test_encode_date_and_bool():
     day = datetime.date(2004, 2, 5)
     enc = encode(day, "date", bias=DEFAULT_BIAS, p=P_DEFAULT)
@@ -239,6 +257,26 @@ def test_weights_match_reference_for_every_group_and_target(km_name, request):
             for x in targets:
                 assert interpolate_at(xs, ys, x, km.p) \
                     == eval_poly(coeffs, x, km.p) == reference(x)
+
+
+@pytest.mark.parametrize("km_name", ["km_toy", "km_big"])
+def test_share_value_equals_interpolation_for_every_group_and_member(km_name, request):
+    """The linear-coefficient shares are the record polynomial through the
+    data point, its signature and the left-out CSPs' pseudo shares,
+    evaluated at each member's abscissa."""
+    km = request.getfixturevalue(km_name)
+    rng = random.Random(km.p + 1)
+    for sg in combinations(ALL, km.n - km.t + 2):
+        group = group_from_bitmap("".join("1" if i in sg else "0" for i in ALL))
+        ug = sorted(group.ug)
+        xs = (km.x_kd, km.x_ks, *(km.x_id(u) for u in ug))
+        for d, pk in [(0, 1), (km.p - 1, km.p + 3), (-5, 7)] + [
+                (rng.randrange(km.p), rng.randrange(1, 10**12)) for _ in range(20)]:
+            ys = (d % km.p, km.he1(d), *(km.he2(pk % km.p, km.id_of(u)) for u in ug))
+            shares = share_value(d, pk, group, km)
+            assert sorted(shares) == sorted(sg)
+            for i in sg:
+                assert shares[i] == interpolate_at(xs, ys, km.x_id(i), km.p)
 
 
 # record sharing

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvss import SignatureTree, WaryTree
 from fvss.errors import DuplicateTable, UnknownRecordPosition, UnknownTable
@@ -94,6 +96,59 @@ def test_random_ops_match_oracle():
                 tree.append(v)
                 leaves.append(v)
         _assert_matches_oracle(tree, leaves, w)
+
+
+@given(st.integers(2, 5), st.integers(0, 60), st.integers(0, 60), st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_extend_equals_repeated_append(w, start, size, rng):
+    values = [rng.randrange(3 * P) for _ in range(start + size)]
+    one_by_one = WaryTree(w, P)
+    for v in values:
+        one_by_one.append(v)
+    batched = WaryTree.from_leaves(w, P, values[:start])
+    assert batched.extend(values[start:]) == start
+    assert batched.levels == one_by_one.levels
+
+
+def test_extend_every_size_and_fan_out():
+    """Every w in 2..5, every start and extend size in 0..60."""
+    for w in range(2, 6):
+        for start in range(0, 61):
+            leaves = [(start * 31 + k * 17) % P for k in range(start + 60)]
+            one_by_one = WaryTree(w, P)
+            expected = []
+            for k, v in enumerate(leaves):
+                if k >= start:
+                    expected.append([list(level) for level in one_by_one.levels])
+                one_by_one.append(v)
+            expected.append(one_by_one.levels)
+            for size in range(0, 61):
+                batched = WaryTree(w, P)
+                batched.extend(leaves[:start])
+                batched.extend(leaves[start:start + size])
+                assert batched.levels == expected[size], (w, start, size)
+
+
+def test_extend_keeps_a_corrupted_node_corrupted():
+    """Existing parents take their children's deltas, not a recomputed
+    sum, so a node edited out of band still reads wrong afterwards,
+    exactly as after one-by-one appends."""
+    trees = []
+    for extend in (True, False):
+        tree = WaryTree.from_leaves(3, P, range(1, 11))
+        tree.levels[1][3] = (tree.levels[1][3] + 5) % P
+        tree.levels[2][0] = (tree.levels[2][0] + 7) % P
+        more = list(range(40, 60))
+        if extend:
+            tree.extend(more)
+        else:
+            for v in more:
+                tree.append(v)
+        trees.append(tree)
+    batched, one_by_one = trees
+    assert batched.levels == one_by_one.levels
+    honest = WaryTree.from_leaves(3, P, [*range(1, 11), *range(40, 60)])
+    assert batched.levels[1][3] == (honest.levels[1][3] + 5) % P
 
 
 # two-layer signature trees
