@@ -301,10 +301,7 @@ def cmd_init(cfg: AppConfig, args, out) -> int:
 
 
 def _share_counts(wh: Warehouse) -> dict[int, int]:
-    return {
-        i: sum(len(records) for records in csp.tables.values())
-        for i, csp in wh.csps.items()
-    }
+    return {i: sum(map(len, csp.pks.values())) for i, csp in wh.csps.items()}
 
 
 def cmd_share(cfg: AppConfig, args, out) -> int:
@@ -368,8 +365,9 @@ def cmd_verify(cfg: AppConfig, args, out) -> int:
         breaches += len(report.entries)
         for entry in report.entries:
             trail = " > ".join(f"{lvl}.{idx}" for lvl, idx in entry.path)
+            what = "signature nodes" if entry.position is None else f"record {entry.position}"
             out.write(
-                f"CSP{i}: breach in {entry.table} record {entry.position}"
+                f"CSP{i}: breach in {entry.table or 'the table layer'} {what}"
                 f" (path {trail})\n"
             )
     if breaches:

@@ -434,13 +434,13 @@ def _apply_share_deltas(wh: Warehouse, schema: Schema, cell_pk: int,
         csp = wh.csps[i]
         pos = csp.position_of(table, cell_pk)
         rec = csp.get_record(table, pos)
-        shares = dict(rec.shares)
+        shares = rec.shares
         for attr, per_csp in deltas.items():
             (old,) = shares[attr]
             shares[attr] = ((old + per_csp[i]) % wh.km.p,)
         for attr, per_csp in reshared.items():
             shares[attr] = None if per_csp is None else per_csp[i]
-        csp.update_shared_record(schema, pos, StoredRecord(cell_pk, {}, shares))
+        csp.update_shared_record(schema, pos, rec)
 
 
 def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:

@@ -148,8 +148,11 @@ class WaryTree:
 
 @dataclass(frozen=True)
 class BreachEntry:
-    table: str
-    position: int
+    """A record position whose stored signature disagrees, or is missing
+    or extra. position is None when the stored nodes above the records
+    disagree and no record does; table is None for the table layer."""
+    table: str | None
+    position: int | None
     path: tuple[tuple[int, int], ...]  # (level, index) pairs walked, root first
 
 
@@ -233,7 +236,8 @@ class SignatureTree:
         authoritative maps table -> leaf signatures recomputed from the
         actual stored records; it must cover the scope (every table for
         "whole"). Every stored-node comparison counts toward
-        report.inspected, the top check included.
+        report.inspected, the top check included. A failed top check
+        always leaves at least one entry.
         """
         report = BreachReport()
 
@@ -242,9 +246,11 @@ class SignatureTree:
 
         if isinstance(scope, tuple):
             table, g = scope
-            tree = self._tree(table)
+            stored, auth = _node(self._tree(table), 0, g), _node(auth_tree(table), 0, g)
+            if stored is None and auth is None:
+                raise UnknownRecordPosition(f"no leaf {g}")
             report.inspected += 1
-            if tree.leaf(g) != auth_tree(table).leaf(g):
+            if stored != auth:
                 report.entries.append(BreachEntry(table, g, ((0, g),)))
             return report
 
@@ -256,33 +262,39 @@ class SignatureTree:
             ]
             auth_layer = WaryTree.from_leaves(self.w, self.p, layer_leaves)
             report.inspected += 1
-            if self.table_layer.root == auth_layer.root:
-                return report
-            for leaf_idx, path in self._descend(self.table_layer, auth_layer, report):
-                table = self.table_order[leaf_idx]
-                for g, rec_path in self._descend(self._tree(table), auth_tables[table], report):
-                    report.entries.append(BreachEntry(table, g, path + rec_path))
-            return report
-
-        tree = self._tree(scope)
-        auth = auth_tree(scope)
-        report.inspected += 1
-        if tree.root != auth.root:
-            for g, rec_path in self._descend(tree, auth, report):
-                report.entries.append(BreachEntry(scope, g, rec_path))
+            failed = self.table_layer.root != auth_layer.root
+            if failed:
+                for leaf_idx, path in self._descend(self.table_layer, auth_layer, report):
+                    table = self.table_order[leaf_idx]
+                    for g, rec_path in self._descend(self._tree(table), auth_tables[table],
+                                                     report):
+                        report.entries.append(BreachEntry(table, g, path + rec_path))
+            where, top = None, self.table_layer
+        else:
+            top, auth = self._tree(scope), auth_tree(scope)
+            report.inspected += 1
+            failed = top.root != auth.root
+            if failed:
+                for g, rec_path in self._descend(top, auth, report):
+                    report.entries.append(BreachEntry(scope, g, rec_path))
+            where = scope
+        if failed and not report.entries:
+            # the stored nodes disagree with each other, not with any record
+            report.entries.append(BreachEntry(where, None, ((len(top.levels) - 1, 0),)))
         return report
 
     def _descend(self, stored: WaryTree, auth: WaryTree, report: BreachReport):
-        """Walk failing nodes from the root down; yields (leaf index, path).
+        """Walk failing nodes from the root down; returns (leaf index, path)
+        of each failing leaf, then of each leaf only auth has.
 
         The subtree root is already known bad when this is called, so only
-        children are compared on the way down.
+        children are compared on the way down. A node auth lacks fails: a
+        stored leaf past auth's last is a record no longer held, and a leaf
+        of auth past the stored last is a record the tree does not cover.
         """
-        if stored.leaf_count == 0:
-            return []
         out = []
         top = len(stored.levels) - 1
-        pending = [(top, 0, ((top, 0),))]
+        pending = [(top, 0, ((top, 0),))] if stored.leaf_count else []
         while pending:
             level, idx, path = pending.pop()
             if level == 0:
@@ -291,6 +303,14 @@ class SignatureTree:
             lo, hi = idx * stored.w, (idx + 1) * stored.w
             for child in range(lo, min(hi, len(stored.levels[level - 1]))):
                 report.inspected += 1
-                if stored.levels[level - 1][child] != auth.levels[level - 1][child]:
+                if stored.levels[level - 1][child] != _node(auth, level - 1, child):
                     pending.append((level - 1, child, path + ((level - 1, child),)))
+        out += [(g, ((0, g),)) for g in range(stored.leaf_count, auth.leaf_count)]
         return out
+
+
+def _node(tree: WaryTree, level: int, idx: int) -> int | None:
+    """Value of node (level, idx), None where the tree has no such node."""
+    if 0 <= level < len(tree.levels) and 0 <= idx < len(tree.levels[level]):
+        return tree.levels[level][idx]
+    return None

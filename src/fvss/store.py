@@ -1,19 +1,22 @@
 """Simulated CSP stores, the trusted index server, and the warehouse facade.
 
-Each CSP keeps its slice of every shared table (records in insertion
-order, positions feed its signature tree), per attribute the set of NULL
-primary keys and a share column (primary key -> first-chunk share of
-every non-NULL value, so a share sum is one C-level pass over a flat
-dict), an alive/failed flag for experiments, and monotone byte
-counters. The index server keeps the Type I location bitmaps with, per
-provider, the set of primary keys it does not store, the Type II
-plaintext ordered indices with a primary key -> order key map beside
-each, and the Type III derived-column registry; by design it is a
-trusted node, so order keys are stored in the clear there. The sets,
-maps and columns live in memory only: they are maintained on every
-write and rebuilt on load, so filtered aggregates cost time in the size
-of the filter, not of the table. `Warehouse.load_rows` is the one write
-path: new records reach each provider in one append per APPEND_ROWS.
+Each CSP keeps its slice of every shared table as columns, each fact
+once: the primary keys in position order (positions feed its signature
+tree) with a pk -> position map, per fk column a pk -> value map, and per
+data attribute a share column (pk -> this CSP's chunk tuple, non-NULL
+values only, so a share sum is one C-level pass over a flat dict) beside
+the set of pks whose value is NULL. Records exist only as StoredRecord
+values crossing the store's interface. A CSP also keeps an alive/failed
+flag for experiments and monotone byte counters. The index server keeps
+the Type I location bitmaps with, per provider, the set of primary keys
+it does not store, the Type II plaintext ordered indices with a primary
+key -> order key map beside each, and the Type III derived-column
+registry; by design it is a trusted node, so order keys are stored in
+the clear there. The sets and maps live in memory only: they are
+maintained on every write and rebuilt on load, so filtered aggregates
+cost time in the size of the filter, not of the table.
+`Warehouse.load_rows` is the one write path: new records reach each
+provider in one append per APPEND_ROWS.
 
 On disk (all integers decimal text):
     <root>/csp<i>/<table>.shares     tab-separated records, share lists
@@ -32,7 +35,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from datetime import timedelta
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, zip_longest
 from operator import itemgetter
 from pathlib import Path
 
@@ -64,14 +67,16 @@ from .sharing import (
     scaled_int,
     share_record,
 )
-from .sigtree import BreachReport, SignatureTree, WaryTree
+from .sigtree import BreachEntry, BreachReport, SignatureTree, WaryTree
 
 NULL_LITERAL = "NULL"
+_NULL_BYTES = b"\xff"   # a NULL field in a record's signature input
 # new rows Warehouse.load_rows holds before handing them to the providers:
 # the bound keeps memory flat on big loads, and loading 5,000 rows as one
 # batch made later set-heavy reads in the same process about 4% slower
 APPEND_ROWS = 500
 _KEY = itemgetter(0)    # order key of a Type II (key, pk) entry
+_FIRST = itemgetter(0)  # first chunk of a stored share
 
 
 def _agreed_chunk_count(table: str, pk: int, fetched) -> int | None:
@@ -89,61 +94,87 @@ def _agreed_chunk_count(table: str, pk: int, fetched) -> int | None:
 
 @dataclass
 class StoredRecord:
+    """One CSP's copy of one record as it crosses the store's interface:
+    built from the columns on read, unpacked into them on write."""
     pk: int
     plain: dict[str, int]                       # fk columns
     shares: dict[str, tuple[int, ...] | None]   # this CSP's chunks, None = null
 
 
-def canonical_record_bytes(schema: Schema, rec: StoredRecord) -> bytes:
-    """Signature input: pk, then every non-key column in schema order,
-    8-byte big-endian per integer, a single 0xFF for null."""
-    out = [rec.pk.to_bytes(8, "big")]
-    plain, shares = rec.plain, rec.shares
-    for name, is_fk in schema.record_fields():
+# A batch of records travels column-wise: their pks, and per non-key field
+# of the schema, in record_fields order, their values aligned with the pks
+# (an int for an fk, this CSP's chunk tuple or None for a data attribute).
+
+
+def _unpack(schema: Schema, recs) -> list[list]:
+    """The field values of recs, one list per non-key field."""
+    return [
+        [r.plain[name] for r in recs] if is_fk else [r.shares.get(name) for r in recs]
+        for name, is_fk in schema.record_fields()
+    ]
+
+
+def _record_bytes(schema: Schema, pks, values) -> list[bytes]:
+    """Signature input of each record: pk, then every non-key field in
+    schema order, 8-byte big-endian per integer, a single 0xFF for null."""
+    parts = [[pk.to_bytes(8, "big") for pk in pks]]
+    for (_, is_fk), vals in zip(schema.record_fields(), values):
         if is_fk:
-            out.append(plain[name].to_bytes(8, "big"))
+            parts.append([v.to_bytes(8, "big") for v in vals])
             continue
-        chunks = shares.get(name)
-        if chunks is None:
-            out.append(b"\xff")
-        elif len(chunks) == 1:
-            out.append(chunks[0].to_bytes(8, "big"))
-        else:
-            out += [c.to_bytes(8, "big") for c in chunks]
-    return b"".join(out)
+        parts.append([
+            _NULL_BYTES if v is None
+            else v[0].to_bytes(8, "big") if len(v) == 1
+            else b"".join([c.to_bytes(8, "big") for c in v])
+            for v in vals
+        ])
+    return list(map(b"".join, zip(*parts)))
 
 
-def _record_line(schema: Schema, rec: StoredRecord) -> str:
-    fields = [str(rec.pk)]
-    plain, shares = rec.plain, rec.shares
-    for name, is_fk in schema.record_fields():
+def _text_size(schema: Schema, pks, values) -> int:
+    """Bytes the records' lines take in a .shares file (see _shares_text),
+    counted from the values: the decimal digits of every integer, a tab
+    before every field, a comma between chunks, the NULL literal and a
+    newline per line."""
+    size = len(pks) * (len(values) + 1)
+    ints = [pks]
+    for (_, is_fk), vals in zip(schema.record_fields(), values):
         if is_fk:
-            fields.append(str(plain[name]))
-        else:
-            chunks = shares.get(name)
-            fields.append(NULL_LITERAL if chunks is None else ",".join(map(str, chunks)))
-    return "\t".join(fields)
+            ints.append(vals)
+            continue
+        for chunks in vals:
+            if chunks is None:
+                size += len(NULL_LITERAL)
+            else:
+                size += len(chunks) - 1
+                ints.append(chunks)
+    return size + sum(map(len, map(str, chain.from_iterable(ints))))
 
 
-def _record_size(schema: Schema, rec: StoredRecord) -> int:
-    """Bytes the record's line takes in its .shares file, newline
-    included; the line is ASCII, so characters are bytes."""
-    return len(_record_line(schema, rec)) + 1
+def _shares_text(schema: Schema, pks, values) -> str:
+    """The records as .shares lines: tab-separated decimal fields, share
+    chunks comma-joined, the NULL literal for nulls."""
+    cols = [map(str, pks)]
+    for (_, is_fk), vals in zip(schema.record_fields(), values):
+        cols.append(map(str, vals) if is_fk else [
+            NULL_LITERAL if v is None else ",".join(map(str, v)) for v in vals
+        ])
+    return "".join(line + "\n" for line in map("\t".join, zip(*cols)))
 
 
-def _parse_record_line(schema: Schema, line: str) -> StoredRecord:
-    fields = line.rstrip("\n").split("\t")
-    pk = int(fields[0])
-    plain: dict[str, int] = {}
-    shares: dict[str, tuple[int, ...] | None] = {}
-    for col, raw in zip(schema.columns[1:], fields[1:]):
-        if col.kind == "fk":
-            plain[col.name] = int(raw)
-        elif raw == NULL_LITERAL:
-            shares[col.name] = None
-        else:
-            shares[col.name] = tuple(int(x) for x in raw.split(","))
-    return StoredRecord(pk=pk, plain=plain, shares=shares)
+def _parse_shares(schema: Schema, text: str) -> tuple[list[int], list[list]]:
+    """Inverse of _shares_text: (pks, values) of a .shares file."""
+    fields = schema.record_fields()
+    rows = [line.split("\t") for line in text.splitlines() if line]
+    if any(len(row) != len(fields) + 1 for row in rows):
+        raise SchemaMismatch(f"{schema.table}.shares: a line without {len(fields) + 1} fields")
+    cols = list(zip(*rows)) or [()] * (len(fields) + 1)
+    values = [
+        list(map(int, raw)) if is_fk
+        else [None if r == NULL_LITERAL else tuple(map(int, r.split(","))) for r in raw]
+        for (_, is_fk), raw in zip(fields, cols[1:])
+    ]
+    return list(map(int, cols[0])), values
 
 
 def _refuse_empty_strings(schema: Schema, row: dict):
@@ -155,17 +186,19 @@ def _refuse_empty_strings(schema: Schema, row: dict):
 
 
 class CspStore:
-    """One provider: table slices, its signature tree, failure state."""
+    """One provider: table slices as columns, its signature tree, failure
+    state."""
 
     def __init__(self, index: int, w: int, km: KeyMaterial):
         self.index = index
         self.km = km
         self.alive = True
-        self.tables: dict[str, list[StoredRecord]] = {}
-        self.positions: dict[str, dict[int, int]] = {}
-        self.nulls: dict[str, dict[str, set[int]]] = {}   # table -> attr -> NULL pks
-        # table -> attr -> pk -> first-chunk share, for the non-NULL values
-        self.columns: dict[str, dict[str, dict[int, int]]] = {}
+        self.pks: dict[str, list[int]] = {}                # table -> pks by position
+        self.positions: dict[str, dict[int, int]] = {}     # table -> pk -> position
+        self.plain: dict[str, dict[str, dict[int, int]]] = {}   # table -> fk -> pk -> value
+        # table -> attr -> pk -> chunk tuple, for the non-NULL values
+        self.columns: dict[str, dict[str, dict[int, tuple[int, ...]]]] = {}
+        self.nulls: dict[str, dict[str, set[int]]] = {}    # table -> attr -> NULL pks
         self.sigtree = SignatureTree(index, w, km)
         self.bytes_stored = 0
         self.bytes_transferred = 0
@@ -174,86 +207,112 @@ class CspStore:
         if not self.alive:
             raise CspUnavailable(f"CSP {self.index} is failed")
 
-    def create_table(self, table: str):
-        if table in self.tables:
-            raise DuplicateTable(table)
-        self._set_slice(table, [])
-        self.sigtree.create_table(table)
+    def create_table(self, schema: Schema):
+        if schema.table in self.pks:
+            raise DuplicateTable(schema.table)
+        self._set_slice(schema, [], [[] for _ in schema.record_fields()])
+        self.sigtree.create_table(schema.table)
 
-    def has_table(self, table: str) -> bool:
-        return table in self.tables
+    @property
+    def tables(self) -> dict[str, list[StoredRecord]]:
+        """table -> records in position order, built from the columns on
+        every access: a read-only view, editing it changes nothing stored."""
+        return {table: [self._record(table, pk) for pk in pks] for table, pks in self.pks.items()}
 
-    def _records(self, table: str) -> list[StoredRecord]:
+    def _record(self, table: str, pk: int) -> StoredRecord:
+        return StoredRecord(
+            pk,
+            {name: column[pk] for name, column in self.plain[table].items()},
+            {name: column.get(pk) for name, column in self.columns[table].items()},
+        )
+
+    def _pks(self, table: str) -> list[int]:
         try:
-            return self.tables[table]
+            return self.pks[table]
         except KeyError:
             raise UnknownTable(table) from None
 
-    def _set_slice(self, table: str, records: list[StoredRecord]):
-        """Install a table slice with its position, NULL and column indexes."""
-        self.tables[table] = records
-        self.positions[table] = {r.pk: i for i, r in enumerate(records)}
-        self.nulls[table] = {}
-        self.columns[table] = {}
-        for r in records:
-            self._track_shares(table, r)
+    def _pk_at(self, table: str, pos: int) -> int:
+        pks = self._pks(table)
+        if not 0 <= pos < len(pks):
+            raise UnknownRecordPosition(f"{table}[{pos}] at CSP {self.index}")
+        return pks[pos]
 
-    def _track_shares(self, table: str, rec: StoredRecord):
-        """File each attr of rec under its NULL set or, with its first
-        chunk, its share column, and out of the other one."""
-        nulls, columns = self.nulls[table], self.columns[table]
-        pk = rec.pk
-        for attr, chunks in rec.shares.items():
-            column = columns.get(attr)
-            if column is None:
-                column = columns[attr] = {}
-                nulls[attr] = set()
-            if chunks is None:
-                nulls[attr].add(pk)
-                column.pop(pk, None)
-            else:
-                column[pk] = chunks[0]
-                nulls[attr].discard(pk)
+    def slice_values(self, schema: Schema) -> tuple[list[int], list[list]]:
+        """The table slice as (pks by position, field values), read from
+        the columns."""
+        pks = self._pks(schema.table)
+        plain, columns = self.plain[schema.table], self.columns[schema.table]
+        return pks, [
+            list(map(plain[name].__getitem__, pks)) if is_fk
+            else list(map(columns[name].get, pks))
+            for name, is_fk in schema.record_fields()
+        ]
+
+    def _set_slice(self, schema: Schema, pks: list[int], values: list[list]):
+        """Install a table slice: its pk list, positions and columns."""
+        table = schema.table
+        self.pks[table] = pks
+        self.positions[table] = dict(zip(pks, range(len(pks))))
+        fields = schema.record_fields()
+        self.plain[table] = {name: {} for name, is_fk in fields if is_fk}
+        self.columns[table] = {name: {} for name, is_fk in fields if not is_fk}
+        self.nulls[table] = {name: set() for name in self.columns[table]}
+        self._write(schema, pks, values)
+
+    def _write(self, schema: Schema, pks, values):
+        """File each value under its pk: an fk in its column, a share in
+        its share column or, when NULL, in the attribute's NULL set, and
+        out of the other one."""
+        table = schema.table
+        plain, columns, nulls = self.plain[table], self.columns[table], self.nulls[table]
+        for (name, is_fk), vals in zip(schema.record_fields(), values):
+            if is_fk:
+                plain[name].update(zip(pks, vals))
+                continue
+            column, null = columns[name], nulls[name]
+            for pk, chunks in zip(pks, vals):
+                if chunks is None:
+                    null.add(pk)
+                    column.pop(pk, None)
+                else:
+                    column[pk] = chunks
+                    null.discard(pk)
 
     def put_shared_records(self, schema: Schema, recs) -> int:
-        """Append records in order: positions, share columns and NULL
-        sets, one signature-tree extension and the stored-byte count.
-        Returns the position of the first."""
+        """Append records in order: pks, positions and columns, one
+        signature-tree extension and the stored-byte count. Returns the
+        position of the first."""
         self._check_alive()
         table = schema.table
-        records = self._records(table)
-        start = len(records)
-        records.extend(recs)
-        positions = self.positions[table]
-        for pos in range(start, len(records)):
-            rec = records[pos]
-            positions[rec.pk] = pos
-            self._track_shares(table, rec)
-        added = records[start:]
-        self.sigtree.insert_records(table, [canonical_record_bytes(schema, r) for r in added])
-        self.bytes_stored += sum(_record_size(schema, r) for r in added)
+        pks = self._pks(table)
+        start = len(pks)
+        new = [r.pk for r in recs]
+        values = _unpack(schema, recs)
+        pks.extend(new)
+        self.positions[table].update(zip(new, range(start, len(pks))))
+        self._write(schema, new, values)
+        self.sigtree.insert_records(table, _record_bytes(schema, new, values))
+        self.bytes_stored += _text_size(schema, new, values)
         return start
 
     def put_shared_record(self, schema: Schema, rec: StoredRecord) -> int:
         return self.put_shared_records(schema, [rec])
 
     def update_shared_record(self, schema: Schema, pos: int, rec: StoredRecord):
+        """Overwrite the record at pos with rec's values."""
         self._check_alive()
-        records = self._records(schema.table)
-        if not 0 <= pos < len(records):
-            raise UnknownRecordPosition(f"{schema.table}[{pos}] at CSP {self.index}")
-        records[pos] = rec
-        self._track_shares(schema.table, rec)
-        self.sigtree.update_record(schema.table, pos, canonical_record_bytes(schema, rec))
-        self.bytes_stored += _record_size(schema, rec)
+        pk = [self._pk_at(schema.table, pos)]
+        values = _unpack(schema, [rec])
+        self._write(schema, pk, values)
+        self.sigtree.update_record(schema.table, pos, _record_bytes(schema, pk, values)[0])
+        self.bytes_stored += _text_size(schema, pk, values)
 
-    def get_record(self, table: str, pos: int, nbytes: int = 64) -> StoredRecord:
+    def get_record(self, table: str, pos: int) -> StoredRecord:
         self._check_alive()
-        records = self._records(table)
-        if not 0 <= pos < len(records):
-            raise UnknownRecordPosition(f"{table}[{pos}] at CSP {self.index}")
-        self.bytes_transferred += nbytes
-        return records[pos]
+        pk = self._pk_at(table, pos)
+        self.bytes_transferred += 64
+        return self._record(table, pk)
 
     def position_of(self, table: str, pk: int) -> int:
         pos = self.positions.get(table, {}).get(pk)
@@ -263,16 +322,16 @@ class CspStore:
 
     def fetch_share(self, table: str, pk: int, attr: str) -> tuple[int, ...] | None:
         self._check_alive()
-        rec = self._records(table)[self.position_of(table, pk)]
-        chunks = rec.shares.get(attr)
+        self.position_of(table, pk)
+        chunks = self.columns[table].get(attr, {}).get(pk)
         self.bytes_transferred += 8 * (len(chunks) if chunks else 1)
         return chunks
 
     def fetch_plain(self, table: str, pk: int, attr: str) -> int:
         self._check_alive()
-        rec = self._records(table)[self.position_of(table, pk)]
+        self.position_of(table, pk)
         self.bytes_transferred += 8
-        return rec.plain[attr]
+        return self.plain[table][attr][pk]
 
     def null_pks(self, table: str, attr: str, pks) -> set[int]:
         """Primary keys among pks stored here whose attr is null."""
@@ -288,35 +347,32 @@ class CspStore:
         self._check_alive()
         column = self.columns.get(table, {}).get(attr, {})
         self.bytes_transferred += 8
-        return sum(map(column.__getitem__, column.keys() & pks)) % self.km.p
+        return sum(map(_FIRST, map(column.__getitem__, column.keys() & pks))) % self.km.p
 
-    def tamper(self, table: str, pos: int, attr: str, chunk: int, new_share: int):
-        """Overwrite one share without touching the signature tree."""
-        records = self._records(table)
-        if not 0 <= pos < len(records):
-            raise UnknownRecordPosition(f"{table}[{pos}] at CSP {self.index}")
-        chunks = records[pos].shares.get(attr)
+    def tamper(self, table: str, pos: int, attr: str, chunk: int, delta: int):
+        """Add delta to one stored share chunk without touching the
+        signature tree."""
+        pk = self._pk_at(table, pos)
+        column = self.columns[table].get(attr, {})
+        chunks = column.get(pk)
         if chunks is None:
             raise UnknownRecordPosition(f"{table}[{pos}].{attr} is null")
         mutated = list(chunks)
-        mutated[chunk] = new_share % self.km.p
-        records[pos].shares[attr] = tuple(mutated)
-        self.columns[table][attr][records[pos].pk] = mutated[0]
+        mutated[chunk] = (mutated[chunk] + delta) % self.km.p
+        column[pk] = tuple(mutated)
 
-    def reset_table(self, schema: Schema, records: list[StoredRecord]):
+    def reset_table(self, schema: Schema, pks: list[int], values: list[list]):
         """Replace a table slice wholesale (recovery path); rebuilds the
         record tree and patches the table layer by delta."""
         table = schema.table
-        if table not in self.tables:
-            raise UnknownTable(table)
-        self._set_slice(table, list(records))
+        self._set_slice(schema, pks, values)
         tree = self.sigtree
         old_root = tree.record_trees[table].root
-        leaves = [tree.record_sig(canonical_record_bytes(schema, r)) for r in records]
+        leaves = [tree.record_sig(b) for b in _record_bytes(schema, pks, values)]
         tree.record_trees[table] = WaryTree.from_leaves(tree.w, tree.p, leaves)
         new_root = tree.record_trees[table].root
         tree.table_layer.add_delta(tree.table_pos[table], new_root - old_root)
-        self.bytes_stored += sum(_record_size(schema, r) for r in records)
+        self.bytes_stored += _text_size(schema, pks, values)
 
 
 class TypeOneIndex:
@@ -640,7 +696,7 @@ class Warehouse:
     def create_table(self, schema: Schema, index_attrs=(), derived=()) -> Schema:
         full = self._register(schema, index_attrs, derived)
         for csp in self.csps.values():
-            csp.create_table(full.table)
+            csp.create_table(full)
         return full
 
     # loading records
@@ -656,7 +712,7 @@ class Warehouse:
             attr: (None if per_csp is None else per_csp[i])
             for attr, per_csp in bundle.shares.items()
         }
-        return StoredRecord(pk=bundle.pk, plain=dict(bundle.plain), shares=shares)
+        return StoredRecord(pk=bundle.pk, plain=bundle.plain, shares=shares)
 
     def insert(self, table: str, row: dict) -> int:
         """Share one record out, as a batch of one; an existing primary key
@@ -795,24 +851,35 @@ class Warehouse:
 
     def authoritative_sigs(self, i: int, table: str) -> list[int]:
         """Leaf signatures recomputed from what the CSP actually stores."""
-        csp = self.csps[i]
-        schema = self._schema(table)
-        return [
-            csp.sigtree.record_sig(canonical_record_bytes(schema, rec))
-            for rec in csp.tables[table]
-        ]
+        csp, schema = self.csps[i], self._schema(table)
+        leaves = _record_bytes(schema, *csp.slice_values(schema))
+        return list(map(csp.sigtree.record_sig, leaves))
+
+    def _misplaced(self, i: int, table: str) -> list[int]:
+        """Positions at which CSP i's pk list differs from the pks Type I
+        says it stores (bitmap bit i set), in Type I order."""
+        held = self.csps[i].pks[table]
+        owed = [pk for pk, bitmap in self.type1.entries[table].items() if bitmap[i - 1] == "1"]
+        return [g for g, (a, b) in enumerate(zip_longest(held, owed)) if a != b]
 
     def verify_csp(self, i: int, scope="whole") -> BreachReport:
+        """Check CSP i's signature trees against leaves recomputed from its
+        records, and its pk list against Type I: a record added, dropped or
+        moved is a breach at its position, as is a changed one."""
         csp = self.csps[i]
         if not csp.alive:
             raise CspUnavailable(f"CSP {i} is failed")
         if scope == "whole":
-            auth = {t: self.authoritative_sigs(i, t) for t in self.table_order}
-        elif isinstance(scope, tuple):
-            auth = {scope[0]: self.authoritative_sigs(i, scope[0])}
+            tables = self.table_order
         else:
-            auth = {scope: self.authoritative_sigs(i, scope)}
-        return csp.sigtree.verify(auth, scope)
+            tables = [scope[0] if isinstance(scope, tuple) else scope]
+        report = csp.sigtree.verify({t: self.authoritative_sigs(i, t) for t in tables}, scope)
+        flagged = {(e.table, e.position) for e in report.entries}
+        for table in tables:
+            for g in self._misplaced(i, table):
+                if (table, g) not in flagged and (not isinstance(scope, tuple) or g == scope[1]):
+                    report.entries.append(BreachEntry(table, g, ((0, g),)))
+        return report
 
     def verify_all(self, scope="whole") -> dict[int, BreachReport]:
         return {i: self.verify_csp(i, scope) for i in self.alive_csps()}
@@ -821,16 +888,14 @@ class Warehouse:
                       chunk: int = 0, delta: int = 1):
         """Flip one stored share without maintaining the signature tree."""
         store = self.csps[csp]
-        pos = store.position_of(table, pk)
-        current = store.tables[table][pos].shares[attr]
-        store.tamper(table, pos, attr, chunk, (current[chunk] + delta) % self.km.p)
+        store.tamper(table, store.position_of(table, pk), attr, chunk, delta)
 
     # recovery
 
     def recover_csp_shares(self, target: int, rg=None) -> int:
         """Regenerate every share a CSP lost, from t healthy peers.
 
-        Walks all tables in creation order, rebuilds the target's slice
+        Walks all tables in creation order, rebuilds the target's columns
         record by record via polynomial re-evaluation, then replaces its
         slices and resets its signature trees. Donors that disagree on a
         value's null marker or chunk count raise MissingShare before the
@@ -852,24 +917,24 @@ class Warehouse:
         rebuilt_tables = {}
         for table in self.table_order:
             schema = self._schema(table)
-            records = rebuilt_tables[table] = []
+            fields = schema.record_fields()
+            pks, values = rebuilt_tables[table] = [], [[] for _ in fields]
             for pk in self.type1.pks(table):
                 group = group_from_bitmap(self.type1.bitmap(table, pk))
                 if target not in group.sg:
                     continue
                 donors = [j for j in rg if j in group.sg]
-                plain = {
-                    c.name: self.csps[donors[0]].fetch_plain(table, pk, c.name)
-                    for c in schema.plain_columns() if c.name != schema.key
-                }
-                shares: dict[str, tuple[int, ...] | None] = {}
-                for col in schema.data_columns():
+                pks.append(pk)
+                for (name, is_fk), vals in zip(fields, values):
+                    if is_fk:
+                        vals.append(self.csps[donors[0]].fetch_plain(table, pk, name))
+                        continue
                     donor_chunks = {
-                        j: self.csps[j].fetch_share(table, pk, col.name) for j in donors
+                        j: self.csps[j].fetch_share(table, pk, name) for j in donors
                     }
                     count = _agreed_chunk_count(table, pk, donor_chunks)
                     if count is None:
-                        shares[col.name] = None
+                        vals.append(None)
                         continue
                     rebuilt = []
                     for k in range(count):
@@ -878,10 +943,9 @@ class Warehouse:
                             recover_share(pk, group.sg, per_chunk, rg, target, self.km)
                         )
                         regenerated += 1
-                    shares[col.name] = tuple(rebuilt)
-                records.append(StoredRecord(pk=pk, plain=plain, shares=shares))
-        for table, records in rebuilt_tables.items():
-            self.csps[target].reset_table(self._schema(table), records)
+                    vals.append(tuple(rebuilt))
+        for table, (pks, values) in rebuilt_tables.items():
+            self.csps[target].reset_table(self._schema(table), pks, values)
         return regenerated
 
     # persistence
@@ -899,9 +963,8 @@ class Warehouse:
             d.mkdir(parents=True, exist_ok=True)
             for table in self.table_order:
                 schema = self.schemas[table]
-                lines = [_record_line(schema, r) for r in csp.tables[table]]
                 (d / f"{table}.shares").write_text(
-                    "".join(line + "\n" for line in lines)
+                    _shares_text(schema, *csp.slice_values(schema))
                 )
                 (d / f"{table}.sigtree").write_text(
                     _triples_text(csp.sigtree.record_trees[table].triples())
@@ -973,12 +1036,9 @@ class Warehouse:
             )
             for table in order:
                 schema = wh.schemas[table]
-                records = [
-                    _parse_record_line(schema, line)
-                    for line in (d / f"{table}.shares").read_text().splitlines()
-                    if line
-                ]
-                csp._set_slice(table, records)
+                csp._set_slice(
+                    schema, *_parse_shares(schema, (d / f"{table}.shares").read_text())
+                )
                 csp.sigtree.record_trees[table] = WaryTree.from_triples(
                     w, km.p,
                     _parse_triples((d / f"{table}.sigtree").read_text().splitlines()),

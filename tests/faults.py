@@ -9,8 +9,8 @@ def report_null(wh, i, table, pk, attr):
     record it replaced, for restore_record."""
     csp = wh.csps[i]
     pos = csp.position_of(table, pk)
-    rec = csp.tables[table][pos]
-    lie = StoredRecord(pk, dict(rec.plain), {**rec.shares, attr: None})
+    rec = csp.get_record(table, pos)
+    lie = StoredRecord(pk, rec.plain, {**rec.shares, attr: None})
     csp.update_shared_record(wh.schemas[table], pos, lie)
     return rec
 

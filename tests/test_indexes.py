@@ -4,9 +4,10 @@ The index server's Type I absent-pk sets, the Type II pk -> key maps and
 the providers' NULL sets and share columns are kept up to date on every
 write instead of being derived per call. Each is checked here against
 the definition it replaces, computed by brute force from the primary
-data (bitmaps, sorted entries, stored records), after random
-insert/update/remove sequences, a save/load round trip, a recovery and a
-tamper; query answers are checked against the plaintext evaluator.
+data (bitmaps, sorted entries) or, for the providers, from the plaintext
+rows shared afresh, after random insert/update/remove sequences, a
+save/load round trip, a recovery and a tamper; query answers are checked
+against the plaintext evaluator.
 """
 
 import tempfile
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvss import Column, Schema, Warehouse
-from fvss.errors import EmptyInput
+from fvss.errors import EmptyInput, UnknownRecordPosition
 from fvss.query import execute, parse
+from fvss.sharing import encode, group_from_bitmap, share_value
 from fvss.store import TypeOneIndex, TypeTwoIndex, order_key
 
 from .oracles import PlainWarehouse
@@ -75,27 +77,48 @@ def check_pseudo_sums(type1, table, pks, n, p):
         assert type1.pseudo_sum(table, pks, i, p) == want
 
 
-def check_null_sets(wh, table):
-    attrs = [c.name for c in wh.schemas[table].data_columns()]
-    everything = set(wh.type1.pks(table)) | {0, -1}
-    for csp in wh.csps.values():
-        for attr in attrs:
-            want = {r.pk for r in csp.tables[table] if r.shares[attr] is None}
-            assert csp.null_pks(table, attr, everything) == want, (csp.index, attr)
-
-
-def check_share_columns(wh, table, filters):
-    """Each provider's share column holds the first chunk of exactly its
-    non-NULL stored values, and share_sum adds them up over a filter."""
-    p = wh.km.p
-    for csp in wh.csps.values():
+def shares_oracle(wh, table, rows):
+    """provider -> attr -> pk -> the chunk tuple it must hold (None for a
+    NULL), for every pk whose bitmap names it: each row value shared
+    afresh, chunk by chunk, at the storage group of its bitmap."""
+    km = wh.km
+    want = {i: {c.name: {} for c in wh.schemas[table].data_columns()} for i in wh.csps}
+    for pk, row in rows.items():
+        group = group_from_bitmap(wh.type1.bitmap(table, pk))
         for col in wh.schemas[table].data_columns():
-            stored = {r.pk: r.shares[col.name][0] for r in csp.tables[table]
-                      if r.shares[col.name] is not None}
-            assert csp.columns[table].get(col.name, {}) == stored, (csp.index, col.name)
+            enc = encode(row[col.name], col.kind, scale=col.scale, bias=wh.bias, p=km.p)
+            per_chunk = [share_value(c, pk, group, km) for c in enc.chunks]
+            for i in group.sg:
+                want[i][col.name][pk] = tuple(s[i] for s in per_chunk) if per_chunk else None
+    return want
+
+
+def check_null_sets(wh, table, want, filters):
+    """null_pks answers exactly the held pks whose row value is NULL."""
+    everything = set(wh.type1.pks(table)) | {0, -1}
+    for i, csp in wh.csps.items():
+        for attr, held in want[i].items():
+            nulls = {pk for pk, chunks in held.items() if chunks is None}
+            for pks in filters + [everything]:
+                assert csp.null_pks(table, attr, pks) == nulls & pks, (i, attr)
+
+
+def check_share_columns(wh, table, want, filters):
+    """Each provider returns exactly the chunks of the oracle for the pks
+    it holds, refuses the others, and share_sum adds up the first chunks
+    of its non-NULL values over a filter."""
+    p = wh.km.p
+    for i, csp in wh.csps.items():
+        for attr, held in want[i].items():
+            for pk in wh.type1.pks(table):
+                if pk in held:
+                    assert csp.fetch_share(table, pk, attr) == held[pk], (i, attr, pk)
+                else:
+                    with pytest.raises(UnknownRecordPosition):
+                        csp.fetch_share(table, pk, attr)
             for pks in filters:
-                want = sum(v for pk, v in stored.items() if pk in pks) % p
-                assert csp.share_sum(table, col.name, pks) == want
+                total = sum(c[0] for pk, c in held.items() if c is not None and pk in pks)
+                assert csp.share_sum(table, attr, pks) == total % p, (i, attr)
 
 
 # the index structures on their own
@@ -182,8 +205,9 @@ def check_warehouse(wh, rows, probes, filters):
         attr_probes = list(probes) if attr == "v" else [("a", "b"), ("b", "c")]
         check_type_two(wh.type2, "r", attr, attr_probes, filters + [set(pks)])
     check_pseudo_sums(wh.type1, "r", set(pks), wh.km.n, wh.km.p)
-    check_null_sets(wh, "r")
-    check_share_columns(wh, "r", filters + [set(pks)])
+    want = shares_oracle(wh, "r", rows)
+    check_null_sets(wh, "r", want, filters)
+    check_share_columns(wh, "r", want, filters + [set(pks)])
     oracle = PlainWarehouse()
     oracle.add_table(TABLE, list(rows.values()))
     for a, b in probes:
@@ -215,8 +239,12 @@ def test_warehouse_indexes_through_updates_save_load_and_recovery(
     check_warehouse(back, rows, probes, filters)
     back.recover_csp_shares(target)
     check_warehouse(back, rows, probes, filters)
-    victim = next((r for r in back.csps[target].tables["r"] if r.shares["w"] is not None), None)
+    victim = next((pk for pk in back.type1.pks("r") if rows[pk]["w"] is not None
+                   and back.type1.bitmap("r", pk)[target - 1] == "1"), None)
     if victim is not None:
-        back.inject_tamper(target, "r", victim.pk, "w", delta=5)
-        check_share_columns(back, "r", filters)
-        check_null_sets(back, "r")
+        back.inject_tamper(target, "r", victim, "w", delta=5)
+        want = shares_oracle(back, "r", rows)
+        (chunk,) = want[target]["w"][victim]
+        want[target]["w"][victim] = ((chunk + 5) % km_big.p,)
+        check_share_columns(back, "r", want, filters)
+        check_null_sets(back, "r", want, filters)

@@ -256,6 +256,39 @@ def test_scoped_verify_single_position(km_toy):
     assert not report.ok
 
 
+@pytest.mark.parametrize("stored,held", [(9, 10), (10, 9), (0, 3), (3, 0), (27, 29), (28, 26)])
+def test_leaf_count_mismatch_reports_each_missing_or_extra_position(km_big, stored, held):
+    """The provider holds `held` records under a tree that covers `stored`:
+    every position only one side has is a breach, and nothing raises."""
+    st = _tree(km_big, ("a", "b"))
+    blobs = [bytes([i]) for i in range(max(stored, held))]
+    for blob in blobs[:stored]:
+        st.insert_record("a", blob)
+    auth = {"a": [st.record_sig(b) for b in blobs[:held]], "b": []}
+    want = list(range(min(stored, held), max(stored, held)))
+    for scope in ("whole", "a"):
+        report = st.verify(auth, scope)
+        assert sorted((e.table, e.position) for e in report.entries) == [("a", g) for g in want]
+    for g in want:
+        assert not st.verify(auth, ("a", g)).ok
+    with pytest.raises(UnknownRecordPosition):
+        st.verify(auth, ("a", max(stored, held)))
+
+
+def test_stored_nodes_that_disagree_with_each_other_never_read_ok(km_big):
+    st = _tree(km_big, ("a", "b"))
+    for i in range(5):
+        st.insert_record("a", bytes([i]))
+    auth = {"a": [st.record_sig(bytes([i])) for i in range(5)], "b": []}
+    st.record_trees["a"].levels[-1][0] += 1   # a root that is not its children's sum
+    report = st.verify(auth, "a")
+    assert [(e.table, e.position) for e in report.entries] == [("a", None)]
+    st.record_trees["a"].levels[-1][0] -= 1
+    st.table_layer.add_delta(1, 7)           # b's layer leaf matches no records
+    report = st.verify(auth)
+    assert [(e.table, e.position) for e in report.entries] == [(None, None)]
+
+
 def test_leaf_out_of_range(km_toy):
     st = _tree(km_toy)
     st.insert_record("a", b"only")

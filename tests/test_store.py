@@ -1,9 +1,12 @@
-import copy
 import datetime
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvss import Column, DerivedColumn, Schema, Warehouse
 from fvss.errors import (
@@ -16,7 +19,7 @@ from fvss.errors import (
     UnknownRecordPosition,
     UnknownTable,
 )
-from fvss.store import TypeOneIndex, order_key
+from fvss.store import StoredRecord, TypeOneIndex, order_key
 
 
 PRODUCT = Schema("product", (
@@ -329,11 +332,13 @@ def test_recovery_restores_exact_slice(km_toy):
     wh = _warehouse(km_toy)
     wh.load_rows("product", _rows())
     target = 1
-    want = copy.deepcopy(wh.csps[target].tables["product"])
-    for rec in wh.csps[target].tables["product"]:
-        for a in list(rec.shares):
-            if rec.shares[a] is not None:
-                rec.shares[a] = tuple(0 for _ in rec.shares[a])
+    store = wh.csps[target]
+    want = store.tables["product"]
+    for pos, rec in enumerate(want):
+        zeroed = {a: c and tuple(0 for _ in c) for a, c in rec.shares.items()}
+        store.update_shared_record(wh.schemas["product"], pos,
+                                   StoredRecord(rec.pk, rec.plain, zeroed))
+    assert store.tables["product"] != want
     n = wh.recover_csp_shares(target)
     assert n > 0
     got = wh.csps[target].tables["product"]
@@ -374,9 +379,11 @@ def test_recovery_refuses_disagreeing_donors(km_toy, donor, fault):
     donors = [j for j in rg if bitmap[j - 1] == "1"]
     assert len(donors) == 2
     store = wh.csps[donors[donor]]
-    rec = store.tables["product"][store.position_of("product", pk)]
+    pos = store.position_of("product", pk)
+    rec = store.get_record("product", pos)
     rec.shares["prodName"] = None if fault == "null" else rec.shares["prodName"][:-1]
-    want = copy.deepcopy(wh.csps[target].tables["product"])
+    store.update_shared_record(wh.schemas["product"], pos, rec)
+    want = wh.csps[target].tables["product"]
     with pytest.raises(MissingShare, match="null marks" if fault == "null" else "chunk counts"):
         wh.recover_csp_shares(target)
     got = wh.csps[target].tables["product"]
@@ -430,3 +437,101 @@ def test_saved_files_deterministic(tmp_path, km_toy):
     assert files_a == files_b
     for rel in files_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+
+# saved files edited behind the store's back: the outer check must flag them
+
+MORE = [dict(ProdNo=200 + k, prodName=f"p{k}", price=k / 2, qty=k) for k in range(12)]
+
+
+def _reload(root, km):
+    return Warehouse.load(root, km, [(PRODUCT, ("price", "prodName", "qty"), ())], w=3, bias=0)
+
+
+def _breaches(wh):
+    return {i: [(e.table, e.position) for e in report.entries]
+            for i, report in wh.verify_all().items()}
+
+
+def _clean_but(i, entries):
+    return {j: entries if j == i else [] for j in range(1, 6)}
+
+
+def test_extra_trailing_record_line_is_a_breach(tmp_path, km_big):
+    wh = _warehouse(km_big)
+    wh.load_rows("product", _rows() + MORE)
+    wh.save(tmp_path)
+    shares = tmp_path / "csp1" / "product.shares"
+    lines = shares.read_text().splitlines()
+    extra = "\t".join(["999"] + lines[-1].split("\t")[1:])
+    shares.write_text("".join(line + "\n" for line in lines + [extra]))
+    assert _breaches(_reload(tmp_path, km_big)) == _clean_but(1, [("product", len(lines))])
+
+
+def test_dropped_last_record_line_is_a_breach(tmp_path, km_big):
+    wh = _warehouse(km_big)
+    wh.load_rows("product", _rows() + MORE)
+    wh.save(tmp_path)
+    shares = tmp_path / "csp1" / "product.shares"
+    lines = shares.read_text().splitlines()
+    shares.write_text("".join(line + "\n" for line in lines[:-1]))
+    assert _breaches(_reload(tmp_path, km_big)) == _clean_but(1, [("product", len(lines) - 1)])
+
+
+def test_torn_save_is_a_breach(tmp_path, km_big):
+    """A save killed after it wrote csp1's .shares and before its .sigtree
+    leaves a later slice under an earlier tree and Type I."""
+    wh = _warehouse(km_big)
+    wh.load_rows("product", _rows())
+    wh.save(tmp_path / "old")
+    wh.load_rows("product", MORE)
+    wh.save(tmp_path / "new")
+    old, new = (len((tmp_path / d / "csp1" / "product.shares").read_text().splitlines())
+                for d in ("old", "new"))
+    assert new > old
+    (tmp_path / "old" / "csp1" / "product.shares").write_bytes(
+        (tmp_path / "new" / "csp1" / "product.shares").read_bytes()
+    )
+    back = _reload(tmp_path / "old", km_big)
+    assert _breaches(back) == _clean_but(1, [("product", g) for g in range(old, new)])
+
+
+@given(st.integers(1, 5), st.sampled_from(("append", "drop", "swap")), st.randoms())
+@settings(max_examples=30, deadline=None)
+def test_edited_slice_is_a_breach_at_that_provider_only(km_big, i, edit, rnd):
+    """Append, drop or swap lines of one provider's saved .shares file: that
+    provider reports a breach and every other one verifies clean."""
+    wh = _warehouse(km_big)
+    wh.load_rows("product", _rows() + MORE)
+    with tempfile.TemporaryDirectory() as root:
+        wh.save(root)
+        shares = Path(root) / f"csp{i}" / "product.shares"
+        lines = shares.read_text().splitlines()
+        if edit == "append":
+            lines.append("\t".join(["900"] + rnd.choice(lines).split("\t")[1:]))
+        elif edit == "drop":
+            del lines[rnd.randrange(len(lines))]
+        else:
+            a, b = rnd.sample(range(len(lines)), 2)
+            lines[a], lines[b] = lines[b], lines[a]
+        shares.write_text("".join(line + "\n" for line in lines))
+        reports = _reload(root, km_big).verify_all()
+    assert not reports[i].ok
+    assert all(report.ok for j, report in reports.items() if j != i)
+
+
+def test_bytes_stored_counts_the_share_lines_written(tmp_path, km_big):
+    """bytes_stored, counted from the values each write stores, grows by
+    the size of the .shares lines that write leaves: on append and on
+    recovery, for fk, NULL and multi-chunk fields."""
+    wh = Warehouse(km_big, w=3)
+    wh.create_table(Schema("t", (Column("id", "key"), Column("f", "fk", fk_table="u"),
+                                 Column("s", "string"), Column("v", "int"))))
+    wh.load_rows("t", [dict(id=k, f=k % 3, s=None if k % 4 else "ab" * k, v=None if k % 5 else -k)
+                       for k in range(1, 30)])
+    wh.save(tmp_path / "a")
+    for i, csp in wh.csps.items():
+        assert csp.bytes_stored == (tmp_path / "a" / f"csp{i}" / "t.shares").stat().st_size
+    before = wh.csps[2].bytes_stored
+    wh.recover_csp_shares(2)
+    assert wh.csps[2].bytes_stored - before == (tmp_path / "a" / "csp2" / "t.shares").stat().st_size
