@@ -25,7 +25,9 @@ from __future__ import annotations
 import hmac
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .errors import (
     CspUnavailable,
@@ -36,7 +38,7 @@ from .errors import (
     UnknownTable,
     UnsupportedFeature,
 )
-from .field import interpolate_at
+from .field import lagrange_weights
 from .keyed import KeyMaterial
 from .sharing import Column, Schema, encode
 from .store import StoredRecord, Warehouse, display_value, order_key
@@ -247,13 +249,35 @@ def _filler_ordinate(km: KeyMaterial, table: str, pk: int, attr: str,
     return int.from_bytes(digest[:16], "big") % km.p
 
 
+@lru_cache(maxsize=64)
+def _cell_coefficients(basis: tuple, filler_xs: tuple[int, ...]
+                       ) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    p, x_kd, x_ks, he1_scalar, per_csp = basis
+    xs = (x_kd, x_ks, *filler_xs)
+    out = []
+    for i, (x_i, _) in enumerate(per_csp, 1):
+        w = lagrange_weights(xs, x_i, p)
+        out.append((i, (w[0] + w[1] * he1_scalar) % p, w[2:]))
+    return tuple(out)
+
+
+def cell_coefficients(km: KeyMaterial) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(i, A_i, F_i) for every provider i, ascending, such that its share
+    of a cube cell chunk v with filler ordinates f is
+    (A_i*v + sum(F_ij * f_j)) % p: with l the Lagrange weights of the
+    abscissas (K_d, K_s, fillers) at provider i's abscissa, A_i = l_Kd +
+    l_Ks * HE1 scalar and F_i the fillers' weights. Memoized by value
+    (the share basis and the filler abscissas)."""
+    return _cell_coefficients(km.share_basis,
+                              tuple(km.x_filler(j) for j in range(km.t - 2)))
+
+
 def _cell_shares(km: KeyMaterial, value: int, fillers) -> dict[int, int]:
     """All n providers' shares of the polynomial through the data point,
     its signature point and the given ordinates at the filler abscissas."""
-    value %= km.p
-    xs = (km.x_kd, km.x_ks, *(km.x_filler(j) for j in range(km.t - 2)))
-    ys = (value, km.he1(value), *fillers)
-    return {i: interpolate_at(xs, ys, km.x_id(i), km.p) for i in range(1, km.n + 1)}
+    p = km.p
+    return {i: (a * value + sum(map(mul, f, fillers))) % p
+            for i, a, f in cell_coefficients(km)}
 
 
 def share_cell_chunk(km: KeyMaterial, table: str, pk: int, attr: str,
@@ -416,7 +440,8 @@ def _bias_correction(km: KeyMaterial, terms: int, bias: int) -> dict[int, int]:
     """Per-provider shares subtracted so the updated cell keeps exactly one
     bias offset: their polynomial carries terms*bias at the data point, the
     matching signature value, and zero at every filler."""
-    return _cell_shares(km, terms * bias, [0] * (km.t - 2))
+    value = terms * bias
+    return {i: a * value % km.p for i, a, _ in cell_coefficients(km)}
 
 
 def _apply_share_deltas(wh: Warehouse, schema: Schema, cell_pk: int,
@@ -576,18 +601,20 @@ def cube_query(wh: Warehouse, spec: CubeSpec, level, where=(), rg=None):
         pks &= wh.type2_lookup(table, attr, op, operand)
 
     rg = tuple(sorted(rg)) if rg is not None else wh.choose_rg()
+    order = sorted(pks)
 
-    def measure_out(m: CubeMeasure, pk: int):
+    def column(name: str) -> list:
+        return wh.reconstruct_values(table, name, order, rg)
+
+    def measure_column(m: CubeMeasure) -> list:
         if m.fn == "avg":
             pair = _split_pair(m.attr)
             if pair:
                 x, op, y = pair
-                s = wh.reconstruct_value(table, pk, _pair_name("sum", x, op, y), rg)
-                c = wh.reconstruct_value(table, pk, f"count_{x}", rg)
+                sums, counts = column(_pair_name("sum", x, op, y)), column(f"count_{x}")
             else:
-                s = wh.reconstruct_value(table, pk, f"sum_{m.attr}", rg)
-                c = wh.reconstruct_value(table, pk, f"count_{m.attr}", rg)
-            return None if not c else Fraction(s) / c
+                sums, counts = column(f"sum_{m.attr}"), column(f"count_{m.attr}")
+            return [None if not c else Fraction(s) / c for s, c in zip(sums, counts)]
         pair = _split_pair(m.attr) if m.attr else None
         if m.fn == "sum" and pair:
             name = _pair_name("sum", *pair)
@@ -595,12 +622,14 @@ def cube_query(wh: Warehouse, spec: CubeSpec, level, where=(), rg=None):
             name = "count_rows"
         else:
             name = f"{m.fn}_{m.attr}"
-        return wh.reconstruct_value(table, pk, name, rg)
+        return column(name)
 
-    rows = []
-    for pk in sorted(pks):
-        dims_out = tuple(display_value(maps[a].get(pk), by_name[a]) for a in level)
-        rows.append(dims_out + tuple(measure_out(m, pk) for m in spec.measures))
+    measures = [measure_column(m) for m in spec.measures]
+    rows = [
+        tuple(display_value(maps[a].get(pk), by_name[a]) for a in level)
+        + tuple(values[k] for values in measures)
+        for k, pk in enumerate(order)
+    ]
     rows.sort(key=lambda r: tuple(
         (v is None, isinstance(v, str), v) for v in r[: len(level)]
     ))

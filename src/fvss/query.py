@@ -909,21 +909,19 @@ def _execute_with(wh: Warehouse, plan: QueryPlan, rg) -> list[tuple]:
         fk_maps = {
             fk: wh.type2.value_map(plan.fact, fk) for fk in join_fk.values()
         }
-        rows = []
-        for pk in sorted(pks):
-            row = []
-            for item in plan.items:
-                r = item.attr
-                if r.table == plan.fact:
-                    row.append(wh.reconstruct_value(plan.fact, pk, r.name, rg))
-                else:
-                    dim_pk = fk_maps[join_fk[r.table]].get(pk)
-                    row.append(
-                        None if dim_pk is None
-                        else wh.reconstruct_value(r.table, dim_pk, r.name, rg)
-                    )
-            rows.append(tuple(row))
-        return rows
+        order = sorted(pks)
+        columns = []
+        for item in plan.items:
+            r = item.attr
+            if r.table == plan.fact:
+                columns.append(wh.reconstruct_values(plan.fact, r.name, order, rg))
+                continue
+            # each referenced dimension record is reconstructed once
+            dim_pks = list(map(fk_maps[join_fk[r.table]].get, order))
+            wanted = [pk for pk in dict.fromkeys(dim_pks) if pk is not None]
+            values = dict(zip(wanted, wh.reconstruct_values(r.table, r.name, wanted, rg)))
+            columns.append(list(map(values.get, dim_pks)))
+        return list(zip(*columns))
 
     if plan.group_sources:
         groups = group_pks(wh, plan.fact, plan.group_sources, pks)

@@ -17,6 +17,11 @@ t CSPs can reconstruct: members of the storage group supply stored shares,
 the others' pseudo shares are recomputed from the plaintext key. The
 reconstruction is accepted only when f(HF1(K_s)) equals HE1(f(HF1(K_d))),
 which any single corrupted share in the group breaks (up to a 1/p fluke).
+Reading folds the same way (`linear_rows`): for a storage group, a
+reconstruction group and a target abscissa, f there is a dot product of
+the donors' stored shares plus one pk term for the pseudo shares, and the
+signature test is a second dot product that must vanish, so reconstruction
+and recovery run a column of values at a time (`solve_column`).
 
 Storage groups always have n-t+2 members and reconstruction groups t, so
 at least two reconstruction members hold stored shares of every record.
@@ -30,7 +35,8 @@ from datetime import date as _date
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     InnerSignatureMismatch,
@@ -56,8 +62,8 @@ class ReconstructionCounter:
     def __init__(self):
         self.count = 0
 
-    def bump(self):
-        self.count += 1
+    def bump(self, k: int = 1):
+        self.count += k
 
     def reset(self):
         self.count = 0
@@ -204,6 +210,7 @@ class StorageGroup:
         return "".join("1" if i in self.sg else "0" for i in range(1, self.n + 1))
 
 
+@lru_cache(maxsize=256)
 def group_from_bitmap(bitmap: str) -> StorageGroup:
     sg = frozenset(i for i, bit in enumerate(bitmap, start=1) if bit == "1")
     ug = frozenset(i for i, bit in enumerate(bitmap, start=1) if bit == "0")
@@ -279,6 +286,101 @@ def share_value(d: int, pk: int, group: StorageGroup, km: KeyMaterial) -> dict[i
     return {i: (a * d + b * pk) % p for i, a, b in share_coefficients(group, km)}
 
 
+class LinearRows(NamedTuple):
+    """A reconstruction group's view of a record polynomial at one target
+    abscissa: f(x) = sum(weights[j] * y_j) + pk_term * pk and the check
+    sum(check[j] * y_j) + check_pk * pk, mod p, over the stored shares y_j
+    of the donors. With l the Lagrange weights of rg's abscissas, the
+    check row is c = l(K_s) - HE1 scalar * l(K_d): it is 0 exactly when
+    the signature point s = f(HF1(K_s)) equals HE1(d), d = f(HF1(K_d))."""
+    donors: tuple[int, ...]    # rg members in the storage group, ascending
+    weights: tuple[int, ...]   # l_j(x), aligned with donors
+    pk_term: int               # sum of l_u(x) * m_u over the pseudo-share members u
+    check: tuple[int, ...]     # c_j, aligned with donors
+    check_pk: int              # sum of c_u * m_u over the pseudo-share members u
+
+
+@lru_cache(maxsize=1024)
+def _linear_rows(basis: tuple, sg: frozenset[int], rg: tuple[int, ...],
+                 x: int) -> LinearRows:
+    p, x_kd, x_ks, he1_scalar, per_csp = basis
+    xs = tuple(per_csp[i - 1][0] for i in rg)
+    donors, weights, check = [], [], []
+    pk_term = check_pk = 0
+    for i, w, l_d, l_s in zip(rg, lagrange_weights(xs, x, p), lagrange_weights(xs, x_kd, p),
+                              lagrange_weights(xs, x_ks, p)):
+        c = (l_s - he1_scalar * l_d) % p
+        if i in sg:
+            donors.append(i)
+            weights.append(w)
+            check.append(c)
+        else:
+            m = per_csp[i - 1][1]
+            pk_term += w * m
+            check_pk += c * m
+    return LinearRows(tuple(donors), tuple(weights), pk_term % p, tuple(check), check_pk % p)
+
+
+def linear_rows(sg: frozenset[int] | set[int], rg: Iterable[int], x: int,
+                km: KeyMaterial) -> LinearRows:
+    """The record polynomial of a storage group sg as the t-member
+    reconstruction group rg sees it (stored shares from rg ∩ sg, pseudo
+    shares HE2(pk, ID_u) from the rest), folded into constants at the
+    abscissa x; MissingShare unless rg has t members.
+
+    The pseudo shares are linear in pk, so they fold into one pk term.
+    Memoized by value (the key material's share basis, the member sets
+    and x), like share_coefficients.
+    """
+    rg = tuple(sorted(set(rg)))
+    if len(rg) != km.t:
+        raise MissingShare(f"reconstruction group must have t={km.t} members, got {list(rg)}")
+    return _linear_rows(km.share_basis, frozenset(sg), rg, x)
+
+
+def _mismatch(sg, rg, ys: Sequence[int], pk: int, km: KeyMaterial,
+              what: str) -> InnerSignatureMismatch:
+    """The error for donor shares ys that fail the check row, naming the
+    data and signature points they give."""
+    d, s = ((sum(map(mul, rows.weights, ys)) + rows.pk_term * pk) % km.p
+            for rows in (linear_rows(sg, rg, x, km) for x in (km.x_kd, km.x_ks)))
+    return InnerSignatureMismatch(f"{what}: signature point {s} != HE1({d})")
+
+
+def solve_column(rows: LinearRows, pks: Sequence[int], columns, sg, rg, km: KeyMaterial,
+                 table: str = "", refusal: str = "") -> list[tuple[int, ...] | None]:
+    """Per pk, the chunks of its record polynomial at the rows' target,
+    from the donors' columns (each aligned with pks, in rows.donors order,
+    a chunk tuple or None for NULL); None where every donor marks NULL.
+
+    The donors must agree on each value's NULL mark and chunk count
+    (MissingShare naming table otherwise), and every chunk must pass the
+    check row (InnerSignatureMismatch otherwise, its message naming the pk
+    followed by refusal) before its target value is taken: one dot
+    product each.
+    """
+    p = km.p
+    weights, check = rows.weights, rows.check
+    out = []
+    for pk, held in zip(pks, zip(*columns)):
+        if None in held:
+            if any(c is not None for c in held):
+                raise MissingShare(f"pk {pk} of {table}: null marks disagree across CSPs")
+            out.append(None)
+            continue
+        count = len(held[0])
+        if any(len(c) != count for c in held):
+            raise MissingShare(f"pk {pk} of {table}: chunk counts disagree across CSPs")
+        pk_term, check_pk = rows.pk_term * pk, rows.check_pk * pk
+        chunks = []
+        for ys in zip(*held):
+            if (sum(map(mul, check, ys)) + check_pk) % p:
+                raise _mismatch(sg, rg, ys, pk, km, f"pk {pk}{refusal}")
+            chunks.append((sum(map(mul, weights, ys)) + pk_term) % p)
+        out.append(tuple(chunks))
+    return out
+
+
 def checked_data_point(xs: tuple[int, ...], ys: Sequence[int], km: KeyMaterial,
                        what: str) -> int:
     """d = f(HF1(K_d)) of the polynomial through (xs, ys), accepted only
@@ -290,27 +392,13 @@ def checked_data_point(xs: tuple[int, ...], ys: Sequence[int], km: KeyMaterial,
     return d
 
 
-def _group_points(
-    pk: int,
-    sg: frozenset[int] | set[int],
-    fetched: Mapping[int, int],
-    rg: Iterable[int],
-    km: KeyMaterial,
-) -> tuple[tuple[int, ...], list[int]]:
-    """Abscissas and ordinates of the record polynomial as seen by rg:
-    stored shares from storage-group members, pseudo shares otherwise."""
-    rg = sorted(set(rg))
-    if len(rg) != km.t:
-        raise MissingShare(f"reconstruction group must have t={km.t} members, got {rg}")
-    ys = []
-    for i in rg:
-        if i in sg:
-            if i not in fetched:
-                raise MissingShare(f"CSP {i} is in the storage group but sent no share")
-            ys.append(fetched[i] % km.p)
-        else:
-            ys.append(km.he2(pk % km.p, km.id_of(i)))
-    return tuple(km.x_id(i) for i in rg), ys
+def _donor_shares(rows: LinearRows, fetched: Mapping[int, int]) -> list[int]:
+    try:
+        return [fetched[i] for i in rows.donors]
+    except KeyError as exc:
+        raise MissingShare(
+            f"CSP {exc.args[0]} is in the storage group but sent no share"
+        ) from None
 
 
 def reconstruct_value(
@@ -327,8 +415,9 @@ def reconstruct_value(
     expected to retry with a different reconstruction group.
     """
     RECONSTRUCTIONS.bump()
-    xs, ys = _group_points(pk, sg, fetched, rg, km)
-    return checked_data_point(xs, ys, km, f"pk {pk}")
+    rows = linear_rows(sg, rg, km.x_kd, km)
+    ys = _donor_shares(rows, fetched)
+    return solve_column(rows, (pk,), [[(y,)] for y in ys], sg, rg, km)[0][0]
 
 
 def recover_share(
@@ -341,12 +430,13 @@ def recover_share(
 ) -> int:
     """Re-evaluate the record polynomial at a lost CSP's abscissa.
 
-    The polynomial is rebuilt from t intact shares, the inner signature is
-    checked, and the share the target CSP should hold falls out of f.
+    The donors' shares must pass the inner-signature check row; the share
+    the target CSP should hold is then one dot product with them.
     """
-    xs, ys = _group_points(pk, sg, fetched, rg, km)
-    checked_data_point(xs, ys, km, f"pk {pk}: refusing to recover")
-    return interpolate_at(xs, ys, km.x_id(target), km.p)
+    rows = linear_rows(sg, rg, km.x_id(target), km)
+    ys = _donor_shares(rows, fetched)
+    return solve_column(rows, (pk,), [[(y,)] for y in ys], sg, rg, km,
+                        refusal=": refusing to recover")[0][0]
 
 
 @dataclass(frozen=True)

@@ -56,16 +56,17 @@ from .keyed import KeyMaterial
 from .sharing import (
     DEFAULT_BIAS,
     PLAIN_KINDS,
+    RECONSTRUCTIONS,
     _EPOCH,
     Column,
     Schema,
     ShareBundle,
     decode,
     group_from_bitmap,
-    recover_share,
-    reconstruct_value,
+    linear_rows,
     scaled_int,
     share_record,
+    solve_column,
 )
 from .sigtree import BreachEntry, BreachReport, SignatureTree, WaryTree
 
@@ -77,19 +78,6 @@ _NULL_BYTES = b"\xff"   # a NULL field in a record's signature input
 APPEND_ROWS = 500
 _KEY = itemgetter(0)    # order key of a Type II (key, pk) entry
 _FIRST = itemgetter(0)  # first chunk of a stored share
-
-
-def _agreed_chunk_count(table: str, pk: int, fetched) -> int | None:
-    """Chunk count every fetched share of one value agrees on, None when
-    all of them mark NULL; MissingShare when the providers disagree."""
-    lengths = {len(c) for c in fetched.values() if c is not None}
-    if any(c is None for c in fetched.values()):
-        if lengths:
-            raise MissingShare(f"pk {pk} of {table}: null marks disagree across CSPs")
-        return None
-    if len(lengths) != 1:
-        raise MissingShare(f"pk {pk} of {table}: chunk counts disagree across CSPs")
-    return lengths.pop()
 
 
 @dataclass
@@ -327,11 +315,30 @@ class CspStore:
         self.bytes_transferred += 8 * (len(chunks) if chunks else 1)
         return chunks
 
-    def fetch_plain(self, table: str, pk: int, attr: str) -> int:
+    def _require_held(self, table: str, pks):
+        positions = self.positions.get(table, {})
+        if not all(map(positions.__contains__, pks)):
+            self.position_of(table, next(pk for pk in pks if pk not in positions))
+
+    def fetch_shares(self, table: str, attr: str, pks) -> list[tuple[int, ...] | None]:
+        """fetch_share of every pk in the sequence pks, in order, as one
+        read of the column: one alive check, UnknownRecordPosition for a
+        pk not stored here, and the bytes those calls would count."""
         self._check_alive()
-        self.position_of(table, pk)
-        self.bytes_transferred += 8
-        return self.plain[table][attr][pk]
+        self._require_held(table, pks)
+        out = list(map(self.columns.get(table, {}).get(attr, {}).get, pks))
+        held = list(filter(None, out))
+        self.bytes_transferred += 8 * (len(out) - len(held) + sum(map(len, held)))
+        return out
+
+    def fetch_plains(self, table: str, attr: str, pks) -> list[int]:
+        """The fk attr of every pk in the sequence pks, in order, as one
+        read of the column: 8 bytes each, UnknownRecordPosition for a pk
+        not stored here."""
+        self._check_alive()
+        self._require_held(table, pks)
+        self.bytes_transferred += 8 * len(pks)
+        return list(map(self.plain[table][attr].__getitem__, pks))
 
     def null_pks(self, table: str, attr: str, pks) -> set[int]:
         """Primary keys among pks stored here whose attr is null."""
@@ -809,43 +816,76 @@ class Warehouse:
 
     # reconstruction
 
-    def reconstruct_value(self, table: str, pk: int, attr: str, rg=None):
-        """Fetch shares from rg and rebuild one attribute's plaintext."""
-        schema = self._schema(table)
-        col = schema.column(attr)
-        group = group_from_bitmap(self.type1.bitmap(table, pk))
-        rg = self._validate_rg(rg) if rg is not None else self.choose_rg()
-        if col.kind in PLAIN_KINDS:
-            if col.name == schema.key:
-                return pk
-            donor = next(i for i in rg if i in group.sg)
-            return self.csps[donor].fetch_plain(table, pk, attr)
-        fetched = {
-            i: self.csps[i].fetch_share(table, pk, attr)
-            for i in rg if i in group.sg
-        }
-        if not fetched:
-            raise MissingShare(f"no CSP of rg {rg} stores pk {pk} of {table}")
-        count = _agreed_chunk_count(table, pk, fetched)
-        if count is None:
-            return None
-        chunks = []
-        for k in range(count):
-            per_chunk = {i: c[k] for i, c in fetched.items()}
-            chunks.append(reconstruct_value(pk, group.sg, per_chunk, rg, self.km))
-        return decode(chunks, col.kind, scale=col.scale, bias=self.bias)
-
-    def reconstruct_record(self, table: str, pk: int, rg=None) -> dict:
-        schema = self._schema(table)
-        rg = self._validate_rg(rg) if rg is not None else self.choose_rg()
-        out = {schema.key: pk}
-        for col in schema.columns[1:]:
-            out[col.name] = self.reconstruct_value(table, pk, col.name, rg)
+    def _buckets(self, table: str, pks) -> dict[str, tuple[list[int], list[int]]]:
+        """The sequence pks by Type I bitmap: bitmap -> (their indices in
+        pks, the pks), each in order; UnknownRecordPosition for a pk with
+        no bitmap."""
+        out: dict[str, tuple[list[int], list[int]]] = {}
+        for k, pk in enumerate(pks):
+            idx, bucket = out.setdefault(self.type1.bitmap(table, pk), ([], []))
+            idx.append(k)
+            bucket.append(pk)
         return out
 
-    def reconstruct_table(self, table: str, rg=None) -> list[dict]:
+    def _read_bucket(self, table: str, attr: str, is_fk: bool, bitmap: str, bucket, rg,
+                     x: int, refusal: str = "") -> list:
+        """attr of the pks in one storage group's bucket as rg sees them: fk
+        values from the first donor, else the chunks at abscissa x solved
+        from every donor's column (see solve_column)."""
+        sg = group_from_bitmap(bitmap).sg
+        rows = linear_rows(sg, rg, x, self.km)
+        if not rows.donors:
+            raise MissingShare(f"no CSP of rg {rg} stores pk {bucket[0]} of {table}")
+        if is_fk:
+            return self.csps[rows.donors[0]].fetch_plains(table, attr, bucket)
+        columns = [self.csps[i].fetch_shares(table, attr, bucket) for i in rows.donors]
+        return solve_column(rows, bucket, columns, sg, rg, self.km, table, refusal)
+
+    def _column(self, schema: Schema, col: Column, pks, buckets, rg) -> list:
+        """Plaintext col of each of pks, in order: per storage group, each
+        donor's column read once, each value's chunks from one dot product
+        and checked against the inner signature."""
+        if col.name == schema.key:
+            return list(pks)
+        is_fk = col.kind in PLAIN_KINDS
+        out = [None] * len(pks)
+        for bitmap, (idx, bucket) in buckets.items():
+            values = self._read_bucket(schema.table, col.name, is_fk, bitmap, bucket, rg,
+                                       self.km.x_kd)
+            if not is_fk:
+                RECONSTRUCTIONS.bump(sum(map(len, filter(None, values))))
+                values = [decode(c, col.kind, scale=col.scale, bias=self.bias) for c in values]
+            for k, value in zip(idx, values):
+                out[k] = value
+        return out
+
+    def reconstruct_values(self, table: str, attr: str, pks, rg=None) -> list:
+        """Fetch shares from rg and rebuild attr of each of pks, in order."""
+        schema = self._schema(table)
+        col = schema.column(attr)
+        pks = list(pks)
+        buckets = self._buckets(table, pks)
         rg = self._validate_rg(rg) if rg is not None else self.choose_rg()
-        return [self.reconstruct_record(table, pk, rg) for pk in self.type1.pks(table)]
+        return self._column(schema, col, pks, buckets, rg)
+
+    def reconstruct_value(self, table: str, pk: int, attr: str, rg=None):
+        """Fetch shares from rg and rebuild one attribute's plaintext."""
+        return self.reconstruct_values(table, attr, [pk], rg)[0]
+
+    def _reconstruct_rows(self, table: str, pks, rg) -> list[dict]:
+        schema = self._schema(table)
+        rg = self._validate_rg(rg) if rg is not None else self.choose_rg()
+        pks = list(pks)
+        buckets = self._buckets(table, pks)
+        columns = [self._column(schema, col, pks, buckets, rg) for col in schema.columns]
+        names = [col.name for col in schema.columns]
+        return [dict(zip(names, values)) for values in zip(*columns)]
+
+    def reconstruct_record(self, table: str, pk: int, rg=None) -> dict:
+        return self._reconstruct_rows(table, [pk], rg)[0]
+
+    def reconstruct_table(self, table: str, rg=None) -> list[dict]:
+        return self._reconstruct_rows(table, self.type1.pks(table), rg)
 
     # integrity
 
@@ -895,11 +935,15 @@ class Warehouse:
     def recover_csp_shares(self, target: int, rg=None) -> int:
         """Regenerate every share a CSP lost, from t healthy peers.
 
-        Walks all tables in creation order, rebuilds the target's columns
-        record by record via polynomial re-evaluation, then replaces its
-        slices and resets its signature trees. Donors that disagree on a
-        value's null marker or chunk count raise MissingShare before the
-        target is touched. Returns the number of share values regenerated.
+        Walks all tables in creation order. The target's records are
+        grouped by storage group; for each group and attribute every donor
+        column is read once (fetch_shares, fk values through fetch_plains),
+        each value is checked (NULL marks and chunk counts agree, every
+        chunk passes the inner-signature check row) and the target's chunks
+        are one dot product with the donors' shares. Only then are its
+        slices replaced and its signature trees reset, so a MissingShare,
+        InnerSignatureMismatch or UnknownRecordPosition leaves the target
+        untouched. Returns the number of share chunks regenerated.
         """
         if target not in self.csps:
             raise UnknownParticipant(f"no CSP {target}")
@@ -913,38 +957,25 @@ class Warehouse:
                 raise NotEnoughAliveCsps(
                     f"recovery needs t={self.km.t} donors, got {len(rg)}"
                 )
+        x = self.km.x_id(target)
         regenerated = 0
-        rebuilt_tables = {}
+        rebuilt = {}
         for table in self.table_order:
             schema = self._schema(table)
             fields = schema.record_fields()
-            pks, values = rebuilt_tables[table] = [], [[] for _ in fields]
-            for pk in self.type1.pks(table):
-                group = group_from_bitmap(self.type1.bitmap(table, pk))
-                if target not in group.sg:
-                    continue
-                donors = [j for j in rg if j in group.sg]
-                pks.append(pk)
+            pks = [pk for pk, bitmap in self.type1.entries[table].items()
+                   if bitmap[target - 1] == "1"]
+            values = [[None] * len(pks) for _ in fields]
+            for bitmap, (idx, bucket) in self._buckets(table, pks).items():
                 for (name, is_fk), vals in zip(fields, values):
-                    if is_fk:
-                        vals.append(self.csps[donors[0]].fetch_plain(table, pk, name))
-                        continue
-                    donor_chunks = {
-                        j: self.csps[j].fetch_share(table, pk, name) for j in donors
-                    }
-                    count = _agreed_chunk_count(table, pk, donor_chunks)
-                    if count is None:
-                        vals.append(None)
-                        continue
-                    rebuilt = []
-                    for k in range(count):
-                        per_chunk = {j: donor_chunks[j][k] for j in donors}
-                        rebuilt.append(
-                            recover_share(pk, group.sg, per_chunk, rg, target, self.km)
-                        )
-                        regenerated += 1
-                    vals.append(tuple(rebuilt))
-        for table, (pks, values) in rebuilt_tables.items():
+                    got = self._read_bucket(table, name, is_fk, bitmap, bucket, rg, x,
+                                            ": refusing to recover")
+                    if not is_fk:
+                        regenerated += sum(map(len, filter(None, got)))
+                    for k, value in zip(idx, got):
+                        vals[k] = value
+            rebuilt[table] = pks, values
+        for table, (pks, values) in rebuilt.items():
             self.csps[target].reset_table(self._schema(table), pks, values)
         return regenerated
 
@@ -1052,7 +1083,8 @@ class Warehouse:
         if t2.is_dir():
             for path in sorted(t2.glob("*.idx")):
                 table, attr = path.name[: -len(".idx")].split(".", 1)
-                pairs = [json.loads(line) for line in path.read_text().splitlines() if line]
+                lines = [line for line in path.read_text().splitlines() if line]
+                pairs = json.loads("[" + ",".join(lines) + "]")
                 wh.type2.maps[(table, attr)] = sorted((key, pk) for key, pk in pairs)
                 wh.type2.keys[(table, attr)] = {pk: key for key, pk in pairs}
         return wh

@@ -18,3 +18,11 @@ def report_null(wh, i, table, pk, attr):
 def restore_record(wh, i, table, rec):
     csp = wh.csps[i]
     csp.update_shared_record(wh.schemas[table], csp.position_of(table, rec.pk), rec)
+
+
+def drop_record(wh, i, table, pk):
+    """Make CSP i's slice of table lack pk, as if it had never held it."""
+    csp, schema = wh.csps[i], wh.schemas[table]
+    pks, values = csp.slice_values(schema)
+    k = pks.index(pk)
+    csp._set_slice(schema, pks[:k] + pks[k + 1:], [vals[:k] + vals[k + 1:] for vals in values])

@@ -24,7 +24,7 @@ from fvss import (
     share_record,
     share_value,
 )
-from fvss.cube import share_cell_chunk
+from fvss.cube import _filler_ordinate, share_cell_chunk
 from fvss.errors import (
     InnerSignatureMismatch,
     MissingShare,
@@ -33,6 +33,7 @@ from fvss.errors import (
     SchemaMismatch,
 )
 from fvss.field import interpolate_at
+from fvss.sharing import linear_rows
 
 from .conftest import SEED
 from .oracles import eval_poly, interpolate_gauss
@@ -277,6 +278,66 @@ def test_share_value_equals_interpolation_for_every_group_and_member(km_name, re
             assert sorted(shares) == sorted(sg)
             for i in sg:
                 assert shares[i] == interpolate_at(xs, ys, km.x_id(i), km.p)
+
+
+def _dot(weights, ys):
+    return sum(w * y for w, y in zip(weights, ys))
+
+
+@pytest.mark.parametrize("km_name", ["km_toy", "km_big"])
+def test_linear_rows_match_the_oracle_for_every_group_rg_and_target(km_name, request):
+    """For every storage group, every t-member reconstruction group and
+    every target (each CSP abscissa and K_d), the folded rows give the
+    value at the target, and the check row gives s - HE1(d), of the
+    polynomial interpolate_gauss fits through rg's points: the stored
+    shares of rg ∩ sg (random here) and the pseudo shares of the rest."""
+    km = request.getfixturevalue(km_name)
+    p = km.p
+    rng = random.Random(p + 2)
+    targets = (km.x_kd, *(km.x_id(i) for i in ALL))
+    for sg in combinations(ALL, km.n - km.t + 2):
+        for rg in combinations(ALL, km.t):
+            for _ in range(3):
+                pk = rng.randrange(1, 10**12)
+                stored = {i: rng.randrange(p) for i in rg if i in sg}
+                coeffs = interpolate_gauss([
+                    (km.x_id(i), stored[i] if i in sg else km.he2(pk % p, km.id_of(i)))
+                    for i in rg
+                ], p)
+                d, s = eval_poly(coeffs, km.x_kd, p), eval_poly(coeffs, km.x_ks, p)
+                for x in targets:
+                    rows = linear_rows(frozenset(sg), rg, x, km)
+                    assert rows.donors == tuple(sorted(stored))
+                    ys = [stored[i] for i in rows.donors]
+                    assert (_dot(rows.weights, ys) + rows.pk_term * pk) % p \
+                        == eval_poly(coeffs, x, p)
+                    assert (_dot(rows.check, ys) + rows.check_pk * pk) % p == (s - km.he1(d)) % p
+            # genuine shares pass the check row
+            d = rng.randrange(p)
+            group = group_from_bitmap("".join("1" if i in sg else "0" for i in ALL))
+            shares = share_value(d, pk, group, km)
+            rows = linear_rows(group.sg, rg, km.x_kd, km)
+            ys = [shares[i] for i in rows.donors]
+            assert (_dot(rows.check, ys) + rows.check_pk * pk) % p == 0
+            assert (_dot(rows.weights, ys) + rows.pk_term * pk) % p == d
+
+
+@pytest.mark.parametrize("km_name", ["km_toy", "km_big"])
+def test_cube_cell_shares_match_the_oracle(km_name, request):
+    """Each provider's cached cell coefficients give the polynomial
+    through the data point, its signature and the filler ordinates."""
+    km = request.getfixturevalue(km_name)
+    p = km.p
+    rng = random.Random(p + 4)
+    fillers = [km.x_filler(j) for j in range(km.t - 2)]
+    for pk in range(1, 6):
+        for k in range(2):
+            value = rng.randrange(p)
+            ordinates = [_filler_ordinate(km, "cube:c", pk, "m", k, j) for j in range(km.t - 2)]
+            coeffs = interpolate_gauss(
+                [(km.x_kd, value), (km.x_ks, km.he1(value)), *zip(fillers, ordinates)], p)
+            assert share_cell_chunk(km, "cube:c", pk, "m", k, value) \
+                == {i: eval_poly(coeffs, km.x_id(i), p) for i in ALL}
 
 
 # record sharing

@@ -2,17 +2,19 @@ import datetime
 import random
 import tempfile
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvss import Column, DerivedColumn, Schema, Warehouse
+from fvss import Column, DerivedColumn, Schema, Warehouse, init_participants
 from fvss.errors import (
     CspUnavailable,
     DuplicateTable,
     EmptyInput,
+    InnerSignatureMismatch,
     MissingShare,
     NotEnoughAliveCsps,
     NotIndexed,
@@ -20,6 +22,8 @@ from fvss.errors import (
     UnknownTable,
 )
 from fvss.store import StoredRecord, TypeOneIndex, order_key
+
+from .faults import drop_record
 
 
 PRODUCT = Schema("product", (
@@ -390,6 +394,143 @@ def test_recovery_refuses_disagreeing_donors(km_toy, donor, fault):
     assert [(r.pk, r.plain, r.shares) for r in got] == \
            [(r.pk, r.plain, r.shares) for r in want]
     assert wh.verify_csp(target).ok
+
+
+def _recovery_fixture(km):
+    """A 20-record warehouse, a target CSP, a pk the target holds, and the
+    two members of the default reconstruction group that donate it."""
+    wh = _warehouse(km)
+    wh.load_rows("product", [
+        dict(ProdNo=200 + k, prodName=f"p{k}", price=k / 2, qty=k) for k in range(20)
+    ])
+    target = 5
+    rg = wh.choose_rg(exclude=(target,))
+    pk, bitmap = next((pk, bm) for pk in wh.type1.pks("product")
+                      if (bm := wh.type1.bitmap("product", pk))[target - 1] == "1")
+    donors = [j for j in rg if bitmap[j - 1] == "1"]
+    assert len(donors) == 2
+    return wh, target, pk, donors
+
+
+def _holding(wh, i):
+    """CSP i's slice share for share, and its signature trees."""
+    csp = wh.csps[i]
+    tree = csp.sigtree
+    return (csp.slice_values(wh.schemas["product"]),
+            {t: tr.triples() for t, tr in tree.record_trees.items()},
+            tree.table_layer.triples())
+
+
+@pytest.mark.parametrize("attr,chunk", [("price", 0), ("prodName", 1)])
+@pytest.mark.parametrize("donor", [0, 1])
+def test_recovery_refuses_a_donor_that_fails_the_inner_signature(km_big, donor, attr, chunk):
+    """One tampered chunk at a donor fails its check row: recovery raises
+    before the target's slice or signature trees are rewritten."""
+    wh, target, pk, donors = _recovery_fixture(km_big)
+    wh.inject_tamper(donors[donor], "product", pk, attr, chunk, 1)
+    want = _holding(wh, target)
+    with pytest.raises(InnerSignatureMismatch, match=f"pk {pk}: refusing to recover"):
+        wh.recover_csp_shares(target)
+    assert _holding(wh, target) == want
+    assert wh.verify_csp(target).ok
+
+
+@pytest.mark.parametrize("donor", [0, 1])
+def test_recovery_refuses_a_donor_missing_a_record(km_big, donor):
+    """A donor whose pk list lacks a record the target holds raises
+    UnknownRecordPosition before the target is touched."""
+    wh, target, pk, donors = _recovery_fixture(km_big)
+    drop_record(wh, donors[donor], "product", pk)
+    want = _holding(wh, target)
+    with pytest.raises(UnknownRecordPosition, match=f"pk {pk} not stored at CSP {donors[donor]}"):
+        wh.recover_csp_shares(target)
+    assert _holding(wh, target) == want
+    assert wh.verify_csp(target).ok
+
+
+FK_TABLE = Schema("t", (Column("id", "key"), Column("f", "fk", fk_table="u"),
+                        Column("s", "string"), Column("v", "int")))
+
+
+def test_fetch_shares_and_plains_read_a_column(km_toy):
+    """fetch_shares returns what one fetch_share per pk returns and counts
+    the same bytes, fetch_plains returns the fk values at 8 bytes each,
+    and both refuse a pk the provider does not hold or a failed provider."""
+    wh = Warehouse(km_toy, w=3, bias=0)
+    wh.create_table(FK_TABLE)
+    wh.load_rows("t", [dict(id=k, f=k % 3, s=None if k % 4 == 0 else "xy" * (k % 3 + 1),
+                            v=None if k % 5 == 0 else k) for k in range(1, 25)])
+    for i, csp in wh.csps.items():
+        pks = csp.pks["t"][::-1]
+        for attr in ("s", "v"):
+            start = csp.bytes_transferred
+            got = csp.fetch_shares("t", attr, pks)
+            mid = csp.bytes_transferred
+            assert got == [csp.fetch_share("t", pk, attr) for pk in pks]
+            assert mid - start == csp.bytes_transferred - mid
+        start = csp.bytes_transferred
+        assert csp.fetch_plains("t", "f", pks) == [pk % 3 for pk in pks]
+        assert csp.bytes_transferred - start == 8 * len(pks)
+        absent = next(pk for pk in wh.type1.pks("t") if pk not in csp.positions["t"])
+        for batched, attr in ((csp.fetch_shares, "v"), (csp.fetch_plains, "f")):
+            with pytest.raises(UnknownRecordPosition, match=f"pk {absent} not stored"):
+                batched("t", attr, pks[:2] + [absent])
+        wh.inject_failure(i)
+        with pytest.raises(CspUnavailable):
+            csp.fetch_shares("t", "v", pks)
+        with pytest.raises(CspUnavailable):
+            csp.fetch_plains("t", "f", [])
+        wh.heal(i)
+
+
+@pytest.fixture(scope="module")
+def km_wide():
+    """n=7, t=5: six donors per target, so six valid reconstruction groups."""
+    return init_participants(7, 5, seed=bytes(range(32)))
+
+
+_FK_ROWS = st.lists(
+    st.fixed_dictionaries({
+        "f": st.integers(0, 9),
+        "s": st.none() | st.text(min_size=1, max_size=4),
+        "v": st.none() | st.integers(-10**6, 10**6),
+    }),
+    min_size=1, max_size=12,
+)
+
+
+@given(_FK_ROWS, st.randoms())
+@settings(max_examples=15, deadline=None)
+def test_recovery_from_every_valid_rg_restores_the_slice(km_wide, rows, rnd):
+    """Fail each provider in turn and recover it from every valid
+    reconstruction group: the slice equals the one before the failure, and
+    each provider's bytes_transferred grows by 8 * max(1, chunks) for each
+    share value it donates plus 8 for each fk value it gives."""
+    wh = Warehouse(km_wide, w=3)
+    wh.create_table(FK_TABLE)
+    pks = rnd.sample(range(1, 10**6), len(rows))
+    wh.load_rows("t", [dict(row, id=pk) for pk, row in zip(pks, rows)])
+    n, t = km_wide.n, km_wide.t
+    for target in range(1, n + 1):
+        want = wh.csps[target].slice_values(FK_TABLE)
+        for rg in combinations([i for i in range(1, n + 1) if i != target], t):
+            expected = dict.fromkeys(wh.csps, 0)
+            for pk, bitmap in wh.type1.entries["t"].items():
+                if bitmap[target - 1] != "1":
+                    continue
+                donors = [j for j in rg if bitmap[j - 1] == "1"]
+                expected[donors[0]] += 8
+                for j in donors:
+                    for attr in ("s", "v"):
+                        chunks = wh.csps[j].columns["t"][attr].get(pk)
+                        expected[j] += 8 * max(1, len(chunks or ()))
+            start = {i: csp.bytes_transferred for i, csp in wh.csps.items()}
+            wh.inject_failure(target)
+            wh.recover_csp_shares(target, rg)
+            wh.heal(target)
+            assert wh.csps[target].slice_values(FK_TABLE) == want
+            assert wh.verify_csp(target).ok
+            assert {i: csp.bytes_transferred - start[i] for i, csp in wh.csps.items()} == expected
 
 
 # counters and persistence
