@@ -18,6 +18,11 @@ style correction added share by share at each provider (no cell is
 ever reconstructed); COUNT cells are reconstructed, incremented and
 re-shared; MAX/MIN cells re-share the value of the new extremal record
 found through the record index.
+
+Build and refresh work one lattice level at a time: the cells of a
+level are disjoint groups of fact records, so each measure is evaluated
+over all of them at once by query.aggregate_groups, the share-space
+primitive queries use.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from operator import mul
 
 from .errors import (
     CspUnavailable,
-    EmptyInput,
     NotIndexed,
     SchemaMismatch,
     UnknownRecordPosition,
@@ -45,12 +49,10 @@ from .store import StoredRecord, Warehouse, display_value, order_key
 from .query import (
     BIAS_TERMS,
     GroupSource,
-    exec_count,
-    exec_minmax_count,
-    exec_sum,
-    exec_sum_combined,
+    PlannedAgg,
+    aggregate_groups,
     group_pks,
-    nonnull_pks,
+    present_pks,
     share_space_sums,
     summed_pks,
 )
@@ -116,11 +118,7 @@ def measure_label(m: CubeMeasure) -> str:
 @dataclass(frozen=True)
 class _StoredMeasure:
     column: Column
-    fn: str                   # sum | sum_pair | count | min | max
-    attr: str | None = None
-    x: str | None = None
-    y: str | None = None
-    op: str | None = None
+    agg: PlannedAgg           # SUM, SUM of a pair, COUNT, MIN or MAX on the fact table
 
 
 def _sum_column(schema: Schema, name: str, attr: str) -> Column:
@@ -155,26 +153,29 @@ def _storage_measures(spec: CubeSpec, schema: Schema) -> list[_StoredMeasure]:
                     raise SchemaMismatch(f"{x} and {y} have different scales")
                 base = _sum_column(schema, _pair_name("sum", x, op, y),
                                    x if cx.kind == "real" else y)
-                add(_StoredMeasure(base, "sum_pair", x=x, y=y, op=op))
+                add(_StoredMeasure(base, PlannedAgg("sum", "combined", x=x, y=y, op=op)))
             else:
                 add(_StoredMeasure(_sum_column(schema, f"sum_{m.attr}", m.attr),
-                                   "sum", attr=m.attr))
+                                   PlannedAgg("sum", "plain", attr=m.attr)))
             if m.fn == "avg":
                 counted = pair[0] if pair else m.attr
-                add(_StoredMeasure(Column(f"count_{counted}", "int"),
-                                   "count", attr=counted))
+                add(_StoredMeasure(Column(f"count_{counted}", "int"), _count(counted)))
         elif m.fn == "count":
             if pair:
                 raise UnsupportedFeature("COUNT over a pair is not supported")
             label = f"count_{m.attr}" if m.attr else "count_rows"
-            add(_StoredMeasure(Column(label, "int"), "count", attr=m.attr))
+            add(_StoredMeasure(Column(label, "int"), _count(m.attr)))
         else:
             if m.attr is None or pair:
                 raise UnsupportedFeature(f"{m.fn.upper()} needs a single attribute")
             col = schema.column(m.attr)
             add(_StoredMeasure(Column(f"{m.fn}_{m.attr}", col.kind, scale=col.scale),
-                               m.fn, attr=m.attr))
+                               PlannedAgg(m.fn, "plain", attr=m.attr)))
     return out
+
+
+def _count(attr: str | None) -> PlannedAgg:
+    return PlannedAgg("count", "star") if attr is None else PlannedAgg("count", "plain", attr=attr)
 
 
 def _pair_name(prefix: str, x: str, op: str, y: str) -> str:
@@ -393,23 +394,25 @@ def _sort_cell_keys(keys):
     ))
 
 
-def _measure_value(wh: Warehouse, spec: CubeSpec, sm: _StoredMeasure, pks, rg):
-    fact = spec.table
-    if sm.fn == "sum":
-        return exec_sum(wh, fact, sm.attr, pks, rg)
-    if sm.fn == "sum_pair":
-        return exec_sum_combined(wh, fact, sm.x, sm.y, sm.op, pks, rg)
-    if sm.fn == "count":
-        return exec_count(wh, fact, sm.attr, pks, rg)
-    try:
-        return exec_minmax_count(wh, fact, sm.attr, sm.fn, pks, rg)
-    except EmptyInput:
-        return None
+def _level_rows(wh: Warehouse, spec: CubeSpec, dims, stored, groups: dict, cells, rg) -> list[dict]:
+    """The rows of the given cells of one lattice level, in order: each
+    stored measure evaluated over all the cells at once."""
+    names = [c.name for c in dims]
+    members = [groups[cell] for cell in cells]
+    columns = [(sm.column.name, aggregate_groups(wh, spec.table, sm.agg, members, rg))
+               for sm in stored]
+    rows = []
+    for k, cell in enumerate(cells):
+        row = dict(zip(names, cell))
+        row.update((name, values[k]) for name, values in columns)
+        rows.append(row)
+    return rows
 
 
 def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
-    """Aggregate every lattice cell through the share-space query paths and
-    store the cube at all n providers. Returns the number of cells."""
+    """Aggregate every lattice cell through the share-space query paths,
+    one level at a time, and store the cube at all n providers. Returns
+    the number of cells."""
     _require_all_alive(wh)
     schema = cube_schema(wh, spec)
     dims = [col for col, _ in _dim_sources(wh, spec)]
@@ -422,13 +425,10 @@ def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
     try:
         for combo in _lattice(spec):
             groups = _cells(by_key, _active_flags(spec, combo))
-            for cell in _sort_cell_keys(groups):
-                row = dict(zip((c.name for c in dims), cell))
-                for sm in stored:
-                    row[sm.column.name] = _measure_value(wh, spec, sm, groups[cell], rg)
+            for row in _level_rows(wh, spec, dims, stored, groups, _sort_cell_keys(groups), rg):
                 shared_rows.append(_share_cube_row(wh, schema, len(shared_rows) + 1, row))
     finally:
-        # cells before a failing one are stored, as if built one at a time
+        # the levels before a failing one are stored whole
         _put_cube_rows(wh, schema, shared_rows)
     return len(shared_rows)
 
@@ -491,14 +491,12 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     dims = [col for col, _ in _dim_sources(wh, spec)]
     stored = _storage_measures(spec, wh.schemas[spec.table])
     rg = tuple(sorted(rg)) if rg is not None else wh.choose_rg()
-    csps = sorted(wh.csps)
-    fact = spec.table
 
     new_keys = _fact_keys(wh, spec, new_pks)
     # MIN/MAX cells are re-derived from every member, old facts included
     all_keys = None
-    if any(sm.fn in ("min", "max") for sm in stored):
-        all_keys = _fact_keys(wh, spec, wh.type1.pks(fact))
+    if any(sm.agg.fn in ("min", "max") for sm in stored):
+        all_keys = _fact_keys(wh, spec, wh.type1.pks(spec.table))
     cells = _cells_by_key(wh, spec)
     next_pk = max(wh.type1.pks(table), default=0)
     touched = 0
@@ -506,53 +504,65 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     for combo in _lattice(spec):
         flags = _active_flags(spec, combo)
         new_groups = _cells(new_keys, flags)
-        all_groups = None if all_keys is None else _cells(all_keys, flags)
-        for cell in _sort_cell_keys(new_groups):
-            members_new = new_groups[cell]
-            touched += 1
+        order = _sort_cell_keys(new_groups)
+        touched += len(order)
+        known = [cell for cell in order if cell in cells]
+        rows = iter(_level_rows(wh, spec, dims, stored, new_groups,
+                                [cell for cell in order if cell not in cells], rg))
+        all_groups = {} if all_keys is None else _cells(all_keys, flags)
+        changes = iter(_cell_changes(
+            wh, spec, stored, [cells[cell] for cell in known],
+            [new_groups[cell] for cell in known], [all_groups.get(cell) for cell in known], rg,
+        ))
+        # cells are written in order, new ones appended as they come
+        for cell in order:
             if cell not in cells:
                 next_pk += 1
-                row = dict(zip((c.name for c in dims), cell))
-                for sm in stored:
-                    row[sm.column.name] = _measure_value(wh, spec, sm, members_new, rg)
-                _put_cube_rows(wh, schema, [_share_cube_row(wh, schema, next_pk, row)])
+                _put_cube_rows(wh, schema, [_share_cube_row(wh, schema, next_pk, next(rows))])
                 continue
-            cell_pk = cells[cell]
-            deltas: dict[str, dict[int, int]] = {}
-            replacements: dict[str, object] = {}
-            for sm in stored:
-                if sm.fn in ("sum", "sum_pair"):
-                    x = sm.attr or sm.x
-                    present = summed_pks(wh, fact, x, sm.y, members_new, csps)
-                    if present:
-                        deltas[sm.column.name] = _sum_delta(
-                            wh, fact, present, x, sm.y, sm.op
-                        )
-                elif sm.fn == "count":
-                    delta = len(members_new) if sm.attr is None else \
-                        len(nonnull_pks(wh, fact, sm.attr, members_new, csps))
-                    if delta:
-                        old = wh.reconstruct_value(table, cell_pk, sm.column.name, rg)
-                        replacements[sm.column.name] = (old or 0) + delta
-                else:
-                    try:
-                        value = exec_minmax_count(wh, fact, sm.attr, sm.fn,
-                                                  all_groups[cell], rg)
-                    except EmptyInput:
-                        value = None
-                    replacements[sm.column.name] = value
+            deltas, replacements = next(changes)
             if deltas or replacements:
-                _apply_share_deltas(wh, schema, cell_pk, deltas, replacements)
+                _apply_share_deltas(wh, schema, cells[cell], deltas, replacements)
     return touched
 
 
-def _sum_delta(wh: Warehouse, fact: str, pks, x: str, y: str | None, op: str | None):
-    """Each provider's increment for SUM(x) or SUM(x op y) over pks: its
-    share-space sum minus the surplus bias offsets."""
-    km = wh.km
-    h = _bias_correction(km, BIAS_TERMS[op] * len(pks), wh.bias)
-    sums = share_space_sums(wh, fact, pks, sorted(wh.csps), x, y, op)
-    return {i: (a - h[i]) % km.p for i, a in sums.items()}
+def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, cell_pks, members_new,
+                  members_all, rg) -> list[tuple[dict, dict]]:
+    """(deltas, replacements) for _apply_share_deltas of each existing
+    cell, given its new members and, for MIN/MAX, all its members; each
+    measure evaluated over all the cells at once. A SUM gets each
+    provider's share-space sum over the new members minus the surplus
+    bias offsets, asking every provider for NULL marks and share sums; a
+    COUNT the reconstructed count plus the new present records; MIN/MAX
+    the value of the cell's extremal record."""
+    fact, table, km = spec.table, cube_table(spec), wh.km
+    csps = sorted(wh.csps)
+    out = [({}, {}) for _ in cell_pks]
+    if not cell_pks:
+        return out
+    for sm in stored:
+        agg, name = sm.agg, sm.column.name
+        if agg.fn == "sum":
+            x = agg.attr or agg.x
+            present = summed_pks(wh, fact, x, agg.y, members_new, csps)
+            live = [k for k, g in enumerate(present) if g]
+            sums = share_space_sums(wh, fact, [present[k] for k in live], csps,
+                                    x, agg.y, agg.op) if live else ()
+            for k, shares in zip(live, sums):
+                h = _bias_correction(km, BIAS_TERMS[agg.op] * len(present[k]), wh.bias)
+                out[k][0][name] = {i: (a - h[i]) % km.p for i, a in zip(csps, shares)}
+        elif agg.fn == "count":
+            counted = members_new if agg.mode == "star" else \
+                present_pks(wh, fact, agg.attr, members_new, csps)
+            live = [k for k, g in enumerate(counted) if g]
+            old = wh.reconstruct_values(table, name, [cell_pks[k] for k in live], rg) \
+                if live else ()
+            for k, value in zip(live, old):
+                out[k][1][name] = (value or 0) + len(counted[k])
+        else:
+            for changes, value in zip(out, aggregate_groups(wh, fact, agg, members_all, rg)):
+                changes[1][name] = value
+    return out
 
 
 # querying

@@ -7,7 +7,12 @@ sums, and the client recombines: interpolate the summed shares, check
 the aggregate's inner signature, strip bias and scale. Grouping runs on
 the raw index keys of whole pk lists, either directly (primary and
 foreign keys) or through the index server's maps for other attributes;
-each distinct key is turned into its plaintext once.
+each distinct key is turned into its plaintext once. Each aggregate is
+then evaluated over all groups at once (aggregate_groups, which cube
+shares): each provider of the reconstruction group gets one NULL-mark
+and one share-sum request per column whatever the number of groups,
+each group's SUM still passes its own inner-signature check, and the
+MAX/MIN/MEDIAN records of all groups are reconstructed in one batch.
 
 Grammar, roughly::
 
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from datetime import date as _date
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from operator import eq, ge, gt, le, lt, ne
+from operator import add, eq, ge, gt, le, lt, ne, sub
 
 from .errors import (
     CspUnavailable,
@@ -385,12 +390,10 @@ class PlannedAgg:
     fn: str
     mode: str             # star | plain | combined | derived
     attr: str | None = None
-    col: Column | None = None
     x: str | None = None
     y: str | None = None
     op: str | None = None
     square: str | None = None       # derived x^2 column backing var/stddev
-    square_col: Column | None = None
 
 
 @dataclass(frozen=True)
@@ -623,8 +626,7 @@ def _plan_aggregate(agg: Aggregate, names, wh, fact: str) -> PlannedAgg:
                     f"{rx.name} and {ry.name} have different scales; "
                     "sum them through a derived column instead"
                 )
-            return PlannedAgg(fn, "combined", x=rx.name, y=ry.name, op=agg.arg.op,
-                              col=rx.col if rx.col.kind == "real" else ry.col)
+            return PlannedAgg(fn, "combined", x=rx.name, y=ry.name, op=agg.arg.op)
         kind = {"*": "product", "/": "quotient"}[agg.arg.op]
         dcol = wh.type3.find(fact, kind, rx.name, ry.name)
         if dcol is None:
@@ -632,16 +634,15 @@ def _plan_aggregate(agg: Aggregate, names, wh, fact: str) -> PlannedAgg:
                 f"register a {kind} column for {rx.name}{agg.arg.op}{ry.name} "
                 "to aggregate it"
             )
-        return PlannedAgg(fn, "derived", attr=dcol.name,
-                          col=wh.schemas[fact].column(dcol.name))
+        return PlannedAgg(fn, "derived", attr=dcol.name)
     r = _resolve(agg.arg, names, wh, fact)
     if r.table != fact:
         raise UnsupportedFeature("aggregates run on the FROM table only")
     if fn == "count":
-        return PlannedAgg(fn, "plain", attr=r.name, col=r.col)
+        return PlannedAgg(fn, "plain", attr=r.name)
     if fn in ("min", "max", "median"):
         _require_index(wh, fact, r.name)
-        return PlannedAgg(fn, "plain", attr=r.name, col=r.col)
+        return PlannedAgg(fn, "plain", attr=r.name)
     if r.col.kind not in _SUMMABLE:
         raise UnsupportedFeature(f"cannot {fn.upper()} a {r.col.kind} column")
     if fn in ("var", "stddev"):
@@ -650,22 +651,27 @@ def _plan_aggregate(agg: Aggregate, names, wh, fact: str) -> PlannedAgg:
             raise MissingTypeThreeColumn(
                 f"{fn.upper()}({r.name}) needs a registered {r.name} squared column"
             )
-        return PlannedAgg(fn, "plain", attr=r.name, col=r.col, square=dcol.name,
-                          square_col=wh.schemas[fact].column(dcol.name))
-    return PlannedAgg(fn, "plain", attr=r.name, col=r.col)
+        return PlannedAgg(fn, "plain", attr=r.name, square=dcol.name)
+    return PlannedAgg(fn, "plain", attr=r.name)
 
 
-# execution
+# execution: every aggregate is evaluated over all groups at once. The
+# groups of one evaluation are disjoint lists of distinct pks (GROUP BY
+# partitions the filter, and so does one cube lattice level), so each
+# provider is asked once per column over their union, and answers every
+# group's share sum in the same request; a query without GROUP BY is the
+# one-group case.
 
 
-def nonnull_pks(wh: Warehouse, table: str, attr: str, pks, csps) -> set[int]:
-    """Records in pks whose attr is present, per the NULL markers of the
-    providers in csps. All of them that store a record (per its Type I
-    bitmap) must agree on its marker, else InnerSignatureMismatch makes
-    execute try another reconstruction group, which holds at least two
-    members of every storage group."""
-    pks = set(pks)
-    reported = {i: wh.csps[i].null_pks(table, attr, pks) for i in csps}
+def present_pks(wh: Warehouse, table: str, attr: str, groups, csps) -> list[set[int]]:
+    """Per group, its records whose attr is present, per the NULL markers
+    of the providers in csps, each asked once over the union of the
+    groups. All of them that store a record (per its Type I bitmap) must
+    agree on its marker, else InnerSignatureMismatch makes execute try
+    another reconstruction group, which holds at least two members of
+    every storage group."""
+    union = set().union(*groups)
+    reported = {i: wh.csps[i].null_pks(table, attr, union) for i in csps}
     nulls = set().union(*reported.values())
     for pk in nulls:
         bitmap = wh.type1.bitmap(table, pk)
@@ -673,7 +679,9 @@ def nonnull_pks(wh: Warehouse, table: str, attr: str, pks, csps) -> set[int]:
             raise InnerSignatureMismatch(
                 f"pk {pk} of {table}: NULL marks of {attr} disagree across CSPs"
             )
-    return pks - nulls
+    if len(groups) == 1:
+        return [union - nulls]   # the union is already the one group's own set
+    return [set(g) - nulls for g in groups]
 
 
 # bias offsets, and pseudo-share corrections, one summed record adds to
@@ -681,33 +689,37 @@ def nonnull_pks(wh: Warehouse, table: str, attr: str, pks, csps) -> set[int]:
 BIAS_TERMS = {None: 1, "+": 2, "-": 0}
 
 
-def share_space_sums(wh: Warehouse, table: str, pks, csps, x: str,
-                     y: str | None = None, op: str | None = None) -> dict[int, int]:
-    """Per-provider share of SUM(x), or of SUM(x op y), over pks: its own
-    share sum plus HE2 of the pseudo-share sum of the records it does not
-    store, once per term (both record polynomials of a pair pass through
-    the same pseudo-share points)."""
+def share_space_sums(wh: Warehouse, table: str, groups, csps, x: str,
+                     y: str | None = None, op: str | None = None) -> list[tuple[int, ...]]:
+    """Per group of pks, each provider's share of SUM(x), or of SUM(x op
+    y), over it, in csps order: its own share sum plus HE2 of the
+    pseudo-share sum of the records it does not store, once per term
+    (both record polynomials of a pair pass through the same pseudo-share
+    points). One share_sums request per provider and summed column."""
     km = wh.km
+    p = km.p
     terms = BIAS_TERMS[op]
-    out = {}
+    per_csp = []
     for i in csps:
         csp = wh.csps[i]
-        a = csp.share_sum(table, x, pks)
+        a = csp.share_sums(table, x, groups)
         if y is not None:
             # summed_pks has required x and y present on the same records
-            b = csp.share_sum(table, y, pks)
-            a = a + b if op == "+" else a - b
+            b = csp.share_sums(table, y, groups)
+            a = map(add if op == "+" else sub, a, b)
         if terms:
-            a += terms * km.he2(wh.type1_pseudo_sum(table, pks, i), km.id_of(i))
-        out[i] = a % km.p
-    return out
+            m = terms * km.he2(1, km.id_of(i))
+            a = map(add, a, [m * s for s in wh.type1.pseudo_sums(table, groups, i, p)])
+        per_csp.append([v % p for v in a])
+    return list(zip(*per_csp))
 
 
-def summed_pks(wh: Warehouse, table: str, x: str, y: str | None, pks, csps) -> set[int]:
-    """Records SUM(x) or SUM(x op y) adds up: those with x present, which
-    for a pair must be exactly those with y present."""
-    present = nonnull_pks(wh, table, x, pks, csps)
-    if y is not None and present != nonnull_pks(wh, table, y, pks, csps):
+def summed_pks(wh: Warehouse, table: str, x: str, y: str | None, groups,
+               csps) -> list[set[int]]:
+    """Per group, the records SUM(x) or SUM(x op y) adds up: those with x
+    present, which for a pair must be exactly those with y present."""
+    present = present_pks(wh, table, x, groups, csps)
+    if y is not None and present != present_pks(wh, table, y, groups, csps):
         raise SchemaMismatch(
             f"{x} and {y} have different NULL patterns; "
             "a pairwise sum is only defined when both sides are present"
@@ -725,25 +737,6 @@ def _decode_sum(total: int, count: int, col: Column, bias_terms: int,
     return raw
 
 
-def _sum_present(wh: Warehouse, table: str, x: str, y: str | None, op: str | None,
-                 out_col: Column, present: set[int], rg):
-    """SUM(x) or SUM(x op y) over present, the records summed_pks returned."""
-    if not present:
-        return Fraction(0) if out_col.kind == "real" else 0
-    sums = share_space_sums(wh, table, present, rg, x, y, op)
-    xs = tuple(wh.km.x_id(i) for i in rg)
-    what = f"SUM({table}.{x}{op or ''}{y or ''})"
-    total = checked_data_point(xs, [sums[i] for i in rg], wh.km, what)
-    return _decode_sum(total, len(present), out_col, BIAS_TERMS[op], wh.bias, wh.km.p)
-
-
-def exec_sum(wh: Warehouse, table: str, attr: str, pks, rg):
-    """SUM(attr) over the filtered records; 0 on an empty filter."""
-    col = wh.schemas[table].column(attr)
-    return _sum_present(wh, table, attr, None, None, col,
-                        summed_pks(wh, table, attr, None, pks, rg), rg)
-
-
 def _pair_column(wh: Warehouse, table: str, x: str, y: str) -> Column:
     """Output column of SUM(x op y); x and y must share a scale."""
     col_x = wh.schemas[table].column(x)
@@ -753,59 +746,120 @@ def _pair_column(wh: Warehouse, table: str, x: str, y: str) -> Column:
     return col_x if col_x.kind == "real" else col_y
 
 
-def exec_sum_combined(wh: Warehouse, table: str, x: str, y: str, op: str, pks, rg):
-    """SUM(x op y) for op in {+, -} without a derived column."""
-    out_col = _pair_column(wh, table, x, y)
-    return _sum_present(wh, table, x, y, op, out_col,
-                        summed_pks(wh, table, x, y, pks, rg), rg)
+def _sums(wh: Warehouse, table: str, x: str, y: str | None, op: str | None,
+          groups, rg) -> tuple[list, list[set[int]]]:
+    """SUM(x) or SUM(x op y) over each group, 0 for one with nothing to
+    add, and the records each added up. Each sum is accepted only
+    through its own inner-signature check."""
+    out_col = wh.schemas[table].column(x) if y is None else _pair_column(wh, table, x, y)
+    present = summed_pks(wh, table, x, y, groups, rg)
+    live = [g for g in present if g]
+    shares = iter(share_space_sums(wh, table, live, rg, x, y, op) if live else ())
+    xs = tuple(wh.km.x_id(i) for i in rg)
+    what = f"SUM({table}.{x}{op or ''}{y or ''})"
+    zero = Fraction(0) if out_col.kind == "real" else 0
+    sums = [
+        _decode_sum(checked_data_point(xs, next(shares), wh.km, what), len(g), out_col,
+                    BIAS_TERMS[op], wh.bias, wh.km.p) if g else zero
+        for g in present
+    ]
+    return sums, present
 
 
-def exec_count(wh: Warehouse, table: str, attr: str | None, pks, rg) -> int:
-    if attr is None:
-        return len(set(pks))
-    if wh.type2.is_indexed(table, attr):
-        return wh.type2_aggregate(table, attr, "count", set(pks))
-    return len(nonnull_pks(wh, table, attr, pks, rg))
+def _extremes(wh: Warehouse, table: str, attr: str, fn: str, groups, rg) -> list:
+    """MAX/MIN/MEDIAN of attr per group, None for a group without one: the
+    index picks each group's record, and one reconstruct_values call
+    rebuilds all their values, each checked against its inner signature."""
+    picked = wh.type2.aggregates(table, attr, fn, groups)
+    found = [pk for pk in picked if pk is not None]
+    values = iter(wh.reconstruct_values(table, attr, found, rg) if found else ())
+    return [None if pk is None else next(values) for pk in picked]
 
 
-def _sum_and_count(wh: Warehouse, table: str, attr: str, pks, rg, fn: str):
-    """SUM(attr) and COUNT(attr) from one NULL-marker round: the count is
-    the size of the present set the sum runs over."""
-    present = summed_pks(wh, table, attr, None, pks, rg)
-    if not present:
-        raise EmptyInput(f"{fn}({attr}) over no values")
-    col = wh.schemas[table].column(attr)
-    return _sum_present(wh, table, attr, None, None, col, present, rg), len(present)
-
-
-def exec_avg(wh: Warehouse, table: str, attr: str, pks, rg) -> Fraction:
-    total, count = _sum_and_count(wh, table, attr, pks, rg, "AVG")
-    return Fraction(total) / count
-
-
-def exec_var(wh: Warehouse, table: str, attr: str, square_attr: str, pks, rg) -> Fraction:
-    """Population variance from SUM(x), SUM(x squared) and COUNT, all three
-    reconstructed; the squares come from the derived shared column."""
-    s1, count = _sum_and_count(wh, table, attr, pks, rg, "VAR")
-    s2 = Fraction(exec_sum(wh, table, square_attr, pks, rg))
-    return s2 / count - (Fraction(s1) / count) ** 2
-
-
-def exec_stddev(wh: Warehouse, table: str, attr: str, square_attr: str, pks, rg) -> Decimal:
-    var = exec_var(wh, table, attr, square_attr, pks, rg)
+def _stddev(var: Fraction) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 50
         root = (Decimal(var.numerator) / Decimal(var.denominator)).sqrt()
         return root.quantize(Decimal("0.000001"))
 
 
+def aggregate_groups(wh: Warehouse, table: str, agg: PlannedAgg, groups, rg) -> list:
+    """agg over each of groups, disjoint lists of distinct pks of table, in
+    order; None where it is undefined (AVG, VAR, MAX... of no values).
+
+    The one share-space primitive of query and cube: every provider of rg
+    gets one NULL-mark and one share-sum request per column for all the
+    groups, COUNT reads the Type II map once, and MAX/MIN/MEDIAN rebuild
+    every group's value in one reconstruct_values call. VAR comes from
+    SUM(x), SUM(x squared) and COUNT, all three reconstructed; the squares
+    come from the derived shared column.
+    """
+    if not groups:
+        return []
+    fn = agg.fn
+    if agg.mode == "star":
+        return [len(g) for g in groups]
+    if agg.mode == "combined":
+        sums, present = _sums(wh, table, agg.x, agg.y, agg.op, groups, rg)
+    elif fn == "count":
+        if wh.type2.is_indexed(table, agg.attr):
+            return wh.type2.aggregates(table, agg.attr, "count", groups)
+        return list(map(len, present_pks(wh, table, agg.attr, groups, rg)))
+    elif fn in ("min", "max", "median"):
+        return _extremes(wh, table, agg.attr, fn, groups, rg)
+    else:
+        sums, present = _sums(wh, table, agg.attr, None, None, groups, rg)
+    if fn == "sum":
+        return sums
+    means = [Fraction(s) / len(g) if g else None for s, g in zip(sums, present)]
+    if fn == "avg":
+        return means
+    live = [k for k, g in enumerate(present) if g]
+    squares = iter(_sums(wh, table, agg.square, None, None, [groups[k] for k in live], rg)[0])
+    out = [None] * len(groups)
+    for k in live:
+        var = Fraction(next(squares)) / len(present[k]) - means[k] ** 2
+        out[k] = var if fn == "var" else _stddev(var)
+    return out
+
+
+# one-group entry points
+
+
+def exec_sum(wh: Warehouse, table: str, attr: str, pks, rg):
+    """SUM(attr) over the filtered records; 0 on an empty filter."""
+    return aggregate_groups(wh, table, PlannedAgg("sum", "plain", attr=attr), [pks], rg)[0]
+
+
+def exec_sum_combined(wh: Warehouse, table: str, x: str, y: str, op: str, pks, rg):
+    """SUM(x op y) for op in {+, -} without a derived column."""
+    return aggregate_groups(wh, table, PlannedAgg("sum", "combined", x=x, y=y, op=op),
+                            [pks], rg)[0]
+
+
+def exec_count(wh: Warehouse, table: str, attr: str | None, pks, rg) -> int:
+    agg = PlannedAgg("count", "star") if attr is None else PlannedAgg("count", "plain", attr=attr)
+    return aggregate_groups(wh, table, agg, [list(set(pks))], rg)[0]
+
+
+def _defined(wh: Warehouse, table: str, agg: PlannedAgg, pks, rg):
+    value = aggregate_groups(wh, table, agg, [pks], rg)[0]
+    if value is None:
+        raise EmptyInput(f"{agg.fn.upper()}({agg.attr}) over no values")
+    return value
+
+
+def exec_avg(wh: Warehouse, table: str, attr: str, pks, rg) -> Fraction:
+    """AVG(attr); EmptyInput when no record has attr."""
+    return _defined(wh, table, PlannedAgg("avg", "plain", attr=attr), pks, rg)
+
+
 def exec_minmax_count(wh: Warehouse, table: str, attr: str, fn: str, pks, rg):
-    """MAX/MIN/MEDIAN through the index: find the extremal record's key,
-    then reconstruct just that one value. COUNT never touches a provider."""
+    """MAX/MIN/MEDIAN through the index, EmptyInput when no record has
+    attr; COUNT never touches a provider."""
     if fn == "count":
         return exec_count(wh, table, attr, pks, rg)
-    pk = wh.type2_aggregate(table, attr, fn, set(pks))
-    return wh.reconstruct_value(table, pk, attr, rg)
+    return _defined(wh, table, PlannedAgg(fn, "plain", attr=attr), pks, rg)
 
 
 def _apply_pk_predicate(pks, op: str, operand) -> set[int]:
@@ -870,34 +924,6 @@ def group_pks(wh: Warehouse, fact: str, sources, pks) -> dict[tuple, list[int]]:
     }
 
 
-def _eval_aggregate(wh: Warehouse, plan: QueryPlan, agg: PlannedAgg, pks, rg):
-    fact = plan.fact
-    if agg.mode == "star":
-        return len(pks)
-    if agg.mode == "combined":
-        out_col = _pair_column(wh, fact, agg.x, agg.y)
-        present = summed_pks(wh, fact, agg.x, agg.y, pks, rg)
-        total = _sum_present(wh, fact, agg.x, agg.y, agg.op, out_col, present, rg)
-        if agg.fn == "sum":
-            return total
-        return Fraction(total) / len(present) if present else None
-    attr = agg.attr
-    try:
-        if agg.fn == "sum":
-            return exec_sum(wh, fact, attr, pks, rg)
-        if agg.fn == "count":
-            return exec_count(wh, fact, attr, pks, rg)
-        if agg.fn == "avg":
-            return exec_avg(wh, fact, attr, pks, rg)
-        if agg.fn == "var":
-            return exec_var(wh, fact, attr, agg.square, pks, rg)
-        if agg.fn == "stddev":
-            return exec_stddev(wh, fact, attr, agg.square, pks, rg)
-        return exec_minmax_count(wh, fact, attr, agg.fn, pks, rg)
-    except EmptyInput:
-        return None
-
-
 def _sort_key(value):
     return (value is None, isinstance(value, str), value)
 
@@ -927,18 +953,14 @@ def _execute_with(wh: Warehouse, plan: QueryPlan, rg) -> list[tuple]:
         groups = group_pks(wh, plan.fact, plan.group_sources, pks)
     else:
         groups = {(): pks}
-
-    rows = []
-    for key in sorted(groups, key=lambda k: tuple(_sort_key(v) for v in k)):
-        member_pks = groups[key]
-        row = []
-        for item in plan.items:
-            if item.kind == "group":
-                row.append(key[item.group_index])
-            else:
-                row.append(_eval_aggregate(wh, plan, item.agg, member_pks, rg))
-        rows.append(tuple(row))
-    return rows
+    keys = sorted(groups, key=lambda k: tuple(_sort_key(v) for v in k))
+    members = [groups[key] for key in keys]
+    columns = [
+        [key[item.group_index] for key in keys] if item.kind == "group"
+        else aggregate_groups(wh, plan.fact, item.agg, members, rg)
+        for item in plan.items
+    ]
+    return list(zip(*columns))
 
 
 def headers(plan: QueryPlan) -> list[str]:

@@ -348,16 +348,18 @@ def _mismatch(sg, rg, ys: Sequence[int], pk: int, km: KeyMaterial,
 
 
 def solve_column(rows: LinearRows, pks: Sequence[int], columns, sg, rg, km: KeyMaterial,
-                 table: str = "", refusal: str = "") -> list[tuple[int, ...] | None]:
+                 table: str = "", refusal: str = "",
+                 disagreement: type[Exception] = MissingShare) -> list[tuple[int, ...] | None]:
     """Per pk, the chunks of its record polynomial at the rows' target,
     from the donors' columns (each aligned with pks, in rows.donors order,
     a chunk tuple or None for NULL); None where every donor marks NULL.
 
-    The donors must agree on each value's NULL mark and chunk count
-    (MissingShare naming table otherwise), and every chunk must pass the
-    check row (InnerSignatureMismatch otherwise, its message naming the pk
-    followed by refusal) before its target value is taken: one dot
-    product each.
+    The donors must agree on each value's NULL mark and chunk count (the
+    disagreement error naming table otherwise: MissingShare by default,
+    InnerSignatureMismatch where a read should try another reconstruction
+    group), and every chunk must pass the check row (InnerSignatureMismatch
+    otherwise, its message naming the pk followed by refusal) before its
+    target value is taken: one dot product each.
     """
     p = km.p
     weights, check = rows.weights, rows.check
@@ -365,12 +367,12 @@ def solve_column(rows: LinearRows, pks: Sequence[int], columns, sg, rg, km: KeyM
     for pk, held in zip(pks, zip(*columns)):
         if None in held:
             if any(c is not None for c in held):
-                raise MissingShare(f"pk {pk} of {table}: null marks disagree across CSPs")
+                raise disagreement(f"pk {pk} of {table}: null marks disagree across CSPs")
             out.append(None)
             continue
         count = len(held[0])
         if any(len(c) != count for c in held):
-            raise MissingShare(f"pk {pk} of {table}: chunk counts disagree across CSPs")
+            raise disagreement(f"pk {pk} of {table}: chunk counts disagree across CSPs")
         pk_term, check_pk = rows.pk_term * pk, rows.check_pk * pk
         chunks = []
         for ys in zip(*held):

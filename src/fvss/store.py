@@ -43,6 +43,7 @@ from .errors import (
     CspUnavailable,
     DuplicateTable,
     EmptyInput,
+    InnerSignatureMismatch,
     MissingShare,
     NotEnoughAliveCsps,
     NotIndexed,
@@ -347,14 +348,20 @@ class CspStore:
         self.bytes_transferred += len(out) * 8
         return out
 
-    def share_sum(self, table: str, attr: str, pks) -> int:
-        """Sum mod p of this CSP's first-chunk shares of attr over the
-        distinct pks it stores with a non-NULL attr, read from the share
-        column."""
+    def share_sums(self, table: str, attr: str, groups) -> list[int]:
+        """Per group of pks, the sum mod p of this CSP's first-chunk shares
+        of attr over the distinct pks of the group it stores with a
+        non-NULL attr, read from the share column: one request, 8 bytes
+        per sum."""
         self._check_alive()
         column = self.columns.get(table, {}).get(attr, {})
-        self.bytes_transferred += 8
-        return sum(map(_FIRST, map(column.__getitem__, column.keys() & pks))) % self.km.p
+        held, chunk, p = column.keys(), column.__getitem__, self.km.p
+        self.bytes_transferred += 8 * len(groups)
+        return [sum(map(_FIRST, map(chunk, held & pks))) % p for pks in groups]
+
+    def share_sum(self, table: str, attr: str, pks) -> int:
+        """share_sums of one group."""
+        return self.share_sums(table, attr, [pks])[0]
 
     def tamper(self, table: str, pos: int, attr: str, chunk: int, delta: int):
         """Add delta to one stored share chunk without touching the
@@ -419,10 +426,16 @@ class TypeOneIndex:
             raise UnknownTable(table)
         return list(self.entries[table])
 
+    def pseudo_sums(self, table: str, groups, i: int, p: int) -> list[int]:
+        """Per group of pks, the sum mod p of its pks whose shares are NOT
+        stored at CSP i; this is the quantity fed to HE2 in share-space
+        aggregation."""
+        absent = self.absent.get(table, {}).get(i, set())
+        return [sum(absent.intersection(pks)) % p for pks in groups]
+
     def pseudo_sum(self, table: str, pks, i: int, p: int) -> int:
-        """Sum mod p of filtered pks whose shares are NOT stored at CSP i;
-        this is the quantity fed to HE2 in share-space aggregation."""
-        return sum(self.absent.get(table, {}).get(i, set()).intersection(pks)) % p
+        """pseudo_sums of one group."""
+        return self.pseudo_sums(table, [pks], i, p)[0]
 
 
 class TypeTwoIndex:
@@ -492,26 +505,40 @@ class TypeTwoIndex:
                 raise NotIndexed(f"unsupported predicate {op!r}")
         return {pk for start, stop in runs for _, pk in entries[start:stop]}
 
-    def aggregate(self, table: str, attr: str, fn: str, pks) -> int:
-        """MAX/MIN/MEDIAN return the extremal or median record's pk;
-        COUNT returns the cardinality (non-null by construction). Only the
-        filtered records are visited."""
+    def aggregates(self, table: str, attr: str, fn: str, groups) -> list:
+        """Per group of pks, from one read of the pk -> key map: COUNT the
+        cardinality (non-null by construction), MAX/MIN/MEDIAN the pk of
+        the extremal or median record, None for a group with no indexed
+        record. Only the groups' records are visited."""
         keys = self._index(table, attr)[1]
-        hits = keys.keys() & pks
+        held = keys.keys()
         if fn == "count":
-            return len(hits)
-        if not hits:
+            return [len(held & pks) for pks in groups]
+        pick = _PICKS.get(fn)
+        if pick is None:
+            raise EmptyInput(f"unknown index aggregate {fn!r}")
+        out = []
+        for pks in groups:
+            hits = held & pks
+            out.append(pick([(keys[pk], pk) for pk in hits])[1] if hits else None)
+        return out
+
+    def aggregate(self, table: str, attr: str, fn: str, pks) -> int:
+        """aggregates of one group; EmptyInput for MAX/MIN/MEDIAN when it
+        has no indexed record."""
+        got = self.aggregates(table, attr, fn, [pks])[0]
+        if got is None:
             raise EmptyInput(f"{fn} over empty {table}.{attr} filter")
-        ranked = ((keys[pk], pk) for pk in hits)
-        if fn == "max":
-            return max(ranked)[1]
-        if fn == "min":
-            return min(ranked)[1]
-        if fn == "median":
-            # lower middle of the (value, pk) order keeps it deterministic
-            ranked = sorted(ranked)
-            return ranked[(len(ranked) - 1) // 2][1]
-        raise EmptyInput(f"unknown index aggregate {fn!r}")
+        return got
+
+
+def _lower_median(ranked: list[tuple]):
+    # lower middle of the (value, pk) order keeps it deterministic
+    ranked.sort()
+    return ranked[(len(ranked) - 1) // 2]
+
+
+_PICKS = {"max": max, "min": min, "median": _lower_median}
 
 
 @dataclass(frozen=True)
@@ -828,10 +855,15 @@ class Warehouse:
         return out
 
     def _read_bucket(self, table: str, attr: str, is_fk: bool, bitmap: str, bucket, rg,
-                     x: int, refusal: str = "") -> list:
+                     x: int, refusal: str = "",
+                     disagreement: type[Exception] = InnerSignatureMismatch) -> list:
         """attr of the pks in one storage group's bucket as rg sees them: fk
         values from the first donor, else the chunks at abscissa x solved
-        from every donor's column (see solve_column)."""
+        from every donor's column (see solve_column). Donors that disagree
+        on a NULL mark or chunk count raise disagreement: by default
+        InnerSignatureMismatch, so that a query rotates to another
+        reconstruction group, as it does when query.present_pks finds
+        NULL marks that disagree."""
         sg = group_from_bitmap(bitmap).sg
         rows = linear_rows(sg, rg, x, self.km)
         if not rows.donors:
@@ -839,7 +871,7 @@ class Warehouse:
         if is_fk:
             return self.csps[rows.donors[0]].fetch_plains(table, attr, bucket)
         columns = [self.csps[i].fetch_shares(table, attr, bucket) for i in rows.donors]
-        return solve_column(rows, bucket, columns, sg, rg, self.km, table, refusal)
+        return solve_column(rows, bucket, columns, sg, rg, self.km, table, refusal, disagreement)
 
     def _column(self, schema: Schema, col: Column, pks, buckets, rg) -> list:
         """Plaintext col of each of pks, in order: per storage group, each
@@ -969,7 +1001,7 @@ class Warehouse:
             for bitmap, (idx, bucket) in self._buckets(table, pks).items():
                 for (name, is_fk), vals in zip(fields, values):
                     got = self._read_bucket(table, name, is_fk, bitmap, bucket, rg, x,
-                                            ": refusing to recover")
+                                            ": refusing to recover", MissingShare)
                     if not is_fk:
                         regenerated += sum(map(len, filter(None, got)))
                     for k, value in zip(idx, got):

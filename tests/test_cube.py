@@ -329,35 +329,36 @@ def test_build_needs_every_provider(km_big):
 
 
 def test_build_failing_part_way_keeps_the_cells_before(km_big, monkeypatch):
-    """A cell whose measure raises stops the build; the cells before it
-    are stored at every provider, indexed and signed, as when cells were
-    appended one at a time."""
+    """A lattice level whose measure raises stops the build; the cells of
+    the levels before it are stored at every provider, indexed and signed,
+    as when cells were appended one level at a time."""
     import fvss.cube as cube_module
 
-    real = cube_module._measure_value
+    real = cube_module.aggregate_groups
     calls = []
 
-    def failing(wh, spec, sm, pks, rg):
-        calls.append(sm)
-        if len(calls) > 5 * len(cube_module._storage_measures(SPEC, SALES)):
+    def failing(wh, table, agg, groups, rg):
+        calls.append(agg)
+        # levels () and (category,) pass, (category, ProdNo) fails
+        if len(calls) > 2 * len(cube_module._storage_measures(SPEC, SALES)):
             raise InnerSignatureMismatch("injected")
-        return real(wh, spec, sm, pks, rg)
+        return real(wh, table, agg, groups, rg)
 
     wh = fill_warehouse(km_big, SALES_BASE)
-    monkeypatch.setattr(cube_module, "_measure_value", failing)
+    monkeypatch.setattr(cube_module, "aggregate_groups", failing)
     with pytest.raises(InnerSignatureMismatch, match="injected"):
         cube_build(wh, SPEC)
     monkeypatch.undo()
     whole = fill_warehouse(km_big, SALES_BASE)
     cube_build(whole, SPEC)
     table = cube_table(SPEC)
-    assert wh.type1.pks(table) == [1, 2, 3, 4, 5]
+    assert wh.type1.pks(table) == [1, 2, 3]
     for i, csp in wh.csps.items():
-        assert csp.tables[table] == whole.csps[i].tables[table][:5]
+        assert csp.tables[table] == whole.csps[i].tables[table][:3]
     for col in cube_schema(wh, SPEC).columns[1:5]:
         assert wh.type2.value_map(table, col.name) == {
             pk: key for pk, key in whole.type2.value_map(table, col.name).items()
-            if pk <= 5
+            if pk <= 3
         }
     assert all(r.ok for r in wh.verify_all().values())
 

@@ -4,8 +4,9 @@ Random fact rows joined to a random dimension table, with NULLs in the
 group attributes and the summed columns, are grouped by one or two
 sources drawn from every route the planner has (fact pk, fact fk, an
 indexed fact attribute of each display kind, dimension pk, indexed
-dimension attribute), under random WHERE filters. Shared answers must
-equal PlainWarehouse's row for row.
+dimension attribute), under random WHERE filters that can leave groups
+empty or all-NULL. Up to 60 fact rows make GROUP BY F.id evaluate many
+groups at once. Shared answers must equal PlainWarehouse's row for row.
 """
 
 from datetime import date
@@ -14,7 +15,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvss import Column, Schema, Warehouse
+from fvss import Column, DerivedColumn, Schema, Warehouse
 from fvss.query import execute, parse, plan
 
 from .oracles import PlainWarehouse
@@ -50,7 +51,11 @@ SOURCES = {
     "D.lvl": "dim_attr",
 }
 AGGREGATES = ("SUM(F.v)", "COUNT(*)", "COUNT(F.v)", "AVG(F.v)", "MAX(F.a)",
-              "MIN(F.r)", "SUM(F.v + F.w)", "SUM(F.v - F.w)")
+              "MIN(F.r)", "SUM(F.v + F.w)", "SUM(F.v - F.w)", "VAR(F.v)", "STDDEV(F.v)",
+              "MEDIAN(F.a)", "AVG(F.v + F.w)", "COUNT(F.w)")
+# VAR and STDDEV read the registered square of v; w has no Type II index,
+# so COUNT(F.w) counts through the providers' NULL marks
+SQUARE = DerivedColumn("F", "v2", "square", "v")
 FILTERS = ("", "F.a >= {k}", "D.cat IN ('x', 'y')", "F.id BETWEEN {k} AND {m}",
            "D.did = {j}", "F.s != 'z'", "D.lvl < {j}")
 
@@ -80,7 +85,9 @@ def _fact(n_dims):
 @st.composite
 def tables(draw):
     dim_rows = [{"did": i, **row} for i, row in enumerate(draw(dims), 1)]
-    facts = draw(st.lists(_fact(len(dim_rows)), min_size=1, max_size=30))
+    # the size is drawn first, so that large tables (many groups) are common
+    size = draw(st.integers(1, 60))
+    facts = draw(st.lists(_fact(len(dim_rows)), min_size=size, max_size=size))
     fact_rows = []
     for pk, row in enumerate(facts, 1):
         vw = row.pop("vw")
@@ -95,7 +102,7 @@ queries = st.lists(
         st.lists(st.sampled_from(sorted(SOURCES)), min_size=1, max_size=2, unique=True),
         st.lists(st.sampled_from(AGGREGATES), min_size=1, max_size=3, unique=True),
         st.sampled_from(FILTERS),
-        st.integers(0, 30), st.integers(0, 30), st.integers(1, 4),
+        st.integers(0, 60), st.integers(0, 60), st.integers(1, 4),
     ),
     min_size=1, max_size=4,
 )
@@ -114,12 +121,12 @@ def test_group_by_every_route_matches_plaintext(km_big, data, drawn):
     dim_rows, fact_rows = data
     wh = Warehouse(km_big, w=3)
     wh.create_table(DIM, index_attrs=("cat", "lvl"))
-    wh.create_table(FACT, index_attrs=("a", "s", "r", "day", "ok"))
+    wh.create_table(FACT, index_attrs=("a", "s", "r", "day", "ok"), derived=(SQUARE,))
     wh.load_rows("D", dim_rows)
     wh.load_rows("F", fact_rows)
     oracle = PlainWarehouse()
     oracle.add_table(DIM, dim_rows)
-    oracle.add_table(FACT, fact_rows)
+    oracle.add_table(FACT, fact_rows, derived=[("v2", "square", "v", None, 0)])
     for groups, aggs, where, k, m, j in drawn:
         text = _sql(groups, aggs, where, k, m, j)
         qplan = plan(parse(text), wh)

@@ -60,21 +60,31 @@ def check_type_two(idx, table, attr, probes, filters):
             operand = {"between": (a, b), "in": (a, b)}.get(op, a)
             want = {pk for k, pk in entries if _holds(k, op, operand)}
             assert idx.lookup(table, attr, op, operand) == want, (op, operand)
-    for pks in filters:
-        for fn in ("count", "min", "max", "median"):
+    for fn in ("count", "min", "max", "median"):
+        wants = []
+        for pks in filters:
             try:
                 want = _scan_aggregate(entries, fn, pks)
             except EmptyInput:
                 with pytest.raises(EmptyInput):
                     idx.aggregate(table, attr, fn, pks)
+                want = None
             else:
                 assert idx.aggregate(table, attr, fn, pks) == want, fn
+            wants.append(want)
+        # all filters at once, None where one has no indexed record
+        assert idx.aggregates(table, attr, fn, filters) == wants, fn
 
 
 def check_pseudo_sums(type1, table, pks, n, p):
+    halves = [{pk for pk in pks if pk % 2}, {pk for pk in pks if not pk % 2}, set()]
     for i in range(1, n + 1):
         want = sum(pk for pk in pks if type1.bitmap(table, pk)[i - 1] == "0") % p
         assert type1.pseudo_sum(table, pks, i, p) == want
+        assert type1.pseudo_sums(table, halves, i, p) == [
+            sum(pk for pk in half if type1.bitmap(table, pk)[i - 1] == "0") % p
+            for half in halves
+        ]
 
 
 def shares_oracle(wh, table, rows):
@@ -106,7 +116,8 @@ def check_null_sets(wh, table, want, filters):
 def check_share_columns(wh, table, want, filters):
     """Each provider returns exactly the chunks of the oracle for the pks
     it holds, refuses the others, and share_sum adds up the first chunks
-    of its non-NULL values over a filter."""
+    of its non-NULL values over a filter, as share_sums does over each of
+    several filters in one request."""
     p = wh.km.p
     for i, csp in wh.csps.items():
         for attr, held in want[i].items():
@@ -116,9 +127,12 @@ def check_share_columns(wh, table, want, filters):
                 else:
                     with pytest.raises(UnknownRecordPosition):
                         csp.fetch_share(table, pk, attr)
+            totals = []
             for pks in filters:
                 total = sum(c[0] for pk, c in held.items() if c is not None and pk in pks)
                 assert csp.share_sum(table, attr, pks) == total % p, (i, attr)
+                totals.append(total % p)
+            assert csp.share_sums(table, attr, filters) == totals, (i, attr)
 
 
 # the index structures on their own

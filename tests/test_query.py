@@ -547,6 +547,180 @@ def test_avg_asks_for_null_markers_no_more_than_sum(km_big, monkeypatch, indexed
         assert 0 < avg_calls <= sum_calls, (avg_text, avg_calls, sum_calls)
 
 
+def _liar_table(km):
+    """t(pk, q) with q = 10 * pk for pk 1..10, q indexed."""
+    return _flat(km, [{"pk": i, "q": 10 * i} for i in range(1, 11)], (Column("q", "int"),),
+                 index=("q",))
+
+
+@pytest.mark.parametrize("text, pk, want", [
+    ("SELECT SUM(q) FROM t", 10, [(550,)]),
+    ("SELECT MAX(q) FROM t", 10, [(100,)]),
+    ("SELECT MIN(q), MEDIAN(q) FROM t", 5, [(10, 50)]),
+    ("SELECT pk, q FROM t WHERE pk = 10", 10, [(10, 100)]),
+    ("SELECT q FROM t WHERE q >= 50", 7, [(50,), (60,), (70,), (80,), (90,), (100,)]),
+])
+def test_null_marker_liar_rotates_every_read(km_big, text, pk, want):
+    """A provider that marks a stored value NULL makes every query through
+    a reconstruction group holding it fail as a signature mismatch, share
+    sums and reconstructed values (MAX, MEDIAN, row mode) alike, so an
+    unpinned query rotates to a group without it and answers."""
+    wh = _liar_table(km_big)
+    liar = min(group_from_bitmap(wh.type1.bitmap("t", pk)).sg)
+    report_null(wh, liar, "t", pk, "q")
+    assert execute(wh, text)[1] == want
+    for rg in wh.rg_candidates():
+        if liar in rg:
+            with pytest.raises(InnerSignatureMismatch, match="(?i)null marks"):
+                execute(wh, text, rg=rg)
+        else:
+            assert execute(wh, text, rg=rg)[1] == want
+
+
+def test_chunk_count_liar_rotates_row_reads(km_big):
+    """A provider that stores a string with a chunk missing, its signature
+    tree kept in step, fails every reconstruction group holding it as a
+    signature mismatch; an unpinned row query rotates past it."""
+    words = ["alpha", "beta", "gamma", "delta"]
+    wh = _flat(km_big, [{"pk": i, "s": w} for i, w in enumerate(words, 1)],
+               (Column("s", "string"),))
+    liar = min(group_from_bitmap(wh.type1.bitmap("t", 3)).sg)
+    csp = wh.csps[liar]
+    pos = csp.position_of("t", 3)
+    rec = csp.get_record("t", pos)
+    rec.shares["s"] = rec.shares["s"][:-1]
+    csp.update_shared_record(wh.schemas["t"], pos, rec)
+    text = "SELECT pk, s FROM t"
+    want = list(enumerate(words, 1))
+    assert execute(wh, text)[1] == want
+    for rg in wh.rg_candidates():
+        if liar in rg:
+            with pytest.raises(InnerSignatureMismatch, match="pk 3 of t: chunk counts"):
+                execute(wh, text, rg=rg)
+        else:
+            assert execute(wh, text, rg=rg)[1] == want
+
+
+def _provider_requests(wh, monkeypatch, text, rg):
+    """execute(text, rg): its rows, the requests each provider received by
+    kind, and the bytes each provider's counter moved."""
+    cls = type(wh.csps[1])
+    requests = {i: {} for i in wh.csps}
+    # share_sum is the one-group form of share_sums
+    for name in ("null_pks", "share_sum", "share_sums", "fetch_shares"):
+        real = getattr(cls, name, None)
+        if real is None:
+            continue
+
+        def counted(csp, *args, _real=real, _name=name):
+            requests[csp.index][_name] = requests[csp.index].get(_name, 0) + 1
+            return _real(csp, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    before = {i: csp.bytes_transferred for i, csp in wh.csps.items()}
+    try:
+        rows = execute(wh, text, rg=rg)[1]
+    finally:
+        monkeypatch.undo()
+    moved = {i: csp.bytes_transferred - before[i] for i, csp in wh.csps.items()}
+    return rows, requests, moved
+
+
+def _work_table(km, weights=None):
+    """60 records t(pk, g, v, w), g = pk % 7, v and w NULL one time in
+    five, g and w indexed, and the plaintext oracle over them."""
+    rng = random.Random(808)
+    rows = []
+    for i in range(1, 61):
+        v = None if rng.random() < 0.2 else rng.randint(-50, 50)
+        w = None if rng.random() < 0.2 else rng.randint(0, 999)
+        rows.append({"pk": i, "g": i % 7, "v": v, "w": w})
+    wh = Warehouse(km, weights=weights)
+    wh.create_table(Schema("t", (Column("pk", "key"), Column("g", "int"), Column("v", "int"),
+                                 Column("w", "int"))), index_attrs=("g", "w"))
+    wh.load_rows("t", rows)
+    oracle = PlainWarehouse()
+    oracle.add_table(wh.schemas["t"], rows)
+    return wh, oracle, rows
+
+
+# per provider, the bytes the two queries below moved at the parent commit,
+# where each group paid its own NULL-mark, share-sum and fetch requests
+GROUP_BY_PK_BYTES = {
+    5: {1: 72, 2: 72, 3: 72, 4: 32, 5: 0},
+    60: {1: 848, 2: 848, 3: 848, 4: 400, 5: 0},
+}
+
+
+def test_group_by_asks_each_provider_once_per_column(km_big, monkeypatch):
+    """GROUP BY pk over 5 keys and over 60 keys sends each provider of the
+    reconstruction group the same requests: one NULL-mark and one
+    share-sum request per summed column, and one fetch per storage group
+    of the MAX records (every record is placed in storage group 1, 2, 3
+    here), whatever the number of groups, while the bytes moved stay
+    those of one request per group."""
+    wh, oracle, _ = _work_table(km_big, weights=(1, 1, 1, 0, 0))
+    rg = (1, 2, 3, 4)
+    seen = {}
+    for keys in (5, 60):
+        text = f"SELECT pk, AVG(v), MAX(w) FROM t WHERE pk <= {keys} GROUP BY pk"
+        rows, requests, moved = _provider_requests(wh, monkeypatch, text, rg)
+        assert rows == oracle.query(parse(text))
+        assert moved == GROUP_BY_PK_BYTES[keys], keys
+        seen[keys] = requests
+    assert seen[5] == seen[60]
+    assert seen[60] == {
+        **{i: {"null_pks": 1, "share_sums": 1, "fetch_shares": 1} for i in (1, 2, 3)},
+        4: {"null_pks": 1, "share_sums": 1},
+        5: {},
+    }
+
+
+TAMPER_TEXT = "SELECT g, SUM(v), AVG(v), MAX(w), COUNT(*) FROM t GROUP BY g"
+# the errors the two tampers below raised at the parent commit, where each
+# group was evaluated on its own
+TAMPER_ERRORS = {
+    "v": "SUM(t.v): signature point 1186802410760523867 != HE1(866831864187182310)",
+    "w": "pk 10: signature point 948014364753424291 != HE1(866824167605788703)",
+}
+
+
+@pytest.mark.parametrize("attr", ["v", "w"])
+def test_one_tampered_share_among_many_groups(km_big, attr):
+    """A tampered share of one record, summed (v) or the MAX of its group
+    (w), fails a pinned reconstruction group that holds it with the error
+    a per-group evaluation raised, and an unpinned query rotates past it
+    to the plaintext answer."""
+    wh, oracle, rows = _work_table(km_big)
+    want = oracle.query(parse(TAMPER_TEXT))
+    in_group = [r for r in rows if r["g"] == 3 and r[attr] is not None]
+    pk = max(in_group, key=lambda r: r["w"])["pk"] if attr == "w" else in_group[0]["pk"]
+    victim = min(group_from_bitmap(wh.type1.bitmap("t", pk)).sg)
+    wh.inject_tamper(victim, "t", pk, attr)
+    rg = next(rg for rg in wh.rg_candidates() if victim in rg)
+    with pytest.raises(InnerSignatureMismatch) as err:
+        execute(wh, TAMPER_TEXT, rg=rg)
+    assert str(err.value) == TAMPER_ERRORS[attr]
+    assert execute(wh, TAMPER_TEXT)[1] == want
+
+
+def test_null_marker_lie_among_many_groups_never_drops_the_record(km_big):
+    """A provider that marks one stored v NULL fails every reconstruction
+    group holding it; the others, and rotation, count and sum the record."""
+    wh, oracle, rows = _work_table(km_big)
+    want = oracle.query(parse(TAMPER_TEXT))
+    pk = next(r["pk"] for r in rows if r["g"] == 4 and r["v"] is not None)
+    liar = min(group_from_bitmap(wh.type1.bitmap("t", pk)).sg)
+    report_null(wh, liar, "t", pk, "v")
+    assert execute(wh, TAMPER_TEXT)[1] == want
+    for rg in wh.rg_candidates():
+        if liar in rg:
+            with pytest.raises(InnerSignatureMismatch, match=f"pk {pk} of t: NULL marks of v"):
+                execute(wh, TAMPER_TEXT, rg=rg)
+        else:
+            assert execute(wh, TAMPER_TEXT, rg=rg)[1] == want
+
+
 # randomized equivalence against the plaintext evaluator
 
 RANDOM_QUERIES = [
