@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cost import PricingPolicy, reference_pricing
-from .cube import CubeHierarchy, CubeMeasure, CubeSpec, cube_schema
+from .cube import MEASURE_FNS, CubeHierarchy, CubeMeasure, CubeSpec, cube_schema
 from .errors import ConfigError
 from .field import P_DEFAULT
 from .keyed import KeyMaterial, init_participants
@@ -52,7 +52,6 @@ from .sharing import DATA_KINDS, Column, Schema
 from .store import DerivedColumn, Warehouse
 
 _DERIVED_KINDS = ("square", "product", "quotient")
-_MEASURE_FNS = ("sum", "count", "min", "max", "avg")
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def _parse_measure(name: str, entry: str) -> CubeMeasure:
         raise ConfigError(f"[cube:{name}] measure {entry!r} must look like fn(attr)")
     fn, arg = entry[:-1].split("(", 1)
     fn = fn.strip().lower()
-    if fn not in _MEASURE_FNS:
+    if fn not in MEASURE_FNS:
         raise ConfigError(f"[cube:{name}] unknown measure function {fn!r}")
     arg = arg.strip()
     return CubeMeasure(fn, attr=None if arg == "*" else arg)

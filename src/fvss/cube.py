@@ -4,9 +4,9 @@ A cube is an ordinary shared table (id ``cube:<name>``) whose rows live
 at every provider. Base-table sharing leans on pk-derived pseudo shares
 so a subset of providers can hold a record; a cube cell has no source
 pk to derive them from, so its polynomial is pinned instead at the t-2
-reserved filler abscissas with seeded pseudo-random ordinates. Every
-provider stores a real share and any t of them rebuild a measure along
-with its inner signature.
+reserved filler abscissas with seeded pseudo-random ordinates (the fold
+of sharing.pinned_coefficients). Every provider stores a real share and
+any t of them rebuild a measure along with its inner signature.
 
 Dimension columns hold plaintext group keys and double as the level
 encoding: NULL means "aggregated away". The grand total row is NULL
@@ -22,7 +22,8 @@ found through the record index.
 Build and refresh work one lattice level at a time: the cells of a
 level are disjoint groups of fact records, so each measure is evaluated
 over all of them at once by query.aggregate_groups, the share-space
-primitive queries use.
+primitive queries use, as are dimension routes, cell order and the
+reconstruction-group policy: slices rotate past a failed signature.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     CspUnavailable,
@@ -42,19 +44,23 @@ from .errors import (
     UnknownTable,
     UnsupportedFeature,
 )
-from .field import lagrange_weights
 from .keyed import KeyMaterial
-from .sharing import Column, Schema, encode
+from .sharing import Column, Schema, encode, pinned_coefficients
 from .store import StoredRecord, Warehouse, display_value, order_key
 from .query import (
     BIAS_TERMS,
     GroupSource,
     PlannedAgg,
     aggregate_groups,
+    group_order,
     group_pks,
+    group_source,
+    pair_column,
+    pinned_rg,
     present_pks,
     share_space_sums,
     summed_pks,
+    with_rg,
 )
 
 MEASURE_FNS = ("sum", "count", "min", "max", "avg")
@@ -99,19 +105,6 @@ def _split_pair(attr: str):
     return None
 
 
-def measure_label(m: CubeMeasure) -> str:
-    if m.name:
-        return m.name
-    if m.attr is None:
-        return f"{m.fn}_rows"
-    pair = _split_pair(m.attr)
-    if pair:
-        x, op, y = pair
-        word = "plus" if op == "+" else "minus"
-        return f"{m.fn}_{x}_{word}_{y}"
-    return f"{m.fn}_{m.attr}"
-
-
 # storage layout: avg is never stored directly, its sum and count are
 
 
@@ -119,6 +112,11 @@ def measure_label(m: CubeMeasure) -> str:
 class _StoredMeasure:
     column: Column
     agg: PlannedAgg           # SUM, SUM of a pair, COUNT, MIN or MAX on the fact table
+
+
+class _MeasureLayout(NamedTuple):
+    stored: tuple[_StoredMeasure, ...]              # in cube column order
+    reads: tuple[tuple[str, tuple[str, ...]], ...]  # per spec measure: label, stored columns
 
 
 def _sum_column(schema: Schema, name: str, attr: str) -> Column:
@@ -130,14 +128,19 @@ def _sum_column(schema: Schema, name: str, attr: str) -> Column:
     return Column(name, "int")
 
 
-def _storage_measures(spec: CubeSpec, schema: Schema) -> list[_StoredMeasure]:
-    out: list[_StoredMeasure] = []
-    seen: set[str] = set()
+@lru_cache(maxsize=64)
+def _measure_layout(spec: CubeSpec, schema: Schema) -> _MeasureLayout:
+    """The one naming of the stored measure columns of a cube over the
+    fact schema: each measure's SUM, COUNT, MIN or MAX column, AVG as its
+    SUM and COUNT, equal columns stored once. Per spec measure, its output
+    label and the stored columns it reads, AVG its SUM and COUNT in that
+    order. Memoized by value (the spec and the schema)."""
+    stored: dict[str, _StoredMeasure] = {}
+    reads = []
 
-    def add(sm: _StoredMeasure):
-        if sm.column.name not in seen:
-            seen.add(sm.column.name)
-            out.append(sm)
+    def add(col: Column, agg: PlannedAgg) -> str:
+        stored.setdefault(col.name, _StoredMeasure(col, agg))
+        return col.name
 
     for m in spec.measures:
         if m.fn not in MEASURE_FNS:
@@ -148,39 +151,40 @@ def _storage_measures(spec: CubeSpec, schema: Schema) -> list[_StoredMeasure]:
                 raise SchemaMismatch(f"{m.fn.upper()} needs a measure attribute")
             if pair:
                 x, op, y = pair
-                cx, cy = schema.column(x), schema.column(y)
-                if cx.scale != cy.scale:
-                    raise SchemaMismatch(f"{x} and {y} have different scales")
-                base = _sum_column(schema, _pair_name("sum", x, op, y),
-                                   x if cx.kind == "real" else y)
-                add(_StoredMeasure(base, PlannedAgg("sum", "combined", x=x, y=y, op=op)))
+                suffix = f"{x}_{'plus' if op == '+' else 'minus'}_{y}"
+                names = [add(_sum_column(schema, f"sum_{suffix}", pair_column(schema, x, y).name),
+                             PlannedAgg("sum", "combined", x=x, y=y, op=op))]
             else:
-                add(_StoredMeasure(_sum_column(schema, f"sum_{m.attr}", m.attr),
-                                   PlannedAgg("sum", "plain", attr=m.attr)))
+                suffix = m.attr
+                names = [add(_sum_column(schema, f"sum_{suffix}", m.attr),
+                             PlannedAgg("sum", "plain", attr=m.attr))]
             if m.fn == "avg":
                 counted = pair[0] if pair else m.attr
-                add(_StoredMeasure(Column(f"count_{counted}", "int"), _count(counted)))
+                names.append(add(Column(f"count_{counted}", "int"), _count(counted)))
+            label = f"{m.fn}_{suffix}"
         elif m.fn == "count":
             if pair:
                 raise UnsupportedFeature("COUNT over a pair is not supported")
             label = f"count_{m.attr}" if m.attr else "count_rows"
-            add(_StoredMeasure(Column(label, "int"), _count(m.attr)))
+            names = [add(Column(label, "int"), _count(m.attr))]
         else:
             if m.attr is None or pair:
                 raise UnsupportedFeature(f"{m.fn.upper()} needs a single attribute")
             col = schema.column(m.attr)
-            add(_StoredMeasure(Column(f"{m.fn}_{m.attr}", col.kind, scale=col.scale),
-                               PlannedAgg(m.fn, "plain", attr=m.attr)))
-    return out
+            label = f"{m.fn}_{m.attr}"
+            names = [add(Column(label, col.kind, scale=col.scale),
+                         PlannedAgg(m.fn, "plain", attr=m.attr))]
+        reads.append((m.name or label, tuple(names)))
+    return _MeasureLayout(tuple(stored.values()), tuple(reads))
+
+
+def _storage_measures(spec: CubeSpec, schema: Schema) -> list[_StoredMeasure]:
+    """The stored measure columns of a cube, in column order."""
+    return list(_measure_layout(spec, schema).stored)
 
 
 def _count(attr: str | None) -> PlannedAgg:
     return PlannedAgg("count", "star") if attr is None else PlannedAgg("count", "plain", attr=attr)
-
-
-def _pair_name(prefix: str, x: str, op: str, y: str) -> str:
-    word = "plus" if op == "+" else "minus"
-    return f"{prefix}_{x}_{word}_{y}"
 
 
 def _dim_sources(wh: Warehouse, spec: CubeSpec) -> list[tuple[Column, GroupSource]]:
@@ -196,17 +200,8 @@ def _dim_sources(wh: Warehouse, spec: CubeSpec) -> list[tuple[Column, GroupSourc
             if attr in seen:
                 raise SchemaMismatch(f"duplicate cube dimension {attr}")
             seen.add(attr)
-            if h.table is None:
-                col = fact_schema.column(attr)
-                if col.kind == "key":
-                    src = GroupSource("pk", fact, attr, col)
-                elif col.kind == "fk":
-                    src = GroupSource("fk", fact, attr, col)
-                else:
-                    if not wh.type2.is_indexed(fact, attr):
-                        raise NotIndexed(f"{fact}.{attr} must be indexed to key a cube")
-                    src = GroupSource("fact_attr", fact, attr, col)
-            else:
+            table, fk = fact, None
+            if h.table is not None:
                 if h.table not in wh.schemas:
                     raise UnknownTable(h.table)
                 if h.fk is None:
@@ -214,16 +209,13 @@ def _dim_sources(wh: Warehouse, spec: CubeSpec) -> list[tuple[Column, GroupSourc
                 fk_col = fact_schema.column(h.fk)
                 if fk_col.kind != "fk" or fk_col.fk_table not in (None, h.table):
                     raise SchemaMismatch(f"{fact}.{h.fk} does not reference {h.table}")
-                dim_schema = wh.schemas[h.table]
-                col = dim_schema.column(attr)
-                if attr == dim_schema.key:
-                    src = GroupSource("dim_pk", h.table, attr, col, fk=h.fk)
-                else:
-                    if not wh.type2.is_indexed(h.table, attr):
-                        raise NotIndexed(f"{h.table}.{attr} must be indexed to key a cube")
-                    src = GroupSource("dim_attr", h.table, attr, col, fk=h.fk)
-            kind = "int" if col.kind in ("key", "fk") else col.kind
-            out.append((Column(attr, kind, scale=col.scale), src))
+                table, fk = h.table, h.fk
+            try:
+                src = group_source(wh, table, attr, fk)
+            except NotIndexed:
+                raise NotIndexed(f"{table}.{attr} must be indexed to key a cube") from None
+            kind = "int" if src.col.kind in ("key", "fk") else src.col.kind
+            out.append((Column(attr, kind, scale=src.col.scale), src))
     return out
 
 
@@ -250,43 +242,24 @@ def _filler_ordinate(km: KeyMaterial, table: str, pk: int, attr: str,
     return int.from_bytes(digest[:16], "big") % km.p
 
 
-@lru_cache(maxsize=64)
-def _cell_coefficients(basis: tuple, filler_xs: tuple[int, ...]
-                       ) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    p, x_kd, x_ks, he1_scalar, per_csp = basis
-    xs = (x_kd, x_ks, *filler_xs)
-    out = []
-    for i, (x_i, _) in enumerate(per_csp, 1):
-        w = lagrange_weights(xs, x_i, p)
-        out.append((i, (w[0] + w[1] * he1_scalar) % p, w[2:]))
-    return tuple(out)
-
-
 def cell_coefficients(km: KeyMaterial) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(i, A_i, F_i) for every provider i, ascending, such that its share
     of a cube cell chunk v with filler ordinates f is
-    (A_i*v + sum(F_ij * f_j)) % p: with l the Lagrange weights of the
-    abscissas (K_d, K_s, fillers) at provider i's abscissa, A_i = l_Kd +
-    l_Ks * HE1 scalar and F_i the fillers' weights. Memoized by value
-    (the share basis and the filler abscissas)."""
-    return _cell_coefficients(km.share_basis,
-                              tuple(km.x_filler(j) for j in range(km.t - 2)))
-
-
-def _cell_shares(km: KeyMaterial, value: int, fillers) -> dict[int, int]:
-    """All n providers' shares of the polynomial through the data point,
-    its signature point and the given ordinates at the filler abscissas."""
-    p = km.p
-    return {i: (a * value + sum(map(mul, f, fillers))) % p
-            for i, a, f in cell_coefficients(km)}
+    (A_i*v + sum(F_ij * f_j)) % p."""
+    return pinned_coefficients(km.share_basis, tuple(km.x_filler(j) for j in range(km.t - 2)),
+                               range(1, km.n + 1))
 
 
 def share_cell_chunk(km: KeyMaterial, table: str, pk: int, attr: str,
                      chunk_index: int, value: int) -> dict[int, int]:
-    """Shares of one cube field element for all n providers."""
+    """Shares of one cube field element for all n providers: the polynomial
+    through the data point, its signature point and seeded ordinates at
+    the filler abscissas."""
     fillers = [_filler_ordinate(km, table, pk, attr, chunk_index, j)
                for j in range(km.t - 2)]
-    return _cell_shares(km, value, fillers)
+    p = km.p
+    return {i: (a * value + sum(map(mul, f, fillers))) % p
+            for i, a, f in cell_coefficients(km)}
 
 
 def _share_cell_value(wh: Warehouse, table: str, pk: int, col: Column, value):
@@ -388,12 +361,6 @@ def _cells_by_key(wh: Warehouse, spec: CubeSpec) -> dict[tuple, int]:
     return out
 
 
-def _sort_cell_keys(keys):
-    return sorted(keys, key=lambda k: tuple(
-        (v is None, isinstance(v, str), v) for v in k
-    ))
-
-
 def _level_rows(wh: Warehouse, spec: CubeSpec, dims, stored, groups: dict, cells, rg) -> list[dict]:
     """The rows of the given cells of one lattice level, in order: each
     stored measure evaluated over all the cells at once."""
@@ -412,20 +379,21 @@ def _level_rows(wh: Warehouse, spec: CubeSpec, dims, stored, groups: dict, cells
 def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
     """Aggregate every lattice cell through the share-space query paths,
     one level at a time, and store the cube at all n providers. Returns
-    the number of cells."""
+    the number of cells. A pinned rg is checked before anything is written."""
     _require_all_alive(wh)
+    rg = pinned_rg(wh, rg) if rg is not None else wh.choose_rg()
     schema = cube_schema(wh, spec)
     dims = [col for col, _ in _dim_sources(wh, spec)]
     stored = _storage_measures(spec, wh.schemas[spec.table])
     wh.create_table(schema, index_attrs=tuple(col.name for col in dims))
-    rg = tuple(sorted(rg)) if rg is not None else wh.choose_rg()
 
     by_key = _fact_keys(wh, spec, wh.type1.pks(spec.table))
     shared_rows = []
     try:
         for combo in _lattice(spec):
             groups = _cells(by_key, _active_flags(spec, combo))
-            for row in _level_rows(wh, spec, dims, stored, groups, _sort_cell_keys(groups), rg):
+            for row in _level_rows(wh, spec, dims, stored, groups,
+                                   sorted(groups, key=group_order), rg):
                 shared_rows.append(_share_cube_row(wh, schema, len(shared_rows) + 1, row))
     finally:
         # the levels before a failing one are stored whole
@@ -475,9 +443,11 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     cells are reconstructed, incremented and re-shared, and MAX/MIN cells
     re-share the extremal record found through the record index. Returns
     the number of touched or created cells. Providers that disagree on a
-    new record's NULL marker raise InnerSignatureMismatch.
+    new record's NULL marker raise InnerSignatureMismatch. A pinned rg is
+    checked before anything is written.
     """
     _require_all_alive(wh)
+    rg = pinned_rg(wh, rg) if rg is not None else wh.choose_rg()
     table = cube_table(spec)
     if table not in wh.schemas:
         raise UnknownTable(table)
@@ -490,7 +460,6 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     schema = wh.schemas[table]
     dims = [col for col, _ in _dim_sources(wh, spec)]
     stored = _storage_measures(spec, wh.schemas[spec.table])
-    rg = tuple(sorted(rg)) if rg is not None else wh.choose_rg()
 
     new_keys = _fact_keys(wh, spec, new_pks)
     # MIN/MAX cells are re-derived from every member, old facts included
@@ -504,7 +473,7 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     for combo in _lattice(spec):
         flags = _active_flags(spec, combo)
         new_groups = _cells(new_keys, flags)
-        order = _sort_cell_keys(new_groups)
+        order = sorted(new_groups, key=group_order)
         touched += len(order)
         known = [cell for cell in order if cell in cells]
         rows = iter(_level_rows(wh, spec, dims, stored, new_groups,
@@ -575,13 +544,14 @@ def cube_query(wh: Warehouse, spec: CubeSpec, level, where=(), rg=None):
     each hierarchy); everything else must be NULL, which is exactly how
     the aggregation level is stored. where holds (attr, op, value)
     predicates on level attributes. Returns (headers, rows) with measures
-    reconstructed from any t providers.
+    reconstructed from any t providers: rg pins them, else reconstruction
+    groups rotate until one verifies.
     """
     table = cube_table(spec)
     if table not in wh.schemas:
         raise UnknownTable(table)
     level = tuple(level)
-    dims = [col for col, _ in _dim_sources(wh, spec)]
+    dims = [wh.schemas[table].column(a) for h in spec.hierarchies for a in h.attrs]
     by_name = {col.name: col for col in dims}
     for h in spec.hierarchies:
         chosen = [a for a in h.attrs if a in level]
@@ -608,40 +578,26 @@ def cube_query(wh: Warehouse, spec: CubeSpec, level, where=(), rg=None):
             operand = tuple(order_key(v, col) for v in value)
         else:
             operand = order_key(value, col)
-        pks &= wh.type2_lookup(table, attr, op, operand)
+        pks &= wh.type2.lookup(table, attr, op, operand)
 
-    rg = tuple(sorted(rg)) if rg is not None else wh.choose_rg()
     order = sorted(pks)
+    reads = _measure_layout(spec, wh.schemas[spec.table]).reads
 
-    def column(name: str) -> list:
-        return wh.reconstruct_values(table, name, order, rg)
+    def measures(rg) -> list[list]:
+        out = []
+        for _, names in reads:
+            columns = [wh.reconstruct_values(table, name, order, rg) for name in names]
+            if len(columns) == 2:   # AVG: its SUM over its COUNT
+                sums, counts = columns
+                columns = [[None if not c else Fraction(s) / c for s, c in zip(sums, counts)]]
+            out += columns
+        return out
 
-    def measure_column(m: CubeMeasure) -> list:
-        if m.fn == "avg":
-            pair = _split_pair(m.attr)
-            if pair:
-                x, op, y = pair
-                sums, counts = column(_pair_name("sum", x, op, y)), column(f"count_{x}")
-            else:
-                sums, counts = column(f"sum_{m.attr}"), column(f"count_{m.attr}")
-            return [None if not c else Fraction(s) / c for s, c in zip(sums, counts)]
-        pair = _split_pair(m.attr) if m.attr else None
-        if m.fn == "sum" and pair:
-            name = _pair_name("sum", *pair)
-        elif m.attr is None:
-            name = "count_rows"
-        else:
-            name = f"{m.fn}_{m.attr}"
-        return column(name)
-
-    measures = [measure_column(m) for m in spec.measures]
+    values = with_rg(wh, rg, measures)
     rows = [
         tuple(display_value(maps[a].get(pk), by_name[a]) for a in level)
-        + tuple(values[k] for values in measures)
+        + tuple(column[k] for column in values)
         for k, pk in enumerate(order)
     ]
-    rows.sort(key=lambda r: tuple(
-        (v is None, isinstance(v, str), v) for v in r[: len(level)]
-    ))
-    headers = list(level) + [measure_label(m) for m in spec.measures]
-    return headers, rows
+    rows.sort(key=lambda row: group_order(row[: len(level)]))
+    return list(level) + [label for label, _ in reads], rows

@@ -7,11 +7,11 @@ Tests mostly run on p = 251 where failures are readable by eye.
 
 The scheme only ever interpolates through a few fixed abscissas (the HF1
 images of K_d, K_s, the CSP IDs and the filler IDs), so the working path
-is `interpolate_at`: a dot product of the ordinates with Lagrange basis
-weights memoized per (abscissas, target, p). `Polynomial` and
-`lagrange_interpolate` build the coefficient form; they are the reference
-the tests compare against, and each weight vector is derived from them
-once.
+is `lagrange_weights`, memoized per (abscissas, target, p), which sharing
+folds into coefficients; `interpolate_at` is a test reference.
+`Polynomial` and `lagrange_interpolate` build the coefficient form; they
+are the reference the tests compare against, and each weight vector is
+derived from them once.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]], p: int) -> Polynomia
 
     Raises DuplicateAbscissa when two x coincide and EmptyInput on an empty
     list. Reference path: k basis products of O(k^2) each plus k modular
-    inverses, so O(k^3) per call; hot paths use `interpolate_at` instead.
+    inverses, so O(k^3) per call; hot paths use `lagrange_weights` instead.
     """
     if not points:
         raise EmptyInput("no points to interpolate")

@@ -13,6 +13,7 @@ shares): each provider of the reconstruction group gets one NULL-mark
 and one share-sum request per column whatever the number of groups,
 each group's SUM still passes its own inner-signature check, and the
 MAX/MIN/MEDIAN records of all groups are reconstructed in one batch.
+Routes, group order and the reconstruction-group policy are cube's too.
 
 Grammar, roughly::
 
@@ -52,7 +53,7 @@ from .errors import (
     UnknownTable,
     UnsupportedFeature,
 )
-from .sharing import Column, checked_data_point
+from .sharing import Column, solve_sums
 from .store import Warehouse, display_value, order_key
 
 AGG_FNS = ("sum", "avg", "var", "variance", "stddev", "count", "min", "max", "median")
@@ -479,22 +480,8 @@ def plan(query: Query, wh: Warehouse) -> QueryPlan:
     group_sources = []
     for ref in query.group_by:
         r = _resolve(ref, names, wh, fact)
-        schema = wh.schemas[r.table]
-        if r.table == fact:
-            if r.name == schema.key:
-                group_sources.append(GroupSource("pk", fact, r.name, r.col))
-            elif r.col.kind == "fk":
-                group_sources.append(GroupSource("fk", fact, r.name, r.col))
-            else:
-                _require_index(wh, fact, r.name)
-                group_sources.append(GroupSource("fact_attr", fact, r.name, r.col))
-        else:
-            fk = _dim_fk(r.table)
-            if r.name == schema.key:
-                group_sources.append(GroupSource("dim_pk", r.table, r.name, r.col, fk=fk))
-            else:
-                _require_index(wh, r.table, r.name)
-                group_sources.append(GroupSource("dim_attr", r.table, r.name, r.col, fk=fk))
+        fk = None if r.table == fact else _dim_fk(r.table)
+        group_sources.append(group_source(wh, r.table, r.name, fk))
 
     has_agg = any(isinstance(item.expr, Aggregate) for item in query.select)
     row_mode = not has_agg
@@ -558,6 +545,23 @@ def _resolve(ref: AttrRef, names, wh, fact: str) -> Resolved:
         if col.name == ref.name:
             return Resolved(table, col.name, col)
     raise SchemaMismatch(f"{table} has no column {ref.name}")
+
+
+def group_source(wh: Warehouse, table: str, attr: str, fk: str | None = None) -> GroupSource:
+    """The route grouping fact records by table.attr takes (fk: the fact
+    column referencing table, None for the fact itself): keys and the
+    fact's fk columns read directly, others through their Type II index
+    (NotIndexed without one)."""
+    schema = wh.schemas[table]
+    col = schema.column(attr)
+    if attr == schema.key:
+        route = "pk" if fk is None else "dim_pk"
+    elif fk is None and col.kind == "fk":
+        route = "fk"
+    else:
+        _require_index(wh, table, attr)
+        route = "fact_attr" if fk is None else "dim_attr"
+    return GroupSource(route, table, attr, col, fk=fk)
 
 
 def _require_index(wh: Warehouse, table: str, attr: str):
@@ -673,12 +677,13 @@ def present_pks(wh: Warehouse, table: str, attr: str, groups, csps) -> list[set[
     union = set().union(*groups)
     reported = {i: wh.csps[i].null_pks(table, attr, union) for i in csps}
     nulls = set().union(*reported.values())
-    for pk in nulls:
-        bitmap = wh.type1.bitmap(table, pk)
-        if any(bitmap[i - 1] == "1" and pk not in reported[i] for i in csps):
-            raise InnerSignatureMismatch(
-                f"pk {pk} of {table}: NULL marks of {attr} disagree across CSPs"
-            )
+    absent = wh.type1.absent[table]
+    # records marked NULL elsewhere that a provider stores but did not mark
+    unmarked = set().union(*((nulls - reported[i]) - absent.get(i, set()) for i in csps))
+    if unmarked:
+        raise InnerSignatureMismatch(
+            f"pk {min(unmarked)} of {table}: NULL marks of {attr} disagree across CSPs"
+        )
     if len(groups) == 1:
         return [union - nulls]   # the union is already the one group's own set
     return [set(g) - nulls for g in groups]
@@ -737,10 +742,9 @@ def _decode_sum(total: int, count: int, col: Column, bias_terms: int,
     return raw
 
 
-def _pair_column(wh: Warehouse, table: str, x: str, y: str) -> Column:
+def pair_column(schema, x: str, y: str) -> Column:
     """Output column of SUM(x op y); x and y must share a scale."""
-    col_x = wh.schemas[table].column(x)
-    col_y = wh.schemas[table].column(y)
+    col_x, col_y = schema.column(x), schema.column(y)
     if col_x.scale != col_y.scale:
         raise SchemaMismatch(f"{x} and {y} have different scales")
     return col_x if col_x.kind == "real" else col_y
@@ -750,17 +754,19 @@ def _sums(wh: Warehouse, table: str, x: str, y: str | None, op: str | None,
           groups, rg) -> tuple[list, list[set[int]]]:
     """SUM(x) or SUM(x op y) over each group, 0 for one with nothing to
     add, and the records each added up. Each sum is accepted only
-    through its own inner-signature check."""
-    out_col = wh.schemas[table].column(x) if y is None else _pair_column(wh, table, x, y)
+    through its own inner-signature check (solve_sums)."""
+    schema = wh.schemas[table]
+    out_col = schema.column(x) if y is None else pair_column(schema, x, y)
+    rg = tuple(sorted(rg))
     present = summed_pks(wh, table, x, y, groups, rg)
     live = [g for g in present if g]
-    shares = iter(share_space_sums(wh, table, live, rg, x, y, op) if live else ())
-    xs = tuple(wh.km.x_id(i) for i in rg)
     what = f"SUM({table}.{x}{op or ''}{y or ''})"
+    totals = iter(solve_sums(rg, share_space_sums(wh, table, live, rg, x, y, op), wh.km, what)
+                  if live else ())
     zero = Fraction(0) if out_col.kind == "real" else 0
     sums = [
-        _decode_sum(checked_data_point(xs, next(shares), wh.km, what), len(g), out_col,
-                    BIAS_TERMS[op], wh.bias, wh.km.p) if g else zero
+        _decode_sum(next(totals), len(g), out_col, BIAS_TERMS[op], wh.bias, wh.km.p)
+        if g else zero
         for g in present
     ]
     return sums, present
@@ -877,14 +883,14 @@ def _filter_pks(wh: Warehouse, plan: QueryPlan) -> set[int]:
         if step.route == "fact_pk":
             pks &= _apply_pk_predicate(pks, step.op, step.operand)
         elif step.route == "fact_attr":
-            pks &= wh.type2_lookup(plan.fact, step.attr, step.op, step.operand)
+            pks &= wh.type2.lookup(plan.fact, step.attr, step.op, step.operand)
         else:
             dim_pks = set(wh.type1.entries[step.table])
             if step.route == "dim_pk":
                 dim_pks = _apply_pk_predicate(dim_pks, step.op, step.operand)
             else:
-                dim_pks = wh.type2_lookup(step.table, step.attr, step.op, step.operand)
-            pks &= wh.type2_lookup(plan.fact, step.fk, "in", tuple(sorted(dim_pks)))
+                dim_pks = wh.type2.lookup(step.table, step.attr, step.op, step.operand)
+            pks &= wh.type2.lookup(plan.fact, step.fk, "in", tuple(sorted(dim_pks)))
     return pks
 
 
@@ -924,8 +930,9 @@ def group_pks(wh: Warehouse, fact: str, sources, pks) -> dict[tuple, list[int]]:
     }
 
 
-def _sort_key(value):
-    return (value is None, isinstance(value, str), value)
+def group_order(key: tuple) -> tuple:
+    """Sort key of plaintext group keys: values before NULL, numbers before strings."""
+    return tuple((v is None, isinstance(v, str), v) for v in key)
 
 
 def _execute_with(wh: Warehouse, plan: QueryPlan, rg) -> list[tuple]:
@@ -953,7 +960,7 @@ def _execute_with(wh: Warehouse, plan: QueryPlan, rg) -> list[tuple]:
         groups = group_pks(wh, plan.fact, plan.group_sources, pks)
     else:
         groups = {(): pks}
-    keys = sorted(groups, key=lambda k: tuple(_sort_key(v) for v in k))
+    keys = sorted(groups, key=group_order)
     members = [groups[key] for key in keys]
     columns = [
         [key[item.group_index] for key in keys] if item.kind == "group"
@@ -961,6 +968,33 @@ def _execute_with(wh: Warehouse, plan: QueryPlan, rg) -> list[tuple]:
         for item in plan.items
     ]
     return list(zip(*columns))
+
+
+def pinned_rg(wh: Warehouse, rg) -> tuple[int, ...]:
+    """A reconstruction group the caller pinned, ascending: MissingShare
+    unless it has t members, CspUnavailable for an unknown or failed one."""
+    rg = tuple(sorted(set(rg)))
+    if len(rg) != wh.km.t:
+        raise MissingShare(f"reconstruction group must have t={wh.km.t} members")
+    for i in rg:
+        if i not in wh.csps or not wh.csps[i].alive:
+            raise CspUnavailable(f"CSP {i} in reconstruction group is failed")
+    return rg
+
+
+def with_rg(wh: Warehouse, rg, read):
+    """read(group) through the pinned rg (checked by pinned_rg), whose
+    first signature mismatch is fatal; without one, through
+    wh.rg_candidates() in turn until one verifies."""
+    if rg is not None:
+        return read(pinned_rg(wh, rg))
+    last_error = None
+    for candidate in wh.rg_candidates():
+        try:
+            return read(candidate)
+        except InnerSignatureMismatch as exc:
+            last_error = exc
+    raise last_error
 
 
 def headers(plan: QueryPlan) -> list[str]:
@@ -976,18 +1010,4 @@ def execute(wh: Warehouse, plan_or_text, rg=None) -> tuple[list[str], list[tuple
     qplan = plan_or_text
     if isinstance(plan_or_text, str):
         qplan = plan(parse(plan_or_text), wh)
-    if rg is not None:
-        rg = tuple(sorted(set(rg)))
-        if len(rg) != wh.km.t:
-            raise MissingShare(f"reconstruction group must have t={wh.km.t} members")
-        for i in rg:
-            if i not in wh.csps or not wh.csps[i].alive:
-                raise CspUnavailable(f"CSP {i} in reconstruction group is failed")
-        return headers(qplan), _execute_with(wh, qplan, rg)
-    last_error = None
-    for candidate in wh.rg_candidates():
-        try:
-            return headers(qplan), _execute_with(wh, qplan, candidate)
-        except InnerSignatureMismatch as exc:
-            last_error = exc
-    raise last_error
+    return headers(qplan), with_rg(wh, rg, lambda candidate: _execute_with(wh, qplan, candidate))

@@ -21,7 +21,8 @@ Reading folds the same way (`linear_rows`): for a storage group, a
 reconstruction group and a target abscissa, f there is a dot product of
 the donors' stored shares plus one pk term for the pseudo shares, and the
 signature test is a second dot product that must vanish, so reconstruction
-and recovery run a column of values at a time (`solve_column`).
+and recovery run a column of values at a time (`solve_column`), and
+share-space SUMs are checked through the same row (`solve_sums`).
 
 Storage groups always have n-t+2 members and reconstruction groups t, so
 at least two reconstruction members hold stored shares of every record.
@@ -45,7 +46,7 @@ from .errors import (
     OutOfRange,
     SchemaMismatch,
 )
-from .field import interpolate_at, lagrange_weights
+from .field import lagrange_weights
 from .keyed import KeyMaterial
 
 _EPOCH = _date(1970, 1, 1)
@@ -254,17 +255,29 @@ def select_storage_group(
 
 
 @lru_cache(maxsize=1024)
+def pinned_coefficients(basis: tuple, extra_xs: tuple[int, ...], members: Sequence[int]
+                        ) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(i, A_i, L_i) per provider i of members: at i's abscissa, the
+    polynomial through (K_d, d), (K_s, HE1(d)) and ordinates e_j at
+    extra_xs (a stored share's left-out CSPs, a cube cell's fillers) is
+    (A_i*d + sum(L_ij * e_j)) % p. basis is KeyMaterial.share_basis."""
+    p, x_kd, x_ks, he1_scalar, per_csp = basis
+    xs = (x_kd, x_ks, *extra_xs)
+    out = []
+    for i in members:
+        w = lagrange_weights(xs, per_csp[i - 1][0], p)
+        out.append((i, (w[0] + w[1] * he1_scalar) % p, w[2:]))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
 def _share_coefficients(basis: tuple, sg: frozenset[int],
                         ug: frozenset[int]) -> tuple[tuple[int, int, int], ...]:
-    p, x_kd, x_ks, he1_scalar, per_csp = basis
+    p, per_csp = basis[0], basis[4]
     ug = sorted(ug)
-    xs = (x_kd, x_ks, *(per_csp[u - 1][0] for u in ug))
-    out = []
-    for i in sorted(sg):
-        w = lagrange_weights(xs, per_csp[i - 1][0], p)
-        b = sum(wu * per_csp[u - 1][1] for wu, u in zip(w[2:], ug))
-        out.append((i, (w[0] + w[1] * he1_scalar) % p, b % p))
-    return tuple(out)
+    multipliers = [per_csp[u - 1][1] for u in ug]
+    pinned = pinned_coefficients(basis, tuple(per_csp[u - 1][0] for u in ug), tuple(sorted(sg)))
+    return tuple((i, a, sum(map(mul, w, multipliers)) % p) for i, a, w in pinned)
 
 
 def share_coefficients(group: StorageGroup, km: KeyMaterial) -> tuple[tuple[int, int, int], ...]:
@@ -383,15 +396,18 @@ def solve_column(rows: LinearRows, pks: Sequence[int], columns, sg, rg, km: KeyM
     return out
 
 
-def checked_data_point(xs: tuple[int, ...], ys: Sequence[int], km: KeyMaterial,
-                       what: str) -> int:
-    """d = f(HF1(K_d)) of the polynomial through (xs, ys), accepted only
-    when f(HF1(K_s)) equals HE1(d); raises InnerSignatureMismatch otherwise."""
-    d = interpolate_at(xs, ys, km.x_kd, km.p)
-    s = interpolate_at(xs, ys, km.x_ks, km.p)
-    if s != km.he1(d):
-        raise InnerSignatureMismatch(f"{what}: signature point {s} != HE1({d})")
-    return d
+def solve_sums(rg: Sequence[int], sums, km: KeyMaterial, what: str) -> list[int]:
+    """d = f(HF1(K_d)) of each summed polynomial from its shares at rg
+    (ascending), through linear_rows(rg, rg, K_d), which has no pk term;
+    InnerSignatureMismatch naming what unless its check row vanishes."""
+    rows = linear_rows(rg, rg, km.x_kd, km)
+    p, weights, check = km.p, rows.weights, rows.check
+    out = []
+    for ys in sums:
+        if sum(map(mul, check, ys)) % p:
+            raise _mismatch(rg, rg, ys, 0, km, what)
+        out.append(sum(map(mul, weights, ys)) % p)
+    return out
 
 
 def _donor_shares(rows: LinearRows, fetched: Mapping[int, int]) -> list[int]:

@@ -830,17 +830,6 @@ class Warehouse:
             else:
                 self.type2.remove(schema.table, col.name, pk)
 
-    # index server passthroughs
-
-    def type2_lookup(self, table: str, attr: str, op: str, operand) -> set[int]:
-        return self.type2.lookup(table, attr, op, operand)
-
-    def type2_aggregate(self, table: str, attr: str, fn: str, pks) -> int:
-        return self.type2.aggregate(table, attr, fn, pks)
-
-    def type1_pseudo_sum(self, table: str, pks, i: int) -> int:
-        return self.type1.pseudo_sum(table, pks, i, self.km.p)
-
     # reconstruction
 
     def _buckets(self, table: str, pks) -> dict[str, tuple[list[int], list[int]]]:

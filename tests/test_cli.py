@@ -1,4 +1,5 @@
 import datetime
+import hashlib
 import os
 import subprocess
 import sys
@@ -264,6 +265,24 @@ def test_cube_build_query_refresh(loaded, capsys):
     assert out.splitlines()[1] == "2014,50.25,2,25.125"
 
 
+def test_cube_query_rotates_past_a_tampered_cell_share(loaded, capsys):
+    assert run(loaded, "cube", "build", "by_year", capsys=capsys)[0] == 0
+    args = ("cube", "query", "by_year", "--level", "yearid")
+    code, before, _ = run(loaded, *args, capsys=capsys)
+    assert code == 0
+    wh = cli._open_warehouse(load_config(loaded / "fvss.ini"))
+    years, categories = (wh.type2.value_map("cube:by_year", a) for a in ("yearid", "category"))
+    pk = min(pk for pk in years if pk not in categories)
+    rg = wh.choose_rg()
+    assert run(loaded, "tamper", str(rg[0]), "cube:by_year", str(pk), "sum_price",
+               capsys=capsys)[0] == 0
+    assert run(loaded, *args, capsys=capsys) == (0, before, "")
+    code, _, err = run(loaded, *args, "--rg", ",".join(map(str, rg)), capsys=capsys)
+    assert code == 2 and "InnerSignatureMismatch" in err
+    code, _, err = run(loaded, *args, "--rg", "1,2,3,9", capsys=capsys)
+    assert code == 3 and "CspUnavailable: CSP 9" in err
+
+
 def test_cube_build_twice_fails(loaded, capsys):
     run(loaded, "cube", "build", "by_year")
     code, _, err = run(loaded, "cube", "build", "by_year", capsys=capsys)
@@ -282,6 +301,58 @@ def test_cube_build_needs_every_csp(loaded, capsys):
     code, _, err = run(loaded, "cube", "build", "by_year", capsys=capsys)
     assert code == 3
     assert "CspUnavailable" in err
+
+
+# a whole session, pinned byte for byte
+
+SESSION_MORE_CSV = """\
+SaleNo,ProdNo,yearid,monthid,price,qty,paid,day
+4,10,2014,3,45.00,3,true,2014-03-02
+5,12,2015,1,7.10,2,false,2015-01-09
+"""
+
+JOIN = "FROM Sales JOIN Product ON Sales.ProdNo = Product.ProdNo"
+
+SESSION = (
+    ("init",),
+    ("share", "Product", "{site}/products.csv"),
+    ("share", "Sales", "{site}/sales.csv"),
+    ("query", "SELECT SUM(price), COUNT(*) FROM Sales"),
+    ("query", "SELECT yearid, SUM(qty), AVG(price) FROM Sales GROUP BY yearid"),
+    ("query", f"SELECT category, SUM(price), COUNT(qty) {JOIN} GROUP BY category"),
+    ("query", f"SELECT SaleNo, price, qty, paid, day, pname {JOIN} WHERE yearid >= 2013"),
+    ("query", "SELECT VAR(price), MAX(qty), MEDIAN(price) FROM Sales WHERE monthid <= 2",
+     "--output", "csv"),
+    ("cube", "build", "by_year"),
+    ("cube", "query", "by_year", "--level", "yearid"),
+    ("cube", "query", "by_year", "--level", "yearid,category", "--output", "csv"),
+    ("share", "Sales", "{site}/more.csv"),
+    ("cube", "refresh", "by_year", "--new", "4,5"),
+    ("cube", "query", "by_year", "--level", "yearid", "--output", "csv"),
+    ("cube", "query", "by_year", "--level", "yearid,category", "--where", "yearid=2014"),
+    ("verify",),
+    ("tamper", "2", "Sales", "1", "price"),
+    ("verify",),
+    ("query", "SELECT SUM(price) FROM Sales", "--rg", "1,2,3,4"),
+    ("query", "SELECT SUM(price) FROM Sales"),
+    ("recover", "2"),
+    ("verify",),
+)
+
+# sha256 of the session's argv, exit codes, stdout and stderr, with the
+# site directory written as {site}
+SESSION_DIGEST = "8c9aebed99a9b2fe061d6281735cb1f8144ad6e9578d089d2b346ea39ac6b3ce"
+
+
+def test_golden_cli_session(site, capsys):
+    (site / "more.csv").write_text(SESSION_MORE_CSV)
+    digest = hashlib.sha256()
+    for argv in SESSION:
+        code = run(site, *(a.replace("{site}", str(site)) for a in argv))[0]
+        out, err = capsys.readouterr()
+        out, err = (text.replace(str(site), "{site}") for text in (out, err))
+        digest.update(repr((argv, code, out, err)).encode())
+    assert digest.hexdigest() == SESSION_DIGEST
 
 
 # locking

@@ -23,13 +23,14 @@ from fvss.cube import (
 from fvss.errors import (
     CspUnavailable,
     InnerSignatureMismatch,
+    MissingShare,
     NotIndexed,
     SchemaMismatch,
     UnknownRecordPosition,
     UnknownTable,
     UnsupportedFeature,
 )
-from fvss.query import parse
+from fvss.query import execute, parse
 from fvss.sharing import RECONSTRUCTIONS, Column, Schema, group_from_bitmap
 from fvss.store import Warehouse
 
@@ -321,6 +322,77 @@ def test_reads_survive_one_failed_provider(built, oracle_base):
         built.heal(2)
 
 
+def _year_cell(wh, spec):
+    """The pk of a cube cell at the (yearid,) level."""
+    table = cube_table(spec)
+    years = wh.type2.value_map(table, "yearid")
+    finer = [wh.type2.value_map(table, c.name) for c in cube_schema(wh, spec).columns[2:5]]
+    return min(pk for pk in years if not any(pk in vm for vm in finer))
+
+
+def test_query_rotates_past_a_tampered_cell_share(km_big):
+    """One provider of the cheapest reconstruction group holds a wrong
+    share of one cell's SUM: an unpinned slice rotates past it to the
+    untampered rows, a pinned group holding it fails loudly."""
+    wh = fill_warehouse(km_big, SALES_BASE)
+    cube_build(wh, SPEC)
+    want = cube_query(wh, SPEC, ("yearid",))
+    rg = wh.choose_rg()
+    wh.inject_tamper(rg[0], cube_table(SPEC), _year_cell(wh, SPEC), "sum_price")
+    assert cube_query(wh, SPEC, ("yearid",)) == want
+    with pytest.raises(InnerSignatureMismatch):
+        cube_query(wh, SPEC, ("yearid",), rg=rg)
+
+
+def _cube_state(wh, table):
+    """Type I pks and every provider's stored cells of a cube table."""
+    return (wh.type1.pks(table), [
+        [(r.pk, dict(r.shares)) for r in wh.csps[i].tables[table]] for i in sorted(wh.csps)
+    ])
+
+
+# a pinned reconstruction group, the providers failed first, and the
+# error a query pinned to it raises
+BAD_RGS = [
+    ((1, 2, 3, 9), (), CspUnavailable),
+    ((1, 2, 3), (), MissingShare),
+    ((1, 2, 3, 4), (2,), CspUnavailable),
+]
+
+
+def test_explicit_rg_is_checked_before_any_write(km_big):
+    """An rg passed to cube_build or cube_refresh raises what a query
+    pinned to it raises before the cube table is created or a cell is
+    written, so a retry without it succeeds."""
+    wh = fill_warehouse(km_big, SALES_BASE)
+    table = cube_table(SPEC)
+    for rg, failed, err in BAD_RGS:
+        for i in failed:
+            wh.inject_failure(i)
+        with pytest.raises(err):
+            execute(wh, "SELECT SUM(price) FROM Sales", rg=rg)
+        with pytest.raises(err):
+            cube_build(wh, SPEC, rg=rg)
+        for i in failed:
+            wh.heal(i)
+        assert table not in wh.schemas
+        assert all(table not in csp.pks for csp in wh.csps.values())
+    assert cube_build(wh, SPEC) == 39
+
+    new = [SALES_EXTRA[0]["SaleNo"]]
+    wh.insert("Sales", SALES_EXTRA[0])
+    before = _cube_state(wh, table)
+    for rg, failed, err in BAD_RGS:
+        for i in failed:
+            wh.inject_failure(i)
+        with pytest.raises(err):
+            cube_refresh(wh, SPEC, new, rg=rg)
+        for i in failed:
+            wh.heal(i)
+        assert _cube_state(wh, table) == before
+    assert cube_refresh(wh, SPEC, new) > 0
+
+
 def test_build_needs_every_provider(km_big):
     wh = fill_warehouse(km_big, SALES_BASE)
     wh.inject_failure(4)
@@ -537,18 +609,12 @@ def test_refresh_rejects_a_null_dimension_before_writing(km_big):
     wh = fill_warehouse(km_big, SALES_BASE)
     cube_build(wh, SPEC)
     table = cube_table(SPEC)
-
-    def cube_state():
-        return (wh.type1.pks(table), [
-            [(r.pk, dict(r.shares)) for r in wh.csps[i].tables[table]] for i in sorted(wh.csps)
-        ])
-
-    before = cube_state()
+    before = _cube_state(wh, table)
     wh.insert("Sales", SALES_EXTRA[0])   # a valid fact, refreshed first
     wh.insert("Sales", _sale(99, 12, 2015, None, 100, 8, 1))
     with pytest.raises(SchemaMismatch, match="NULL dimension"):
         cube_refresh(wh, SPEC, [SALES_EXTRA[0]["SaleNo"], 99])
-    assert cube_state() == before
+    assert _cube_state(wh, table) == before
 
 
 def test_cube_for_unknown_fact_table(km_big):

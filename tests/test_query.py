@@ -314,7 +314,7 @@ def test_sum_share_points_lie_on_one_polynomial(km_toy):
     points = []
     for i in range(1, 6):
         a = wh.csps[i].share_sum("t", "x", pks)
-        a = (a + km.he2(wh.type1_pseudo_sum("t", pks, i), km.id_of(i))) % km.p
+        a = (a + km.he2(wh.type1.pseudo_sum("t", pks, i, km.p), km.id_of(i))) % km.p
         points.append((km.x_id(i), a))
     coeffs = interpolate_gauss(points[:4], km.p)
     assert len(coeffs) <= 4
@@ -502,6 +502,20 @@ def test_null_marker_disagreement_never_drops_a_record(km_big):
                 execute(wh, text, rg=rg)
         else:
             assert execute(wh, text, rg=rg)[1] == [(100, 10)]
+
+
+def test_null_marker_liars_name_the_smallest_pk(km_big):
+    """Two records whose NULL marks disagree: the error names the smaller
+    pk, whatever order the set of NULL pks iterates in."""
+    wh = _flat(km_big, [{"pk": i, "q": 10} for i in range(1, 11)], (Column("q", "int"),))
+    liars = set()
+    for pk in (9, 2):
+        liar = min(group_from_bitmap(wh.type1.bitmap("t", pk)).sg)
+        report_null(wh, liar, "t", pk, "q")
+        liars.add(liar)
+    rg = next(rg for rg in wh.rg_candidates() if liars <= set(rg))
+    with pytest.raises(InnerSignatureMismatch, match="pk 2 of t: NULL marks of q"):
+        execute(wh, "SELECT SUM(q) FROM t", rg=rg)
 
 
 def _null_pks_calls(wh, monkeypatch, text):

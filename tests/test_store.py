@@ -70,7 +70,8 @@ def test_pseudo_sum_partition_identity(km_toy):
     total = sum(pks)
     for i in range(1, 6):
         stored = sum(pk for pk in pks if wh.type1.bitmap("product", pk)[i - 1] == "1")
-        assert (wh.type1_pseudo_sum("product", pks, i) + stored) % km_toy.p == total % km_toy.p
+        pseudo = wh.type1.pseudo_sum("product", pks, i, km_toy.p)
+        assert (pseudo + stored) % km_toy.p == total % km_toy.p
 
 
 def test_popcount_matches_group_size(km_toy):
@@ -86,7 +87,7 @@ def test_popcount_matches_group_size(km_toy):
 def test_lookup_predicates(km_toy):
     wh = _warehouse(km_toy)
     wh.load_rows("product", _rows())
-    look = wh.type2_lookup
+    look = wh.type2.lookup
     assert look("product", "price", "=", 20) == {125}
     assert look("product", "price", "=", 33) == set()
     assert look("product", "price", "<", 75) == {125, 127}
@@ -113,29 +114,29 @@ def test_lookup_matches_brute_force(km_toy):
         operand = {"=": 50, "<": 30, ">=": 70, "between": (20, 40),
                    "in": (3, 99, 55)}[op]
         want = {pk for pk, v in plain.items() if pred(v)}
-        assert wh.type2_lookup("r", "v", op, operand) == want
+        assert wh.type2.lookup("r", "v", op, operand) == want
 
 
 def test_lookup_unindexed_raises(km_toy):
     wh = Warehouse(km_toy, w=3, bias=0)
     wh.create_table(Schema("x", (Column("id", "key"), Column("v", "int"))))
     with pytest.raises(NotIndexed):
-        wh.type2_lookup("x", "v", "=", 1)
+        wh.type2.lookup("x", "v", "=", 1)
 
 
 def test_string_index_and_null_absent(km_toy):
     wh = _warehouse(km_toy)
     wh.load_rows("product", _rows())
-    assert wh.type2_lookup("product", "prodName", "=", "Hat") == {126}
+    assert wh.type2.lookup("product", "prodName", "=", "Hat") == {126}
     # 127 has a null name: absent from every predicate result
-    assert wh.type2_lookup("product", "prodName", ">=", "") == {124, 125, 126}
+    assert wh.type2.lookup("product", "prodName", ">=", "") == {124, 125, 126}
 
 
 def test_index_aggregates(km_toy):
     wh = _warehouse(km_toy)
     wh.load_rows("product", _rows())
     pks = set(wh.type1.pks("product"))
-    agg = wh.type2_aggregate
+    agg = wh.type2.aggregate
     assert agg("product", "price", "max", pks) == 126
     assert agg("product", "price", "min", pks) == 127
     assert agg("product", "price", "count", pks) == 4
@@ -156,7 +157,7 @@ def test_median_matches_sort_oracle(km_toy):
     wh.load_rows("m", rows)
     ranked = sorted((r["v"], r["id"]) for r in rows)
     want = ranked[(len(ranked) - 1) // 2][1]
-    assert wh.type2_aggregate("m", "v", "median", {r["id"] for r in rows}) == want
+    assert wh.type2.aggregate("m", "v", "median", {r["id"] for r in rows}) == want
 
 
 def test_order_key_kinds():
@@ -196,8 +197,8 @@ def test_update_in_place_same_group(km_toy):
     rec = wh.reconstruct_record("product", 124)
     assert rec["qty"] == 99 and rec["price"] == Fraction(8)
     # index reflects the new value, old key gone
-    assert wh.type2_lookup("product", "price", "=", 80) == {124}
-    assert wh.type2_lookup("product", "price", "=", 75) == set()
+    assert wh.type2.lookup("product", "price", "=", 80) == {124}
+    assert wh.type2.lookup("product", "price", "=", 75) == set()
     # per-CSP slice length unchanged: update, not append
     for i in range(1, 6):
         assert len(wh.csps[i].tables["product"]) == sum(
@@ -213,7 +214,7 @@ def test_update_null_transitions(km_toy):
     assert wh.reconstruct_value("product", 126, "qty") == 5
     wh.insert("product", dict(ProdNo=126, prodName="Hat", price=9.9, qty=None))
     assert wh.reconstruct_value("product", 126, "qty") is None
-    assert wh.type2_lookup("product", "qty", ">=", -10**6) == {124, 125, 127}
+    assert wh.type2.lookup("product", "qty", ">=", -10**6) == {124, 125, 127}
 
 
 def test_update_with_failed_group_member_refused(km_toy):
