@@ -22,8 +22,12 @@ found through the record index.
 Build and refresh work one lattice level at a time: the cells of a
 level are disjoint groups of fact records, so each measure is evaluated
 over all of them at once by query.aggregate_groups, the share-space
-primitive queries use, as are dimension routes, cell order and the
-reconstruction-group policy: slices rotate past a failed signature.
+primitive queries use, as are dimension routes and cell order. Every
+read of a level, and every slice, goes through Warehouse.read_through:
+a pinned reconstruction group fails on its first signature mismatch,
+otherwise groups rotate past it. A refresh reads every level before it
+writes any cell, and cube rows reach the providers through the
+warehouse's one append path.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import hmac
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from operator import mul
 from typing import NamedTuple
@@ -45,8 +49,8 @@ from .errors import (
     UnsupportedFeature,
 )
 from .keyed import KeyMaterial
-from .sharing import Column, Schema, encode, pinned_coefficients
-from .store import StoredRecord, Warehouse, display_value, order_key
+from .sharing import Column, Schema, ShareBundle, encode, group_from_bitmap, pinned_coefficients
+from .store import Warehouse, display_value, order_key
 from .query import (
     BIAS_TERMS,
     GroupSource,
@@ -56,11 +60,9 @@ from .query import (
     group_pks,
     group_source,
     pair_column,
-    pinned_rg,
     present_pks,
     share_space_sums,
     summed_pks,
-    with_rg,
 )
 
 MEASURE_FNS = ("sum", "count", "min", "max", "avg")
@@ -275,32 +277,17 @@ def _share_cell_value(wh: Warehouse, table: str, pk: int, col: Column, value):
     }
 
 
-def _share_cube_row(wh: Warehouse, schema: Schema, pk: int, row: dict):
-    """(pk, row, each provider's record) of one cube row."""
-    shared = {
-        col.name: _share_cell_value(wh, schema.table, pk, col, row.get(col.name))
-        for col in schema.columns[1:]
+def _cube_rows(wh: Warehouse, schema: Schema, first_pk: int, rows) -> dict:
+    """Warehouse.append's pending records of cube rows numbered from
+    first_pk: each row and its ShareBundle over all n providers."""
+    group = group_from_bitmap("1" * wh.km.n)
+    return {
+        pk: (row, ShareBundle(pk, group, {}, {
+            col.name: _share_cell_value(wh, schema.table, pk, col, row.get(col.name))
+            for col in schema.columns[1:]
+        }))
+        for pk, row in enumerate(rows, first_pk)
     }
-    records = {
-        i: StoredRecord(pk, {}, {
-            attr: (None if per_csp is None else per_csp[i])
-            for attr, per_csp in shared.items()
-        })
-        for i in sorted(wh.csps)
-    }
-    return pk, row, records
-
-
-def _put_cube_rows(wh: Warehouse, schema: Schema, shared_rows):
-    """Append shared cube rows, in order, with one call per provider, then
-    set their Type I bitmaps and Type II keys in the same order."""
-    if not shared_rows:
-        return
-    for i in sorted(wh.csps):
-        wh.csps[i].put_shared_records(schema, [recs[i] for _, _, recs in shared_rows])
-    for pk, row, _ in shared_rows:
-        wh.type1.set(schema.table, pk, "1" * wh.km.n)
-        wh._index_row(schema, pk, row)
 
 
 def _require_all_alive(wh: Warehouse):
@@ -378,27 +365,28 @@ def _level_rows(wh: Warehouse, spec: CubeSpec, dims, stored, groups: dict, cells
 
 def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
     """Aggregate every lattice cell through the share-space query paths,
-    one level at a time, and store the cube at all n providers. Returns
-    the number of cells. A pinned rg is checked before anything is written."""
+    one level at a time, each level's reads through wh.read_through, and
+    store the cube at all n providers. Returns the number of cells. A
+    pinned rg is checked before anything is written."""
     _require_all_alive(wh)
-    rg = pinned_rg(wh, rg) if rg is not None else wh.choose_rg()
+    if rg is not None:
+        wh.pinned_rg(rg)
     schema = cube_schema(wh, spec)
     dims = [col for col, _ in _dim_sources(wh, spec)]
     stored = _storage_measures(spec, wh.schemas[spec.table])
     wh.create_table(schema, index_attrs=tuple(col.name for col in dims))
 
     by_key = _fact_keys(wh, spec, wh.type1.pks(spec.table))
-    shared_rows = []
+    rows = []
     try:
         for combo in _lattice(spec):
             groups = _cells(by_key, _active_flags(spec, combo))
-            for row in _level_rows(wh, spec, dims, stored, groups,
-                                   sorted(groups, key=group_order), rg):
-                shared_rows.append(_share_cube_row(wh, schema, len(shared_rows) + 1, row))
+            rows += wh.read_through(rg, partial(_level_rows, wh, spec, dims, stored, groups,
+                                                sorted(groups, key=group_order)))
     finally:
         # the levels before a failing one are stored whole
-        _put_cube_rows(wh, schema, shared_rows)
-    return len(shared_rows)
+        wh.append(schema, _cube_rows(wh, schema, 1, rows))
+    return len(rows)
 
 
 # refresh
@@ -443,17 +431,15 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     cells are reconstructed, incremented and re-shared, and MAX/MIN cells
     re-share the extremal record found through the record index. Returns
     the number of touched or created cells. Providers that disagree on a
-    new record's NULL marker raise InnerSignatureMismatch. A pinned rg is
-    checked before anything is written.
+    new record's NULL marker raise InnerSignatureMismatch. Every level is
+    read, through wh.read_through, before any cell is written, so a
+    refresh that raises leaves the cube as it was.
     """
     _require_all_alive(wh)
-    rg = pinned_rg(wh, rg) if rg is not None else wh.choose_rg()
     table = cube_table(spec)
     if table not in wh.schemas:
         raise UnknownTable(table)
     new_pks = sorted(set(new_pks))
-    if not new_pks:
-        return 0
     unknown = [pk for pk in new_pks if not wh.type1.has(spec.table, pk)]
     if unknown:
         raise UnknownRecordPosition(f"not fact records: {unknown}")
@@ -463,36 +449,42 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
 
     new_keys = _fact_keys(wh, spec, new_pks)
     # MIN/MAX cells are re-derived from every member, old facts included
-    all_keys = None
-    if any(sm.agg.fn in ("min", "max") for sm in stored):
+    all_keys = {}
+    if new_pks and any(sm.agg.fn in ("min", "max") for sm in stored):
         all_keys = _fact_keys(wh, spec, wh.type1.pks(spec.table))
     cells = _cells_by_key(wh, spec)
-    next_pk = max(wh.type1.pks(table), default=0)
-    touched = 0
-
+    touched, rows, changes = 0, [], []
     for combo in _lattice(spec):
         flags = _active_flags(spec, combo)
         new_groups = _cells(new_keys, flags)
         order = sorted(new_groups, key=group_order)
         touched += len(order)
-        known = [cell for cell in order if cell in cells]
-        rows = iter(_level_rows(wh, spec, dims, stored, new_groups,
-                                [cell for cell in order if cell not in cells], rg))
-        all_groups = {} if all_keys is None else _cells(all_keys, flags)
-        changes = iter(_cell_changes(
-            wh, spec, stored, [cells[cell] for cell in known],
-            [new_groups[cell] for cell in known], [all_groups.get(cell) for cell in known], rg,
+        level_rows, level_changes = wh.read_through(rg, partial(
+            _level_changes, wh, spec, dims, stored, cells, new_groups,
+            _cells(all_keys, flags), order,
         ))
-        # cells are written in order, new ones appended as they come
-        for cell in order:
-            if cell not in cells:
-                next_pk += 1
-                _put_cube_rows(wh, schema, [_share_cube_row(wh, schema, next_pk, next(rows))])
-                continue
-            deltas, replacements = next(changes)
-            if deltas or replacements:
-                _apply_share_deltas(wh, schema, cells[cell], deltas, replacements)
+        rows += level_rows
+        changes += level_changes
+    # new cells are numbered in level and cell order
+    wh.append(schema, _cube_rows(wh, schema, max(wh.type1.pks(table), default=0) + 1, rows))
+    for cell_pk, (deltas, replacements) in changes:
+        if deltas or replacements:
+            _apply_share_deltas(wh, schema, cell_pk, deltas, replacements)
     return touched
+
+
+def _level_changes(wh: Warehouse, spec: CubeSpec, dims, stored, cells, new_groups,
+                   all_groups, order, rg) -> tuple[list[dict], list]:
+    """One lattice level's reads for a refresh: the rows of its new cells
+    and (cell pk, (deltas, replacements)) of its existing ones, each in
+    order."""
+    known = [cell for cell in order if cell in cells]
+    rows = _level_rows(wh, spec, dims, stored, new_groups,
+                       [cell for cell in order if cell not in cells], rg)
+    cell_pks = [cells[cell] for cell in known]
+    changes = _cell_changes(wh, spec, stored, cell_pks, [new_groups[cell] for cell in known],
+                            [all_groups.get(cell) for cell in known], rg)
+    return rows, list(zip(cell_pks, changes))
 
 
 def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, cell_pks, members_new,
@@ -593,7 +585,7 @@ def cube_query(wh: Warehouse, spec: CubeSpec, level, where=(), rg=None):
             out += columns
         return out
 
-    values = with_rg(wh, rg, measures)
+    values = wh.read_through(rg, measures)
     rows = [
         tuple(display_value(maps[a].get(pk), by_name[a]) for a in level)
         + tuple(column[k] for column in values)

@@ -13,7 +13,10 @@ shares): each provider of the reconstruction group gets one NULL-mark
 and one share-sum request per column whatever the number of groups,
 each group's SUM still passes its own inner-signature check, and the
 MAX/MIN/MEDIAN records of all groups are reconstructed in one batch.
-Routes, group order and the reconstruction-group policy are cube's too.
+Routes and group order are cube's too. Which providers a read uses is
+the warehouse's decision (Warehouse.read_through): a query pinned to a
+reconstruction group fails on its first signature mismatch, otherwise it
+rotates to the next group.
 
 Grammar, roughly::
 
@@ -42,10 +45,8 @@ from fractions import Fraction
 from operator import add, eq, ge, gt, le, lt, ne, sub
 
 from .errors import (
-    CspUnavailable,
     EmptyInput,
     InnerSignatureMismatch,
-    MissingShare,
     MissingTypeThreeColumn,
     NotIndexed,
     QuerySyntaxError,
@@ -970,33 +971,6 @@ def _execute_with(wh: Warehouse, plan: QueryPlan, rg) -> list[tuple]:
     return list(zip(*columns))
 
 
-def pinned_rg(wh: Warehouse, rg) -> tuple[int, ...]:
-    """A reconstruction group the caller pinned, ascending: MissingShare
-    unless it has t members, CspUnavailable for an unknown or failed one."""
-    rg = tuple(sorted(set(rg)))
-    if len(rg) != wh.km.t:
-        raise MissingShare(f"reconstruction group must have t={wh.km.t} members")
-    for i in rg:
-        if i not in wh.csps or not wh.csps[i].alive:
-            raise CspUnavailable(f"CSP {i} in reconstruction group is failed")
-    return rg
-
-
-def with_rg(wh: Warehouse, rg, read):
-    """read(group) through the pinned rg (checked by pinned_rg), whose
-    first signature mismatch is fatal; without one, through
-    wh.rg_candidates() in turn until one verifies."""
-    if rg is not None:
-        return read(pinned_rg(wh, rg))
-    last_error = None
-    for candidate in wh.rg_candidates():
-        try:
-            return read(candidate)
-        except InnerSignatureMismatch as exc:
-            last_error = exc
-    raise last_error
-
-
 def headers(plan: QueryPlan) -> list[str]:
     return [item.header for item in plan.items]
 
@@ -1010,4 +984,4 @@ def execute(wh: Warehouse, plan_or_text, rg=None) -> tuple[list[str], list[tuple
     qplan = plan_or_text
     if isinstance(plan_or_text, str):
         qplan = plan(parse(plan_or_text), wh)
-    return headers(qplan), with_rg(wh, rg, lambda candidate: _execute_with(wh, qplan, candidate))
+    return headers(qplan), wh.read_through(rg, lambda group: _execute_with(wh, qplan, group))

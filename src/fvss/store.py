@@ -16,7 +16,9 @@ the clear there. The sets and maps live in memory only: they are
 maintained on every write and rebuilt on load, so filtered aggregates
 cost time in the size of the filter, not of the table.
 `Warehouse.load_rows` is the one write path: new records reach each
-provider in one append per APPEND_ROWS.
+provider in one append per APPEND_ROWS, through `Warehouse.append`, which
+cube cells use too. Every read picks its providers through
+`Warehouse.read_through`.
 
 On disk (all integers decimal text):
     <root>/csp<i>/<table>.shares     tab-separated records, share lists
@@ -686,14 +688,34 @@ class Warehouse:
     def choose_rg(self, exclude=()) -> tuple[int, ...]:
         return next(self.rg_candidates(exclude))
 
-    def _validate_rg(self, rg) -> tuple[int, ...]:
+    def pinned_rg(self, rg) -> tuple[int, ...]:
+        """A reconstruction group a caller pinned, ascending: MissingShare
+        unless it has t members, CspUnavailable naming an unknown or a
+        failed member."""
         rg = tuple(sorted(set(rg)))
+        if len(rg) != self.km.t:
+            raise MissingShare(f"reconstruction group must have t={self.km.t} members")
         for i in rg:
             if i not in self.csps:
-                raise UnknownParticipant(f"no CSP {i}")
+                raise CspUnavailable(f"CSP {i} in reconstruction group is unknown")
             if not self.csps[i].alive:
                 raise CspUnavailable(f"CSP {i} in reconstruction group is failed")
         return rg
+
+    def read_through(self, rg, read):
+        """read(group), the one reconstruction-group policy of every read:
+        a pinned rg (checked by pinned_rg) makes its first signature
+        mismatch fatal; without one, rg_candidates() are tried in turn
+        until one verifies."""
+        if rg is not None:
+            return read(self.pinned_rg(rg))
+        last_error = None
+        for candidate in self.rg_candidates():
+            try:
+                return read(candidate)
+            except InnerSignatureMismatch as exc:
+                last_error = exc
+        raise last_error
 
     # schema registration
 
@@ -774,22 +796,25 @@ class Warehouse:
                 _refuse_empty_strings(schema, full)
                 pk = int(full[schema.key])
                 if pk in pending or self.type1.has(table, pk):
-                    self._append(schema, pending)
+                    self.append(schema, pending)
                     self._update(schema, pk, full)
                 else:
                     pending[pk] = full, share_record(
                         full, schema, self.weights, alive, self.km, bias=self.bias
                     )
                     if len(pending) >= APPEND_ROWS:
-                        self._append(schema, pending)
+                        self.append(schema, pending)
                 count += 1
         finally:
-            self._append(schema, pending)
+            self.append(schema, pending)
         return count
 
-    def _append(self, schema: Schema, pending: dict[int, tuple[dict, ShareBundle]]):
-        """Store the pending new records, emptying pending first so that a
-        failure here cannot store them twice."""
+    def append(self, schema: Schema, pending: dict[int, tuple[dict, ShareBundle]]):
+        """Store the pending new records (pk -> row, its ShareBundle), in
+        order, at their storage groups, then set their Type I bitmaps and
+        Type II keys; the one append path of base tables and cubes.
+        Empties pending first so that a failure here cannot store them
+        twice."""
         batch = list(pending.items())
         pending.clear()
         if not batch:
@@ -850,7 +875,7 @@ class Warehouse:
         values from the first donor, else the chunks at abscissa x solved
         from every donor's column (see solve_column). Donors that disagree
         on a NULL mark or chunk count raise disagreement: by default
-        InnerSignatureMismatch, so that a query rotates to another
+        InnerSignatureMismatch, so that read_through rotates to another
         reconstruction group, as it does when query.present_pks finds
         NULL marks that disagree."""
         sg = group_from_bitmap(bitmap).sg
@@ -881,24 +906,26 @@ class Warehouse:
         return out
 
     def reconstruct_values(self, table: str, attr: str, pks, rg=None) -> list:
-        """Fetch shares from rg and rebuild attr of each of pks, in order."""
+        """Fetch shares and rebuild attr of each of pks, in order, through
+        read_through: rg pins the group, else groups rotate past a value
+        that fails its inner signature."""
         schema = self._schema(table)
         col = schema.column(attr)
         pks = list(pks)
         buckets = self._buckets(table, pks)
-        rg = self._validate_rg(rg) if rg is not None else self.choose_rg()
-        return self._column(schema, col, pks, buckets, rg)
+        return self.read_through(rg, lambda group: self._column(schema, col, pks, buckets, group))
 
     def reconstruct_value(self, table: str, pk: int, attr: str, rg=None):
-        """Fetch shares from rg and rebuild one attribute's plaintext."""
+        """reconstruct_values of one pk."""
         return self.reconstruct_values(table, attr, [pk], rg)[0]
 
     def _reconstruct_rows(self, table: str, pks, rg) -> list[dict]:
         schema = self._schema(table)
-        rg = self._validate_rg(rg) if rg is not None else self.choose_rg()
         pks = list(pks)
         buckets = self._buckets(table, pks)
-        columns = [self._column(schema, col, pks, buckets, rg) for col in schema.columns]
+        columns = self.read_through(rg, lambda group: [
+            self._column(schema, col, pks, buckets, group) for col in schema.columns
+        ])
         names = [col.name for col in schema.columns]
         return [dict(zip(names, values)) for values in zip(*columns)]
 
@@ -964,20 +991,18 @@ class Warehouse:
         are one dot product with the donors' shares. Only then are its
         slices replaced and its signature trees reset, so a MissingShare,
         InnerSignatureMismatch or UnknownRecordPosition leaves the target
-        untouched. Returns the number of share chunks regenerated.
+        untouched. Returns the number of share chunks regenerated. A pinned
+        rg passes pinned_rg and must not hold the target; without one the
+        cheapest donors are used, without rotation.
         """
         if target not in self.csps:
             raise UnknownParticipant(f"no CSP {target}")
         if rg is None:
             rg = self.choose_rg(exclude=(target,))
         else:
-            rg = self._validate_rg(rg)
+            rg = self.pinned_rg(rg)
             if target in rg:
                 raise CspUnavailable(f"CSP {target} cannot donate to its own recovery")
-            if len(rg) != self.km.t:
-                raise NotEnoughAliveCsps(
-                    f"recovery needs t={self.km.t} donors, got {len(rg)}"
-                )
         x = self.km.x_id(target)
         regenerated = 0
         rebuilt = {}

@@ -352,7 +352,7 @@ def _cube_state(wh, table):
 
 
 # a pinned reconstruction group, the providers failed first, and the
-# error a query pinned to it raises
+# error every read pinned to it raises
 BAD_RGS = [
     ((1, 2, 3, 9), (), CspUnavailable),
     ((1, 2, 3), (), MissingShare),
@@ -391,6 +391,114 @@ def test_explicit_rg_is_checked_before_any_write(km_big):
             wh.heal(i)
         assert _cube_state(wh, table) == before
     assert cube_refresh(wh, SPEC, new) > 0
+
+
+# every entry point that reads through a reconstruction group, called
+# with a pinned one
+PINNED_READS = [
+    ("execute", lambda wh, rg: execute(wh, "SELECT SUM(price) FROM Sales", rg=rg)),
+    ("cube_query", lambda wh, rg: cube_query(wh, SPEC, ("yearid",), rg=rg)),
+    ("cube_build", lambda wh, rg: cube_build(wh, SUM_SPEC, rg=rg)),
+    ("cube_refresh", lambda wh, rg: cube_refresh(wh, SPEC, [11], rg=rg)),
+    ("reconstruct_values", lambda wh, rg: wh.reconstruct_values("Sales", "price", [1, 2], rg)),
+    ("reconstruct_values of the key",
+     lambda wh, rg: wh.reconstruct_values("Sales", "SaleNo", [1, 2], rg)),
+    ("reconstruct_record", lambda wh, rg: wh.reconstruct_record("Sales", 1, rg)),
+    ("reconstruct_table", lambda wh, rg: wh.reconstruct_table("Sales", rg)),
+    ("recover_csp_shares", lambda wh, rg: wh.recover_csp_shares(5, rg)),
+]
+
+
+def _provider_state(wh):
+    """Type I and every provider's slice of every table."""
+    return (
+        {table: dict(bitmaps) for table, bitmaps in wh.type1.entries.items()},
+        [[csp.slice_values(wh.schemas[table]) for table in wh.table_order]
+         for csp in wh.csps.values()],
+    )
+
+
+def test_every_read_checks_a_pinned_rg_alike(km_big):
+    """Every entry point that reads raises the same error for the same
+    bad pinned group, before it writes anything."""
+    wh = fill_warehouse(km_big, SALES_BASE)
+    cube_build(wh, SPEC)
+    wh.insert("Sales", SALES_EXTRA[0])
+    before = _provider_state(wh)
+    for rg, failed, err in BAD_RGS:
+        for name, read in PINNED_READS:
+            for i in failed:
+                wh.inject_failure(i)
+            try:
+                with pytest.raises(err):
+                    read(wh, rg)
+            finally:
+                for i in failed:
+                    wh.heal(i)
+            assert _provider_state(wh) == before, name
+
+
+def _tamper_in_cheapest_rg(wh, table, pk, attr):
+    """Tamper attr of pk at a member of the cheapest reconstruction group
+    that stores it; returns that group."""
+    rg = wh.choose_rg()
+    stored = group_from_bitmap(wh.type1.bitmap(table, pk)).sg
+    wh.inject_tamper(min(set(rg) & stored), table, pk, attr)
+    return rg
+
+
+def test_record_reads_rotate_past_a_tampered_share(km_big):
+    """An unpinned reconstruct_value or reconstruct_record reads past a
+    share that fails the inner signature, as a row query does; a pinned
+    group that holds it raises."""
+    wh = fill_warehouse(km_big, SALES_BASE)
+    rg = _tamper_in_cheapest_rg(wh, "Sales", 1, "price")
+    assert wh.reconstruct_value("Sales", 1, "price") == Fraction(50)
+    assert wh.reconstruct_record("Sales", 1) == SALES_BASE[0]
+    assert execute(wh, "SELECT price FROM Sales WHERE SaleNo = 1")[1] == [(Fraction(50),)]
+    with pytest.raises(InnerSignatureMismatch):
+        wh.reconstruct_value("Sales", 1, "price", rg=rg)
+    with pytest.raises(InnerSignatureMismatch):
+        wh.reconstruct_record("Sales", 1, rg=rg)
+
+
+def test_build_rotates_past_a_tampered_base_share(km_big):
+    """An unpinned build reads every level past a fact share that fails
+    the inner signature and stores the cube an untampered build stores."""
+    wh = fill_warehouse(km_big, SALES_BASE)
+    _tamper_in_cheapest_rg(wh, "Sales", 1, "price")
+    assert cube_build(wh, SPEC) == 39
+    whole = fill_warehouse(km_big, SALES_BASE)
+    cube_build(whole, SPEC)
+    table = cube_table(SPEC)
+    assert _cube_state(wh, table) == _cube_state(whole, table)
+
+
+def _cell(wh, spec, key):
+    """The pk of the cube cell with the given dimension tuple."""
+    table = cube_table(spec)
+    maps = [wh.type2.value_map(table, c.name) for c in cube_schema(wh, spec).columns[1:5]]
+    (pk,) = [pk for pk in wh.type1.pks(table) if tuple(vm.get(pk) for vm in maps) == key]
+    return pk
+
+
+def test_refresh_reads_every_level_before_writing(km_big):
+    """A refresh whose read fails at the finest level writes no cell, so
+    a retry through another group adds each new fact once."""
+    wh = fill_warehouse(km_big, SALES_BASE)
+    cube_build(wh, SPEC)
+    wh.insert("Sales", SALES_EXTRA[0])
+    table = cube_table(SPEC)
+    # the finest cell holding sale 11
+    wh.inject_tamper(1, table, _cell(wh, SPEC, (2014, 1, "apparel", 10)), "count_rows")
+    before = _cube_state(wh, table)
+    with pytest.raises(InnerSignatureMismatch):
+        cube_refresh(wh, SPEC, [11], rg=(1, 2, 3, 4))
+    assert _cube_state(wh, table) == before
+    cube_refresh(wh, SPEC, [11], rg=(2, 3, 4, 5))
+    oracle = plain_warehouse(SALES_BASE + SALES_EXTRA[:1])
+    for level in LEVELS:
+        assert cube_query(wh, SPEC, level)[1] == oracle.query(level_sql(level))
 
 
 def test_build_needs_every_provider(km_big):
