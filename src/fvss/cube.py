@@ -32,7 +32,6 @@ warehouse's one append path.
 
 from __future__ import annotations
 
-import hmac
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -49,7 +48,7 @@ from .errors import (
     UnsupportedFeature,
 )
 from .keyed import KeyMaterial
-from .sharing import Column, Schema, ShareBundle, encode, group_from_bitmap, pinned_coefficients
+from .sharing import Column, Schema, encode_chunks, pinned_coefficients
 from .store import Warehouse, display_value, order_key
 from .query import (
     BIAS_TERMS,
@@ -240,8 +239,7 @@ def cube_schema(wh: Warehouse, spec: CubeSpec) -> Schema:
 def _filler_ordinate(km: KeyMaterial, table: str, pk: int, attr: str,
                      chunk: int, j: int) -> int:
     msg = f"cubefill|{table}|{pk}|{attr}|{chunk}|{j}".encode()
-    digest = hmac.digest(km.seed, msg, "sha256")
-    return int.from_bytes(digest[:16], "big") % km.p
+    return int.from_bytes(km.seed_mac(msg)[:16], "big") % km.p
 
 
 def cell_coefficients(km: KeyMaterial) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
@@ -264,30 +262,28 @@ def share_cell_chunk(km: KeyMaterial, table: str, pk: int, attr: str,
             for i, a, f in cell_coefficients(km)}
 
 
-def _share_cell_value(wh: Warehouse, table: str, pk: int, col: Column, value):
-    enc = encode(value, col.kind, scale=col.scale, bias=wh.bias, p=wh.km.p)
-    if not enc.chunks:
+def _cell_shares(wh: Warehouse, table: str, pk: int, col: Column, value) -> list | None:
+    """Every provider's chunks of one cube cell value, in provider order;
+    None for NULL."""
+    chunks = encode_chunks(value, col.kind, scale=col.scale, bias=wh.bias, p=wh.km.p)
+    if not chunks:
         return None
-    per_chunk = [
-        share_cell_chunk(wh.km, table, pk, col.name, k, chunk)
-        for k, chunk in enumerate(enc.chunks)
-    ]
-    return {
-        i: tuple(m[i] for m in per_chunk) for i in range(1, wh.km.n + 1)
-    }
+    per_chunk = [share_cell_chunk(wh.km, table, pk, col.name, k, chunk)
+                 for k, chunk in enumerate(chunks)]
+    return [tuple([m[i] for m in per_chunk]) for i in range(1, wh.km.n + 1)]
 
 
-def _cube_rows(wh: Warehouse, schema: Schema, first_pk: int, rows) -> dict:
-    """Warehouse.append's pending records of cube rows numbered from
-    first_pk: each row and its ShareBundle over all n providers."""
-    group = group_from_bitmap("1" * wh.km.n)
-    return {
-        pk: (row, ShareBundle(pk, group, {}, {
-            col.name: _share_cell_value(wh, schema.table, pk, col, row.get(col.name))
-            for col in schema.columns[1:]
-        }))
-        for pk, row in enumerate(rows, first_pk)
-    }
+def _cube_rows(wh: Warehouse, schema: Schema, first_pk: int, rows) -> tuple:
+    """Warehouse.append's arguments for cube rows numbered from first_pk:
+    their pks, the rows, their bitmaps (every provider) and each
+    provider's value columns."""
+    n = wh.km.n
+    pks = list(range(first_pk, first_pk + len(rows)))
+    shared = [[_cell_shares(wh, schema.table, pk, col, row.get(col.name))
+               for pk, row in zip(pks, rows)] for col in schema.columns[1:]]
+    per_csp = {i: (pks, [[None if s is None else s[i - 1] for s in column] for column in shared])
+               for i in range(1, n + 1)}
+    return pks, rows, ["1" * n] * len(pks), per_csp
 
 
 def _require_all_alive(wh: Warehouse):
@@ -385,7 +381,7 @@ def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
                                                 sorted(groups, key=group_order)))
     finally:
         # the levels before a failing one are stored whole
-        wh.append(schema, _cube_rows(wh, schema, 1, rows))
+        wh.append(schema, *_cube_rows(wh, schema, 1, rows))
     return len(rows)
 
 
@@ -400,28 +396,41 @@ def _bias_correction(km: KeyMaterial, terms: int, bias: int) -> dict[int, int]:
     return {i: a * value % km.p for i, a, _ in cell_coefficients(km)}
 
 
-def _apply_share_deltas(wh: Warehouse, schema: Schema, cell_pk: int,
-                        deltas: dict[str, dict[int, int]],
-                        replacements: dict[str, object]):
-    """Rewrite one cube row at every provider: summable measures get their
-    per-provider delta added in share space, the rest are re-shared."""
-    table = schema.table
+def _cell_rewrites(wh: Warehouse, schema: Schema, changes) -> list[tuple[int, dict, dict]]:
+    """Per changed cell (pk, deltas, replacements), as _cell_changes gives
+    them: its pk, its per-provider share deltas by measure, and every
+    provider's chunks of each re-shared measure (None for NULL)."""
     cols = {c.name: c for c in schema.columns}
-    reshared = {
-        attr: _share_cell_value(wh, table, cell_pk, cols[attr], value)
-        for attr, value in replacements.items()
-    }
+    return [
+        (pk, deltas, {attr: _cell_shares(wh, schema.table, pk, cols[attr], value)
+                      for attr, value in replacements.items()})
+        for pk, deltas, replacements in changes
+    ]
+
+
+def _rewrite_cells(wh: Warehouse, schema: Schema, changes):
+    """Rewrite the changed cube rows, (cell pk, deltas, replacements) each,
+    at every provider with one fetch_records and one update_columns call:
+    summable measures get their per-provider delta added in share space,
+    the rest are re-shared."""
+    if not changes:
+        return
+    rewrites = _cell_rewrites(wh, schema, changes)
+    pks = [pk for pk, _, _ in rewrites]
+    names = [name for name, _ in schema.record_fields()]
+    p = wh.km.p
     for i in sorted(wh.csps):
         csp = wh.csps[i]
-        pos = csp.position_of(table, cell_pk)
-        rec = csp.get_record(table, pos)
-        shares = rec.shares
-        for attr, per_csp in deltas.items():
-            (old,) = shares[attr]
-            shares[attr] = ((old + per_csp[i]) % wh.km.p,)
-        for attr, per_csp in reshared.items():
-            shares[attr] = None if per_csp is None else per_csp[i]
-        csp.update_shared_record(schema, pos, rec)
+        values = csp.fetch_records(schema, pks)
+        for k, (_, deltas, reshared) in enumerate(rewrites):
+            for f, name in enumerate(names):
+                if name in deltas:
+                    (old,) = values[f][k]
+                    values[f][k] = ((old + deltas[name][i]) % p,)
+                elif name in reshared:
+                    shares = reshared[name]
+                    values[f][k] = None if shares is None else shares[i - 1]
+        csp.update_columns(schema, pks, values)
 
 
 def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
@@ -466,10 +475,8 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
         rows += level_rows
         changes += level_changes
     # new cells are numbered in level and cell order
-    wh.append(schema, _cube_rows(wh, schema, max(wh.type1.pks(table), default=0) + 1, rows))
-    for cell_pk, (deltas, replacements) in changes:
-        if deltas or replacements:
-            _apply_share_deltas(wh, schema, cell_pk, deltas, replacements)
+    wh.append(schema, *_cube_rows(wh, schema, max(wh.type1.pks(table), default=0) + 1, rows))
+    _rewrite_cells(wh, schema, [(pk, d, r) for pk, (d, r) in changes if d or r])
     return touched
 
 
@@ -489,7 +496,7 @@ def _level_changes(wh: Warehouse, spec: CubeSpec, dims, stored, cells, new_group
 
 def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, cell_pks, members_new,
                   members_all, rg) -> list[tuple[dict, dict]]:
-    """(deltas, replacements) for _apply_share_deltas of each existing
+    """(deltas, replacements) for _rewrite_cells of each existing
     cell, given its new members and, for MIN/MAX, all its members; each
     measure evaluated over all the cells at once. A SUM gets each
     provider's share-space sum over the new members minus the surplus

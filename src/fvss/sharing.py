@@ -30,7 +30,6 @@ at least two reconstruction members hold stored shares of every record.
 
 from __future__ import annotations
 
-import hmac
 from dataclasses import dataclass
 from datetime import date as _date
 from decimal import Decimal
@@ -136,15 +135,21 @@ class EncodedValue:
 
 
 def encode(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> EncodedValue:
-    """Turn a typed plaintext value into field-element chunks.
+    """Turn a typed plaintext value into field-element chunks (see
+    encode_chunks); None encodes to zero chunks and is never shared."""
+    chunks = encode_chunks(value, kind, scale=scale, bias=bias, p=p)
+    return EncodedValue("null" if value is None else kind, chunks, scale)
+
+
+def encode_chunks(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> tuple[int, ...]:
+    """The field-element chunks of a typed plaintext value, () for None.
 
     Integers, reals (scaled by 10^scale), dates (epoch days) and booleans
     land in one chunk, offset by the bias so negatives stay in [0, p).
-    Strings become one chunk per UTF-8 byte. None encodes to zero chunks
-    and is never shared.
+    Strings become one chunk per UTF-8 byte.
     """
     if value is None:
-        return EncodedValue("null", (), scale)
+        return ()
     if kind == "int":
         chunk = int(value) + bias
     elif kind == "bool":
@@ -158,12 +163,12 @@ def encode(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> Encode
         for b in raw:
             if b >= p:
                 raise OutOfRange(f"byte {b} of {value!r} >= p={p}")
-        return EncodedValue("string", tuple(raw), scale)
+        return tuple(raw)
     else:
         raise SchemaMismatch(f"cannot encode kind {kind!r}")
     if not 0 <= chunk < p:
         raise OutOfRange(f"{kind} value {value!r} encodes to {chunk}, outside [0, {p})")
-    return EncodedValue(kind, (chunk,), scale)
+    return (chunk,)
 
 
 def scaled_int(value, scale: int) -> int:
@@ -235,15 +240,14 @@ def select_storage_group(
     alive = set(alive)
     if len(alive) < k:
         raise NotEnoughAliveCsps(f"need {k} alive CSPs, have {len(alive)}")
-
-    def u01(i: int) -> float:
-        digest = hmac.digest(km.seed, f"place|{pk}|{i}".encode(), "sha256")
-        return (int.from_bytes(digest[:8], "big") + 0.5) / (1 << 64)
-
-    weighted = [i for i in sorted(alive) if weights[i - 1] > 0]
-    # Efraimidis-Spirakis keys: top-k of u^(1/w) is a weighted draw
-    scored = sorted(weighted, key=lambda i: (-(u01(i) ** (1.0 / weights[i - 1])), i))
-    chosen = scored[:k]
+    mac = km.seed_mac
+    # Efraimidis-Spirakis keys: top-k of u^(1/w), u uniform in (0, 1), is a weighted draw
+    scored = sorted(
+        (-(((int.from_bytes(mac(f"place|{pk}|{i}".encode())[:8], "big") + 0.5) / (1 << 64))
+           ** (1.0 / weights[i - 1])), i)
+        for i in alive if weights[i - 1] > 0
+    )
+    chosen = [i for _, i in scored[:k]]
     if len(chosen) < k:
         for i in sorted(alive):
             if i not in chosen:
@@ -297,6 +301,57 @@ def share_value(d: int, pk: int, group: StorageGroup, km: KeyMaterial) -> dict[i
     """Produce the stored shares of one field element."""
     p = km.p
     return {i: (a * d + b * pk) % p for i, a, b in share_coefficients(group, km)}
+
+
+def record_values(record: Mapping[str, object], schema: Schema, bias: int, p: int) -> list:
+    """A record's non-key fields in record_fields order, as a provider
+    stores them before sharing: an fk as an int, a data value as its
+    encoded chunks, None for NULL. SchemaMismatch for a column the schema
+    lacks; the fks are read before any data value is encoded."""
+    unknown = set(record) - schema._by_name.keys()
+    if unknown:
+        raise SchemaMismatch(f"unknown columns {sorted(unknown)} for {schema.table}")
+    fks = {name: int(record[name]) for name, is_fk in schema.record_fields() if is_fk}  # type: ignore[arg-type]
+    return [
+        fks[col.name] if col.kind == "fk"
+        else encode_chunks(record.get(col.name), col.kind, scale=col.scale, bias=bias, p=p) or None
+        for col in schema.columns[1:]
+    ]
+
+
+def share_columns(schema: Schema, pks: Sequence[int], bitmaps: Sequence[str], values,
+                  km: KeyMaterial) -> dict[int, tuple[list[int], list[list]]]:
+    """Share a batch of records column-wise.
+
+    values holds, per record field, a column aligned with pks as
+    record_values gives it; bitmaps the records' storage groups. Returns,
+    per provider (ascending) that stores any of them, the pks it stores in
+    order and its value columns: an fk as is, a data value's chunks c as
+    ((A_i*c + B_i*pk) % p, ...) from share_coefficients, None for NULL.
+    """
+    p = km.p
+    coefficients: dict[str, tuple] = {}
+    rows: dict[int, list[tuple[int, int, int]]] = {}   # i -> (k, A_i, B_i*pk) per record
+    for k, (pk, bitmap) in enumerate(zip(pks, bitmaps)):
+        coefs = coefficients.get(bitmap)
+        if coefs is None:
+            coefs = coefficients[bitmap] = share_coefficients(group_from_bitmap(bitmap), km)
+        for i, a, b in coefs:
+            rows.setdefault(i, []).append((k, a, b * pk % p))
+    fks = [is_fk for _, is_fk in schema.record_fields()]
+    out = {}
+    for i in sorted(rows):
+        mine = rows[i]
+        out[i] = [pks[k] for k, _, _ in mine], [
+            [column[k] for k, _, _ in mine] if is_fk else [
+                None if (chunks := column[k]) is None
+                else ((a * chunks[0] + bpk) % p,) if len(chunks) == 1
+                else tuple([(a * c + bpk) % p for c in chunks])
+                for k, a, bpk in mine
+            ]
+            for is_fk, column in zip(fks, values)
+        ]
+    return out
 
 
 class LinearRows(NamedTuple):

@@ -4,10 +4,11 @@ Every internal node holds the mod-p sum of its children, so the root is
 the sum of all leaf signatures. Two layers: a record tree per table whose
 leaves are HF*_i(record bytes), and a table layer whose leaf j carries
 HF*_i(0) plus the j-th table's record-signature total. Updates propagate
-a delta along one root path and a batch of appends changes each touched
-node once; verification walks top-down and only descends into children
-whose stored sum disagrees with an authoritative recomputation, which
-pins a breach to its exact leaf in about w * depth comparisons.
+a delta along one root path, and a batch of appends or of updates
+changes each touched node once; verification walks top-down and only
+descends into children whose stored sum disagrees with an authoritative
+recomputation, which pins a breach to its exact leaf in about w * depth
+comparisons.
 
 The tree is deliberately not hash-chained: additivity is what lets a
 record update touch O(depth) nodes, and compensating double edits are the
@@ -135,6 +136,27 @@ class WaryTree:
             self.levels[level][idx] = (self.levels[level][idx] + delta) % self.p
             idx //= self.w
 
+    def add_deltas(self, deltas):
+        """add_delta of every (leaf, delta) pair, each touched node
+        changed once by the sum of its deltas; UnknownRecordPosition,
+        before any change, for a leaf the tree lacks."""
+        count = len(self.levels[0])
+        per_node: dict[int, int] = {}
+        for g, delta in deltas:
+            if not 0 <= g < count:
+                raise UnknownRecordPosition(f"no leaf {g}")
+            per_node[g] = per_node.get(g, 0) + delta
+        if len(per_node) == 1:
+            self.add_delta(*per_node.popitem())
+            return
+        p, w = self.p, self.w
+        for nodes in self.levels:
+            parents: dict[int, int] = {}
+            for idx, delta in per_node.items():
+                nodes[idx] = (nodes[idx] + delta) % p
+                parents[idx // w] = parents.get(idx // w, 0) + delta
+            per_node = parents
+
     def set_leaf(self, g: int, value: int):
         self.add_delta(g, value - self.leaf(g))
 
@@ -210,12 +232,19 @@ class SignatureTree:
     def insert_record(self, table: str, record_bytes: bytes) -> int:
         return self.insert_records(table, [record_bytes])
 
-    def update_record(self, table: str, g: int, new_record_bytes: bytes):
+    def update_records(self, table: str, positions, records_bytes):
+        """Re-sign the records at positions (distinct) from their new
+        bytes: one pass over the record tree, then one patch of the
+        table's layer leaf by the total change."""
         tree = self._tree(table)
-        new_sig = self.record_sig(new_record_bytes)
-        delta = (new_sig - tree.leaf(g)) % self.p
-        tree.add_delta(g, delta)
-        self.table_layer.add_delta(self.table_pos[table], delta)
+        hf_star, csp, p = self.km.hf_star, self.csp, self.p
+        deltas = [(g, (hf_star(csp, b) - tree.leaf(g)) % p)
+                  for g, b in zip(positions, records_bytes)]
+        tree.add_deltas(deltas)
+        self.table_layer.add_delta(self.table_pos[table], sum(d for _, d in deltas))
+
+    def update_record(self, table: str, g: int, new_record_bytes: bytes):
+        self.update_records(table, [g], [new_record_bytes])
 
     def _tree(self, table: str) -> WaryTree:
         try:

@@ -5,19 +5,26 @@ once: the primary keys in position order (positions feed its signature
 tree) with a pk -> position map, per fk column a pk -> value map, and per
 data attribute a share column (pk -> this CSP's chunk tuple, non-NULL
 values only, so a share sum is one C-level pass over a flat dict) beside
-the set of pks whose value is NULL. Records exist only as StoredRecord
-values crossing the store's interface. A CSP also keeps an alive/failed
-flag for experiments and monotone byte counters. The index server keeps
-the Type I location bitmaps with, per provider, the set of primary keys
-it does not store, the Type II plaintext ordered indices with a primary
-key -> order key map beside each, and the Type III derived-column
-registry; by design it is a trusted node, so order keys are stored in
-the clear there. The sets and maps live in memory only: they are
+the set of pks whose value is NULL. Writes and reads cross the store's
+interface as batches, column-wise (a pk list and one value column per
+field); StoredRecord is only the one-record view of the same values. A
+CSP also keeps an alive/failed flag for experiments and monotone byte
+counters. The index server keeps the Type I location bitmaps with, per
+provider, the set of primary keys it does not store, the Type II
+plaintext ordered indices with a primary key -> order key map beside
+each, and the Type III derived-column registry; by design it is a
+trusted node, so order keys are stored in the clear there. The sets and maps live in memory only: they are
 maintained on every write and rebuilt on load, so filtered aggregates
 cost time in the size of the filter, not of the table.
-`Warehouse.load_rows` is the one write path: new records reach each
-provider in one append per APPEND_ROWS, through `Warehouse.append`, which
-cube cells use too. Every read picks its providers through
+`Warehouse.load_rows` is the one write path, and it works a column at a
+time: each row is checked and encoded as it arrives, and per APPEND_ROWS
+new records each provider gets its pks and share columns, computed as
+A_i*c + B_i*pk straight from the encoded chunks (sharing.share_columns),
+in one `CspStore.append_columns` call through `Warehouse.append`, which
+cube cells use too; Type II then takes one sorted insert per attribute.
+An in-place update, and a refresh's rewrite of cube cells, is one
+`CspStore.update_columns` call per provider, with one signature-tree pass
+that touches each node once. Every read picks its providers through
 `Warehouse.read_through`.
 
 On disk (all integers decimal text):
@@ -63,12 +70,13 @@ from .sharing import (
     _EPOCH,
     Column,
     Schema,
-    ShareBundle,
     decode,
     group_from_bitmap,
     linear_rows,
+    record_values,
     scaled_int,
-    share_record,
+    select_storage_group,
+    share_columns,
     solve_column,
 )
 from .sigtree import BreachEntry, BreachReport, SignatureTree, WaryTree
@@ -233,8 +241,12 @@ class CspStore:
         """The table slice as (pks by position, field values), read from
         the columns."""
         pks = self._pks(schema.table)
+        return pks, self._values(schema, pks)
+
+    def _values(self, schema: Schema, pks) -> list[list]:
+        """The field values of the records keyed pks, one column per field."""
         plain, columns = self.plain[schema.table], self.columns[schema.table]
-        return pks, [
+        return [
             list(map(plain[name].__getitem__, pks)) if is_fk
             else list(map(columns[name].get, pks))
             for name, is_fk in schema.record_fields()
@@ -252,9 +264,9 @@ class CspStore:
         self._write(schema, pks, values)
 
     def _write(self, schema: Schema, pks, values):
-        """File each value under its pk: an fk in its column, a share in
-        its share column or, when NULL, in the attribute's NULL set, and
-        out of the other one."""
+        """File each value under its pk (pks distinct): an fk in its
+        column, a share in its share column or, when NULL, in the
+        attribute's NULL set, and out of the other one."""
         table = schema.table
         plain, columns, nulls = self.plain[table], self.columns[table], self.nulls[table]
         for (name, is_fk), vals in zip(schema.record_fields(), values):
@@ -262,30 +274,57 @@ class CspStore:
                 plain[name].update(zip(pks, vals))
                 continue
             column, null = columns[name], nulls[name]
-            for pk, chunks in zip(pks, vals):
-                if chunks is None:
-                    null.add(pk)
+            if None in vals:
+                gone = [pk for pk, chunks in zip(pks, vals) if chunks is None]
+                null.update(gone)
+                for pk in gone:
                     column.pop(pk, None)
-                else:
-                    column[pk] = chunks
-                    null.discard(pk)
+                column.update([pair for pair in zip(pks, vals) if pair[1] is not None])
+            else:
+                column.update(zip(pks, vals))
+            if null:
+                null.difference_update(column.keys() & pks)
 
-    def put_shared_records(self, schema: Schema, recs) -> int:
-        """Append records in order: pks, positions and columns, one
-        signature-tree extension and the stored-byte count. Returns the
-        position of the first."""
+    def append_columns(self, schema: Schema, pks, values) -> int:
+        """Append new records in order, given as a batch (pks and value
+        columns): pks, positions and columns, one signature-tree extension
+        and the stored-byte count. Returns the position of the first."""
         self._check_alive()
         table = schema.table
-        pks = self._pks(table)
-        start = len(pks)
-        new = [r.pk for r in recs]
-        values = _unpack(schema, recs)
-        pks.extend(new)
-        self.positions[table].update(zip(new, range(start, len(pks))))
-        self._write(schema, new, values)
-        self.sigtree.insert_records(table, _record_bytes(schema, new, values))
-        self.bytes_stored += _text_size(schema, new, values)
+        held = self._pks(table)
+        start = len(held)
+        held.extend(pks)
+        self.positions[table].update(zip(pks, range(start, len(held))))
+        self._write(schema, pks, values)
+        self.sigtree.insert_records(table, _record_bytes(schema, pks, values))
+        self.bytes_stored += _text_size(schema, pks, values)
         return start
+
+    def update_columns(self, schema: Schema, pks, values):
+        """Overwrite the stored records keyed pks (distinct) with a batch
+        of values: one write of the columns, one signature-tree pass that
+        touches each node once, and the stored-byte count. Nothing changes
+        when a pk is not stored here."""
+        self._check_alive()
+        table = schema.table
+        self._require_held(table, pks)
+        positions = list(map(self.positions[table].__getitem__, pks))
+        self._write(schema, pks, values)
+        self.sigtree.update_records(table, positions, _record_bytes(schema, pks, values))
+        self.bytes_stored += _text_size(schema, pks, values)
+
+    def fetch_records(self, schema: Schema, pks) -> list[list]:
+        """The stored values of the records keyed pks, as a batch of value
+        columns: 64 bytes a record, as get_record counts."""
+        self._check_alive()
+        table = schema.table
+        self._require_held(table, pks)
+        self.bytes_transferred += 64 * len(pks)
+        return self._values(schema, pks)
+
+    def put_shared_records(self, schema: Schema, recs) -> int:
+        """append_columns of records."""
+        return self.append_columns(schema, [r.pk for r in recs], _unpack(schema, recs))
 
     def put_shared_record(self, schema: Schema, rec: StoredRecord) -> int:
         return self.put_shared_records(schema, [rec])
@@ -293,11 +332,7 @@ class CspStore:
     def update_shared_record(self, schema: Schema, pos: int, rec: StoredRecord):
         """Overwrite the record at pos with rec's values."""
         self._check_alive()
-        pk = [self._pk_at(schema.table, pos)]
-        values = _unpack(schema, [rec])
-        self._write(schema, pk, values)
-        self.sigtree.update_record(schema.table, pos, _record_bytes(schema, pk, values)[0])
-        self.bytes_stored += _text_size(schema, pk, values)
+        self.update_columns(schema, [self._pk_at(schema.table, pos)], _unpack(schema, [rec]))
 
     def get_record(self, table: str, pos: int) -> StoredRecord:
         self._check_alive()
@@ -476,6 +511,8 @@ class TypeTwoIndex:
         """Index pk under key, replacing the key it had."""
         entries, keys = self._index(table, attr)
         if pk in keys:
+            if keys[pk] == key:
+                return
             self.remove(table, attr, pk)
         insort(entries, (key, pk))
         keys[pk] = key
@@ -485,6 +522,18 @@ class TypeTwoIndex:
         entries, keys = self._index(table, attr)
         if pk in keys:
             del entries[bisect_left(entries, (keys.pop(pk), pk))]
+
+    def insert_many(self, table: str, attr: str, pairs):
+        """insert, or remove for a None key, each (key, pk) of pairs, whose
+        pks are distinct, as one batch: the old entries of those pks out,
+        the new ones extended and sorted in once."""
+        entries, keys = self._index(table, attr)
+        for pk in [pk for _, pk in pairs if pk in keys]:
+            self.remove(table, attr, pk)
+        new = [pair for pair in pairs if pair[0] is not None]
+        entries.extend(new)
+        entries.sort()
+        keys.update([(pk, key) for key, pk in new])
 
     def lookup(self, table: str, attr: str, op: str, operand) -> set[int]:
         """Primary keys whose order key k satisfies `k op operand`; every
@@ -763,13 +812,6 @@ class Warehouse:
             full[d.name] = d.compute(full)
         return full
 
-    def _stored_record(self, bundle: ShareBundle, i: int) -> StoredRecord:
-        shares = {
-            attr: (None if per_csp is None else per_csp[i])
-            for attr, per_csp in bundle.shares.items()
-        }
-        return StoredRecord(pk=bundle.pk, plain=bundle.plain, shares=shares)
-
     def insert(self, table: str, row: dict) -> int:
         """Share one record out, as a batch of one; an existing primary key
         means update in place at the original storage group."""
@@ -779,71 +821,81 @@ class Warehouse:
     def load_rows(self, table: str, rows) -> int:
         """Share rows out in order; the one write path. Returns the count.
 
-        New records are shared row by row and reach each provider in one
-        append per APPEND_ROWS of them, after which Type I and Type II are
-        set in row order. A primary key already stored, or repeated in the
-        batch, first stores the pending records and is then updated in
+        Each row is checked and encoded as it arrives (record_values). New
+        records get their storage group and are held, then shared a batch
+        at a time (share_columns) and stored through append, once per
+        APPEND_ROWS of them. A primary key already stored, or repeated in
+        the batch, first stores the held records and is then updated in
         place at its storage group. A row that raises stores the rows
         before it, so the store is what loading them alone would have left.
         """
         schema = self._schema(table)
         alive = self.alive_csps()
-        pending: dict[int, tuple[dict, ShareBundle]] = {}
+        km = self.km
+        pending: list[tuple[int, dict, str, list]] = []   # pk, row, bitmap, field values
+        held: set[int] = set()
+
+        def flush():
+            # emptied first, so that a failure while storing cannot store them twice
+            batch = pending[:]
+            pending.clear()
+            held.clear()
+            if batch:
+                pks, fulls, bitmaps, values = zip(*batch)
+                columns = list(map(list, zip(*values)))
+                self.append(schema, pks, fulls, bitmaps,
+                            share_columns(schema, pks, bitmaps, columns, km))
+
         count = 0
         try:
             for row in rows:
                 full = self._with_derived(table, row)
                 _refuse_empty_strings(schema, full)
                 pk = int(full[schema.key])
-                if pk in pending or self.type1.has(table, pk):
-                    self.append(schema, pending)
-                    self._update(schema, pk, full)
+                values = record_values(full, schema, self.bias, km.p)
+                if pk in held or self.type1.has(table, pk):
+                    flush()
+                    self._update(schema, pk, full, values)
                 else:
-                    pending[pk] = full, share_record(
-                        full, schema, self.weights, alive, self.km, bias=self.bias
-                    )
+                    group = select_storage_group(pk, self.weights, alive, km)
+                    pending.append((pk, full, group.bitmap, values))
+                    held.add(pk)
                     if len(pending) >= APPEND_ROWS:
-                        self.append(schema, pending)
+                        flush()
                 count += 1
         finally:
-            self.append(schema, pending)
+            flush()
         return count
 
-    def append(self, schema: Schema, pending: dict[int, tuple[dict, ShareBundle]]):
-        """Store the pending new records (pk -> row, its ShareBundle), in
-        order, at their storage groups, then set their Type I bitmaps and
-        Type II keys; the one append path of base tables and cubes.
-        Empties pending first so that a failure here cannot store them
-        twice."""
-        batch = list(pending.items())
-        pending.clear()
-        if not batch:
-            return
-        per_csp: dict[int, list[StoredRecord]] = {}
-        for _, (_, bundle) in batch:
-            for i in bundle.group.sg:
-                per_csp.setdefault(i, []).append(self._stored_record(bundle, i))
+    def append(self, schema: Schema, pks, rows, bitmaps, per_csp):
+        """Store new records, the one append path of base tables and cubes:
+        per provider (ascending) its pks and value columns from per_csp in
+        one append_columns call, then the records' Type I bitmaps and, per
+        indexed attribute, their Type II keys, read from their plaintext
+        rows, in one batch. pks, rows and bitmaps are aligned."""
         for i in sorted(per_csp):
-            self.csps[i].put_shared_records(schema, per_csp[i])
-        for pk, (full, bundle) in batch:
-            self.type1.set(schema.table, pk, bundle.bitmap)
-            self._index_row(schema, pk, full)
-
-    def _update(self, schema: Schema, pk: int, full: dict):
+            self.csps[i].append_columns(schema, *per_csp[i])
         table = schema.table
-        group = group_from_bitmap(self.type1.bitmap(table, pk))
-        for i in sorted(group.sg):
+        for pk, bitmap in zip(pks, bitmaps):
+            self.type1.set(table, pk, bitmap)
+        for col in self.indexed_columns.get(table, []):
+            self.type2.insert_many(table, col.name, [
+                (order_key(row.get(col.name), col), pk) for pk, row in zip(pks, rows)
+            ])
+
+    def _update(self, schema: Schema, pk: int, full: dict, values: list):
+        """Re-share a stored record in place, at its storage group, with one
+        update_columns call per member."""
+        table = schema.table
+        bitmap = self.type1.bitmap(table, pk)
+        for i in sorted(group_from_bitmap(bitmap).sg):
             if not self.csps[i].alive:
                 raise CspUnavailable(
                     f"CSP {i} stores pk {pk} of {table} and is failed; recover first"
                 )
-        bundle = share_record(
-            full, schema, self.weights, self.alive_csps(), self.km,
-            bias=self.bias, group=group,
-        )
-        for i in sorted(group.sg):
-            pos = self.csps[i].position_of(table, pk)
-            self.csps[i].update_shared_record(schema, pos, self._stored_record(bundle, i))
+        columns = share_columns(schema, [pk], [bitmap], [[v] for v in values], self.km)
+        for i, (pks, shared) in columns.items():
+            self.csps[i].update_columns(schema, pks, shared)
         self._index_row(schema, pk, full)
 
     def _index_row(self, schema: Schema, pk: int, full: dict):

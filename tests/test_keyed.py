@@ -1,4 +1,5 @@
 import dataclasses
+import hmac
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from fvss import P_DEFAULT, PrivacyWarning, init_participants
 from fvss.errors import InvalidThreshold, UnknownParticipant
-from fvss.keyed import HF1_RANGE
+from fvss.keyed import HF1_RANGE, KeyedSha256
 
 SEED = bytes(range(32))
 OTHER_SEED = bytes(reversed(range(32)))
@@ -139,3 +140,22 @@ def test_filler_points_reserved(km_big):
 def test_he1_additive_property(a, b):
     km = init_participants(5, 4, seed=SEED)
     assert km.he1((a + b) % km.p) == (km.he1(a) + km.he1(b)) % km.p
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.binary(max_size=130), msgs=st.lists(st.binary(max_size=200), max_size=4))
+def test_keyed_sha256_is_hmac_sha256(key, msgs):
+    """The precomputed-state HMAC gives hmac.digest's bytes for any key
+    length (a key longer than the block is hashed first) and is not
+    changed by the messages it has seen."""
+    mac = KeyedSha256(key)
+    for msg in msgs + [b"", bytes(range(64))]:
+        assert mac.digest(msg) == hmac.digest(key, msg, "sha256")
+
+
+def test_key_material_macs_match_hmac(km_big):
+    record = bytes(range(40))
+    for i in range(1, km_big.n + 1):
+        digest = hmac.digest(km_big.hf_star_keys[i], record, "sha256")
+        assert km_big.hf_star(i, record) == int.from_bytes(digest[:16], "big") % km_big.p
+    assert km_big.seed_mac(b"place|7|1") == hmac.digest(km_big.seed, b"place|7|1", "sha256")
