@@ -13,11 +13,14 @@ encoding: NULL means "aggregated away". The grand total row is NULL
 across every dimension; a per-year row keeps only the year, and so on
 through the lattice of hierarchy prefixes.
 
-Refreshing after new facts never rebuilds. SUM cells absorb an Eq-2
-style correction added share by share at each provider (no cell is
-ever reconstructed); COUNT cells are reconstructed, incremented and
-re-shared; MAX/MIN cells re-share the value of the new extremal record
-found through the record index.
+Refreshing after new facts never rebuilds, and reconstructs no SUM or
+COUNT cell. SUM cells absorb an Eq-2 style correction added share by
+share at each provider, COUNT cells A_i times the number of new
+records; MAX/MIN cells re-share the value of the new extremal record
+found through the record index. Every rewrite of a cell also adds a
+fresh zero-sharing (or, for a re-shared value, new filler ordinates),
+keyed by the cell and the refresh, so that the difference between a
+provider's old and new share of a cell is noise to that provider.
 
 Build and refresh work one lattice level at a time: the cells of a
 level are disjoint groups of fact records, so each measure is evaluated
@@ -237,9 +240,14 @@ def cube_schema(wh: Warehouse, spec: CubeSpec) -> Schema:
 
 
 def _filler_ordinate(km: KeyMaterial, table: str, pk: int, attr: str,
-                     chunk: int, j: int) -> int:
-    msg = f"cubefill|{table}|{pk}|{attr}|{chunk}|{j}".encode()
-    return int.from_bytes(km.seed_mac(msg)[:16], "big") % km.p
+                     chunk: int, j: int, refresh: int | None = None) -> int:
+    """Seeded ordinate j of a cell chunk's polynomial: keyed by the cell
+    alone when the cell is first shared, by the cell and the refresh
+    when a refresh rewrites it."""
+    msg = f"cubefill|{table}|{pk}|{attr}|{chunk}|{j}"
+    if refresh is not None:
+        msg += f"|refresh {refresh}"
+    return int.from_bytes(km.seed_mac(msg.encode())[:16], "big") % km.p
 
 
 def cell_coefficients(km: KeyMaterial) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
@@ -251,24 +259,26 @@ def cell_coefficients(km: KeyMaterial) -> tuple[tuple[int, int, tuple[int, ...]]
 
 
 def share_cell_chunk(km: KeyMaterial, table: str, pk: int, attr: str,
-                     chunk_index: int, value: int) -> dict[int, int]:
+                     chunk_index: int, value: int, refresh: int | None = None) -> dict[int, int]:
     """Shares of one cube field element for all n providers: the polynomial
     through the data point, its signature point and seeded ordinates at
-    the filler abscissas."""
-    fillers = [_filler_ordinate(km, table, pk, attr, chunk_index, j)
+    the filler abscissas (see _filler_ordinate). Of the value 0, this is
+    a zero-sharing: adding it changes no value, only every share."""
+    fillers = [_filler_ordinate(km, table, pk, attr, chunk_index, j, refresh)
                for j in range(km.t - 2)]
     p = km.p
     return {i: (a * value + sum(map(mul, f, fillers))) % p
             for i, a, f in cell_coefficients(km)}
 
 
-def _cell_shares(wh: Warehouse, table: str, pk: int, col: Column, value) -> list | None:
+def _cell_shares(wh: Warehouse, table: str, pk: int, col: Column, value,
+                 refresh: int | None = None) -> list | None:
     """Every provider's chunks of one cube cell value, in provider order;
     None for NULL."""
     chunks = encode_chunks(value, col.kind, scale=col.scale, bias=wh.bias, p=wh.km.p)
     if not chunks:
         return None
-    per_chunk = [share_cell_chunk(wh.km, table, pk, col.name, k, chunk)
+    per_chunk = [share_cell_chunk(wh.km, table, pk, col.name, k, chunk, refresh)
                  for k, chunk in enumerate(chunks)]
     return [tuple([m[i] for m in per_chunk]) for i in range(1, wh.km.n + 1)]
 
@@ -396,26 +406,28 @@ def _bias_correction(km: KeyMaterial, terms: int, bias: int) -> dict[int, int]:
     return {i: a * value % km.p for i, a, _ in cell_coefficients(km)}
 
 
-def _cell_rewrites(wh: Warehouse, schema: Schema, changes) -> list[tuple[int, dict, dict]]:
+def _cell_rewrites(wh: Warehouse, schema: Schema, changes,
+                   refresh: int) -> list[tuple[int, dict, dict]]:
     """Per changed cell (pk, deltas, replacements), as _cell_changes gives
     them: its pk, its per-provider share deltas by measure, and every
-    provider's chunks of each re-shared measure (None for NULL)."""
+    provider's chunks of each re-shared measure (None for NULL), under
+    fillers keyed by the refresh."""
     cols = {c.name: c for c in schema.columns}
     return [
-        (pk, deltas, {attr: _cell_shares(wh, schema.table, pk, cols[attr], value)
+        (pk, deltas, {attr: _cell_shares(wh, schema.table, pk, cols[attr], value, refresh)
                       for attr, value in replacements.items()})
         for pk, deltas, replacements in changes
     ]
 
 
-def _rewrite_cells(wh: Warehouse, schema: Schema, changes):
+def _rewrite_cells(wh: Warehouse, schema: Schema, changes, refresh: int):
     """Rewrite the changed cube rows, (cell pk, deltas, replacements) each,
     at every provider with one fetch_records and one update_columns call:
     summable measures get their per-provider delta added in share space,
-    the rest are re-shared."""
+    the rest are re-shared under fillers keyed by the refresh."""
     if not changes:
         return
-    rewrites = _cell_rewrites(wh, schema, changes)
+    rewrites = _cell_rewrites(wh, schema, changes, refresh)
     pks = [pk for pk, _, _ in rewrites]
     names = [name for name, _ in schema.record_fields()]
     p = wh.km.p
@@ -436,13 +448,18 @@ def _rewrite_cells(wh: Warehouse, schema: Schema, changes):
 def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     """Fold freshly loaded fact records into an existing cube.
 
-    SUM cells update purely in share space (never reconstructed), COUNT
-    cells are reconstructed, incremented and re-shared, and MAX/MIN cells
-    re-share the extremal record found through the record index. Returns
-    the number of touched or created cells. Providers that disagree on a
-    new record's NULL marker raise InnerSignatureMismatch. Every level is
-    read, through wh.read_through, before any cell is written, so a
-    refresh that raises leaves the cube as it was.
+    SUM and COUNT cells update purely in share space (never
+    reconstructed), and MAX/MIN cells re-share the extremal record found
+    through the record index. Every rewrite of a cell is masked afresh:
+    SUM and COUNT deltas carry a zero-sharing, and re-shared values new
+    filler ordinates, both keyed by the cell and the refresh (its
+    smallest new fact pk, which no other refresh of the same facts can
+    share), so a provider that keeps its old cube file cannot read a
+    cell's change from its own shares. Returns the number of touched or
+    created cells. Providers that disagree on a new record's NULL marker
+    raise InnerSignatureMismatch. Every level is read, through
+    wh.read_through, before any cell is written, so a refresh that raises
+    leaves the cube as it was.
     """
     _require_all_alive(wh)
     table = cube_table(spec)
@@ -456,6 +473,7 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     dims = [col for col, _ in _dim_sources(wh, spec)]
     stored = _storage_measures(spec, wh.schemas[spec.table])
 
+    refresh = new_pks[0] if new_pks else None
     new_keys = _fact_keys(wh, spec, new_pks)
     # MIN/MAX cells are re-derived from every member, old facts included
     all_keys = {}
@@ -470,18 +488,18 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
         touched += len(order)
         level_rows, level_changes = wh.read_through(rg, partial(
             _level_changes, wh, spec, dims, stored, cells, new_groups,
-            _cells(all_keys, flags), order,
+            _cells(all_keys, flags), order, refresh,
         ))
         rows += level_rows
         changes += level_changes
     # new cells are numbered in level and cell order
     wh.append(schema, *_cube_rows(wh, schema, max(wh.type1.pks(table), default=0) + 1, rows))
-    _rewrite_cells(wh, schema, [(pk, d, r) for pk, (d, r) in changes if d or r])
+    _rewrite_cells(wh, schema, [(pk, d, r) for pk, (d, r) in changes if d or r], refresh)
     return touched
 
 
 def _level_changes(wh: Warehouse, spec: CubeSpec, dims, stored, cells, new_groups,
-                   all_groups, order, rg) -> tuple[list[dict], list]:
+                   all_groups, order, refresh, rg) -> tuple[list[dict], list]:
     """One lattice level's reads for a refresh: the rows of its new cells
     and (cell pk, (deltas, replacements)) of its existing ones, each in
     order."""
@@ -490,46 +508,48 @@ def _level_changes(wh: Warehouse, spec: CubeSpec, dims, stored, cells, new_group
                        [cell for cell in order if cell not in cells], rg)
     cell_pks = [cells[cell] for cell in known]
     changes = _cell_changes(wh, spec, stored, cell_pks, [new_groups[cell] for cell in known],
-                            [all_groups.get(cell) for cell in known], rg)
+                            [all_groups.get(cell) for cell in known], refresh, rg)
     return rows, list(zip(cell_pks, changes))
 
 
 def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, cell_pks, members_new,
-                  members_all, rg) -> list[tuple[dict, dict]]:
-    """(deltas, replacements) for _rewrite_cells of each existing
-    cell, given its new members and, for MIN/MAX, all its members; each
-    measure evaluated over all the cells at once. A SUM gets each
-    provider's share-space sum over the new members minus the surplus
-    bias offsets, asking every provider for NULL marks and share sums; a
-    COUNT the reconstructed count plus the new present records; MIN/MAX
-    the value of the cell's extremal record."""
+                  members_all, refresh, rg) -> list[tuple[dict, dict]]:
+    """(deltas, replacements) for _rewrite_cells of each existing cell,
+    given its new members and, for MIN/MAX, all its members; each measure
+    evaluated over all the cells at once. A SUM's delta at each provider
+    is its share-space sum over the new members minus the surplus bias
+    offsets (asking every provider for NULL marks and share sums), a
+    COUNT's is A_i times the number of new present records; both add the
+    cell's zero-sharing for this refresh. MIN/MAX are replaced by the
+    value of the cell's extremal record."""
     fact, table, km = spec.table, cube_table(spec), wh.km
-    csps = sorted(wh.csps)
+    csps, p = sorted(wh.csps), km.p
     out = [({}, {}) for _ in cell_pks]
     if not cell_pks:
         return out
     for sm in stored:
         agg, name = sm.agg, sm.column.name
+        if agg.fn in ("min", "max"):
+            for changes, value in zip(out, aggregate_groups(wh, fact, agg, members_all, rg)):
+                changes[1][name] = value
+            continue
         if agg.fn == "sum":
             x = agg.attr or agg.x
             present = summed_pks(wh, fact, x, agg.y, members_new, csps)
             live = [k for k, g in enumerate(present) if g]
-            sums = share_space_sums(wh, fact, [present[k] for k in live], csps,
-                                    x, agg.y, agg.op) if live else ()
-            for k, shares in zip(live, sums):
-                h = _bias_correction(km, BIAS_TERMS[agg.op] * len(present[k]), wh.bias)
-                out[k][0][name] = {i: (a - h[i]) % km.p for i, a in zip(csps, shares)}
-        elif agg.fn == "count":
+            sums = dict(zip(live, share_space_sums(wh, fact, [present[k] for k in live], csps,
+                                                   x, agg.y, agg.op) if live else ()))
+            deltas = []
+            for k, g in enumerate(present):
+                h = _bias_correction(km, BIAS_TERMS[agg.op] * len(g), wh.bias)
+                deltas.append([a - h[i] for i, a in zip(csps, sums.get(k, [0] * len(csps)))])
+        else:
             counted = members_new if agg.mode == "star" else \
                 present_pks(wh, fact, agg.attr, members_new, csps)
-            live = [k for k, g in enumerate(counted) if g]
-            old = wh.reconstruct_values(table, name, [cell_pks[k] for k in live], rg) \
-                if live else ()
-            for k, value in zip(live, old):
-                out[k][1][name] = (value or 0) + len(counted[k])
-        else:
-            for changes, value in zip(out, aggregate_groups(wh, fact, agg, members_all, rg)):
-                changes[1][name] = value
+            deltas = [[a * len(g) for _, a, _ in cell_coefficients(km)] for g in counted]
+        for changes, pk, delta in zip(out, cell_pks, deltas):
+            mask = share_cell_chunk(km, table, pk, name, 0, 0, refresh)
+            changes[0][name] = {i: (d + mask[i]) % p for i, d in zip(csps, delta)}
     return out
 
 

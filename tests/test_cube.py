@@ -487,16 +487,18 @@ def test_refresh_reads_every_level_before_writing(km_big):
     a retry through another group adds each new fact once."""
     wh = fill_warehouse(km_big, SALES_BASE)
     cube_build(wh, SPEC)
-    wh.insert("Sales", SALES_EXTRA[0])
+    sale = _sale(11, 10, 2014, 1, 3000, 240, 7)
+    wh.insert("Sales", sale)
     table = cube_table(SPEC)
-    # the finest cell holding sale 11
-    wh.inject_tamper(1, table, _cell(wh, SPEC, (2014, 1, "apparel", 10)), "count_rows")
+    # a refresh reconstructs no cube cell; it reads sale 5's price only at
+    # the finest level, as the MAX of the cell (2014, 1, apparel, 10)
+    wh.inject_tamper(1, "Sales", 5, "price")
     before = _cube_state(wh, table)
     with pytest.raises(InnerSignatureMismatch):
         cube_refresh(wh, SPEC, [11], rg=(1, 2, 3, 4))
     assert _cube_state(wh, table) == before
     cube_refresh(wh, SPEC, [11], rg=(2, 3, 4, 5))
-    oracle = plain_warehouse(SALES_BASE + SALES_EXTRA[:1])
+    oracle = plain_warehouse(SALES_BASE + [sale])
     for level in LEVELS:
         assert cube_query(wh, SPEC, level)[1] == oracle.query(level_sql(level))
 
@@ -611,6 +613,78 @@ def test_sum_cells_refresh_without_reconstruction(km_big):
         (2014, Fraction(57099, 100)),
         (2015, Fraction(3000, 100)),
     ]
+
+
+COUNT_SPEC = CubeSpec(
+    name="counts",
+    table="Sales",
+    hierarchies=(CubeHierarchy(("yearid", "monthid")),),
+    measures=(CubeMeasure("count"), CubeMeasure("count", "qty"), CubeMeasure("avg", "price")),
+)
+
+
+def test_count_cells_refresh_without_reconstruction(km_big):
+    """COUNT cells add A_i times the new count in share space, as SUM
+    cells add their share sums: a SUM/COUNT/AVG refresh rebuilds no
+    value, and answers as a fresh build does."""
+    wh = fill_warehouse(km_big, SALES_BASE)
+    cube_build(wh, COUNT_SPEC)
+    for row in SALES_EXTRA:
+        wh.insert("Sales", row)
+    RECONSTRUCTIONS.reset()
+    cube_refresh(wh, COUNT_SPEC, [r["SaleNo"] for r in SALES_EXTRA])
+    assert RECONSTRUCTIONS.count == 0
+    rebuilt = fill_warehouse(km_big, SALES_BASE + SALES_EXTRA)
+    cube_build(rebuilt, COUNT_SPEC)
+    for level in ((), ("yearid",), ("yearid", "monthid")):
+        assert cube_query(wh, COUNT_SPEC, level) == cube_query(rebuilt, COUNT_SPEC, level)
+
+
+def test_refresh_hides_cell_changes_from_a_provider_with_old_files(km_big):
+    """The ratio attack on refreshes: provider 1 keeps its cube file from
+    before each refresh. Were a cell's change in its share A_1 times the
+    change in its value, one known change (the grand total of COUNT(*)
+    grows by the number of new facts) would give A_1, which is the same
+    for every cell and measure, and then every other change. Each rewrite
+    adds a fresh zero-sharing, so the decoded changes are noise."""
+    spec = CubeSpec("ratio", "Sales", (CubeHierarchy(("yearid", "monthid")),),
+                    (CubeMeasure("count"), CubeMeasure("max", "price")))
+    wh = fill_warehouse(km_big, SALES_BASE)
+    cube_build(wh, spec)
+    table, p = cube_table(spec), km_big.p
+    csp = wh.csps[1]
+    dims = [wh.type2.value_map(table, attr) for attr in ("yearid", "monthid")]
+    (total,) = [pk for pk in wh.type1.pks(table) if not any(pk in vm for vm in dims)]
+    cells = wh.type1.pks(table)
+    measures = {"count_rows": 1, "max_price": 100}   # encoded units per plaintext unit
+
+    def refresh(rows):
+        """Per measure and cell, provider 1's share change and the true
+        change of the encoded value."""
+        shares = {m: csp.fetch_shares(table, m, cells) for m in measures}
+        values = {m: wh.reconstruct_values(table, m, cells) for m in measures}
+        wh.load_rows("Sales", rows)
+        cube_refresh(wh, spec, [r["SaleNo"] for r in rows])
+        return {
+            m: [((new[0] - old[0]) % p, (b - a) * unit % p) for old, new, a, b in zip(
+                shares[m], csp.fetch_shares(table, m, cells),
+                values[m], wh.reconstruct_values(table, m, cells))]
+            for m, unit in measures.items()
+        }
+
+    first = refresh([_sale(11, 10, 2014, 1, 3000, 240, 1)])
+    share_change, value_change = first["count_rows"][cells.index(total)]
+    assert value_change == 1
+    a_1 = share_change * pow(value_change, -1, p) % p
+    second = refresh([_sale(12, 10, 2013, 2, 15000, 1200, 1), _sale(13, 11, 2013, 2, 700, 56, 2),
+                      _sale(14, 12, 2014, 1, 4000, 320, 1), _sale(15, 10, 2014, 3, 9000, 720, 3),
+                      _sale(16, 11, 2014, 3, 100, 8, 1)])
+    # the cells with new facts, each rewritten; the seventh, (2013, 1), is not
+    touched = [k for k, (_, truth) in enumerate(second["count_rows"]) if truth]
+    decoded = [(second[m][k][0] * pow(a_1, -1, p) % p, second[m][k][1])
+               for m in measures for k in touched]
+    assert len(decoded) == 2 * 6
+    assert not any(guess == truth for guess, truth in decoded)
 
 
 def test_sum_only_build_never_reconstructs(km_big):

@@ -677,3 +677,42 @@ def test_bytes_stored_counts_the_share_lines_written(tmp_path, km_big):
     before = wh.csps[2].bytes_stored
     wh.recover_csp_shares(2)
     assert wh.csps[2].bytes_stored - before == (tmp_path / "a" / "csp2" / "t.shares").stat().st_size
+
+
+# the scheme's threat-model boundary (see the README)
+
+
+def test_threat_model_boundary_known_plaintexts_and_old_files(km_big):
+    """Secrecy against fewer than t providers holds only without known
+    plaintexts and without a history of old files, as the paper's scheme
+    stands: a base-table share is A_i*c + B_i*pk per storage group, so one
+    provider that knows two plaintexts of a group decodes every other
+    value it holds there, and an in-place update shows it A_i*(c' - c).
+    This pins the scheme; a change that makes it fail changes the scheme."""
+    schema = Schema("t", (Column("k", "key"), Column("v", "int")))
+    wh = Warehouse(km_big, w=3)
+    wh.create_table(schema)
+    rng = random.Random(31)
+    rows = {pk: rng.randrange(-10**6, 10**6) for pk in range(1, 61)}
+    wh.load_rows("t", [{"k": pk, "v": v} for pk, v in rows.items()])
+    p, bias = km_big.p, wh.bias
+    csp = wh.csps[1]
+    groups = {}
+    for pk in csp.pks["t"]:
+        groups.setdefault(wh.type1.bitmap("t", pk), []).append(pk)
+    group = max(groups.values(), key=len)
+    assert len(group) >= 4
+    share = {pk: csp.fetch_share("t", pk, "v")[0] for pk in group}
+
+    # two known plaintexts fix A_1 and B_1 for the whole storage group
+    (k1, k2), rest = group[:2], group[2:]
+    c1, c2 = rows[k1] + bias, rows[k2] + bias
+    det = (c1 * k2 - c2 * k1) % p
+    a = (share[k1] * k2 - share[k2] * k1) * pow(det, -1, p) % p
+    b = (c1 * share[k2] - c2 * share[k1]) * pow(det, -1, p) % p
+    decoded = {pk: (share[pk] - b * pk) * pow(a, -1, p) % p - bias for pk in rest}
+    assert decoded == {pk: rows[pk] for pk in rest}
+
+    # an in-place update moves the share by A_1 times the change
+    wh.insert("t", {"k": k1, "v": rows[k1] + 777})
+    assert (csp.fetch_share("t", k1, "v")[0] - share[k1]) % p == a * 777 % p
