@@ -453,9 +453,9 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     through the record index. Every rewrite of a cell is masked afresh:
     SUM and COUNT deltas carry a zero-sharing, and re-shared values new
     filler ordinates, both keyed by the cell and the refresh (its
-    smallest new fact pk, which no other refresh of the same facts can
-    share), so a provider that keeps its old cube file cannot read a
-    cell's change from its own shares. Returns the number of touched or
+    smallest new fact pk: a fact is folded into a cube once, so no two
+    refreshes share it), so a provider that keeps its old cube file
+    cannot read a cell's change from its own shares. Returns the number of touched or
     created cells. Providers that disagree on a new record's NULL marker
     raise InnerSignatureMismatch. Every level is read, through
     wh.read_through, before any cell is written, so a refresh that raises

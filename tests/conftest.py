@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from fvss import P_DEFAULT, init_participants
+
+# `pytest --hypothesis-profile ci`: the same examples on every run, and
+# more of them, for the randomized batteries CI runs on their own
+settings.register_profile("ci", derandomize=True, max_examples=400, deadline=None)
 
 SEED = bytes(range(32))
 

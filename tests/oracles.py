@@ -297,3 +297,77 @@ class PlainWarehouse:
                     vals.append(key[idx])
             out.append(tuple(vals))
         return out
+
+
+# Per-record write references. The warehouse shares and stores a batch of
+# records a column at a time; these replay the same writes one record at
+# a time, through share_record and the one-record provider calls, as the
+# write path once ran.
+
+
+def per_record_load(wh, table, rows):
+    """Warehouse.load_rows, one record at a time: each new row through
+    share_record and a one-record put_shared_records per provider, then
+    its Type I bitmap and Type II keys; a stored key through share_record
+    in its storage group and update_shared_record. Returns the count."""
+    from fvss.errors import CspUnavailable
+    from fvss.sharing import group_from_bitmap, share_record
+    from fvss.store import StoredRecord, _refuse_empty_strings, order_key
+
+    schema = wh.schemas[table]
+    alive = wh.alive_csps()
+    count = 0
+    for row in rows:
+        full = wh._with_derived(table, row)
+        _refuse_empty_strings(schema, full)
+        pk = int(full[schema.key])
+        stored = wh.type1.has(table, pk)
+        group = None
+        if stored:
+            group = group_from_bitmap(wh.type1.bitmap(table, pk))
+            for i in sorted(group.sg):
+                if not wh.csps[i].alive:
+                    raise CspUnavailable(f"CSP {i} stores pk {pk} of {table} and is failed")
+        bundle = share_record(full, schema, wh.weights, wh.alive_csps() if stored else alive,
+                              wh.km, bias=wh.bias, group=group)
+        for i in sorted(bundle.group.sg):
+            rec = StoredRecord(pk, bundle.plain, {
+                attr: None if per_csp is None else per_csp[i]
+                for attr, per_csp in bundle.shares.items()
+            })
+            csp = wh.csps[i]
+            if stored:
+                csp.update_shared_record(schema, csp.position_of(table, pk), rec)
+            else:
+                csp.put_shared_records(schema, [rec])
+        if not stored:
+            wh.type1.set(table, pk, bundle.bitmap)
+        for col in wh.indexed_columns.get(table, []):
+            key = order_key(full.get(col.name), col)
+            if key is None:
+                wh.type2.remove(table, col.name, pk)
+            else:
+                wh.type2.insert(table, col.name, key, pk)
+        count += 1
+    return count
+
+
+def per_cell_rewrite(wh, schema, changes, refresh):
+    """cube._rewrite_cells, one cell and one provider at a time: each
+    cell's record read with get_record, its summable measures moved by
+    their deltas and the rest replaced by their re-shared chunks, and
+    written back with update_shared_record."""
+    from fvss.cube import _cell_rewrites
+
+    p = wh.km.p
+    for pk, deltas, reshared in _cell_rewrites(wh, schema, changes, refresh):
+        for i in sorted(wh.csps):
+            csp = wh.csps[i]
+            pos = csp.position_of(schema.table, pk)
+            rec = csp.get_record(schema.table, pos)
+            for attr, per_csp in deltas.items():
+                (old,) = rec.shares[attr]
+                rec.shares[attr] = ((old + per_csp[i]) % p,)
+            for attr, shares in reshared.items():
+                rec.shares[attr] = None if shares is None else shares[i - 1]
+            csp.update_shared_record(schema, pos, rec)

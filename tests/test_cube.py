@@ -474,14 +474,6 @@ def test_build_rotates_past_a_tampered_base_share(km_big):
     assert _cube_state(wh, table) == _cube_state(whole, table)
 
 
-def _cell(wh, spec, key):
-    """The pk of the cube cell with the given dimension tuple."""
-    table = cube_table(spec)
-    maps = [wh.type2.value_map(table, c.name) for c in cube_schema(wh, spec).columns[1:5]]
-    (pk,) = [pk for pk in wh.type1.pks(table) if tuple(vm.get(pk) for vm in maps) == key]
-    return pk
-
-
 def test_refresh_reads_every_level_before_writing(km_big):
     """A refresh whose read fails at the finest level writes no cell, so
     a retry through another group adds each new fact once."""
