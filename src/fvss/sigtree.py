@@ -147,6 +147,7 @@ class WaryTree:
                 raise UnknownRecordPosition(f"no leaf {g}")
             per_node[g] = per_node.get(g, 0) + delta
         if len(per_node) == 1:
+            # one leaf, as every in-place update is: the root path, without per-level maps
             self.add_delta(*per_node.popitem())
             return
         p, w = self.p, self.w
