@@ -42,15 +42,34 @@ class WaryTree:
         return tree
 
     @classmethod
-    def from_triples(cls, w: int, p: int, triples) -> "WaryTree":
+    def from_triples(cls, w: int, p: int, levels, indices, values) -> "WaryTree":
+        """The tree whose node (levels[k], indices[k]) holds values[k] mod p,
+        given as three aligned columns; ValueError unless each level's
+        indices run 0, 1, ... in the order given. Columns in the order
+        triples() lists them are taken level by level as slices."""
+        values = list(map(p.__rmod__, values))
+        runs, start = [], 0
+        while start < len(levels):
+            level = len(runs)
+            count = levels.count(level)
+            stop = start + count
+            if not count or levels[start:stop] != [level] * count \
+                    or indices[start:stop] != list(range(count)):
+                break
+            runs.append(values[start:stop])
+            start = stop
         tree = cls(w, p)
-        for level, idx, value in triples:
+        if start == len(levels):
+            tree.levels = runs or tree.levels
+            return tree
+        # any other order: triple by triple
+        for level, idx, value in zip(levels, indices, values):
             while level >= len(tree.levels):
                 tree.levels.append([])
             nodes = tree.levels[level]
             if idx != len(nodes):
                 raise ValueError(f"non-contiguous triple ({level}, {idx})")
-            nodes.append(value % p)
+            nodes.append(value)
         return tree
 
     @property

@@ -35,6 +35,13 @@ On disk (all integers decimal text):
     <root>/csp<i>/state              alive flag and byte counters
     <root>/index/type1.bitmap        table, pk, bitmap lines
     <root>/index/type2/<t>.<a>.idx   one JSON [key, pk] entry per line
+
+The codecs are column-wise: save formats each file from whole columns,
+and load splits each file once and converts each field as a strided
+slice. load reads every file, but parses a provider's signature trees
+only on first use (CspStore.sigtree): verify, recover, writes and save
+parse them, and a query never does. The Type II files must be exactly
+those of the configured indexes; save writes one for each, even empty.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from datetime import timedelta
 from fractions import Fraction
-from itertools import chain, combinations, zip_longest
+from itertools import chain, combinations, compress, repeat, zip_longest
 from operator import itemgetter
 from pathlib import Path
 
@@ -150,30 +157,82 @@ def _text_size(schema: Schema, pks, values) -> int:
     return size + sum(map(len, map(str, chain.from_iterable(ints))))
 
 
+# The text codecs work a column at a time: a writer formats whole columns
+# through one format string, a parser splits a whole file once and reads
+# each field as a strided slice, so Python code runs per file and column,
+# not per line (per value only for NULLs and shares of several chunks).
+
+
+def _positions(seq: list, item) -> list[int]:
+    """Indices of item in seq, found by C-level scans."""
+    out, k = [], -1
+    for _ in range(seq.count(item)):
+        k = seq.index(item, k + 1)
+        out.append(k)
+    return out
+
+
+def _fields(lines: list[str], width: int) -> list[str]:
+    """The tab-separated fields of lines, all lines after each other; for
+    a line of another width, the ValueError of unpacking it into width
+    names."""
+    counts = list(map(str.count, lines, repeat("\t")))
+    if set(counts) - {width - 1}:
+        got = next(n for n in counts if n != width - 1) + 1
+        raise ValueError(f"not enough values to unpack (expected {width}, got {got})"
+                         if got < width else f"too many values to unpack (expected {width})")
+    return "\t".join(lines).split("\t") if lines else []
+
+
+def _share_texts(vals: list):
+    """A share column as values whose format() is its .shares field: the
+    chunk itself for one chunk, else the chunks comma-joined, the NULL
+    literal for a null."""
+    vals = list(vals)
+    for k in _positions(vals, None):
+        vals[k] = (NULL_LITERAL,)
+    if set(map(len, vals)) <= {1}:
+        return map(_FIRST, vals)
+    return [",".join(map(str, v)) for v in vals]
+
+
+def _parse_share_texts(raw: list[str]) -> list[tuple[int, ...] | None]:
+    """Inverse of _share_texts: the chunk tuples, None for a null."""
+    nulls = _positions(raw, NULL_LITERAL)
+    for k in nulls:
+        raw[k] = "0"
+    try:
+        vals = list(zip(map(int, raw)))
+    except ValueError:   # a field of several chunks, or not a number
+        vals = [tuple(map(int, r.split(","))) for r in raw]
+    for k in nulls:
+        vals[k] = None
+    return vals
+
+
 def _shares_text(schema: Schema, pks, values) -> str:
     """The records as .shares lines: tab-separated decimal fields, share
     chunks comma-joined, the NULL literal for nulls."""
-    cols = [map(str, pks)]
-    for (_, is_fk), vals in zip(schema.record_fields(), values):
-        cols.append(map(str, vals) if is_fk else [
-            NULL_LITERAL if v is None else ",".join(map(str, v)) for v in vals
-        ])
-    return "".join(line + "\n" for line in map("\t".join, zip(*cols)))
+    fields = schema.record_fields()
+    line = "\t".join(["{}"] * (len(fields) + 1)) + "\n"
+    cols = [vals if is_fk else _share_texts(vals) for (_, is_fk), vals in zip(fields, values)]
+    return "".join(map(line.format, pks, *cols))
 
 
 def _parse_shares(schema: Schema, text: str) -> tuple[list[int], list[list]]:
-    """Inverse of _shares_text: (pks, values) of a .shares file."""
+    """Inverse of _shares_text: (pks, values) of a .shares file, whose
+    empty lines are skipped; SchemaMismatch for a line of another width."""
     fields = schema.record_fields()
-    rows = [line.split("\t") for line in text.splitlines() if line]
-    if any(len(row) != len(fields) + 1 for row in rows):
-        raise SchemaMismatch(f"{schema.table}.shares: a line without {len(fields) + 1} fields")
-    cols = list(zip(*rows)) or [()] * (len(fields) + 1)
+    width = len(fields) + 1
+    try:
+        flat = _fields(list(filter(None, text.splitlines())), width)
+    except ValueError:
+        raise SchemaMismatch(f"{schema.table}.shares: a line without {width} fields") from None
     values = [
-        list(map(int, raw)) if is_fk
-        else [None if r == NULL_LITERAL else tuple(map(int, r.split(","))) for r in raw]
-        for (_, is_fk), raw in zip(fields, cols[1:])
+        list(map(int, flat[j::width])) if is_fk else _parse_share_texts(flat[j::width])
+        for j, (_, is_fk) in enumerate(fields, 1)
     ]
-    return list(map(int, cols[0])), values
+    return list(map(int, flat[0::width])), values
 
 
 def _refuse_empty_strings(schema: Schema, row: dict):
@@ -198,9 +257,23 @@ class CspStore:
         # table -> attr -> pk -> chunk tuple, for the non-NULL values
         self.columns: dict[str, dict[str, dict[int, tuple[int, ...]]]] = {}
         self.nulls: dict[str, dict[str, set[int]]] = {}    # table -> attr -> NULL pks
-        self.sigtree = SignatureTree(index, w, km)
+        self._sigtree = SignatureTree(index, w, km)
+        # saved trees not parsed yet: (_tables.sigtree text, table -> .sigtree text)
+        self.saved_trees: tuple[str, dict[str, str]] | None = None
         self.bytes_stored = 0
         self.bytes_transferred = 0
+
+    @property
+    def sigtree(self) -> SignatureTree:
+        """This provider's signature trees. Trees read from disk by
+        Warehouse.load are parsed here, on first use, so a command that
+        neither checks nor changes them never builds one; a malformed
+        file raises its ValueError at every use until then."""
+        if self.saved_trees is not None:
+            self._sigtree = _parse_sigtree(self.index, self._sigtree.w, self.km,
+                                           *self.saved_trees)
+            self.saved_trees = None
+        return self._sigtree
 
     def _check_alive(self):
         if not self.alive:
@@ -448,6 +521,23 @@ class TypeOneIndex:
         for i, bit in enumerate(bitmap, 1):
             if bit == "0":
                 absent.setdefault(i, set()).add(pk)
+
+    def set_many(self, table: str, pks: list[int], bitmaps: list[str]):
+        """set of each (pk, bitmap) pair in order. Distinct pks new to the
+        table are filed a bitmap at a time, in C-level passes."""
+        entries = self.entries.setdefault(table, {})
+        absent = self.absent.setdefault(table, {})
+        if entries or len(set(pks)) < len(pks):
+            for pk, bitmap in zip(pks, bitmaps):
+                self.set(table, pk, bitmap)
+            return
+        entries.update(zip(pks, bitmaps))
+        for bitmap in dict.fromkeys(bitmaps):
+            zeros = [i for i, bit in enumerate(bitmap, 1) if bit == "0"]
+            if zeros:
+                held = list(compress(pks, map(bitmap.__eq__, bitmaps)))
+                for i in zeros:
+                    absent.setdefault(i, set()).update(held)
 
     def bitmap(self, table: str, pk: int) -> str:
         try:
@@ -1090,18 +1180,18 @@ class Warehouse:
         for i, csp in self.csps.items():
             d = root / f"csp{i}"
             d.mkdir(parents=True, exist_ok=True)
+            sigtree = csp.sigtree
             for table in self.table_order:
                 schema = self.schemas[table]
                 (d / f"{table}.shares").write_text(
                     _shares_text(schema, *csp.slice_values(schema))
                 )
                 (d / f"{table}.sigtree").write_text(
-                    _triples_text(csp.sigtree.record_trees[table].triples())
+                    _triples_text(sigtree.record_trees[table].levels)
                 )
-            layer = ["\t".join(["tables"] + csp.sigtree.table_order)]
-            layer.append(_triples_text(csp.sigtree.table_layer.triples()).rstrip("\n"))
             (d / "_tables.sigtree").write_text(
-                "\n".join(part for part in layer if part) + "\n"
+                "\t".join(["tables"] + sigtree.table_order) + "\n"
+                + _triples_text(sigtree.table_layer.levels)
             )
             (d / "state").write_text(
                 f"alive\t{int(csp.alive)}\n"
@@ -1110,20 +1200,13 @@ class Warehouse:
             )
         idx = root / "index"
         idx.mkdir(parents=True, exist_ok=True)
-        bitmap_lines = []
-        for table in self.table_order:
-            for pk in self.type1.pks(table):
-                bitmap_lines.append(f"{table}\t{pk}\t{self.type1.bitmap(table, pk)}")
-        (idx / "type1.bitmap").write_text(
-            "".join(line + "\n" for line in bitmap_lines)
-        )
+        (idx / "type1.bitmap").write_text("".join(
+            _bitmaps_text(table, self.type1.entries[table]) for table in self.table_order
+        ))
         t2 = idx / "type2"
         t2.mkdir(exist_ok=True)
         for (table, attr), entries in self.type2.maps.items():
-            lines = [json.dumps([key, pk]) for key, pk in entries]
-            (t2 / f"{table}.{attr}.idx").write_text(
-                "".join(line + "\n" for line in lines)
-            )
+            (t2 / f"{table}.{attr}.idx").write_text(_type2_text(entries))
         (idx / "tables").write_text(
             "".join(name + "\n" for name in self.table_order)
         )
@@ -1135,6 +1218,9 @@ class Warehouse:
 
         table_specs: iterable of (schema, index_attrs, derived) exactly as
         passed to create_table; the on-disk tables file fixes the order.
+        Every file is read here, but each provider's signature trees are
+        parsed on first use (CspStore.sigtree). SchemaMismatch when the
+        Type II files are not exactly those of the configured indexes.
         """
         root = Path(root)
         wh = cls(km, w=w, weights=weights, bias=bias, svm_prices=svm_prices)
@@ -1156,46 +1242,104 @@ class Warehouse:
             csp.alive = state["alive"] == "1"
             csp.bytes_stored = int(state["bytes_stored"])
             csp.bytes_transferred = int(state["bytes_transferred"])
-            layer_lines = (d / "_tables.sigtree").read_text().splitlines()
-            names = layer_lines[0].split("\t")[1:]
-            csp.sigtree.table_order = names
-            csp.sigtree.table_pos = {nm: j for j, nm in enumerate(names)}
-            csp.sigtree.table_layer = WaryTree.from_triples(
-                w, km.p, _parse_triples(layer_lines[1:])
-            )
+            trees = {}
             for table in order:
                 schema = wh.schemas[table]
                 csp._set_slice(
                     schema, *_parse_shares(schema, (d / f"{table}.shares").read_text())
                 )
-                csp.sigtree.record_trees[table] = WaryTree.from_triples(
-                    w, km.p,
-                    _parse_triples((d / f"{table}.sigtree").read_text().splitlines()),
-                )
-        for line in (root / "index" / "type1.bitmap").read_text().splitlines():
-            if not line:
-                continue
-            table, pk, bitmap = line.split("\t")
-            wh.type1.set(table, int(pk), bitmap)
+                trees[table] = (d / f"{table}.sigtree").read_text()
+            csp.saved_trees = (d / "_tables.sigtree").read_text(), trees
+        _read_bitmaps(wh.type1, (root / "index" / "type1.bitmap").read_text())
+        # save writes one file per index, an empty index too: a file
+        # missing or extra means a torn or edited store
         t2 = root / "index" / "type2"
-        if t2.is_dir():
-            for path in sorted(t2.glob("*.idx")):
-                table, attr = path.name[: -len(".idx")].split(".", 1)
-                lines = [line for line in path.read_text().splitlines() if line]
-                pairs = json.loads("[" + ",".join(lines) + "]")
-                wh.type2.maps[(table, attr)] = sorted((key, pk) for key, pk in pairs)
-                wh.type2.keys[(table, attr)] = {pk: key for key, pk in pairs}
+        files = {f"{table}.{attr}.idx": (table, attr) for table, attr in wh.type2.maps}
+        extra = sorted({path.name for path in t2.glob("*.idx")} - files.keys())
+        if extra:
+            raise SchemaMismatch(
+                f"index/type2/{extra[0]} is on disk but that index is not configured"
+            )
+        for name, index in files.items():
+            path = t2 / name
+            if not path.is_file():
+                raise SchemaMismatch(f"index/type2/{name} is missing for a configured index")
+            entries = _parse_type2(path.read_text())
+            wh.type2.maps[index] = sorted(entries)
+            wh.type2.keys[index] = {pk: key for key, pk in entries}
         return wh
 
 
-def _triples_text(triples) -> str:
-    return "".join(f"{level}\t{index}\t{value}\n" for level, index, value in triples)
+def _triples_text(levels) -> str:
+    """The (level, index, value) lines of a tree's node levels, leaves
+    first, each level in index order."""
+    return "".join(
+        "".join(map(f"{level}\t{{}}\t{{}}\n".format, range(len(nodes)), nodes))
+        for level, nodes in enumerate(levels)
+    )
 
 
-def _parse_triples(lines) -> list[tuple[int, int, int]]:
-    out = []
-    for line in lines:
-        if line:
-            level, index, value = line.split("\t")
-            out.append((int(level), int(index), int(value)))
-    return out
+def _parse_triples(lines) -> tuple[list[int], list[int], list[int]]:
+    """The levels, indices and values of the (level, index, value) lines,
+    as three aligned columns; empty lines are skipped."""
+    flat = _fields(list(filter(None, lines)), 3)
+    return list(map(int, flat[0::3])), list(map(int, flat[1::3])), list(map(int, flat[2::3]))
+
+
+def _parse_sigtree(csp: int, w: int, km: KeyMaterial, layer_text: str,
+                   texts: dict[str, str]) -> SignatureTree:
+    """A provider's signature trees from its saved _tables.sigtree text and
+    the .sigtree text of each table."""
+    sigtree = SignatureTree(csp, w, km)
+    layer_lines = layer_text.splitlines()
+    names = layer_lines[0].split("\t")[1:]
+    sigtree.table_order = names
+    sigtree.table_pos = {name: j for j, name in enumerate(names)}
+    sigtree.table_layer = WaryTree.from_triples(w, km.p, *_parse_triples(layer_lines[1:]))
+    for table, text in texts.items():
+        sigtree.record_trees[table] = WaryTree.from_triples(
+            w, km.p, *_parse_triples(text.splitlines())
+        )
+    return sigtree
+
+
+def _bitmaps_text(table: str, entries: dict[int, str]) -> str:
+    """The table's Type I entries as (table, pk, bitmap) lines."""
+    return "".join(map("{}\t{}\t{}\n".format, repeat(table), entries, entries.values()))
+
+
+def _read_bitmaps(type1: TypeOneIndex, text: str):
+    """TypeOneIndex.set of each (table, pk, bitmap) line of text in order,
+    as one set_many per table; empty lines are skipped."""
+    flat = _fields(list(filter(None, text.splitlines())), 3)
+    tables, pks, bitmaps = flat[0::3], list(map(int, flat[1::3])), flat[2::3]
+    for table in dict.fromkeys(tables):
+        rows = list(map(table.__eq__, tables))
+        type1.set_many(table, list(compress(pks, rows)), list(compress(bitmaps, rows)))
+
+
+def _type2_text(entries) -> str:
+    """A Type II index's (key, pk) entries as JSON [key, pk] lines."""
+    return "".join([
+        f"[{key}, {pk}]\n" if type(key) is int else json.dumps([key, pk]) + "\n"
+        for key, pk in entries
+    ])
+
+
+_BRACKETS = str.maketrans("", "", "[],")
+
+
+def _parse_type2(text: str) -> list[tuple]:
+    """Inverse of _type2_text: the (key, pk) entries of an .idx file in file
+    order. A file of integer keys that _type2_text would write again byte
+    for byte is read as columns; any other goes through json, empty lines
+    skipped."""
+    tokens = text.translate(_BRACKETS).split()
+    try:
+        entries = list(zip(map(int, tokens[0::2]), map(int, tokens[1::2])))
+    except ValueError:
+        entries = None
+    if entries is None or _type2_text(entries) != text:
+        lines = [line for line in text.splitlines() if line]
+        entries = [(key, pk) for key, pk in json.loads("[" + ",".join(lines) + "]")]
+    return entries

@@ -371,3 +371,103 @@ def per_cell_rewrite(wh, schema, changes, refresh):
             for attr, shares in reshared.items():
                 rec.shares[attr] = None if shares is None else shares[i - 1]
             csp.update_shared_record(schema, pos, rec)
+
+
+# Per-line text codecs. The store writes and parses its files a column at
+# a time; these are the codecs it used to run line by line, kept as
+# written, with Warehouse.save's and Warehouse.load's per-line Type I and
+# Type II loops and the per-triple tree builder.
+
+
+def _shares_text(schema, pks, values):
+    """The records as .shares lines: tab-separated decimal fields, share
+    chunks comma-joined, the NULL literal for nulls."""
+    from fvss.store import NULL_LITERAL
+
+    cols = [map(str, pks)]
+    for (_, is_fk), vals in zip(schema.record_fields(), values):
+        cols.append(map(str, vals) if is_fk else [
+            NULL_LITERAL if v is None else ",".join(map(str, v)) for v in vals
+        ])
+    return "".join(line + "\n" for line in map("\t".join, zip(*cols)))
+
+
+def _parse_shares(schema, text):
+    """Inverse of _shares_text: (pks, values) of a .shares file."""
+    from fvss.errors import SchemaMismatch
+    from fvss.store import NULL_LITERAL
+
+    fields = schema.record_fields()
+    rows = [line.split("\t") for line in text.splitlines() if line]
+    if any(len(row) != len(fields) + 1 for row in rows):
+        raise SchemaMismatch(f"{schema.table}.shares: a line without {len(fields) + 1} fields")
+    cols = list(zip(*rows)) or [()] * (len(fields) + 1)
+    values = [
+        list(map(int, raw)) if is_fk
+        else [None if r == NULL_LITERAL else tuple(map(int, r.split(","))) for r in raw]
+        for (_, is_fk), raw in zip(fields, cols[1:])
+    ]
+    return list(map(int, cols[0])), values
+
+
+def _triples_text(triples):
+    return "".join(f"{level}\t{index}\t{value}\n" for level, index, value in triples)
+
+
+def _parse_triples(lines):
+    out = []
+    for line in lines:
+        if line:
+            level, index, value = line.split("\t")
+            out.append((int(level), int(index), int(value)))
+    return out
+
+
+def from_triples(w, p, triples):
+    """WaryTree.from_triples, one triple at a time."""
+    from fvss.sigtree import WaryTree
+
+    tree = WaryTree(w, p)
+    for level, idx, value in triples:
+        while level >= len(tree.levels):
+            tree.levels.append([])
+        nodes = tree.levels[level]
+        if idx != len(nodes):
+            raise ValueError(f"non-contiguous triple ({level}, {idx})")
+        nodes.append(value % p)
+    return tree
+
+
+def bitmap_lines_text(type1, table_order):
+    """Warehouse.save's type1.bitmap text, a line at a time."""
+    bitmap_lines = []
+    for table in table_order:
+        for pk in type1.pks(table):
+            bitmap_lines.append(f"{table}\t{pk}\t{type1.bitmap(table, pk)}")
+    return "".join(line + "\n" for line in bitmap_lines)
+
+
+def load_bitmap_lines(type1, text):
+    """Warehouse.load's Type I loop: TypeOneIndex.set of each line."""
+    for line in text.splitlines():
+        if not line:
+            continue
+        table, pk, bitmap = line.split("\t")
+        type1.set(table, int(pk), bitmap)
+
+
+def type2_text(entries):
+    """Warehouse.save's .idx text: one json.dumps([key, pk]) per entry."""
+    import json
+
+    lines = [json.dumps([key, pk]) for key, pk in entries]
+    return "".join(line + "\n" for line in lines)
+
+
+def parse_type2(text):
+    """Warehouse.load's .idx parse: the sorted entries and the pk -> key map."""
+    import json
+
+    lines = [line for line in text.splitlines() if line]
+    pairs = json.loads("[" + ",".join(lines) + "]")
+    return sorted((key, pk) for key, pk in pairs), {pk: key for key, pk in pairs}

@@ -227,6 +227,23 @@ def test_two_failures_break_reads_until_heal(loaded, capsys):
     assert run(loaded, "query", "SELECT SUM(qty) FROM Sales")[0] == 0
 
 
+@pytest.mark.parametrize("edit", ["missing", "extra"])
+def test_type2_files_not_matching_the_config_exit_one(loaded, capsys, edit):
+    """A query on a store whose Type II files are not the configured ones
+    refuses to answer (without the qty index, COUNT and SUM read 0)."""
+    t2 = loaded / "warehouse" / "index" / "type2"
+    if edit == "missing":
+        (t2 / "Sales.qty.idx").unlink()
+        want = "SchemaMismatch: index/type2/Sales.qty.idx is missing"
+    else:
+        (t2 / "Sales.paid.idx").write_text("[1, 1]\n")
+        want = "SchemaMismatch: index/type2/Sales.paid.idx is on disk but"
+    code, out, err = run(loaded, "query", "SELECT COUNT(*), SUM(price) FROM Sales WHERE qty >= 1",
+                         capsys=capsys)
+    assert (code, out) == (1, "")
+    assert want in err
+
+
 def test_verify_failed_csp_is_an_availability_error(loaded, capsys):
     run(loaded, "fail", "2")
     code, _, err = run(loaded, "verify", "--csp", "2", capsys=capsys)

@@ -1,0 +1,229 @@
+"""Randomized equivalence of the column-wise text codecs.
+
+The store writes and parses every saved file a column at a time. Each
+battery draws what a file holds, writes it with the store's codec and
+with the per-line reference in `tests/oracles.py`, and checks that the
+bytes are equal, that both parsers return the same thing (on hand-edited
+text too: empty lines, lines of the wrong width, triples out of order),
+and that parsing what was written gives back what was drawn.
+
+Run with `--hypothesis-profile ci` for the derandomized, longer battery.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fvss import P_DEFAULT, Column, Schema
+from fvss.errors import SchemaMismatch
+from fvss.sigtree import WaryTree
+from fvss.store import (
+    TypeOneIndex,
+    _bitmaps_text,
+    _parse_shares,
+    _parse_triples,
+    _parse_type2,
+    _read_bitmaps,
+    _shares_text,
+    _triples_text,
+    _type2_text,
+)
+
+from . import oracles
+
+P = P_DEFAULT
+CHUNK = st.sampled_from((0, 1, P - 1)) | st.integers(0, P - 1)
+INT = st.integers(-2**63, 2**63)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, SchemaMismatch) as exc:
+        return type(exc), str(exc)
+
+
+# .shares files
+
+
+@st.composite
+def slices(draw):
+    """A schema of fk and data columns in any order, and a slice of it:
+    distinct pks (maybe none), fk values, and per data column chunk
+    tuples of one or more chunks or NULL."""
+    kinds = draw(st.lists(st.sampled_from(("fk", "int", "string")), max_size=5))
+    schema = Schema("t", (Column("k", "key"),) + tuple(
+        Column(f"c{j}", kind) for j, kind in enumerate(kinds)))
+    pks = draw(st.lists(st.integers(0, 2**63), unique=True, max_size=12))
+    values = []
+    for _, is_fk in schema.record_fields():
+        if is_fk:
+            values.append([draw(INT) for _ in pks])
+            continue
+        chunks = st.lists(CHUNK, min_size=1, max_size=1 if draw(st.booleans()) else 4)
+        values.append([draw(st.none() | chunks.map(tuple)) for _ in pks])
+    return schema, pks, values
+
+
+@settings(deadline=None)
+@given(slices())
+def test_shares_codec_equals_the_per_line_reference(case):
+    schema, pks, values = case
+    text = _shares_text(schema, pks, values)
+    assert text == oracles._shares_text(schema, pks, values)
+    assert _parse_shares(schema, text) == oracles._parse_shares(schema, text) == (pks, values)
+
+
+@settings(deadline=None)
+@given(slices(), st.data())
+def test_shares_parser_equals_the_reference_on_edited_text(case, data):
+    """Empty lines are skipped; a line with a field too many or too few
+    is SchemaMismatch in both."""
+    schema, pks, values = case
+    lines = _shares_text(schema, pks, values).splitlines()
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(lines)))
+        edit = data.draw(st.sampled_from(("empty", "more", "fewer")))
+        if edit == "empty":
+            lines.insert(at, "")
+        elif lines and at < len(lines):
+            fields = lines[at].split("\t")
+            lines[at] = "\t".join(fields + ["7"] if edit == "more" else fields[:-1])
+    text = "".join(line + "\n" for line in lines)
+    assert _outcome(_parse_shares, schema, text) == _outcome(oracles._parse_shares, schema, text)
+
+
+# .sigtree files
+
+
+@st.composite
+def trees(draw):
+    """A tree of no, one or many leaves, chunk-like values."""
+    w = draw(st.integers(2, 4))
+    return WaryTree.from_leaves(w, P, draw(st.lists(CHUNK, max_size=40)))
+
+
+def _load_tree(tree, text):
+    return WaryTree.from_triples(tree.w, P, *_parse_triples(text.splitlines())).levels
+
+
+def _reference_tree(tree, text):
+    return oracles.from_triples(tree.w, P, oracles._parse_triples(text.splitlines())).levels
+
+
+@settings(deadline=None)
+@given(trees())
+def test_tree_codec_equals_the_per_triple_reference(tree):
+    text = _triples_text(tree.levels)
+    assert text == oracles._triples_text(tree.triples())
+    assert _load_tree(tree, text) == _reference_tree(tree, text) == tree.levels
+
+
+@settings(deadline=None)
+@given(trees(), st.data())
+def test_tree_parser_equals_the_reference_on_edited_text(tree, data):
+    """Triples interleaved across levels, a gap in a level's indices, a
+    line of 2 or 4 fields, empty lines, values of p or more: the same
+    tree or the same ValueError as the per-triple reference."""
+    lines = _triples_text(tree.levels).splitlines()
+    edit = data.draw(st.sampled_from(("interleave", "gap", "width", "empty", "big")))
+    if edit == "interleave":
+        # a random merge of the levels that keeps each level's own order
+        queues = {}
+        for line in lines:
+            queues.setdefault(line.split("\t")[0], []).insert(0, line)
+        lines = []
+        while any(queues.values()):
+            level = data.draw(st.sampled_from([k for k, q in queues.items() if q]))
+            lines.append(queues[level].pop())
+    elif lines and edit == "gap":
+        del lines[data.draw(st.integers(0, len(lines) - 1))]
+    elif lines and edit == "width":
+        at = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[at].split("\t")
+        lines[at] = "\t".join(fields[:2] if data.draw(st.booleans()) else fields + ["5"])
+    elif edit == "empty":
+        lines.insert(data.draw(st.integers(0, len(lines))), "")
+    elif lines:
+        level, index, value = lines[-1].split("\t")
+        lines[-1] = f"{level}\t{index}\t{int(value) + P}"
+    text = "".join(line + "\n" for line in lines)
+    assert _outcome(_load_tree, tree, text) == _outcome(_reference_tree, tree, text)
+
+
+# index/type1.bitmap
+
+
+@st.composite
+def bitmap_lines(draw):
+    """(table, pk, bitmap) rows over two tables, interleaved, pks repeated
+    at times, bitmaps of 5 bits (a few of another length)."""
+    bitmap = st.text("01", min_size=5, max_size=5) | st.text("01", max_size=7)
+    return draw(st.lists(st.tuples(st.sampled_from(("a", "cube:b")), st.integers(-5, 30),
+                                   bitmap), max_size=30))
+
+
+def _type1_state(type1):
+    return ({t: list(e.items()) for t, e in type1.entries.items()}, type1.absent)
+
+
+@settings(deadline=None)
+@given(bitmap_lines())
+def test_bitmap_codec_equals_the_per_line_reference(rows):
+    text = "".join(f"{table}\t{pk}\t{bitmap}\n" for table, pk, bitmap in rows)
+    loaded, reference = TypeOneIndex(), TypeOneIndex()
+    _read_bitmaps(loaded, text)
+    oracles.load_bitmap_lines(reference, text)
+    assert _type1_state(loaded) == _type1_state(reference)
+    order = list(loaded.entries)
+    written = "".join(_bitmaps_text(table, loaded.entries[table]) for table in order)
+    assert written == oracles.bitmap_lines_text(reference, order)
+    # a pk's superseded bitmap can leave an empty absent set behind, so
+    # the round trip keeps the entries, and the absent sets they give
+    again, again_reference = TypeOneIndex(), TypeOneIndex()
+    _read_bitmaps(again, written)
+    oracles.load_bitmap_lines(again_reference, written)
+    assert again.entries == loaded.entries
+    assert _type1_state(again) == _type1_state(again_reference)
+
+
+# index/type2/<table>.<attr>.idx
+
+
+INT_KEYS = st.integers(-2**70, 2**70) | st.booleans()
+STR_KEYS = (
+    st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=6)
+    | st.sampled_from(('"', "\\", 'a"b\\c', "\u00fc\u20ac\U0001d11e", "[1, 2]", "-0", "null"))
+)
+
+
+@settings(deadline=None)
+@given(st.sampled_from((INT_KEYS, STR_KEYS)).flatmap(
+    lambda keys: st.lists(st.tuples(keys, st.integers(-2**63, 2**63)), max_size=20)))
+def test_type2_codec_equals_the_per_entry_reference(entries):
+    """Integer keys (negative, bool) or string keys (quotes, backslashes,
+    non-ASCII): an index holds one kind."""
+    text = _type2_text(entries)
+    assert text == oracles.type2_text(entries)
+    parsed = _parse_type2(text)
+    assert parsed == entries
+    assert (sorted(parsed), {pk: key for key, pk in parsed}) == oracles.parse_type2(text)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(0, 10**6)), max_size=10),
+       st.sampled_from(("", "\n", " ", "[1.5, 3]\n", "[01, 3]\n", "[true, 3]\n", "[1,2]\n")))
+def test_type2_parser_reads_other_json_as_the_reference_does(entries, extra):
+    """A file _type2_text would not write (empty lines, floats, bools,
+    other spacing) goes through json, as the reference does."""
+    text = _type2_text(entries) + extra
+    try:
+        want = oracles.parse_type2(text)
+    except ValueError as exc:
+        want = type(exc)
+    try:
+        parsed = _parse_type2(text)
+        got = sorted(parsed), {pk: key for key, pk in parsed}
+    except ValueError as exc:
+        got = type(exc)
+    assert got == want

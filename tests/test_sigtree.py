@@ -76,7 +76,7 @@ def test_triples_round_trip():
     tree = WaryTree(3, P)
     for v in range(11):
         tree.append(v * v % P)
-    rebuilt = WaryTree.from_triples(3, P, tree.triples())
+    rebuilt = WaryTree.from_triples(3, P, *zip(*tree.triples()))
     assert [list(x) for x in rebuilt.levels] == [list(x) for x in tree.levels]
 
 

@@ -18,12 +18,15 @@ from fvss.errors import (
     MissingShare,
     NotEnoughAliveCsps,
     NotIndexed,
+    SchemaMismatch,
     UnknownRecordPosition,
     UnknownTable,
 )
+from fvss.query import execute, parse
 from fvss.store import StoredRecord, TypeOneIndex, order_key
 
 from .faults import drop_record
+from .oracles import PlainWarehouse
 
 
 PRODUCT = Schema("product", (
@@ -677,6 +680,143 @@ def test_bytes_stored_counts_the_share_lines_written(tmp_path, km_big):
     before = wh.csps[2].bytes_stored
     wh.recover_csp_shares(2)
     assert wh.csps[2].bytes_stored - before == (tmp_path / "a" / "csp2" / "t.shares").stat().st_size
+
+
+# the Type II files must be exactly those of the configured indexes
+
+
+def test_missing_type2_file_is_a_schema_mismatch(tmp_path, km_big):
+    """save writes every index file, an empty one too, so a missing file is
+    a torn or edited store: load refuses it rather than answer from an
+    empty index."""
+    wh = _warehouse(km_big)
+    wh.load_rows("product", _rows())
+    wh.save(tmp_path)
+    (tmp_path / "index" / "type2" / "product.qty.idx").unlink()
+    with pytest.raises(SchemaMismatch, match=r"index/type2/product\.qty\.idx is missing"):
+        _reload(tmp_path, km_big)
+
+
+def test_empty_type2_file_loads(tmp_path, km_big):
+    wh = _warehouse(km_big)
+    wh.save(tmp_path)
+    assert (tmp_path / "index" / "type2" / "product.qty.idx").read_text() == ""
+    assert _reload(tmp_path, km_big).type2.maps == wh.type2.maps
+
+
+@pytest.mark.parametrize("how", ["extra file", "index dropped from the config"])
+def test_unconfigured_type2_file_is_a_schema_mismatch(tmp_path, km_big, how):
+    wh = _warehouse(km_big)
+    wh.load_rows("product", _rows())
+    wh.save(tmp_path)
+    specs = [(PRODUCT, ("price", "prodName", "qty"), ())]
+    name = "product.qty.idx"
+    if how == "extra file":
+        name = "product.ProdNo.idx"
+        (tmp_path / "index" / "type2" / name).write_text("[124, 124]\n")
+    else:
+        specs = [(PRODUCT, ("price", "prodName"), ())]
+    with pytest.raises(SchemaMismatch, match=f"index/type2/{name} is on disk but"):
+        Warehouse.load(tmp_path, km_big, specs, w=3, bias=0)
+
+
+# malformed saved files, and signature trees parsed on first use
+
+
+def _saved(tmp_path, km):
+    wh = _warehouse(km)
+    wh.load_rows("product", _rows() + MORE)
+    wh.save(tmp_path)
+    return wh
+
+
+@pytest.mark.parametrize("edit", ["one field too many", "one field too few"])
+def test_shares_line_of_another_width_fails_at_load(tmp_path, km_big, edit):
+    _saved(tmp_path, km_big)
+    shares = tmp_path / "csp2" / "product.shares"
+    lines = shares.read_text().splitlines()
+    fields = lines[3].split("\t")
+    lines[3] = "\t".join(fields + ["1"] if edit == "one field too many" else fields[:-1])
+    shares.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(SchemaMismatch, match="product.shares: a line without 4 fields"):
+        _reload(tmp_path, km_big)
+
+
+def test_empty_lines_in_saved_files_are_skipped(tmp_path, km_big):
+    wh = _saved(tmp_path, km_big)
+    for rel in ("csp1/product.shares", "csp1/product.sigtree", "index/type1.bitmap",
+                "index/type2/product.qty.idx"):
+        path = tmp_path / rel
+        path.write_text("\n" + path.read_text().replace("\n", "\n\n", 2))
+    back = _reload(tmp_path, km_big)
+    assert back.csps[1].slice_values(PRODUCT) == wh.csps[1].slice_values(PRODUCT)
+    assert back.type1.entries == wh.type1.entries
+    assert back.type2.maps == wh.type2.maps and back.type2.keys == wh.type2.keys
+    assert back.csps[1].sigtree.record_trees["product"].levels \
+        == wh.csps[1].sigtree.record_trees["product"].levels
+    assert back.verify_csp(1).ok
+
+
+def _edit_tree(path, edit):
+    lines = path.read_text().splitlines()
+    if edit == "2 fields":
+        lines[1] = "\t".join(lines[1].split("\t")[:2])
+    elif edit == "4 fields":
+        lines[1] += "\t5"
+    else:   # a gap: the node after it moved to index 2
+        level, _, value = lines[1].split("\t")
+        lines[1] = f"{level}\t2\t{value}"
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("edit,error", [
+    ("2 fields", r"not enough values to unpack \(expected 3, got 2\)"),
+    ("4 fields", r"too many values to unpack \(expected 3\)"),
+    ("gap", r"non-contiguous triple \(0, 2\)"),
+])
+@pytest.mark.parametrize("name", ["product.sigtree", "_tables.sigtree"])
+def test_malformed_tree_fails_at_first_use_and_queries_still_answer(tmp_path, km_big, edit,
+                                                                      error, name):
+    """A load reads every tree but parses none: a malformed one raises its
+    ValueError when first used, by verify or save, every time, while a
+    query never parses one and answers as the plaintext does."""
+    _saved(tmp_path, km_big)
+    _edit_tree(tmp_path / "csp3" / name, edit)
+    back = _reload(tmp_path, km_big)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=error):
+            back.verify_csp(3)
+        with pytest.raises(ValueError, match=error):
+            back.save(tmp_path / "again")
+    assert back.verify_csp(2).ok
+    oracle = PlainWarehouse()
+    oracle.add_table(PRODUCT, _rows() + MORE)
+    for sql in ("SELECT SUM(price), COUNT(*), AVG(qty) FROM product",
+                "SELECT prodName, MAX(qty) FROM product WHERE price >= 2.0 GROUP BY prodName"):
+        assert execute(back, sql)[1] == oracle.query(parse(sql))
+    assert back.csps[3].saved_trees is not None
+
+
+def test_load_then_save_to_the_same_root_keeps_every_byte(tmp_path, km_big):
+    _saved(tmp_path, km_big)
+    before = {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    back = _reload(tmp_path, km_big)
+    assert all(csp.saved_trees is not None for csp in back.csps.values())
+    back.save(tmp_path)
+    after = {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert after == before
+
+
+def test_trees_are_read_at_load_not_at_first_use(tmp_path, km_big):
+    """A save to the same root after the load cannot change the trees the
+    loaded store verifies against."""
+    wh = _saved(tmp_path, km_big)
+    back = _reload(tmp_path, km_big)
+    wh.load_rows("product", [dict(ProdNo=300 + k, prodName="n", price=1.5, qty=k)
+                             for k in range(9)])
+    wh.save(tmp_path)
+    assert all(report.ok for report in back.verify_all().values())
+    assert back.csps[1].sigtree.root != wh.csps[1].sigtree.root
 
 
 # the scheme's threat-model boundary (see the README)
