@@ -52,7 +52,7 @@ from .errors import (
 )
 from .keyed import KeyMaterial
 from .sharing import Column, Schema, encode_chunks, pinned_coefficients
-from .store import Warehouse, display_value, order_key
+from .store import Warehouse, display_value
 from .query import (
     BIAS_TERMS,
     GroupSource,
@@ -61,6 +61,7 @@ from .query import (
     group_order,
     group_pks,
     group_source,
+    literal_operand,
     pair_column,
     present_pks,
     share_space_sums,
@@ -592,12 +593,7 @@ def cube_query(wh: Warehouse, spec: CubeSpec, level, where=(), rg=None):
     for attr, op, value in where:
         if attr not in level:
             raise SchemaMismatch(f"{attr} is aggregated away at this level")
-        col = by_name[attr]
-        if op in ("between", "in"):
-            operand = tuple(order_key(v, col) for v in value)
-        else:
-            operand = order_key(value, col)
-        pks &= wh.type2.lookup(table, attr, op, operand)
+        pks &= wh.type2.lookup(table, attr, op, literal_operand(value, by_name[attr], op))
 
     order = sorted(pks)
     reads = _measure_layout(spec, wh.schemas[spec.table]).reads

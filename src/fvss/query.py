@@ -30,6 +30,7 @@ Grammar, roughly::
     pred := attr (=|!=|<>|<|<=|>|>=) literal
           | attr BETWEEN literal AND literal
           | attr IN ( literal (, literal)* )
+    literal := -? number | 'text' | TRUE | FALSE
 
 OR, NOT, HAVING, subqueries and implicit joins are out of scope and
 rejected as unsupported rather than misparsed.
@@ -54,8 +55,8 @@ from .errors import (
     UnknownTable,
     UnsupportedFeature,
 )
-from .sharing import Column, solve_sums
-from .store import Warehouse, display_value, order_key
+from .sharing import Column, solve_sums, typed_key
+from .store import Warehouse, display_value
 
 AGG_FNS = ("sum", "avg", "var", "variance", "stddev", "count", "min", "max", "median")
 
@@ -337,10 +338,14 @@ class _Parser:
         return Predicate(attr, op, self._literal())
 
     def _literal(self):
+        sign = ""
+        if (self.cur.kind, self.cur.text) == ("symbol", "-") \
+                and self.tokens[self.i + 1].kind == "number":
+            sign = self._advance().text   # a negative number
         tok = self.cur
         if tok.kind == "number":
             self._advance()
-            return tok.text  # column kind decides int vs scaled real later
+            return sign + tok.text  # column kind decides int vs scaled real later
         if tok.kind == "string":
             self._advance()
             return tok.text
@@ -463,7 +468,7 @@ def plan(query: Query, wh: Warehouse) -> QueryPlan:
     for pred in query.where:
         r = _resolve(pred.attr, names, wh, fact)
         schema = wh.schemas[r.table]
-        operand = _canonical_operand(pred.operand, r.col, pred.op)
+        operand = literal_operand(pred.operand, r.col, pred.op)
         if r.table == fact:
             if r.name == schema.key:
                 filter_steps.append(FilterStep("fact_pk", fact, None, pred.op, operand))
@@ -577,33 +582,30 @@ def _group_index(r: Resolved, group_sources) -> int | None:
     return None
 
 
-def _canonical_operand(operand, col: Column, op: str):
-    if op == "between":
-        lo, hi = operand
-        return (_canonical_literal(lo, col), _canonical_literal(hi, col))
-    if op == "in":
-        return tuple(_canonical_literal(v, col) for v in operand)
-    return _canonical_literal(operand, col)
+def literal_operand(operand, col: Column, op: str):
+    """A predicate's operand as order keys of col (literal_key): a pair
+    for BETWEEN, a tuple for IN, else one key."""
+    if op in ("between", "in"):
+        return tuple(literal_key(v, col) for v in operand)
+    return literal_key(operand, col)
 
 
-def _canonical_literal(raw, col: Column):
+def literal_key(raw, col: Column):
+    """The order key a literal compares as against col: raw, query text or
+    a typed value, read as a value of col's kind. A number keeps its exact
+    scaled value, an int when it is whole and a Fraction otherwise, so a
+    literal finer than the column's scale lies between the stored keys and
+    equals none; anything else takes its typed_key."""
     kind = col.kind
     try:
-        if kind in ("key", "fk", "int"):
-            return int(raw)
-        if kind == "bool":
-            if isinstance(raw, bool):
-                return int(raw)
-            return 1 if int(raw) else 0
-        if kind == "date":
-            return order_key(_date.fromisoformat(raw), col)
-        if kind == "real":
-            return order_key(Fraction(str(raw)), col)
-        if kind == "string":
-            return str(raw)
+        if kind in ("key", "fk", "int", "real"):
+            key = Fraction(str(raw)) * 10**col.scale
+            return key.numerator if key.denominator == 1 else key
+        if isinstance(raw, str) and kind in ("date", "bool"):
+            raw = _date.fromisoformat(raw) if kind == "date" else int(raw)
+        return typed_key(raw, kind, col.scale)
     except (ValueError, TypeError) as exc:
         raise SchemaMismatch(f"literal {raw!r} does not fit a {kind} column") from exc
-    raise SchemaMismatch(f"cannot compare against a {kind} column")
 
 
 _SUMMABLE = ("int", "real", "bool")
@@ -838,27 +840,9 @@ def exec_sum(wh: Warehouse, table: str, attr: str, pks, rg):
     return aggregate_groups(wh, table, PlannedAgg("sum", "plain", attr=attr), [pks], rg)[0]
 
 
-def exec_sum_combined(wh: Warehouse, table: str, x: str, y: str, op: str, pks, rg):
-    """SUM(x op y) for op in {+, -} without a derived column."""
-    return aggregate_groups(wh, table, PlannedAgg("sum", "combined", x=x, y=y, op=op),
-                            [pks], rg)[0]
-
-
 def exec_count(wh: Warehouse, table: str, attr: str | None, pks, rg) -> int:
     agg = PlannedAgg("count", "star") if attr is None else PlannedAgg("count", "plain", attr=attr)
     return aggregate_groups(wh, table, agg, [list(set(pks))], rg)[0]
-
-
-def _defined(wh: Warehouse, table: str, agg: PlannedAgg, pks, rg):
-    value = aggregate_groups(wh, table, agg, [pks], rg)[0]
-    if value is None:
-        raise EmptyInput(f"{agg.fn.upper()}({agg.attr}) over no values")
-    return value
-
-
-def exec_avg(wh: Warehouse, table: str, attr: str, pks, rg) -> Fraction:
-    """AVG(attr); EmptyInput when no record has attr."""
-    return _defined(wh, table, PlannedAgg("avg", "plain", attr=attr), pks, rg)
 
 
 def exec_minmax_count(wh: Warehouse, table: str, attr: str, fn: str, pks, rg):
@@ -866,7 +850,10 @@ def exec_minmax_count(wh: Warehouse, table: str, attr: str, fn: str, pks, rg):
     attr; COUNT never touches a provider."""
     if fn == "count":
         return exec_count(wh, table, attr, pks, rg)
-    return _defined(wh, table, PlannedAgg(fn, "plain", attr=attr), pks, rg)
+    value = aggregate_groups(wh, table, PlannedAgg(fn, "plain", attr=attr), [pks], rg)[0]
+    if value is None:
+        raise EmptyInput(f"{fn.upper()}({attr}) over no values")
+    return value
 
 
 def _apply_pk_predicate(pks, op: str, operand) -> set[int]:

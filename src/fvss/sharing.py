@@ -26,12 +26,19 @@ share-space SUMs are checked through the same row (`solve_sums`).
 
 Storage groups always have n-t+2 members and reconstruction groups t, so
 at least two reconstruction members hold stored shares of every record.
+
+What d is for a typed value is decided once, by typed_key: an int as is,
+a real as value * 10^scale rounded half to even, a date as its epoch day,
+a bool as 0/1, a string as itself. The index server orders by that key
+(store.order_key), a value's chunks are the key plus the bias or, for a
+string, its UTF-8 bytes (encode_chunks), and typed_value and decode turn
+both back into the plaintext.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date as _date
+from datetime import date as _date, timedelta
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -123,49 +130,54 @@ class Schema:
         return self._fields
 
 
-@dataclass(frozen=True)
-class EncodedValue:
-    kind: str
-    chunks: tuple[int, ...]   # empty for null
-    scale: int = 0
+def typed_key(value, kind: str, scale: int = 0):
+    """The plaintext key that stands for a typed value, None for None: an
+    int (or a key or fk) as is, a real as value * 10^scale rounded
+    (scaled_int), a date as its epoch day, a bool as 0/1, a string as
+    itself. Type II indexes order by it (store.order_key), shares are made
+    of it (encode_chunks) and typed_value inverts it."""
+    if value is None:
+        return None
+    if kind in ("int", "key", "fk"):
+        return int(value)
+    if kind == "real":
+        return scaled_int(value, scale)
+    if kind == "date":
+        return (value - _EPOCH).days
+    if kind == "bool":
+        return int(bool(value))
+    if kind == "string":
+        return str(value)
+    raise SchemaMismatch(f"no typed key for kind {kind!r}")
 
-    @property
-    def is_null(self) -> bool:
-        return self.kind == "null"
 
-
-def encode(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> EncodedValue:
-    """Turn a typed plaintext value into field-element chunks (see
-    encode_chunks); None encodes to zero chunks and is never shared."""
-    chunks = encode_chunks(value, kind, scale=scale, bias=bias, p=p)
-    return EncodedValue("null" if value is None else kind, chunks, scale)
+def typed_value(key, kind: str, scale: int = 0):
+    """Inverse of typed_key: the plaintext value of a key."""
+    if key is None:
+        return None
+    if kind == "real":
+        return Fraction(key, 10**scale)
+    if kind == "date":
+        return _EPOCH + timedelta(days=key)
+    if kind == "bool":
+        return bool(key)
+    return key
 
 
 def encode_chunks(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> tuple[int, ...]:
-    """The field-element chunks of a typed plaintext value, () for None.
-
-    Integers, reals (scaled by 10^scale), dates (epoch days) and booleans
-    land in one chunk, offset by the bias so negatives stay in [0, p).
-    Strings become one chunk per UTF-8 byte.
-    """
-    if value is None:
+    """The field-element chunks of a typed plaintext value, () for None:
+    its typed_key offset by the bias, so negatives stay in [0, p), or
+    for a string one chunk per UTF-8 byte."""
+    key = typed_key(value, kind, scale)
+    if key is None:
         return ()
-    if kind == "int":
-        chunk = int(value) + bias
-    elif kind == "bool":
-        chunk = int(bool(value)) + bias
-    elif kind == "date":
-        chunk = (value - _EPOCH).days + bias
-    elif kind == "real":
-        chunk = scaled_int(value, scale) + bias
-    elif kind == "string":
-        raw = value.encode("utf-8")
+    if kind == "string":
+        raw = key.encode("utf-8")
         for b in raw:
             if b >= p:
                 raise OutOfRange(f"byte {b} of {value!r} >= p={p}")
         return tuple(raw)
-    else:
-        raise SchemaMismatch(f"cannot encode kind {kind!r}")
+    chunk = key + bias
     if not 0 <= chunk < p:
         raise OutOfRange(f"{kind} value {value!r} encodes to {chunk}, outside [0, {p})")
     return (chunk,)
@@ -188,21 +200,12 @@ def scaled_int(value, scale: int) -> int:
 
 
 def decode(chunks: Sequence[int], kind: str, *, scale: int = 0, bias: int = 0):
-    """Inverse of encode for values stored exactly (no modular wrap)."""
+    """Inverse of encode_chunks for values stored exactly (no modular wrap)."""
     if not chunks:
         return None
     if kind == "string":
         return bytes(chunks).decode("utf-8")
-    raw = chunks[0] - bias
-    if kind == "int":
-        return raw
-    if kind == "bool":
-        return bool(raw)
-    if kind == "date":
-        return _date.fromordinal(_EPOCH.toordinal() + raw)
-    if kind == "real":
-        return Fraction(raw, 10**scale)
-    raise SchemaMismatch(f"cannot decode kind {kind!r}")
+    return typed_value(chunks[0] - bias, kind, scale)
 
 
 @dataclass(frozen=True)
@@ -551,12 +554,9 @@ def share_record(
     terms = [(i, a, b * pk % p) for i, a, b in share_coefficients(group, km)]
     shares: dict[str, dict[int, tuple[int, ...]] | None] = {}
     for col in schema.data_columns():
-        enc = encode(record.get(col.name), col.kind, scale=col.scale, bias=bias, p=p)
-        if enc.is_null:
-            shares[col.name] = None
-            continue
-        chunks = enc.chunks
-        shares[col.name] = {
+        value = record.get(col.name)
+        chunks = encode_chunks(value, col.kind, scale=col.scale, bias=bias, p=p)
+        shares[col.name] = None if value is None else {
             i: tuple([(a * c + bpk) % p for c in chunks]) for i, a, bpk in terms
         }
     return ShareBundle(pk=pk, group=group, plain=plain, shares=shares)

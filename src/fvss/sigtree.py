@@ -17,6 +17,7 @@ inner signature's problem, not this layer's.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import DuplicateTable, UnknownRecordPosition, UnknownTable
@@ -44,32 +45,26 @@ class WaryTree:
     @classmethod
     def from_triples(cls, w: int, p: int, levels, indices, values) -> "WaryTree":
         """The tree whose node (levels[k], indices[k]) holds values[k] mod p,
-        given as three aligned columns; ValueError unless each level's
-        indices run 0, 1, ... in the order given. Columns in the order
-        triples() lists them are taken level by level as slices."""
-        values = list(map(p.__rmod__, values))
-        runs, start = [], 0
-        while start < len(levels):
-            level = len(runs)
-            count = levels.count(level)
-            stop = start + count
-            if not count or levels[start:stop] != [level] * count \
-                    or indices[start:stop] != list(range(count)):
-                break
-            runs.append(values[start:stop])
-            start = stop
+        given as three aligned columns, stably sorted by level and each
+        level taken as one slice; ValueError naming the first triple, in
+        the order given, whose level is negative or at which its level's
+        indices stop running 0, 1, ..."""
+        order = sorted(range(len(levels)), key=levels.__getitem__)
+        ranked = sorted(levels)   # the levels in that order
+        start = bisect_left(ranked, 0)
+        bad = order[:start]   # negative levels
+        runs = []
+        for level in range(ranked[-1] + 1 if ranked else 0):
+            run = order[start:bisect_right(ranked, level, start)]
+            if list(map(indices.__getitem__, run)) != list(range(len(run))):
+                bad.append(next(k for j, k in enumerate(run) if indices[k] != j))
+            runs.append(list(map(p.__rmod__, map(values.__getitem__, run))))
+            start += len(run)
+        if bad:
+            k = min(bad)
+            raise ValueError(f"non-contiguous triple ({levels[k]}, {indices[k]})")
         tree = cls(w, p)
-        if start == len(levels):
-            tree.levels = runs or tree.levels
-            return tree
-        # any other order: triple by triple
-        for level, idx, value in zip(levels, indices, values):
-            while level >= len(tree.levels):
-                tree.levels.append([])
-            nodes = tree.levels[level]
-            if idx != len(nodes):
-                raise ValueError(f"non-contiguous triple ({level}, {idx})")
-            nodes.append(value)
+        tree.levels = runs or tree.levels
         return tree
 
     @property

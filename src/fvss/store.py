@@ -36,6 +36,9 @@ On disk (all integers decimal text):
     <root>/index/type1.bitmap        table, pk, bitmap lines
     <root>/index/type2/<t>.<a>.idx   one JSON [key, pk] entry per line
 
+Type II order keys are sharing.typed_key, the integer (or string) that
+also makes a value's share chunks. A provider's bytes_stored grows by
+the length of the .shares lines a write would save (_shares_text).
 The codecs are column-wise: save formats each file from whole columns,
 and load splits each file once and converts each field as a strided
 slice. load reads every file, but parses a provider's signature trees
@@ -49,9 +52,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from datetime import timedelta
 from fractions import Fraction
-from itertools import chain, combinations, compress, repeat, zip_longest
+from itertools import combinations, compress, repeat, zip_longest
 from operator import itemgetter
 from pathlib import Path
 
@@ -74,17 +76,17 @@ from .sharing import (
     DEFAULT_BIAS,
     PLAIN_KINDS,
     RECONSTRUCTIONS,
-    _EPOCH,
     Column,
     Schema,
     decode,
     group_from_bitmap,
     linear_rows,
     record_values,
-    scaled_int,
     select_storage_group,
     share_columns,
     solve_column,
+    typed_key,
+    typed_value,
 )
 from .sigtree import BreachEntry, BreachReport, SignatureTree, WaryTree
 
@@ -137,26 +139,6 @@ def _record_bytes(schema: Schema, pks, values) -> list[bytes]:
     return list(map(b"".join, zip(*parts)))
 
 
-def _text_size(schema: Schema, pks, values) -> int:
-    """Bytes the records' lines take in a .shares file (see _shares_text),
-    counted from the values: the decimal digits of every integer, a tab
-    before every field, a comma between chunks, the NULL literal and a
-    newline per line."""
-    size = len(pks) * (len(values) + 1)
-    ints = [pks]
-    for (_, is_fk), vals in zip(schema.record_fields(), values):
-        if is_fk:
-            ints.append(vals)
-            continue
-        for chunks in vals:
-            if chunks is None:
-                size += len(NULL_LITERAL)
-            else:
-                size += len(chunks) - 1
-                ints.append(chunks)
-    return size + sum(map(len, map(str, chain.from_iterable(ints))))
-
-
 # The text codecs work a column at a time: a writer formats whole columns
 # through one format string, a parser splits a whole file once and reads
 # each field as a strided slice, so Python code runs per file and column,
@@ -188,9 +170,10 @@ def _share_texts(vals: list):
     """A share column as values whose format() is its .shares field: the
     chunk itself for one chunk, else the chunks comma-joined, the NULL
     literal for a null."""
-    vals = list(vals)
-    for k in _positions(vals, None):
-        vals[k] = (NULL_LITERAL,)
+    if None in vals:
+        vals = list(vals)
+        for k in _positions(vals, None):
+            vals[k] = (NULL_LITERAL,)
     if set(map(len, vals)) <= {1}:
         return map(_FIRST, vals)
     return [",".join(map(str, v)) for v in vals]
@@ -212,7 +195,8 @@ def _parse_share_texts(raw: list[str]) -> list[tuple[int, ...] | None]:
 
 def _shares_text(schema: Schema, pks, values) -> str:
     """The records as .shares lines: tab-separated decimal fields, share
-    chunks comma-joined, the NULL literal for nulls."""
+    chunks comma-joined, the NULL literal for nulls. Its length is what a
+    write adds to a provider's bytes_stored."""
     fields = schema.record_fields()
     line = "\t".join(["{}"] * (len(fields) + 1)) + "\n"
     cols = [vals if is_fk else _share_texts(vals) for (_, is_fk), vals in zip(fields, values)]
@@ -370,7 +354,7 @@ class CspStore:
         self.positions[table].update(zip(pks, range(start, len(held))))
         self._write(schema, pks, values)
         self.sigtree.insert_records(table, _record_bytes(schema, pks, values))
-        self.bytes_stored += _text_size(schema, pks, values)
+        self.bytes_stored += len(_shares_text(schema, pks, values))
         return start
 
     def update_columns(self, schema: Schema, pks, values):
@@ -384,7 +368,7 @@ class CspStore:
         positions = list(map(self.positions[table].__getitem__, pks))
         self._write(schema, pks, values)
         self.sigtree.update_records(table, positions, _record_bytes(schema, pks, values))
-        self.bytes_stored += _text_size(schema, pks, values)
+        self.bytes_stored += len(_shares_text(schema, pks, values))
 
     def fetch_records(self, schema: Schema, pks) -> list[list]:
         """The stored values of the records keyed pks, as a batch of value
@@ -496,7 +480,7 @@ class CspStore:
         tree.record_trees[table] = WaryTree.from_leaves(tree.w, tree.p, leaves)
         new_root = tree.record_trees[table].root
         tree.table_layer.add_delta(tree.table_pos[table], new_root - old_root)
-        self.bytes_stored += _text_size(schema, pks, values)
+        self.bytes_stored += len(_shares_text(schema, pks, values))
 
 
 class TypeOneIndex:
@@ -523,19 +507,21 @@ class TypeOneIndex:
                 absent.setdefault(i, set()).add(pk)
 
     def set_many(self, table: str, pks: list[int], bitmaps: list[str]):
-        """set of each (pk, bitmap) pair in order. Distinct pks new to the
-        table are filed a bitmap at a time, in C-level passes."""
+        """set of each (pk, bitmap) pair in order, a bitmap at a time in
+        C-level passes: pks already in the table first leave every absent
+        set, and a pk given twice keeps its last bitmap."""
         entries = self.entries.setdefault(table, {})
         absent = self.absent.setdefault(table, {})
-        if entries or len(set(pks)) < len(pks):
-            for pk, bitmap in zip(pks, bitmaps):
-                self.set(table, pk, bitmap)
-            return
-        entries.update(zip(pks, bitmaps))
+        reset = entries.keys() & pks
+        if reset:
+            for missing in absent.values():
+                missing -= reset
+        latest = dict(zip(pks, bitmaps))
+        entries.update(latest)
         for bitmap in dict.fromkeys(bitmaps):
             zeros = [i for i, bit in enumerate(bitmap, 1) if bit == "0"]
             if zeros:
-                held = list(compress(pks, map(bitmap.__eq__, bitmaps)))
+                held = list(compress(latest, map(bitmap.__eq__, latest.values())))
                 for i in zeros:
                     absent.setdefault(i, set()).update(held)
 
@@ -736,41 +722,14 @@ class TypeThreeRegistry:
 
 
 def order_key(value, col: Column):
-    """Plaintext order key for a Type II entry.
-
-    Numeric kinds map to signed integers (scaled for reals, epoch days for
-    dates, 0/1 for booleans) so comparisons match plaintext semantics;
-    strings stay strings; None means the value is absent from the index.
-    """
-    if value is None:
-        return None
-    kind = col.kind
-    if kind in ("key", "fk", "int"):
-        return int(value)
-    if kind == "bool":
-        return int(bool(value))
-    if kind == "date":
-        return (value - _EPOCH).days
-    if kind == "real":
-        v = value if isinstance(value, Fraction) else Fraction(str(value))
-        return scaled_int(v, col.scale)
-    if kind == "string":
-        return str(value)
-    raise SchemaMismatch(f"no order key for kind {kind!r}")
+    """The Type II key of a value of col: its typed_key, None (absent from
+    the index) for None."""
+    return typed_key(value, col.kind, col.scale)
 
 
 def display_value(key, col: Column):
-    """Inverse of order_key: canonical index key back to a plaintext value."""
-    if key is None:
-        return None
-    kind = col.kind
-    if kind == "real":
-        return Fraction(key, 10**col.scale)
-    if kind == "date":
-        return _EPOCH + timedelta(days=key)
-    if kind == "bool":
-        return bool(key)
-    return key
+    """Inverse of order_key: an index key back to a plaintext value."""
+    return typed_value(key, col.kind, col.scale)
 
 
 class Warehouse:
@@ -966,8 +925,7 @@ class Warehouse:
         for i in sorted(per_csp):
             self.csps[i].append_columns(schema, *per_csp[i])
         table = schema.table
-        for pk, bitmap in zip(pks, bitmaps):
-            self.type1.set(table, pk, bitmap)
+        self.type1.set_many(table, pks, bitmaps)
         for col in self.indexed_columns.get(table, []):
             self.type2.insert_many(table, col.name, [
                 (order_key(row.get(col.name), col), pk) for pk, row in zip(pks, rows)

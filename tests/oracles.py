@@ -6,9 +6,15 @@ basis polynomials, tree sums by whole-level recomputation instead of delta
 propagation, aggregation in exact rational arithmetic on the plaintext.
 """
 
-from datetime import date
+from datetime import date, timedelta
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import chain
+
+from fvss.errors import OutOfRange, SchemaMismatch
+from fvss.sharing import scaled_int
+
+_EPOCH = date(1970, 1, 1)
 
 
 def interpolate_gauss(points, p):
@@ -471,3 +477,118 @@ def parse_type2(text):
     lines = [line for line in text.splitlines() if line]
     pairs = json.loads("[" + ",".join(lines) + "]")
     return sorted((key, pk) for key, pk in pairs), {pk: key for key, pk in pairs}
+
+
+# Typed-value references. The package turns a typed value into its
+# integer in one place (sharing.typed_key); these are the encoders and
+# decoders it replaced, kept as written: the share chunks and their
+# inverse, the Type II order key and its inverse, and the stored-byte
+# count computed from the values rather than from the .shares text.
+
+
+def encode_chunks(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> tuple[int, ...]:
+    """The field-element chunks of a typed plaintext value, () for None.
+
+    Integers, reals (scaled by 10^scale), dates (epoch days) and booleans
+    land in one chunk, offset by the bias so negatives stay in [0, p).
+    Strings become one chunk per UTF-8 byte.
+    """
+    if value is None:
+        return ()
+    if kind == "int":
+        chunk = int(value) + bias
+    elif kind == "bool":
+        chunk = int(bool(value)) + bias
+    elif kind == "date":
+        chunk = (value - _EPOCH).days + bias
+    elif kind == "real":
+        chunk = scaled_int(value, scale) + bias
+    elif kind == "string":
+        raw = value.encode("utf-8")
+        for b in raw:
+            if b >= p:
+                raise OutOfRange(f"byte {b} of {value!r} >= p={p}")
+        return tuple(raw)
+    else:
+        raise SchemaMismatch(f"cannot encode kind {kind!r}")
+    if not 0 <= chunk < p:
+        raise OutOfRange(f"{kind} value {value!r} encodes to {chunk}, outside [0, {p})")
+    return (chunk,)
+
+
+def decode(chunks, kind: str, *, scale: int = 0, bias: int = 0):
+    """Inverse of encode for values stored exactly (no modular wrap)."""
+    if not chunks:
+        return None
+    if kind == "string":
+        return bytes(chunks).decode("utf-8")
+    raw = chunks[0] - bias
+    if kind == "int":
+        return raw
+    if kind == "bool":
+        return bool(raw)
+    if kind == "date":
+        return date.fromordinal(_EPOCH.toordinal() + raw)
+    if kind == "real":
+        return Fraction(raw, 10**scale)
+    raise SchemaMismatch(f"cannot decode kind {kind!r}")
+
+
+def order_key(value, col):
+    """Plaintext order key for a Type II entry.
+
+    Numeric kinds map to signed integers (scaled for reals, epoch days for
+    dates, 0/1 for booleans) so comparisons match plaintext semantics;
+    strings stay strings; None means the value is absent from the index.
+    """
+    if value is None:
+        return None
+    kind = col.kind
+    if kind in ("key", "fk", "int"):
+        return int(value)
+    if kind == "bool":
+        return int(bool(value))
+    if kind == "date":
+        return (value - _EPOCH).days
+    if kind == "real":
+        v = value if isinstance(value, Fraction) else Fraction(str(value))
+        return scaled_int(v, col.scale)
+    if kind == "string":
+        return str(value)
+    raise SchemaMismatch(f"no order key for kind {kind!r}")
+
+
+def display_value(key, col):
+    """Inverse of order_key: canonical index key back to a plaintext value."""
+    if key is None:
+        return None
+    kind = col.kind
+    if kind == "real":
+        return Fraction(key, 10**col.scale)
+    if kind == "date":
+        return _EPOCH + timedelta(days=key)
+    if kind == "bool":
+        return bool(key)
+    return key
+
+
+def _text_size(schema, pks, values) -> int:
+    """Bytes the records' lines take in a .shares file (see _shares_text),
+    counted from the values: the decimal digits of every integer, a tab
+    before every field, a comma between chunks, the NULL literal and a
+    newline per line."""
+    from fvss.store import NULL_LITERAL
+
+    size = len(pks) * (len(values) + 1)
+    ints = [pks]
+    for (_, is_fk), vals in zip(schema.record_fields(), values):
+        if is_fk:
+            ints.append(vals)
+            continue
+        for chunks in vals:
+            if chunks is None:
+                size += len(NULL_LITERAL)
+            else:
+                size += len(chunks) - 1
+                ints.append(chunks)
+    return size + sum(map(len, map(str, chain.from_iterable(ints))))

@@ -1,20 +1,31 @@
-"""Randomized equivalence of the column-wise text codecs.
+"""Randomized equivalence of the column-wise text codecs and of the
+typed-value encoding.
 
 The store writes and parses every saved file a column at a time. Each
 battery draws what a file holds, writes it with the store's codec and
 with the per-line reference in `tests/oracles.py`, and checks that the
 bytes are equal, that both parsers return the same thing (on hand-edited
 text too: empty lines, lines of the wrong width, triples out of order),
-and that parsing what was written gives back what was drawn.
+and that parsing what was written gives back what was drawn. The
+stored-byte count is the length of the .shares text, checked against the
+count the store once made from the values.
+
+A typed value becomes its integer in one place (sharing.typed_key); the
+value battery checks share chunks, their decoding, Type II order keys
+and their display values against the separate encoders in
+`tests/oracles.py` that it replaced, over every kind.
 
 Run with `--hypothesis-profile ci` for the derandomized, longer battery.
 """
 
+from datetime import date
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvss import P_DEFAULT, Column, Schema
-from fvss.errors import SchemaMismatch
+from fvss import DEFAULT_BIAS, P_DEFAULT, Column, Schema
+from fvss.errors import OutOfRange, SchemaMismatch
+from fvss.sharing import decode, encode_chunks
 from fvss.sigtree import WaryTree
 from fvss.store import (
     TypeOneIndex,
@@ -26,6 +37,8 @@ from fvss.store import (
     _shares_text,
     _triples_text,
     _type2_text,
+    display_value,
+    order_key,
 )
 
 from . import oracles
@@ -39,7 +52,7 @@ def _outcome(fn, *args):
     """fn's result, or the type and message of the error it raised."""
     try:
         return fn(*args)
-    except (ValueError, SchemaMismatch) as exc:
+    except (ValueError, SchemaMismatch, OutOfRange) as exc:
         return type(exc), str(exc)
 
 
@@ -72,6 +85,15 @@ def test_shares_codec_equals_the_per_line_reference(case):
     text = _shares_text(schema, pks, values)
     assert text == oracles._shares_text(schema, pks, values)
     assert _parse_shares(schema, text) == oracles._parse_shares(schema, text) == (pks, values)
+
+
+@settings(deadline=None)
+@given(slices())
+def test_stored_bytes_are_the_shares_text_length(case):
+    """What a provider adds to bytes_stored for a batch, the length of its
+    .shares lines, equals the count the store once made from the values."""
+    schema, pks, values = case
+    assert len(_shares_text(schema, pks, values)) == oracles._text_size(schema, pks, values)
 
 
 @settings(deadline=None)
@@ -227,3 +249,101 @@ def test_type2_parser_reads_other_json_as_the_reference_does(entries, extra):
     except ValueError as exc:
         got = type(exc)
     assert got == want
+
+
+def test_set_many_equals_set_on_a_filled_table():
+    """set_many on a table that already holds some of the pks, a pk given
+    twice in one batch: the same entries and absent sets as set of each
+    pair in order, an emptied absent set included."""
+    batches = [
+        [(1, "11100"), (2, "01110"), (3, "11100")],
+        [(2, "11111"), (4, "00111"), (1, "10101"), (4, "11010"), (5, "11100")],
+        [(3, "11111"), (3, "01111")],
+    ]
+    many, one = TypeOneIndex(), TypeOneIndex()
+    for batch in batches:
+        many.set_many("t", *map(list, zip(*batch)))
+        for pk, bitmap in batch:
+            one.set("t", pk, bitmap)
+        assert _type1_state(many) == _type1_state(one)
+    assert list(many.entries["t"]) == [1, 2, 3, 4, 5]
+    assert many.absent["t"][4] == {1, 5}
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_set_many_equals_set_on_random_batches(data):
+    """Batches of (pk, bitmap) pairs over few pks, so that pks repeat
+    within a batch and across batches."""
+    many, one = TypeOneIndex(), TypeOneIndex()
+    many.create_table("t")
+    one.create_table("t")
+    for _ in range(data.draw(st.integers(1, 4))):
+        batch = data.draw(st.lists(st.tuples(st.integers(0, 8), st.text("01", min_size=5,
+                                                                        max_size=5)),
+                                   max_size=10))
+        many.set_many("t", [pk for pk, _ in batch], [bitmap for _, bitmap in batch])
+        for pk, bitmap in batch:
+            one.set("t", pk, bitmap)
+    assert _type1_state(many) == _type1_state(one)
+
+
+# typed values: share chunks, order keys and their inverses
+
+
+def _draw_value(data, kind):
+    """A value of kind as a row may hold it, None one time in ten."""
+    if data.draw(st.integers(0, 9)) == 0:
+        return None
+    if kind in ("int", "key", "fk"):
+        return data.draw(st.integers(-2**64, 2**64))
+    if kind == "real":
+        return data.draw(
+            st.floats(-1e12, 1e12, allow_nan=False)
+            | st.decimals(-10**12, 10**12, allow_nan=False, allow_infinity=False)
+            | st.fractions(-10**12, 10**12)
+            | st.integers(-10**12, 10**12))
+    if kind == "date":
+        return data.draw(st.dates(max_value=date(2100, 12, 31)))
+    if kind == "bool":
+        return data.draw(st.booleans())
+    return data.draw(st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)),
+                             min_size=1, max_size=8))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(("int", "real", "date", "bool", "string")), st.integers(0, 6),
+       st.sampled_from((0, 3, DEFAULT_BIAS)), st.sampled_from((251, P_DEFAULT)), st.data())
+def test_share_chunks_equal_the_reference(kind, scale, bias, p, data):
+    """Negative ints, floats, Decimals and Fractions at scales 0 to 6,
+    dates before 1970, bools, multi-byte strings and None: the same
+    chunks or the same OutOfRange, and the same decoded value."""
+    value = _draw_value(data, kind)
+    got = _outcome(lambda: encode_chunks(value, kind, scale=scale, bias=bias, p=p))
+    assert got == _outcome(lambda: oracles.encode_chunks(value, kind, scale=scale, bias=bias, p=p))
+    if got and isinstance(got[0], type):   # both raised
+        return
+    assert decode(got, kind, scale=scale, bias=bias) \
+        == oracles.decode(got, kind, scale=scale, bias=bias)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(("key", "fk", "int", "real", "date", "bool", "string")),
+       st.integers(0, 6), st.data())
+def test_order_keys_equal_the_reference(kind, scale, data):
+    col = Column("a", kind, scale=scale)
+    value = _draw_value(data, kind)
+    key = order_key(value, col)
+    assert key == oracles.order_key(value, col)
+    assert type(key) is type(oracles.order_key(value, col))
+    assert display_value(key, col) == oracles.display_value(key, col)
+
+
+def test_tree_parser_refuses_a_negative_level():
+    """A triple of level -1 is not contiguous with any level; the error
+    names the first bad triple in file order."""
+    tree = WaryTree(3, P)
+    assert _outcome(_load_tree, tree, "0\t0\t5\n1\t0\t5\n-1\t0\t2\n0\t2\t1\n") \
+        == (ValueError, "non-contiguous triple (-1, 0)")
+    assert _outcome(_load_tree, tree, "0\t0\t5\n0\t2\t1\n-1\t0\t2\n") \
+        == (ValueError, "non-contiguous triple (0, 2)")

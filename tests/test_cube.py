@@ -252,6 +252,19 @@ def test_empty_slice_returns_no_rows(built):
     assert rows == []
 
 
+def test_where_operands_read_as_query_literals(built):
+    """cube_query's where operands go through the query's literal route: a
+    fractional year (as `--where yearid=2014.1` parses) matches no year
+    instead of truncating to 2014, and text reads as a number would in
+    a query."""
+    _, rows = cube_query(built, SPEC, ("yearid",), where=[("yearid", "=", Fraction(20141, 10))])
+    assert rows == []
+    _, rows = cube_query(built, SPEC, ("yearid",), where=[("yearid", "<", Fraction(20135, 10))])
+    assert rows == cube_query(built, SPEC, ("yearid",), where=[("yearid", "<=", 2013)])[1] != []
+    assert cube_query(built, SPEC, ("yearid",), where=[("yearid", "between", ("2013", "2014"))]) \
+        == cube_query(built, SPEC, ("yearid",))
+
+
 def test_grand_total_is_a_single_row(built):
     _, rows = cube_query(built, SPEC, ())
     assert len(rows) == 1

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from fvss import Column, Schema, Warehouse
 from fvss.errors import EmptyInput, UnknownRecordPosition
 from fvss.query import execute, parse
-from fvss.sharing import encode, group_from_bitmap, share_value
+from fvss.sharing import encode_chunks, group_from_bitmap, share_value
 from fvss.store import TypeOneIndex, TypeTwoIndex, order_key
 
 from .oracles import PlainWarehouse
@@ -96,8 +96,8 @@ def shares_oracle(wh, table, rows):
     for pk, row in rows.items():
         group = group_from_bitmap(wh.type1.bitmap(table, pk))
         for col in wh.schemas[table].data_columns():
-            enc = encode(row[col.name], col.kind, scale=col.scale, bias=wh.bias, p=km.p)
-            per_chunk = [share_value(c, pk, group, km) for c in enc.chunks]
+            chunks = encode_chunks(row[col.name], col.kind, scale=col.scale, bias=wh.bias, p=km.p)
+            per_chunk = [share_value(c, pk, group, km) for c in chunks]
             for i in group.sg:
                 want[i][col.name][pk] = tuple(s[i] for s in per_chunk) if per_chunk else None
     return want

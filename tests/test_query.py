@@ -8,7 +8,6 @@ import pytest
 from fvss import Column, DerivedColumn, Schema, Warehouse, group_from_bitmap
 from fvss.errors import (
     CspUnavailable,
-    EmptyInput,
     InnerSignatureMismatch,
     MissingShare,
     MissingTypeThreeColumn,
@@ -23,10 +22,10 @@ from fvss.query import (
     Aggregate,
     AttrRef,
     Combo,
+    PlannedAgg,
     Star,
-    exec_avg,
+    aggregate_groups,
     exec_sum,
-    exec_sum_combined,
     execute,
     parse,
     plan,
@@ -252,22 +251,28 @@ def test_exec_sum_skips_nulls(km_big):
     ], (Column("x", "int"),))
     rg = wh.choose_rg()
     assert exec_sum(wh, "t", "x", [1, 2, 3], rg) == -5
-    with pytest.raises(EmptyInput):
-        exec_avg(wh, "t", "x", [2], rg)
+    # AVG over no values is undefined
+    assert aggregate_groups(wh, "t", PlannedAgg("avg", "plain", attr="x"), [[2]], rg) == [None]
 
 
-def test_exec_sum_combined_frozen(km_big):
+def _sum_combined(wh, x, y, op, pks, rg):
+    """SUM(x op y) for op in {+, -} without a derived column, as one group."""
+    agg = PlannedAgg("sum", "combined", x=x, y=y, op=op)
+    return aggregate_groups(wh, "t", agg, [pks], rg)[0]
+
+
+def test_sum_combined_frozen(km_big):
     wh = _flat(km_big, [
         {"pk": 1, "x": 1, "y": 10, "z": 0},
         {"pk": 2, "x": 2, "y": 20, "z": 0},
     ], (Column("x", "int"), Column("y", "int"), Column("z", "int")))
     rg = wh.choose_rg()
-    assert exec_sum_combined(wh, "t", "x", "y", "+", [1, 2], rg) == 33
-    assert exec_sum_combined(wh, "t", "x", "y", "-", [1, 2], rg) == -27
-    assert exec_sum_combined(wh, "t", "x", "x", "-", [1, 2], rg) == 0
+    assert _sum_combined(wh, "x", "y", "+", [1, 2], rg) == 33
+    assert _sum_combined(wh, "x", "y", "-", [1, 2], rg) == -27
+    assert _sum_combined(wh, "x", "x", "-", [1, 2], rg) == 0
     # an all-zero column leaves the other side's sum untouched
-    assert exec_sum_combined(wh, "t", "x", "z", "+", [1, 2], rg) == 3
-    assert exec_sum_combined(wh, "t", "x", "z", "-", [1, 2], rg) == 3
+    assert _sum_combined(wh, "x", "z", "+", [1, 2], rg) == 3
+    assert _sum_combined(wh, "x", "z", "-", [1, 2], rg) == 3
 
 
 def test_combined_null_pattern_mismatch(km_big):
@@ -277,9 +282,9 @@ def test_combined_null_pattern_mismatch(km_big):
     ], (Column("x", "int"), Column("y", "int")))
     rg = wh.choose_rg()
     with pytest.raises(SchemaMismatch, match="NULL patterns"):
-        exec_sum_combined(wh, "t", "x", "y", "+", [1, 2], rg)
+        _sum_combined(wh, "x", "y", "+", [1, 2], rg)
     # restricted to rows where both sides exist it goes through
-    assert exec_sum_combined(wh, "t", "x", "y", "+", [2], rg) == 6
+    assert _sum_combined(wh, "x", "y", "+", [2], rg) == 6
 
 
 def test_var_stddev_frozen(km_big):
@@ -858,3 +863,83 @@ def test_random_battery_under_failure(km_big):
     wh.inject_failure(3)
     for text in RANDOM_QUERIES[:8]:
         assert execute(wh, text)[1] == oracle.query(parse(text))
+
+
+# literals: a real finer than its column's scale, negative numbers
+
+
+def _literal_pair(km):
+    """t(pk, price real scale=2, x int, r real scale=1), every attribute
+    indexed, price holding 1.25, 1.26 and 1.30, and the plaintext oracle."""
+    rows = [
+        {"pk": 1, "price": Fraction(125, 100), "x": -7, "r": Fraction(-15, 10)},
+        {"pk": 2, "price": Fraction(126, 100), "x": 3, "r": Fraction(5, 10)},
+        {"pk": 3, "price": Fraction(130, 100), "x": -2, "r": None},
+        {"pk": 4, "price": None, "x": 0, "r": Fraction(-10, 10)},
+    ]
+    wh = _flat(km, rows, (Column("price", "real", scale=2), Column("x", "int"),
+                          Column("r", "real", scale=1)), index=("price", "x", "r"))
+    oracle = PlainWarehouse()
+    oracle.add_table(wh.schemas["t"], rows)
+    return wh, oracle
+
+
+@pytest.fixture(scope="module")
+def literal_pair(km_big):
+    return _literal_pair(km_big)
+
+
+FINE_LITERAL_QUERIES = [
+    "SELECT COUNT(*) FROM t WHERE price = 1.255",
+    "SELECT COUNT(*) FROM t WHERE price > 1.255",
+    "SELECT COUNT(*) FROM t WHERE price >= 1.255",
+    "SELECT COUNT(*) FROM t WHERE price < 1.255",
+    "SELECT COUNT(*) FROM t WHERE price <= 1.255",
+    "SELECT COUNT(*) FROM t WHERE price != 1.255",
+    "SELECT SUM(price) FROM t WHERE price IN (1.255, 1.3)",
+    "SELECT COUNT(*) FROM t WHERE price BETWEEN 1.251 AND 1.259",
+    "SELECT COUNT(*) FROM t WHERE price BETWEEN 1.255 AND 1.3",
+    "SELECT pk FROM t WHERE price > 1.2551",
+    "SELECT COUNT(*) FROM t WHERE price = 1.250",
+]
+
+NEGATIVE_LITERAL_QUERIES = [
+    "SELECT SUM(x) FROM t WHERE x > -5",
+    "SELECT COUNT(*) FROM t WHERE x BETWEEN -10 AND 0",
+    "SELECT pk FROM t WHERE x IN (-7, 3)",
+    "SELECT SUM(r) FROM t WHERE r < -1",
+    "SELECT COUNT(*) FROM t WHERE r <= -1.0",
+    "SELECT COUNT(*) FROM t WHERE price > -0.5",
+    "SELECT COUNT(*) FROM t WHERE pk > -1",
+]
+
+
+@pytest.mark.parametrize("text", FINE_LITERAL_QUERIES + NEGATIVE_LITERAL_QUERIES)
+def test_literals_match_plaintext(literal_pair, text):
+    """A real literal keeps its exact value: one finer than the column's
+    scale equals no stored value and orders between its neighbours, where
+    rounding it to the scale (1.255 to 1.26) matched the wrong rows. A
+    minus sign before a number is part of the literal."""
+    wh, oracle = literal_pair
+    assert execute(wh, text)[1] == oracle.query(parse(text))
+
+
+def test_negative_literal_parses_as_one_literal():
+    (pred,) = parse("SELECT SUM(x) FROM t WHERE x > -5").where
+    assert pred.operand == "-5"
+    (pred,) = parse("SELECT SUM(x) FROM t WHERE x BETWEEN -1.5 AND - 2").where
+    assert pred.operand == ("-1.5", "-2")
+    with pytest.raises(QuerySyntaxError, match="expected a literal"):
+        parse("SELECT SUM(x) FROM t WHERE x > -y")
+    with pytest.raises(QuerySyntaxError, match="expected a literal"):
+        parse("SELECT SUM(x) FROM t WHERE x > --5")
+
+
+def test_fractional_literal_on_an_integer_column_is_exact(literal_pair):
+    """An int or key column compares with a fractional literal exactly, as
+    with the integer literals on either side of it."""
+    wh, _ = literal_pair
+    for fine, whole in [("x > -2.5", "x >= -2"), ("x < 2.5", "x <= 2"), ("pk < 2.5", "pk <= 2"),
+                        ("x = 2.5", "x = 99"), ("x BETWEEN -7.5 AND 0.5", "x BETWEEN -7 AND 0")]:
+        assert execute(wh, f"SELECT pk FROM t WHERE {fine}") \
+            == execute(wh, f"SELECT pk FROM t WHERE {whole}"), fine

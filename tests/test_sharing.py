@@ -14,7 +14,7 @@ from fvss import (
     Column,
     Schema,
     decode,
-    encode,
+    encode_chunks,
     group_from_bitmap,
     init_participants,
     lagrange_interpolate,
@@ -45,34 +45,33 @@ ALL = (1, 2, 3, 4, 5)
 
 
 def test_encode_real_scale_two():
-    enc = encode(75.25, "real", scale=2, bias=0, p=P_DEFAULT)
-    assert enc.chunks == (7525,)
-    assert decode(enc.chunks, "real", scale=2) == Fraction(7525, 100)
+    chunks = encode_chunks(75.25, "real", scale=2, bias=0, p=P_DEFAULT)
+    assert chunks == (7525,)
+    assert decode(chunks, "real", scale=2) == Fraction(7525, 100)
 
 
 def test_encode_string_per_byte():
-    enc = encode("Shirt", "string", p=P_DEFAULT)
-    assert enc.chunks == tuple(b"Shirt")
-    assert len(enc.chunks) == 5
-    assert decode(enc.chunks, "string") == "Shirt"
+    chunks = encode_chunks("Shirt", "string", p=P_DEFAULT)
+    assert chunks == tuple(b"Shirt")
+    assert len(chunks) == 5
+    assert decode(chunks, "string") == "Shirt"
 
 
 def test_encode_null():
-    enc = encode(None, "int", bias=DEFAULT_BIAS, p=P_DEFAULT)
-    assert enc.is_null and enc.chunks == ()
+    assert encode_chunks(None, "int", bias=DEFAULT_BIAS, p=P_DEFAULT) == ()
     assert decode((), "int") is None
 
 
 def test_encode_negative_needs_bias():
-    enc = encode(-7, "int", bias=DEFAULT_BIAS, p=P_DEFAULT)
-    assert decode(enc.chunks, "int", bias=DEFAULT_BIAS) == -7
+    chunks = encode_chunks(-7, "int", bias=DEFAULT_BIAS, p=P_DEFAULT)
+    assert decode(chunks, "int", bias=DEFAULT_BIAS) == -7
     with pytest.raises(OutOfRange):
-        encode(-7, "int", bias=0, p=P_DEFAULT)
+        encode_chunks(-7, "int", bias=0, p=P_DEFAULT)
 
 
 def test_scaled_int_rounds_like_fraction():
     """Half-way values go to the even neighbour, as round(Fraction) does,
-    for every input type encode and order_key accept."""
+    for every input type encode_chunks and order_key accept."""
     from decimal import Decimal
     from fvss.sharing import scaled_int
 
@@ -90,36 +89,36 @@ def test_scaled_int_rounds_like_fraction():
 
 def test_encode_date_and_bool():
     day = datetime.date(2004, 2, 5)
-    enc = encode(day, "date", bias=DEFAULT_BIAS, p=P_DEFAULT)
-    assert decode(enc.chunks, "date", bias=DEFAULT_BIAS) == day
-    assert decode(encode(True, "bool", bias=3, p=97).chunks, "bool", bias=3) is True
-    assert decode(encode(False, "bool", bias=3, p=97).chunks, "bool", bias=3) is False
+    chunks = encode_chunks(day, "date", bias=DEFAULT_BIAS, p=P_DEFAULT)
+    assert decode(chunks, "date", bias=DEFAULT_BIAS) == day
+    assert decode(encode_chunks(True, "bool", bias=3, p=97), "bool", bias=3) is True
+    assert decode(encode_chunks(False, "bool", bias=3, p=97), "bool", bias=3) is False
 
 
 def test_encode_unicode_string_round_trip():
     s = "naïve café"
-    enc = encode(s, "string", p=P_DEFAULT)
-    assert decode(enc.chunks, "string") == s
+    chunks = encode_chunks(s, "string", p=P_DEFAULT)
+    assert decode(chunks, "string") == s
 
 
 def test_encode_string_byte_exceeds_tiny_prime():
     with pytest.raises(OutOfRange):
-        encode("a", "string", p=97)  # 'a' = 97
+        encode_chunks("a", "string", p=97)  # 'a' = 97
 
 
 @given(st.integers(-(10**9), 10**9))
 @settings(max_examples=100)
 def test_int_round_trip(v):
-    enc = encode(v, "int", bias=DEFAULT_BIAS, p=P_DEFAULT)
-    assert decode(enc.chunks, "int", bias=DEFAULT_BIAS) == v
+    chunks = encode_chunks(v, "int", bias=DEFAULT_BIAS, p=P_DEFAULT)
+    assert decode(chunks, "int", bias=DEFAULT_BIAS) == v
 
 
 @given(st.decimals(allow_nan=False, allow_infinity=False, places=3,
                    min_value=-10**6, max_value=10**6))
 @settings(max_examples=100)
 def test_real_round_trip(v):
-    enc = encode(v, "real", scale=3, bias=DEFAULT_BIAS, p=P_DEFAULT)
-    assert decode(enc.chunks, "real", scale=3, bias=DEFAULT_BIAS) == Fraction(v)
+    chunks = encode_chunks(v, "real", scale=3, bias=DEFAULT_BIAS, p=P_DEFAULT)
+    assert decode(chunks, "real", scale=3, bias=DEFAULT_BIAS) == Fraction(v)
 
 
 # storage group selection
