@@ -51,8 +51,8 @@ from .errors import (
     UnsupportedFeature,
 )
 from .keyed import KeyMaterial
-from .sharing import Column, Schema, encode_chunks, pinned_coefficients
-from .store import Warehouse, display_value
+from .sharing import Column, Schema, encode_chunks, pinned_coefficients, typed_value
+from .store import Warehouse
 from .query import (
     BIAS_TERMS,
     GroupSource,
@@ -349,7 +349,7 @@ def _cells_by_key(wh: Warehouse, spec: CubeSpec) -> dict[tuple, int]:
     out = {}
     for pk in wh.type1.pks(table):
         key = tuple(
-            display_value(vm.get(pk), col) for vm, col in zip(maps, dims)
+            typed_value(vm.get(pk), col.kind, col.scale) for vm, col in zip(maps, dims)
         )
         out[key] = pk
     return out
@@ -610,7 +610,7 @@ def cube_query(wh: Warehouse, spec: CubeSpec, level, where=(), rg=None):
 
     values = wh.read_through(rg, measures)
     rows = [
-        tuple(display_value(maps[a].get(pk), by_name[a]) for a in level)
+        tuple(typed_value(maps[a].get(pk), by_name[a].kind, by_name[a].scale) for a in level)
         + tuple(column[k] for column in values)
         for k, pk in enumerate(order)
     ]

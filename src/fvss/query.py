@@ -55,8 +55,8 @@ from .errors import (
     UnknownTable,
     UnsupportedFeature,
 )
-from .sharing import Column, solve_sums, typed_key
-from .store import Warehouse, display_value
+from .sharing import Column, solve_sums, typed_key, typed_value
+from .store import Warehouse
 
 AGG_FNS = ("sum", "avg", "var", "variance", "stddev", "count", "min", "max", "median")
 
@@ -593,13 +593,16 @@ def literal_operand(operand, col: Column, op: str):
 def literal_key(raw, col: Column):
     """The order key a literal compares as against col: raw, query text or
     a typed value, read as a value of col's kind. A number keeps its exact
-    scaled value, an int when it is whole and a Fraction otherwise, so a
-    literal finer than the column's scale lies between the stored keys and
-    equals none; anything else takes its typed_key."""
+    value (times 10^scale on a real column, as typed_key scales only
+    reals), an int when it is whole and a Fraction otherwise, so a literal
+    finer than the column's keys lies between them and equals none;
+    anything else takes its typed_key."""
     kind = col.kind
     try:
         if kind in ("key", "fk", "int", "real"):
-            key = Fraction(str(raw)) * 10**col.scale
+            key = Fraction(raw) if isinstance(raw, (int, Fraction)) else Fraction(str(raw))
+            if kind == "real":
+                key *= 10**col.scale
             return key.numerator if key.denominator == 1 else key
         if isinstance(raw, str) and kind in ("date", "bool"):
             raw = _date.fromisoformat(raw) if kind == "date" else int(raw)
@@ -885,8 +888,8 @@ def _filter_pks(wh: Warehouse, plan: QueryPlan) -> set[int]:
 def group_key_fn(wh: Warehouse, fact: str, source: GroupSource):
     """Raw group keys of fact pks, resolved through the index server: a
     function from a list of pks to an iterable of their index keys, in
-    order, None where the key is NULL. display_value(key, source.col)
-    gives a key's plaintext."""
+    order, None where the key is NULL. typed_value(key, kind, scale) of
+    source.col gives a key's plaintext."""
     if source.route == "pk":
         return lambda pks: pks
     if source.route in ("fk", "fact_attr"):
@@ -901,7 +904,7 @@ def group_key_fn(wh: Warehouse, fact: str, source: GroupSource):
 
 def group_pks(wh: Warehouse, fact: str, sources, pks) -> dict[tuple, list[int]]:
     """Fact pks grouped by their plaintext keys under the group sources.
-    Grouping runs on raw index keys; display_value is injective per
+    Grouping runs on raw index keys; typed_value is injective per
     column, so converting once per distinct key gives the same groups."""
     pks = list(pks)
     columns = [group_key_fn(wh, fact, s)(pks) for s in sources]
@@ -914,7 +917,8 @@ def group_pks(wh: Warehouse, fact: str, sources, pks) -> dict[tuple, list[int]]:
             members.append(pk)
     cols = [s.col for s in sources]
     return {
-        tuple(map(display_value, key, cols)): members for key, members in raw.items()
+        tuple(typed_value(k, c.kind, c.scale) for k, c in zip(key, cols)): members
+        for key, members in raw.items()
     }
 
 

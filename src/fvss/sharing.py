@@ -30,7 +30,7 @@ at least two reconstruction members hold stored shares of every record.
 What d is for a typed value is decided once, by typed_key: an int as is,
 a real as value * 10^scale rounded half to even, a date as its epoch day,
 a bool as 0/1, a string as itself. The index server orders by that key
-(store.order_key), a value's chunks are the key plus the bias or, for a
+(its Type II indexes), a value's chunks are the key plus the bias or, for a
 string, its UTF-8 bytes (encode_chunks), and typed_value and decode turn
 both back into the plaintext.
 """
@@ -134,8 +134,8 @@ def typed_key(value, kind: str, scale: int = 0):
     """The plaintext key that stands for a typed value, None for None: an
     int (or a key or fk) as is, a real as value * 10^scale rounded
     (scaled_int), a date as its epoch day, a bool as 0/1, a string as
-    itself. Type II indexes order by it (store.order_key), shares are made
-    of it (encode_chunks) and typed_value inverts it."""
+    itself. Type II indexes order by it, shares are made of it
+    (encode_chunks) and typed_value inverts it."""
     if value is None:
         return None
     if kind in ("int", "key", "fk"):

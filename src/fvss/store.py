@@ -86,7 +86,6 @@ from .sharing import (
     share_columns,
     solve_column,
     typed_key,
-    typed_value,
 )
 from .sigtree import BreachEntry, BreachReport, SignatureTree, WaryTree
 
@@ -166,17 +165,22 @@ def _fields(lines: list[str], width: int) -> list[str]:
     return "\t".join(lines).split("\t") if lines else []
 
 
+def _share_text(chunks) -> str:
+    """A share's .shares field: its chunks comma-joined, the NULL literal
+    for a null."""
+    return NULL_LITERAL if chunks is None else ",".join(map(str, chunks))
+
+
 def _share_texts(vals: list):
-    """A share column as values whose format() is its .shares field: the
-    chunk itself for one chunk, else the chunks comma-joined, the NULL
-    literal for a null."""
+    """A share column as values whose format() is its .shares field
+    (_share_text): the chunk itself where every value is one chunk."""
     if None in vals:
         vals = list(vals)
         for k in _positions(vals, None):
             vals[k] = (NULL_LITERAL,)
     if set(map(len, vals)) <= {1}:
         return map(_FIRST, vals)
-    return [",".join(map(str, v)) for v in vals]
+    return map(_share_text, vals)
 
 
 def _parse_share_texts(raw: list[str]) -> list[tuple[int, ...] | None]:
@@ -199,6 +203,10 @@ def _shares_text(schema: Schema, pks, values) -> str:
     write adds to a provider's bytes_stored."""
     fields = schema.record_fields()
     line = "\t".join(["{}"] * (len(fields) + 1)) + "\n"
+    if len(pks) == 1:   # a one-record write: no column scans
+        return line.format(pks[0], *[
+            vals[0] if is_fk else _share_text(vals[0]) for (_, is_fk), vals in zip(fields, values)
+        ])
     cols = [vals if is_fk else _share_texts(vals) for (_, is_fk), vals in zip(fields, values)]
     return "".join(map(line.format, pks, *cols))
 
@@ -721,17 +729,6 @@ class TypeThreeRegistry:
         return None
 
 
-def order_key(value, col: Column):
-    """The Type II key of a value of col: its typed_key, None (absent from
-    the index) for None."""
-    return typed_key(value, col.kind, col.scale)
-
-
-def display_value(key, col: Column):
-    """Inverse of order_key: an index key back to a plaintext value."""
-    return typed_value(key, col.kind, col.scale)
-
-
 class Warehouse:
     """Data-owner view over the n simulated CSPs plus the index server.
 
@@ -928,7 +925,7 @@ class Warehouse:
         self.type1.set_many(table, pks, bitmaps)
         for col in self.indexed_columns.get(table, []):
             self.type2.insert_many(table, col.name, [
-                (order_key(row.get(col.name), col), pk) for pk, row in zip(pks, rows)
+                (typed_key(row.get(col.name), col.kind, col.scale), pk) for pk, row in zip(pks, rows)
             ])
 
     def _update(self, schema: Schema, pk: int, full: dict, values: list):
@@ -949,7 +946,7 @@ class Warehouse:
     def _index_row(self, schema: Schema, pk: int, full: dict):
         """Point every Type II index of the table at the row's values."""
         for col in self.indexed_columns.get(schema.table, []):
-            key = order_key(full.get(col.name), col)
+            key = typed_key(full.get(col.name), col.kind, col.scale)
             if key is not None:
                 self.type2.insert(schema.table, col.name, key, pk)
             else:

@@ -318,7 +318,7 @@ def per_record_load(wh, table, rows):
     in its storage group and update_shared_record. Returns the count."""
     from fvss.errors import CspUnavailable
     from fvss.sharing import group_from_bitmap, share_record
-    from fvss.store import StoredRecord, _refuse_empty_strings, order_key
+    from fvss.store import StoredRecord, _refuse_empty_strings
 
     schema = wh.schemas[table]
     alive = wh.alive_csps()

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from fvss import Column, Schema, Warehouse
 from fvss.errors import EmptyInput, UnknownRecordPosition
 from fvss.query import execute, parse
-from fvss.sharing import encode_chunks, group_from_bitmap, share_value
-from fvss.store import TypeOneIndex, TypeTwoIndex, order_key
+from fvss.sharing import encode_chunks, group_from_bitmap, share_value, typed_key
+from fvss.store import TypeOneIndex, TypeTwoIndex
 
 from .oracles import PlainWarehouse
 
@@ -214,7 +214,7 @@ def check_warehouse(wh, rows, probes, filters):
     for attr in INDEXED:
         col = TABLE.column(attr)
         assert wh.type2.value_map("r", attr) == {
-            pk: order_key(row[attr], col) for pk, row in rows.items() if row[attr] is not None
+            pk: typed_key(row[attr], col.kind, col.scale) for pk, row in rows.items() if row[attr] is not None
         }
         attr_probes = list(probes) if attr == "v" else [("a", "b"), ("b", "c")]
         check_type_two(wh.type2, "r", attr, attr_probes, filters + [set(pks)])

@@ -869,16 +869,18 @@ def test_random_battery_under_failure(km_big):
 
 
 def _literal_pair(km):
-    """t(pk, price real scale=2, x int, r real scale=1), every attribute
-    indexed, price holding 1.25, 1.26 and 1.30, and the plaintext oracle."""
+    """t(pk, price real scale=2, x int, r real scale=1, q int scale=2),
+    every attribute indexed, price holding 1.25, 1.26 and 1.30, and the
+    plaintext oracle. A scale on an int column does not scale its values."""
     rows = [
-        {"pk": 1, "price": Fraction(125, 100), "x": -7, "r": Fraction(-15, 10)},
-        {"pk": 2, "price": Fraction(126, 100), "x": 3, "r": Fraction(5, 10)},
-        {"pk": 3, "price": Fraction(130, 100), "x": -2, "r": None},
-        {"pk": 4, "price": None, "x": 0, "r": Fraction(-10, 10)},
+        {"pk": 1, "price": Fraction(125, 100), "x": -7, "r": Fraction(-15, 10), "q": 5},
+        {"pk": 2, "price": Fraction(126, 100), "x": 3, "r": Fraction(5, 10), "q": 1},
+        {"pk": 3, "price": Fraction(130, 100), "x": -2, "r": None, "q": 700},
+        {"pk": 4, "price": None, "x": 0, "r": Fraction(-10, 10), "q": None},
     ]
     wh = _flat(km, rows, (Column("price", "real", scale=2), Column("x", "int"),
-                          Column("r", "real", scale=1)), index=("price", "x", "r"))
+                          Column("r", "real", scale=1), Column("q", "int", scale=2)),
+               index=("price", "x", "r", "q"))
     oracle = PlainWarehouse()
     oracle.add_table(wh.schemas["t"], rows)
     return wh, oracle
@@ -913,8 +915,19 @@ NEGATIVE_LITERAL_QUERIES = [
     "SELECT COUNT(*) FROM t WHERE pk > -1",
 ]
 
+# an int column ignores its scale; TRUE and FALSE read as 1 and 0
+INT_LITERAL_QUERIES = [
+    "SELECT COUNT(*) FROM t WHERE q = 5",
+    "SELECT pk FROM t WHERE q > 1",
+    "SELECT SUM(q) FROM t WHERE q IN (5, 700)",
+    "SELECT pk FROM t WHERE q = TRUE",
+    "SELECT pk FROM t WHERE q != TRUE",
+    "SELECT pk FROM t WHERE x = FALSE",
+]
 
-@pytest.mark.parametrize("text", FINE_LITERAL_QUERIES + NEGATIVE_LITERAL_QUERIES)
+
+@pytest.mark.parametrize(
+    "text", FINE_LITERAL_QUERIES + NEGATIVE_LITERAL_QUERIES + INT_LITERAL_QUERIES)
 def test_literals_match_plaintext(literal_pair, text):
     """A real literal keeps its exact value: one finer than the column's
     scale equals no stored value and orders between its neighbours, where

@@ -71,7 +71,7 @@ def test_encode_negative_needs_bias():
 
 def test_scaled_int_rounds_like_fraction():
     """Half-way values go to the even neighbour, as round(Fraction) does,
-    for every input type encode_chunks and order_key accept."""
+    for every input type encode_chunks and typed_key accept."""
     from decimal import Decimal
     from fvss.sharing import scaled_int
 

@@ -23,7 +23,8 @@ from fvss.errors import (
     UnknownTable,
 )
 from fvss.query import execute, parse
-from fvss.store import StoredRecord, TypeOneIndex, order_key
+from fvss.sharing import typed_key
+from fvss.store import StoredRecord, TypeOneIndex
 
 from .faults import drop_record
 from .oracles import PlainWarehouse
@@ -164,13 +165,13 @@ def test_median_matches_sort_oracle(km_toy):
 
 
 def test_order_key_kinds():
-    assert order_key(None, Column("a", "int")) is None
-    assert order_key(-3, Column("a", "int")) == -3
-    assert order_key(7.5, Column("a", "real", scale=1)) == 75
-    assert order_key(Fraction(15, 2), Column("a", "real", scale=1)) == 75
-    assert order_key(datetime.date(1970, 1, 11), Column("a", "date")) == 10
-    assert order_key(True, Column("a", "bool")) == 1
-    assert order_key("zz", Column("a", "string")) == "zz"
+    assert typed_key(None, "int") is None
+    assert typed_key(-3, "int") == -3
+    assert typed_key(7.5, "real", 1) == 75
+    assert typed_key(Fraction(15, 2), "real", 1) == 75
+    assert typed_key(datetime.date(1970, 1, 11), "date") == 10
+    assert typed_key(True, "bool") == 1
+    assert typed_key("zz", "string") == "zz"
 
 
 # record round trips
