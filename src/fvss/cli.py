@@ -192,21 +192,11 @@ def _parse_where(raw: str):
     return tuple(conds)
 
 
-def _parse_literal(text: str):
+def _parse_literal(text: str) -> str:
+    """A --where value, quotes stripped; literal_key reads it as its column's kind."""
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
         return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        pass
-    try:
-        return Fraction(text)
-    except ValueError:
-        return text
+    return text
 
 
 # store plumbing

@@ -104,6 +104,8 @@ def _parse_column(table: str, entry: str) -> Column:
     fk_table = None
     for opt in tokens[2:]:
         if opt.startswith("scale="):
+            if kind != "real":
+                raise ConfigError(f"[table:{table}] {kind} column {name} takes no scale")
             scale = _int(f"table:{table}", name, opt[len("scale="):])
         elif opt.startswith("table="):
             fk_table = opt[len("table="):]

@@ -14,13 +14,13 @@ across every dimension; a per-year row keeps only the year, and so on
 through the lattice of hierarchy prefixes.
 
 Refreshing after new facts never rebuilds, and reconstructs no SUM or
-COUNT cell. SUM cells absorb an Eq-2 style correction added share by
-share at each provider, COUNT cells A_i times the number of new
-records; MAX/MIN cells re-share the value of the new extremal record
-found through the record index. Every rewrite of a cell also adds a
-fresh zero-sharing (or, for a re-shared value, new filler ordinates),
-keyed by the cell and the refresh, so that the difference between a
-provider's old and new share of a cell is noise to that provider.
+COUNT cell. A provider's delta to such a cell is its share sum over the
+new records (SUM only) plus its share (share_cell_chunk) of a plaintext
+c: the negated surplus bias offsets for SUM, the new count for COUNT,
+under fillers keyed by the cell and the refresh. MAX/MIN cells re-share
+the value of the new extremal record found through the record index
+under such fillers. So the difference between a provider's old and new
+share of a cell is noise to that provider.
 
 Build and refresh work one lattice level at a time: the cells of a
 level are disjoint groups of fact records, so each measure is evaluated
@@ -183,11 +183,6 @@ def _measure_layout(spec: CubeSpec, schema: Schema) -> _MeasureLayout:
     return _MeasureLayout(tuple(stored.values()), tuple(reads))
 
 
-def _storage_measures(spec: CubeSpec, schema: Schema) -> list[_StoredMeasure]:
-    """The stored measure columns of a cube, in column order."""
-    return list(_measure_layout(spec, schema).stored)
-
-
 def _count(attr: str | None) -> PlannedAgg:
     return PlannedAgg("count", "star") if attr is None else PlannedAgg("count", "plain", attr=attr)
 
@@ -230,7 +225,7 @@ def cube_schema(wh: Warehouse, spec: CubeSpec) -> Schema:
     if spec.table not in wh.schemas:
         raise UnknownTable(spec.table)
     dims = [col for col, _ in _dim_sources(wh, spec)]
-    measures = [sm.column for sm in _storage_measures(spec, wh.schemas[spec.table])]
+    measures = [sm.column for sm in _measure_layout(spec, wh.schemas[spec.table]).stored]
     clash = {c.name for c in dims} & {c.name for c in measures}
     if clash:
         raise SchemaMismatch(f"cube column name collision: {sorted(clash)}")
@@ -380,7 +375,7 @@ def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
         wh.pinned_rg(rg)
     schema = cube_schema(wh, spec)
     dims = [col for col, _ in _dim_sources(wh, spec)]
-    stored = _storage_measures(spec, wh.schemas[spec.table])
+    stored = _measure_layout(spec, wh.schemas[spec.table]).stored
     wh.create_table(schema, index_attrs=tuple(col.name for col in dims))
 
     by_key = _fact_keys(wh, spec, wh.type1.pks(spec.table))
@@ -397,14 +392,6 @@ def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
 
 
 # refresh
-
-
-def _bias_correction(km: KeyMaterial, terms: int, bias: int) -> dict[int, int]:
-    """Per-provider shares subtracted so the updated cell keeps exactly one
-    bias offset: their polynomial carries terms*bias at the data point, the
-    matching signature value, and zero at every filler."""
-    value = terms * bias
-    return {i: a * value % km.p for i, a, _ in cell_coefficients(km)}
 
 
 def _cell_rewrites(wh: Warehouse, schema: Schema, changes,
@@ -472,7 +459,7 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
         raise UnknownRecordPosition(f"not fact records: {unknown}")
     schema = wh.schemas[table]
     dims = [col for col, _ in _dim_sources(wh, spec)]
-    stored = _storage_measures(spec, wh.schemas[spec.table])
+    stored = _measure_layout(spec, wh.schemas[spec.table]).stored
 
     refresh = new_pks[0] if new_pks else None
     new_keys = _fact_keys(wh, spec, new_pks)
@@ -517,12 +504,14 @@ def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, cell_pks, members_new,
                   members_all, refresh, rg) -> list[tuple[dict, dict]]:
     """(deltas, replacements) for _rewrite_cells of each existing cell,
     given its new members and, for MIN/MAX, all its members; each measure
-    evaluated over all the cells at once. A SUM's delta at each provider
-    is its share-space sum over the new members minus the surplus bias
-    offsets (asking every provider for NULL marks and share sums), a
-    COUNT's is A_i times the number of new present records; both add the
-    cell's zero-sharing for this refresh. MIN/MAX are replaced by the
-    value of the cell's extremal record."""
+    evaluated over all the cells at once. A SUM's or COUNT's delta at each
+    provider is a share-space part plus its share of a plaintext c under
+    the refresh's fillers (share_cell_chunk, which carries the cell's
+    zero-sharing): for SUM the share sums over the new members (asking
+    every provider for NULL marks and share sums) and c = minus the
+    surplus bias offsets, for COUNT nothing and c = the number of new
+    present records. MIN/MAX are replaced by the value of the cell's
+    extremal record."""
     fact, table, km = spec.table, cube_table(spec), wh.km
     csps, p = sorted(wh.csps), km.p
     out = [({}, {}) for _ in cell_pks]
@@ -540,17 +529,15 @@ def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, cell_pks, members_new,
             live = [k for k, g in enumerate(present) if g]
             sums = dict(zip(live, share_space_sums(wh, fact, [present[k] for k in live], csps,
                                                    x, agg.y, agg.op) if live else ()))
-            deltas = []
-            for k, g in enumerate(present):
-                h = _bias_correction(km, BIAS_TERMS[agg.op] * len(g), wh.bias)
-                deltas.append([a - h[i] for i, a in zip(csps, sums.get(k, [0] * len(csps)))])
+            parts = [(sums.get(k, [0] * len(csps)), -BIAS_TERMS[agg.op] * len(g) * wh.bias)
+                     for k, g in enumerate(present)]
         else:
             counted = members_new if agg.mode == "star" else \
                 present_pks(wh, fact, agg.attr, members_new, csps)
-            deltas = [[a * len(g) for _, a, _ in cell_coefficients(km)] for g in counted]
-        for changes, pk, delta in zip(out, cell_pks, deltas):
-            mask = share_cell_chunk(km, table, pk, name, 0, 0, refresh)
-            changes[0][name] = {i: (d + mask[i]) % p for i, d in zip(csps, delta)}
+            parts = [([0] * len(csps), len(g)) for g in counted]
+        for changes, pk, (shared, c) in zip(out, cell_pks, parts):
+            cell = share_cell_chunk(km, table, pk, name, 0, c % p, refresh)
+            changes[0][name] = {i: (a + cell[i]) % p for i, a in zip(csps, shared)}
     return out
 
 

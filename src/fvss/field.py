@@ -8,16 +8,15 @@ Tests mostly run on p = 251 where failures are readable by eye.
 The scheme only ever interpolates through a few fixed abscissas (the HF1
 images of K_d, K_s, the CSP IDs and the filler IDs), so the working path
 is `lagrange_weights`, memoized per (abscissas, target, p), which sharing
-folds into coefficients; `interpolate_at` is a test reference.
-`Polynomial` and `lagrange_interpolate` build the coefficient form; they
-are the reference the tests compare against, and each weight vector is
-derived from them once.
+folds into coefficients; it is the one way to evaluate through given
+points. `Polynomial` and `lagrange_interpolate` build the coefficient
+form; they are the reference the tests compare against, and each weight
+vector is derived from them once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 from typing import Sequence
 
 from .errors import DuplicateAbscissa, EmptyInput
@@ -125,10 +124,3 @@ def lagrange_weights(xs: tuple[int, ...], x: int, p: int) -> tuple[int, ...]:
         weights.append(poly_eval(lagrange_interpolate(points, p), x))
         points[i] = (xi, 0)
     return tuple(weights)
-
-
-def interpolate_at(xs: tuple[int, ...], ys: Sequence[int], x: int, p: int) -> int:
-    """Value at x of the polynomial of degree < len(xs) through (xs[i], ys[i])."""
-    if len(ys) != len(xs):
-        raise ValueError(f"{len(xs)} abscissas but {len(ys)} ordinates")
-    return sum(map(mul, lagrange_weights(xs, x, p), ys)) % p

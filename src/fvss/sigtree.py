@@ -3,9 +3,10 @@
 Every internal node holds the mod-p sum of its children, so the root is
 the sum of all leaf signatures. Two layers: a record tree per table whose
 leaves are HF*_i(record bytes), and a table layer whose leaf j carries
-HF*_i(0) plus the j-th table's record-signature total. Updates propagate
-a delta along one root path, and a batch of appends or of updates
-changes each touched node once; verification walks top-down and only
+HF*_i(0) plus the j-th table's record-signature total. A tree grows
+only through `WaryTree.extend` (one leaf is a batch of one) and changes
+only by deltas; a batch of appends or of updates changes each touched
+node once, one update its root path. Verification walks top-down and only
 descends into children whose stored sum disagrees with an authoritative
 recomputation, which pins a breach to its exact leaf in about w * depth
 comparisons.
@@ -87,31 +88,9 @@ class WaryTree:
             raise UnknownRecordPosition(f"no leaf {g}")
         return self.levels[0][g]
 
-    def append(self, value: int) -> int:
-        value %= self.p
-        self.levels[0].append(value)
-        pos = len(self.levels[0]) - 1
-        idx, delta = pos, value
-        level = 0
-        while not (len(self.levels[level]) == 1 and level == len(self.levels) - 1):
-            if level + 1 == len(self.levels):
-                self.levels.append([])
-            parent = idx // self.w
-            upper = self.levels[level + 1]
-            if parent < len(upper):
-                upper[parent] = (upper[parent] + delta) % self.p
-            else:
-                # fresh parent: nothing above has counted its children yet
-                val = sum(self.levels[level][parent * self.w:(parent + 1) * self.w]) % self.p
-                upper.append(val)
-                delta = val
-            level += 1
-            idx = parent
-        return pos
-
     def extend(self, values) -> int:
-        """Append leaves in order, equal to appending them one at a time;
-        returns the position of the first. Each touched parent changes
+        """Append leaves in order, equal to extending by one leaf at a
+        time; returns the position of the first. Each touched parent changes
         once: an existing one by the sum of its children's deltas, a new
         one is the sum of its children."""
         p, w, levels = self.p, self.w, self.levels
@@ -172,16 +151,6 @@ class WaryTree:
                 parents[idx // w] = parents.get(idx // w, 0) + delta
             per_node = parents
 
-    def set_leaf(self, g: int, value: int):
-        self.add_delta(g, value - self.leaf(g))
-
-    def triples(self) -> list[tuple[int, int, int]]:
-        return [
-            (level, idx, v)
-            for level, nodes in enumerate(self.levels)
-            for idx, v in enumerate(nodes)
-        ]
-
 
 @dataclass(frozen=True)
 class BreachEntry:
@@ -231,7 +200,7 @@ class SignatureTree:
         if table in self.record_trees:
             raise DuplicateTable(table)
         self.record_trees[table] = WaryTree(self.w, self.p)
-        self.table_pos[table] = self.table_layer.append(self.empty_marker)
+        self.table_pos[table] = self.table_layer.extend([self.empty_marker])
         self.table_order.append(table)
 
     def insert_records(self, table: str, records_bytes) -> int:

@@ -379,8 +379,7 @@ class CspStore:
         self.bytes_stored += len(_shares_text(schema, pks, values))
 
     def fetch_records(self, schema: Schema, pks) -> list[list]:
-        """The stored values of the records keyed pks, as a batch of value
-        columns: 64 bytes a record, as get_record counts."""
+        """The stored values of the records keyed pks, as value columns: 64 bytes a record."""
         self._check_alive()
         table = schema.table
         self._require_held(table, pks)
@@ -398,12 +397,6 @@ class CspStore:
         """Overwrite the record at pos with rec's values."""
         self._check_alive()
         self.update_columns(schema, [self._pk_at(schema.table, pos)], _unpack(schema, [rec]))
-
-    def get_record(self, table: str, pos: int) -> StoredRecord:
-        self._check_alive()
-        pk = self._pk_at(table, pos)
-        self.bytes_transferred += 64
-        return self._record(table, pk)
 
     def position_of(self, table: str, pk: int) -> int:
         pos = self.positions.get(table, {}).get(pk)
@@ -503,19 +496,8 @@ class TypeOneIndex:
         self.entries.setdefault(table, {})
         self.absent.setdefault(table, {})
 
-    def set(self, table: str, pk: int, bitmap: str):
-        entries = self.entries.setdefault(table, {})
-        absent = self.absent.setdefault(table, {})
-        if pk in entries:
-            for pks in absent.values():
-                pks.discard(pk)
-        entries[pk] = bitmap
-        for i, bit in enumerate(bitmap, 1):
-            if bit == "0":
-                absent.setdefault(i, set()).add(pk)
-
     def set_many(self, table: str, pks: list[int], bitmaps: list[str]):
-        """set of each (pk, bitmap) pair in order, a bitmap at a time in
+        """File each (pk, bitmap) pair in order, a bitmap at a time in
         C-level passes: pks already in the table first leave every absent
         set, and a pk given twice keeps its last bitmap."""
         entries = self.entries.setdefault(table, {})
@@ -855,7 +837,11 @@ class Warehouse:
     def _with_derived(self, table: str, row: dict) -> dict:
         full = dict(row)
         for d in self.type3.for_table(table):
-            full[d.name] = d.compute(full)
+            try:
+                full[d.name] = d.compute(full)
+            except ZeroDivisionError:
+                pk = row.get(self._schema(table).key)
+                raise OutOfRange(f"{table}.{d.name} of pk {pk}: {d.y} is 0") from None
         return full
 
     def insert(self, table: str, row: dict) -> int:
@@ -1264,8 +1250,8 @@ def _bitmaps_text(table: str, entries: dict[int, str]) -> str:
 
 
 def _read_bitmaps(type1: TypeOneIndex, text: str):
-    """TypeOneIndex.set of each (table, pk, bitmap) line of text in order,
-    as one set_many per table; empty lines are skipped."""
+    """File each (table, pk, bitmap) line of text in order, as one
+    set_many per table; empty lines are skipped."""
     flat = _fields(list(filter(None, text.splitlines())), 3)
     tables, pks, bitmaps = flat[0::3], list(map(int, flat[1::3])), flat[2::3]
     for table in dict.fromkeys(tables):

@@ -2,6 +2,8 @@
 
 from fvss.store import StoredRecord
 
+from .oracles import get_record
+
 
 def report_null(wh, i, table, pk, attr):
     """Make CSP i hold attr of pk as NULL: in its stored record, and so in
@@ -9,7 +11,7 @@ def report_null(wh, i, table, pk, attr):
     record it replaced, for restore_record."""
     csp = wh.csps[i]
     pos = csp.position_of(table, pk)
-    rec = csp.get_record(table, pos)
+    rec = get_record(csp, table, pos)
     lie = StoredRecord(pk, rec.plain, {**rec.shares, attr: None})
     csp.update_shared_record(wh.schemas[table], pos, lie)
     return rec

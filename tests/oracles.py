@@ -10,6 +10,7 @@ from datetime import date, timedelta
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 from fvss.errors import OutOfRange, SchemaMismatch
 from fvss.sharing import scaled_int
@@ -347,7 +348,7 @@ def per_record_load(wh, table, rows):
             else:
                 csp.put_shared_records(schema, [rec])
         if not stored:
-            wh.type1.set(table, pk, bundle.bitmap)
+            type1_set(wh.type1, table, pk, bundle.bitmap)
         for col in wh.indexed_columns.get(table, []):
             key = order_key(full.get(col.name), col)
             if key is None:
@@ -370,13 +371,60 @@ def per_cell_rewrite(wh, schema, changes, refresh):
         for i in sorted(wh.csps):
             csp = wh.csps[i]
             pos = csp.position_of(schema.table, pk)
-            rec = csp.get_record(schema.table, pos)
+            rec = get_record(csp, schema.table, pos)
             for attr, per_csp in deltas.items():
                 (old,) = rec.shares[attr]
                 rec.shares[attr] = ((old + per_csp[i]) % p,)
             for attr, shares in reshared.items():
                 rec.shares[attr] = None if shares is None else shares[i - 1]
             csp.update_shared_record(schema, pos, rec)
+
+
+# The one-item provider, index and tree calls the package had beside its
+# batch paths (fetch_records, TypeOneIndex.set_many, WaryTree.extend and
+# the level-wise tree codec), and the evaluation through given points
+# beside lagrange_weights, kept as written.
+
+
+def get_record(csp, table, pos):
+    """CspStore.get_record: the record at pos as a StoredRecord, counting
+    the 64 bytes a record that fetch_records counts."""
+    csp._check_alive()
+    pk = csp._pk_at(table, pos)
+    csp.bytes_transferred += 64
+    return csp._record(table, pk)
+
+
+def type1_set(index, table, pk, bitmap):
+    """TypeOneIndex.set: file one (pk, bitmap) pair."""
+    entries = index.entries.setdefault(table, {})
+    absent = index.absent.setdefault(table, {})
+    if pk in entries:
+        for pks in absent.values():
+            pks.discard(pk)
+    entries[pk] = bitmap
+    for i, bit in enumerate(bitmap, 1):
+        if bit == "0":
+            absent.setdefault(i, set()).add(pk)
+
+
+def triples(tree):
+    """WaryTree.triples: every node as (level, index, value), level by level."""
+    return [
+        (level, idx, v)
+        for level, nodes in enumerate(tree.levels)
+        for idx, v in enumerate(nodes)
+    ]
+
+
+def interpolate_at(xs, ys, x, p):
+    """field.interpolate_at: value at x of the polynomial of degree
+    < len(xs) through (xs[i], ys[i]), through lagrange_weights."""
+    from fvss.field import lagrange_weights
+
+    if len(ys) != len(xs):
+        raise ValueError(f"{len(xs)} abscissas but {len(ys)} ordinates")
+    return sum(map(mul, lagrange_weights(xs, x, p), ys)) % p
 
 
 # Per-line text codecs. The store writes and parses its files a column at
@@ -454,12 +502,12 @@ def bitmap_lines_text(type1, table_order):
 
 
 def load_bitmap_lines(type1, text):
-    """Warehouse.load's Type I loop: TypeOneIndex.set of each line."""
+    """Warehouse.load's Type I loop: type1_set of each line."""
     for line in text.splitlines():
         if not line:
             continue
         table, pk, bitmap = line.split("\t")
-        type1.set(table, int(pk), bitmap)
+        type1_set(type1, table, int(pk), bitmap)
 
 
 def type2_text(entries):
@@ -592,3 +640,58 @@ def _text_size(schema, pks, values) -> int:
                 size += len(chunks) - 1
                 ints.append(chunks)
     return size + sum(map(len, map(str, chain.from_iterable(ints))))
+
+
+# Cube cell deltas as first written. cube._cell_changes now gives a SUM
+# or COUNT cell's delta as its share-space part plus share_cell_chunk of a
+# plaintext correction; this is the rule it replaced, kept as written: a
+# SUM's delta minus a separate bias correction, a COUNT's A_i times k,
+# each plus the cell's zero-sharing.
+
+
+def bias_correction(km, terms, bias):
+    """Per-provider shares subtracted so the updated cell keeps exactly one
+    bias offset: their polynomial carries terms*bias at the data point, the
+    matching signature value, and zero at every filler."""
+    from fvss.cube import cell_coefficients
+
+    value = terms * bias
+    return {i: a * value % km.p for i, a, _ in cell_coefficients(km)}
+
+
+def cell_changes(wh, spec, stored, cell_pks, members_new, members_all, refresh, rg):
+    """cube._cell_changes under the old SUM and COUNT delta rule."""
+    from fvss.cube import cell_coefficients, cube_table, share_cell_chunk
+    from fvss.query import (
+        BIAS_TERMS, aggregate_groups, present_pks, share_space_sums, summed_pks,
+    )
+
+    fact, table, km = spec.table, cube_table(spec), wh.km
+    csps, p = sorted(wh.csps), km.p
+    out = [({}, {}) for _ in cell_pks]
+    if not cell_pks:
+        return out
+    for sm in stored:
+        agg, name = sm.agg, sm.column.name
+        if agg.fn in ("min", "max"):
+            for changes, value in zip(out, aggregate_groups(wh, fact, agg, members_all, rg)):
+                changes[1][name] = value
+            continue
+        if agg.fn == "sum":
+            x = agg.attr or agg.x
+            present = summed_pks(wh, fact, x, agg.y, members_new, csps)
+            live = [k for k, g in enumerate(present) if g]
+            sums = dict(zip(live, share_space_sums(wh, fact, [present[k] for k in live], csps,
+                                                   x, agg.y, agg.op) if live else ()))
+            deltas = []
+            for k, g in enumerate(present):
+                h = bias_correction(km, BIAS_TERMS[agg.op] * len(g), wh.bias)
+                deltas.append([a - h[i] for i, a in zip(csps, sums.get(k, [0] * len(csps)))])
+        else:
+            counted = members_new if agg.mode == "star" else \
+                present_pks(wh, fact, agg.attr, members_new, csps)
+            deltas = [[a * len(g) for _, a, _ in cell_coefficients(km)] for g in counted]
+        for changes, pk, delta in zip(out, cell_pks, deltas):
+            mask = share_cell_chunk(km, table, pk, name, 0, 0, refresh)
+            changes[0][name] = {i: (d + mask[i]) % p for i, d in zip(csps, delta)}
+    return out

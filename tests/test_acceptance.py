@@ -42,7 +42,7 @@ from fvss.sharing import RECONSTRUCTIONS
 from fvss.sigtree import SignatureTree
 
 from .faults import report_null, restore_record
-from .oracles import PlainWarehouse
+from .oracles import PlainWarehouse, triples
 
 SEED = bytes(range(32))
 
@@ -395,7 +395,7 @@ def test_aggregation_matches_plaintext_on_random_instances(km_big):
 
 def _assert_additive(tree):
     leaves = tree.levels[0]
-    for level, idx, value in tree.triples():
+    for level, idx, value in triples(tree):
         span = tree.w ** level
         assert value == sum(leaves[idx * span:(idx + 1) * span]) % tree.p
 

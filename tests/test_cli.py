@@ -328,6 +328,47 @@ SaleNo,ProdNo,yearid,monthid,price,qty,paid,day
 5,12,2015,1,7.10,2,false,2015-01-09
 """
 
+def test_cube_where_selects_a_string_that_looks_like_a_number(site, capsys):
+    """A --where value is read as its column's kind: on the string
+    dimension category, "007" and "1.50" are strings, and neither selects
+    "7" or "3/2"."""
+    (site / "products.csv").write_text(
+        "ProdNo,pname,category\n10,Shirt,007\n11,Jacket,7\n12,Mug,1.50\n")
+    run(site, "init")
+    run(site, "share", "Product", str(site / "products.csv"))
+    run(site, "share", "Sales", str(site / "sales.csv"))
+    assert run(site, "cube", "build", "by_year")[0] == 0
+    capsys.readouterr()
+    args = ("cube", "query", "by_year", "--level", "yearid,category", "--output", "csv")
+    header = "yearid,category,sum_price,count_rows,avg_price\n"
+    for where, row in (("category=007", "2013,007,19.99,1,19.99\n"),
+                       ("category='007'", "2013,007,19.99,1,19.99\n"),
+                       ("yearid=2014,category=1.50", "2014,1.50,5.25,1,5.25\n"),
+                       ("category=7", "2013,7,99.5,1,99.5\n")):
+        assert run(site, *args, "--where", where, capsys=capsys) == (0, header + row, "")
+
+
+def test_share_quotient_by_zero_exits_one_without_a_traceback(site, capsys):
+    """A derived quotient whose divisor is 0 is an fvss error naming the
+    table, the column and the pk; the store keeps what it held."""
+    path = site / "fvss.ini"
+    path.write_text(path.read_text().replace(
+        "Sales = price_sq square price scale=4",
+        "Sales = price_sq square price scale=4; unit quotient price qty scale=2"))
+    (site / "sales.csv").write_text(
+        "SaleNo,ProdNo,yearid,monthid,price,qty,paid,day\n"
+        "1,10,2013,1,19.99,2,true,2013-01-05\n"
+        "2,11,2013,2,99.50,0,false,2013-02-11\n")
+    assert run(site, "init")[0] == 0
+    assert run(site, "share", "Product", str(site / "products.csv"))[0] == 0
+    capsys.readouterr()
+    code, out, err = run(site, "share", "Sales", str(site / "sales.csv"), capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "OutOfRange: Sales.unit of pk 2: qty is 0\n"
+    code, out, _ = run(site, "query", "SELECT COUNT(*) FROM Sales", capsys=capsys)
+    assert (code, out.split()) == (0, ["COUNT(*)", "0"])
+
+
 JOIN = "FROM Sales JOIN Product ON Sales.ProdNo = Product.ProdNo"
 
 SESSION = (
@@ -506,6 +547,7 @@ def test_load_config_shapes(site):
     (lambda s: s.replace("measures = sum(price), count(*), avg(price)", "measures ="),
      "measure"),
     (lambda s: s.replace("table = Sales\n", ""), "table"),
+    (lambda s: s.replace("qty int", "qty int scale=2"), "int column qty takes no scale"),
 ])
 def test_config_rejections(site, mangle, hint):
     path = site / "fvss.ini"

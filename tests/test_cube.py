@@ -35,6 +35,7 @@ from fvss.sharing import RECONSTRUCTIONS, Column, Schema, group_from_bitmap
 from fvss.store import Warehouse
 
 from .faults import report_null
+from . import oracles
 from .oracles import PlainWarehouse, eval_poly, interpolate_gauss
 
 PRODUCT = Schema("Product", (
@@ -527,7 +528,7 @@ def test_build_failing_part_way_keeps_the_cells_before(km_big, monkeypatch):
     def failing(wh, table, agg, groups, rg):
         calls.append(agg)
         # levels () and (category,) pass, (category, ProdNo) fails
-        if len(calls) > 2 * len(cube_module._storage_measures(SPEC, SALES)):
+        if len(calls) > 2 * len(cube_module._measure_layout(SPEC, SALES).stored):
             raise InnerSignatureMismatch("injected")
         return real(wh, table, agg, groups, rg)
 
@@ -643,6 +644,43 @@ def test_count_cells_refresh_without_reconstruction(km_big):
     cube_build(rebuilt, COUNT_SPEC)
     for level in ((), ("yearid",), ("yearid", "monthid")):
         assert cube_query(wh, COUNT_SPEC, level) == cube_query(rebuilt, COUNT_SPEC, level)
+
+
+DELTA_SPEC = CubeSpec(
+    name="deltas",
+    table="Sales",
+    hierarchies=(CubeHierarchy(("yearid", "monthid")),),
+    measures=(CubeMeasure("sum", "price+tax"), CubeMeasure("sum", "price-tax"),
+              CubeMeasure("count", "qty")),
+)
+
+
+def test_refresh_deltas_equal_the_old_delta_rule(km_big, monkeypatch):
+    """A SUM or COUNT cell's delta is its share-space part plus the
+    provider's share_cell_chunk of a plaintext correction. Every
+    provider's cube .shares equals what the rule it replaced writes: a
+    SUM's share sums minus a separate bias correction, a COUNT's A_i
+    times k, each plus the cell's zero-sharing. The new facts have NULL
+    qty values, in existing cells and in new ones."""
+    import fvss.cube as cube_module
+    from fvss.store import _shares_text
+
+    later = [_sale(14, 11, 2014, 3, 700, 56, None), _sale(15, 10, 2013, 2, 300, 24, 2),
+             _sale(16, 13, 2015, 2, 450, 36, None)]
+
+    def refreshed():
+        wh = fill_warehouse(km_big, SALES_BASE)
+        cube_build(wh, DELTA_SPEC)
+        for rows in (SALES_EXTRA, later):
+            wh.load_rows("Sales", rows)
+            cube_refresh(wh, DELTA_SPEC, [r["SaleNo"] for r in rows])
+        schema = wh.schemas[cube_table(DELTA_SPEC)]
+        return [(_shares_text(schema, *csp.slice_values(schema)), csp.bytes_stored)
+                for _, csp in sorted(wh.csps.items())]
+
+    current = refreshed()
+    monkeypatch.setattr(cube_module, "_cell_changes", oracles.cell_changes)
+    assert current == refreshed()
 
 
 def test_refresh_hides_cell_changes_from_a_provider_with_old_files(km_big):

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from fvss import P_DEFAULT, Polynomial, lagrange_interpolate, poly_eval
 from fvss.errors import DuplicateAbscissa, EmptyInput
-from fvss.field import interpolate_at, lagrange_weights
+from fvss.field import lagrange_weights
 
-from .oracles import eval_poly, interpolate_gauss
+from .oracles import eval_poly, interpolate_at, interpolate_gauss
 
 P = 251
 

@@ -22,7 +22,7 @@ from fvss.query import execute, parse
 from fvss.sharing import encode_chunks, group_from_bitmap, share_value, typed_key
 from fvss.store import TypeOneIndex, TypeTwoIndex
 
-from .oracles import PlainWarehouse
+from .oracles import PlainWarehouse, type1_set
 
 OPS = ("=", "!=", "<>", "<", "<=", ">", ">=", "between", "in")
 
@@ -173,7 +173,7 @@ def test_pseudo_sum_matches_bitmap_scan(sets, wanted):
     idx = TypeOneIndex()
     idx.create_table("t")
     for pk, bitmap in sets:  # a pk drawn twice has its bitmap re-set
-        idx.set("t", pk, bitmap)
+        type1_set(idx, "t", pk, bitmap)
     known = set(idx.entries["t"])
     for pks in (known, known & wanted):
         check_pseudo_sums(idx, "t", pks, 5, 97)

@@ -158,6 +158,31 @@ def test_failed_row_leaves_the_rows_before_it(tmp_path, km_big, monkeypatch, app
         == saved_digest(expected, tmp_path / "expected")
 
 
+@pytest.mark.parametrize("append_rows", [4, 500])
+def test_quotient_by_zero_leaves_the_rows_before_it(tmp_path, km_big, monkeypatch,
+                                                     append_rows):
+    """A derived quotient whose divisor is 0 raises OutOfRange naming the
+    table, the column and the pk, and the rows before it stay stored."""
+    unit = DerivedColumn("Sales", "unit", "quotient", "price", "qty", scale=2)
+    monkeypatch.setattr(store_module, "APPEND_ROWS", append_rows)
+
+    def warehouse():
+        wh = Warehouse(km_big, w=3, weights=(1, 2, 1, 1, 3), bias=DEFAULT_BIAS)
+        wh.create_table(PRODUCT)
+        wh.create_table(SALES, derived=(unit,))
+        return wh
+
+    rows = _sales(random.Random(3), 1, 9)
+    rows[6]["qty"] = 0
+    failed, expected = warehouse(), warehouse()
+    with pytest.raises(OutOfRange, match=r"^Sales\.unit of pk 7: qty is 0$"):
+        failed.load_rows("Sales", rows)
+    assert failed.type1.pks("Sales") == [1, 2, 3, 4, 5, 6]
+    expected.load_rows("Sales", rows[:6])
+    assert saved_digest(failed, tmp_path / "failed") \
+        == saved_digest(expected, tmp_path / "expected")
+
+
 @pytest.mark.parametrize("append_rows", [1, 7, 500])
 def test_insert_is_a_one_row_batch(tmp_path, km_big, monkeypatch, append_rows):
     """Row by row, or in one call whatever the provider append size, the

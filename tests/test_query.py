@@ -32,7 +32,7 @@ from fvss.query import (
 )
 
 from .faults import report_null
-from .oracles import PlainWarehouse, eval_poly, interpolate_gauss
+from .oracles import PlainWarehouse, eval_poly, get_record, interpolate_gauss
 
 FIG9 = """SELECT SUM(S.price+S.tax) AS sumprice, P.prodName FROM Sale AS S
 JOIN Product AS P ON S.ProdNo=P.ProdNo
@@ -606,7 +606,7 @@ def test_chunk_count_liar_rotates_row_reads(km_big):
     liar = min(group_from_bitmap(wh.type1.bitmap("t", 3)).sg)
     csp = wh.csps[liar]
     pos = csp.position_of("t", 3)
-    rec = csp.get_record("t", pos)
+    rec = get_record(csp, "t", pos)
     rec.shares["s"] = rec.shares["s"][:-1]
     csp.update_shared_record(wh.schemas["t"], pos, rec)
     text = "SELECT pk, s FROM t"

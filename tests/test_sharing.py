@@ -32,11 +32,10 @@ from fvss.errors import (
     OutOfRange,
     SchemaMismatch,
 )
-from fvss.field import interpolate_at
 from fvss.sharing import linear_rows
 
 from .conftest import SEED
-from .oracles import eval_poly, interpolate_gauss
+from .oracles import eval_poly, interpolate_at, interpolate_gauss
 
 ALL = (1, 2, 3, 4, 5)
 

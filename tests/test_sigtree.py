@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from fvss import SignatureTree, WaryTree
 from fvss.errors import DuplicateTable, UnknownRecordPosition, UnknownTable
 
-from .oracles import tree_levels
+from .oracles import tree_levels, triples
 
 P = 251
 
@@ -36,7 +36,7 @@ def test_append_matches_whole_level_recompute():
         rng = random.Random(w)
         for _ in range(40):
             leaf = rng.randrange(P)
-            tree.append(leaf)
+            tree.extend([leaf])
             leaves.append(leaf)
             _assert_matches_oracle(tree, leaves, w)
 
@@ -44,10 +44,10 @@ def test_append_matches_whole_level_recompute():
 def test_fourth_leaf_grows_a_level():
     tree = WaryTree(3, P)
     for v in (10, 20, 30):
-        tree.append(v)
+        tree.extend([v])
     assert len(tree.levels) == 2
     assert tree.root == 60
-    tree.append(40)
+    tree.extend([40])
     assert len(tree.levels) == 3
     assert tree.root == 100
 
@@ -55,18 +55,18 @@ def test_fourth_leaf_grows_a_level():
 def test_update_then_revert_restores_root():
     tree = WaryTree(3, P)
     for v in range(9):
-        tree.append(v * 7 % P)
+        tree.extend([v * 7 % P])
     before = tree.root
-    tree.set_leaf(4, 200)
+    tree.add_delta(4, 200 - tree.leaf(4))
     assert tree.root != before
-    tree.set_leaf(4, 4 * 7 % P)
+    tree.add_delta(4, 4 * 7 % P - tree.leaf(4))
     assert tree.root == before
 
 
 def test_zero_delta_is_identity():
     tree = WaryTree(2, P)
     for v in (5, 6, 7):
-        tree.append(v)
+        tree.extend([v])
     snapshot = [list(level) for level in tree.levels]
     tree.add_delta(1, 0)
     assert [list(level) for level in tree.levels] == snapshot
@@ -75,8 +75,8 @@ def test_zero_delta_is_identity():
 def test_triples_round_trip():
     tree = WaryTree(3, P)
     for v in range(11):
-        tree.append(v * v % P)
-    rebuilt = WaryTree.from_triples(3, P, *zip(*tree.triples()))
+        tree.extend([v * v % P])
+    rebuilt = WaryTree.from_triples(3, P, *zip(*triples(tree)))
     assert [list(x) for x in rebuilt.levels] == [list(x) for x in tree.levels]
 
 
@@ -89,11 +89,11 @@ def test_random_ops_match_oracle():
             if leaves and rng.random() < 0.4:
                 g = rng.randrange(len(leaves))
                 v = rng.randrange(P)
-                tree.set_leaf(g, v)
+                tree.add_delta(g, v - tree.leaf(g))
                 leaves[g] = v
             else:
                 v = rng.randrange(P)
-                tree.append(v)
+                tree.extend([v])
                 leaves.append(v)
         _assert_matches_oracle(tree, leaves, w)
 
@@ -104,7 +104,7 @@ def test_extend_equals_repeated_append(w, start, size, rng):
     values = [rng.randrange(3 * P) for _ in range(start + size)]
     one_by_one = WaryTree(w, P)
     for v in values:
-        one_by_one.append(v)
+        one_by_one.extend([v])
     batched = WaryTree.from_leaves(w, P, values[:start])
     assert batched.extend(values[start:]) == start
     assert batched.levels == one_by_one.levels
@@ -120,7 +120,7 @@ def test_extend_every_size_and_fan_out():
             for k, v in enumerate(leaves):
                 if k >= start:
                     expected.append([list(level) for level in one_by_one.levels])
-                one_by_one.append(v)
+                one_by_one.extend([v])
             expected.append(one_by_one.levels)
             for size in range(0, 61):
                 batched = WaryTree(w, P)
@@ -143,7 +143,7 @@ def test_extend_keeps_a_corrupted_node_corrupted():
             tree.extend(more)
         else:
             for v in more:
-                tree.append(v)
+                tree.extend([v])
         trees.append(tree)
     batched, one_by_one = trees
     assert batched.levels == one_by_one.levels

@@ -27,7 +27,7 @@ from fvss.sharing import typed_key
 from fvss.store import StoredRecord, TypeOneIndex
 
 from .faults import drop_record
-from .oracles import PlainWarehouse
+from .oracles import PlainWarehouse, get_record, triples, type1_set
 
 
 PRODUCT = Schema("product", (
@@ -60,7 +60,7 @@ def test_fig8_pseudo_sum():
     idx = TypeOneIndex()
     idx.create_table("t")
     for pk, bm in [(124, "10101"), (125, "01110"), (126, "11010"), (127, "00111")]:
-        idx.set("t", pk, bm)
+        type1_set(idx, "t", pk, bm)
     # bit 1 is 0 exactly for 125 and 127
     assert idx.pseudo_sum("t", [124, 125, 126, 127], 1, 10**9) == 252
     assert idx.pseudo_sum("t", [124], 1, 10**9) == 0
@@ -389,7 +389,7 @@ def test_recovery_refuses_disagreeing_donors(km_toy, donor, fault):
     assert len(donors) == 2
     store = wh.csps[donors[donor]]
     pos = store.position_of("product", pk)
-    rec = store.get_record("product", pos)
+    rec = get_record(store, "product", pos)
     rec.shares["prodName"] = None if fault == "null" else rec.shares["prodName"][:-1]
     store.update_shared_record(wh.schemas["product"], pos, rec)
     want = wh.csps[target].tables["product"]
@@ -422,8 +422,8 @@ def _holding(wh, i):
     csp = wh.csps[i]
     tree = csp.sigtree
     return (csp.slice_values(wh.schemas["product"]),
-            {t: tr.triples() for t, tr in tree.record_trees.items()},
-            tree.table_layer.triples())
+            {t: triples(tr) for t, tr in tree.record_trees.items()},
+            triples(tree.table_layer))
 
 
 @pytest.mark.parametrize("attr,chunk", [("price", 0), ("prodName", 1)])
