@@ -32,7 +32,7 @@ from .errors import (
     StoreLocked,
 )
 from .query import execute
-from .sharing import Column, Schema
+from .sharing import Column, Schema, text_value
 from .store import Warehouse
 
 
@@ -104,23 +104,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # value round trips: CSV text -> python, python -> printed cell
 
-def _parse_cell(text: str, col: Column):
+def _parse_cell(text: str, col: Column, table: str):
+    """A CSV cell as a value of col (text_value), None when empty; an int
+    cell must be whole."""
     if text == "":
         return None
-    if col.kind in ("key", "fk", "int"):
-        return int(text)
-    if col.kind == "real":
-        return Fraction(text)
-    if col.kind == "date":
-        return date.fromisoformat(text)
-    if col.kind == "bool":
-        low = text.strip().lower()
-        if low in ("1", "true", "t", "yes"):
-            return True
-        if low in ("0", "false", "f", "no"):
-            return False
-        raise SchemaMismatch(f"cannot read {text!r} as bool for {col.name}")
-    return text
+    try:
+        value = text_value(text, col.kind)
+        if col.kind in ("key", "fk", "int") and isinstance(value, Fraction):
+            raise ValueError(f"{text!r} is not whole")
+    except ValueError:
+        raise SchemaMismatch(f"{table}.{col.name}: cannot read {text!r} as {col.kind}") from None
+    return value
 
 
 def _fmt(value) -> str:
@@ -170,13 +165,15 @@ def _emit(headers, rows, mode: str, out) -> None:
         out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _parse_rg(raw: str | None):
-    if raw is None:
-        return None
+def _parse_ids(raw: str, flag: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in raw.split(","))
     except ValueError:
-        raise ConfigError(f"--rg must be a comma list of CSP ids, got {raw!r}")
+        raise ConfigError(f"{flag} must be a comma list of {what}, got {raw!r}") from None
+
+
+def _parse_rg(raw: str | None):
+    return None if raw is None else _parse_ids(raw, "--rg", "CSP ids")
 
 
 def _parse_where(raw: str):
@@ -331,7 +328,7 @@ def _read_csv(path: Path, schema: Schema):
                 text = row.get(col.name) or ""
                 if text == "" and col.kind in ("key", "fk"):
                     raise SchemaMismatch(f"{schema.table}.{col.name} must not be empty")
-                out[col.name] = _parse_cell(text, col)
+                out[col.name] = _parse_cell(text, col, schema.table)
             yield out
 
 
@@ -410,8 +407,7 @@ def cmd_cube(cfg: AppConfig, args, out) -> int:
         out.write(f"built cube {args.name}: {cells} cells\n")
         return 0
     if args.cube_command == "refresh":
-        pks = [int(x) for x in args.new.split(",") if x.strip()]
-        touched = cube_refresh(wh, spec, pks)
+        touched = cube_refresh(wh, spec, _parse_ids(args.new, "--new", "fact primary keys"))
         wh.save(cfg.root)
         out.write(f"refreshed cube {args.name}: {touched} cells touched\n")
         return 0

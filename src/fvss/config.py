@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cost import PricingPolicy, reference_pricing
-from .cube import MEASURE_FNS, CubeHierarchy, CubeMeasure, CubeSpec, cube_schema
+from .cube import MEASURE_FNS, CubeHierarchy, CubeMeasure, CubeSpec, cube_table_spec
 from .errors import ConfigError
 from .field import P_DEFAULT
 from .keyed import KeyMaterial, init_participants
@@ -319,9 +319,4 @@ def cube_table_specs(cfg: AppConfig, km: KeyMaterial):
     probe = cfg.new_warehouse(km)
     for schema, index_attrs, derived in cfg.tables:
         probe.create_table(schema, index_attrs=index_attrs, derived=derived)
-    out = []
-    for spec in cfg.cubes.values():
-        schema = cube_schema(probe, spec)
-        dims = tuple(a for h in spec.hierarchies for a in h.attrs)
-        out.append((schema, dims, ()))
-    return out
+    return [cube_table_spec(probe, spec) for spec in cfg.cubes.values()]

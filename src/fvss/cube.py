@@ -13,37 +13,37 @@ encoding: NULL means "aggregated away". The grand total row is NULL
 across every dimension; a per-year row keeps only the year, and so on
 through the lattice of hierarchy prefixes.
 
-Refreshing after new facts never rebuilds, and reconstructs no SUM or
-COUNT cell. A provider's delta to such a cell is its share sum over the
-new records (SUM only) plus its share (share_cell_chunk) of a plaintext
-c: the negated surplus bias offsets for SUM, the new count for COUNT,
-under fillers keyed by the cell and the refresh. MAX/MIN cells re-share
-the value of the new extremal record found through the record index
-under such fillers. So the difference between a provider's old and new
-share of a cell is noise to that provider.
-
-Build and refresh work one lattice level at a time: the cells of a
-level are disjoint groups of fact records, so each measure is evaluated
-over all of them at once by query.aggregate_groups, the share-space
-primitive queries use, as are dimension routes and cell order. Every
-read of a level, and every slice, goes through Warehouse.read_through:
-a pinned reconstruction group fails on its first signature mismatch,
-otherwise groups rotate past it. A refresh reads every level before it
-writes any cell, and cube rows reach the providers through the
-warehouse's one append path.
+A cube has one write path, a fold of facts into it: a build folds every
+fact into an empty cube, a refresh folds new facts into a built one and
+never rebuilds. The fold reads every lattice level under one
+Warehouse.read_through (a pinned reconstruction group fails on its
+first signature mismatch, otherwise groups rotate past it) before it
+writes anything, so a build that raises leaves no cube and a refresh
+that raises leaves the cube as it was. The cells of a level are
+disjoint groups of fact records, so each measure is evaluated over all
+of them at once by query.aggregate_groups, as queries do. New cells
+reach the providers through the warehouse's one append path. An
+existing SUM or COUNT cell is never reconstructed: a provider adds its
+part of query's share-space rule (share_space_parts) over the new
+records and its share (share_cell_chunk) of the rule's plaintext c,
+under fillers keyed by the cell and the refresh. MAX/MIN cells
+re-share the new extremal record's value under such fillers. So the
+difference between a provider's old and new share of a cell is noise
+to that provider.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from operator import mul
 from typing import NamedTuple
 
 from .errors import (
     CspUnavailable,
+    DuplicateTable,
     NotIndexed,
     SchemaMismatch,
     UnknownRecordPosition,
@@ -54,7 +54,6 @@ from .keyed import KeyMaterial
 from .sharing import Column, Schema, encode_chunks, pinned_coefficients, typed_value
 from .store import Warehouse
 from .query import (
-    BIAS_TERMS,
     GroupSource,
     PlannedAgg,
     aggregate_groups,
@@ -63,9 +62,7 @@ from .query import (
     group_source,
     literal_operand,
     pair_column,
-    present_pks,
-    share_space_sums,
-    summed_pks,
+    share_space_parts,
 )
 
 MEASURE_FNS = ("sum", "count", "min", "max", "avg")
@@ -219,9 +216,11 @@ def _dim_sources(wh: Warehouse, spec: CubeSpec) -> list[tuple[Column, GroupSourc
     return out
 
 
-def cube_schema(wh: Warehouse, spec: CubeSpec) -> Schema:
-    """The cube's table shape: synthetic cell key, then one plaintext-keyed
-    column per hierarchy attribute, then the stored measure columns."""
+def cube_table_spec(wh: Warehouse, spec: CubeSpec) -> tuple[Schema, tuple[str, ...], tuple]:
+    """The cube's table as Warehouse.create_table and load take it: its
+    schema (synthetic cell key, then one plaintext-keyed column per
+    hierarchy attribute, then the stored measure columns), the dimension
+    columns it indexes, and no derived columns."""
     if spec.table not in wh.schemas:
         raise UnknownTable(spec.table)
     dims = [col for col, _ in _dim_sources(wh, spec)]
@@ -229,7 +228,8 @@ def cube_schema(wh: Warehouse, spec: CubeSpec) -> Schema:
     clash = {c.name for c in dims} & {c.name for c in measures}
     if clash:
         raise SchemaMismatch(f"cube column name collision: {sorted(clash)}")
-    return Schema(cube_table(spec), (Column("cell", "key"), *dims, *measures))
+    schema = Schema(cube_table(spec), (Column("cell", "key"), *dims, *measures))
+    return schema, tuple(col.name for col in dims), ()
 
 
 # sharing: every provider stores a real share, fillers replace pseudo shares
@@ -304,14 +304,10 @@ def _require_all_alive(wh: Warehouse):
 
 
 def _lattice(spec: CubeSpec):
-    return product(*(range(len(h.attrs) + 1) for h in spec.hierarchies))
-
-
-def _active_flags(spec: CubeSpec, combo) -> list[bool]:
-    flags = []
-    for h, depth in zip(spec.hierarchies, combo):
-        flags.extend(i < depth for i in range(len(h.attrs)))
-    return flags
+    """Per lattice level, one flag per dimension: on where it stays
+    concrete, a prefix of each hierarchy."""
+    for depths in product(*(range(len(h.attrs) + 1) for h in spec.hierarchies)):
+        yield [i < depth for h, depth in zip(spec.hierarchies, depths) for i in range(len(h.attrs))]
 
 
 def _fact_keys(wh: Warehouse, spec: CubeSpec, pks) -> dict[tuple, list[int]]:
@@ -365,33 +361,7 @@ def _level_rows(wh: Warehouse, spec: CubeSpec, dims, stored, groups: dict, cells
     return rows
 
 
-def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
-    """Aggregate every lattice cell through the share-space query paths,
-    one level at a time, each level's reads through wh.read_through, and
-    store the cube at all n providers. Returns the number of cells. A
-    pinned rg is checked before anything is written."""
-    _require_all_alive(wh)
-    if rg is not None:
-        wh.pinned_rg(rg)
-    schema = cube_schema(wh, spec)
-    dims = [col for col, _ in _dim_sources(wh, spec)]
-    stored = _measure_layout(spec, wh.schemas[spec.table]).stored
-    wh.create_table(schema, index_attrs=tuple(col.name for col in dims))
-
-    by_key = _fact_keys(wh, spec, wh.type1.pks(spec.table))
-    rows = []
-    try:
-        for combo in _lattice(spec):
-            groups = _cells(by_key, _active_flags(spec, combo))
-            rows += wh.read_through(rg, partial(_level_rows, wh, spec, dims, stored, groups,
-                                                sorted(groups, key=group_order)))
-    finally:
-        # the levels before a failing one are stored whole
-        wh.append(schema, *_cube_rows(wh, schema, 1, rows))
-    return len(rows)
-
-
-# refresh
+# writing: a build and a refresh are one fold
 
 
 def _cell_rewrites(wh: Warehouse, schema: Schema, changes,
@@ -433,21 +403,32 @@ def _rewrite_cells(wh: Warehouse, schema: Schema, changes, refresh: int):
         csp.update_columns(schema, pks, values)
 
 
+def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
+    """Fold every fact into an empty cube, as cube_refresh folds new facts
+    into a built one, and store it at all n providers. Returns the number
+    of cells. The cube table is created only once every level has been
+    read, so a build that raises leaves no cube and can be run again."""
+    _require_all_alive(wh)
+    if cube_table(spec) in wh.schemas:
+        raise DuplicateTable(cube_table(spec))
+    return _fold(wh, spec, cube_table_spec(wh, spec), {}, wh.type1.pks(spec.table), rg)
+
+
 def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
-    """Fold freshly loaded fact records into an existing cube.
+    """Fold freshly loaded fact records into a built cube.
 
     SUM and COUNT cells update purely in share space (never
     reconstructed), and MAX/MIN cells re-share the extremal record found
     through the record index. Every rewrite of a cell is masked afresh:
     SUM and COUNT deltas carry a zero-sharing, and re-shared values new
     filler ordinates, both keyed by the cell and the refresh (its
-    smallest new fact pk: a fact is folded into a cube once, so no two
-    refreshes share it), so a provider that keeps its old cube file
-    cannot read a cell's change from its own shares. Returns the number of touched or
-    created cells. Providers that disagree on a new record's NULL marker
-    raise InnerSignatureMismatch. Every level is read, through
-    wh.read_through, before any cell is written, so a refresh that raises
-    leaves the cube as it was.
+    smallest new fact pk), so a provider that keeps its old cube file
+    cannot read a cell's change from its own shares. The caller folds
+    each fact into a cube once: nothing here remembers which facts a
+    cube holds, and a fact refreshed twice is counted twice. Returns the
+    number of touched or created cells. Providers that disagree on a new
+    record's NULL marker raise InnerSignatureMismatch. A refresh that
+    raises leaves the cube as it was.
     """
     _require_all_alive(wh)
     table = cube_table(spec)
@@ -457,47 +438,48 @@ def cube_refresh(wh: Warehouse, spec: CubeSpec, new_pks, rg=None) -> int:
     unknown = [pk for pk in new_pks if not wh.type1.has(spec.table, pk)]
     if unknown:
         raise UnknownRecordPosition(f"not fact records: {unknown}")
-    schema = wh.schemas[table]
+    return _fold(wh, spec, None, _cells_by_key(wh, spec), new_pks, rg)
+
+
+def _fold(wh: Warehouse, spec: CubeSpec, new_table, cells: dict[tuple, int], new_pks,
+          rg) -> int:
+    """Fold the facts new_pks into the cube whose cells are cells (pk by
+    dimension tuple); new_table is the table spec of a cube to create
+    once every level has been read (the rows of its new cells, the
+    _cell_changes of its existing ones), None for a built one. New cells
+    are numbered after the existing ones in level and cell order.
+    Returns the number of touched or created cells."""
+    schema = new_table[0] if new_table else wh.schemas[cube_table(spec)]
     dims = [col for col, _ in _dim_sources(wh, spec)]
     stored = _measure_layout(spec, wh.schemas[spec.table]).stored
-
-    refresh = new_pks[0] if new_pks else None
     new_keys = _fact_keys(wh, spec, new_pks)
     # MIN/MAX cells are re-derived from every member, old facts included
     all_keys = {}
-    if new_pks and any(sm.agg.fn in ("min", "max") for sm in stored):
+    if cells and new_pks and any(sm.agg.fn in ("min", "max") for sm in stored):
         all_keys = _fact_keys(wh, spec, wh.type1.pks(spec.table))
-    cells = _cells_by_key(wh, spec)
-    touched, rows, changes = 0, [], []
-    for combo in _lattice(spec):
-        flags = _active_flags(spec, combo)
-        new_groups = _cells(new_keys, flags)
-        order = sorted(new_groups, key=group_order)
-        touched += len(order)
-        level_rows, level_changes = wh.read_through(rg, partial(
-            _level_changes, wh, spec, dims, stored, cells, new_groups,
-            _cells(all_keys, flags), order, refresh,
-        ))
-        rows += level_rows
-        changes += level_changes
-    # new cells are numbered in level and cell order
-    wh.append(schema, *_cube_rows(wh, schema, max(wh.type1.pks(table), default=0) + 1, rows))
+    levels = [(_cells(new_keys, flags), _cells(all_keys, flags)) for flags in _lattice(spec)]
+    refresh = new_pks[0] if new_pks else None
+
+    def read(rg):
+        rows, changes = [], []
+        for new_groups, all_groups in levels:
+            order = sorted(new_groups, key=group_order)
+            known = [cell for cell in order if cell in cells]
+            rows += _level_rows(wh, spec, dims, stored, new_groups,
+                                [cell for cell in order if cell not in cells], rg)
+            cell_pks = [cells[cell] for cell in known]
+            changes += zip(cell_pks, _cell_changes(
+                wh, spec, stored, cell_pks, [new_groups[cell] for cell in known],
+                [all_groups.get(cell) for cell in known], refresh, rg))
+        return rows, changes
+
+    rows, changes = wh.read_through(rg, read)
+    appended = _cube_rows(wh, schema, max(cells.values(), default=0) + 1, rows)
+    if new_table:
+        wh.create_table(*new_table)
+    wh.append(schema, *appended)
     _rewrite_cells(wh, schema, [(pk, d, r) for pk, (d, r) in changes if d or r], refresh)
-    return touched
-
-
-def _level_changes(wh: Warehouse, spec: CubeSpec, dims, stored, cells, new_groups,
-                   all_groups, order, refresh, rg) -> tuple[list[dict], list]:
-    """One lattice level's reads for a refresh: the rows of its new cells
-    and (cell pk, (deltas, replacements)) of its existing ones, each in
-    order."""
-    known = [cell for cell in order if cell in cells]
-    rows = _level_rows(wh, spec, dims, stored, new_groups,
-                       [cell for cell in order if cell not in cells], rg)
-    cell_pks = [cells[cell] for cell in known]
-    changes = _cell_changes(wh, spec, stored, cell_pks, [new_groups[cell] for cell in known],
-                            [all_groups.get(cell) for cell in known], refresh, rg)
-    return rows, list(zip(cell_pks, changes))
+    return sum(len(new_groups) for new_groups, _ in levels)
 
 
 def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, cell_pks, members_new,
@@ -505,13 +487,11 @@ def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, cell_pks, members_new,
     """(deltas, replacements) for _rewrite_cells of each existing cell,
     given its new members and, for MIN/MAX, all its members; each measure
     evaluated over all the cells at once. A SUM's or COUNT's delta at each
-    provider is a share-space part plus its share of a plaintext c under
-    the refresh's fillers (share_cell_chunk, which carries the cell's
-    zero-sharing): for SUM the share sums over the new members (asking
-    every provider for NULL marks and share sums) and c = minus the
-    surplus bias offsets, for COUNT nothing and c = the number of new
-    present records. MIN/MAX are replaced by the value of the cell's
-    extremal record."""
+    provider is its share of the share-space sum over the new members
+    (query.share_space_parts, asking every provider) plus its share of
+    the plaintext c under the refresh's fillers (share_cell_chunk, which
+    carries the cell's zero-sharing). MIN/MAX are replaced by the value of
+    the cell's extremal record."""
     fact, table, km = spec.table, cube_table(spec), wh.km
     csps, p = sorted(wh.csps), km.p
     out = [({}, {}) for _ in cell_pks]
@@ -523,19 +503,8 @@ def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, cell_pks, members_new,
             for changes, value in zip(out, aggregate_groups(wh, fact, agg, members_all, rg)):
                 changes[1][name] = value
             continue
-        if agg.fn == "sum":
-            x = agg.attr or agg.x
-            present = summed_pks(wh, fact, x, agg.y, members_new, csps)
-            live = [k for k, g in enumerate(present) if g]
-            sums = dict(zip(live, share_space_sums(wh, fact, [present[k] for k in live], csps,
-                                                   x, agg.y, agg.op) if live else ()))
-            parts = [(sums.get(k, [0] * len(csps)), -BIAS_TERMS[agg.op] * len(g) * wh.bias)
-                     for k, g in enumerate(present)]
-        else:
-            counted = members_new if agg.mode == "star" else \
-                present_pks(wh, fact, agg.attr, members_new, csps)
-            parts = [([0] * len(csps), len(g)) for g in counted]
-        for changes, pk, (shared, c) in zip(out, cell_pks, parts):
+        parts = share_space_parts(wh, fact, agg, members_new, csps)
+        for changes, pk, (_, shared, c) in zip(out, cell_pks, parts):
             cell = share_cell_chunk(km, table, pk, name, 0, c % p, refresh)
             changes[0][name] = {i: (a + cell[i]) % p for i, a in zip(csps, shared)}
     return out

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import date as _date
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import add, eq, ge, gt, le, lt, ne, sub
@@ -55,7 +54,7 @@ from .errors import (
     UnknownTable,
     UnsupportedFeature,
 )
-from .sharing import Column, solve_sums, typed_key, typed_value
+from .sharing import Column, solve_sums, text_value, typed_key, typed_value
 from .store import Warehouse
 
 AGG_FNS = ("sum", "avg", "var", "variance", "stddev", "count", "min", "max", "median")
@@ -591,21 +590,21 @@ def literal_operand(operand, col: Column, op: str):
 
 
 def literal_key(raw, col: Column):
-    """The order key a literal compares as against col: raw, query text or
-    a typed value, read as a value of col's kind. A number keeps its exact
-    value (times 10^scale on a real column, as typed_key scales only
-    reals), an int when it is whole and a Fraction otherwise, so a literal
-    finer than the column's keys lies between them and equals none;
-    anything else takes its typed_key."""
+    """The order key a literal compares as against col: raw, query text
+    (read by text_value) or a typed value, as a value of col's kind. A
+    number keeps its exact value (times 10^scale on a real column, as
+    typed_key scales only reals), an int when it is whole and a Fraction
+    otherwise, so a literal finer than the column's keys lies between
+    them and equals none; anything else takes its typed_key."""
     kind = col.kind
     try:
+        if isinstance(raw, str):
+            raw = text_value(raw, kind)
         if kind in ("key", "fk", "int", "real"):
             key = Fraction(raw) if isinstance(raw, (int, Fraction)) else Fraction(str(raw))
             if kind == "real":
                 key *= 10**col.scale
             return key.numerator if key.denominator == 1 else key
-        if isinstance(raw, str) and kind in ("date", "bool"):
-            raw = _date.fromisoformat(raw) if kind == "date" else int(raw)
         return typed_key(raw, kind, col.scale)
     except (ValueError, TypeError) as exc:
         raise SchemaMismatch(f"literal {raw!r} does not fit a {kind} column") from exc
@@ -738,9 +737,28 @@ def summed_pks(wh: Warehouse, table: str, x: str, y: str | None, groups,
     return present
 
 
-def _decode_sum(total: int, count: int, col: Column, bias_terms: int,
-                bias: int, p: int):
-    raw = (total - bias_terms * count * bias) % p
+def share_space_parts(wh: Warehouse, table: str, agg: PlannedAgg, groups,
+                      csps) -> list[tuple[set[int], tuple[int, ...], int]]:
+    """The share-space rule of SUM and COUNT, per group of pks: the records
+    agg counts, each provider's share (csps order) of the share-space sum
+    over them, and the plaintext c that completes the value mod p: minus
+    the surplus bias offsets for a SUM (of agg.attr, or agg.x op agg.y),
+    the count for a COUNT, whose sum is 0. A query solves the shares and
+    adds c; a cube refresh adds the shares and a sharing of c to a cell."""
+    zero = (0,) * len(csps)
+    if agg.fn == "count":
+        counted = groups if agg.mode == "star" else present_pks(wh, table, agg.attr, groups, csps)
+        return [(g, zero, len(g)) for g in counted]
+    x = agg.attr or agg.x
+    present = summed_pks(wh, table, x, agg.y, groups, csps)
+    live = [g for g in present if g]
+    sums = iter(share_space_sums(wh, table, live, csps, x, agg.y, agg.op) if live else ())
+    surplus = BIAS_TERMS[agg.op] * wh.bias
+    return [(g, next(sums) if g else zero, -surplus * len(g)) for g in present]
+
+
+def _decode_sum(value: int, col: Column, p: int):
+    raw = value % p
     if raw > p // 2:
         raw -= p
     if col.kind == "real":
@@ -756,26 +774,21 @@ def pair_column(schema, x: str, y: str) -> Column:
     return col_x if col_x.kind == "real" else col_y
 
 
-def _sums(wh: Warehouse, table: str, x: str, y: str | None, op: str | None,
-          groups, rg) -> tuple[list, list[set[int]]]:
-    """SUM(x) or SUM(x op y) over each group, 0 for one with nothing to
-    add, and the records each added up. Each sum is accepted only
-    through its own inner-signature check (solve_sums)."""
+def _sums(wh: Warehouse, table: str, agg: PlannedAgg, groups, rg) -> tuple[list, list[set[int]]]:
+    """SUM(x) or SUM(x op y) over each group (share_space_parts), 0 for one
+    with nothing to add, and the records each added up. Each sum is
+    accepted only through its own inner-signature check (solve_sums)."""
     schema = wh.schemas[table]
-    out_col = schema.column(x) if y is None else pair_column(schema, x, y)
+    x = agg.attr or agg.x
+    out_col = schema.column(x) if agg.y is None else pair_column(schema, x, agg.y)
     rg = tuple(sorted(rg))
-    present = summed_pks(wh, table, x, y, groups, rg)
-    live = [g for g in present if g]
-    what = f"SUM({table}.{x}{op or ''}{y or ''})"
-    totals = iter(solve_sums(rg, share_space_sums(wh, table, live, rg, x, y, op), wh.km, what)
-                  if live else ())
+    parts = share_space_parts(wh, table, agg, groups, rg)
+    live = [shares for g, shares, _ in parts if g]
+    what = f"SUM({table}.{x}{agg.op or ''}{agg.y or ''})"
+    totals = iter(solve_sums(rg, live, wh.km, what) if live else ())
     zero = Fraction(0) if out_col.kind == "real" else 0
-    sums = [
-        _decode_sum(next(totals), len(g), out_col, BIAS_TERMS[op], wh.bias, wh.km.p)
-        if g else zero
-        for g in present
-    ]
-    return sums, present
+    sums = [_decode_sum(next(totals) + c, out_col, wh.km.p) if g else zero for g, _, c in parts]
+    return sums, [g for g, _, _ in parts]
 
 
 def _extremes(wh: Warehouse, table: str, attr: str, fn: str, groups, rg) -> list:
@@ -811,23 +824,24 @@ def aggregate_groups(wh: Warehouse, table: str, agg: PlannedAgg, groups, rg) -> 
     fn = agg.fn
     if agg.mode == "star":
         return [len(g) for g in groups]
-    if agg.mode == "combined":
-        sums, present = _sums(wh, table, agg.x, agg.y, agg.op, groups, rg)
-    elif fn == "count":
+    if fn == "count":
         if wh.type2.is_indexed(table, agg.attr):
             return wh.type2.aggregates(table, agg.attr, "count", groups)
-        return list(map(len, present_pks(wh, table, agg.attr, groups, rg)))
+        return [c for _, _, c in share_space_parts(wh, table, agg, groups, rg)]
+    if agg.mode == "combined":
+        sums, present = _sums(wh, table, agg, groups, rg)
     elif fn in ("min", "max", "median"):
         return _extremes(wh, table, agg.attr, fn, groups, rg)
     else:
-        sums, present = _sums(wh, table, agg.attr, None, None, groups, rg)
+        sums, present = _sums(wh, table, agg, groups, rg)
     if fn == "sum":
         return sums
     means = [Fraction(s) / len(g) if g else None for s, g in zip(sums, present)]
     if fn == "avg":
         return means
     live = [k for k, g in enumerate(present) if g]
-    squares = iter(_sums(wh, table, agg.square, None, None, [groups[k] for k in live], rg)[0])
+    squares = iter(_sums(wh, table, PlannedAgg("sum", "plain", attr=agg.square),
+                         [groups[k] for k in live], rg)[0])
     out = [None] * len(groups)
     for k in live:
         var = Fraction(next(squares)) / len(present[k]) - means[k] ** 2

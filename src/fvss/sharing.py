@@ -164,6 +164,28 @@ def typed_value(key, kind: str, scale: int = 0):
     return key
 
 
+_BOOL_WORDS = {"1": True, "true": True, "t": True, "yes": True,
+               "0": False, "false": False, "f": False, "no": False}
+
+
+def text_value(text: str, kind: str):
+    """The typed value text reads as, the one reading of CSV cells and
+    query literals: a number exactly (an int when whole, else a
+    Fraction), a date in ISO form, a bool from one of _BOOL_WORDS in any
+    case, a string as itself. ValueError when it reads as none."""
+    if kind == "string":
+        return text
+    if kind == "date":
+        return _date.fromisoformat(text)
+    if kind == "bool":
+        word = _BOOL_WORDS.get(text.strip().lower())
+        if word is None:
+            raise ValueError(f"{text!r} is not a bool")
+        return word
+    number = Fraction(text)
+    return number.numerator if number.denominator == 1 else number
+
+
 def encode_chunks(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> tuple[int, ...]:
     """The field-element chunks of a typed plaintext value, () for None:
     its typed_key offset by the bias, so negatives stay in [0, p), or

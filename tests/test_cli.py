@@ -369,6 +369,60 @@ def test_share_quotient_by_zero_exits_one_without_a_traceback(site, capsys):
     assert (code, out.split()) == (0, ["COUNT(*)", "0"])
 
 
+@pytest.mark.parametrize("column, kind, text", [
+    ("qty", "int", "20x4"),
+    ("qty", "int", "1.5"),
+    ("price", "real", "abc"),
+    ("day", "date", "2014-13-02"),
+    ("paid", "bool", "maybe"),
+])
+def test_share_unreadable_cell_exits_one_without_a_traceback(site, capsys, column, kind, text):
+    """A CSV cell that does not read as its column's kind is an fvss
+    error naming the table, the column and the text; nothing is saved."""
+    cells = {"qty": "2", "price": "19.99", "day": "2013-01-05", "paid": "true", column: text}
+    (site / "sales.csv").write_text(
+        "SaleNo,ProdNo,yearid,monthid,price,qty,paid,day\n"
+        "1,10,2013,1,9.99,1,false,2013-01-02\n"
+        "2,11,2013,2,{price},{qty},{paid},{day}\n".format(**cells))
+    assert run(site, "init")[0] == 0
+    assert run(site, "share", "Product", str(site / "products.csv"))[0] == 0
+    capsys.readouterr()
+    code, out, err = run(site, "share", "Sales", str(site / "sales.csv"), capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == f"SchemaMismatch: Sales.{column}: cannot read {text!r} as {kind}\n"
+    code, out, _ = run(site, "query", "SELECT COUNT(*) FROM Sales", capsys=capsys)
+    assert (code, out.split()) == (0, ["COUNT(*)", "0"])
+
+
+def test_cube_refresh_rejects_a_malformed_new_list(loaded, capsys):
+    assert run(loaded, "cube", "build", "by_year")[0] == 0
+    capsys.readouterr()
+    code, out, err = run(loaded, "cube", "refresh", "by_year", "--new", "1,x", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "ConfigError: --new must be a comma list of fact primary keys, got '1,x'\n"
+
+
+def test_bool_text_reads_alike_in_csv_cells_and_literals(site, capsys):
+    """The words a CSV bool cell is read from select the same value as a
+    cube --where filter and as a quoted query literal."""
+    path = site / "fvss.ini"
+    path.write_text(path.read_text().replace(
+        "Sales = yearid, monthid, price, qty", "Sales = yearid, monthid, price, qty, paid")
+        + "\n[cube:by_paid]\ntable = Sales\nhierarchies = paid\nmeasures = count(*)\n")
+    run(site, "init")
+    run(site, "share", "Product", str(site / "products.csv"))
+    run(site, "share", "Sales", str(site / "sales.csv"))
+    assert run(site, "cube", "build", "by_paid")[0] == 0
+    capsys.readouterr()
+    for word, count in (("true", 2), ("TRUE", 2), ("yes", 2), ("f", 1), ("0", 1)):
+        code, out, _ = run(site, "cube", "query", "by_paid", "--level", "paid", "--where",
+                           f"paid={word}", "--output", "csv", capsys=capsys)
+        assert (code, out) == (0, f"paid,count_rows\n{str(bool(count - 1)).lower()},{count}\n")
+        code, out, _ = run(site, "query", f"SELECT COUNT(*) FROM Sales WHERE paid = '{word}'",
+                           "--output", "csv", capsys=capsys)
+        assert (code, out) == (0, f"COUNT(*)\n{count}\n")
+
+
 JOIN = "FROM Sales JOIN Product ON Sales.ProdNo = Product.ProdNo"
 
 SESSION = (
@@ -580,7 +634,7 @@ def test_config_missing_sections(tmp_path):
     ("Shirt", "string", "Shirt"),
 ])
 def test_parse_cell(text, kind, value):
-    assert cli._parse_cell(text, Column("c", kind, scale=2)) == value
+    assert cli._parse_cell(text, Column("c", kind, scale=2), "T") == value
 
 
 @pytest.mark.parametrize("value, text", [

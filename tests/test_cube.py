@@ -16,8 +16,8 @@ from fvss.cube import (
     cube_build,
     cube_query,
     cube_refresh,
-    cube_schema,
     cube_table,
+    cube_table_spec,
     share_cell_chunk,
 )
 from fvss.errors import (
@@ -188,7 +188,7 @@ def oracle_full():
 
 
 def test_schema_columns_and_dedup(built):
-    cols = [c.name for c in cube_schema(built, SPEC).columns]
+    cols = [c.name for c in cube_table_spec(built, SPEC)[0].columns]
     # avg_price reuses sum_price and adds only its count column
     assert cols == [
         "cell", "yearid", "monthid", "category", "ProdNo",
@@ -340,7 +340,7 @@ def _year_cell(wh, spec):
     """The pk of a cube cell at the (yearid,) level."""
     table = cube_table(spec)
     years = wh.type2.value_map(table, "yearid")
-    finer = [wh.type2.value_map(table, c.name) for c in cube_schema(wh, spec).columns[2:5]]
+    finer = [wh.type2.value_map(table, c.name) for c in cube_table_spec(wh, spec)[0].columns[2:5]]
     return min(pk for pk in years if not any(pk in vm for vm in finer))
 
 
@@ -516,10 +516,11 @@ def test_build_needs_every_provider(km_big):
         cube_build(wh, SPEC)
 
 
-def test_build_failing_part_way_keeps_the_cells_before(km_big, monkeypatch):
-    """A lattice level whose measure raises stops the build; the cells of
-    the levels before it are stored at every provider, indexed and signed,
-    as when cells were appended one level at a time."""
+def test_build_failing_part_way_leaves_no_cube(km_big, monkeypatch):
+    """A lattice level whose measure raises stops the build before the
+    cube table is created: no cube is registered or stored, a slice of a
+    level that was read raises UnknownTable instead of answering, and a
+    second build stores at every provider what a clean build stores."""
     import fvss.cube as cube_module
 
     real = cube_module.aggregate_groups
@@ -537,17 +538,17 @@ def test_build_failing_part_way_keeps_the_cells_before(km_big, monkeypatch):
     with pytest.raises(InnerSignatureMismatch, match="injected"):
         cube_build(wh, SPEC)
     monkeypatch.undo()
+    table = cube_table(SPEC)
+    assert table not in wh.schemas
+    assert all(table not in csp.pks for csp in wh.csps.values())
+    with pytest.raises(UnknownTable):
+        cube_query(wh, SPEC, ("category",))
+    assert cube_build(wh, SPEC) == 39
     whole = fill_warehouse(km_big, SALES_BASE)
     cube_build(whole, SPEC)
-    table = cube_table(SPEC)
-    assert wh.type1.pks(table) == [1, 2, 3]
+    schema = whole.schemas[table]
     for i, csp in wh.csps.items():
-        assert csp.tables[table] == whole.csps[i].tables[table][:3]
-    for col in cube_schema(wh, SPEC).columns[1:5]:
-        assert wh.type2.value_map(table, col.name) == {
-            pk: key for pk, key in whole.type2.value_map(table, col.name).items()
-            if pk <= 3
-        }
+        assert csp.slice_values(schema) == whole.csps[i].slice_values(schema)
     assert all(r.ok for r in wh.verify_all().values())
 
 
@@ -803,7 +804,7 @@ def test_dimension_checks(km_big):
     ]
     for spec, err in cases:
         with pytest.raises(err):
-            cube_schema(wh, spec)
+            cube_table_spec(wh, spec)
 
 
 def test_measure_checks(km_big):
@@ -820,7 +821,7 @@ def test_measure_checks(km_big):
     ]
     for spec, err in cases:
         with pytest.raises(err):
-            cube_schema(wh, spec)
+            cube_table_spec(wh, spec)
 
 
 def test_null_dimension_value_is_rejected(km_big):
@@ -828,6 +829,7 @@ def test_null_dimension_value_is_rejected(km_big):
     wh.insert("Sales", _sale(99, 12, 2015, None, 100, 8, 1))
     with pytest.raises(SchemaMismatch, match="NULL dimension"):
         cube_build(wh, SPEC)
+    assert cube_table(SPEC) not in wh.schemas
 
 
 def test_refresh_rejects_a_null_dimension_before_writing(km_big):
@@ -845,5 +847,5 @@ def test_refresh_rejects_a_null_dimension_before_writing(km_big):
 def test_cube_for_unknown_fact_table(km_big):
     wh = fill_warehouse(km_big, SALES_BASE)
     with pytest.raises(UnknownTable):
-        cube_schema(wh, CubeSpec("x", "Missing", (CubeHierarchy(("a",)),),
+        cube_table_spec(wh, CubeSpec("x", "Missing", (CubeHierarchy(("a",)),),
                                  (CubeMeasure("count", None),)))
