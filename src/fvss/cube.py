@@ -21,12 +21,12 @@ first signature mismatch, otherwise groups rotate past it) before it
 writes anything, so a build that raises leaves no cube and a refresh
 that raises leaves the cube as it was. The cells of a level are
 disjoint groups of fact records, so each measure is evaluated over all
-of them at once by query.aggregate_groups, as queries do. New cells
-reach the providers through the warehouse's one append path. An
-existing SUM or COUNT cell is never reconstructed: a provider adds its
-part of query's share-space rule (share_space_parts) over the new
-records and its share (share_cell_chunk) of the rule's plaintext c,
-under fillers keyed by the cell and the refresh. MAX/MIN cells
+of them at once by query.aggregate_groups, as queries do. New and
+changed cells are stored by one Warehouse.write. An existing SUM or
+COUNT cell is never reconstructed: a provider adds its part of query's
+share-space rule (share_space_parts) over the new records and its share
+(share_cell_chunk) of the rule's plaintext c, under fillers keyed by the
+cell and the refresh. MAX/MIN cells
 re-share the new extremal record's value under such fillers. So the
 difference between a provider's old and new share of a cell is noise
 to that provider.
@@ -279,19 +279,6 @@ def _cell_shares(wh: Warehouse, table: str, pk: int, col: Column, value,
     return [tuple([m[i] for m in per_chunk]) for i in range(1, wh.km.n + 1)]
 
 
-def _cube_rows(wh: Warehouse, schema: Schema, first_pk: int, rows) -> tuple:
-    """Warehouse.append's arguments for cube rows numbered from first_pk:
-    their pks, the rows, their bitmaps (every provider) and each
-    provider's value columns."""
-    n = wh.km.n
-    pks = list(range(first_pk, first_pk + len(rows)))
-    shared = [[_cell_shares(wh, schema.table, pk, col, row.get(col.name))
-               for pk, row in zip(pks, rows)] for col in schema.columns[1:]]
-    per_csp = {i: (pks, [[None if s is None else s[i - 1] for s in column] for column in shared])
-               for i in range(1, n + 1)}
-    return pks, rows, ["1" * n] * len(pks), per_csp
-
-
 def _require_all_alive(wh: Warehouse):
     dead = [i for i in sorted(wh.csps) if not wh.csps[i].alive]
     if dead:
@@ -378,20 +365,25 @@ def _cell_rewrites(wh: Warehouse, schema: Schema, changes,
     ]
 
 
-def _rewrite_cells(wh: Warehouse, schema: Schema, changes, refresh: int):
-    """Rewrite the changed cube rows, (cell pk, deltas, replacements) each,
-    at every provider with one fetch_records and one update_columns call:
-    summable measures get their per-provider delta added in share space,
-    the rest are re-shared under fillers keyed by the refresh."""
-    if not changes:
-        return
+def _cube_write(wh: Warehouse, schema: Schema, cells: dict[tuple, int], rows, changes,
+                refresh: int | None) -> tuple:
+    """Warehouse.write's arguments for the new cells' rows, numbered after
+    cells (pk by dimension tuple), and the changed cells, (pk, deltas,
+    replacements) each: a changed cell is read back from every provider,
+    its summable measures moved by their deltas in share space and the
+    rest re-shared under fillers keyed by the refresh (_cell_rewrites),
+    and its row carries its dimension values."""
+    n, p = wh.km.n, wh.km.p
+    first = max(cells.values(), default=0) + 1
+    pks = list(range(first, first + len(rows)))
+    shared = [[_cell_shares(wh, schema.table, pk, col, row.get(col.name))
+               for pk, row in zip(pks, rows)] for col in schema.columns[1:]]
     rewrites = _cell_rewrites(wh, schema, changes, refresh)
-    pks = [pk for pk, _, _ in rewrites]
+    changed = [pk for pk, _, _ in rewrites]
     names = [name for name, _ in schema.record_fields()]
-    p = wh.km.p
-    for i in sorted(wh.csps):
-        csp = wh.csps[i]
-        values = csp.fetch_records(schema, pks)
+    per_csp = {}
+    for i in range(1, n + 1):
+        values = wh.csps[i].fetch_records(schema, changed) if changed else [[] for _ in names]
         for k, (_, deltas, reshared) in enumerate(rewrites):
             for f, name in enumerate(names):
                 if name in deltas:
@@ -400,7 +392,13 @@ def _rewrite_cells(wh: Warehouse, schema: Schema, changes, refresh: int):
                 elif name in reshared:
                     shares = reshared[name]
                     values[f][k] = None if shares is None else shares[i - 1]
-        csp.update_columns(schema, pks, values)
+        per_csp[i] = pks + changed, [
+            [None if s is None else s[i - 1] for s in column] + vals
+            for column, vals in zip(shared, values)
+        ]
+    dims = {pk: cell for cell, pk in cells.items()}
+    rows = list(rows) + [dict(zip(names, dims[pk])) for pk in changed]
+    return pks + changed, rows, ["1" * n] * len(rows), per_csp
 
 
 def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
@@ -474,17 +472,17 @@ def _fold(wh: Warehouse, spec: CubeSpec, new_table, cells: dict[tuple, int], new
         return rows, changes
 
     rows, changes = wh.read_through(rg, read)
-    appended = _cube_rows(wh, schema, max(cells.values(), default=0) + 1, rows)
+    written = _cube_write(wh, schema, cells, rows,
+                          [(pk, d, r) for pk, (d, r) in changes if d or r], refresh)
     if new_table:
         wh.create_table(*new_table)
-    wh.append(schema, *appended)
-    _rewrite_cells(wh, schema, [(pk, d, r) for pk, (d, r) in changes if d or r], refresh)
+    wh.write(schema, *written)
     return sum(len(new_groups) for new_groups, _ in levels)
 
 
 def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, cell_pks, members_new,
                   members_all, refresh, rg) -> list[tuple[dict, dict]]:
-    """(deltas, replacements) for _rewrite_cells of each existing cell,
+    """(deltas, replacements) for _cube_write of each existing cell,
     given its new members and, for MIN/MAX, all its members; each measure
     evaluated over all the cells at once. A SUM's or COUNT's delta at each
     provider is its share of the share-space sum over the new members

@@ -394,7 +394,7 @@ class GroupSource:
 @dataclass(frozen=True)
 class PlannedAgg:
     fn: str
-    mode: str             # star | plain | combined | derived
+    mode: str             # star | plain | combined
     attr: str | None = None
     x: str | None = None
     y: str | None = None
@@ -643,7 +643,7 @@ def _plan_aggregate(agg: Aggregate, names, wh, fact: str) -> PlannedAgg:
                 f"register a {kind} column for {rx.name}{agg.arg.op}{ry.name} "
                 "to aggregate it"
             )
-        return PlannedAgg(fn, "derived", attr=dcol.name)
+        return PlannedAgg(fn, "plain", attr=dcol.name)
     r = _resolve(agg.arg, names, wh, fact)
     if r.table != fact:
         raise UnsupportedFeature("aggregates run on the FROM table only")
@@ -828,12 +828,9 @@ def aggregate_groups(wh: Warehouse, table: str, agg: PlannedAgg, groups, rg) -> 
         if wh.type2.is_indexed(table, agg.attr):
             return wh.type2.aggregates(table, agg.attr, "count", groups)
         return [c for _, _, c in share_space_parts(wh, table, agg, groups, rg)]
-    if agg.mode == "combined":
-        sums, present = _sums(wh, table, agg, groups, rg)
-    elif fn in ("min", "max", "median"):
+    if fn in ("min", "max", "median"):
         return _extremes(wh, table, agg.attr, fn, groups, rg)
-    else:
-        sums, present = _sums(wh, table, agg, groups, rg)
+    sums, present = _sums(wh, table, agg, groups, rg)
     if fn == "sum":
         return sums
     means = [Fraction(s) / len(g) if g else None for s, g in zip(sums, present)]

@@ -328,15 +328,32 @@ def share_value(d: int, pk: int, group: StorageGroup, km: KeyMaterial) -> dict[i
     return {i: (a * d + b * pk) % p for i, a, b in share_coefficients(group, km)}
 
 
+def whole_number(value, table: str, name: str) -> int:
+    """A key or fk value as an int: SchemaMismatch naming table.name when
+    it is missing (None) or not a whole number, never a truncation, and
+    OutOfRange unless it fits the 8 unsigned bytes of a signature input."""
+    if type(value) is not int:
+        try:
+            number = Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        if number is None or number.denominator != 1:
+            raise SchemaMismatch(f"{table}.{name} must be a whole number, got {value!r}")
+        value = number.numerator
+    if not 0 <= value < 1 << 64:
+        raise OutOfRange(f"{table}.{name} must lie in [0, 2^64), got {value}")
+    return value
+
+
 def record_values(record: Mapping[str, object], schema: Schema, bias: int, p: int) -> list:
     """A record's non-key fields in record_fields order, as a provider
-    stores them before sharing: an fk as an int, a data value as its
-    encoded chunks, None for NULL. SchemaMismatch for a column the schema
-    lacks; the fks are read before any data value is encoded."""
+    stores them before sharing: an fk as its whole_number, a data value as
+    its chunks, None for NULL; the fks are checked first. SchemaMismatch
+    for a column the schema lacks."""
     unknown = set(record) - schema._by_name.keys()
     if unknown:
         raise SchemaMismatch(f"unknown columns {sorted(unknown)} for {schema.table}")
-    fks = {name: int(record[name]) for name, is_fk in schema.record_fields() if is_fk}  # type: ignore[arg-type]
+    fks = {f: whole_number(record.get(f), schema.table, f) for f, is_fk in schema.record_fields() if is_fk}
     return [
         fks[col.name] if col.kind == "fk"
         else encode_chunks(record.get(col.name), col.kind, scale=col.scale, bias=bias, p=p) or None

@@ -241,14 +241,14 @@ class SignatureTree:
     def verify(
         self,
         authoritative: dict[str, list[int]],
-        scope: str | tuple[str, int] = "whole",
+        scope: str = "whole",
     ) -> BreachReport:
         """Compare stored sums against trees rebuilt from authoritative leaf
         signatures, descending only where they disagree.
 
-        authoritative maps table -> leaf signatures recomputed from the
-        actual stored records; it must cover the scope (every table for
-        "whole"). Every stored-node comparison counts toward
+        scope is "whole" (every table) or a table name. authoritative maps
+        table -> leaf signatures recomputed from the actual stored records;
+        it must cover the scope. Every stored-node comparison counts toward
         report.inspected, the top check included. A failed top check
         always leaves at least one entry.
         """
@@ -256,16 +256,6 @@ class SignatureTree:
 
         def auth_tree(table: str) -> WaryTree:
             return WaryTree.from_leaves(self.w, self.p, authoritative[table])
-
-        if isinstance(scope, tuple):
-            table, g = scope
-            stored, auth = _node(self._tree(table), 0, g), _node(auth_tree(table), 0, g)
-            if stored is None and auth is None:
-                raise UnknownRecordPosition(f"no leaf {g}")
-            report.inspected += 1
-            if stored != auth:
-                report.entries.append(BreachEntry(table, g, ((0, g),)))
-            return report
 
         if scope == "whole":
             auth_tables = {t: auth_tree(t) for t in self.table_order}

@@ -16,15 +16,15 @@ each, and the Type III derived-column registry; by design it is a
 trusted node, so order keys are stored in the clear there. The sets and maps live in memory only: they are
 maintained on every write and rebuilt on load, so filtered aggregates
 cost time in the size of the filter, not of the table.
-`Warehouse.load_rows` is the one write path, and it works a column at a
-time: each row is checked and encoded as it arrives, and per APPEND_ROWS
-new records each provider gets its pks and share columns, computed as
-A_i*c + B_i*pk straight from the encoded chunks (sharing.share_columns),
-in one `CspStore.append_columns` call through `Warehouse.append`, which
-cube cells use too; Type II then takes one sorted insert per attribute.
-An in-place update, and a refresh's rewrite of cube cells, is one
-`CspStore.update_columns` call per provider, with one signature-tree pass
-that touches each node once. Every read picks its providers through
+Every record, base row or cube cell, new or stored, is stored by one
+write, `Warehouse.write`: per provider one `CspStore.update_columns` call
+(one signature-tree pass that touches each node once) and one
+`append_columns` call, then one Type I and one Type II batch;
+`load_rows` shares each APPEND_ROWS of rows as A_i*c + B_i*pk from the
+encoded chunks (sharing.share_columns) and writes them. A field of many
+records is read by one gather, `Warehouse._gather` (an fk from the index
+server, a data attribute from the donors' columns), for reconstruction
+and recovery alike. Every read picks its providers through
 `Warehouse.read_through`.
 
 On disk (all integers decimal text):
@@ -54,7 +54,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, repeat, zip_longest
-from operator import itemgetter
+from operator import itemgetter, not_
 from pathlib import Path
 
 from .errors import (
@@ -86,6 +86,7 @@ from .sharing import (
     share_columns,
     solve_column,
     typed_key,
+    whole_number,
 )
 from .sigtree import BreachEntry, BreachReport, SignatureTree, WaryTree
 
@@ -427,15 +428,6 @@ class CspStore:
         self.bytes_transferred += 8 * (len(out) - len(held) + sum(map(len, held)))
         return out
 
-    def fetch_plains(self, table: str, attr: str, pks) -> list[int]:
-        """The fk attr of every pk in the sequence pks, in order, as one
-        read of the column: 8 bytes each, UnknownRecordPosition for a pk
-        not stored here."""
-        self._check_alive()
-        self._require_held(table, pks)
-        self.bytes_transferred += 8 * len(pks)
-        return list(map(self.plain[table][attr].__getitem__, pks))
-
     def null_pks(self, table: str, attr: str, pks) -> set[int]:
         """Primary keys among pks stored here whose attr is null."""
         self._check_alive()
@@ -575,31 +567,35 @@ class TypeTwoIndex:
 
     def insert(self, table: str, attr: str, key, pk: int):
         """Index pk under key, replacing the key it had."""
-        entries, keys = self._index(table, attr)
-        if pk in keys:
-            if keys[pk] == key:
-                return
-            self.remove(table, attr, pk)
-        insort(entries, (key, pk))
-        keys[pk] = key
+        self.insert_many(table, attr, [(key, pk)])
 
     def remove(self, table: str, attr: str, pk: int):
         """Drop pk from the index; a pk that is not there is ignored."""
-        entries, keys = self._index(table, attr)
-        if pk in keys:
-            del entries[bisect_left(entries, (keys.pop(pk), pk))]
+        self.insert_many(table, attr, [(None, pk)])
 
     def insert_many(self, table: str, attr: str, pairs):
-        """insert, or remove for a None key, each (key, pk) of pairs, whose
-        pks are distinct, as one batch: the old entries of those pks out,
-        the new ones extended and sorted in once."""
+        """Index each (key, pk) of pairs, whose pks are distinct, under its
+        key, or drop it for a None key, as one batch: a pair whose key did
+        not change is skipped, the old entries of the rest are taken out,
+        and the new ones go in by one insort when there is one, else
+        extended and sorted in once."""
         entries, keys = self._index(table, attr)
-        for pk in [pk for _, pk in pairs if pk in keys]:
-            self.remove(table, attr, pk)
-        new = [pair for pair in pairs if pair[0] is not None]
-        entries.extend(new)
-        entries.sort()
-        keys.update([(pk, key) for key, pk in new])
+        new = []
+        for key, pk in pairs:
+            old = keys.get(pk)
+            if old == key:
+                continue
+            if old is not None:
+                del entries[bisect_left(entries, (old, pk))]
+                del keys[pk]
+            if key is not None:
+                keys[pk] = key
+                new.append((key, pk))
+        if len(new) == 1:
+            insort(entries, new[0])
+        elif new:
+            entries.extend(new)
+            entries.sort()
 
     def lookup(self, table: str, attr: str, op: str, operand) -> set[int]:
         """Primary keys whose order key k satisfies `k op operand`; every
@@ -848,22 +844,27 @@ class Warehouse:
         """Share one record out, as a batch of one; an existing primary key
         means update in place at the original storage group."""
         self.load_rows(table, [row])
-        return int(row[self._schema(table).key])
+        key = self._schema(table).key
+        return whole_number(row[key], table, key)
 
     def load_rows(self, table: str, rows) -> int:
-        """Share rows out in order; the one write path. Returns the count.
+        """Share rows out in order; the one write path of base tables.
+        Returns the count.
 
-        Each row is checked and encoded as it arrives (record_values). New
-        records get their storage group and are held, then shared a batch
-        at a time (share_columns) and stored through append, once per
-        APPEND_ROWS of them. A primary key already stored, or repeated in
-        the batch, first stores the held records and is then updated in
-        place at its storage group. A row that raises stores the rows
-        before it, so the store is what loading them alone would have left.
+        Each row is checked and encoded as it arrives (record_values): its
+        key and fks must be whole numbers and are kept as those ints, a new
+        record gets its storage group and a stored one keeps its own. The records are held, then
+        shared a batch at a time (share_columns) and stored through write,
+        once per APPEND_ROWS of them; a primary key repeated in the batch
+        first stores the held records. A row that raises stores the rows
+        before it, so the store is what loading them alone would have
+        left; so does a stored key with a failed storage-group member,
+        which raises CspUnavailable as it arrives.
         """
         schema = self._schema(table)
         alive = self.alive_csps()
         km = self.km
+        stored = self.type1.entries[table]
         pending: list[tuple[int, dict, str, list]] = []   # pk, row, bitmap, field values
         held: set[int] = set()
 
@@ -874,69 +875,64 @@ class Warehouse:
             held.clear()
             if batch:
                 pks, fulls, bitmaps, values = zip(*batch)
-                columns = list(map(list, zip(*values)))
-                self.append(schema, pks, fulls, bitmaps,
-                            share_columns(schema, pks, bitmaps, columns, km))
+                self.write(schema, pks, fulls, bitmaps,
+                           share_columns(schema, pks, bitmaps, list(zip(*values)), km))
 
         count = 0
         try:
             for row in rows:
                 full = self._with_derived(table, row)
                 _refuse_empty_strings(schema, full)
-                pk = int(full[schema.key])
+                pk = full[schema.key] = whole_number(full.get(schema.key), table, schema.key)
                 values = record_values(full, schema, self.bias, km.p)
-                if pk in held or self.type1.has(table, pk):
+                # write reads Type II keys from full: it gets the checked ints
+                full.update((f, v) for (f, is_fk), v in zip(schema.record_fields(), values) if is_fk)
+                if pk in held:
                     flush()
-                    self._update(schema, pk, full, values)
+                bitmap = stored.get(pk)
+                if bitmap is None:
+                    bitmap = select_storage_group(pk, self.weights, alive, km).bitmap
                 else:
-                    group = select_storage_group(pk, self.weights, alive, km)
-                    pending.append((pk, full, group.bitmap, values))
-                    held.add(pk)
-                    if len(pending) >= APPEND_ROWS:
-                        flush()
+                    for i in sorted(group_from_bitmap(bitmap).sg):
+                        if not self.csps[i].alive:
+                            raise CspUnavailable(
+                                f"CSP {i} stores pk {pk} of {table} and is failed; recover first"
+                            )
+                pending.append((pk, full, bitmap, values))
+                held.add(pk)
+                if len(pending) >= APPEND_ROWS:
+                    flush()
                 count += 1
         finally:
             flush()
         return count
 
-    def append(self, schema: Schema, pks, rows, bitmaps, per_csp):
-        """Store new records, the one append path of base tables and cubes:
-        per provider (ascending) its pks and value columns from per_csp in
-        one append_columns call, then the records' Type I bitmaps and, per
-        indexed attribute, their Type II keys, read from their plaintext
-        rows, in one batch. pks, rows and bitmaps are aligned."""
-        for i in sorted(per_csp):
-            self.csps[i].append_columns(schema, *per_csp[i])
+    def write(self, schema: Schema, pks, rows, bitmaps, per_csp):
+        """Store records, the one write path of base tables and cubes: per
+        provider of per_csp (ascending, as share_columns gives it), its pks
+        and value columns, those the table already holds rewritten in one
+        update_columns call and the rest appended in one append_columns
+        call; then the new records' Type I bitmaps and, per indexed
+        attribute, every record's Type II key, read from its plaintext
+        row, in one batch. pks (distinct), rows and bitmaps are aligned."""
         table = schema.table
-        self.type1.set_many(table, pks, bitmaps)
+        old = self.type1.entries[table].keys() & pks
+        for i, (mine, values) in per_csp.items():
+            csp = self.csps[i]
+            held = list(map(old.__contains__, mine))
+            for store, picked in ((csp.update_columns, held),
+                                  (csp.append_columns, list(map(not_, held)))):
+                if all(picked):   # no copy: a one-row update is measurably faster
+                    store(schema, mine, values)
+                elif any(picked):
+                    store(schema, list(compress(mine, picked)),
+                          [list(compress(vals, picked)) for vals in values])
+        if len(old) < len(pks):   # refiling a stored pk's own bitmap changes nothing
+            self.type1.set_many(table, pks, bitmaps)
         for col in self.indexed_columns.get(table, []):
             self.type2.insert_many(table, col.name, [
                 (typed_key(row.get(col.name), col.kind, col.scale), pk) for pk, row in zip(pks, rows)
             ])
-
-    def _update(self, schema: Schema, pk: int, full: dict, values: list):
-        """Re-share a stored record in place, at its storage group, with one
-        update_columns call per member."""
-        table = schema.table
-        bitmap = self.type1.bitmap(table, pk)
-        for i in sorted(group_from_bitmap(bitmap).sg):
-            if not self.csps[i].alive:
-                raise CspUnavailable(
-                    f"CSP {i} stores pk {pk} of {table} and is failed; recover first"
-                )
-        columns = share_columns(schema, [pk], [bitmap], [[v] for v in values], self.km)
-        for i, (pks, shared) in columns.items():
-            self.csps[i].update_columns(schema, pks, shared)
-        self._index_row(schema, pk, full)
-
-    def _index_row(self, schema: Schema, pk: int, full: dict):
-        """Point every Type II index of the table at the row's values."""
-        for col in self.indexed_columns.get(schema.table, []):
-            key = typed_key(full.get(col.name), col.kind, col.scale)
-            if key is not None:
-                self.type2.insert(schema.table, col.name, key, pk)
-            else:
-                self.type2.remove(schema.table, col.name, pk)
 
     # reconstruction
 
@@ -951,42 +947,44 @@ class Warehouse:
             bucket.append(pk)
         return out
 
-    def _read_bucket(self, table: str, attr: str, is_fk: bool, bitmap: str, bucket, rg,
-                     x: int, refusal: str = "",
-                     disagreement: type[Exception] = InnerSignatureMismatch) -> list:
-        """attr of the pks in one storage group's bucket as rg sees them: fk
-        values from the first donor, else the chunks at abscissa x solved
-        from every donor's column (see solve_column). Donors that disagree
-        on a NULL mark or chunk count raise disagreement: by default
-        InnerSignatureMismatch, so that read_through rotates to another
-        reconstruction group, as it does when query.present_pks finds
-        NULL marks that disagree."""
-        sg = group_from_bitmap(bitmap).sg
-        rows = linear_rows(sg, rg, x, self.km)
-        if not rows.donors:
-            raise MissingShare(f"no CSP of rg {rg} stores pk {bucket[0]} of {table}")
-        if is_fk:
-            return self.csps[rows.donors[0]].fetch_plains(table, attr, bucket)
-        columns = [self.csps[i].fetch_shares(table, attr, bucket) for i in rows.donors]
-        return solve_column(rows, bucket, columns, sg, rg, self.km, table, refusal, disagreement)
-
-    def _column(self, schema: Schema, col: Column, pks, buckets, rg) -> list:
-        """Plaintext col of each of pks, in order: per storage group, each
-        donor's column read once, each value's chunks from one dot product
-        and checked against the inner signature."""
-        if col.name == schema.key:
+    def _gather(self, schema: Schema, name: str, pks, buckets, rg, x: int, refusal: str = "",
+                disagreement: type[Exception] = InnerSignatureMismatch) -> list:
+        """Field name of each of pks, in order, as rg sees it at abscissa x,
+        the one read of many records: the pk itself for the key; the index
+        server's Type II value for an fk (every fk is indexed, so no
+        provider is asked and none can lie); otherwise, per storage group
+        of buckets (_buckets of pks), each donor's column read once
+        (fetch_shares) and solved at x (solve_column), a chunk tuple or
+        None per value. Donors that disagree on a NULL mark or chunk count
+        raise disagreement: by default InnerSignatureMismatch, so that
+        read_through rotates to another reconstruction group, as it does
+        when query.present_pks finds NULL marks that disagree."""
+        if name == schema.key:
             return list(pks)
-        is_fk = col.kind in PLAIN_KINDS
+        table = schema.table
+        if schema.column(name).kind == "fk":
+            return list(map(self.type2.value_map(table, name).__getitem__, pks))
         out = [None] * len(pks)
         for bitmap, (idx, bucket) in buckets.items():
-            values = self._read_bucket(schema.table, col.name, is_fk, bitmap, bucket, rg,
-                                       self.km.x_kd)
-            if not is_fk:
-                RECONSTRUCTIONS.bump(sum(map(len, filter(None, values))))
-                values = [decode(c, col.kind, scale=col.scale, bias=self.bias) for c in values]
-            for k, value in zip(idx, values):
+            sg = group_from_bitmap(bitmap).sg
+            rows = linear_rows(sg, rg, x, self.km)
+            if not rows.donors:
+                raise MissingShare(f"no CSP of rg {rg} stores pk {bucket[0]} of {table}")
+            columns = [self.csps[i].fetch_shares(table, name, bucket) for i in rows.donors]
+            solved = solve_column(rows, bucket, columns, sg, rg, self.km, table, refusal,
+                                  disagreement)
+            for k, value in zip(idx, solved):
                 out[k] = value
         return out
+
+    def _column(self, schema: Schema, col: Column, pks, buckets, rg) -> list:
+        """Plaintext col of each of pks, in order: _gather at K_d, each
+        value's chunks decoded."""
+        values = self._gather(schema, col.name, pks, buckets, rg, self.km.x_kd)
+        if col.kind in PLAIN_KINDS:
+            return values
+        RECONSTRUCTIONS.bump(sum(map(len, filter(None, values))))
+        return [decode(c, col.kind, scale=col.scale, bias=self.bias) for c in values]
 
     def reconstruct_values(self, table: str, attr: str, pks, rg=None) -> list:
         """Fetch shares and rebuild attr of each of pks, in order, through
@@ -1040,15 +1038,12 @@ class Warehouse:
         csp = self.csps[i]
         if not csp.alive:
             raise CspUnavailable(f"CSP {i} is failed")
-        if scope == "whole":
-            tables = self.table_order
-        else:
-            tables = [scope[0] if isinstance(scope, tuple) else scope]
+        tables = self.table_order if scope == "whole" else [scope]
         report = csp.sigtree.verify({t: self.authoritative_sigs(i, t) for t in tables}, scope)
         flagged = {(e.table, e.position) for e in report.entries}
         for table in tables:
             for g in self._misplaced(i, table):
-                if (table, g) not in flagged and (not isinstance(scope, tuple) or g == scope[1]):
+                if (table, g) not in flagged:
                     report.entries.append(BreachEntry(table, g, ((0, g),)))
         return report
 
@@ -1066,13 +1061,13 @@ class Warehouse:
     def recover_csp_shares(self, target: int, rg=None) -> int:
         """Regenerate every share a CSP lost, from t healthy peers.
 
-        Walks all tables in creation order. The target's records are
-        grouped by storage group; for each group and attribute every donor
-        column is read once (fetch_shares, fk values through fetch_plains),
-        each value is checked (NULL marks and chunk counts agree, every
-        chunk passes the inner-signature check row) and the target's chunks
-        are one dot product with the donors' shares. Only then are its
-        slices replaced and its signature trees reset, so a MissingShare,
+        Walks all tables in creation order. Each field of the target's
+        records is read by one _gather at the target's abscissa: every
+        donor column once per storage group, each value checked (NULL marks
+        and chunk counts agree, every chunk passes the inner-signature check
+        row) and the target's chunks one dot product with the donors'
+        shares; fks come from the index server. Only then are its slices
+        replaced and its signature trees reset, so a MissingShare,
         InnerSignatureMismatch or UnknownRecordPosition leaves the target
         untouched. Returns the number of share chunks regenerated. A pinned
         rg passes pinned_rg and must not hold the target; without one the
@@ -1091,18 +1086,14 @@ class Warehouse:
         rebuilt = {}
         for table in self.table_order:
             schema = self._schema(table)
-            fields = schema.record_fields()
             pks = [pk for pk, bitmap in self.type1.entries[table].items()
                    if bitmap[target - 1] == "1"]
-            values = [[None] * len(pks) for _ in fields]
-            for bitmap, (idx, bucket) in self._buckets(table, pks).items():
-                for (name, is_fk), vals in zip(fields, values):
-                    got = self._read_bucket(table, name, is_fk, bitmap, bucket, rg, x,
-                                            ": refusing to recover", MissingShare)
-                    if not is_fk:
-                        regenerated += sum(map(len, filter(None, got)))
-                    for k, value in zip(idx, got):
-                        vals[k] = value
+            buckets = self._buckets(table, pks)
+            values = [self._gather(schema, name, pks, buckets, rg, x, ": refusing to recover",
+                                   MissingShare) for name, _ in schema.record_fields()]
+            regenerated += sum(sum(map(len, filter(None, vals)))
+                               for (_, is_fk), vals in zip(schema.record_fields(), values)
+                               if not is_fk)
             rebuilt[table] = pks, values
         for table, (pks, values) in rebuilt.items():
             self.csps[target].reset_table(self._schema(table), pks, values)
@@ -1161,7 +1152,8 @@ class Warehouse:
         passed to create_table; the on-disk tables file fixes the order.
         Every file is read here, but each provider's signature trees are
         parsed on first use (CspStore.sigtree). SchemaMismatch when the
-        Type II files are not exactly those of the configured indexes.
+        Type II files are not exactly those of the configured indexes, or
+        an fk index lacks or adds a record.
         """
         root = Path(root)
         wh = cls(km, w=w, weights=weights, bias=bias, svm_prices=svm_prices)
@@ -1208,6 +1200,11 @@ class Warehouse:
             entries = _parse_type2(path.read_text())
             wh.type2.maps[index] = sorted(entries)
             wh.type2.keys[index] = {pk: key for key, pk in entries}
+            # reads take every fk from here, so an fk index must hold every record
+            table, attr = index
+            if wh.schemas[table].column(attr).kind == "fk" \
+                    and wh.type2.keys[index].keys() != wh.type1.entries[table].keys():
+                raise SchemaMismatch(f"index/type2/{name} does not hold every {table} record")
         return wh
 
 

@@ -10,6 +10,7 @@ rows make.
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ import fvss.store as store_module
 from fvss import DEFAULT_BIAS, Column, DerivedColumn, Schema, Warehouse
 from fvss.cube import CubeHierarchy, CubeMeasure, CubeSpec, cube_build, cube_refresh
 from fvss.errors import OutOfRange, SchemaMismatch
+from fvss.store import CspStore
 
 PRODUCT = Schema("Product", (
     Column("ProdNo", "key"),
@@ -124,6 +126,12 @@ def _bad_rows():
         ("unknown column", {"colour": "red"}, SchemaMismatch),
         # no chunks to store: refused, where it once broke the first provider
         ("empty string", {"memo": ""}, OutOfRange),
+        # int() once truncated the first and raised a bare TypeError on the second
+        ("key not whole", {"SaleNo": 1.5}, SchemaMismatch),
+        ("fk None", {"ProdNo": None}, SchemaMismatch),
+        # a key or fk outside 8 unsigned bytes once half-wrote a provider
+        ("key negative", {"SaleNo": -3}, OutOfRange),
+        ("fk too large", {"ProdNo": 1 << 64}, OutOfRange),
     ]
 
 
@@ -196,3 +204,73 @@ def test_insert_is_a_one_row_batch(tmp_path, km_big, monkeypatch, append_rows):
     batched = _warehouse(km_big, DEFAULT_BIAS)
     assert batched.load_rows("Sales", iter(rows)) == len(rows)
     assert saved_digest(one, tmp_path / "one") == saved_digest(batched, tmp_path / "batch")
+
+
+@pytest.mark.parametrize("column", ["SaleNo", "ProdNo"])
+@pytest.mark.parametrize("value", ["missing", None, 1.5, Fraction(7, 2), "x", float("inf")])
+def test_key_and_fk_must_be_whole_numbers(km_big, column, value):
+    """A key or fk that is missing, None or not a whole number raises
+    SchemaMismatch naming the column, and the rows before it stay stored;
+    none is truncated to an int."""
+    rows = _sales(random.Random(4), 1, 3)
+    if value == "missing":
+        del rows[1][column]
+    else:
+        rows[1][column] = value
+    wh = _warehouse(km_big, DEFAULT_BIAS)
+    with pytest.raises(SchemaMismatch, match=rf"^Sales\.{column} must be a whole number"):
+        wh.load_rows("Sales", rows)
+    assert wh.type1.pks("Sales") == [1]
+
+
+@pytest.mark.parametrize("insert", [False, True])
+@pytest.mark.parametrize("column", ["SaleNo", "ProdNo"])
+@pytest.mark.parametrize("value", ["3.0", "6/2", " 3 ", 3.0, Fraction(6, 2)])
+def test_a_whole_key_or_fk_of_another_type_is_stored_as_its_int(tmp_path, km_big, insert,
+                                                                 column, value):
+    """A key or fk given as a whole number of another type is stored,
+    filed in Type II and read back as that int: the saved store equals
+    the one loaded with 3 and loads back. int() of the text "3.0" raises,
+    so Type II keys are made of the checked int, never of the raw value."""
+    def loaded(changed):
+        rows = _sales(random.Random(4), 1, 5)
+        rows[2][column] = changed
+        wh = _warehouse(km_big, DEFAULT_BIAS)
+        if insert:
+            assert [wh.insert("Sales", row) for row in rows] == [1, 2, 3, 4, 5]
+        else:
+            assert wh.load_rows("Sales", rows) == 5
+        return wh
+
+    odd = loaded(value)
+    assert saved_digest(odd, tmp_path / "odd") == saved_digest(loaded(3), tmp_path / "int")
+    back = Warehouse.load(tmp_path / "odd", km_big, [
+        (PRODUCT, ("category",), ()),
+        (SALES, ("yearid", "monthid", "price", "qty"), (SQUARE,)),
+    ], w=3, bias=DEFAULT_BIAS)
+    assert back.reconstruct_record("Sales", 3)[column] == 3
+
+
+def test_a_batch_of_stored_keys_is_one_update_per_member(km_big, monkeypatch):
+    """k stored keys in one load_rows call are rewritten with one
+    update_columns call per member of their storage groups, not one per
+    key, and read back as loaded."""
+    wh = _warehouse(km_big, DEFAULT_BIAS)
+    rows = _sales(random.Random(6), 1, 30)
+    wh.load_rows("Sales", rows)
+    calls = Counter()
+    update_columns = CspStore.update_columns
+
+    def counted(csp, schema, pks, values):
+        calls[csp.index] += 1
+        return update_columns(csp, schema, pks, values)
+
+    monkeypatch.setattr(CspStore, "update_columns", counted)
+    changed = [dict(row, qty=7, memo="new") for row in rows[:8]]
+    assert wh.load_rows("Sales", changed) == 8
+    members = {i for row in changed
+               for i, bit in enumerate(wh.type1.bitmap("Sales", row["SaleNo"]), 1) if bit == "1"}
+    assert calls == dict.fromkeys(members, 1)
+    for row in changed:
+        got = wh.reconstruct_record("Sales", row["SaleNo"])
+        assert (got["qty"], got["memo"]) == (7, "new")

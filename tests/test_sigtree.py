@@ -244,16 +244,17 @@ def test_scoped_verify_single_table(km_toy):
     assert [(e.table, e.position) for e in report.entries] == [("a", 0)]
 
 
-def test_scoped_verify_single_position(km_toy):
+def test_table_scope_localizes_a_single_position(km_toy):
     st = _tree(km_toy)
     for i in range(5):
         st.insert_record("a", bytes([i]))
     auth = [st.record_sig(bytes([i])) for i in range(5)]
-    report = st.verify({"a": auth}, scope=("a", 2))
+    report = st.verify({"a": auth}, scope="a")
     assert report.ok and report.inspected == 1
     auth[2] = (auth[2] + 1) % km_toy.p
-    report = st.verify({"a": auth}, scope=("a", 2))
+    report = st.verify({"a": auth}, scope="a")
     assert not report.ok
+    assert [(e.table, e.position) for e in report.entries] == [("a", 2)]
 
 
 @pytest.mark.parametrize("stored,held", [(9, 10), (10, 9), (0, 3), (3, 0), (27, 29), (28, 26)])
@@ -269,10 +270,6 @@ def test_leaf_count_mismatch_reports_each_missing_or_extra_position(km_big, stor
     for scope in ("whole", "a"):
         report = st.verify(auth, scope)
         assert sorted((e.table, e.position) for e in report.entries) == [("a", g) for g in want]
-    for g in want:
-        assert not st.verify(auth, ("a", g)).ok
-    with pytest.raises(UnknownRecordPosition):
-        st.verify(auth, ("a", max(stored, held)))
 
 
 def test_stored_nodes_that_disagree_with_each_other_never_read_ok(km_big):

@@ -457,10 +457,10 @@ FK_TABLE = Schema("t", (Column("id", "key"), Column("f", "fk", fk_table="u"),
                         Column("s", "string"), Column("v", "int")))
 
 
-def test_fetch_shares_and_plains_read_a_column(km_toy):
+def test_fetch_shares_reads_a_column(km_toy):
     """fetch_shares returns what one fetch_share per pk returns and counts
-    the same bytes, fetch_plains returns the fk values at 8 bytes each,
-    and both refuse a pk the provider does not hold or a failed provider."""
+    the same bytes, and refuses a pk the provider does not hold or a
+    failed provider."""
     wh = Warehouse(km_toy, w=3, bias=0)
     wh.create_table(FK_TABLE)
     wh.load_rows("t", [dict(id=k, f=k % 3, s=None if k % 4 == 0 else "xy" * (k % 3 + 1),
@@ -473,19 +473,39 @@ def test_fetch_shares_and_plains_read_a_column(km_toy):
             mid = csp.bytes_transferred
             assert got == [csp.fetch_share("t", pk, attr) for pk in pks]
             assert mid - start == csp.bytes_transferred - mid
-        start = csp.bytes_transferred
-        assert csp.fetch_plains("t", "f", pks) == [pk % 3 for pk in pks]
-        assert csp.bytes_transferred - start == 8 * len(pks)
         absent = next(pk for pk in wh.type1.pks("t") if pk not in csp.positions["t"])
-        for batched, attr in ((csp.fetch_shares, "v"), (csp.fetch_plains, "f")):
-            with pytest.raises(UnknownRecordPosition, match=f"pk {absent} not stored"):
-                batched("t", attr, pks[:2] + [absent])
+        with pytest.raises(UnknownRecordPosition, match=f"pk {absent} not stored"):
+            csp.fetch_shares("t", "v", pks[:2] + [absent])
         wh.inject_failure(i)
         with pytest.raises(CspUnavailable):
             csp.fetch_shares("t", "v", pks)
-        with pytest.raises(CspUnavailable):
-            csp.fetch_plains("t", "f", [])
         wh.heal(i)
+
+
+def test_a_provider_that_rewrites_a_stored_fk_changes_no_read(km_big):
+    """fks are read from the index server, not from a provider: after the
+    first donor of a record rewrites its stored fk, a row-mode SELECT and
+    reconstruct_record still return the loaded value, recovering another
+    member of the record's storage group stores that value, and
+    verify_csp flags the provider that lied."""
+    wh = Warehouse(km_big, w=3)
+    wh.create_table(FK_TABLE)
+    wh.load_rows("t", [dict(id=k, f=k % 3, s="xy", v=k) for k in range(1, 13)])
+    pk = 7
+    sg = [i for i, bit in enumerate(wh.type1.bitmap("t", pk), 1) if bit == "1"]
+    liar, target = sg[0], sg[-1]
+    assert liar in wh.choose_rg()                  # the first donor of every read below
+    wh.csps[liar].plain["t"]["f"][pk] = 2          # loaded as 7 % 3 == 1
+    assert execute(wh, "SELECT id, f FROM t WHERE id = 7")[1] == [(7, 1)]
+    assert wh.reconstruct_record("t", pk)["f"] == 1
+    wh.inject_failure(target)
+    wh.recover_csp_shares(target, [i for i in wh.csps if i != target])
+    wh.heal(target)
+    assert wh.csps[target].plain["t"]["f"][pk] == 1
+    assert wh.verify_csp(target).ok
+    report = wh.verify_csp(liar)
+    assert [(e.table, e.position) for e in report.entries] \
+        == [("t", wh.csps[liar].position_of("t", pk))]
 
 
 @pytest.fixture(scope="module")
@@ -510,7 +530,7 @@ def test_recovery_from_every_valid_rg_restores_the_slice(km_wide, rows, rnd):
     """Fail each provider in turn and recover it from every valid
     reconstruction group: the slice equals the one before the failure, and
     each provider's bytes_transferred grows by 8 * max(1, chunks) for each
-    share value it donates plus 8 for each fk value it gives."""
+    share value it donates; fk values come from the index server."""
     wh = Warehouse(km_wide, w=3)
     wh.create_table(FK_TABLE)
     pks = rnd.sample(range(1, 10**6), len(rows))
@@ -523,9 +543,7 @@ def test_recovery_from_every_valid_rg_restores_the_slice(km_wide, rows, rnd):
             for pk, bitmap in wh.type1.entries["t"].items():
                 if bitmap[target - 1] != "1":
                     continue
-                donors = [j for j in rg if bitmap[j - 1] == "1"]
-                expected[donors[0]] += 8
-                for j in donors:
+                for j in [j for j in rg if bitmap[j - 1] == "1"]:
                     for attr in ("s", "v"):
                         chunks = wh.csps[j].columns["t"][attr].get(pk)
                         expected[j] += 8 * max(1, len(chunks or ()))
@@ -719,6 +737,23 @@ def test_unconfigured_type2_file_is_a_schema_mismatch(tmp_path, km_big, how):
         specs = [(PRODUCT, ("price", "prodName"), ())]
     with pytest.raises(SchemaMismatch, match=f"index/type2/{name} is on disk but"):
         Warehouse.load(tmp_path, km_big, specs, w=3, bias=0)
+
+
+@pytest.mark.parametrize("edit", ["entry dropped", "entry added"])
+def test_fk_index_that_misses_a_record_fails_at_load(tmp_path, km_big, edit):
+    """Reads take every fk from its Type II index, so a saved fk index that
+    lacks or adds a record is refused at load, where a row-mode read
+    would raise a bare KeyError and a GROUP BY the fk would put the
+    record under NULL."""
+    wh = Warehouse(km_big, w=3)
+    wh.create_table(FK_TABLE)
+    wh.load_rows("t", [dict(id=k, f=k % 3, s="xy", v=k) for k in range(1, 6)])
+    wh.save(tmp_path)
+    idx = tmp_path / "index" / "type2" / "t.f.idx"
+    lines = idx.read_text().splitlines(keepends=True)
+    idx.write_text("".join(lines[1:]) if edit == "entry dropped" else "".join(lines) + "[0, 99]\n")
+    with pytest.raises(SchemaMismatch, match=r"index/type2/t\.f\.idx does not hold every t record"):
+        Warehouse.load(tmp_path, km_big, [(FK_TABLE, (), ())], w=3)
 
 
 # malformed saved files, and signature trees parsed on first use
