@@ -21,8 +21,9 @@ first signature mismatch, otherwise groups rotate past it) before it
 writes anything, so a build that raises leaves no cube and a refresh
 that raises leaves the cube as it was. The cells of a level are
 disjoint groups of fact records, so each measure is evaluated over all
-of them at once by query.aggregate_groups, as queries do. New and
-changed cells are stored by one Warehouse.write. An existing SUM or
+of them at once by query.aggregate_groups, as queries do. Changed
+cells are rewritten by one Warehouse.write and new cells appended by
+another, which also files their dimension keys. An existing SUM or
 COUNT cell is never reconstructed: a provider adds its part of query's
 share-space rule (share_space_parts) over the new records and its share
 (share_cell_chunk) of the rule's plaintext c, under fillers keyed by the
@@ -51,7 +52,7 @@ from .errors import (
     UnsupportedFeature,
 )
 from .keyed import KeyMaterial
-from .sharing import Column, Schema, encode_chunks, pinned_coefficients, typed_value
+from .sharing import Column, Schema, encode_value, pinned_coefficients, typed_value
 from .store import Warehouse
 from .query import (
     GroupSource,
@@ -267,14 +268,18 @@ def share_cell_chunk(km: KeyMaterial, table: str, pk: int, attr: str,
             for i, a, f in cell_coefficients(km)}
 
 
-def _cell_shares(wh: Warehouse, table: str, pk: int, col: Column, value,
+def _encoded(wh: Warehouse, col: Column, value) -> tuple:
+    """(order key, chunks) of one cube cell value (encode_value)."""
+    return encode_value(value, col.kind, scale=col.scale, bias=wh.bias, p=wh.km.p)
+
+
+def _cell_shares(wh: Warehouse, table: str, pk: int, attr: str, chunks,
                  refresh: int | None = None) -> list | None:
-    """Every provider's chunks of one cube cell value, in provider order;
-    None for NULL."""
-    chunks = encode_chunks(value, col.kind, scale=col.scale, bias=wh.bias, p=wh.km.p)
+    """Every provider's shares of one cube cell value's chunks, in
+    provider order; None for NULL (no chunks)."""
     if not chunks:
         return None
-    per_chunk = [share_cell_chunk(wh.km, table, pk, col.name, k, chunk, refresh)
+    per_chunk = [share_cell_chunk(wh.km, table, pk, attr, k, chunk, refresh)
                  for k, chunk in enumerate(chunks)]
     return [tuple([m[i] for m in per_chunk]) for i in range(1, wh.km.n + 1)]
 
@@ -359,31 +364,44 @@ def _cell_rewrites(wh: Warehouse, schema: Schema, changes,
     fillers keyed by the refresh."""
     cols = {c.name: c for c in schema.columns}
     return [
-        (pk, deltas, {attr: _cell_shares(wh, schema.table, pk, cols[attr], value, refresh)
+        (pk, deltas, {attr: _cell_shares(wh, schema.table, pk, attr,
+                                         _encoded(wh, cols[attr], value)[1], refresh)
                       for attr, value in replacements.items()})
         for pk, deltas, replacements in changes
     ]
 
 
-def _cube_write(wh: Warehouse, schema: Schema, cells: dict[tuple, int], rows, changes,
-                refresh: int | None) -> tuple:
-    """Warehouse.write's arguments for the new cells' rows, numbered after
-    cells (pk by dimension tuple), and the changed cells, (pk, deltas,
-    replacements) each: a changed cell is read back from every provider,
-    its summable measures moved by their deltas in share space and the
-    rest re-shared under fillers keyed by the refresh (_cell_rewrites),
-    and its row carries its dimension values."""
-    n, p = wh.km.n, wh.km.p
-    first = max(cells.values(), default=0) + 1
+def _new_cells(wh: Warehouse, schema: Schema, first: int, rows, dims) -> tuple:
+    """Warehouse.write's arguments for the new cells' rows, numbered from
+    first and stored at every provider: each value encoded once, for its
+    shares and, for a dimension of dims, its order key."""
+    n = wh.km.n
     pks = list(range(first, first + len(rows)))
-    shared = [[_cell_shares(wh, schema.table, pk, col, row.get(col.name))
-               for pk, row in zip(pks, rows)] for col in schema.columns[1:]]
+    shared, keys = [], {}
+    for col in schema.columns[1:]:
+        encoded = [_encoded(wh, col, row.get(col.name)) for row in rows]
+        shared.append([_cell_shares(wh, schema.table, pk, col.name, chunks)
+                       for pk, (_, chunks) in zip(pks, encoded)])
+        if col.name in dims:
+            keys[col.name] = [key for key, _ in encoded]
+    per_csp = {i: (pks, [[None if s is None else s[i - 1] for s in column] for column in shared])
+               for i in range(1, n + 1)}
+    return pks, per_csp, keys, ["1" * n] * len(pks)
+
+
+def _rewritten_cells(wh: Warehouse, schema: Schema, changes, refresh: int | None) -> tuple:
+    """Warehouse.write's pks and provider columns for the changed cells,
+    (pk, deltas, replacements) each: a changed cell is read back from
+    every provider, its summable measures moved by their deltas in share
+    space and the rest re-shared under fillers keyed by the refresh
+    (_cell_rewrites). Its dimensions, and so its order keys, stay."""
+    p = wh.km.p
     rewrites = _cell_rewrites(wh, schema, changes, refresh)
     changed = [pk for pk, _, _ in rewrites]
     names = [name for name, _ in schema.record_fields()]
     per_csp = {}
-    for i in range(1, n + 1):
-        values = wh.csps[i].fetch_records(schema, changed) if changed else [[] for _ in names]
+    for i in range(1, wh.km.n + 1):
+        values = wh.csps[i].fetch_records(schema, changed)
         for k, (_, deltas, reshared) in enumerate(rewrites):
             for f, name in enumerate(names):
                 if name in deltas:
@@ -392,13 +410,8 @@ def _cube_write(wh: Warehouse, schema: Schema, cells: dict[tuple, int], rows, ch
                 elif name in reshared:
                     shares = reshared[name]
                     values[f][k] = None if shares is None else shares[i - 1]
-        per_csp[i] = pks + changed, [
-            [None if s is None else s[i - 1] for s in column] + vals
-            for column, vals in zip(shared, values)
-        ]
-    dims = {pk: cell for cell, pk in cells.items()}
-    rows = list(rows) + [dict(zip(names, dims[pk])) for pk in changed]
-    return pks + changed, rows, ["1" * n] * len(rows), per_csp
+        per_csp[i] = changed, values
+    return changed, per_csp
 
 
 def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
@@ -472,17 +485,21 @@ def _fold(wh: Warehouse, spec: CubeSpec, new_table, cells: dict[tuple, int], new
         return rows, changes
 
     rows, changes = wh.read_through(rg, read)
-    written = _cube_write(wh, schema, cells, rows,
-                          [(pk, d, r) for pk, (d, r) in changes if d or r], refresh)
+    changes = [(pk, d, r) for pk, (d, r) in changes if d or r]
+    new_cells = _new_cells(wh, schema, max(cells.values(), default=0) + 1, rows,
+                           {col.name for col in dims})
+    if changes:
+        wh.write(schema, *_rewritten_cells(wh, schema, changes, refresh), {})
     if new_table:
         wh.create_table(*new_table)
-    wh.write(schema, *written)
+    if rows:
+        wh.write(schema, *new_cells)
     return sum(len(new_groups) for new_groups, _ in levels)
 
 
 def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, cell_pks, members_new,
                   members_all, refresh, rg) -> list[tuple[dict, dict]]:
-    """(deltas, replacements) for _cube_write of each existing cell,
+    """(deltas, replacements) for _rewritten_cells of each existing cell,
     given its new members and, for MIN/MAX, all its members; each measure
     evaluated over all the cells at once. A SUM's or COUNT's delta at each
     provider is its share of the share-space sum over the new members

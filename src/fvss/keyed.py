@@ -73,6 +73,18 @@ class KeyedSha256:
         outer.update(inner.digest())
         return outer.digest()
 
+    def digests(self, messages) -> list[bytes]:
+        """digest of each of messages, in order, in one loop."""
+        inner_copy, outer_copy = self._inner.copy, self._outer.copy
+        out = []
+        for msg in messages:
+            inner = inner_copy()
+            inner.update(msg)
+            outer = outer_copy()
+            outer.update(inner.digest())
+            out.append(outer.digest())
+        return out
+
 
 @dataclass(frozen=True)
 class KeyMaterial:
@@ -107,12 +119,21 @@ class KeyMaterial:
         return a * m % self.p
 
     def hf_star(self, i: int, record_bytes: bytes) -> int:
-        digest = self._hf_star_macs[i].digest(record_bytes)
-        return int.from_bytes(digest[:16], "big") % self.p
+        return self.hf_stars(i, (record_bytes,))[0]
+
+    def hf_stars(self, i: int, messages) -> list[int]:
+        """HF*_i of each of messages, in order, through one digest loop."""
+        p = self.p
+        return [int.from_bytes(digest[:16], "big") % p
+                for digest in self._hf_star_macs[i].digests(messages)]
 
     def seed_mac(self, msg: bytes) -> bytes:
         """HMAC-SHA256 of msg under the master seed."""
         return self._seed_mac.digest(msg)
+
+    def seed_macs(self, messages) -> list[bytes]:
+        """seed_mac of each of messages, in order, through one digest loop."""
+        return self._seed_mac.digests(messages)
 
     @cached_property
     def _seed_mac(self) -> "KeyedSha256":

@@ -26,13 +26,16 @@ share-space SUMs are checked through the same row (`solve_sums`).
 
 Storage groups always have n-t+2 members and reconstruction groups t, so
 at least two reconstruction members hold stored shares of every record.
+A new record's storage group is a weighted draw keyed by the seed MAC of
+its pk; storage_bitmaps draws a batch of them through one digest loop.
 
 What d is for a typed value is decided once, by typed_key: an int as is,
 a real as value * 10^scale rounded half to even, a date as its epoch day,
 a bool as 0/1, a string as itself. The index server orders by that key
 (its Type II indexes), a value's chunks are the key plus the bias or, for a
-string, its UTF-8 bytes (encode_chunks), and typed_value and decode turn
-both back into the plaintext.
+string, its UTF-8 bytes, and one encoding gives both (encode_value, and
+record_values for a whole record); typed_value and decode turn them back
+into the plaintext.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     InnerSignatureMismatch,
@@ -135,7 +138,7 @@ def typed_key(value, kind: str, scale: int = 0):
     int (or a key or fk) as is, a real as value * 10^scale rounded
     (scaled_int), a date as its epoch day, a bool as 0/1, a string as
     itself. Type II indexes order by it, shares are made of it
-    (encode_chunks) and typed_value inverts it."""
+    (encode_value) and typed_value inverts it."""
     if value is None:
         return None
     if kind in ("int", "key", "fk"):
@@ -186,23 +189,30 @@ def text_value(text: str, kind: str):
     return number.numerator if number.denominator == 1 else number
 
 
-def encode_chunks(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> tuple[int, ...]:
-    """The field-element chunks of a typed plaintext value, () for None:
-    its typed_key offset by the bias, so negatives stay in [0, p), or
-    for a string one chunk per UTF-8 byte."""
+def encode_value(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> tuple:
+    """(order key, chunks) of a typed plaintext value, (None, ()) for
+    None, from one encoding: the key is its typed_key, the chunks that
+    key offset by the bias, so negatives stay in [0, p), or for a string
+    one chunk per UTF-8 byte."""
     key = typed_key(value, kind, scale)
     if key is None:
-        return ()
+        return None, ()
     if kind == "string":
         raw = key.encode("utf-8")
         for b in raw:
             if b >= p:
                 raise OutOfRange(f"byte {b} of {value!r} >= p={p}")
-        return tuple(raw)
+        return key, tuple(raw)
     chunk = key + bias
     if not 0 <= chunk < p:
         raise OutOfRange(f"{kind} value {value!r} encodes to {chunk}, outside [0, {p})")
-    return (chunk,)
+    return key, (chunk,)
+
+
+def encode_chunks(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> tuple[int, ...]:
+    """The field-element chunks of a typed plaintext value (encode_value),
+    () for None."""
+    return encode_value(value, kind, scale=scale, bias=bias, p=p)[1]
 
 
 def scaled_int(value, scale: int) -> int:
@@ -230,6 +240,10 @@ def decode(chunks: Sequence[int], kind: str, *, scale: int = 0, bias: int = 0):
     return typed_value(chunks[0] - bias, kind, scale)
 
 
+def _bitmap(members, n: int) -> str:
+    return "".join("1" if i in members else "0" for i in range(1, n + 1))
+
+
 @dataclass(frozen=True)
 class StorageGroup:
     sg: frozenset[int]
@@ -238,7 +252,7 @@ class StorageGroup:
 
     @property
     def bitmap(self) -> str:
-        return "".join("1" if i in self.sg else "0" for i in range(1, self.n + 1))
+        return _bitmap(self.sg, self.n)
 
 
 @lru_cache(maxsize=256)
@@ -248,39 +262,60 @@ def group_from_bitmap(bitmap: str) -> StorageGroup:
     return StorageGroup(sg, ug, len(bitmap))
 
 
+def storage_group_size(alive: Collection[int], km: KeyMaterial) -> int:
+    """n-t+2, the size of every storage group: NotEnoughAliveCsps when
+    fewer providers than that are alive."""
+    k = km.n - km.t + 2
+    if len(alive) < k:
+        raise NotEnoughAliveCsps(f"need {k} alive CSPs, have {len(alive)}")
+    return k
+
+
+def storage_bitmaps(pks: Sequence[int], weights: Sequence[float], alive: Iterable[int],
+                    km: KeyMaterial) -> list[str]:
+    """The bitmap of the n-t+2 CSPs that will store each record keyed
+    pks, in order.
+
+    Weighted sampling without replacement, keyed by a hash of the primary
+    key, so the choice is reproducible from the config alone: the k CSPs
+    with the largest u^(1/w) (Efraimidis and Spirakis), u uniform in
+    (0, 1) from the seed MAC of place|pk|i. Failed CSPs are never
+    selected; zero-weight CSPs are excluded unless too few weighted CSPs
+    are alive, in which case they fill in by ascending index, the same
+    group for every pk. The message tails and exponents are computed once
+    per batch and every MAC goes through one digest loop.
+    """
+    alive = sorted(set(alive))
+    k = storage_group_size(alive, km)
+    weighted = [i for i in alive if weights[i - 1] > 0]
+    if len(weighted) <= k:
+        chosen = weighted + [i for i in alive if i not in weighted][:k - len(weighted)]
+        return [_bitmap(chosen, km.n)] * len(pks)
+    tails = [str(i).encode() for i in weighted]
+    exponents = [1.0 / weights[i - 1] for i in weighted]
+    macs = km.seed_macs([head + tail for head in (f"place|{pk}|".encode() for pk in pks)
+                         for tail in tails])
+    from_bytes, bitmaps, out = int.from_bytes, {}, []
+    for per_pk in zip(*[iter(macs)] * len(weighted)):
+        # u = (v + 0.5) / 2^64 from the MAC's first 8 bytes v; the sort puts the largest first
+        scored = sorted([(-(((from_bytes(mac[:8], "big") + 0.5) / (1 << 64)) ** e), i)
+                         for mac, e, i in zip(per_pk, exponents, weighted)])
+        chosen = frozenset([i for _, i in scored[:k]])
+        bitmap = bitmaps.get(chosen)
+        if bitmap is None:
+            bitmap = bitmaps[chosen] = _bitmap(chosen, km.n)
+        out.append(bitmap)
+    return out
+
+
 def select_storage_group(
     pk: int,
     weights: Sequence[float],
     alive: Iterable[int],
     km: KeyMaterial,
 ) -> StorageGroup:
-    """Pick the n-t+2 CSPs that will store this record's shares.
-
-    Weighted sampling without replacement, keyed by a hash of the primary
-    key, so the choice is reproducible from the config alone. Failed CSPs
-    are never selected; zero-weight CSPs are excluded unless too few
-    weighted CSPs are alive, in which case they fill in by ascending index.
-    """
-    k = km.n - km.t + 2
-    alive = set(alive)
-    if len(alive) < k:
-        raise NotEnoughAliveCsps(f"need {k} alive CSPs, have {len(alive)}")
-    mac = km.seed_mac
-    # Efraimidis-Spirakis keys: top-k of u^(1/w), u uniform in (0, 1), is a weighted draw
-    scored = sorted(
-        (-(((int.from_bytes(mac(f"place|{pk}|{i}".encode())[:8], "big") + 0.5) / (1 << 64))
-           ** (1.0 / weights[i - 1])), i)
-        for i in alive if weights[i - 1] > 0
-    )
-    chosen = [i for _, i in scored[:k]]
-    if len(chosen) < k:
-        for i in sorted(alive):
-            if i not in chosen:
-                chosen.append(i)
-            if len(chosen) == k:
-                break
-    sg = frozenset(chosen)
-    return StorageGroup(sg, frozenset(range(1, km.n + 1)) - sg, km.n)
+    """The storage group storage_bitmaps picks for one record."""
+    return group_from_bitmap(storage_bitmaps([pk], weights, alive, km)[0])
 
 
 @lru_cache(maxsize=1024)
@@ -345,20 +380,29 @@ def whole_number(value, table: str, name: str) -> int:
     return value
 
 
-def record_values(record: Mapping[str, object], schema: Schema, bias: int, p: int) -> list:
-    """A record's non-key fields in record_fields order, as a provider
-    stores them before sharing: an fk as its whole_number, a data value as
-    its chunks, None for NULL; the fks are checked first. SchemaMismatch
-    for a column the schema lacks."""
+def record_values(record: Mapping[str, object], schema: Schema, bias: int,
+                  p: int) -> tuple[list, list]:
+    """A record's non-key fields in record_fields order, encoded once
+    (encode_value): as a provider stores them before sharing (an fk as its
+    whole_number, a data value as its chunks, None for NULL), and as the
+    index server orders them (the fk's int, a number's, date's or bool's
+    chunk minus the bias, a string's text, None for NULL). The fks are
+    checked first. SchemaMismatch for a column the schema lacks."""
     unknown = set(record) - schema._by_name.keys()
     if unknown:
         raise SchemaMismatch(f"unknown columns {sorted(unknown)} for {schema.table}")
     fks = {f: whole_number(record.get(f), schema.table, f) for f, is_fk in schema.record_fields() if is_fk}
-    return [
-        fks[col.name] if col.kind == "fk"
-        else encode_chunks(record.get(col.name), col.kind, scale=col.scale, bias=bias, p=p) or None
-        for col in schema.columns[1:]
-    ]
+    values, keys = [], []
+    for col in schema.columns[1:]:
+        if col.kind == "fk":
+            key = chunks = fks[col.name]
+        else:
+            key, chunks = encode_value(record.get(col.name), col.kind, scale=col.scale,
+                                       bias=bias, p=p)
+            chunks = chunks or None
+        values.append(chunks)
+        keys.append(key)
+    return values, keys
 
 
 def share_columns(schema: Schema, pks: Sequence[int], bitmaps: Sequence[str], values,

@@ -207,8 +207,7 @@ class SignatureTree:
         """Append one leaf per record, in order, and add their signature
         total to the table's layer leaf; returns the first position."""
         tree = self._tree(table)
-        hf_star, csp = self.km.hf_star, self.csp
-        sigs = [hf_star(csp, b) for b in records_bytes]
+        sigs = self.km.hf_stars(self.csp, records_bytes)
         pos = tree.extend(sigs)
         self.table_layer.add_delta(self.table_pos[table], sum(sigs))
         return pos
@@ -221,9 +220,9 @@ class SignatureTree:
         bytes: one pass over the record tree, then one patch of the
         table's layer leaf by the total change."""
         tree = self._tree(table)
-        hf_star, csp, p = self.km.hf_star, self.csp, self.p
-        deltas = [(g, (hf_star(csp, b) - tree.leaf(g)) % p)
-                  for g, b in zip(positions, records_bytes)]
+        p = self.p
+        deltas = [(g, (sig - tree.leaf(g)) % p)
+                  for g, sig in zip(positions, self.km.hf_stars(self.csp, records_bytes))]
         tree.add_deltas(deltas)
         self.table_layer.add_delta(self.table_pos[table], sum(d for _, d in deltas))
 

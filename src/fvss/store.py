@@ -16,12 +16,17 @@ each, and the Type III derived-column registry; by design it is a
 trusted node, so order keys are stored in the clear there. The sets and maps live in memory only: they are
 maintained on every write and rebuilt on load, so filtered aggregates
 cost time in the size of the filter, not of the table.
-Every record, base row or cube cell, new or stored, is stored by one
-write, `Warehouse.write`: per provider one `CspStore.update_columns` call
-(one signature-tree pass that touches each node once) and one
-`append_columns` call, then one Type I and one Type II batch;
-`load_rows` shares each APPEND_ROWS of rows as A_i*c + B_i*pk from the
-encoded chunks (sharing.share_columns) and writes them. A field of many
+Every record, base row or cube cell, is stored by one write,
+`Warehouse.write`, of records that are all stored or all new: stored ones
+by one `CspStore.update_columns` call per provider (one signature-tree
+pass that touches each node once), new ones by one `append_columns` call
+per provider and one Type I batch; then one Type II batch per indexed
+attribute, of the order keys the caller gives. `load_rows` encodes each
+value once, for its share chunks and its order key
+(sharing.record_values), places the new records of a batch in one draw
+(sharing.storage_bitmaps), shares each APPEND_ROWS of rows as
+A_i*c + B_i*pk from the chunks (sharing.share_columns) and writes the
+stored and the new ones. A field of many
 records is read by one gather, `Warehouse._gather` (an fk from the index
 server, a data attribute from the donors' columns), for reconstruction
 and recovery alike. Every read picks its providers through
@@ -37,7 +42,8 @@ On disk (all integers decimal text):
     <root>/index/type2/<t>.<a>.idx   one JSON [key, pk] entry per line
 
 Type II order keys are sharing.typed_key, the integer (or string) that
-also makes a value's share chunks. A provider's bytes_stored grows by
+also makes a value's share chunks, and a write takes them from the same
+encoding as the chunks. A provider's bytes_stored grows by
 the length of the .shares lines a write would save (_shares_text).
 The codecs are column-wise: save formats each file from whole columns,
 and load splits each file once and converts each field as a strided
@@ -54,7 +60,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, repeat, zip_longest
-from operator import itemgetter, not_
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -82,10 +88,10 @@ from .sharing import (
     group_from_bitmap,
     linear_rows,
     record_values,
-    select_storage_group,
     share_columns,
     solve_column,
-    typed_key,
+    storage_bitmaps,
+    storage_group_size,
     whole_number,
 )
 from .sigtree import BreachEntry, BreachReport, SignatureTree, WaryTree
@@ -469,7 +475,7 @@ class CspStore:
         self._set_slice(schema, pks, values)
         tree = self.sigtree
         old_root = tree.record_trees[table].root
-        leaves = [tree.record_sig(b) for b in _record_bytes(schema, pks, values)]
+        leaves = self.km.hf_stars(self.index, _record_bytes(schema, pks, values))
         tree.record_trees[table] = WaryTree.from_leaves(tree.w, tree.p, leaves)
         new_root = tree.record_trees[table].root
         tree.table_layer.add_delta(tree.table_pos[table], new_root - old_root)
@@ -851,88 +857,92 @@ class Warehouse:
         """Share rows out in order; the one write path of base tables.
         Returns the count.
 
-        Each row is checked and encoded as it arrives (record_values): its
-        key and fks must be whole numbers and are kept as those ints, a new
-        record gets its storage group and a stored one keeps its own. The records are held, then
-        shared a batch at a time (share_columns) and stored through write,
-        once per APPEND_ROWS of them; a primary key repeated in the batch
-        first stores the held records. A row that raises stores the rows
-        before it, so the store is what loading them alone would have
+        Each row is checked and encoded once as it arrives (record_values):
+        its key and fks must be whole numbers and are kept as those ints,
+        and every field gives its share chunks and its Type II order key.
+        The records are held, then shared a batch at a time (share_columns)
+        and stored, once per APPEND_ROWS of them: the stored ones, each in
+        its own storage group, by one write, and the new ones, placed by
+        one storage_bitmaps call, by another. A primary key repeated in the
+        batch first stores the held records. A row that raises stores the
+        rows before it, so the store is what loading them alone would have
         left; so does a stored key with a failed storage-group member,
-        which raises CspUnavailable as it arrives.
+        which raises CspUnavailable as it arrives, and a new key when fewer
+        than n-t+2 providers were alive as the call began, which raises
+        NotEnoughAliveCsps as it arrives.
         """
         schema = self._schema(table)
         alive = self.alive_csps()
         km = self.km
         stored = self.type1.entries[table]
-        pending: list[tuple[int, dict, str, list]] = []   # pk, row, bitmap, field values
+        fields = [name for name, _ in schema.record_fields()]
+        indexed = [(col.name, fields.index(col.name)) for col in self.indexed_columns[table]]
+        old: list[tuple[int, list, list]] = []   # pk, field values, order keys of stored records
+        new: list[tuple[int, list, list]] = []   # the same of new records
         held: set[int] = set()
 
         def flush():
             # emptied first, so that a failure while storing cannot store them twice
-            batch = pending[:]
-            pending.clear()
+            batches = ((old[:], False), (new[:], True))
+            old.clear()
+            new.clear()
             held.clear()
-            if batch:
-                pks, fulls, bitmaps, values = zip(*batch)
-                self.write(schema, pks, fulls, bitmaps,
-                           share_columns(schema, pks, bitmaps, list(zip(*values)), km))
+            for batch, fresh in batches:
+                if batch:
+                    pks, values, keys = zip(*batch)
+                    bitmaps = (storage_bitmaps(pks, self.weights, alive, km) if fresh
+                               else list(map(stored.__getitem__, pks)))
+                    keys = list(zip(*keys))
+                    self.write(schema, pks, share_columns(schema, pks, bitmaps, list(zip(*values)), km),
+                               {name: keys[f] for name, f in indexed}, bitmaps if fresh else None)
 
         count = 0
         try:
             for row in rows:
                 full = self._with_derived(table, row)
                 _refuse_empty_strings(schema, full)
-                pk = full[schema.key] = whole_number(full.get(schema.key), table, schema.key)
-                values = record_values(full, schema, self.bias, km.p)
-                # write reads Type II keys from full: it gets the checked ints
-                full.update((f, v) for (f, is_fk), v in zip(schema.record_fields(), values) if is_fk)
+                pk = whole_number(full.get(schema.key), table, schema.key)
+                values, keys = record_values(full, schema, self.bias, km.p)
                 if pk in held:
                     flush()
                 bitmap = stored.get(pk)
                 if bitmap is None:
-                    bitmap = select_storage_group(pk, self.weights, alive, km).bitmap
+                    if not new:   # placed at flush, but refused now when it cannot be
+                        storage_group_size(alive, km)
+                    new.append((pk, values, keys))
                 else:
                     for i in sorted(group_from_bitmap(bitmap).sg):
                         if not self.csps[i].alive:
                             raise CspUnavailable(
                                 f"CSP {i} stores pk {pk} of {table} and is failed; recover first"
                             )
-                pending.append((pk, full, bitmap, values))
+                    old.append((pk, values, keys))
                 held.add(pk)
-                if len(pending) >= APPEND_ROWS:
+                if len(held) >= APPEND_ROWS:
                     flush()
                 count += 1
         finally:
             flush()
         return count
 
-    def write(self, schema: Schema, pks, rows, bitmaps, per_csp):
-        """Store records, the one write path of base tables and cubes: per
-        provider of per_csp (ascending, as share_columns gives it), its pks
-        and value columns, those the table already holds rewritten in one
-        update_columns call and the rest appended in one append_columns
-        call; then the new records' Type I bitmaps and, per indexed
-        attribute, every record's Type II key, read from its plaintext
-        row, in one batch. pks (distinct), rows and bitmaps are aligned."""
+    def write(self, schema: Schema, pks, per_csp, keys, bitmaps=None):
+        """Store records that are all new or all stored, the one write path
+        of base tables and cubes. per_csp gives, per provider (ascending,
+        as share_columns gives it), its pks and value columns. New records
+        come with their bitmaps: each provider appends its pks in one
+        append_columns call and Type I files the bitmaps. Stored records
+        come without: each provider rewrites its pks in one update_columns
+        call. Then keys (attribute -> order keys aligned with pks, for each
+        indexed attribute the write sets) go to Type II in one batch per
+        attribute. pks are distinct."""
         table = schema.table
-        old = self.type1.entries[table].keys() & pks
         for i, (mine, values) in per_csp.items():
             csp = self.csps[i]
-            held = list(map(old.__contains__, mine))
-            for store, picked in ((csp.update_columns, held),
-                                  (csp.append_columns, list(map(not_, held)))):
-                if all(picked):   # no copy: a one-row update is measurably faster
-                    store(schema, mine, values)
-                elif any(picked):
-                    store(schema, list(compress(mine, picked)),
-                          [list(compress(vals, picked)) for vals in values])
-        if len(old) < len(pks):   # refiling a stored pk's own bitmap changes nothing
+            (csp.update_columns if bitmaps is None else csp.append_columns)(schema, mine, values)
+        if bitmaps is not None:
             self.type1.set_many(table, pks, bitmaps)
-        for col in self.indexed_columns.get(table, []):
-            self.type2.insert_many(table, col.name, [
-                (typed_key(row.get(col.name), col.kind, col.scale), pk) for pk, row in zip(pks, rows)
-            ])
+        for name, column in keys.items():
+            self.type2.insert_many(table, name, zip(column, pks))
 
     # reconstruction
 
@@ -1020,9 +1030,8 @@ class Warehouse:
 
     def authoritative_sigs(self, i: int, table: str) -> list[int]:
         """Leaf signatures recomputed from what the CSP actually stores."""
-        csp, schema = self.csps[i], self._schema(table)
-        leaves = _record_bytes(schema, *csp.slice_values(schema))
-        return list(map(csp.sigtree.record_sig, leaves))
+        schema = self._schema(table)
+        return self.km.hf_stars(i, _record_bytes(schema, *self.csps[i].slice_values(schema)))
 
     def _misplaced(self, i: int, table: str) -> list[int]:
         """Positions at which CSP i's pk list differs from the pks Type I

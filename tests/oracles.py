@@ -695,3 +695,41 @@ def cell_changes(wh, spec, stored, cell_pks, members_new, members_all, refresh, 
             mask = share_cell_chunk(km, table, pk, name, 0, 0, refresh)
             changes[0][name] = {i: (d + mask[i]) % p for i, d in zip(csps, delta)}
     return out
+
+
+# Placement reference. The package draws a batch of storage groups at
+# once (sharing.storage_bitmaps); this is the one-record draw it replaced,
+# kept as written.
+
+
+def select_storage_group(pk, weights, alive, km):
+    """Pick the n-t+2 CSPs that will store this record's shares.
+
+    Weighted sampling without replacement, keyed by a hash of the primary
+    key, so the choice is reproducible from the config alone. Failed CSPs
+    are never selected; zero-weight CSPs are excluded unless too few
+    weighted CSPs are alive, in which case they fill in by ascending index.
+    """
+    from fvss.errors import NotEnoughAliveCsps
+    from fvss.sharing import StorageGroup
+
+    k = km.n - km.t + 2
+    alive = set(alive)
+    if len(alive) < k:
+        raise NotEnoughAliveCsps(f"need {k} alive CSPs, have {len(alive)}")
+    mac = km.seed_mac
+    # Efraimidis-Spirakis keys: top-k of u^(1/w), u uniform in (0, 1), is a weighted draw
+    scored = sorted(
+        (-(((int.from_bytes(mac(f"place|{pk}|{i}".encode())[:8], "big") + 0.5) / (1 << 64))
+           ** (1.0 / weights[i - 1])), i)
+        for i in alive if weights[i - 1] > 0
+    )
+    chosen = [i for _, i in scored[:k]]
+    if len(chosen) < k:
+        for i in sorted(alive):
+            if i not in chosen:
+                chosen.append(i)
+            if len(chosen) == k:
+                break
+    sg = frozenset(chosen)
+    return StorageGroup(sg, frozenset(range(1, km.n + 1)) - sg, km.n)

@@ -153,9 +153,26 @@ def test_keyed_sha256_is_hmac_sha256(key, msgs):
         assert mac.digest(msg) == hmac.digest(key, msg, "sha256")
 
 
+@settings(max_examples=60, deadline=None)
+@given(key=st.binary(max_size=200), msgs=st.lists(st.binary(max_size=200), max_size=8))
+def test_keyed_sha256_digests_are_hmac_sha256(key, msgs):
+    """The one digest loop gives hmac.digest's bytes for every message,
+    in order, for keys up to and beyond the 64-byte block."""
+    msgs = msgs + [b"", bytes(range(64)), b"place|7|1"]
+    assert KeyedSha256(key).digests(msgs) == [hmac.digest(key, m, "sha256") for m in msgs]
+    assert KeyedSha256(key).digests([]) == []
+
+
 def test_key_material_macs_match_hmac(km_big):
     record = bytes(range(40))
     for i in range(1, km_big.n + 1):
         digest = hmac.digest(km_big.hf_star_keys[i], record, "sha256")
         assert km_big.hf_star(i, record) == int.from_bytes(digest[:16], "big") % km_big.p
     assert km_big.seed_mac(b"place|7|1") == hmac.digest(km_big.seed, b"place|7|1", "sha256")
+    records = [record, b"", bytes(range(100))]
+    for i in range(1, km_big.n + 1):
+        assert km_big.hf_stars(i, records) == [
+            int.from_bytes(hmac.digest(km_big.hf_star_keys[i], r, "sha256")[:16], "big") % km_big.p
+            for r in records]
+    assert km_big.seed_macs([b"place|7|1", b""]) == [
+        hmac.digest(km_big.seed, m, "sha256") for m in (b"place|7|1", b"")]

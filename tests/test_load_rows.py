@@ -18,7 +18,7 @@ import pytest
 import fvss.store as store_module
 from fvss import DEFAULT_BIAS, Column, DerivedColumn, Schema, Warehouse
 from fvss.cube import CubeHierarchy, CubeMeasure, CubeSpec, cube_build, cube_refresh
-from fvss.errors import OutOfRange, SchemaMismatch
+from fvss.errors import NotEnoughAliveCsps, OutOfRange, SchemaMismatch
 from fvss.store import CspStore
 
 PRODUCT = Schema("Product", (
@@ -189,6 +189,39 @@ def test_quotient_by_zero_leaves_the_rows_before_it(tmp_path, km_big, monkeypatc
     expected.load_rows("Sales", rows[:6])
     assert saved_digest(failed, tmp_path / "failed") \
         == saved_digest(expected, tmp_path / "expected")
+
+
+@pytest.mark.parametrize("append_rows", [1, 2, 500])
+def test_a_new_key_with_too_few_providers_alive_stores_the_rows_before_it(
+        tmp_path, km_big, monkeypatch, append_rows):
+    """load_rows reads which providers are alive as it begins. With fewer
+    than n-t+2 of them, the first new key of a batch raises
+    NotEnoughAliveCsps as it arrives, and the stored keys before it are
+    rewritten; the rows after it are not loaded. The stored keys' failed
+    providers heal while the rows are read, so that they can be."""
+    monkeypatch.setattr(store_module, "APPEND_ROWS", append_rows)
+    start = _sales(random.Random(0), 1, 5)
+    updates = [dict(row, qty=99, memo="upd") for row in start[1:4]]
+    wh = _warehouse(km_big, DEFAULT_BIAS)
+    wh.load_rows("Sales", start)
+    failed = (1, 2, 3)
+    for i in failed:
+        wh.inject_failure(i)
+
+    def rows():
+        for i in failed:
+            wh.heal(i)
+        yield from updates
+        yield from _sales(random.Random(1), 6, 3)
+        yield dict(start[4], qty=77)
+
+    with pytest.raises(NotEnoughAliveCsps, match=r"^need 3 alive CSPs, have 2$"):
+        wh.load_rows("Sales", rows())
+    expected = _warehouse(km_big, DEFAULT_BIAS)
+    expected.load_rows("Sales", start)
+    expected.load_rows("Sales", updates)
+    assert wh.type1.pks("Sales") == [1, 2, 3, 4, 5]
+    assert saved_digest(wh, tmp_path / "failed") == saved_digest(expected, tmp_path / "expected")
 
 
 @pytest.mark.parametrize("append_rows", [1, 7, 500])

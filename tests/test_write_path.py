@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import fvss.store as store_module
 from fvss import P_DEFAULT, Column, DerivedColumn, Schema, Warehouse, init_participants
 from fvss.cube import (
-    CubeHierarchy, CubeMeasure, CubeSpec, _cells_by_key, _cube_write, cube_build, cube_table,
+    CubeHierarchy, CubeMeasure, CubeSpec, _rewritten_cells, cube_build, cube_table,
 )
 from fvss.errors import FvssError
 
@@ -197,7 +197,6 @@ def test_batched_cell_rewrite_equals_the_per_cell_reference(case):
     assume(any(d or r for _, d, r in changes))
     batched, reference = _cube_warehouse(facts), _cube_warehouse(facts)
     schema = batched.schemas[cube_table(CUBE)]
-    batched.write(schema, *_cube_write(batched, schema, _cells_by_key(batched, CUBE), [], changes,
-                                       refresh))
+    batched.write(schema, *_rewritten_cells(batched, schema, changes, refresh), {})
     per_cell_rewrite(reference, schema, changes, refresh)
     assert_same_store(batched, reference)
