@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
-import dataclasses
 import os
 import sys
 import warnings
@@ -483,7 +482,7 @@ def run(argv, out) -> int:
     args = parser.parse_args(argv)
     cfg = load_config(args.config)
     if args.store:
-        cfg = dataclasses.replace(cfg, root=Path(args.store))
+        cfg = cfg._replace(root=Path(args.store))
     handler = _COMMANDS[args.command]
     if args.command in _NO_STORE:
         return handler(cfg, args, out)

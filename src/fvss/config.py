@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .cost import PricingPolicy, reference_pricing
 from .cube import MEASURE_FNS, CubeHierarchy, CubeMeasure, CubeSpec, cube_table_spec
@@ -54,20 +54,31 @@ from .store import DerivedColumn, Warehouse
 _DERIVED_KINDS = ("square", "product", "quotient")
 
 
-@dataclass(frozen=True)
-class AppConfig:
+class _ConfigFields(NamedTuple):
     n: int
     t: int
     p: int
     seed: bytes
     root: Path
-    w: int = 3
-    weights: tuple[float, ...] | None = None
-    bias: int | None = None
-    pricing: PricingPolicy = field(default_factory=reference_pricing)
+    w: int
+    weights: tuple[float, ...] | None
+    bias: int | None
+    pricing: PricingPolicy
     # (schema, index_attrs, derived) triples in declaration order
-    tables: tuple[tuple[Schema, tuple[str, ...], tuple[DerivedColumn, ...]], ...] = ()
-    cubes: dict[str, CubeSpec] = field(default_factory=dict)
+    tables: tuple[tuple[Schema, tuple[str, ...], tuple[DerivedColumn, ...]], ...]
+    cubes: dict[str, CubeSpec]
+
+
+class AppConfig(_ConfigFields):
+    """A parsed configuration. Left out, pricing is the reference sheet
+    and cubes a new empty dict per config."""
+    __slots__ = ()
+
+    def __new__(cls, n, t, p, seed, root, w=3, weights=None, bias=None, pricing=None,
+                tables=(), cubes=None):
+        return super().__new__(cls, n, t, p, seed, root, w, weights, bias,
+                               reference_pricing() if pricing is None else pricing, tables,
+                               {} if cubes is None else cubes)
 
     def key_material(self) -> KeyMaterial:
         return init_participants(self.n, self.t, self.seed, p=self.p)

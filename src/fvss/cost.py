@@ -12,10 +12,10 @@ to the cheap providers) beats both full replication and even spreading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from math import ceil
+from typing import NamedTuple
 
 from .errors import InvalidThreshold, OutOfRange, UnsupportedFeature
 
@@ -46,23 +46,29 @@ def hours_to_clock(hours: Fraction) -> str:
     return f"{minutes // 60}:{minutes % 60:02d}"
 
 
-@dataclass(frozen=True)
-class PricingPolicy:
-    """Per-provider monthly storage and hourly VM prices, all in dollars."""
+class _PriceRows(NamedTuple):
     storage: tuple[Fraction, ...]
     svm: tuple[Fraction, ...]
     mvm: tuple[Fraction, ...]
     lvm: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        for name in ("storage", "svm", "mvm", "lvm"):
-            object.__setattr__(self, name,
-                               tuple(_rat(x) for x in getattr(self, name)))
-        rows = (self.storage, self.svm, self.mvm, self.lvm)
+
+class PricingPolicy(_PriceRows):
+    """Per-provider monthly storage and hourly VM prices, all in dollars,
+    kept as Fractions; construction checks them."""
+    __slots__ = ()
+
+    def __new__(cls, storage, svm, mvm, lvm):
+        rows = tuple(tuple(_rat(x) for x in row) for row in (storage, svm, mvm, lvm))
         if len({len(row) for row in rows}) != 1:
             raise OutOfRange("price rows cover different provider counts")
         if any(x < 0 for row in rows for x in row):
             raise OutOfRange("negative price")
+        return super().__new__(cls, *rows)
+
+    @classmethod
+    def _make(cls, iterable):   # so that _replace converts and checks too
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -150,8 +156,7 @@ def vm_assign(per_csp, total) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WorkloadProfile:
+class WorkloadProfile(NamedTuple):
     """Records each provider processes; total is the original record
     count (sharing sigma or access gamma) that tier fractions divide,
     not the sum over providers, which counts replicated work."""
@@ -160,8 +165,7 @@ class WorkloadProfile:
     per_csp: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ProviderCost:
+class ProviderCost(NamedTuple):
     records: int
     tier: str | None
     hours: Fraction
@@ -172,8 +176,7 @@ class ProviderCost:
         return hours_to_clock(self.hours)
 
 
-@dataclass(frozen=True)
-class ComputeReport:
+class ComputeReport(NamedTuple):
     name: str
     lines: tuple[ProviderCost, ...]
 
@@ -216,8 +219,7 @@ def compute_cost(profile: WorkloadProfile, pricing: PricingPolicy,
 # reference presets
 
 
-@dataclass(frozen=True)
-class StorageRow:
+class StorageRow(NamedTuple):
     name: str
     total_gb: Fraction
     per_csp: tuple[Fraction, ...]

@@ -35,7 +35,6 @@ to that provider.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -69,8 +68,7 @@ from .query import (
 MEASURE_FNS = ("sum", "count", "min", "max", "avg")
 
 
-@dataclass(frozen=True)
-class CubeHierarchy:
+class CubeHierarchy(NamedTuple):
     """One dimension, coarse to fine (e.g. year, month, day).
 
     Attributes live either on the fact table itself (table=None) or on a
@@ -81,15 +79,13 @@ class CubeHierarchy:
     fk: str | None = None
 
 
-@dataclass(frozen=True)
-class CubeMeasure:
+class CubeMeasure(NamedTuple):
     fn: str
     attr: str | None = None   # None counts rows; "x+y" / "x-y" sums a pair
     name: str | None = None   # cube column label, defaulted from fn and attr
 
 
-@dataclass(frozen=True)
-class CubeSpec:
+class CubeSpec(NamedTuple):
     name: str
     table: str
     hierarchies: tuple[CubeHierarchy, ...]
@@ -111,8 +107,7 @@ def _split_pair(attr: str):
 # storage layout: avg is never stored directly, its sum and count are
 
 
-@dataclass(frozen=True)
-class _StoredMeasure:
+class _StoredMeasure(NamedTuple):
     column: Column
     agg: PlannedAgg           # SUM, SUM of a pair, COUNT, MIN or MAX on the fact table
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvalidThreshold, UnknownParticipant
 from .field import P_DEFAULT
@@ -86,8 +86,7 @@ class KeyedSha256:
         return out
 
 
-@dataclass(frozen=True)
-class KeyMaterial:
+class _KeyFields(NamedTuple):
     seed: bytes
     p: int
     n: int
@@ -99,8 +98,33 @@ class KeyMaterial:
     he1_scalar: int
     he2_multipliers: dict[int, int]    # ID value -> multiplier
     he_star_scalars: dict[int, int]    # CSP index -> scalar
-    hf_star_keys: dict[int, bytes] = field(repr=False, default_factory=dict)
-    points: dict[int, int] = field(default_factory=dict)  # registered value -> HF1 image
+    hf_star_keys: dict[int, bytes]
+    points: dict[int, int]             # registered value -> HF1 image
+
+
+class KeyMaterial(_KeyFields):
+    """Every secret init_participants derives from the seed. The keyed
+    hash states are cached properties, which keep their values in the
+    instance's own dict, so this subclass of the fields has no
+    __slots__; it refuses attribute assignment all the same. Its repr
+    leaves out the signing keys."""
+
+    def __new__(cls, seed, p, n, t, k_d, k_s, ids, filler_ids, he1_scalar, he2_multipliers,
+                he_star_scalars, hf_star_keys=None, points=None):
+        return super().__new__(cls, seed, p, n, t, k_d, k_s, ids, filler_ids, he1_scalar,
+                               he2_multipliers, he_star_scalars,
+                               {} if hf_star_keys is None else hf_star_keys,
+                               {} if points is None else points)
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={value!r}" for name, value in zip(self._fields, self)
+                 if name != "hf_star_keys")
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def hf1(self, a: int) -> int:
         try:

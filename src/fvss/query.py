@@ -39,10 +39,10 @@ rejected as unsupported rather than misparsed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import add, eq, ge, gt, le, lt, ne, sub
+from typing import NamedTuple
 
 from .errors import (
     EmptyInput,
@@ -71,14 +71,15 @@ UNSUPPORTED_KEYWORDS = {"or", "not", "having", "exists", "is", "union", "cube"}
 # abstract syntax
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(NamedTuple):
     def display(self) -> str:
         return "*"
 
+    def __bool__(self) -> bool:   # a record with no fields is still a value
+        return True
 
-@dataclass(frozen=True)
-class AttrRef:
+
+class AttrRef(NamedTuple):
     qualifier: str | None
     name: str
 
@@ -86,8 +87,7 @@ class AttrRef:
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
 
 
-@dataclass(frozen=True)
-class Combo:
+class Combo(NamedTuple):
     op: str  # + - * /
     x: AttrRef
     y: AttrRef
@@ -96,8 +96,7 @@ class Combo:
         return f"{self.x.display()}{self.op}{self.y.display()}"
 
 
-@dataclass(frozen=True)
-class Aggregate:
+class Aggregate(NamedTuple):
     fn: str
     arg: AttrRef | Combo | Star
 
@@ -105,8 +104,7 @@ class Aggregate:
         return f"{self.fn.upper()}({self.arg.display()})"
 
 
-@dataclass(frozen=True)
-class SelectItem:
+class SelectItem(NamedTuple):
     expr: AttrRef | Aggregate | Star
     alias: str | None = None
 
@@ -114,23 +112,20 @@ class SelectItem:
         return self.alias or self.expr.display()
 
 
-@dataclass(frozen=True)
-class Join:
+class Join(NamedTuple):
     table: str
     alias: str | None
     left: AttrRef
     right: AttrRef
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     attr: AttrRef
     op: str       # = != < <= > >= between in
     operand: object
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     select: tuple[SelectItem, ...]
     table: str
     alias: str | None
@@ -152,8 +147,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number ident string symbol kw end
     text: str
     pos: int
@@ -365,15 +359,13 @@ def parse(text: str) -> Query:
 # query either to the index server or to the per-provider share sums
 
 
-@dataclass(frozen=True)
-class Resolved:
+class Resolved(NamedTuple):
     table: str
     name: str
     col: Column
 
 
-@dataclass(frozen=True)
-class FilterStep:
+class FilterStep(NamedTuple):
     route: str            # fact_pk | fact_attr | dim_pk | dim_attr
     table: str
     attr: str | None
@@ -382,8 +374,7 @@ class FilterStep:
     fk: str | None = None  # fact column joining to the dim table
 
 
-@dataclass(frozen=True)
-class GroupSource:
+class GroupSource(NamedTuple):
     route: str            # pk | fk | fact_attr | dim_attr
     table: str
     attr: str
@@ -391,8 +382,7 @@ class GroupSource:
     fk: str | None = None
 
 
-@dataclass(frozen=True)
-class PlannedAgg:
+class PlannedAgg(NamedTuple):
     fn: str
     mode: str             # star | plain | combined
     attr: str | None = None
@@ -402,8 +392,7 @@ class PlannedAgg:
     square: str | None = None       # derived x^2 column backing var/stddev
 
 
-@dataclass(frozen=True)
-class PlannedItem:
+class PlannedItem(NamedTuple):
     header: str
     kind: str             # group | agg | attr
     group_index: int | None = None
@@ -411,8 +400,7 @@ class PlannedItem:
     attr: Resolved | None = None
 
 
-@dataclass(frozen=True)
-class QueryPlan:
+class QueryPlan(NamedTuple):
     query: Query
     fact: str
     filter_steps: tuple[FilterStep, ...]

@@ -40,7 +40,6 @@ into the plaintext.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date as _date, timedelta
 from decimal import Decimal
 from fractions import Fraction
@@ -82,34 +81,47 @@ class ReconstructionCounter:
 RECONSTRUCTIONS = ReconstructionCounter()
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(NamedTuple):
     name: str
     kind: str                 # key | fk | int | real | string | date | bool
     scale: int = 0            # decimal digits kept for reals
     fk_table: str | None = None
 
 
-@dataclass(frozen=True)
-class Schema:
+class _SchemaFields(NamedTuple):
     table: str
     columns: tuple[Column, ...]
 
-    def __post_init__(self):
-        names = [c.name for c in self.columns]
+
+class Schema(_SchemaFields):
+    """A table's columns, its key first. Construction checks them and
+    derives the column lookups once per schema rather than per record,
+    into the instance's own dict; like every record, a schema refuses
+    attribute assignment."""
+
+    def __new__(cls, table: str, columns: tuple[Column, ...]):
+        names = [c.name for c in columns]
         if len(set(names)) != len(names):
-            raise SchemaMismatch(f"duplicate column in {self.table}: {names}")
-        if not self.columns or self.columns[0].kind != "key":
-            raise SchemaMismatch(f"first column of {self.table} must be the key")
-        # column lookups, computed once per schema rather than per record
-        derived = {
-            "_by_name": {c.name: c for c in self.columns},
-            "_data": tuple(c for c in self.columns if c.kind in DATA_KINDS),
-            "_plain": tuple(c for c in self.columns if c.kind in PLAIN_KINDS),
-            "_fields": tuple((c.name, c.kind == "fk") for c in self.columns[1:]),
-        }
-        for attr, value in derived.items():
-            object.__setattr__(self, attr, value)
+            raise SchemaMismatch(f"duplicate column in {table}: {names}")
+        if not columns or columns[0].kind != "key":
+            raise SchemaMismatch(f"first column of {table} must be the key")
+        self = super().__new__(cls, table, columns)
+        vars(self).update(
+            _by_name={c.name: c for c in columns},
+            _data=tuple(c for c in columns if c.kind in DATA_KINDS),
+            _plain=tuple(c for c in columns if c.kind in PLAIN_KINDS),
+            _record_fields=tuple((c.name, c.kind == "fk") for c in columns[1:]),
+        )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):   # so that _replace checks and derives too
+        return cls(*iterable)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def key(self) -> str:
@@ -130,7 +142,7 @@ class Schema:
     def record_fields(self) -> tuple[tuple[str, bool], ...]:
         """(name, is fk) of every non-key column, in schema order: the
         field order of a stored record's bytes and text line."""
-        return self._fields
+        return self._record_fields
 
 
 def typed_key(value, kind: str, scale: int = 0):
@@ -244,8 +256,7 @@ def _bitmap(members, n: int) -> str:
     return "".join("1" if i in members else "0" for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class StorageGroup:
+class StorageGroup(NamedTuple):
     sg: frozenset[int]
     ug: frozenset[int]
     n: int
@@ -393,12 +404,11 @@ def record_values(record: Mapping[str, object], schema: Schema, bias: int,
         raise SchemaMismatch(f"unknown columns {sorted(unknown)} for {schema.table}")
     fks = {f: whole_number(record.get(f), schema.table, f) for f, is_fk in schema.record_fields() if is_fk}
     values, keys = [], []
-    for col in schema.columns[1:]:
-        if col.kind == "fk":
-            key = chunks = fks[col.name]
+    for name, kind, scale, _ in schema.columns[1:]:
+        if kind == "fk":
+            key = chunks = fks[name]
         else:
-            key, chunks = encode_value(record.get(col.name), col.kind, scale=col.scale,
-                                       bias=bias, p=p)
+            key, chunks = encode_value(record.get(name), kind, scale=scale, bias=bias, p=p)
             chunks = chunks or None
         values.append(chunks)
         keys.append(key)
@@ -598,8 +608,7 @@ def recover_share(
                         refusal=": refusing to recover")[0][0]
 
 
-@dataclass(frozen=True)
-class ShareBundle:
+class ShareBundle(NamedTuple):
     pk: int
     group: StorageGroup
     plain: dict[str, int]                                 # fk columns, stored as-is

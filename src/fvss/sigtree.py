@@ -19,7 +19,7 @@ inner signature's problem, not this layer's.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DuplicateTable, UnknownRecordPosition, UnknownTable
 from .keyed import KeyMaterial
@@ -152,8 +152,7 @@ class WaryTree:
             per_node = parents
 
 
-@dataclass(frozen=True)
-class BreachEntry:
+class BreachEntry(NamedTuple):
     """A record position whose stored signature disagrees, or is missing
     or extra. position is None when the stored nodes above the records
     disagree and no record does; table is None for the table layer."""
@@ -162,10 +161,21 @@ class BreachEntry:
     path: tuple[tuple[int, int], ...]  # (level, index) pairs walked, root first
 
 
-@dataclass
 class BreachReport:
-    entries: list[BreachEntry] = field(default_factory=list)
-    inspected: int = 0
+    """The breaches a verification found, filled in as it descends, and
+    the nodes it inspected; compared by value."""
+
+    def __init__(self, entries: list[BreachEntry] | None = None, inspected: int = 0):
+        self.entries = [] if entries is None else entries
+        self.inspected = inspected
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.inspected) == (other.entries, other.inspected)
+
+    def __repr__(self) -> str:
+        return f"BreachReport(entries={self.entries!r}, inspected={self.inspected!r})"
 
     @property
     def ok(self) -> bool:

@@ -57,11 +57,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, repeat, zip_longest
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     CspUnavailable,
@@ -106,13 +106,24 @@ _KEY = itemgetter(0)    # order key of a Type II (key, pk) entry
 _FIRST = itemgetter(0)  # first chunk of a stored share
 
 
-@dataclass
 class StoredRecord:
     """One CSP's copy of one record as it crosses the store's interface:
-    built from the columns on read, unpacked into them on write."""
-    pk: int
-    plain: dict[str, int]                       # fk columns
-    shares: dict[str, tuple[int, ...] | None]   # this CSP's chunks, None = null
+    built from the columns on read, unpacked into them on write; compared
+    by value."""
+
+    def __init__(self, pk: int, plain: dict[str, int],
+                 shares: dict[str, tuple[int, ...] | None]):
+        self.pk = pk
+        self.plain = plain     # fk columns
+        self.shares = shares   # this CSP's chunks, None = null
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pk, self.plain, self.shares) == (other.pk, other.plain, other.shares)
+
+    def __repr__(self) -> str:
+        return f"StoredRecord(pk={self.pk!r}, plain={self.plain!r}, shares={self.shares!r})"
 
 
 # A batch of records travels column-wise: their pks, and per non-key field
@@ -660,8 +671,7 @@ def _lower_median(ranked: list[tuple]):
 _PICKS = {"max": max, "min": min, "median": _lower_median}
 
 
-@dataclass(frozen=True)
-class DerivedColumn:
+class DerivedColumn(NamedTuple):
     """Type III registration: an extra shared column derived at load time."""
     table: str
     name: str
@@ -863,16 +873,19 @@ class Warehouse:
         The records are held, then shared a batch at a time (share_columns)
         and stored, once per APPEND_ROWS of them: the stored ones, each in
         its own storage group, by one write, and the new ones, placed by
-        one storage_bitmaps call, by another. A primary key repeated in the
-        batch first stores the held records. A row that raises stores the
-        rows before it, so the store is what loading them alone would have
-        left; so does a stored key with a failed storage-group member,
-        which raises CspUnavailable as it arrives, and a new key when fewer
-        than n-t+2 providers were alive as the call began, which raises
-        NotEnoughAliveCsps as it arrives.
+        one storage_bitmaps call over the providers alive at that flush, by
+        another. A primary key repeated in the batch first stores the held
+        records. A row that raises stores the rows before it, so the store
+        is what loading them alone would have left; so does a stored key
+        with a failed storage-group member, which raises CspUnavailable as
+        it arrives, and a new key when fewer than n-t+2 providers are
+        alive, which raises NotEnoughAliveCsps as it arrives. A provider
+        that fails while the rows are read is left out of the placement of
+        every later flush; a stored key whose storage-group member fails
+        before its flush makes that flush raise CspUnavailable, and the
+        flush writes nothing (Warehouse.write).
         """
         schema = self._schema(table)
-        alive = self.alive_csps()
         km = self.km
         stored = self.type1.entries[table]
         fields = [name for name, _ in schema.record_fields()]
@@ -890,7 +903,7 @@ class Warehouse:
             for batch, fresh in batches:
                 if batch:
                     pks, values, keys = zip(*batch)
-                    bitmaps = (storage_bitmaps(pks, self.weights, alive, km) if fresh
+                    bitmaps = (storage_bitmaps(pks, self.weights, self.alive_csps(), km) if fresh
                                else list(map(stored.__getitem__, pks)))
                     keys = list(zip(*keys))
                     self.write(schema, pks, share_columns(schema, pks, bitmaps, list(zip(*values)), km),
@@ -908,7 +921,7 @@ class Warehouse:
                 bitmap = stored.get(pk)
                 if bitmap is None:
                     if not new:   # placed at flush, but refused now when it cannot be
-                        storage_group_size(alive, km)
+                        storage_group_size(self.alive_csps(), km)
                     new.append((pk, values, keys))
                 else:
                     for i in sorted(group_from_bitmap(bitmap).sg):
@@ -934,8 +947,12 @@ class Warehouse:
         come without: each provider rewrites its pks in one update_columns
         call. Then keys (attribute -> order keys aligned with pks, for each
         indexed attribute the write sets) go to Type II in one batch per
-        attribute. pks are distinct."""
+        attribute. pks are distinct. CspUnavailable, before anything is
+        written, when a provider of per_csp is failed: a write stores
+        everywhere or nowhere."""
         table = schema.table
+        for i in per_csp:
+            self.csps[i]._check_alive()
         for i, (mine, values) in per_csp.items():
             csp = self.csps[i]
             (csp.update_columns if bitmaps is None else csp.append_columns)(schema, mine, values)

@@ -6,14 +6,19 @@ basis polynomials, tree sums by whole-level recomputation instead of delta
 propagation, aggregation in exact rational arithmetic on the plaintext.
 """
 
+from __future__ import annotations
+
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
 from operator import mul
+from pathlib import Path
 
+from fvss.cost import _rat, reference_pricing
 from fvss.errors import OutOfRange, SchemaMismatch
-from fvss.sharing import scaled_int
+from fvss.sharing import DATA_KINDS, PLAIN_KINDS, scaled_int
 
 _EPOCH = date(1970, 1, 1)
 
@@ -733,3 +738,160 @@ def select_storage_group(pk, weights, alive, km):
                 break
     sg = frozenset(chosen)
     return StorageGroup(sg, frozenset(range(1, km.n + 1)) - sg, km.n)
+
+
+# Record references. The package's value records are named tuples; these
+# are the frozen dataclasses they replaced, kept as written (KeyMaterial,
+# AppConfig and PlannedAgg with their fields only, their methods being
+# the package's), so that a battery can hold equality, hash, repr, field
+# reads and construction errors to them.
+
+
+@dataclass(frozen=True)
+class Column:
+    name: str
+    kind: str                 # key | fk | int | real | string | date | bool
+    scale: int = 0            # decimal digits kept for reals
+    fk_table: str | None = None
+
+
+@dataclass(frozen=True)
+class Schema:
+    table: str
+    columns: tuple[Column, ...]
+
+    def __post_init__(self):
+        names = [c.name for c in self.columns]
+        if len(set(names)) != len(names):
+            raise SchemaMismatch(f"duplicate column in {self.table}: {names}")
+        if not self.columns or self.columns[0].kind != "key":
+            raise SchemaMismatch(f"first column of {self.table} must be the key")
+        # column lookups, computed once per schema rather than per record
+        derived = {
+            "_by_name": {c.name: c for c in self.columns},
+            "_data": tuple(c for c in self.columns if c.kind in DATA_KINDS),
+            "_plain": tuple(c for c in self.columns if c.kind in PLAIN_KINDS),
+            "_fields": tuple((c.name, c.kind == "fk") for c in self.columns[1:]),
+        }
+        for attr, value in derived.items():
+            object.__setattr__(self, attr, value)
+
+    @property
+    def key(self) -> str:
+        return self.columns[0].name
+
+    def column(self, name: str) -> Column:
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaMismatch(f"no column {name} in {self.table}") from None
+
+    def data_columns(self) -> tuple[Column, ...]:
+        return self._data
+
+    def plain_columns(self) -> tuple[Column, ...]:
+        return self._plain
+
+    def record_fields(self) -> tuple[tuple[str, bool], ...]:
+        return self._fields
+
+
+@dataclass(frozen=True)
+class PricingPolicy:
+    """Per-provider monthly storage and hourly VM prices, all in dollars."""
+    storage: tuple[Fraction, ...]
+    svm: tuple[Fraction, ...]
+    mvm: tuple[Fraction, ...]
+    lvm: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        for name in ("storage", "svm", "mvm", "lvm"):
+            object.__setattr__(self, name,
+                               tuple(_rat(x) for x in getattr(self, name)))
+        rows = (self.storage, self.svm, self.mvm, self.lvm)
+        if len({len(row) for row in rows}) != 1:
+            raise OutOfRange("price rows cover different provider counts")
+        if any(x < 0 for row in rows for x in row):
+            raise OutOfRange("negative price")
+
+    @property
+    def n(self) -> int:
+        return len(self.storage)
+
+    def vm_price(self, tier: str, i: int) -> Fraction:
+        row = {"sVM": self.svm, "mVM": self.mvm, "lVM": self.lvm}[tier]
+        return row[i - 1]
+
+
+@dataclass(frozen=True)
+class KeyMaterial:
+    seed: bytes
+    p: int
+    n: int
+    t: int
+    k_d: int
+    k_s: int
+    ids: tuple[int, ...]               # ID_i, index i-1
+    filler_ids: tuple[int, ...]        # t-2 reserved abscissa owners for cube rows
+    he1_scalar: int
+    he2_multipliers: dict[int, int]    # ID value -> multiplier
+    he_star_scalars: dict[int, int]    # CSP index -> scalar
+    hf_star_keys: dict[int, bytes] = field(repr=False, default_factory=dict)
+    points: dict[int, int] = field(default_factory=dict)  # registered value -> HF1 image
+
+
+@dataclass(frozen=True)
+class AppConfig:
+    n: int
+    t: int
+    p: int
+    seed: bytes
+    root: Path
+    w: int = 3
+    weights: tuple[float, ...] | None = None
+    bias: int | None = None
+    pricing: PricingPolicy = field(default_factory=reference_pricing)
+    # (schema, index_attrs, derived) triples in declaration order
+    tables: tuple[tuple[Schema, tuple[str, ...], tuple[DerivedColumn, ...]], ...] = ()
+    cubes: dict[str, CubeSpec] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class DerivedColumn:
+    """Type III registration: an extra shared column derived at load time."""
+    table: str
+    name: str
+    kind: str          # square | product | quotient
+    x: str
+    y: str | None = None
+    scale: int = 0     # decimal scale of the derived value
+
+    def compute(self, row: dict) -> Fraction | None:
+        xv = row.get(self.x)
+        if xv is None:
+            return None
+        x = xv if isinstance(xv, Fraction) else Fraction(str(xv))
+        if self.kind == "square":
+            return x * x
+        yv = row.get(self.y)
+        if yv is None:
+            return None
+        y = yv if isinstance(yv, Fraction) else Fraction(str(yv))
+        if self.kind == "product":
+            return x * y
+        if self.kind == "quotient":
+            # quotients rarely terminate; round to the registered scale
+            scaled = round(x / y * 10**self.scale)
+            return Fraction(scaled, 10**self.scale)
+        raise SchemaMismatch(f"unknown derived kind {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class PlannedAgg:
+    fn: str
+    mode: str             # star | plain | combined
+    attr: str | None = None
+    x: str | None = None
+    y: str | None = None
+    op: str | None = None
+    square: str | None = None       # derived x^2 column backing var/stddev

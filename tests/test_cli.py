@@ -650,3 +650,16 @@ def test_parse_cell(text, kind, value):
 ])
 def test_fmt(value, text):
     assert cli._fmt(value) == text
+
+
+# start-up cost of a cold process
+
+def test_importing_the_cli_builds_no_dataclass_machinery():
+    """Every fvss command pays for its imports. The package's records are
+    named tuples, so a fresh interpreter that imports fvss.cli loads
+    neither dataclasses nor inspect, which dataclasses pulls in."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = "import sys, fvss.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    assert done.stdout == "[]\n"

@@ -18,7 +18,8 @@ import pytest
 import fvss.store as store_module
 from fvss import DEFAULT_BIAS, Column, DerivedColumn, Schema, Warehouse
 from fvss.cube import CubeHierarchy, CubeMeasure, CubeSpec, cube_build, cube_refresh
-from fvss.errors import NotEnoughAliveCsps, OutOfRange, SchemaMismatch
+from fvss.errors import CspUnavailable, NotEnoughAliveCsps, OutOfRange, SchemaMismatch
+from fvss.query import execute
 from fvss.store import CspStore
 
 PRODUCT = Schema("Product", (
@@ -191,37 +192,89 @@ def test_quotient_by_zero_leaves_the_rows_before_it(tmp_path, km_big, monkeypatc
         == saved_digest(expected, tmp_path / "expected")
 
 
-@pytest.mark.parametrize("append_rows", [1, 2, 500])
+@pytest.mark.parametrize("append_rows", [1, 2, 4])
 def test_a_new_key_with_too_few_providers_alive_stores_the_rows_before_it(
         tmp_path, km_big, monkeypatch, append_rows):
-    """load_rows reads which providers are alive as it begins. With fewer
-    than n-t+2 of them, the first new key of a batch raises
+    """load_rows reads which providers are alive as each batch's first new
+    key arrives. With fewer than n-t+2 of them, that key raises
     NotEnoughAliveCsps as it arrives, and the stored keys before it are
-    rewritten; the rows after it are not loaded. The stored keys' failed
-    providers heal while the rows are read, so that they can be."""
+    rewritten; the rows after it are not loaded. The providers fail while
+    the rows are read, once the stored keys' batches were written (their
+    count is a multiple of append_rows), since a storage group with a
+    failed member cannot be rewritten."""
     monkeypatch.setattr(store_module, "APPEND_ROWS", append_rows)
     start = _sales(random.Random(0), 1, 5)
-    updates = [dict(row, qty=99, memo="upd") for row in start[1:4]]
+    updates = [dict(row, qty=99, memo="upd") for row in start[1:5]]
     wh = _warehouse(km_big, DEFAULT_BIAS)
     wh.load_rows("Sales", start)
-    failed = (1, 2, 3)
-    for i in failed:
-        wh.inject_failure(i)
 
     def rows():
-        for i in failed:
-            wh.heal(i)
         yield from updates
+        for i in (1, 2, 3):
+            wh.inject_failure(i)
         yield from _sales(random.Random(1), 6, 3)
-        yield dict(start[4], qty=77)
+        yield dict(start[0], qty=77)
 
     with pytest.raises(NotEnoughAliveCsps, match=r"^need 3 alive CSPs, have 2$"):
         wh.load_rows("Sales", rows())
+    for i in (1, 2, 3):
+        wh.heal(i)
     expected = _warehouse(km_big, DEFAULT_BIAS)
     expected.load_rows("Sales", start)
     expected.load_rows("Sales", updates)
     assert wh.type1.pks("Sales") == [1, 2, 3, 4, 5]
     assert saved_digest(wh, tmp_path / "failed") == saved_digest(expected, tmp_path / "expected")
+
+
+# a provider that fails while a batch's rows are read
+
+ONE = Schema("T", (Column("id", "key"), Column("v", "int")))
+
+
+def test_new_rows_are_placed_over_the_providers_alive_at_the_flush(km_big):
+    """A provider that fails after the first of a batch's new rows gets
+    none of them: all rows are stored on the providers still alive, each
+    provider's pks are those its Type I bitmaps give it, and SUM(v) is the
+    plaintext's."""
+    wh = Warehouse(km_big, w=3)
+    wh.create_table(ONE)
+    values = {pk: pk * 7 - 30 for pk in range(1, 12)}
+
+    def rows():
+        for pk, v in values.items():
+            yield {"id": pk, "v": v}
+            if pk == 1:
+                wh.inject_failure(2)
+
+    assert wh.load_rows("T", rows()) == 11
+    assert wh.type1.pks("T") == list(values)
+    for i, csp in wh.csps.items():
+        mine = [pk for pk in values if wh.type1.bitmap("T", pk)[i - 1] == "1"]
+        assert sorted(csp.pks["T"]) == mine
+    assert wh.csps[2].pks["T"] == []
+    assert execute(wh, "SELECT SUM(v) FROM T")[1] == [(sum(values.values()),)]
+
+
+def test_a_stored_key_whose_member_fails_before_the_flush_writes_nothing(tmp_path, km_big):
+    """An in-place update batch whose storage-group member fails between
+    the row's arrival and the flush raises CspUnavailable naming that
+    member, and the flush writes no provider, Type I or Type II entry."""
+    wh = Warehouse(km_big, w=3)
+    wh.create_table(ONE, index_attrs=("v",))
+    wh.load_rows("T", [{"id": pk, "v": pk} for pk in range(1, 11)])
+    before = saved_digest(wh, tmp_path / "before")
+    # the last member, so that a write provider by provider would store the others first
+    member = max(i for i, bit in enumerate(wh.type1.bitmap("T", 4), 1) if bit == "1")
+
+    def rows():
+        yield {"id": 4, "v": 400}
+        wh.inject_failure(member)
+        yield {"id": 12, "v": 12}
+
+    with pytest.raises(CspUnavailable, match=rf"^CSP {member} is failed$"):
+        wh.load_rows("T", rows())
+    wh.heal(member)
+    assert saved_digest(wh, tmp_path / "after") == before
 
 
 @pytest.mark.parametrize("append_rows", [1, 7, 500])
