@@ -86,6 +86,18 @@ class KeyedSha256:
         return out
 
 
+class Immutable:
+    """Refuses attribute assignment, for a named-tuple record whose
+    subclass keeps an instance dict (derived values, cached properties)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
 class _KeyFields(NamedTuple):
     seed: bytes
     p: int
@@ -102,7 +114,7 @@ class _KeyFields(NamedTuple):
     points: dict[int, int]             # registered value -> HF1 image
 
 
-class KeyMaterial(_KeyFields):
+class KeyMaterial(Immutable, _KeyFields):
     """Every secret init_participants derives from the seed. The keyed
     hash states are cached properties, which keep their values in the
     instance's own dict, so this subclass of the fields has no
@@ -120,11 +132,6 @@ class KeyMaterial(_KeyFields):
         shown = (f"{name}={value!r}" for name, value in zip(self._fields, self)
                  if name != "hf_star_keys")
         return f"{type(self).__name__}({', '.join(shown)})"
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
 
     def hf1(self, a: int) -> int:
         try:

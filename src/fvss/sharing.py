@@ -55,7 +55,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .field import lagrange_weights
-from .keyed import KeyMaterial
+from .keyed import Immutable, KeyMaterial
 
 _EPOCH = _date(1970, 1, 1)
 
@@ -93,7 +93,7 @@ class _SchemaFields(NamedTuple):
     columns: tuple[Column, ...]
 
 
-class Schema(_SchemaFields):
+class Schema(Immutable, _SchemaFields):
     """A table's columns, its key first. Construction checks them and
     derives the column lookups once per schema rather than per record,
     into the instance's own dict; like every record, a schema refuses
@@ -117,11 +117,6 @@ class Schema(_SchemaFields):
     @classmethod
     def _make(cls, iterable):   # so that _replace checks and derives too
         return cls(*iterable)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
 
     @property
     def key(self) -> str:

@@ -881,9 +881,13 @@ class Warehouse:
         it arrives, and a new key when fewer than n-t+2 providers are
         alive, which raises NotEnoughAliveCsps as it arrives. A provider
         that fails while the rows are read is left out of the placement of
-        every later flush; a stored key whose storage-group member fails
-        before its flush makes that flush raise CspUnavailable, and the
-        flush writes nothing (Warehouse.write).
+        every later flush. A flush writes everywhere or nowhere
+        (Warehouse.write), so held rows are not stored when their providers
+        fail before it: held stored keys whose storage-group member failed
+        make it raise CspUnavailable, and held new keys, when fewer than
+        n-t+2 providers are left alive, NotEnoughAliveCsps. When a row
+        raised, the flush's error is chained to the row's (__cause__) and
+        the row's is raised.
         """
         schema = self._schema(table)
         km = self.km
@@ -920,8 +924,7 @@ class Warehouse:
                     flush()
                 bitmap = stored.get(pk)
                 if bitmap is None:
-                    if not new:   # placed at flush, but refused now when it cannot be
-                        storage_group_size(self.alive_csps(), km)
+                    storage_group_size(self.alive_csps(), km)   # placed at flush, refused now
                     new.append((pk, values, keys))
                 else:
                     for i in sorted(group_from_bitmap(bitmap).sg):
@@ -934,8 +937,13 @@ class Warehouse:
                 if len(held) >= APPEND_ROWS:
                     flush()
                 count += 1
-        finally:
-            flush()
+        except BaseException as err:
+            try:
+                flush()
+            except Exception as flush_err:   # the row's error is the one to report
+                raise err from flush_err
+            raise
+        flush()
         return count
 
     def write(self, schema: Schema, pks, per_csp, keys, bitmaps=None):

@@ -192,19 +192,21 @@ def test_quotient_by_zero_leaves_the_rows_before_it(tmp_path, km_big, monkeypatc
         == saved_digest(expected, tmp_path / "expected")
 
 
-@pytest.mark.parametrize("append_rows", [1, 2, 4])
+@pytest.mark.parametrize("append_rows", [1, 2, 3, 500])
 def test_a_new_key_with_too_few_providers_alive_stores_the_rows_before_it(
         tmp_path, km_big, monkeypatch, append_rows):
-    """load_rows reads which providers are alive as each batch's first new
-    key arrives. With fewer than n-t+2 of them, that key raises
-    NotEnoughAliveCsps as it arrives, and the stored keys before it are
-    rewritten; the rows after it are not loaded. The providers fail while
-    the rows are read, once the stored keys' batches were written (their
-    count is a multiple of append_rows), since a storage group with a
-    failed member cannot be rewritten."""
+    """load_rows reads which providers are alive as each new key arrives.
+    With fewer than n-t+2 of them, that key raises NotEnoughAliveCsps as
+    it arrives and the rows after it are not loaded. The providers fail
+    while the stored keys before it are read: those whose batch was
+    written stay rewritten, and those still held are not written, since
+    every storage group (3 of 5 providers) now has a failed member. That
+    flush's CspUnavailable is chained to the row's error, not raised in
+    its place."""
     monkeypatch.setattr(store_module, "APPEND_ROWS", append_rows)
     start = _sales(random.Random(0), 1, 5)
     updates = [dict(row, qty=99, memo="upd") for row in start[1:5]]
+    written = updates[:len(updates) // append_rows * append_rows]
     wh = _warehouse(km_big, DEFAULT_BIAS)
     wh.load_rows("Sales", start)
 
@@ -215,15 +217,49 @@ def test_a_new_key_with_too_few_providers_alive_stores_the_rows_before_it(
         yield from _sales(random.Random(1), 6, 3)
         yield dict(start[0], qty=77)
 
-    with pytest.raises(NotEnoughAliveCsps, match=r"^need 3 alive CSPs, have 2$"):
+    with pytest.raises(NotEnoughAliveCsps, match=r"^need 3 alive CSPs, have 2$") as raised:
         wh.load_rows("Sales", rows())
+    if written == updates:
+        assert raised.value.__cause__ is None
+    else:
+        assert isinstance(raised.value.__cause__, CspUnavailable)
     for i in (1, 2, 3):
         wh.heal(i)
     expected = _warehouse(km_big, DEFAULT_BIAS)
     expected.load_rows("Sales", start)
-    expected.load_rows("Sales", updates)
+    expected.load_rows("Sales", written)
     assert wh.type1.pks("Sales") == [1, 2, 3, 4, 5]
     assert saved_digest(wh, tmp_path / "failed") == saved_digest(expected, tmp_path / "expected")
+
+
+def test_held_new_keys_are_not_stored_when_too_few_providers_are_left(tmp_path, km_big):
+    """Each new key checks the providers alive as it arrives, not only a
+    batch's first: when they drop below n-t+2 after new row 6 was read,
+    new row 7 raises NotEnoughAliveCsps as it arrives and row 8 is never
+    read. The held row 6 cannot be placed at the flush either, so the
+    store is what it was before the call."""
+    wh = _warehouse(km_big, DEFAULT_BIAS)
+    wh.load_rows("Sales", _sales(random.Random(0), 1, 5))
+    before = saved_digest(wh, tmp_path / "before")
+    new = _sales(random.Random(1), 6, 3)
+    read = []
+
+    def rows():
+        for row in new:
+            read.append(row["SaleNo"])
+            yield row
+            if row["SaleNo"] == 6:
+                for i in (1, 2, 3):
+                    wh.inject_failure(i)
+
+    with pytest.raises(NotEnoughAliveCsps, match=r"^need 3 alive CSPs, have 2$") as raised:
+        wh.load_rows("Sales", rows())
+    assert read == [6, 7]
+    assert isinstance(raised.value.__cause__, NotEnoughAliveCsps)
+    for i in (1, 2, 3):
+        wh.heal(i)
+    assert wh.type1.pks("Sales") == [1, 2, 3, 4, 5]
+    assert saved_digest(wh, tmp_path / "after") == before
 
 
 # a provider that fails while a batch's rows are read
