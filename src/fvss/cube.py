@@ -270,10 +270,14 @@ def _encoded(wh: Warehouse, col: Column, value) -> tuple:
 
 def _cell_shares(wh: Warehouse, table: str, pk: int, attr: str, chunks,
                  refresh: int | None = None) -> list | None:
-    """Every provider's shares of one cube cell value's chunks, in
-    provider order; None for NULL (no chunks)."""
-    if not chunks:
+    """Every provider's share of one cube cell value's chunks (encode_value),
+    in provider order: an int for a number, a tuple for a string's
+    chunks; None for NULL."""
+    if chunks is None:
         return None
+    if type(chunks) is int:
+        shares = share_cell_chunk(wh.km, table, pk, attr, 0, chunks, refresh)
+        return [shares[i] for i in range(1, wh.km.n + 1)]
     per_chunk = [share_cell_chunk(wh.km, table, pk, attr, k, chunk, refresh)
                  for k, chunk in enumerate(chunks)]
     return [tuple([m[i] for m in per_chunk]) for i in range(1, wh.km.n + 1)]
@@ -355,7 +359,7 @@ def _cell_rewrites(wh: Warehouse, schema: Schema, changes,
                    refresh: int) -> list[tuple[int, dict, dict]]:
     """Per changed cell (pk, deltas, replacements), as _cell_changes gives
     them: its pk, its per-provider share deltas by measure, and every
-    provider's chunks of each re-shared measure (None for NULL), under
+    provider's share of each re-shared measure (None for NULL), under
     fillers keyed by the refresh."""
     cols = {c.name: c for c in schema.columns}
     return [
@@ -400,8 +404,7 @@ def _rewritten_cells(wh: Warehouse, schema: Schema, changes, refresh: int | None
         for k, (_, deltas, reshared) in enumerate(rewrites):
             for f, name in enumerate(names):
                 if name in deltas:
-                    (old,) = values[f][k]
-                    values[f][k] = ((old + deltas[name][i]) % p,)
+                    values[f][k] = (values[f][k] + deltas[name][i]) % p
                 elif name in reshared:
                     shares = reshared[name]
                     values[f][k] = None if shares is None else shares[i - 1]

@@ -35,7 +35,9 @@ a bool as 0/1, a string as itself. The index server orders by that key
 (its Type II indexes), a value's chunks are the key plus the bias or, for a
 string, its UTF-8 bytes, and one encoding gives both (encode_value, and
 record_values for a whole record); typed_value and decode turn them back
-into the plaintext.
+into the plaintext. A number (int, real, date, bool, every cube measure)
+is one chunk and its share one int, wherever it is stored or passed; a
+string's chunks and shares are tuples, one per byte.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from datetime import date as _date, timedelta
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from operator import mul
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -197,13 +200,13 @@ def text_value(text: str, kind: str):
 
 
 def encode_value(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> tuple:
-    """(order key, chunks) of a typed plaintext value, (None, ()) for
-    None, from one encoding: the key is its typed_key, the chunks that
-    key offset by the bias, so negatives stay in [0, p), or for a string
-    one chunk per UTF-8 byte."""
+    """(order key, chunks) of a typed plaintext value, (None, None) for
+    None, from one encoding: the key is its typed_key, the chunks that key
+    offset by the bias, so negatives stay in [0, p), as one int, or for a
+    string a tuple of one chunk per UTF-8 byte."""
     key = typed_key(value, kind, scale)
     if key is None:
-        return None, ()
+        return None, None
     if kind == "string":
         raw = key.encode("utf-8")
         for b in raw:
@@ -213,12 +216,12 @@ def encode_value(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> 
     chunk = key + bias
     if not 0 <= chunk < p:
         raise OutOfRange(f"{kind} value {value!r} encodes to {chunk}, outside [0, {p})")
-    return key, (chunk,)
+    return key, chunk
 
 
-def encode_chunks(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> tuple[int, ...]:
-    """The field-element chunks of a typed plaintext value (encode_value),
-    () for None."""
+def encode_chunks(value, kind: str, *, scale: int = 0, bias: int = 0, p: int):
+    """The field-element chunks of a typed plaintext value (encode_value):
+    an int, a tuple for a string, None for None."""
     return encode_value(value, kind, scale=scale, bias=bias, p=p)[1]
 
 
@@ -238,13 +241,13 @@ def scaled_int(value, scale: int) -> int:
     return q
 
 
-def decode(chunks: Sequence[int], kind: str, *, scale: int = 0, bias: int = 0):
+def decode(chunks, kind: str, *, scale: int = 0, bias: int = 0):
     """Inverse of encode_chunks for values stored exactly (no modular wrap)."""
-    if not chunks:
+    if chunks is None:
         return None
     if kind == "string":
         return bytes(chunks).decode("utf-8")
-    return typed_value(chunks[0] - bias, kind, scale)
+    return typed_value(chunks - bias, kind, scale)
 
 
 def _bitmap(members, n: int) -> str:
@@ -390,10 +393,11 @@ def record_values(record: Mapping[str, object], schema: Schema, bias: int,
                   p: int) -> tuple[list, list]:
     """A record's non-key fields in record_fields order, encoded once
     (encode_value): as a provider stores them before sharing (an fk as its
-    whole_number, a data value as its chunks, None for NULL), and as the
-    index server orders them (the fk's int, a number's, date's or bool's
-    chunk minus the bias, a string's text, None for NULL). The fks are
-    checked first. SchemaMismatch for a column the schema lacks."""
+    whole_number, a number's chunk as an int, a string's chunks as a
+    tuple, None for NULL), and as the index server orders them (the fk's
+    int, a number's, date's or bool's chunk minus the bias, a string's
+    text, None for NULL). The fks are checked first. SchemaMismatch for a
+    column the schema lacks."""
     unknown = set(record) - schema._by_name.keys()
     if unknown:
         raise SchemaMismatch(f"unknown columns {sorted(unknown)} for {schema.table}")
@@ -404,10 +408,18 @@ def record_values(record: Mapping[str, object], schema: Schema, bias: int,
             key = chunks = fks[name]
         else:
             key, chunks = encode_value(record.get(name), kind, scale=scale, bias=bias, p=p)
-            chunks = chunks or None
         values.append(chunks)
         keys.append(key)
     return values, keys
+
+
+def positions(seq, item) -> list[int]:
+    """Indices of item in the sequence seq, found by C-level scans."""
+    out, k = [], -1
+    for _ in range(seq.count(item)):
+        k = seq.index(item, k + 1)
+        out.append(k)
+    return out
 
 
 def share_columns(schema: Schema, pks: Sequence[int], bitmaps: Sequence[str], values,
@@ -417,31 +429,47 @@ def share_columns(schema: Schema, pks: Sequence[int], bitmaps: Sequence[str], va
     values holds, per record field, a column aligned with pks as
     record_values gives it; bitmaps the records' storage groups. Returns,
     per provider (ascending) that stores any of them, the pks it stores in
-    order and its value columns: an fk as is, a data value's chunks c as
-    ((A_i*c + B_i*pk) % p, ...) from share_coefficients, None for NULL.
+    order and its value columns: an fk as is, a number's chunk c as
+    (A_i*c + B_i*pk) % p from share_coefficients, a string's chunks as a
+    tuple of those, None for NULL. A provider's A_i and B_i*pk % p are
+    laid out as columns beside its records, and each numeric column is
+    one pass over them; a one-record batch, such as an in-place update,
+    is shared straight from its storage group's coefficients.
     """
     p = km.p
-    coefficients: dict[str, tuple] = {}
-    rows: dict[int, list[tuple[int, int, int]]] = {}   # i -> (k, A_i, B_i*pk) per record
-    for k, (pk, bitmap) in enumerate(zip(pks, bitmaps)):
-        coefs = coefficients.get(bitmap)
-        if coefs is None:
-            coefs = coefficients[bitmap] = share_coefficients(group_from_bitmap(bitmap), km)
-        for i, a, b in coefs:
-            rows.setdefault(i, []).append((k, a, b * pk % p))
-    fks = [is_fk for _, is_fk in schema.record_fields()]
+    kinds = [col.kind for col in schema.columns[1:]]
+    if len(pks) == 1:   # a one-record write: no columns to lay out
+        pk, row, out = pks[0], [column[0] for column in values], {}
+        for i, a, b in share_coefficients(group_from_bitmap(bitmaps[0]), km):
+            bpk = b * pk % p
+            out[i] = [pk], [[c if kind == "fk" or c is None
+                             else tuple([(a * x + bpk) % p for x in c]) if kind == "string"
+                             else (a * c + bpk) % p] for kind, c in zip(kinds, row)]
+        return out
+    members: dict[int, dict[str, tuple[int, int]]] = {}   # i -> bitmap -> (A_i, B_i)
+    for bitmap in dict.fromkeys(bitmaps):
+        for i, a, b in share_coefficients(group_from_bitmap(bitmap), km):
+            members.setdefault(i, {})[bitmap] = a, b
     out = {}
-    for i in sorted(rows):
-        mine = rows[i]
-        out[i] = [pks[k] for k, _, _ in mine], [
-            [column[k] for k, _, _ in mine] if is_fk else [
-                None if (chunks := column[k]) is None
-                else ((a * chunks[0] + bpk) % p,) if len(chunks) == 1
-                else tuple([(a * c + bpk) % p for c in chunks])
-                for k, a, bpk in mine
-            ]
-            for is_fk, column in zip(fks, values)
-        ]
+    for i in sorted(members):
+        mine = members[i]
+        mask = list(map(mine.__contains__, bitmaps))
+        my_pks = list(compress(pks, mask))
+        my_values = [list(compress(column, mask)) for column in values]
+        coefs = list(map(mine.__getitem__, compress(bitmaps, mask)))
+        a_col = [a for a, _ in coefs]
+        bpk_col = [b * pk % p for (_, b), pk in zip(coefs, my_pks)]
+        columns = []
+        for kind, column in zip(kinds, my_values):
+            if kind == "fk":
+                columns.append(column)
+            elif kind == "string":
+                columns.append([None if c is None else tuple([(a * x + bpk) % p for x in c])
+                                for a, c, bpk in zip(a_col, column, bpk_col)])
+            else:
+                columns.append([None if c is None else (a * c + bpk) % p
+                                for a, c, bpk in zip(a_col, column, bpk_col)])
+        out[i] = my_pks, columns
     return out
 
 
@@ -506,20 +534,69 @@ def _mismatch(sg, rg, ys: Sequence[int], pk: int, km: KeyMaterial,
     return InnerSignatureMismatch(f"{what}: signature point {s} != HE1({d})")
 
 
+def _dot_columns(coefs: Sequence[int], columns, pk_coef: int, pks: Sequence[int],
+                 p: int) -> list[int]:
+    """(sum(coefs[j] * columns[j][k]) + pk_coef * pks[k]) % p for each k,
+    one pass over each column (comprehensions: with products of two
+    field elements they measured faster than chained maps)."""
+    acc = [pk_coef * pk for pk in pks]
+    for c, column in zip(coefs, columns):
+        acc = [s + c * y for s, y in zip(acc, column)]
+    return [s % p for s in acc]
+
+
 def solve_column(rows: LinearRows, pks: Sequence[int], columns, sg, rg, km: KeyMaterial,
                  table: str = "", refusal: str = "",
-                 disagreement: type[Exception] = MissingShare) -> list[tuple[int, ...] | None]:
-    """Per pk, the chunks of its record polynomial at the rows' target,
-    from the donors' columns (each aligned with pks, in rows.donors order,
-    a chunk tuple or None for NULL); None where every donor marks NULL.
+                 disagreement: type[Exception] = MissingShare, string: bool = False) -> list:
+    """Per pk, its record polynomial at the rows' target, from the donors'
+    columns (each aligned with pks, in rows.donors order, holding for a
+    number its share as an int, for a string (string set) its chunks as
+    a tuple, None for NULL): an int, or a tuple of chunks for a string;
+    None where every donor marks NULL.
 
-    The donors must agree on each value's NULL mark and chunk count (the
-    disagreement error naming table otherwise: MissingShare by default,
-    InnerSignatureMismatch where a read should try another reconstruction
-    group), and every chunk must pass the check row (InnerSignatureMismatch
-    otherwise, its message naming the pk followed by refusal) before its
-    target value is taken: one dot product each.
+    The donors must agree on each value's NULL mark and a string's chunk
+    count (the disagreement error naming table otherwise: MissingShare by
+    default, InnerSignatureMismatch where a read should try another
+    reconstruction group), and every chunk must pass the check row
+    (InnerSignatureMismatch otherwise, its message naming the pk followed
+    by refusal) before its target value is taken: one dot product each.
+    The first pk in order that fails decides the error. A numeric column
+    is checked and solved a whole column at a time (_dot_columns), its
+    NULLs zeroed, then restored; a string column a value at a time.
     """
+    if string:
+        return _solve_strings(rows, pks, columns, sg, rg, km, table, refusal, disagreement)
+    p = km.p
+    marks = [positions(column, None) for column in columns]
+    agree = marks.count(marks[0]) == len(marks)
+    nulls = marks[0] if agree else sorted(set().union(*marks))
+    checked = pks
+    if nulls:
+        columns = [list(column) for column in columns]
+        checked = list(pks)
+        for k in nulls:
+            checked[k] = 0
+            for column in columns:
+                column[k] = 0
+    checks = _dot_columns(rows.check, columns, rows.check_pk, checked, p)
+    failed = next(compress(range(len(checks)), checks), None)   # the first nonzero check
+    if not agree:
+        split = next(k for k in nulls if any(k not in m for m in marks))
+        if failed is None or split < failed:
+            raise disagreement(f"pk {pks[split]} of {table}: null marks disagree across CSPs")
+    if failed is not None:
+        pk = pks[failed]
+        raise _mismatch(sg, rg, [column[failed] for column in columns], pk, km,
+                        f"pk {pk}{refusal}")
+    out = _dot_columns(rows.weights, columns, rows.pk_term, pks, p)
+    for k in nulls:
+        out[k] = None
+    return out
+
+
+def _solve_strings(rows: LinearRows, pks: Sequence[int], columns, sg, rg, km: KeyMaterial,
+                   table: str, refusal: str, disagreement: type[Exception]) -> list:
+    """solve_column of a string column, a value at a time."""
     p = km.p
     weights, check = rows.weights, rows.check
     out = []
@@ -581,7 +658,7 @@ def reconstruct_value(
     RECONSTRUCTIONS.bump()
     rows = linear_rows(sg, rg, km.x_kd, km)
     ys = _donor_shares(rows, fetched)
-    return solve_column(rows, (pk,), [[(y,)] for y in ys], sg, rg, km)[0][0]
+    return solve_column(rows, (pk,), [[y] for y in ys], sg, rg, km)[0]
 
 
 def recover_share(
@@ -599,15 +676,15 @@ def recover_share(
     """
     rows = linear_rows(sg, rg, km.x_id(target), km)
     ys = _donor_shares(rows, fetched)
-    return solve_column(rows, (pk,), [[(y,)] for y in ys], sg, rg, km,
-                        refusal=": refusing to recover")[0][0]
+    return solve_column(rows, (pk,), [[y] for y in ys], sg, rg, km,
+                        refusal=": refusing to recover")[0]
 
 
 class ShareBundle(NamedTuple):
     pk: int
     group: StorageGroup
     plain: dict[str, int]                                 # fk columns, stored as-is
-    shares: dict[str, dict[int, tuple[int, ...]] | None]  # attr -> csp -> chunks, None=null
+    shares: dict[str, dict[int, int | tuple[int, ...]] | None]  # attr -> csp -> share, None=null
 
     @property
     def bitmap(self) -> str:
@@ -639,11 +716,14 @@ def share_record(
     p = km.p
     # share_value per chunk, with B_i*pk folded once per record
     terms = [(i, a, b * pk % p) for i, a, b in share_coefficients(group, km)]
-    shares: dict[str, dict[int, tuple[int, ...]] | None] = {}
+    shares: dict[str, dict[int, int | tuple[int, ...]] | None] = {}
     for col in schema.data_columns():
-        value = record.get(col.name)
-        chunks = encode_chunks(value, col.kind, scale=col.scale, bias=bias, p=p)
-        shares[col.name] = None if value is None else {
-            i: tuple([(a * c + bpk) % p for c in chunks]) for i, a, bpk in terms
-        }
+        chunks = encode_chunks(record.get(col.name), col.kind, scale=col.scale, bias=bias, p=p)
+        if chunks is None:
+            shares[col.name] = None
+        elif col.kind == "string":
+            shares[col.name] = {i: tuple([(a * c + bpk) % p for c in chunks])
+                                for i, a, bpk in terms}
+        else:
+            shares[col.name] = {i: (a * chunks + bpk) % p for i, a, bpk in terms}
     return ShareBundle(pk=pk, group=group, plain=plain, shares=shares)

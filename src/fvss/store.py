@@ -3,9 +3,11 @@
 Each CSP keeps its slice of every shared table as columns, each fact
 once: the primary keys in position order (positions feed its signature
 tree) with a pk -> position map, per fk column a pk -> value map, and per
-data attribute a share column (pk -> this CSP's chunk tuple, non-NULL
-values only, so a share sum is one C-level pass over a flat dict) beside
-the set of pks whose value is NULL. Writes and reads cross the store's
+data attribute a share column (pk -> this CSP's share, non-NULL values
+only, so a share sum is one C-level pass over a flat dict) beside the set
+of pks whose value is NULL. A share of a number (int, real, date, bool,
+every cube measure) is one int; a share of a string is a tuple of one
+chunk per UTF-8 byte. Writes and reads cross the store's
 interface as batches, column-wise (a pk list and one value column per
 field); StoredRecord is only the one-record view of the same values. A
 CSP also keeps an alive/failed flag for experiments and monotone byte
@@ -56,8 +58,11 @@ those of the configured indexes; save writes one for each, even empty.
 from __future__ import annotations
 
 import json
+import re
+import struct
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, compress, repeat, zip_longest
 from operator import itemgetter
 from pathlib import Path
@@ -87,6 +92,7 @@ from .sharing import (
     decode,
     group_from_bitmap,
     linear_rows,
+    positions,
     record_values,
     share_columns,
     solve_column,
@@ -103,7 +109,7 @@ _NULL_BYTES = b"\xff"   # a NULL field in a record's signature input
 # batch made later set-heavy reads in the same process about 4% slower
 APPEND_ROWS = 500
 _KEY = itemgetter(0)    # order key of a Type II (key, pk) entry
-_FIRST = itemgetter(0)  # first chunk of a stored share
+_FIRST = itemgetter(0)  # first chunk of a string's share
 
 
 class StoredRecord:
@@ -112,10 +118,10 @@ class StoredRecord:
     by value."""
 
     def __init__(self, pk: int, plain: dict[str, int],
-                 shares: dict[str, tuple[int, ...] | None]):
+                 shares: dict[str, int | tuple[int, ...] | None]):
         self.pk = pk
         self.plain = plain     # fk columns
-        self.shares = shares   # this CSP's chunks, None = null
+        self.shares = shares   # this CSP's shares, None = null
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -128,7 +134,8 @@ class StoredRecord:
 
 # A batch of records travels column-wise: their pks, and per non-key field
 # of the schema, in record_fields order, their values aligned with the pks
-# (an int for an fk, this CSP's chunk tuple or None for a data attribute).
+# (an int for an fk; for a data attribute this CSP's share, an int for a
+# number or a chunk tuple for a string, or None for NULL).
 
 
 def _unpack(schema: Schema, recs) -> list[list]:
@@ -139,36 +146,53 @@ def _unpack(schema: Schema, recs) -> list[list]:
     ]
 
 
+@lru_cache(maxsize=64)
+def _packer(count: int):
+    """struct's pack of count 8-byte big-endian unsigned integers."""
+    return struct.Struct(f">{count}Q").pack
+
+
+def _field_bytes(value) -> bytes:
+    """One field of a signature input: 8 bytes big-endian per integer, a
+    single 0xFF for null."""
+    if value is None:
+        return _NULL_BYTES
+    if type(value) is tuple:
+        return b"".join([c.to_bytes(8, "big") for c in value])
+    return value.to_bytes(8, "big")
+
+
 def _record_bytes(schema: Schema, pks, values) -> list[bytes]:
     """Signature input of each record: pk, then every non-key field in
-    schema order, 8-byte big-endian per integer, a single 0xFF for null."""
-    parts = [[pk.to_bytes(8, "big") for pk in pks]]
-    for (_, is_fk), vals in zip(schema.record_fields(), values):
-        if is_fk:
-            parts.append([v.to_bytes(8, "big") for v in vals])
-            continue
-        parts.append([
-            _NULL_BYTES if v is None
-            else v[0].to_bytes(8, "big") if len(v) == 1
-            else b"".join([c.to_bytes(8, "big") for c in v])
-            for v in vals
-        ])
-    return list(map(b"".join, zip(*parts)))
+    schema order, 8-byte big-endian per integer, a single 0xFF for null.
+    A record of integers only is one _packer call; a record that holds a
+    NULL or a string is encoded a field at a time, as is every record of
+    a batch with an integer outside 8 unsigned bytes (its to_bytes
+    raises)."""
+    out, odd = [b""] * len(pks), range(len(pks))
+    if all(col.kind != "string" for col in schema.columns[1:]):
+        columns, nulls = [], set()
+        for vals in values:
+            marks = positions(vals, None)
+            if marks:
+                nulls.update(marks)
+                vals = list(vals)
+                for k in marks:
+                    vals[k] = 0
+            columns.append(vals)
+        try:
+            out, odd = list(map(_packer(len(values) + 1), pks, *columns)), nulls
+        except struct.error:
+            pass
+    for k in odd:
+        out[k] = pks[k].to_bytes(8, "big") + b"".join([_field_bytes(vals[k]) for vals in values])
+    return out
 
 
 # The text codecs work a column at a time: a writer formats whole columns
 # through one format string, a parser splits a whole file once and reads
 # each field as a strided slice, so Python code runs per file and column,
 # not per line (per value only for NULLs and shares of several chunks).
-
-
-def _positions(seq: list, item) -> list[int]:
-    """Indices of item in seq, found by C-level scans."""
-    out, k = [], -1
-    for _ in range(seq.count(item)):
-        k = seq.index(item, k + 1)
-        out.append(k)
-    return out
 
 
 def _fields(lines: list[str], width: int) -> list[str]:
@@ -183,49 +207,55 @@ def _fields(lines: list[str], width: int) -> list[str]:
     return "\t".join(lines).split("\t") if lines else []
 
 
-def _share_text(chunks) -> str:
-    """A share's .shares field: its chunks comma-joined, the NULL literal
-    for a null."""
-    return NULL_LITERAL if chunks is None else ",".join(map(str, chunks))
+def _share_text(share) -> str:
+    """A share's .shares field: a number's share, a string's chunks
+    comma-joined, the NULL literal for a null."""
+    if share is None:
+        return NULL_LITERAL
+    if type(share) is tuple:
+        return ",".join(map(str, share))
+    return str(share)
 
 
-def _share_texts(vals: list):
+def _share_texts(vals: list, string: bool):
     """A share column as values whose format() is its .shares field
-    (_share_text): the chunk itself where every value is one chunk."""
+    (_share_text): a number's share itself."""
+    if string:
+        return map(_share_text, vals)
     if None in vals:
         vals = list(vals)
-        for k in _positions(vals, None):
-            vals[k] = (NULL_LITERAL,)
-    if set(map(len, vals)) <= {1}:
-        return map(_FIRST, vals)
-    return map(_share_text, vals)
+        for k in positions(vals, None):
+            vals[k] = NULL_LITERAL
+    return vals
 
 
-def _parse_share_texts(raw: list[str]) -> list[tuple[int, ...] | None]:
-    """Inverse of _share_texts: the chunk tuples, None for a null."""
-    nulls = _positions(raw, NULL_LITERAL)
+def _parse_share_texts(raw: list[str], string: bool) -> list:
+    """Inverse of _share_texts: ints, chunk tuples for a string column,
+    None for a null."""
+    if string:
+        return [None if r == NULL_LITERAL else tuple(map(int, r.split(","))) for r in raw]
+    nulls = positions(raw, NULL_LITERAL)
     for k in nulls:
         raw[k] = "0"
-    try:
-        vals = list(zip(map(int, raw)))
-    except ValueError:   # a field of several chunks, or not a number
-        vals = [tuple(map(int, r.split(","))) for r in raw]
+    vals = list(map(int, raw))
     for k in nulls:
         vals[k] = None
     return vals
 
 
 def _shares_text(schema: Schema, pks, values) -> str:
-    """The records as .shares lines: tab-separated decimal fields, share
-    chunks comma-joined, the NULL literal for nulls. Its length is what a
-    write adds to a provider's bytes_stored."""
-    fields = schema.record_fields()
-    line = "\t".join(["{}"] * (len(fields) + 1)) + "\n"
+    """The records as .shares lines: tab-separated decimal fields, a
+    string's chunks comma-joined, the NULL literal for nulls. Its length
+    is what a write adds to a provider's bytes_stored."""
+    columns = schema.columns[1:]
+    line = "\t".join(["{}"] * (len(columns) + 1)) + "\n"
     if len(pks) == 1:   # a one-record write: no column scans
         return line.format(pks[0], *[
-            vals[0] if is_fk else _share_text(vals[0]) for (_, is_fk), vals in zip(fields, values)
+            vals[0] if col.kind == "fk" else _share_text(vals[0])
+            for col, vals in zip(columns, values)
         ])
-    cols = [vals if is_fk else _share_texts(vals) for (_, is_fk), vals in zip(fields, values)]
+    cols = [vals if col.kind == "fk" else _share_texts(vals, col.kind == "string")
+            for col, vals in zip(columns, values)]
     return "".join(map(line.format, pks, *cols))
 
 
@@ -239,10 +269,19 @@ def _parse_shares(schema: Schema, text: str) -> tuple[list[int], list[list]]:
     except ValueError:
         raise SchemaMismatch(f"{schema.table}.shares: a line without {width} fields") from None
     values = [
-        list(map(int, flat[j::width])) if is_fk else _parse_share_texts(flat[j::width])
-        for j, (_, is_fk) in enumerate(fields, 1)
+        list(map(int, flat[j::width])) if col.kind == "fk"
+        else _parse_share_texts(flat[j::width], col.kind == "string")
+        for j, col in enumerate(schema.columns[1:], 1)
     ]
     return list(map(int, flat[0::width])), values
+
+
+def _chunk_count(col: Column, vals: list) -> int:
+    """The share chunks in a column of col's values: one per number, one
+    per byte of a string, none for a NULL."""
+    if col.kind == "string":
+        return sum([len(chunks) for chunks in vals if chunks is not None])
+    return len(vals) - vals.count(None)
 
 
 def _refuse_empty_strings(schema: Schema, row: dict):
@@ -264,9 +303,10 @@ class CspStore:
         self.pks: dict[str, list[int]] = {}                # table -> pks by position
         self.positions: dict[str, dict[int, int]] = {}     # table -> pk -> position
         self.plain: dict[str, dict[str, dict[int, int]]] = {}   # table -> fk -> pk -> value
-        # table -> attr -> pk -> chunk tuple, for the non-NULL values
-        self.columns: dict[str, dict[str, dict[int, tuple[int, ...]]]] = {}
+        # table -> attr -> pk -> share (an int, a chunk tuple for a string), non-NULL values
+        self.columns: dict[str, dict[str, dict[int, int | tuple[int, ...]]]] = {}
         self.nulls: dict[str, dict[str, set[int]]] = {}    # table -> attr -> NULL pks
+        self.strings: dict[str, frozenset[str]] = {}       # table -> its string attributes
         self._sigtree = SignatureTree(index, w, km)
         # saved trees not parsed yet: (_tables.sigtree text, table -> .sigtree text)
         self.saved_trees: tuple[str, dict[str, str]] | None = None
@@ -344,6 +384,7 @@ class CspStore:
         self.plain[table] = {name: {} for name, is_fk in fields if is_fk}
         self.columns[table] = {name: {} for name, is_fk in fields if not is_fk}
         self.nulls[table] = {name: set() for name in self.columns[table]}
+        self.strings[table] = frozenset(c.name for c in schema.data_columns() if c.kind == "string")
         self._write(schema, pks, values)
 
     def _write(self, schema: Schema, pks, values):
@@ -422,27 +463,31 @@ class CspStore:
             raise UnknownRecordPosition(f"pk {pk} not stored at CSP {self.index}")
         return pos
 
-    def fetch_share(self, table: str, pk: int, attr: str) -> tuple[int, ...] | None:
+    def fetch_share(self, table: str, pk: int, attr: str) -> int | tuple[int, ...] | None:
         self._check_alive()
         self.position_of(table, pk)
-        chunks = self.columns[table].get(attr, {}).get(pk)
-        self.bytes_transferred += 8 * (len(chunks) if chunks else 1)
-        return chunks
+        share = self.columns[table].get(attr, {}).get(pk)
+        self.bytes_transferred += 8 * (len(share) if type(share) is tuple else 1)
+        return share
 
     def _require_held(self, table: str, pks):
         positions = self.positions.get(table, {})
         if not all(map(positions.__contains__, pks)):
             self.position_of(table, next(pk for pk in pks if pk not in positions))
 
-    def fetch_shares(self, table: str, attr: str, pks) -> list[tuple[int, ...] | None]:
+    def fetch_shares(self, table: str, attr: str, pks) -> list:
         """fetch_share of every pk in the sequence pks, in order, as one
-        read of the column: one alive check, UnknownRecordPosition for a
-        pk not stored here, and the bytes those calls would count."""
+        read of the column: an int per number, a chunk tuple per string,
+        None per NULL. One alive check, UnknownRecordPosition for a pk not
+        stored here, and the bytes those calls would count: 8 per number
+        or NULL, 8 per chunk of a string."""
         self._check_alive()
         self._require_held(table, pks)
         out = list(map(self.columns.get(table, {}).get(attr, {}).get, pks))
-        held = list(filter(None, out))
-        self.bytes_transferred += 8 * (len(out) - len(held) + sum(map(len, held)))
+        count = len(out)
+        if attr in self.strings.get(table, ()):
+            count += sum([len(chunks) - 1 for chunks in out if chunks is not None])
+        self.bytes_transferred += 8 * count
         return out
 
     def null_pks(self, table: str, attr: str, pks) -> set[int]:
@@ -453,15 +498,17 @@ class CspStore:
         return out
 
     def share_sums(self, table: str, attr: str, groups) -> list[int]:
-        """Per group of pks, the sum mod p of this CSP's first-chunk shares
-        of attr over the distinct pks of the group it stores with a
-        non-NULL attr, read from the share column: one request, 8 bytes
-        per sum."""
+        """Per group of pks, the sum mod p of this CSP's shares of attr (of
+        a string's first chunks) over the distinct pks of the group it
+        stores with a non-NULL attr, read from the share column: one
+        request, 8 bytes per sum."""
         self._check_alive()
         column = self.columns.get(table, {}).get(attr, {})
-        held, chunk, p = column.keys(), column.__getitem__, self.km.p
+        held, share, p = column.keys(), column.__getitem__, self.km.p
         self.bytes_transferred += 8 * len(groups)
-        return [sum(map(_FIRST, map(chunk, held & pks))) % p for pks in groups]
+        if attr in self.strings.get(table, ()):
+            return [sum(map(_FIRST, map(share, held & pks))) % p for pks in groups]
+        return [sum(map(share, held & pks)) % p for pks in groups]
 
     def share_sum(self, table: str, attr: str, pks) -> int:
         """share_sums of one group."""
@@ -469,15 +516,16 @@ class CspStore:
 
     def tamper(self, table: str, pos: int, attr: str, chunk: int, delta: int):
         """Add delta to one stored share chunk without touching the
-        signature tree."""
+        signature tree: chunk 0 is a number's share."""
         pk = self._pk_at(table, pos)
         column = self.columns[table].get(attr, {})
-        chunks = column.get(pk)
-        if chunks is None:
+        share = column.get(pk)
+        if share is None:
             raise UnknownRecordPosition(f"{table}[{pos}].{attr} is null")
-        mutated = list(chunks)
+        string = type(share) is tuple
+        mutated = list(share) if string else [share]
         mutated[chunk] = (mutated[chunk] + delta) % self.km.p
-        column[pk] = tuple(mutated)
+        column[pk] = tuple(mutated) if string else mutated[0]
 
     def reset_table(self, schema: Schema, pks: list[int], values: list[list]):
         """Replace a table slice wholesale (recovery path); rebuilds the
@@ -989,15 +1037,17 @@ class Warehouse:
         server's Type II value for an fk (every fk is indexed, so no
         provider is asked and none can lie); otherwise, per storage group
         of buckets (_buckets of pks), each donor's column read once
-        (fetch_shares) and solved at x (solve_column), a chunk tuple or
-        None per value. Donors that disagree on a NULL mark or chunk count
-        raise disagreement: by default InnerSignatureMismatch, so that
-        read_through rotates to another reconstruction group, as it does
-        when query.present_pks finds NULL marks that disagree."""
+        (fetch_shares) and solved at x (solve_column): an int, a chunk
+        tuple for a string, or None per value. Donors that disagree on a
+        NULL mark or a string's chunk count raise disagreement: by default
+        InnerSignatureMismatch, so that read_through rotates to another
+        reconstruction group, as it does when query.present_pks finds NULL
+        marks that disagree."""
         if name == schema.key:
             return list(pks)
         table = schema.table
-        if schema.column(name).kind == "fk":
+        kind = schema.column(name).kind
+        if kind == "fk":
             return list(map(self.type2.value_map(table, name).__getitem__, pks))
         out = [None] * len(pks)
         for bitmap, (idx, bucket) in buckets.items():
@@ -1007,7 +1057,7 @@ class Warehouse:
                 raise MissingShare(f"no CSP of rg {rg} stores pk {bucket[0]} of {table}")
             columns = [self.csps[i].fetch_shares(table, name, bucket) for i in rows.donors]
             solved = solve_column(rows, bucket, columns, sg, rg, self.km, table, refusal,
-                                  disagreement)
+                                  disagreement, kind == "string")
             for k, value in zip(idx, solved):
                 out[k] = value
         return out
@@ -1018,7 +1068,7 @@ class Warehouse:
         values = self._gather(schema, col.name, pks, buckets, rg, self.km.x_kd)
         if col.kind in PLAIN_KINDS:
             return values
-        RECONSTRUCTIONS.bump(sum(map(len, filter(None, values))))
+        RECONSTRUCTIONS.bump(_chunk_count(col, values))
         return [decode(c, col.kind, scale=col.scale, bias=self.bias) for c in values]
 
     def reconstruct_values(self, table: str, attr: str, pks, rg=None) -> list:
@@ -1125,9 +1175,9 @@ class Warehouse:
             buckets = self._buckets(table, pks)
             values = [self._gather(schema, name, pks, buckets, rg, x, ": refusing to recover",
                                    MissingShare) for name, _ in schema.record_fields()]
-            regenerated += sum(sum(map(len, filter(None, vals)))
-                               for (_, is_fk), vals in zip(schema.record_fields(), values)
-                               if not is_fk)
+            regenerated += sum(_chunk_count(col, vals)
+                               for col, vals in zip(schema.columns[1:], values)
+                               if col.kind != "fk")
             rebuilt[table] = pks, values
         for table, (pks, values) in rebuilt.items():
             self.csps[target].reset_table(self._schema(table), pks, values)
@@ -1299,19 +1349,19 @@ def _type2_text(entries) -> str:
 
 
 _BRACKETS = str.maketrans("", "", "[],")
+# an .idx file of integer keys exactly as _type2_text writes it: every
+# line "[key, pk]" of two decimal ints in str(int) form
+_INT = r"(?:0|-?[1-9]\d*)"
+_TYPE2_INTS = re.compile(rf"(?:\[{_INT}, {_INT}\]\n)*", re.ASCII)
 
 
 def _parse_type2(text: str) -> list[tuple]:
     """Inverse of _type2_text: the (key, pk) entries of an .idx file in file
     order. A file of integer keys that _type2_text would write again byte
-    for byte is read as columns; any other goes through json, empty lines
-    skipped."""
-    tokens = text.translate(_BRACKETS).split()
-    try:
-        entries = list(zip(map(int, tokens[0::2]), map(int, tokens[1::2])))
-    except ValueError:
-        entries = None
-    if entries is None or _type2_text(entries) != text:
-        lines = [line for line in text.splitlines() if line]
-        entries = [(key, pk) for key, pk in json.loads("[" + ",".join(lines) + "]")]
-    return entries
+    for byte (_TYPE2_INTS) is read as columns; any other goes through
+    json, empty lines skipped."""
+    if _TYPE2_INTS.fullmatch(text):
+        tokens = text.translate(_BRACKETS).split()
+        return list(zip(map(int, tokens[0::2]), map(int, tokens[1::2])))
+    lines = [line for line in text.splitlines() if line]
+    return [(key, pk) for key, pk in json.loads("[" + ",".join(lines) + "]")]

@@ -311,6 +311,143 @@ class PlainWarehouse:
         return out
 
 
+# Chunk-tuple form. The store once held every share as a tuple of
+# chunks, a number's as a 1-tuple; it now holds a number's share as an
+# int. The references below that were written for the tuple form take and
+# give it; these convert a share, or the value columns of a batch, between
+# the two forms.
+
+
+def chunk_form(share, kind):
+    """A share as the chunk tuple the store once held: a number's int as
+    its 1-tuple, a string's tuple and None as they are."""
+    return share if share is None or kind == "string" else (share,)
+
+
+def share_form(chunks, kind):
+    """Inverse of chunk_form; an empty tuple, the old encoding of None,
+    is None."""
+    if chunks is None or len(chunks) == 0:
+        return None
+    return chunks if kind == "string" else chunks[0]
+
+
+def chunk_columns(schema, values):
+    """The value columns of a batch (record_fields order) in chunk-tuple form."""
+    return [vals if col.kind == "fk" else [chunk_form(v, col.kind) for v in vals]
+            for col, vals in zip(schema.columns[1:], values)]
+
+
+def share_columns_form(schema, values):
+    """Inverse of chunk_columns."""
+    return [vals if col.kind == "fk" else [share_form(v, col.kind) for v in vals]
+            for col, vals in zip(schema.columns[1:], values)]
+
+
+# Per-value column kernels. The store solves, signs and shares a share
+# column in C-level passes over whole columns; these are the per-value
+# loops they replaced, kept as written, in chunk-tuple form.
+
+
+def solve_column(rows, pks, columns, sg, rg, km, table="", refusal="",
+                 disagreement=None):
+    """sharing.solve_column a value at a time: per pk, the chunks of its
+    record polynomial at the rows' target, from the donors' columns of
+    chunk tuples; None where every donor marks NULL. The donors must agree
+    on each NULL mark and chunk count, and every chunk must pass the check
+    row; the first pk that fails decides the error."""
+    from fvss.errors import MissingShare
+    from fvss.sharing import _mismatch
+
+    disagreement = disagreement or MissingShare
+    p = km.p
+    weights, check = rows.weights, rows.check
+    out = []
+    for pk, held in zip(pks, zip(*columns)):
+        if None in held:
+            if any(c is not None for c in held):
+                raise disagreement(f"pk {pk} of {table}: null marks disagree across CSPs")
+            out.append(None)
+            continue
+        count = len(held[0])
+        if any(len(c) != count for c in held):
+            raise disagreement(f"pk {pk} of {table}: chunk counts disagree across CSPs")
+        pk_term, check_pk = rows.pk_term * pk, rows.check_pk * pk
+        chunks = []
+        for ys in zip(*held):
+            if (sum(map(mul, check, ys)) + check_pk) % p:
+                raise _mismatch(sg, rg, ys, pk, km, f"pk {pk}{refusal}")
+            chunks.append((sum(map(mul, weights, ys)) + pk_term) % p)
+        out.append(tuple(chunks))
+    return out
+
+
+def record_bytes(schema, pks, values):
+    """store._record_bytes a field at a time, in chunk-tuple form: pk,
+    then every non-key field, 8-byte big-endian per integer, a single
+    0xFF for null."""
+    from fvss.store import _NULL_BYTES
+
+    parts = [[pk.to_bytes(8, "big") for pk in pks]]
+    for (_, is_fk), vals in zip(schema.record_fields(), values):
+        if is_fk:
+            parts.append([v.to_bytes(8, "big") for v in vals])
+            continue
+        parts.append([
+            _NULL_BYTES if v is None
+            else v[0].to_bytes(8, "big") if len(v) == 1
+            else b"".join([c.to_bytes(8, "big") for c in v])
+            for v in vals
+        ])
+    return list(map(b"".join, zip(*parts)))
+
+
+def share_columns(schema, pks, bitmaps, values, km):
+    """sharing.share_columns a record and a value at a time, in
+    chunk-tuple form: per provider (ascending) that stores any of the
+    records, the pks it stores in order and its value columns, a data
+    value's chunks c as ((A_i*c + B_i*pk) % p, ...), None for NULL."""
+    from fvss.sharing import group_from_bitmap, share_coefficients
+
+    p = km.p
+    coefficients = {}
+    rows = {}   # i -> (k, A_i, B_i*pk) per record
+    for k, (pk, bitmap) in enumerate(zip(pks, bitmaps)):
+        coefs = coefficients.get(bitmap)
+        if coefs is None:
+            coefs = coefficients[bitmap] = share_coefficients(group_from_bitmap(bitmap), km)
+        for i, a, b in coefs:
+            rows.setdefault(i, []).append((k, a, b * pk % p))
+    fks = [is_fk for _, is_fk in schema.record_fields()]
+    out = {}
+    for i in sorted(rows):
+        mine = rows[i]
+        out[i] = [pks[k] for k, _, _ in mine], [
+            [column[k] for k, _, _ in mine] if is_fk else [
+                None if (chunks := column[k]) is None
+                else ((a * chunks[0] + bpk) % p,) if len(chunks) == 1
+                else tuple([(a * c + bpk) % p for c in chunks])
+                for k, a, bpk in mine
+            ]
+            for is_fk, column in zip(fks, values)
+        ]
+    return out
+
+
+def type2_fast_path(text):
+    """store._parse_type2's old test for its column-wise read: the entries
+    of a file of integer keys that _type2_text writes again byte for
+    byte, else None."""
+    from fvss.store import _BRACKETS, _type2_text
+
+    tokens = text.translate(_BRACKETS).split()
+    try:
+        entries = list(zip(map(int, tokens[0::2]), map(int, tokens[1::2])))
+    except ValueError:
+        return None
+    return entries if _type2_text(entries) == text else None
+
+
 # Per-record write references. The warehouse shares and stores a batch of
 # records a column at a time; these replay the same writes one record at
 # a time, through share_record and the one-record provider calls, as the
@@ -377,9 +514,8 @@ def per_cell_rewrite(wh, schema, changes, refresh):
             csp = wh.csps[i]
             pos = csp.position_of(schema.table, pk)
             rec = get_record(csp, schema.table, pos)
-            for attr, per_csp in deltas.items():
-                (old,) = rec.shares[attr]
-                rec.shares[attr] = ((old + per_csp[i]) % p,)
+            for attr, per_csp in deltas.items():   # a summable measure's share is an int
+                rec.shares[attr] = (rec.shares[attr] + per_csp[i]) % p
             for attr, shares in reshared.items():
                 rec.shares[attr] = None if shares is None else shares[i - 1]
             csp.update_shared_record(schema, pos, rec)

@@ -60,19 +60,21 @@ def _outcome(fn, *args):
 @st.composite
 def slices(draw):
     """A schema of fk and data columns in any order, and a slice of it:
-    distinct pks (maybe none), fk values, and per data column chunk
-    tuples of one or more chunks or NULL."""
+    distinct pks (maybe none), fk values, and per data column a share or
+    NULL: an int column's one chunk, a string column's tuple of one or
+    more chunks."""
     kinds = draw(st.lists(st.sampled_from(("fk", "int", "string")), max_size=5))
     schema = Schema("t", (Column("k", "key"),) + tuple(
         Column(f"c{j}", kind) for j, kind in enumerate(kinds)))
     pks = draw(st.lists(st.integers(0, 2**63), unique=True, max_size=12))
     values = []
-    for _, is_fk in schema.record_fields():
-        if is_fk:
+    for kind in kinds:
+        if kind == "fk":
             values.append([draw(INT) for _ in pks])
             continue
-        chunks = st.lists(CHUNK, min_size=1, max_size=1 if draw(st.booleans()) else 4)
-        values.append([draw(st.none() | chunks.map(tuple)) for _ in pks])
+        share = CHUNK if kind == "int" else st.lists(
+            CHUNK, min_size=1, max_size=1 if draw(st.booleans()) else 4).map(tuple)
+        values.append([draw(st.none() | share) for _ in pks])
     return schema, pks, values
 
 
@@ -80,9 +82,11 @@ def slices(draw):
 @given(slices())
 def test_shares_codec_equals_the_per_line_reference(case):
     schema, pks, values = case
+    chunks = oracles.chunk_columns(schema, values)
     text = _shares_text(schema, pks, values)
-    assert text == oracles._shares_text(schema, pks, values)
-    assert _parse_shares(schema, text) == oracles._parse_shares(schema, text) == (pks, values)
+    assert text == oracles._shares_text(schema, pks, chunks)
+    assert _parse_shares(schema, text) == (pks, values)
+    assert oracles._parse_shares(schema, text) == (pks, chunks)
 
 
 @settings(deadline=None)
@@ -91,7 +95,8 @@ def test_stored_bytes_are_the_shares_text_length(case):
     """What a provider adds to bytes_stored for a batch, the length of its
     .shares lines, equals the count the store once made from the values."""
     schema, pks, values = case
-    assert len(_shares_text(schema, pks, values)) == oracles._text_size(schema, pks, values)
+    assert len(_shares_text(schema, pks, values)) \
+        == oracles._text_size(schema, pks, oracles.chunk_columns(schema, values))
 
 
 @settings(deadline=None)
@@ -110,7 +115,12 @@ def test_shares_parser_equals_the_reference_on_edited_text(case, data):
             fields = lines[at].split("\t")
             lines[at] = "\t".join(fields + ["7"] if edit == "more" else fields[:-1])
     text = "".join(line + "\n" for line in lines)
-    assert _outcome(_parse_shares, schema, text) == _outcome(oracles._parse_shares, schema, text)
+
+    def reference(schema, text):
+        pks, chunks = oracles._parse_shares(schema, text)
+        return pks, oracles.share_columns_form(schema, chunks)
+
+    assert _outcome(_parse_shares, schema, text) == _outcome(reference, schema, text)
 
 
 # .sigtree files
@@ -318,11 +328,12 @@ def test_share_chunks_equal_the_reference(kind, scale, bias, p, data):
     chunks or the same OutOfRange, and the same decoded value."""
     value = _draw_value(data, kind)
     got = _outcome(lambda: encode_chunks(value, kind, scale=scale, bias=bias, p=p))
-    assert got == _outcome(lambda: oracles.encode_chunks(value, kind, scale=scale, bias=bias, p=p))
-    if got and isinstance(got[0], type):   # both raised
+    assert got == _outcome(lambda: oracles.share_form(
+        oracles.encode_chunks(value, kind, scale=scale, bias=bias, p=p), kind))
+    if type(got) is tuple and isinstance(got[0], type):   # both raised
         return
     assert decode(got, kind, scale=scale, bias=bias) \
-        == oracles.decode(got, kind, scale=scale, bias=bias)
+        == oracles.decode(oracles.chunk_form(got, kind), kind, scale=scale, bias=bias)
 
 
 @settings(deadline=None)

@@ -299,16 +299,36 @@ def test_cube_rows_live_at_every_provider(built):
             assert csp.fetch_share(table, pk, "sum_price") is not None
 
 
+def test_a_loaded_store_holds_numbers_as_ints_and_strings_as_tuples(built, km_big, tmp_path):
+    """Every share a loaded store holds is one int for a number, base
+    columns and cube measures alike, and a tuple of chunks for a string."""
+    built.save(tmp_path)
+    specs = [(PRODUCT, ("category",), ()), (SALES, ("yearid", "monthid", "price", "qty"), ()),
+             cube_table_spec(built, SPEC)]
+    back = Warehouse.load(tmp_path, km_big, specs, w=3)
+    seen = set()
+    for csp in back.csps.values():
+        for table, columns in csp.columns.items():
+            for attr, column in columns.items():
+                kind = back.schemas[table].column(attr).kind
+                want = tuple if kind == "string" else int
+                assert all(type(share) is want for share in column.values()), (table, attr)
+                if column:
+                    seen.add((table, kind))
+    assert {("Product", "string"), ("Sales", "int"), ("Sales", "real"),
+            (cube_table(SPEC), "string"), (cube_table(SPEC), "real")} <= seen
+
+
 def test_cell_shares_carry_the_inner_signature(built, km_big):
     km = km_big
     table = cube_table(SPEC)
     pk = built.type1.pks(table)[0]
     points = [
-        (km.x_id(i), built.csps[i].fetch_share(table, pk, "sum_price")[0])
+        (km.x_id(i), built.csps[i].fetch_share(table, pk, "sum_price"))
         for i in (1, 2, 3, 4)
     ]
     coeffs = interpolate_gauss(points, km.p)
-    fifth = built.csps[5].fetch_share(table, pk, "sum_price")[0]
+    fifth = built.csps[5].fetch_share(table, pk, "sum_price")
     assert eval_poly(coeffs, km.x_id(5), km.p) == fifth
     total = eval_poly(coeffs, km.x_kd, km.p)
     assert eval_poly(coeffs, km.x_ks, km.p) == km.he1(total)
@@ -710,7 +730,7 @@ def test_refresh_hides_cell_changes_from_a_provider_with_old_files(km_big):
         wh.load_rows("Sales", rows)
         cube_refresh(wh, spec, [r["SaleNo"] for r in rows])
         return {
-            m: [((new[0] - old[0]) % p, (b - a) * unit % p) for old, new, a, b in zip(
+            m: [((new - old) % p, (b - a) * unit % p) for old, new, a, b in zip(
                 shares[m], csp.fetch_shares(table, m, cells),
                 values[m], wh.reconstruct_values(table, m, cells))]
             for m, unit in measures.items()

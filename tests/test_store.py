@@ -344,7 +344,8 @@ def test_recovery_restores_exact_slice(km_toy):
     store = wh.csps[target]
     want = store.tables["product"]
     for pos, rec in enumerate(want):
-        zeroed = {a: c and tuple(0 for _ in c) for a, c in rec.shares.items()}
+        zeroed = {a: c if c is None else tuple(0 for _ in c) if type(c) is tuple else 0
+                  for a, c in rec.shares.items()}
         store.update_shared_record(wh.schemas["product"], pos,
                                    StoredRecord(rec.pk, rec.plain, zeroed))
     assert store.tables["product"] != want
@@ -546,7 +547,7 @@ def test_recovery_from_every_valid_rg_restores_the_slice(km_wide, rows, rnd):
                 for j in [j for j in rg if bitmap[j - 1] == "1"]:
                     for attr in ("s", "v"):
                         chunks = wh.csps[j].columns["t"][attr].get(pk)
-                        expected[j] += 8 * max(1, len(chunks or ()))
+                        expected[j] += 8 * (len(chunks) if type(chunks) is tuple else 1)
             start = {i: csp.bytes_transferred for i, csp in wh.csps.items()}
             wh.inject_failure(target)
             wh.recover_csp_shares(target, rg)
@@ -588,6 +589,37 @@ def test_save_load_round_trip(tmp_path, km_toy):
     back.heal(5)
     assert back.reconstruct_record("product", 124)["prodName"] == "Shirt"
     assert all(r.ok for r in back.verify_all().values())
+
+
+def test_a_zero_share_is_a_value_not_a_null(tmp_path, km_big):
+    """At bias 0, pk 0 with value 0 has the chunk 0 and every share 0. It
+    reads back as 0, not NULL, through a query, save and load, and
+    recovery, and counts as one share wherever shares are counted."""
+    schema = Schema("z", (Column("k", "key"), Column("v", "int")))
+    wh = Warehouse(km_big, w=3, bias=0)
+    wh.create_table(schema, index_attrs=("v",))
+    wh.load_rows("z", [{"k": 0, "v": 0}, {"k": 1, "v": None}])
+    holders = [i for i, csp in wh.csps.items() if 0 in csp.positions["z"]]
+    assert [wh.csps[i].fetch_share("z", 0, "v") for i in holders] == [0] * len(holders)
+    sql = "SELECT SUM(v), COUNT(v), MAX(v) FROM z"
+    assert execute(wh, sql)[1] == [(0, 1, 0)]
+    assert wh.reconstruct_values("z", "v", [0, 1]) == [0, None]
+    csp = wh.csps[holders[0]]
+    before = csp.bytes_transferred
+    assert csp.fetch_shares("z", "v", [0]) == [0]
+    assert csp.bytes_transferred - before == 8
+
+    wh.save(tmp_path)
+    back = Warehouse.load(tmp_path, km_big, [(schema, ("v",), ())], w=3, bias=0)
+    assert [back.csps[i].columns["z"]["v"].get(0) for i in holders] == [0] * len(holders)
+    assert execute(back, sql)[1] == [(0, 1, 0)]
+    for target in holders:
+        back.inject_failure(target)
+        assert back.recover_csp_shares(target) == 1
+        back.heal(target)
+        assert back.csps[target].fetch_share("z", 0, "v") == 0
+        assert back.reconstruct_values("z", "v", [0, 1]) == [0, None]
+    assert all(report.ok for report in back.verify_all().values())
 
 
 def test_saved_files_deterministic(tmp_path, km_toy):
@@ -878,7 +910,7 @@ def test_threat_model_boundary_known_plaintexts_and_old_files(km_big):
         groups.setdefault(wh.type1.bitmap("t", pk), []).append(pk)
     group = max(groups.values(), key=len)
     assert len(group) >= 4
-    share = {pk: csp.fetch_share("t", pk, "v")[0] for pk in group}
+    share = {pk: csp.fetch_share("t", pk, "v") for pk in group}
 
     # two known plaintexts fix A_1 and B_1 for the whole storage group
     (k1, k2), rest = group[:2], group[2:]
@@ -891,4 +923,4 @@ def test_threat_model_boundary_known_plaintexts_and_old_files(km_big):
 
     # an in-place update moves the share by A_1 times the change
     wh.insert("t", {"k": k1, "v": rows[k1] + 777})
-    assert (csp.fetch_share("t", k1, "v")[0] - share[k1]) % p == a * 777 % p
+    assert (csp.fetch_share("t", k1, "v") - share[k1]) % p == a * 777 % p
