@@ -13,11 +13,14 @@ field); StoredRecord is only the one-record view of the same values. A
 CSP also keeps an alive/failed flag for experiments and monotone byte
 counters. The index server keeps the Type I location bitmaps with, per
 provider, the set of primary keys it does not store, the Type II
-plaintext ordered indices with a primary key -> order key map beside
-each, and the Type III derived-column registry; by design it is a
-trusted node, so order keys are stored in the clear there. The sets and maps live in memory only: they are
-maintained on every write and rebuilt on load, so filtered aggregates
-cost time in the size of the filter, not of the table.
+plaintext indices as one primary key -> order key map per indexed
+attribute (the sorted runs that predicates bisect are derived from it on
+demand), and the Type III derived-column registry; by design it is a
+trusted node, so order keys are stored in the clear there. The sets and
+maps live in memory only: they are maintained on every write and rebuilt
+on load, so filtered aggregates cost time in the size of the filter, not
+of the table. The warehouse's schemas, in creation order, are its one
+table registry.
 Every record, base row or cube cell, is stored by one write,
 `Warehouse.write`, of records that are all stored or all new: stored ones
 by one `CspStore.update_columns` call per provider (one signature-tree
@@ -60,7 +63,7 @@ from __future__ import annotations
 import json
 import re
 import struct
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, repeat, zip_longest
@@ -109,7 +112,6 @@ _NULL_BYTES = b"\xff"   # a NULL field in a record's signature input
 # batch made later set-heavy reads in the same process about 4% slower
 APPEND_ROWS = 500
 _KEY = itemgetter(0)    # order key of a Type II (key, pk) entry
-_FIRST = itemgetter(0)  # first chunk of a string's share
 
 
 class StoredRecord:
@@ -261,19 +263,21 @@ def _shares_text(schema: Schema, pks, values) -> str:
 
 def _parse_shares(schema: Schema, text: str) -> tuple[list[int], list[list]]:
     """Inverse of _shares_text: (pks, values) of a .shares file, whose
-    empty lines are skipped; SchemaMismatch for a line of another width."""
-    fields = schema.record_fields()
-    width = len(fields) + 1
+    empty lines are skipped; SchemaMismatch for a line of another width or
+    a field that is not a decimal integer (or NULL where a share may be)."""
+    width = len(schema.columns)
     try:
         flat = _fields(list(filter(None, text.splitlines())), width)
     except ValueError:
         raise SchemaMismatch(f"{schema.table}.shares: a line without {width} fields") from None
-    values = [
-        list(map(int, flat[j::width])) if col.kind == "fk"
-        else _parse_share_texts(flat[j::width], col.kind == "string")
-        for j, col in enumerate(schema.columns[1:], 1)
-    ]
-    return list(map(int, flat[0::width])), values
+    try:
+        return list(map(int, flat[0::width])), [
+            list(map(int, flat[j::width])) if col.kind == "fk"
+            else _parse_share_texts(flat[j::width], col.kind == "string")
+            for j, col in enumerate(schema.columns[1:], 1)
+        ]
+    except ValueError:
+        raise SchemaMismatch(f"{schema.table}.shares: a field that is not a decimal integer") from None
 
 
 def _chunk_count(col: Column, vals: list) -> int:
@@ -498,16 +502,14 @@ class CspStore:
         return out
 
     def share_sums(self, table: str, attr: str, groups) -> list[int]:
-        """Per group of pks, the sum mod p of this CSP's shares of attr (of
-        a string's first chunks) over the distinct pks of the group it
-        stores with a non-NULL attr, read from the share column: one
-        request, 8 bytes per sum."""
+        """Per group of pks, the sum mod p of this CSP's shares of the
+        numeric attr over the distinct pks of the group it stores with a
+        non-NULL attr, read from the share column: one request, 8 bytes
+        per sum."""
         self._check_alive()
         column = self.columns.get(table, {}).get(attr, {})
         held, share, p = column.keys(), column.__getitem__, self.km.p
         self.bytes_transferred += 8 * len(groups)
-        if attr in self.strings.get(table, ()):
-            return [sum(map(_FIRST, map(share, held & pks))) % p for pks in groups]
         return [sum(map(share, held & pks)) % p for pks in groups]
 
     def share_sum(self, table: str, attr: str, pks) -> int:
@@ -601,34 +603,45 @@ class TypeOneIndex:
 class TypeTwoIndex:
     """Plaintext ordered indices at the index server.
 
-    Per indexed attribute, a sorted (key, pk) list answers predicates by
-    bisection and a pk -> key dict beside it answers point reads and
-    filtered aggregates; insert and remove keep both in step, one key per
-    pk. Order keys are canonical integers (scaled reals, epoch days, 0/1
-    booleans) or raw strings; nulls are simply absent.
+    Per indexed attribute, one maintained pk -> order key map answers point
+    reads, grouping and filtered aggregates; a write sets or drops its
+    keys and nothing else. The sorted (key, pk) entries that predicates
+    bisect and save writes are derived from the map on first use and kept
+    until a write changes a key of that index. Order keys are canonical
+    integers (scaled reals, epoch days, 0/1 booleans) or raw strings;
+    nulls are simply absent.
     """
 
     def __init__(self):
-        self.maps: dict[tuple[str, str], list[tuple]] = {}
         self.keys: dict[tuple[str, str], dict[int, object]] = {}
+        self._sorted: dict[tuple[str, str], list[tuple]] = {}   # derived from keys
 
     def register(self, table: str, attr: str):
-        self.maps.setdefault((table, attr), [])
         self.keys.setdefault((table, attr), {})
 
     def is_indexed(self, table: str, attr: str) -> bool:
-        return (table, attr) in self.maps
+        return (table, attr) in self.keys
 
-    def _index(self, table: str, attr: str) -> tuple[list[tuple], dict[int, object]]:
+    def _index(self, table: str, attr: str) -> dict[int, object]:
         try:
-            return self.maps[(table, attr)], self.keys[(table, attr)]
+            return self.keys[(table, attr)]
         except KeyError:
             raise NotIndexed(f"{table}.{attr} has no Type II index") from None
 
     def value_map(self, table: str, attr: str) -> dict[int, object]:
         """pk -> order key of every indexed record. This is the maintained
         map itself: callers must not modify it."""
-        return self._index(table, attr)[1]
+        return self._index(table, attr)
+
+    def entries(self, table: str, attr: str) -> list[tuple]:
+        """The (key, pk) entries of the index in sorted order, sorted from
+        the map on the first call after a write changed it; callers must
+        not modify the list."""
+        entries = self._sorted.get((table, attr))
+        if entries is None:
+            keys = self._index(table, attr)
+            entries = self._sorted[(table, attr)] = sorted(zip(keys.values(), keys))
+        return entries
 
     def insert(self, table: str, attr: str, key, pk: int):
         """Index pk under key, replacing the key it had."""
@@ -640,32 +653,24 @@ class TypeTwoIndex:
 
     def insert_many(self, table: str, attr: str, pairs):
         """Index each (key, pk) of pairs, whose pks are distinct, under its
-        key, or drop it for a None key, as one batch: a pair whose key did
-        not change is skipped, the old entries of the rest are taken out,
-        and the new ones go in by one insort when there is one, else
-        extended and sorted in once."""
-        entries, keys = self._index(table, attr)
-        new = []
+        key, or drop it for a None key. The sorted entries are dropped only
+        when a key changed."""
+        keys = self._index(table, attr)
+        changed = False
         for key, pk in pairs:
-            old = keys.get(pk)
-            if old == key:
-                continue
-            if old is not None:
-                del entries[bisect_left(entries, (old, pk))]
-                del keys[pk]
-            if key is not None:
-                keys[pk] = key
-                new.append((key, pk))
-        if len(new) == 1:
-            insort(entries, new[0])
-        elif new:
-            entries.extend(new)
-            entries.sort()
+            if keys.get(pk) != key:
+                changed = True
+                if key is None:
+                    del keys[pk]
+                else:
+                    keys[pk] = key
+        if changed:
+            self._sorted.pop((table, attr), None)
 
     def lookup(self, table: str, attr: str, op: str, operand) -> set[int]:
         """Primary keys whose order key k satisfies `k op operand`; every
         operator reads only the bisected runs of matching entries."""
-        entries = self._index(table, attr)[0]
+        entries = self.entries(table, attr)
 
         def run(lo_key, hi_key):
             return (bisect_left(entries, lo_key, key=_KEY),
@@ -688,7 +693,7 @@ class TypeTwoIndex:
         cardinality (non-null by construction), MAX/MIN/MEDIAN the pk of
         the extremal or median record, None for a group with no indexed
         record. Only the groups' records are visited."""
-        keys = self._index(table, attr)[1]
+        keys = self._index(table, attr)
         held = keys.keys()
         if fn == "count":
             return [len(held & pks) for pks in groups]
@@ -790,9 +795,7 @@ class Warehouse:
         self.type1 = TypeOneIndex()
         self.type2 = TypeTwoIndex()
         self.type3 = TypeThreeRegistry()
-        self.schemas: dict[str, Schema] = {}
-        self.table_order: list[str] = []
-        self.indexed_columns: dict[str, list[Column]] = {}
+        self.schemas: dict[str, Schema] = {}   # in creation order
 
     # participants
 
@@ -863,27 +866,26 @@ class Warehouse:
             raise UnknownTable(table) from None
 
     def _register(self, schema: Schema, index_attrs=(), derived=()) -> Schema:
+        """Check a table, then file it in schemas, Type I, Type II (every
+        fk and each of index_attrs) and Type III: a refused table leaves
+        nothing behind."""
         if schema.table in self.schemas:
             raise DuplicateTable(schema.table)
-        columns = list(schema.columns)
         for d in derived:
             if d.table != schema.table:
                 raise SchemaMismatch(f"derived column {d.name} targets {d.table}")
-            columns.append(Column(d.name, "real" if d.scale else "int", scale=d.scale))
-            self.type3.register(d)
-        full = Schema(schema.table, tuple(columns))
-        self.schemas[full.table] = full
-        self.table_order.append(full.table)
-        self.type1.create_table(full.table)
-        indexed = []
-        for col in full.columns[1:]:
-            if col.kind == "fk" or col.name in index_attrs:
-                self.type2.register(full.table, col.name)
-                indexed.append(col)
+        full = Schema(schema.table, (*schema.columns, *(
+            Column(d.name, "real" if d.scale else "int", scale=d.scale) for d in derived)))
         missing = set(index_attrs) - {c.name for c in full.columns}
         if missing:
             raise SchemaMismatch(f"cannot index unknown columns {sorted(missing)}")
-        self.indexed_columns[full.table] = indexed
+        self.schemas[full.table] = full
+        self.type1.create_table(full.table)
+        for d in derived:
+            self.type3.register(d)
+        for col in full.columns[1:]:
+            if col.kind == "fk" or col.name in index_attrs:
+                self.type2.register(full.table, col.name)
         return full
 
     def create_table(self, schema: Schema, index_attrs=(), derived=()) -> Schema:
@@ -940,8 +942,8 @@ class Warehouse:
         schema = self._schema(table)
         km = self.km
         stored = self.type1.entries[table]
-        fields = [name for name, _ in schema.record_fields()]
-        indexed = [(col.name, fields.index(col.name)) for col in self.indexed_columns[table]]
+        indexed = [(name, f) for f, (name, _) in enumerate(schema.record_fields())
+                   if self.type2.is_indexed(table, name)]
         old: list[tuple[int, list, list]] = []   # pk, field values, order keys of stored records
         new: list[tuple[int, list, list]] = []   # the same of new records
         held: set[int] = set()
@@ -1122,7 +1124,7 @@ class Warehouse:
         csp = self.csps[i]
         if not csp.alive:
             raise CspUnavailable(f"CSP {i} is failed")
-        tables = self.table_order if scope == "whole" else [scope]
+        tables = list(self.schemas) if scope == "whole" else [scope]
         report = csp.sigtree.verify({t: self.authoritative_sigs(i, t) for t in tables}, scope)
         flagged = {(e.table, e.position) for e in report.entries}
         for table in tables:
@@ -1168,8 +1170,7 @@ class Warehouse:
         x = self.km.x_id(target)
         regenerated = 0
         rebuilt = {}
-        for table in self.table_order:
-            schema = self._schema(table)
+        for table, schema in self.schemas.items():
             pks = [pk for pk, bitmap in self.type1.entries[table].items()
                    if bitmap[target - 1] == "1"]
             buckets = self._buckets(table, pks)
@@ -1197,8 +1198,7 @@ class Warehouse:
             d = root / f"csp{i}"
             d.mkdir(parents=True, exist_ok=True)
             sigtree = csp.sigtree
-            for table in self.table_order:
-                schema = self.schemas[table]
+            for table, schema in self.schemas.items():
                 (d / f"{table}.shares").write_text(
                     _shares_text(schema, *csp.slice_values(schema))
                 )
@@ -1217,15 +1217,13 @@ class Warehouse:
         idx = root / "index"
         idx.mkdir(parents=True, exist_ok=True)
         (idx / "type1.bitmap").write_text("".join(
-            _bitmaps_text(table, self.type1.entries[table]) for table in self.table_order
+            _bitmaps_text(table, self.type1.entries[table]) for table in self.schemas
         ))
         t2 = idx / "type2"
         t2.mkdir(exist_ok=True)
-        for (table, attr), entries in self.type2.maps.items():
-            (t2 / f"{table}.{attr}.idx").write_text(_type2_text(entries))
-        (idx / "tables").write_text(
-            "".join(name + "\n" for name in self.table_order)
-        )
+        for table, attr in self.type2.keys:
+            (t2 / f"{table}.{attr}.idx").write_text(_type2_text(self.type2.entries(table, attr)))
+        (idx / "tables").write_text("".join(name + "\n" for name in self.schemas))
 
     @classmethod
     def load(cls, root, km: KeyMaterial, table_specs, w: int = 3, weights=None,
@@ -1260,8 +1258,7 @@ class Warehouse:
             csp.bytes_stored = int(state["bytes_stored"])
             csp.bytes_transferred = int(state["bytes_transferred"])
             trees = {}
-            for table in order:
-                schema = wh.schemas[table]
+            for table, schema in wh.schemas.items():
                 csp._set_slice(
                     schema, *_parse_shares(schema, (d / f"{table}.shares").read_text())
                 )
@@ -1271,7 +1268,7 @@ class Warehouse:
         # save writes one file per index, an empty index too: a file
         # missing or extra means a torn or edited store
         t2 = root / "index" / "type2"
-        files = {f"{table}.{attr}.idx": (table, attr) for table, attr in wh.type2.maps}
+        files = {f"{table}.{attr}.idx": (table, attr) for table, attr in wh.type2.keys}
         extra = sorted({path.name for path in t2.glob("*.idx")} - files.keys())
         if extra:
             raise SchemaMismatch(
@@ -1281,13 +1278,12 @@ class Warehouse:
             path = t2 / name
             if not path.is_file():
                 raise SchemaMismatch(f"index/type2/{name} is missing for a configured index")
-            entries = _parse_type2(path.read_text())
-            wh.type2.maps[index] = sorted(entries)
-            wh.type2.keys[index] = {pk: key for key, pk in entries}
+            # the file is in (key, pk) order, so the first sort of its entries is linear
+            keys = wh.type2.keys[index] = {pk: key for key, pk in _parse_type2(path.read_text())}
             # reads take every fk from here, so an fk index must hold every record
             table, attr = index
             if wh.schemas[table].column(attr).kind == "fk" \
-                    and wh.type2.keys[index].keys() != wh.type1.entries[table].keys():
+                    and keys.keys() != wh.type1.entries[table].keys():
                 raise SchemaMismatch(f"index/type2/{name} does not hold every {table} record")
         return wh
 

@@ -8,6 +8,7 @@ propagation, aggregation in exact rational arithmetic on the plaintext.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from decimal import Decimal, localcontext
@@ -17,8 +18,9 @@ from operator import mul
 from pathlib import Path
 
 from fvss.cost import _rat, reference_pricing
-from fvss.errors import OutOfRange, SchemaMismatch
+from fvss.errors import EmptyInput, NotIndexed, OutOfRange, SchemaMismatch
 from fvss.sharing import DATA_KINDS, PLAIN_KINDS, scaled_int
+from fvss.store import _KEY, _PICKS
 
 _EPOCH = date(1970, 1, 1)
 
@@ -491,7 +493,7 @@ def per_record_load(wh, table, rows):
                 csp.put_shared_records(schema, [rec])
         if not stored:
             type1_set(wh.type1, table, pk, bundle.bitmap)
-        for col in wh.indexed_columns.get(table, []):
+        for col in [c for c in schema.columns[1:] if wh.type2.is_indexed(table, c.name)]:
             key = order_key(full.get(col.name), col)
             if key is None:
                 wh.type2.remove(table, col.name, pk)
@@ -1031,3 +1033,118 @@ class PlannedAgg:
     y: str | None = None
     op: str | None = None
     square: str | None = None       # derived x^2 column backing var/stddev
+
+
+# store.TypeTwoIndex as it was before it kept one pk -> key map per index:
+# a sorted (key, pk) list maintained beside the map by bisect deletes,
+# insort and extend + sort, the reference of tests/test_type_two.py
+class TypeTwoIndex:
+    """Plaintext ordered indices at the index server.
+
+    Per indexed attribute, a sorted (key, pk) list answers predicates by
+    bisection and a pk -> key dict beside it answers point reads and
+    filtered aggregates; insert and remove keep both in step, one key per
+    pk. Order keys are canonical integers (scaled reals, epoch days, 0/1
+    booleans) or raw strings; nulls are simply absent.
+    """
+
+    def __init__(self):
+        self.maps: dict[tuple[str, str], list[tuple]] = {}
+        self.keys: dict[tuple[str, str], dict[int, object]] = {}
+
+    def register(self, table: str, attr: str):
+        self.maps.setdefault((table, attr), [])
+        self.keys.setdefault((table, attr), {})
+
+    def is_indexed(self, table: str, attr: str) -> bool:
+        return (table, attr) in self.maps
+
+    def _index(self, table: str, attr: str) -> tuple[list[tuple], dict[int, object]]:
+        try:
+            return self.maps[(table, attr)], self.keys[(table, attr)]
+        except KeyError:
+            raise NotIndexed(f"{table}.{attr} has no Type II index") from None
+
+    def value_map(self, table: str, attr: str) -> dict[int, object]:
+        """pk -> order key of every indexed record. This is the maintained
+        map itself: callers must not modify it."""
+        return self._index(table, attr)[1]
+
+    def insert(self, table: str, attr: str, key, pk: int):
+        """Index pk under key, replacing the key it had."""
+        self.insert_many(table, attr, [(key, pk)])
+
+    def remove(self, table: str, attr: str, pk: int):
+        """Drop pk from the index; a pk that is not there is ignored."""
+        self.insert_many(table, attr, [(None, pk)])
+
+    def insert_many(self, table: str, attr: str, pairs):
+        """Index each (key, pk) of pairs, whose pks are distinct, under its
+        key, or drop it for a None key, as one batch: a pair whose key did
+        not change is skipped, the old entries of the rest are taken out,
+        and the new ones go in by one insort when there is one, else
+        extended and sorted in once."""
+        entries, keys = self._index(table, attr)
+        new = []
+        for key, pk in pairs:
+            old = keys.get(pk)
+            if old == key:
+                continue
+            if old is not None:
+                del entries[bisect_left(entries, (old, pk))]
+                del keys[pk]
+            if key is not None:
+                keys[pk] = key
+                new.append((key, pk))
+        if len(new) == 1:
+            insort(entries, new[0])
+        elif new:
+            entries.extend(new)
+            entries.sort()
+
+    def lookup(self, table: str, attr: str, op: str, operand) -> set[int]:
+        """Primary keys whose order key k satisfies `k op operand`; every
+        operator reads only the bisected runs of matching entries."""
+        entries = self._index(table, attr)[0]
+
+        def run(lo_key, hi_key):
+            return (bisect_left(entries, lo_key, key=_KEY),
+                    bisect_right(entries, hi_key, key=_KEY))
+
+        if op == "in":
+            runs = [run(v, v) for v in set(operand)]
+        elif op == "between":
+            runs = [run(*operand)]
+        else:
+            a, b = run(operand, operand)   # first key >= operand, first key > operand
+            runs = {"=": [(a, b)], "!=": [(0, a), (b, None)], "<>": [(0, a), (b, None)],
+                    "<": [(0, a)], "<=": [(0, b)], ">": [(b, None)], ">=": [(a, None)]}.get(op)
+            if runs is None:
+                raise NotIndexed(f"unsupported predicate {op!r}")
+        return {pk for start, stop in runs for _, pk in entries[start:stop]}
+
+    def aggregates(self, table: str, attr: str, fn: str, groups) -> list:
+        """Per group of pks, from one read of the pk -> key map: COUNT the
+        cardinality (non-null by construction), MAX/MIN/MEDIAN the pk of
+        the extremal or median record, None for a group with no indexed
+        record. Only the groups' records are visited."""
+        keys = self._index(table, attr)[1]
+        held = keys.keys()
+        if fn == "count":
+            return [len(held & pks) for pks in groups]
+        pick = _PICKS.get(fn)
+        if pick is None:
+            raise EmptyInput(f"unknown index aggregate {fn!r}")
+        out = []
+        for pks in groups:
+            hits = held & pks
+            out.append(pick([(keys[pk], pk) for pk in hits])[1] if hits else None)
+        return out
+
+    def aggregate(self, table: str, attr: str, fn: str, pks) -> int:
+        """aggregates of one group; EmptyInput for MAX/MIN/MEDIAN when it
+        has no indexed record."""
+        got = self.aggregates(table, attr, fn, [pks])[0]
+        if got is None:
+            raise EmptyInput(f"{fn} over empty {table}.{attr} filter")
+        return got

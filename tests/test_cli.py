@@ -177,6 +177,17 @@ def test_query_syntax_error_exits_one(loaded, capsys):
     assert "QuerySyntaxError" in err
 
 
+def test_query_over_a_share_that_is_not_a_decimal_integer_exits_one(loaded, capsys):
+    shares = next(path for path in sorted((loaded / "warehouse").glob("csp*/Sales.shares"))
+                  if path.read_text())
+    fields = shares.read_text().split("\t")
+    fields[2] = "x" + fields[2]   # the first record's yearid share
+    shares.write_text("\t".join(fields))
+    code, out, err = run(loaded, "query", "SELECT COUNT(*) FROM Sales", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "SchemaMismatch: Sales.shares: a field that is not a decimal integer\n"
+
+
 # verify, tamper, recover
 
 def test_verify_clean_store_says_ok(loaded, capsys):

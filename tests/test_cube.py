@@ -447,7 +447,7 @@ def _provider_state(wh):
     """Type I and every provider's slice of every table."""
     return (
         {table: dict(bitmaps) for table, bitmaps in wh.type1.entries.items()},
-        [[csp.slice_values(wh.schemas[table]) for table in wh.table_order]
+        [[csp.slice_values(schema) for schema in wh.schemas.values()]
          for csp in wh.csps.values()],
     )
 

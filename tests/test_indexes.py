@@ -51,7 +51,7 @@ def _scan_aggregate(entries, fn, pks):
 
 
 def check_type_two(idx, table, attr, probes, filters):
-    entries = idx.maps[(table, attr)]
+    entries = idx.entries(table, attr)
     assert entries == sorted(entries)
     assert idx.value_map(table, attr) == {pk: k for k, pk in entries}
     assert len(idx.value_map(table, attr)) == len(entries)  # one key per pk
@@ -120,9 +120,9 @@ def check_null_sets(wh, table, want, filters):
 
 def check_share_columns(wh, table, want, filters):
     """Each provider returns exactly the chunks of the oracle for the pks
-    it holds, refuses the others, and share_sum adds up its shares (a
-    string's first chunks) of its non-NULL values over a filter, as share_sums does over each of
-    several filters in one request."""
+    it holds, refuses the others, and share_sum adds up its shares of a
+    number's non-NULL values over a filter, as share_sums does over each
+    of several filters in one request."""
     p = wh.km.p
     for i, csp in wh.csps.items():
         for attr, held in want[i].items():
@@ -132,10 +132,11 @@ def check_share_columns(wh, table, want, filters):
                 else:
                     with pytest.raises(UnknownRecordPosition):
                         csp.fetch_share(table, pk, attr)
+            if wh.schemas[table].column(attr).kind == "string":
+                continue   # no query sums a string's shares
             totals = []
             for pks in filters:
-                total = sum(c if type(c) is int else c[0]
-                            for pk, c in held.items() if c is not None and pk in pks)
+                total = sum(c for pk, c in held.items() if c is not None and pk in pks)
                 assert csp.share_sum(table, attr, pks) == total % p, (i, attr)
                 totals.append(total % p)
             assert csp.share_sums(table, attr, filters) == totals, (i, attr)

@@ -44,6 +44,11 @@ def _warehouse(km, **kw):
     return wh
 
 
+def _type2_entries(wh):
+    """(table, attr) -> the sorted (key, pk) entries of every Type II index."""
+    return {index: wh.type2.entries(*index) for index in wh.type2.keys}
+
+
 def _rows():
     return [
         dict(ProdNo=124, prodName="Shirt", price=7.5, qty=3),
@@ -266,6 +271,33 @@ def test_duplicate_table_rejected(km_toy):
     wh = _warehouse(km_toy)
     with pytest.raises(DuplicateTable):
         wh.create_table(PRODUCT)
+
+
+T = Schema("t", (Column("id", "key"), Column("f", "fk"), Column("v", "int")))
+SQUARE_V = DerivedColumn("t", "v2", "square", "v")
+
+
+@pytest.mark.parametrize("refused", [
+    dict(index_attrs=("nope",)),
+    dict(index_attrs=("v", "nope")),
+    dict(derived=(SQUARE_V, DerivedColumn("other", "w", "square", "v"))),
+], ids=["unknown index", "known and unknown index", "derived column of another table"])
+def test_a_refused_create_table_leaves_nothing_behind(tmp_path, km_toy, refused):
+    wh = _warehouse(km_toy)
+    with pytest.raises(SchemaMismatch):
+        wh.create_table(T, **refused)
+    assert list(wh.schemas) == ["product"]
+    assert "t" not in wh.type1.entries
+    assert [table for table, _ in wh.type2.keys] == ["product"] * 3
+    assert wh.type3.for_table("t") == []
+    assert all(list(csp.pks) == ["product"] for csp in wh.csps.values())
+    wh.create_table(T, index_attrs=("v",), derived=(SQUARE_V,))
+    assert wh.load_rows("t", [dict(id=1, f=3, v=4), dict(id=2, f=3, v=None)]) == 2
+    wh.save(tmp_path)
+    back = Warehouse.load(tmp_path, km_toy, [(PRODUCT, ("price", "prodName", "qty"), ()),
+                                             (T, ("v",), (SQUARE_V,))], w=3, bias=0)
+    assert back.reconstruct_table("t") == [dict(id=1, f=3, v=4, v2=16),
+                                           dict(id=2, f=3, v=None, v2=None)]
 
 
 def test_unknown_table_rejected(km_toy):
@@ -581,7 +613,7 @@ def test_save_load_round_trip(tmp_path, km_toy):
     back = Warehouse.load(tmp_path, km_toy, spec, w=3, bias=0)
     assert back.alive_csps() == [1, 2, 3, 4]
     assert back.type1.entries == wh.type1.entries
-    assert back.type2.maps == wh.type2.maps
+    assert _type2_entries(back) == _type2_entries(wh)
     for i in range(1, 6):
         assert back.csps[i].sigtree.root == wh.csps[i].sigtree.root
         assert [(r.pk, r.plain, r.shares) for r in back.csps[i].tables["product"]] == \
@@ -752,7 +784,7 @@ def test_empty_type2_file_loads(tmp_path, km_big):
     wh = _warehouse(km_big)
     wh.save(tmp_path)
     assert (tmp_path / "index" / "type2" / "product.qty.idx").read_text() == ""
-    assert _reload(tmp_path, km_big).type2.maps == wh.type2.maps
+    assert _type2_entries(_reload(tmp_path, km_big)) == _type2_entries(wh)
 
 
 @pytest.mark.parametrize("how", ["extra file", "index dropped from the config"])
@@ -810,6 +842,20 @@ def test_shares_line_of_another_width_fails_at_load(tmp_path, km_big, edit):
         _reload(tmp_path, km_big)
 
 
+@pytest.mark.parametrize("field", [0, 1, 2, 3], ids=["pk", "string", "real", "int"])
+def test_shares_field_that_is_not_a_decimal_integer_fails_at_load(tmp_path, km_big, field):
+    _saved(tmp_path, km_big)
+    shares = tmp_path / "csp2" / "product.shares"
+    lines = shares.read_text().splitlines()
+    fields = lines[3].split("\t")
+    fields[field] = "x" + fields[field]
+    lines[3] = "\t".join(fields)
+    shares.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(SchemaMismatch,
+                       match="product.shares: a field that is not a decimal integer"):
+        _reload(tmp_path, km_big)
+
+
 def test_empty_lines_in_saved_files_are_skipped(tmp_path, km_big):
     wh = _saved(tmp_path, km_big)
     for rel in ("csp1/product.shares", "csp1/product.sigtree", "index/type1.bitmap",
@@ -819,7 +865,7 @@ def test_empty_lines_in_saved_files_are_skipped(tmp_path, km_big):
     back = _reload(tmp_path, km_big)
     assert back.csps[1].slice_values(PRODUCT) == wh.csps[1].slice_values(PRODUCT)
     assert back.type1.entries == wh.type1.entries
-    assert back.type2.maps == wh.type2.maps and back.type2.keys == wh.type2.keys
+    assert _type2_entries(back) == _type2_entries(wh) and back.type2.keys == wh.type2.keys
     assert back.csps[1].sigtree.record_trees["product"].levels \
         == wh.csps[1].sigtree.record_trees["product"].levels
     assert back.verify_csp(1).ok

@@ -86,7 +86,7 @@ def _provider_state(wh, i):
 
 def _index_state(wh):
     return ({t: list(e.items()) for t, e in wh.type1.entries.items()}, wh.type1.absent,
-            wh.type2.maps, wh.type2.keys)
+            {index: wh.type2.entries(*index) for index in wh.type2.keys}, wh.type2.keys)
 
 
 def assert_same_store(batched, reference):
@@ -101,7 +101,7 @@ def assert_same_store(batched, reference):
                 assert column.keys() | csp.nulls[t][attr] == set(pks)
                 assert not column.keys() & csp.nulls[t][attr]
         if batched.csps[i].alive:
-            for t in batched.table_order:
+            for t in batched.schemas:
                 leaves = batched.authoritative_sigs(i, t)
                 assert batched.csps[i].sigtree.record_trees[t].levels \
                     == tree_levels(leaves, batched.w, KM.p)
