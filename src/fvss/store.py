@@ -10,17 +10,17 @@ every cube measure) is one int; a share of a string is a tuple of one
 chunk per UTF-8 byte. Writes and reads cross the store's
 interface as batches, column-wise (a pk list and one value column per
 field); StoredRecord is only the one-record view of the same values. A
-CSP also keeps an alive/failed flag for experiments and monotone byte
-counters. The index server keeps the Type I location bitmaps with, per
-provider, the set of primary keys it does not store, the Type II
-plaintext indices as one primary key -> order key map per indexed
-attribute (the sorted runs that predicates bisect are derived from it on
-demand), and the Type III derived-column registry; by design it is a
-trusted node, so order keys are stored in the clear there. The sets and
-maps live in memory only: they are maintained on every write and rebuilt
-on load, so filtered aggregates cost time in the size of the filter, not
-of the table. The warehouse's schemas, in creation order, are its one
-table registry.
+CSP also keeps an alive/failed flag for experiments and a monotone count
+of the bytes its reads send back. The index server keeps the Type I
+location bitmaps with, per provider, the set of primary keys it does not
+store, the Type II plaintext indices as one primary key -> order key map
+per indexed attribute (the sorted runs that predicates bisect are
+derived from it on demand), and the Type III derived-column registry; by
+design it is a trusted node, so order keys are stored in the clear
+there. The sets and maps live in memory only: they are maintained on
+every write and rebuilt on load, so filtered aggregates cost time in the
+size of the filter, not of the table. The warehouse's schemas, in
+creation order, are its one table registry.
 Every record, base row or cube cell, is stored by one write,
 `Warehouse.write`, of records that are all stored or all new: stored ones
 by one `CspStore.update_columns` call per provider (one signature-tree
@@ -42,14 +42,14 @@ On disk (all integers decimal text):
                                      comma-joined, NULL literal for nulls
     <root>/csp<i>/<table>.sigtree    record-layer (level, index, value)
     <root>/csp<i>/_tables.sigtree    table order plus table-layer triples
-    <root>/csp<i>/state              alive flag and byte counters
+    <root>/csp<i>/state              alive flag and bytes_transferred
     <root>/index/type1.bitmap        table, pk, bitmap lines
     <root>/index/type2/<t>.<a>.idx   one JSON [key, pk] entry per line
 
 Type II order keys are sharing.typed_key, the integer (or string) that
 also makes a value's share chunks, and a write takes them from the same
-encoding as the chunks. A provider's bytes_stored grows by
-the length of the .shares lines a write would save (_shares_text).
+encoding as the chunks. A write encodes each record once, as its
+signature input (_record_bytes); only save formats .shares text.
 The codecs are column-wise: save formats each file from whole columns,
 and load splits each file once and converts each field as a strided
 slice. load reads every file, but parses a provider's signature trees
@@ -209,21 +209,12 @@ def _fields(lines: list[str], width: int) -> list[str]:
     return "\t".join(lines).split("\t") if lines else []
 
 
-def _share_text(share) -> str:
-    """A share's .shares field: a number's share, a string's chunks
-    comma-joined, the NULL literal for a null."""
-    if share is None:
-        return NULL_LITERAL
-    if type(share) is tuple:
-        return ",".join(map(str, share))
-    return str(share)
-
-
 def _share_texts(vals: list, string: bool):
-    """A share column as values whose format() is its .shares field
-    (_share_text): a number's share itself."""
+    """A share column as values whose format() is its .shares field: a
+    number's share itself, a string's chunks comma-joined, the NULL
+    literal for a null."""
     if string:
-        return map(_share_text, vals)
+        return [NULL_LITERAL if v is None else ",".join(map(str, v)) for v in vals]
     if None in vals:
         vals = list(vals)
         for k in positions(vals, None):
@@ -246,16 +237,11 @@ def _parse_share_texts(raw: list[str], string: bool) -> list:
 
 
 def _shares_text(schema: Schema, pks, values) -> str:
-    """The records as .shares lines: tab-separated decimal fields, a
-    string's chunks comma-joined, the NULL literal for nulls. Its length
-    is what a write adds to a provider's bytes_stored."""
+    """A table slice as the .shares lines save writes: tab-separated
+    decimal fields, a string's chunks comma-joined, the NULL literal for
+    nulls."""
     columns = schema.columns[1:]
     line = "\t".join(["{}"] * (len(columns) + 1)) + "\n"
-    if len(pks) == 1:   # a one-record write: no column scans
-        return line.format(pks[0], *[
-            vals[0] if col.kind == "fk" else _share_text(vals[0])
-            for col, vals in zip(columns, values)
-        ])
     cols = [vals if col.kind == "fk" else _share_texts(vals, col.kind == "string")
             for col, vals in zip(columns, values)]
     return "".join(map(line.format, pks, *cols))
@@ -314,7 +300,6 @@ class CspStore:
         self._sigtree = SignatureTree(index, w, km)
         # saved trees not parsed yet: (_tables.sigtree text, table -> .sigtree text)
         self.saved_trees: tuple[str, dict[str, str]] | None = None
-        self.bytes_stored = 0
         self.bytes_transferred = 0
 
     @property
@@ -415,8 +400,8 @@ class CspStore:
 
     def append_columns(self, schema: Schema, pks, values) -> int:
         """Append new records in order, given as a batch (pks and value
-        columns): pks, positions and columns, one signature-tree extension
-        and the stored-byte count. Returns the position of the first."""
+        columns): pks, positions and columns, and one signature-tree
+        extension. Returns the position of the first."""
         self._check_alive()
         table = schema.table
         held = self._pks(table)
@@ -425,21 +410,19 @@ class CspStore:
         self.positions[table].update(zip(pks, range(start, len(held))))
         self._write(schema, pks, values)
         self.sigtree.insert_records(table, _record_bytes(schema, pks, values))
-        self.bytes_stored += len(_shares_text(schema, pks, values))
         return start
 
     def update_columns(self, schema: Schema, pks, values):
         """Overwrite the stored records keyed pks (distinct) with a batch
         of values: one write of the columns, one signature-tree pass that
-        touches each node once, and the stored-byte count. Nothing changes
-        when a pk is not stored here."""
+        touches each node once. Nothing changes when a pk is not stored
+        here."""
         self._check_alive()
         table = schema.table
         self._require_held(table, pks)
         positions = list(map(self.positions[table].__getitem__, pks))
         self._write(schema, pks, values)
         self.sigtree.update_records(table, positions, _record_bytes(schema, pks, values))
-        self.bytes_stored += len(_shares_text(schema, pks, values))
 
     def fetch_records(self, schema: Schema, pks) -> list[list]:
         """The stored values of the records keyed pks, as value columns: 64 bytes a record."""
@@ -540,7 +523,6 @@ class CspStore:
         tree.record_trees[table] = WaryTree.from_leaves(tree.w, tree.p, leaves)
         new_root = tree.record_trees[table].root
         tree.table_layer.add_delta(tree.table_pos[table], new_root - old_root)
-        self.bytes_stored += len(_shares_text(schema, pks, values))
 
 
 class TypeOneIndex:
@@ -802,11 +784,18 @@ class Warehouse:
     def alive_csps(self) -> list[int]:
         return [i for i in sorted(self.csps) if self.csps[i].alive]
 
+    def _csp(self, i: int) -> CspStore:
+        """Provider i; UnknownParticipant when there is none."""
+        try:
+            return self.csps[i]
+        except KeyError:
+            raise UnknownParticipant(f"no CSP {i}") from None
+
     def inject_failure(self, i: int):
-        self.csps[i].alive = False
+        self._csp(i).alive = False
 
     def heal(self, i: int):
-        self.csps[i].alive = True
+        self._csp(i).alive = True
 
     def _ordered_alive(self, exclude=()) -> list[int]:
         alive = [i for i in self.alive_csps() if i not in exclude]
@@ -1121,7 +1110,7 @@ class Warehouse:
         """Check CSP i's signature trees against leaves recomputed from its
         records, and its pk list against Type I: a record added, dropped or
         moved is a breach at its position, as is a changed one."""
-        csp = self.csps[i]
+        csp = self._csp(i)
         if not csp.alive:
             raise CspUnavailable(f"CSP {i} is failed")
         tables = list(self.schemas) if scope == "whole" else [scope]
@@ -1139,7 +1128,7 @@ class Warehouse:
     def inject_tamper(self, csp: int, table: str, pk: int, attr: str,
                       chunk: int = 0, delta: int = 1):
         """Flip one stored share without maintaining the signature tree."""
-        store = self.csps[csp]
+        store = self._csp(csp)
         store.tamper(table, store.position_of(table, pk), attr, chunk, delta)
 
     # recovery
@@ -1159,8 +1148,7 @@ class Warehouse:
         rg passes pinned_rg and must not hold the target; without one the
         cheapest donors are used, without rotation.
         """
-        if target not in self.csps:
-            raise UnknownParticipant(f"no CSP {target}")
+        store = self._csp(target)
         if rg is None:
             rg = self.choose_rg(exclude=(target,))
         else:
@@ -1181,7 +1169,7 @@ class Warehouse:
                                if col.kind != "fk")
             rebuilt[table] = pks, values
         for table, (pks, values) in rebuilt.items():
-            self.csps[target].reset_table(self._schema(table), pks, values)
+            store.reset_table(self._schema(table), pks, values)
         return regenerated
 
     # persistence
@@ -1211,7 +1199,6 @@ class Warehouse:
             )
             (d / "state").write_text(
                 f"alive\t{int(csp.alive)}\n"
-                f"bytes_stored\t{csp.bytes_stored}\n"
                 f"bytes_transferred\t{csp.bytes_transferred}\n"
             )
         idx = root / "index"
@@ -1233,9 +1220,9 @@ class Warehouse:
         table_specs: iterable of (schema, index_attrs, derived) exactly as
         passed to create_table; the on-disk tables file fixes the order.
         Every file is read here, but each provider's signature trees are
-        parsed on first use (CspStore.sigtree). SchemaMismatch when the
-        Type II files are not exactly those of the configured indexes, or
-        an fk index lacks or adds a record.
+        parsed on first use (CspStore.sigtree). SchemaMismatch for a
+        malformed state file, when the Type II files are not exactly those
+        of the configured indexes, or when an fk index lacks or adds a record.
         """
         root = Path(root)
         wh = cls(km, w=w, weights=weights, bias=bias, svm_prices=svm_prices)
@@ -1251,12 +1238,7 @@ class Warehouse:
             wh._register(*specs[name])
         for i, csp in wh.csps.items():
             d = root / f"csp{i}"
-            state = dict(
-                line.split("\t") for line in (d / "state").read_text().splitlines()
-            )
-            csp.alive = state["alive"] == "1"
-            csp.bytes_stored = int(state["bytes_stored"])
-            csp.bytes_transferred = int(state["bytes_transferred"])
+            csp.alive, csp.bytes_transferred = _parse_state(i, (d / "state").read_text())
             trees = {}
             for table, schema in wh.schemas.items():
                 csp._set_slice(
@@ -1286,6 +1268,22 @@ class Warehouse:
                     and keys.keys() != wh.type1.entries[table].keys():
                 raise SchemaMismatch(f"index/type2/{name} does not hold every {table} record")
         return wh
+
+
+def _parse_state(i: int, text: str) -> tuple[bool, int]:
+    """(alive, bytes_transferred) of csp<i>/state, one tab-separated name
+    and value a line; empty lines and other names (older stores also
+    counted stored bytes) are skipped."""
+    try:
+        state = dict(line.split("\t") for line in text.splitlines() if line)
+    except ValueError:
+        raise SchemaMismatch(f"csp{i}/state: a line that is not a name and a value") from None
+    alive, moved = state.get("alive"), state.get("bytes_transferred", "")
+    if alive not in ("0", "1"):
+        raise SchemaMismatch(f"csp{i}/state: alive is not 0 or 1")
+    if not moved.isdecimal():
+        raise SchemaMismatch(f"csp{i}/state: bytes_transferred is not a decimal integer")
+    return alive == "1", int(moved)
 
 
 def _triples_text(levels) -> str:

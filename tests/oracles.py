@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 from pathlib import Path
 
@@ -673,8 +672,7 @@ def parse_type2(text):
 # Typed-value references. The package turns a typed value into its
 # integer in one place (sharing.typed_key); these are the encoders and
 # decoders it replaced, kept as written: the share chunks and their
-# inverse, the Type II order key and its inverse, and the stored-byte
-# count computed from the values rather than from the .shares text.
+# inverse, and the Type II order key and its inverse.
 
 
 def encode_chunks(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> tuple[int, ...]:
@@ -761,28 +759,6 @@ def display_value(key, col):
     if kind == "bool":
         return bool(key)
     return key
-
-
-def _text_size(schema, pks, values) -> int:
-    """Bytes the records' lines take in a .shares file (see _shares_text),
-    counted from the values: the decimal digits of every integer, a tab
-    before every field, a comma between chunks, the NULL literal and a
-    newline per line."""
-    from fvss.store import NULL_LITERAL
-
-    size = len(pks) * (len(values) + 1)
-    ints = [pks]
-    for (_, is_fk), vals in zip(schema.record_fields(), values):
-        if is_fk:
-            ints.append(vals)
-            continue
-        for chunks in vals:
-            if chunks is None:
-                size += len(NULL_LITERAL)
-            else:
-                size += len(chunks) - 1
-                ints.append(chunks)
-    return size + sum(map(len, map(str, chain.from_iterable(ints))))
 
 
 # Cube cell deltas as first written. cube._cell_changes now gives a SUM

@@ -188,6 +188,18 @@ def test_query_over_a_share_that_is_not_a_decimal_integer_exits_one(loaded, caps
     assert err == "SchemaMismatch: Sales.shares: a field that is not a decimal integer\n"
 
 
+@pytest.mark.parametrize("state,error", [
+    ("alive\tyes\nbytes_transferred\t0\n", "alive is not 0 or 1"),
+    ("\nbytes_transferred\t0\n", "alive is not 0 or 1"),
+    ("alive\t1\nbytes_transferred\t1.5\n", "bytes_transferred is not a decimal integer"),
+], ids=["alive yes", "no alive", "counter not an integer"])
+def test_query_over_a_malformed_state_file_exits_one(loaded, capsys, state, error):
+    (loaded / "warehouse" / "csp2" / "state").write_text(state)
+    code, out, err = run(loaded, "query", "SELECT COUNT(*) FROM Sales", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == f"SchemaMismatch: csp2/state: {error}\n"
+
+
 # verify, tamper, recover
 
 def test_verify_clean_store_says_ok(loaded, capsys):
@@ -253,6 +265,24 @@ def test_type2_files_not_matching_the_config_exit_one(loaded, capsys, edit):
                          capsys=capsys)
     assert (code, out) == (1, "")
     assert want in err
+
+
+def _store_files(site) -> dict:
+    root = site / "warehouse"
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("argv", [
+    ("fail", "9"), ("heal", "0"), ("tamper", "9", "Sales", "1", "price"),
+    ("verify", "--csp", "9"), ("recover", "9"),
+], ids=["fail", "heal", "tamper", "verify", "recover"])
+def test_an_unknown_csp_exits_one_and_changes_nothing(loaded, capsys, argv):
+    before = _store_files(loaded)
+    code, out, err = run(loaded, *argv, capsys=capsys)
+    csp = next(arg for arg in argv if arg.isdigit())
+    assert (code, out, err) == (1, "", f"UnknownParticipant: no CSP {csp}\n")
+    assert _store_files(loaded) == before   # no .lock left behind either
+    assert run(loaded, "verify")[0] == 0
 
 
 def test_verify_failed_csp_is_an_availability_error(loaded, capsys):

@@ -109,8 +109,11 @@ def saved_digest(wh, root) -> str:
 # column-at-a-time write path; re-captured once when cube refreshes began
 # to mask every rewritten cell with a fresh zero-sharing, which changed
 # only the cube table's .shares and .sigtree, the table layer above them
-# (_tables.sigtree) and each provider's byte counters (state)
-GOLDEN_SAVED = "de1966f3a8b115c9553a99c09dc3b5e2a3d2424a357dfeeb128683aa9b79277c"
+# (_tables.sigtree) and each provider's byte counters (state); and
+# re-captured once more when providers stopped counting stored bytes,
+# which dropped the bytes_stored line of each provider's state file and
+# changed no other file
+GOLDEN_SAVED = "ce47d3b60fbd3152d39f2a38be019c8e8a21f03bb38caa5bdb504ea12795285d"
 
 
 def test_golden_saved_store_digest(tmp_path, km_big):

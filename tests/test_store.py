@@ -1,5 +1,6 @@
 import datetime
 import random
+import shutil
 import tempfile
 from fractions import Fraction
 from itertools import combinations
@@ -19,6 +20,7 @@ from fvss.errors import (
     NotEnoughAliveCsps,
     NotIndexed,
     SchemaMismatch,
+    UnknownParticipant,
     UnknownRecordPosition,
     UnknownTable,
 )
@@ -366,6 +368,24 @@ def test_verify_failed_csp_refused(km_toy):
         wh.verify_csp(3)
 
 
+@pytest.mark.parametrize("method,args", [
+    ("inject_failure", (9,)),
+    ("heal", (0,)),
+    ("verify_csp", (9,)),
+    ("inject_tamper", (9, "product", 124, "price")),
+    ("recover_csp_shares", (9,)),
+])
+def test_an_unknown_provider_is_an_unknown_participant(km_toy, method, args):
+    wh = _warehouse(km_toy)
+    wh.load_rows("product", _rows())
+    wh.inject_failure(5)
+    before = {i: (csp.alive, csp.slice_values(PRODUCT)) for i, csp in wh.csps.items()}
+    with pytest.raises(UnknownParticipant, match=f"^no CSP {args[0]}$"):
+        getattr(wh, method)(*args)
+    assert {i: (csp.alive, csp.slice_values(PRODUCT)) for i, csp in wh.csps.items()} == before
+    assert all(report.ok for report in wh.verify_all().values())
+
+
 # recovery
 
 
@@ -594,10 +614,7 @@ def test_recovery_from_every_valid_rg_restores_the_slice(km_wide, rows, rnd):
 
 def test_byte_counters_monotone(km_toy):
     wh = _warehouse(km_toy)
-    stored0 = sum(c.bytes_stored for c in wh.csps.values())
     wh.load_rows("product", _rows())
-    stored1 = sum(c.bytes_stored for c in wh.csps.values())
-    assert stored1 > stored0
     moved0 = sum(c.bytes_transferred for c in wh.csps.values())
     wh.reconstruct_record("product", 124)
     moved1 = sum(c.bytes_transferred for c in wh.csps.values())
@@ -748,21 +765,37 @@ def test_edited_slice_is_a_breach_at_that_provider_only(km_big, i, edit, rnd):
     assert all(report.ok for j, report in reports.items() if j != i)
 
 
-def test_bytes_stored_counts_the_share_lines_written(tmp_path, km_big):
-    """bytes_stored, counted from the values each write stores, grows by
-    the size of the .shares lines that write leaves: on append and on
-    recovery, for fk, NULL and multi-chunk fields."""
-    wh = Warehouse(km_big, w=3)
-    wh.create_table(Schema("t", (Column("id", "key"), Column("f", "fk", fk_table="u"),
-                                 Column("s", "string"), Column("v", "int"))))
-    wh.load_rows("t", [dict(id=k, f=k % 3, s=None if k % 4 else "ab" * k, v=None if k % 5 else -k)
-                       for k in range(1, 30)])
-    wh.save(tmp_path / "a")
-    for i, csp in wh.csps.items():
-        assert csp.bytes_stored == (tmp_path / "a" / f"csp{i}" / "t.shares").stat().st_size
-    before = wh.csps[2].bytes_stored
-    wh.recover_csp_shares(2)
-    assert wh.csps[2].bytes_stored - before == (tmp_path / "a" / "csp2" / "t.shares").stat().st_size
+def test_a_store_whose_state_files_count_stored_bytes_loads_as_before(tmp_path, km_big):
+    """Stores saved while providers still counted stored bytes hold a
+    bytes_stored line between alive and bytes_transferred in each state
+    file. Such a store loads, verifies and answers as the store saved
+    without it, and its next save drops the line and changes no other
+    byte."""
+    wh = _warehouse(km_big)
+    wh.load_rows("product", _rows() + MORE)
+    wh.reconstruct_table("product")
+    wh.inject_failure(4)
+    new, old = tmp_path / "new", tmp_path / "old"
+    wh.save(new)
+    shutil.copytree(new, old)
+    for i in wh.csps:
+        state = old / f"csp{i}" / "state"
+        alive, moved = state.read_text().splitlines()
+        state.write_text(f"{alive}\nbytes_stored\t{1000 * i + 7}\n{moved}\n")
+    back = _reload(old, km_big)
+    assert back.alive_csps() == [1, 2, 3, 5]
+    assert {i: csp.bytes_transferred for i, csp in back.csps.items()} \
+        == {i: csp.bytes_transferred for i, csp in wh.csps.items()} != {i: 0 for i in wh.csps}
+    assert all(report.ok for report in back.verify_all().values())
+    oracle = PlainWarehouse()
+    oracle.add_table(PRODUCT, _rows() + MORE)
+    for sql in ("SELECT SUM(price), COUNT(*), AVG(qty) FROM product",
+                "SELECT prodName, MAX(qty) FROM product WHERE price >= 2.0 GROUP BY prodName"):
+        assert execute(back, sql)[1] == execute(wh, sql)[1] == oracle.query(parse(sql))
+    wh.save(new)
+    back.save(old)
+    assert {p.relative_to(old): p.read_bytes() for p in old.rglob("*") if p.is_file()} \
+        == {p.relative_to(new): p.read_bytes() for p in new.rglob("*") if p.is_file()}
 
 
 # the Type II files must be exactly those of the configured indexes
@@ -858,8 +891,8 @@ def test_shares_field_that_is_not_a_decimal_integer_fails_at_load(tmp_path, km_b
 
 def test_empty_lines_in_saved_files_are_skipped(tmp_path, km_big):
     wh = _saved(tmp_path, km_big)
-    for rel in ("csp1/product.shares", "csp1/product.sigtree", "index/type1.bitmap",
-                "index/type2/product.qty.idx"):
+    for rel in ("csp1/product.shares", "csp1/product.sigtree", "csp1/state",
+                "index/type1.bitmap", "index/type2/product.qty.idx"):
         path = tmp_path / rel
         path.write_text("\n" + path.read_text().replace("\n", "\n\n", 2))
     back = _reload(tmp_path, km_big)
@@ -869,6 +902,23 @@ def test_empty_lines_in_saved_files_are_skipped(tmp_path, km_big):
     assert back.csps[1].sigtree.record_trees["product"].levels \
         == wh.csps[1].sigtree.record_trees["product"].levels
     assert back.verify_csp(1).ok
+
+
+@pytest.mark.parametrize("state,error", [
+    ("alive\tyes\nbytes_transferred\t0\n", "alive is not 0 or 1"),
+    ("bytes_transferred\t0\n", "alive is not 0 or 1"),
+    ("alive\t1\nbytes_transferred\tmany\n", "bytes_transferred is not a decimal integer"),
+    ("alive\t1\nbytes_transferred\t-3\n", "bytes_transferred is not a decimal integer"),
+    ("alive\t1\n", "bytes_transferred is not a decimal integer"),
+    ("alive\t1\nbytes_transferred\t0\t0\n", "a line that is not a name and a value"),
+    ("alive 1\nbytes_transferred\t0\n", "a line that is not a name and a value"),
+], ids=["alive yes", "no alive", "counter not a number", "negative counter", "no counter",
+        "three fields", "no tab"])
+def test_malformed_state_file_fails_at_load(tmp_path, km_big, state, error):
+    _saved(tmp_path, km_big)
+    (tmp_path / "csp2" / "state").write_text(state)
+    with pytest.raises(SchemaMismatch, match=f"^csp2/state: {error}$"):
+        _reload(tmp_path, km_big)
 
 
 def _edit_tree(path, edit):

@@ -81,7 +81,7 @@ def _provider_state(wh, i):
     csp = wh.csps[i]
     trees = {t: csp.sigtree.record_trees[t].levels for t in csp.sigtree.table_order}
     return (csp.alive, csp.pks, csp.positions, csp.plain, csp.columns, csp.nulls,
-            csp.bytes_stored, csp.bytes_transferred, trees, csp.sigtree.table_layer.levels)
+            csp.bytes_transferred, trees, csp.sigtree.table_layer.levels)
 
 
 def _index_state(wh):
