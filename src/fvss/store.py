@@ -14,13 +14,12 @@ CSP also keeps an alive/failed flag for experiments and a monotone count
 of the bytes its reads send back. The index server keeps the Type I
 location bitmaps with, per provider, the set of primary keys it does not
 store, the Type II plaintext indices as one primary key -> order key map
-per indexed attribute (the sorted runs that predicates bisect are
-derived from it on demand), and the Type III derived-column registry; by
-design it is a trusted node, so order keys are stored in the clear
-there. The sets and maps live in memory only: they are maintained on
-every write and rebuilt on load, so filtered aggregates cost time in the
-size of the filter, not of the table. The warehouse's schemas, in
-creation order, are its one table registry.
+per indexed attribute, which a predicate scans once, and the Type III
+derived-column registry; by design it is a trusted node, so order keys
+are stored in the clear there. The sets and maps live in memory only:
+they are maintained on every write and rebuilt on load, so filtered
+aggregates cost time in the size of the filter, not of the table. The
+warehouse's schemas, in creation order, are its one table registry.
 Every record, base row or cube cell, is stored by one write,
 `Warehouse.write`, of records that are all stored or all new: stored ones
 by one `CspStore.update_columns` call per provider (one signature-tree
@@ -63,11 +62,10 @@ from __future__ import annotations
 import json
 import re
 import struct
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, repeat, zip_longest
-from operator import itemgetter
+from operator import eq, ge, gt, le, lt, ne
 from pathlib import Path
 from typing import NamedTuple
 
@@ -111,7 +109,6 @@ _NULL_BYTES = b"\xff"   # a NULL field in a record's signature input
 # the bound keeps memory flat on big loads, and loading 5,000 rows as one
 # batch made later set-heavy reads in the same process about 4% slower
 APPEND_ROWS = 500
-_KEY = itemgetter(0)    # order key of a Type II (key, pk) entry
 
 
 class StoredRecord:
@@ -501,7 +498,8 @@ class CspStore:
 
     def tamper(self, table: str, pos: int, attr: str, chunk: int, delta: int):
         """Add delta to one stored share chunk without touching the
-        signature tree: chunk 0 is a number's share."""
+        signature tree: chunk 0 is a number's share. OutOfRange for a
+        chunk the share does not have."""
         pk = self._pk_at(table, pos)
         column = self.columns[table].get(attr, {})
         share = column.get(pk)
@@ -509,6 +507,9 @@ class CspStore:
             raise UnknownRecordPosition(f"{table}[{pos}].{attr} is null")
         string = type(share) is tuple
         mutated = list(share) if string else [share]
+        if not 0 <= chunk < len(mutated):
+            raise OutOfRange(f"{table}[{pos}].{attr} has no chunk {chunk}:"
+                             f" its share has {len(mutated)}")
         mutated[chunk] = (mutated[chunk] + delta) % self.km.p
         column[pk] = tuple(mutated) if string else mutated[0]
 
@@ -539,20 +540,14 @@ class TypeOneIndex:
 
     def set_many(self, table: str, pks: list[int], bitmaps: list[str]):
         """File each (pk, bitmap) pair in order, a bitmap at a time in
-        C-level passes: pks already in the table first leave every absent
-        set, and a pk given twice keeps its last bitmap."""
+        C-level passes; the pks are distinct and new to the table."""
         entries = self.entries.setdefault(table, {})
         absent = self.absent.setdefault(table, {})
-        reset = entries.keys() & pks
-        if reset:
-            for missing in absent.values():
-                missing -= reset
-        latest = dict(zip(pks, bitmaps))
-        entries.update(latest)
+        entries.update(zip(pks, bitmaps))
         for bitmap in dict.fromkeys(bitmaps):
             zeros = [i for i, bit in enumerate(bitmap, 1) if bit == "0"]
             if zeros:
-                held = list(compress(latest, map(bitmap.__eq__, latest.values())))
+                held = list(compress(pks, map(bitmap.__eq__, bitmaps)))
                 for i in zeros:
                     absent.setdefault(i, set()).update(held)
 
@@ -585,18 +580,15 @@ class TypeOneIndex:
 class TypeTwoIndex:
     """Plaintext ordered indices at the index server.
 
-    Per indexed attribute, one maintained pk -> order key map answers point
-    reads, grouping and filtered aggregates; a write sets or drops its
-    keys and nothing else. The sorted (key, pk) entries that predicates
-    bisect and save writes are derived from the map on first use and kept
-    until a write changes a key of that index. Order keys are canonical
-    integers (scaled reals, epoch days, 0/1 booleans) or raw strings;
-    nulls are simply absent.
+    Per indexed attribute, one maintained pk -> order key map is the whole
+    index: it answers point reads, grouping, filtered aggregates and, by
+    one scan, predicates; a write sets or drops its keys and nothing
+    else. Order keys are canonical integers (scaled reals, epoch
+    days, 0/1 booleans) or raw strings; nulls are simply absent.
     """
 
     def __init__(self):
         self.keys: dict[tuple[str, str], dict[int, object]] = {}
-        self._sorted: dict[tuple[str, str], list[tuple]] = {}   # derived from keys
 
     def register(self, table: str, attr: str):
         self.keys.setdefault((table, attr), {})
@@ -617,13 +609,9 @@ class TypeTwoIndex:
 
     def entries(self, table: str, attr: str) -> list[tuple]:
         """The (key, pk) entries of the index in sorted order, sorted from
-        the map on the first call after a write changed it; callers must
-        not modify the list."""
-        entries = self._sorted.get((table, attr))
-        if entries is None:
-            keys = self._index(table, attr)
-            entries = self._sorted[(table, attr)] = sorted(zip(keys.values(), keys))
-        return entries
+        the map on each call."""
+        keys = self._index(table, attr)
+        return sorted(zip(keys.values(), keys))
 
     def insert(self, table: str, attr: str, key, pk: int):
         """Index pk under key, replacing the key it had."""
@@ -635,40 +623,30 @@ class TypeTwoIndex:
 
     def insert_many(self, table: str, attr: str, pairs):
         """Index each (key, pk) of pairs, whose pks are distinct, under its
-        key, or drop it for a None key. The sorted entries are dropped only
-        when a key changed."""
+        key, or drop it for a None key."""
         keys = self._index(table, attr)
-        changed = False
         for key, pk in pairs:
-            if keys.get(pk) != key:
-                changed = True
-                if key is None:
-                    del keys[pk]
-                else:
-                    keys[pk] = key
-        if changed:
-            self._sorted.pop((table, attr), None)
+            if key is None:
+                keys.pop(pk, None)
+            else:
+                keys[pk] = key
 
     def lookup(self, table: str, attr: str, op: str, operand) -> set[int]:
-        """Primary keys whose order key k satisfies `k op operand`; every
-        operator reads only the bisected runs of matching entries."""
-        entries = self.entries(table, attr)
-
-        def run(lo_key, hi_key):
-            return (bisect_left(entries, lo_key, key=_KEY),
-                    bisect_right(entries, hi_key, key=_KEY))
-
+        """Primary keys whose order key k satisfies `k op operand`, from one
+        pass over the index's map: `between` takes (lo, hi) and keeps
+        lo <= k <= hi, `in` takes an iterable of operands, and any other
+        operator compares through its `operator` function."""
+        keys = self._index(table, attr)
+        if op == "between":
+            lo, hi = operand
+            return {pk for pk, key in keys.items() if lo <= key <= hi}
         if op == "in":
-            runs = [run(v, v) for v in set(operand)]
-        elif op == "between":
-            runs = [run(*operand)]
+            hit = map(frozenset(operand).__contains__, keys.values())
+        elif op in _COMPARISONS:
+            hit = map(_COMPARISONS[op], keys.values(), repeat(operand))
         else:
-            a, b = run(operand, operand)   # first key >= operand, first key > operand
-            runs = {"=": [(a, b)], "!=": [(0, a), (b, None)], "<>": [(0, a), (b, None)],
-                    "<": [(0, a)], "<=": [(0, b)], ">": [(b, None)], ">=": [(a, None)]}.get(op)
-            if runs is None:
-                raise NotIndexed(f"unsupported predicate {op!r}")
-        return {pk for start, stop in runs for _, pk in entries[start:stop]}
+            raise NotIndexed(f"unsupported predicate {op!r}")
+        return set(compress(keys, hit))
 
     def aggregates(self, table: str, attr: str, fn: str, groups) -> list:
         """Per group of pks, from one read of the pk -> key map: COUNT the
@@ -704,6 +682,7 @@ def _lower_median(ranked: list[tuple]):
 
 
 _PICKS = {"max": max, "min": min, "median": _lower_median}
+_COMPARISONS = {"=": eq, "!=": ne, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 class DerivedColumn(NamedTuple):
@@ -1127,8 +1106,11 @@ class Warehouse:
 
     def inject_tamper(self, csp: int, table: str, pk: int, attr: str,
                       chunk: int = 0, delta: int = 1):
-        """Flip one stored share without maintaining the signature tree."""
+        """Flip one stored share without maintaining the signature tree.
+        SchemaMismatch when attr is not a shared data column of table."""
         store = self._csp(csp)
+        if self._schema(table).column(attr).kind in PLAIN_KINDS:
+            raise SchemaMismatch(f"{table}.{attr} is not a shared data column")
         store.tamper(table, store.position_of(table, pk), attr, chunk, delta)
 
     # recovery
@@ -1260,7 +1242,7 @@ class Warehouse:
             path = t2 / name
             if not path.is_file():
                 raise SchemaMismatch(f"index/type2/{name} is missing for a configured index")
-            # the file is in (key, pk) order, so the first sort of its entries is linear
+            # the file is in (key, pk) order, so save's sort of an unchanged index is linear
             keys = wh.type2.keys[index] = {pk: key for key, pk in _parse_type2(path.read_text())}
             # reads take every fk from here, so an fk index must hold every record
             table, attr = index
@@ -1326,12 +1308,16 @@ def _bitmaps_text(table: str, entries: dict[int, str]) -> str:
 
 def _read_bitmaps(type1: TypeOneIndex, text: str):
     """File each (table, pk, bitmap) line of text in order, as one
-    set_many per table; empty lines are skipped."""
+    set_many per table; empty lines are skipped. SchemaMismatch when two
+    lines name one record."""
     flat = _fields(list(filter(None, text.splitlines())), 3)
     tables, pks, bitmaps = flat[0::3], list(map(int, flat[1::3])), flat[2::3]
     for table in dict.fromkeys(tables):
         rows = list(map(table.__eq__, tables))
-        type1.set_many(table, list(compress(pks, rows)), list(compress(bitmaps, rows)))
+        mine = list(compress(pks, rows))
+        if len(set(mine)) < len(mine):
+            raise SchemaMismatch(f"index/type1.bitmap: a {table} pk on two lines")
+        type1.set_many(table, mine, list(compress(bitmaps, rows)))
 
 
 def _type2_text(entries) -> str:

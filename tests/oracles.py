@@ -13,15 +13,16 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from pathlib import Path
 
 from fvss.cost import _rat, reference_pricing
 from fvss.errors import EmptyInput, NotIndexed, OutOfRange, SchemaMismatch
 from fvss.sharing import DATA_KINDS, PLAIN_KINDS, scaled_int
-from fvss.store import _KEY, _PICKS
+from fvss.store import _PICKS
 
 _EPOCH = date(1970, 1, 1)
+_KEY = itemgetter(0)    # order key of a Type II (key, pk) entry
 
 
 def interpolate_gauss(points, p):

@@ -1,6 +1,7 @@
 import datetime
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -283,6 +284,36 @@ def test_an_unknown_csp_exits_one_and_changes_nothing(loaded, capsys, argv):
     assert (code, out, err) == (1, "", f"UnknownParticipant: no CSP {csp}\n")
     assert _store_files(loaded) == before   # no .lock left behind either
     assert run(loaded, "verify")[0] == 0
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("2", "Sales", "1", "price", "--chunk", "5"),
+     r"OutOfRange: Sales\[\d+\]\.price has no chunk 5: its share has 1"),
+    (("2", "Sales", "1", "price", "--chunk", "-1"),
+     r"OutOfRange: Sales\[\d+\]\.price has no chunk -1: its share has 1"),
+    (("3", "Product", "10", "pname", "--chunk", "7"),
+     r"OutOfRange: Product\[\d+\]\.pname has no chunk 7: its share has 5"),
+    (("2", "Sales", "1", "nope"), "SchemaMismatch: no column nope in Sales"),
+    (("2", "Sales", "1", "ProdNo"), r"SchemaMismatch: Sales\.ProdNo is not a shared data column"),
+], ids=["int chunk 5", "chunk -1", "string past its end", "unknown attribute", "fk"])
+def test_tamper_of_what_no_share_holds_exits_one_and_changes_nothing(loaded, capsys, argv,
+                                                                      err):
+    before = _store_files(loaded)
+    code, out, got = run(loaded, "tamper", *argv, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(err + "\n", got)
+    assert _store_files(loaded) == before   # no .lock left behind either
+    assert run(loaded, "verify")[0] == 0
+
+
+def test_query_over_a_type1_file_that_files_a_record_twice_exits_one(loaded, capsys):
+    path = loaded / "warehouse" / "index" / "type1.bitmap"
+    text = path.read_text()
+    table, pk, _ = text.splitlines()[0].split("\t")
+    path.write_text(text + f"{table}\t{pk}\t11111\n")
+    code, out, err = run(loaded, "query", "SELECT COUNT(*) FROM Sales", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == f"SchemaMismatch: index/type1.bitmap: a {table} pk on two lines\n"
 
 
 def test_verify_failed_csp_is_an_availability_error(loaded, capsys):

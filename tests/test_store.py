@@ -19,6 +19,7 @@ from fvss.errors import (
     MissingShare,
     NotEnoughAliveCsps,
     NotIndexed,
+    OutOfRange,
     SchemaMismatch,
     UnknownParticipant,
     UnknownRecordPosition,
@@ -359,6 +360,29 @@ def test_tamper_unknown_position(km_toy):
     wh.load_rows("product", _rows())
     with pytest.raises(UnknownRecordPosition):
         wh.inject_tamper(1, "product", 999, "price")
+
+
+@pytest.mark.parametrize("attr,chunk,error,match", [
+    ("qty", 1, OutOfRange, r"^product\[\d+\]\.qty has no chunk 1: its share has 1$"),
+    ("qty", 5, OutOfRange, "has no chunk 5"),
+    ("qty", -1, OutOfRange, "has no chunk -1"),
+    ("prodName", 5, OutOfRange, r"^product\[\d+\]\.prodName has no chunk 5: its share has 5$"),
+    ("nope", 0, SchemaMismatch, "^no column nope in product$"),
+    ("ProdNo", 0, SchemaMismatch, "^product.ProdNo is not a shared data column$"),
+], ids=["int chunk 1", "int chunk 5", "chunk -1", "string past its end", "unknown attribute",
+        "key"])
+def test_tamper_refuses_what_no_share_holds_and_changes_nothing(km_toy, attr, chunk, error,
+                                                                 match):
+    """A chunk outside [0, the share's chunk count) or an attribute that is
+    not a shared data column is refused before any share changes."""
+    wh = _warehouse(km_toy)
+    wh.load_rows("product", _rows())
+    i = wh.type1.bitmap("product", 124).index("1") + 1   # a provider of the Shirt record
+    before = wh.csps[i].slice_values(PRODUCT)
+    with pytest.raises(error, match=match):
+        wh.inject_tamper(i, "product", 124, attr, chunk)
+    assert wh.csps[i].slice_values(PRODUCT) == before
+    assert wh.verify_csp(i).ok
 
 
 def test_verify_failed_csp_refused(km_toy):
@@ -886,6 +910,20 @@ def test_shares_field_that_is_not_a_decimal_integer_fails_at_load(tmp_path, km_b
     shares.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(SchemaMismatch,
                        match="product.shares: a field that is not a decimal integer"):
+        _reload(tmp_path, km_big)
+
+
+@pytest.mark.parametrize("bitmap", ["same", "other"])
+def test_a_type1_file_that_files_a_record_twice_fails_at_load(tmp_path, km_big, bitmap):
+    """A second line for one (table, pk), with its bitmap or another, would
+    leave the record filed under the last one: load refuses the file."""
+    _saved(tmp_path, km_big)
+    path = tmp_path / "index" / "type1.bitmap"
+    lines = path.read_text().splitlines()
+    table, pk, old = lines[2].split("\t")
+    again = old if bitmap == "same" else "11111"
+    path.write_text("".join(line + "\n" for line in lines + [f"{table}\t{pk}\t{again}"]))
+    with pytest.raises(SchemaMismatch, match="^index/type1.bitmap: a product pk on two lines$"):
         _reload(tmp_path, km_big)
 
 
