@@ -120,6 +120,49 @@ def test_golden_saved_store_digest(tmp_path, km_big):
     assert saved_digest(_build(km_big, DEFAULT_BIAS), tmp_path) == GOLDEN_SAVED
 
 
+STRING_CUBE = CubeSpec(
+    "by_category", "Sales",
+    (CubeHierarchy(("category",), "Product", "ProdNo"), CubeHierarchy(("yearid",))),
+    (CubeMeasure("min", "price"), CubeMeasure("min", "memo"), CubeMeasure("sum", "qty"),
+     CubeMeasure("count")),
+)
+
+
+def _build_string_cube(km, bias):
+    """A cube keyed by a multi-byte string dimension, built and then
+    refreshed with facts that lower MIN cells, reach new cells and leave
+    NULL measures."""
+    rng = random.Random(2323)
+    wh = Warehouse(km, w=3, weights=(1, 2, 1, 1, 3), bias=bias)
+    wh.create_table(PRODUCT, index_attrs=("category",))
+    wh.create_table(SALES, index_attrs=("yearid", "price", "memo"))
+    categories = ("garden", "tools & hardware", "ñandú", "x")
+    wh.load_rows("Product", [
+        {"ProdNo": pk, "pname": f"item{pk}", "category": categories[pk % 3]}
+        for pk in range(1, 9)
+    ] + [{"ProdNo": 9, "pname": "late", "category": categories[3]}])
+    first = [dict(row, ProdNo=rng.randint(1, 8)) for row in _sales(rng, 1, 30)]
+    wh.load_rows("Sales", first)
+    cube_build(wh, STRING_CUBE)
+    fresh = _sales(rng, 31, 10)
+    fresh[0].update(price=Fraction(1, 100), memo="aa")
+    fresh[1].update(ProdNo=9, qty=None, memo=None)
+    wh.load_rows("Sales", fresh)
+    cube_refresh(wh, STRING_CUBE, [r["SaleNo"] for r in fresh])
+    return wh
+
+
+# captured against the code that shared cube cells one value at a time;
+# string dimension chunks past the first and re-shared string MIN cells
+# are keyed by their chunk index
+GOLDEN_STRING_CUBE = "461d38b45717d00495758c19efa945c0fb2f33e8dfae9002a1f54e88927e1e2a"
+
+
+def test_golden_string_dimension_cube_digest(tmp_path, km_big):
+    assert saved_digest(_build_string_cube(km_big, DEFAULT_BIAS), tmp_path) \
+        == GOLDEN_STRING_CUBE
+
+
 # a batch that fails part way
 
 
