@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv as _csv
 import os
+import re
 import sys
 import warnings
 from datetime import date
@@ -175,16 +176,16 @@ def _parse_rg(raw: str | None):
     return None if raw is None else _parse_ids(raw, "--rg", "CSP ids")
 
 
+_WHERE_OP = re.compile("<=|>=|!=|<|>|=")   # found leftmost, and there longest
+
+
 def _parse_where(raw: str):
     conds = []
     for part in (p.strip() for p in raw.split(",") if p.strip()):
-        for op in ("<=", ">=", "!=", "<", ">", "="):
-            if op in part:
-                attr, value = part.split(op, 1)
-                conds.append((attr.strip(), op, _parse_literal(value.strip())))
-                break
-        else:
+        op = _WHERE_OP.search(part)
+        if op is None:
             raise ConfigError(f"cannot parse filter {part!r}; expected attr=value")
+        conds.append((part[:op.start()].strip(), op[0], _parse_literal(part[op.end():].strip())))
     return tuple(conds)
 
 

@@ -26,19 +26,20 @@ cells are rewritten by one Warehouse.write and new cells appended by
 another, which also files their dimension keys. An existing SUM or
 COUNT cell is never reconstructed: a provider adds its part of query's
 share-space rule (share_space_parts) over the new records and its share
-(share_cell_chunk) of the rule's plaintext c, under fillers keyed by the
-cell and the refresh. MAX/MIN cells
-re-share the new extremal record's value under such fillers. So the
-difference between a provider's old and new share of a cell is noise
-to that provider.
+of the rule's plaintext c, under fillers keyed by the cell and the
+refresh. MAX/MIN cells re-share the new extremal record's value under
+such fillers. So the difference between a provider's old and new share
+of a cell is noise to that provider.
+
+Cells are shared a column at a time (share_cell_chunks), with every
+filler ordinate of a column from one KeyMaterial.seed_macs call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from operator import mul
+from itertools import islice, product
 from typing import NamedTuple
 
 from .errors import (
@@ -231,17 +232,6 @@ def cube_table_spec(wh: Warehouse, spec: CubeSpec) -> tuple[Schema, tuple[str, .
 # sharing: every provider stores a real share, fillers replace pseudo shares
 
 
-def _filler_ordinate(km: KeyMaterial, table: str, pk: int, attr: str,
-                     chunk: int, j: int, refresh: int | None = None) -> int:
-    """Seeded ordinate j of a cell chunk's polynomial: keyed by the cell
-    alone when the cell is first shared, by the cell and the refresh
-    when a refresh rewrites it."""
-    msg = f"cubefill|{table}|{pk}|{attr}|{chunk}|{j}"
-    if refresh is not None:
-        msg += f"|refresh {refresh}"
-    return int.from_bytes(km.seed_mac(msg.encode())[:16], "big") % km.p
-
-
 def cell_coefficients(km: KeyMaterial) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(i, A_i, F_i) for every provider i, ascending, such that its share
     of a cube cell chunk v with filler ordinates f is
@@ -250,17 +240,36 @@ def cell_coefficients(km: KeyMaterial) -> tuple[tuple[int, int, tuple[int, ...]]
                                range(1, km.n + 1))
 
 
+def share_cell_chunks(km: KeyMaterial, table: str, attr: str, chunks,
+                      refresh: int | None = None) -> list[list[int]]:
+    """Every provider's shares, in provider order, of (cell pk, chunk
+    index, chunk) triples of one cube column: per chunk, the polynomial
+    through the data point, its signature point and, at filler j, the
+    seed MAC of cubefill|table|pk|attr|chunk index|j (|refresh r appended
+    when refresh r rewrites the cell), all from one seed_macs call. Of 0
+    it is a zero-sharing: adding it changes every share but no value."""
+    p, fills = km.p, range(km.t - 2)
+    tails = [f"|{j}".encode() if refresh is None else f"|{j}|refresh {refresh}".encode()
+             for j in fills]
+    macs = km.seed_macs([head + tail for head in [f"cubefill|{table}|{pk}|{attr}|{k}".encode()
+                                                  for pk, k, _ in chunks] for tail in tails])
+    ordinates = [int.from_bytes(mac[:16], "big") % p for mac in macs]
+    fillers = [ordinates[j::len(fills)] for j in fills]
+    values = [v for _, _, v in chunks]
+    out = []
+    for _, a, f in cell_coefficients(km):
+        shares = [a * v for v in values]
+        for fij, ordinate in zip(f, fillers):
+            shares = [s + fij * o for s, o in zip(shares, ordinate)]
+        out.append([s % p for s in shares])
+    return out
+
+
 def share_cell_chunk(km: KeyMaterial, table: str, pk: int, attr: str,
                      chunk_index: int, value: int, refresh: int | None = None) -> dict[int, int]:
-    """Shares of one cube field element for all n providers: the polynomial
-    through the data point, its signature point and seeded ordinates at
-    the filler abscissas (see _filler_ordinate). Of the value 0, this is
-    a zero-sharing: adding it changes no value, only every share."""
-    fillers = [_filler_ordinate(km, table, pk, attr, chunk_index, j, refresh)
-               for j in range(km.t - 2)]
-    p = km.p
-    return {i: (a * value + sum(map(mul, f, fillers))) % p
-            for i, a, f in cell_coefficients(km)}
+    """share_cell_chunks of one chunk: its share per provider."""
+    shares = share_cell_chunks(km, table, attr, [(pk, chunk_index, value)], refresh)
+    return {i: column[0] for i, column in enumerate(shares, 1)}
 
 
 def _encoded(wh: Warehouse, col: Column, value) -> tuple:
@@ -268,19 +277,17 @@ def _encoded(wh: Warehouse, col: Column, value) -> tuple:
     return encode_value(value, col.kind, scale=col.scale, bias=wh.bias, p=wh.km.p)
 
 
-def _cell_shares(wh: Warehouse, table: str, pk: int, attr: str, chunks,
-                 refresh: int | None = None) -> list | None:
-    """Every provider's share of one cube cell value's chunks (encode_value),
-    in provider order: an int for a number, a tuple for a string's
-    chunks; None for NULL."""
-    if chunks is None:
-        return None
-    if type(chunks) is int:
-        shares = share_cell_chunk(wh.km, table, pk, attr, 0, chunks, refresh)
-        return [shares[i] for i in range(1, wh.km.n + 1)]
-    per_chunk = [share_cell_chunk(wh.km, table, pk, attr, k, chunk, refresh)
-                 for k, chunk in enumerate(chunks)]
-    return [tuple([m[i] for m in per_chunk]) for i in range(1, wh.km.n + 1)]
+def _shared_column(km: KeyMaterial, table: str, attr: str, pks, chunks,
+                   refresh: int | None = None) -> list[list]:
+    """Every provider's column of shares, in provider order, of one cube
+    column's values by cell pk, given as their chunks (encode_value): an
+    int for a number, a tuple for a string, None for NULL. All the
+    chunks are one share_cell_chunks batch."""
+    triples = [(pk, k, c) for pk, value in zip(pks, chunks) if value is not None
+               for k, c in ([(0, value)] if type(value) is int else enumerate(value))]
+    return [[None if v is None else next(taken) if type(v) is int else tuple(islice(taken, len(v)))
+             for v in chunks]
+            for taken in map(iter, share_cell_chunks(km, table, attr, triples, refresh))]
 
 
 def _require_all_alive(wh: Warehouse):
@@ -355,61 +362,47 @@ def _level_rows(wh: Warehouse, spec: CubeSpec, dims, stored, groups: dict, cells
 # writing: a build and a refresh are one fold
 
 
-def _cell_rewrites(wh: Warehouse, schema: Schema, changes,
-                   refresh: int) -> list[tuple[int, dict, dict]]:
-    """Per changed cell (pk, deltas, replacements), as _cell_changes gives
-    them: its pk, its per-provider share deltas by measure, and every
-    provider's share of each re-shared measure (None for NULL), under
-    fillers keyed by the refresh."""
-    cols = {c.name: c for c in schema.columns}
-    return [
-        (pk, deltas, {attr: _cell_shares(wh, schema.table, pk, attr,
-                                         _encoded(wh, cols[attr], value)[1], refresh)
-                      for attr, value in replacements.items()})
-        for pk, deltas, replacements in changes
-    ]
-
-
 def _new_cells(wh: Warehouse, schema: Schema, first: int, rows, dims) -> tuple:
     """Warehouse.write's arguments for the new cells' rows, numbered from
     first and stored at every provider: each value encoded once, for its
-    shares and, for a dimension of dims, its order key."""
+    shares (one _shared_column per cube column) and, for a dimension of
+    dims, its order key."""
     n = wh.km.n
     pks = list(range(first, first + len(rows)))
     shared, keys = [], {}
     for col in schema.columns[1:]:
         encoded = [_encoded(wh, col, row.get(col.name)) for row in rows]
-        shared.append([_cell_shares(wh, schema.table, pk, col.name, chunks)
-                       for pk, (_, chunks) in zip(pks, encoded)])
+        shared.append(_shared_column(wh.km, schema.table, col.name, pks,
+                                     [chunks for _, chunks in encoded]))
         if col.name in dims:
             keys[col.name] = [key for key, _ in encoded]
-    per_csp = {i: (pks, [[None if s is None else s[i - 1] for s in column] for column in shared])
-               for i in range(1, n + 1)}
+    per_csp = {i: (pks, [column[i - 1] for column in shared]) for i in range(1, n + 1)}
     return pks, per_csp, keys, ["1" * n] * len(pks)
 
 
-def _rewritten_cells(wh: Warehouse, schema: Schema, changes, refresh: int | None) -> tuple:
-    """Warehouse.write's pks and provider columns for the changed cells,
-    (pk, deltas, replacements) each: a changed cell is read back from
-    every provider, its summable measures moved by their deltas in share
-    space and the rest re-shared under fillers keyed by the refresh
-    (_cell_rewrites). Its dimensions, and so its order keys, stay."""
-    p = wh.km.p
-    rewrites = _cell_rewrites(wh, schema, changes, refresh)
-    changed = [pk for pk, _, _ in rewrites]
+def _rewritten_cells(wh: Warehouse, schema: Schema, pks, deltas: dict, replacements: dict,
+                     refresh: int | None) -> tuple:
+    """Warehouse.write's pks and provider columns for the changed cells
+    pks, as _cell_changes gives them: each provider's records read back,
+    the measures of deltas (each provider's column of share deltas, in
+    provider order) moved in share space, and those of replacements (the
+    cells' new values) re-shared under fillers keyed by the refresh. Its
+    dimensions, and so its order keys, stay."""
+    km, p = wh.km, wh.km.p
+    reshared = {name: _shared_column(km, schema.table, name, pks, [
+        _encoded(wh, schema.column(name), v)[1] for v in values], refresh)
+        for name, values in replacements.items()}
     names = [name for name, _ in schema.record_fields()]
     per_csp = {}
-    for i in range(1, wh.km.n + 1):
-        values = wh.csps[i].fetch_records(schema, changed)
-        for k, (_, deltas, reshared) in enumerate(rewrites):
-            for f, name in enumerate(names):
-                if name in deltas:
-                    values[f][k] = (values[f][k] + deltas[name][i]) % p
-                elif name in reshared:
-                    shares = reshared[name]
-                    values[f][k] = None if shares is None else shares[i - 1]
-        per_csp[i] = changed, values
-    return changed, per_csp
+    for i in range(1, km.n + 1):
+        values = wh.csps[i].fetch_records(schema, pks)
+        for f, name in enumerate(names):
+            if name in deltas:
+                values[f] = [(s + d) % p for s, d in zip(values[f], deltas[name][i - 1])]
+            elif name in reshared:
+                values[f] = reshared[name][i - 1]
+        per_csp[i] = pks, values
+    return pks, per_csp
 
 
 def cube_build(wh: Warehouse, spec: CubeSpec, rg=None) -> int:
@@ -470,24 +463,23 @@ def _fold(wh: Warehouse, spec: CubeSpec, new_table, cells: dict[tuple, int], new
     refresh = new_pks[0] if new_pks else None
 
     def read(rg):
-        rows, changes = [], []
+        rows, known = [], []
         for new_groups, all_groups in levels:
             order = sorted(new_groups, key=group_order)
-            known = [cell for cell in order if cell in cells]
             rows += _level_rows(wh, spec, dims, stored, new_groups,
                                 [cell for cell in order if cell not in cells], rg)
-            cell_pks = [cells[cell] for cell in known]
-            changes += zip(cell_pks, _cell_changes(
-                wh, spec, stored, cell_pks, [new_groups[cell] for cell in known],
-                [all_groups.get(cell) for cell in known], refresh, rg))
-        return rows, changes
+            old = [cell for cell in order if cell in cells]
+            if old:
+                known.append(([cells[cell] for cell in old], [new_groups[cell] for cell in old],
+                              [all_groups.get(cell) for cell in old]))
+        return rows, _cell_changes(wh, spec, stored, known, refresh, rg)
 
-    rows, changes = wh.read_through(rg, read)
-    changes = [(pk, d, r) for pk, (d, r) in changes if d or r]
+    rows, (changed, deltas, replacements) = wh.read_through(rg, read)
     new_cells = _new_cells(wh, schema, max(cells.values(), default=0) + 1, rows,
                            {col.name for col in dims})
-    if changes:
-        wh.write(schema, *_rewritten_cells(wh, schema, changes, refresh), {})
+    if deltas or replacements:
+        wh.write(schema, *_rewritten_cells(wh, schema, changed, deltas, replacements,
+                                           refresh), {})
     if new_table:
         wh.create_table(*new_table)
     if rows:
@@ -495,32 +487,35 @@ def _fold(wh: Warehouse, spec: CubeSpec, new_table, cells: dict[tuple, int], new
     return sum(len(new_groups) for new_groups, _ in levels)
 
 
-def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, cell_pks, members_new,
-                  members_all, refresh, rg) -> list[tuple[dict, dict]]:
-    """(deltas, replacements) for _rewritten_cells of each existing cell,
-    given its new members and, for MIN/MAX, all its members; each measure
-    evaluated over all the cells at once. A SUM's or COUNT's delta at each
-    provider is its share of the share-space sum over the new members
-    (query.share_space_parts, asking every provider) plus its share of
-    the plaintext c under the refresh's fillers (share_cell_chunk, which
-    carries the cell's zero-sharing). MIN/MAX are replaced by the value of
-    the cell's extremal record."""
+def _cell_changes(wh: Warehouse, spec: CubeSpec, stored, levels, refresh,
+                  rg) -> tuple[list[int], dict, dict]:
+    """_rewritten_cells' pks, deltas and replacements for the existing
+    cells of levels, (their pks, new members, and for MIN/MAX all their
+    members) per lattice level, each measure evaluated over a level's
+    cells at once. A SUM's or COUNT's delta at a provider is its share of
+    the share-space sum over the new members (query.share_space_parts)
+    plus its share of the plaintext c under the refresh's fillers, which
+    carries the cell's zero-sharing, all cells in one share_cell_chunks
+    call. MIN/MAX take the value of the cell's extremal record."""
     fact, table, km = spec.table, cube_table(spec), wh.km
     csps, p = sorted(wh.csps), km.p
-    out = [({}, {}) for _ in cell_pks]
-    if not cell_pks:
-        return out
+    pks = [pk for cell_pks, _, _ in levels for pk in cell_pks]
+    deltas, replacements = {}, {}
+    if not pks:
+        return pks, deltas, replacements
     for sm in stored:
         agg, name = sm.agg, sm.column.name
         if agg.fn in ("min", "max"):
-            for changes, value in zip(out, aggregate_groups(wh, fact, agg, members_all, rg)):
-                changes[1][name] = value
+            replacements[name] = [value for _, _, members in levels
+                                  for value in aggregate_groups(wh, fact, agg, members, rg)]
             continue
-        parts = share_space_parts(wh, fact, agg, members_new, csps)
-        for changes, pk, (_, shared, c) in zip(out, cell_pks, parts):
-            cell = share_cell_chunk(km, table, pk, name, 0, c % p, refresh)
-            changes[0][name] = {i: (a + cell[i]) % p for i, a in zip(csps, shared)}
-    return out
+        parts = [part for _, members, _ in levels
+                 for part in share_space_parts(wh, fact, agg, members, csps)]
+        masks = share_cell_chunks(km, table, name,
+                                  [(pk, 0, c % p) for pk, (_, _, c) in zip(pks, parts)], refresh)
+        deltas[name] = [[(shared[k] + m) % p for (_, shared, _), m in zip(parts, mask)]
+                        for k, mask in enumerate(masks)]
+    return pks, deltas, replacements
 
 
 # querying

@@ -15,6 +15,10 @@ Concrete instantiations:
 
 The linear maps satisfy HE(x) +- HE(y) = HE(x +- y) exactly, which is what
 keeps share-space aggregation and signature sums consistent.
+
+Every keyed hash after initialization takes a batch of messages through
+one digest loop, KeyedSha256.digests: the HF*_i of records (hf_stars) and
+the seed MACs of storage placement and of cube cell fillers (seed_macs).
 """
 
 from __future__ import annotations
@@ -53,9 +57,10 @@ _OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 class KeyedSha256:
-    """HMAC-SHA256 (RFC 2104) under one key. The key's inner and outer
-    hash states are computed once and copied per message, which costs
-    about a third of keying hmac.digest afresh each time."""
+    """HMAC-SHA256 (RFC 2104) under one key, of a batch of messages at a
+    time. The key's inner and outer hash states are computed once and
+    copied per message, which costs about a third of keying hmac.digest
+    afresh each time."""
 
     __slots__ = ("_inner", "_outer")
 
@@ -66,15 +71,8 @@ class KeyedSha256:
         self._inner = hashlib.sha256(key.translate(_IPAD))
         self._outer = hashlib.sha256(key.translate(_OPAD))
 
-    def digest(self, msg: bytes) -> bytes:
-        inner = self._inner.copy()
-        inner.update(msg)
-        outer = self._outer.copy()
-        outer.update(inner.digest())
-        return outer.digest()
-
     def digests(self, messages) -> list[bytes]:
-        """digest of each of messages, in order, in one loop."""
+        """The HMAC of each of messages, in order, in one loop."""
         inner_copy, outer_copy = self._inner.copy, self._outer.copy
         out = []
         for msg in messages:
@@ -158,12 +156,9 @@ class KeyMaterial(Immutable, _KeyFields):
         return [int.from_bytes(digest[:16], "big") % p
                 for digest in self._hf_star_macs[i].digests(messages)]
 
-    def seed_mac(self, msg: bytes) -> bytes:
-        """HMAC-SHA256 of msg under the master seed."""
-        return self._seed_mac.digest(msg)
-
     def seed_macs(self, messages) -> list[bytes]:
-        """seed_mac of each of messages, in order, through one digest loop."""
+        """HMAC-SHA256 under the master seed of each of messages, in order,
+        through one digest loop."""
         return self._seed_mac.digests(messages)
 
     @cached_property

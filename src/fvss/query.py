@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from operator import add, eq, ge, gt, le, lt, ne, sub
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedFeature,
 )
 from .sharing import Column, solve_sums, text_value, typed_key, typed_value
-from .store import Warehouse
+from .store import _COMPARISONS, Warehouse
 
 AGG_FNS = ("sum", "avg", "var", "variance", "stddev", "count", "min", "max", "median")
 
@@ -863,25 +863,28 @@ def _apply_pk_predicate(pks, op: str, operand) -> set[int]:
         return set(pks).intersection(operand)
     if op == "between":
         return {pk for pk in pks if operand[0] <= pk <= operand[1]}
-    compare = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}[op]
+    compare = _COMPARISONS[op]
     return {pk for pk in pks if compare(pk, operand)}
 
 
 def _filter_pks(wh: Warehouse, plan: QueryPlan) -> set[int]:
-    pks = set(wh.type1.entries[plan.fact])
+    """The fact pks every filter step keeps, from the first step's set on
+    (Warehouse.load refuses a Type II entry that Type I lacks)."""
+    pks = None
     for step in plan.filter_steps:
         if step.route == "fact_pk":
-            pks &= _apply_pk_predicate(pks, step.op, step.operand)
+            found = _apply_pk_predicate(wh.type1.entries[plan.fact] if pks is None else pks,
+                                        step.op, step.operand)
         elif step.route == "fact_attr":
-            pks &= wh.type2.lookup(plan.fact, step.attr, step.op, step.operand)
+            found = wh.type2.lookup(plan.fact, step.attr, step.op, step.operand)
         else:
-            dim_pks = set(wh.type1.entries[step.table])
             if step.route == "dim_pk":
-                dim_pks = _apply_pk_predicate(dim_pks, step.op, step.operand)
+                dim_pks = _apply_pk_predicate(wh.type1.entries[step.table], step.op, step.operand)
             else:
                 dim_pks = wh.type2.lookup(step.table, step.attr, step.op, step.operand)
-            pks &= wh.type2.lookup(plan.fact, step.fk, "in", tuple(sorted(dim_pks)))
-    return pks
+            found = wh.type2.lookup(plan.fact, step.fk, "in", dim_pks)
+        pks = found if pks is None else pks & found
+    return set(wh.type1.entries[plan.fact]) if pks is None else pks
 
 
 def group_key_fn(wh: Warehouse, fact: str, source: GroupSource):

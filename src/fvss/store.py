@@ -1204,7 +1204,8 @@ class Warehouse:
         Every file is read here, but each provider's signature trees are
         parsed on first use (CspStore.sigtree). SchemaMismatch for a
         malformed state file, when the Type II files are not exactly those
-        of the configured indexes, or when an fk index lacks or adds a record.
+        of the configured indexes, when an fk index lacks a record, or when
+        any index names a pk Type I lacks.
         """
         root = Path(root)
         wh = cls(km, w=w, weights=weights, bias=bias, svm_prices=svm_prices)
@@ -1244,11 +1245,15 @@ class Warehouse:
                 raise SchemaMismatch(f"index/type2/{name} is missing for a configured index")
             # the file is in (key, pk) order, so save's sort of an unchanged index is linear
             keys = wh.type2.keys[index] = {pk: key for key, pk in _parse_type2(path.read_text())}
-            # reads take every fk from here, so an fk index must hold every record
+            # reads take every fk from here, so an fk index must hold every record,
+            # and queries filter by the index alone, so no index may add one
             table, attr = index
-            if wh.schemas[table].column(attr).kind == "fk" \
-                    and keys.keys() != wh.type1.entries[table].keys():
+            held = wh.type1.entries[table].keys()
+            if wh.schemas[table].column(attr).kind == "fk" and keys.keys() != held:
                 raise SchemaMismatch(f"index/type2/{name} does not hold every {table} record")
+            if not keys.keys() <= held:
+                raise SchemaMismatch(f"index/type2/{name} names {table} pk "
+                                     f"{min(keys.keys() - held)}, which Type I lacks")
         return wh
 
 

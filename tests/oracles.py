@@ -8,6 +8,7 @@ propagation, aggregation in exact rational arithmetic on the plaintext.
 
 from __future__ import annotations
 
+import hmac
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -503,23 +504,37 @@ def per_record_load(wh, table, rows):
     return count
 
 
-def per_cell_rewrite(wh, schema, changes, refresh):
-    """cube._rewrite_cells, one cell and one provider at a time: each
-    cell's record read with get_record, its summable measures moved by
-    their deltas and the rest replaced by their re-shared chunks, and
-    written back with update_shared_record."""
-    from fvss.cube import _cell_rewrites
+def per_cell_rewrite(wh, schema, pks, deltas, replacements, refresh):
+    """cube._rewritten_cells, one cell and one provider at a time: each
+    cell's re-shared values shared one chunk at a time with
+    share_cell_chunk, its record read with get_record, its summable
+    measures moved by their deltas and the rest replaced by their
+    re-shared chunks, and written back with update_shared_record."""
+    from fvss.cube import share_cell_chunk
+    from fvss.sharing import encode_chunks
 
-    p = wh.km.p
-    for pk, deltas, reshared in _cell_rewrites(wh, schema, changes, refresh):
+    km, p = wh.km, wh.km.p
+    for k, pk in enumerate(pks):
+        reshared = {}
+        for attr, values in replacements.items():
+            col = schema.column(attr)
+            chunks = encode_chunks(values[k], col.kind, scale=col.scale, bias=wh.bias, p=p)
+            if chunks is None:
+                reshared[attr] = None
+            elif col.kind == "string":
+                per_chunk = [share_cell_chunk(km, schema.table, pk, attr, j, c, refresh)
+                             for j, c in enumerate(chunks)]
+                reshared[attr] = {i: tuple(m[i] for m in per_chunk) for i in range(1, km.n + 1)}
+            else:
+                reshared[attr] = share_cell_chunk(km, schema.table, pk, attr, 0, chunks, refresh)
         for i in sorted(wh.csps):
             csp = wh.csps[i]
             pos = csp.position_of(schema.table, pk)
             rec = get_record(csp, schema.table, pos)
-            for attr, per_csp in deltas.items():   # a summable measure's share is an int
-                rec.shares[attr] = (rec.shares[attr] + per_csp[i]) % p
+            for attr, columns in deltas.items():   # a summable measure's share is an int
+                rec.shares[attr] = (rec.shares[attr] + columns[i - 1][k]) % p
             for attr, shares in reshared.items():
-                rec.shares[attr] = None if shares is None else shares[i - 1]
+                rec.shares[attr] = None if shares is None else shares[i]
             csp.update_shared_record(schema, pos, rec)
 
 
@@ -762,11 +777,36 @@ def display_value(key, col):
     return key
 
 
+# Cube cell sharing by interpolation. The package shares a batch of cube
+# field elements through cached coefficients and one seed MAC loop
+# (cube.share_cell_chunks); this rebuilds each chunk's polynomial through
+# its data point, its signature point and filler ordinates MACed one at a
+# time with hmac.digest, and evaluates it at every provider.
+
+
+def filler_ordinate(km, table, pk, attr, chunk, j, refresh=None):
+    """Ordinate j at the filler abscissas of one cube cell chunk."""
+    msg = f"cubefill|{table}|{pk}|{attr}|{chunk}|{j}"
+    if refresh is not None:
+        msg += f"|refresh {refresh}"
+    return int.from_bytes(hmac.digest(km.seed, msg.encode(), "sha256")[:16], "big") % km.p
+
+
+def cell_chunk_shares(km, table, pk, attr, chunk, value, refresh=None):
+    """Every provider's share of one cube cell chunk: {i: share}."""
+    p = km.p
+    fillers = [(km.x_filler(j), filler_ordinate(km, table, pk, attr, chunk, j, refresh))
+               for j in range(km.t - 2)]
+    coeffs = interpolate_gauss([(km.x_kd, value), (km.x_ks, km.he1(value)), *fillers], p)
+    return {i: eval_poly(coeffs, km.x_id(i), p) for i in range(1, km.n + 1)}
+
+
 # Cube cell deltas as first written. cube._cell_changes now gives a SUM
-# or COUNT cell's delta as its share-space part plus share_cell_chunk of a
-# plaintext correction; this is the rule it replaced, kept as written: a
-# SUM's delta minus a separate bias correction, a COUNT's A_i times k,
-# each plus the cell's zero-sharing.
+# or COUNT cell's delta as its share-space part plus a sharing of a
+# plaintext correction (share_cell_chunks); this is the rule it replaced,
+# kept as written: a SUM's delta minus a separate bias correction, a
+# COUNT's A_i times k, each plus the cell's zero-sharing. It returns its
+# changes in the column form _cell_changes gives them.
 
 
 def bias_correction(km, terms, bias):
@@ -779,8 +819,9 @@ def bias_correction(km, terms, bias):
     return {i: a * value % km.p for i, a, _ in cell_coefficients(km)}
 
 
-def cell_changes(wh, spec, stored, cell_pks, members_new, members_all, refresh, rg):
-    """cube._cell_changes under the old SUM and COUNT delta rule."""
+def cell_changes(wh, spec, stored, levels, refresh, rg):
+    """cube._cell_changes under the old SUM and COUNT delta rule, one
+    level at a time, each cell's zero-sharing shared on its own."""
     from fvss.cube import cell_coefficients, cube_table, share_cell_chunk
     from fvss.query import (
         BIAS_TERMS, aggregate_groups, present_pks, share_space_sums, summed_pks,
@@ -788,33 +829,37 @@ def cell_changes(wh, spec, stored, cell_pks, members_new, members_all, refresh, 
 
     fact, table, km = spec.table, cube_table(spec), wh.km
     csps, p = sorted(wh.csps), km.p
-    out = [({}, {}) for _ in cell_pks]
-    if not cell_pks:
-        return out
+    pks = [pk for cell_pks, _, _ in levels for pk in cell_pks]
+    deltas, replacements = {}, {}
+    if not pks:
+        return pks, deltas, replacements
     for sm in stored:
         agg, name = sm.agg, sm.column.name
         if agg.fn in ("min", "max"):
-            for changes, value in zip(out, aggregate_groups(wh, fact, agg, members_all, rg)):
-                changes[1][name] = value
+            replacements[name] = [value for _, _, members_all in levels
+                                  for value in aggregate_groups(wh, fact, agg, members_all, rg)]
             continue
-        if agg.fn == "sum":
-            x = agg.attr or agg.x
-            present = summed_pks(wh, fact, x, agg.y, members_new, csps)
-            live = [k for k, g in enumerate(present) if g]
-            sums = dict(zip(live, share_space_sums(wh, fact, [present[k] for k in live], csps,
-                                                   x, agg.y, agg.op) if live else ()))
-            deltas = []
-            for k, g in enumerate(present):
-                h = bias_correction(km, BIAS_TERMS[agg.op] * len(g), wh.bias)
-                deltas.append([a - h[i] for i, a in zip(csps, sums.get(k, [0] * len(csps)))])
-        else:
-            counted = members_new if agg.mode == "star" else \
-                present_pks(wh, fact, agg.attr, members_new, csps)
-            deltas = [[a * len(g) for _, a, _ in cell_coefficients(km)] for g in counted]
-        for changes, pk, delta in zip(out, cell_pks, deltas):
-            mask = share_cell_chunk(km, table, pk, name, 0, 0, refresh)
-            changes[0][name] = {i: (d + mask[i]) % p for i, d in zip(csps, delta)}
-    return out
+        per_cell = []
+        for cell_pks, members_new, _ in levels:
+            if agg.fn == "sum":
+                x = agg.attr or agg.x
+                present = summed_pks(wh, fact, x, agg.y, members_new, csps)
+                live = [k for k, g in enumerate(present) if g]
+                sums = dict(zip(live, share_space_sums(wh, fact, [present[k] for k in live],
+                                                       csps, x, agg.y, agg.op) if live else ()))
+                level = []
+                for k, g in enumerate(present):
+                    h = bias_correction(km, BIAS_TERMS[agg.op] * len(g), wh.bias)
+                    level.append([a - h[i] for i, a in zip(csps, sums.get(k, [0] * len(csps)))])
+            else:
+                counted = members_new if agg.mode == "star" else \
+                    present_pks(wh, fact, agg.attr, members_new, csps)
+                level = [[a * len(g) for _, a, _ in cell_coefficients(km)] for g in counted]
+            for pk, delta in zip(cell_pks, level):
+                mask = share_cell_chunk(km, table, pk, name, 0, 0, refresh)
+                per_cell.append([(d + mask[i]) % p for i, d in zip(csps, delta)])
+        deltas[name] = [list(column) for column in zip(*per_cell)]
+    return pks, deltas, replacements
 
 
 # Placement reference. The package draws a batch of storage groups at
@@ -837,10 +882,10 @@ def select_storage_group(pk, weights, alive, km):
     alive = set(alive)
     if len(alive) < k:
         raise NotEnoughAliveCsps(f"need {k} alive CSPs, have {len(alive)}")
-    mac = km.seed_mac
     # Efraimidis-Spirakis keys: top-k of u^(1/w), u uniform in (0, 1), is a weighted draw
     scored = sorted(
-        (-(((int.from_bytes(mac(f"place|{pk}|{i}".encode())[:8], "big") + 0.5) / (1 << 64))
+        (-(((int.from_bytes(hmac.digest(km.seed, f"place|{pk}|{i}".encode(), "sha256")[:8],
+                            "big") + 0.5) / (1 << 64))
            ** (1.0 / weights[i - 1])), i)
         for i in alive if weights[i - 1] > 0
     )

@@ -268,6 +268,18 @@ def test_type2_files_not_matching_the_config_exit_one(loaded, capsys, edit):
     assert want in err
 
 
+def test_type2_entry_for_a_pk_type1_lacks_exits_one(loaded, capsys):
+    """A Type II entry naming a record Type I does not hold is refused
+    before any query is answered from that index."""
+    with (loaded / "warehouse" / "index" / "type2" / "Sales.yearid.idx").open("a") as f:
+        f.write("[2013, 999999]\n")
+    code, out, err = run(loaded, "query", "SELECT COUNT(*) FROM Sales WHERE yearid = 2013",
+                         capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == ("SchemaMismatch: index/type2/Sales.yearid.idx names Sales pk 999999, "
+                   "which Type I lacks\n")
+
+
 def _store_files(site) -> dict:
     root = site / "warehouse"
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -403,9 +415,13 @@ SaleNo,ProdNo,yearid,monthid,price,qty,paid,day
 def test_cube_where_selects_a_string_that_looks_like_a_number(site, capsys):
     """A --where value is read as its column's kind: on the string
     dimension category, "007" and "1.50" are strings, and neither selects
-    "7" or "3/2"."""
+    "7" or "3/2". A filter splits at its leftmost operator, the longest
+    there, so a value may hold operator characters."""
     (site / "products.csv").write_text(
-        "ProdNo,pname,category\n10,Shirt,007\n11,Jacket,7\n12,Mug,1.50\n")
+        "ProdNo,pname,category\n10,Shirt,007\n11,Jacket,7\n12,Mug,1.50\n"
+        "13,Cup,a<b\n14,Bowl,x>=y\n")
+    with (site / "sales.csv").open("a") as f:
+        f.write("4,13,2015,2,3.25,1,true,2015-02-01\n5,14,2015,3,4.75,1,false,2015-03-01\n")
     run(site, "init")
     run(site, "share", "Product", str(site / "products.csv"))
     run(site, "share", "Sales", str(site / "sales.csv"))
@@ -416,7 +432,12 @@ def test_cube_where_selects_a_string_that_looks_like_a_number(site, capsys):
     for where, row in (("category=007", "2013,007,19.99,1,19.99\n"),
                        ("category='007'", "2013,007,19.99,1,19.99\n"),
                        ("yearid=2014,category=1.50", "2014,1.50,5.25,1,5.25\n"),
-                       ("category=7", "2013,7,99.5,1,99.5\n")):
+                       ("category=7", "2013,7,99.5,1,99.5\n"),
+                       ("category=a<b", "2015,a<b,3.25,1,3.25\n"),
+                       ("category='a<b'", "2015,a<b,3.25,1,3.25\n"),
+                       ("category='x>=y'", "2015,x>=y,4.75,1,4.75\n"),
+                       ("yearid>=2015,category=x>=y", "2015,x>=y,4.75,1,4.75\n"),
+                       ("category<=a<b,yearid>2014", "2015,a<b,3.25,1,3.25\n")):
         assert run(site, *args, "--where", where, capsys=capsys) == (0, header + row, "")
 
 

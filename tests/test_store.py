@@ -877,6 +877,21 @@ def test_fk_index_that_misses_a_record_fails_at_load(tmp_path, km_big, edit):
         Warehouse.load(tmp_path, km_big, [(FK_TABLE, (), ())], w=3)
 
 
+def test_type2_entry_for_a_pk_type1_lacks_fails_at_load(tmp_path, km_big):
+    """A query filters by its Type II lookups alone, so a saved index that
+    names a record Type I does not hold is refused at load, where
+    COUNT(*) ... WHERE qty = 3 would count it."""
+    wh = _warehouse(km_big)
+    wh.load_rows("product", _rows())
+    wh.save(tmp_path)
+    with (tmp_path / "index" / "type2" / "product.qty.idx").open("a") as f:
+        f.write("[3, 999999]\n")
+    with pytest.raises(SchemaMismatch,
+                       match=r"^index/type2/product\.qty\.idx names product pk 999999, "
+                             r"which Type I lacks$"):
+        _reload(tmp_path, km_big)
+
+
 # malformed saved files, and signature trees parsed on first use
 
 

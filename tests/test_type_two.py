@@ -34,7 +34,8 @@ from . import oracles
 KM = init_participants(5, 4, seed=bytes(range(32)), p=P_DEFAULT)
 SCHEMA = Schema("t", (Column("k", "key"), Column("i", "int"), Column("s", "string")))
 SPECS = [(SCHEMA, ("i", "s"), ())]
-PKS = st.integers(0, 30)
+MAX_PK = 30
+PKS = st.integers(0, MAX_PK)
 KEYS = {"i": st.integers(-6, 6), "s": st.text("abc", min_size=1, max_size=3)}
 # what a lookup compares keys with: the keys, and on the int attribute
 # literals between them (query.literal_key's non-whole Fractions)
@@ -107,6 +108,8 @@ def _round_trip(wh, reference):
 def test_one_map_index_equals_the_two_structure_reference(program):
     wh = Warehouse(KM, w=3)
     wh.create_table(SCHEMA, index_attrs=("i", "s"))
+    # every pk a program files is a stored record, as load requires
+    wh.load_rows("t", [{"k": pk, "i": None, "s": None} for pk in range(MAX_PK + 1)])
     reference = oracles.TypeTwoIndex()
     for attr in ("i", "s"):
         reference.register("t", attr)

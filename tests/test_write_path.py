@@ -167,9 +167,10 @@ def _cube_warehouse(facts):
 
 @st.composite
 def cell_changes(draw):
-    """Facts, a refresh nonce, and (cell pk, deltas, replacements) for a
-    random set of distinct cells: random per-provider deltas for the
-    summable measures, new values (NULL allowed) for the others."""
+    """Facts, a refresh nonce, a random set of distinct cells and, for a
+    random set of measures, their changes in the column form
+    _cell_changes gives them: each provider's random deltas for a summable
+    measure, new values (NULL allowed) for the others."""
     facts = [
         {"SaleNo": pk, "yearid": draw(st.integers(2010, 2012)),
          "monthid": draw(st.integers(1, 3)),
@@ -180,23 +181,21 @@ def cell_changes(draw):
     cells = len({(f["yearid"], f["monthid"]) for f in facts}) \
         + len({f["yearid"] for f in facts}) + 1
     pks = draw(st.lists(st.integers(1, cells), unique=True, min_size=1))
-    changes = []
-    for pk in pks:
-        deltas = {m: {i: draw(st.integers(0, KM.p - 1)) for i in range(1, 6)}
-                  for m in SUMMABLE if draw(st.booleans())}
-        replacements = {m: draw(st.none() | strategy)
-                        for m, strategy in RESHARED.items() if draw(st.booleans())}
-        changes.append((pk, deltas, replacements))
-    return facts, draw(st.integers(1, 10**6)), changes
+    deltas = {m: [[draw(st.integers(0, KM.p - 1)) for _ in pks] for _ in range(5)]
+              for m in SUMMABLE if draw(st.booleans())}
+    replacements = {m: [draw(st.none() | strategy) for _ in pks]
+                    for m, strategy in RESHARED.items() if draw(st.booleans())}
+    return facts, draw(st.integers(1, 10**6)), pks, deltas, replacements
 
 
 @settings(deadline=None)
 @given(cell_changes())
 def test_batched_cell_rewrite_equals_the_per_cell_reference(case):
-    facts, refresh, changes = case
-    assume(any(d or r for _, d, r in changes))
+    facts, refresh, pks, deltas, replacements = case
+    assume(deltas or replacements)
     batched, reference = _cube_warehouse(facts), _cube_warehouse(facts)
     schema = batched.schemas[cube_table(CUBE)]
-    batched.write(schema, *_rewritten_cells(batched, schema, changes, refresh), {})
-    per_cell_rewrite(reference, schema, changes, refresh)
+    batched.write(schema, *_rewritten_cells(batched, schema, pks, deltas, replacements,
+                                            refresh), {})
+    per_cell_rewrite(reference, schema, pks, deltas, replacements, refresh)
     assert_same_store(batched, reference)
