@@ -308,6 +308,146 @@ def test_held_new_keys_are_not_stored_when_too_few_providers_are_left(tmp_path, 
     assert saved_digest(wh, tmp_path / "after") == before
 
 
+# which error a failing batch raises: the first failing row's, in arrival
+# order, and within a row the first of its checks (derived, empty string,
+# key, unknown column, fks, values); an error the arrival of a later row
+# raises (a stored key with a failed member, too few providers alive, a
+# key that is not whole, the iterator's own) never wins over it
+
+ENCODE_ERRORS = {what: (patch, error) for what, patch, error in _bad_rows()
+                 if "SaleNo" not in patch}
+MESSAGES = {"price too large": r"^real value", "unknown column": r"^unknown columns",
+            "empty string": r"^Sales\.memo: an empty string", "fk None": r"^Sales\.ProdNo ",
+            "fk too large": r"^Sales\.ProdNo "}
+
+
+def _loaded(km, rows):
+    wh = _warehouse(km, DEFAULT_BIAS)
+    wh.load_rows("Sales", _sales(random.Random(0), 1, 5))
+    if rows is not None:
+        wh.load_rows("Sales", rows)
+    return wh
+
+
+@pytest.mark.parametrize("append_rows", [1, 4, 500])
+@pytest.mark.parametrize("first,second", [
+    ("price too large", "unknown column"),
+    ("unknown column", "empty string"),
+    ("fk None", "fk too large"),
+    ("empty string", "fk None"),
+])
+def test_the_first_of_two_bad_rows_raises(tmp_path, km_big, monkeypatch, append_rows,
+                                          first, second):
+    """Rows 3 and 6 fail with errors of different types: row 3's is
+    raised, and the store holds rows 1 and 2."""
+    monkeypatch.setattr(store_module, "APPEND_ROWS", append_rows)
+    rows = _sales(random.Random(2), 6, 8)
+    patch, error = ENCODE_ERRORS[first]
+    rows[2].update(patch)
+    rows[5].update(ENCODE_ERRORS[second][0])
+    wh = _loaded(km_big, None)
+    with pytest.raises(error, match=MESSAGES[first]):
+        wh.load_rows("Sales", rows)
+    assert wh.type1.pks("Sales") == [1, 2, 3, 4, 5, 6, 7]
+    assert saved_digest(wh, tmp_path / "failed") \
+        == saved_digest(_loaded(km_big, rows[:2]), tmp_path / "expected")
+
+
+@pytest.mark.parametrize("append_rows", [1, 4, 500])
+@pytest.mark.parametrize("arrival", ["failed member", "too few alive", "key not whole",
+                                     "iterator raises"])
+@pytest.mark.parametrize("what", sorted(ENCODE_ERRORS))
+def test_a_bad_row_wins_over_a_later_arrival_error(tmp_path, km_big, monkeypatch,
+                                                   append_rows, arrival, what):
+    """A bad row followed by a row whose arrival raises: the bad row's
+    error is raised and the store holds the rows before it. A provider
+    that stores pk 2 is failed before the load, so the rows before the
+    bad one are new keys and stored keys whose members are all alive;
+    when too few providers are alive, the failures come after the bad
+    row, so no row is before it."""
+    monkeypatch.setattr(store_module, "APPEND_ROWS", append_rows)
+    wh = _loaded(km_big, None)
+    member = wh.type1.bitmap("Sales", 2).index("1") + 1
+    wh.inject_failure(member)
+    patch, error = ENCODE_ERRORS[what]
+    alive = [pk for pk in (1, 3, 4, 5) if wh.type1.bitmap("Sales", pk)[member - 1] == "0"]
+    before = [] if arrival == "too few alive" else (
+        _sales(random.Random(3), 6, 3) + [dict(row, qty=42) for row in
+                                          _sales(random.Random(4), alive[0], 1)])
+    bad = dict(_sales(random.Random(5), 9, 1)[0], **patch)
+
+    def rows():
+        yield from before
+        yield bad
+        if arrival == "failed member":
+            yield dict(_sales(random.Random(6), 2, 1)[0], qty=7)
+        elif arrival == "too few alive":
+            for i in sorted(set(wh.csps) - {member})[:2]:
+                wh.inject_failure(i)
+            yield _sales(random.Random(6), 10, 1)[0]
+        elif arrival == "key not whole":
+            yield dict(_sales(random.Random(6), 10, 1)[0], SaleNo=10.5)
+        else:
+            raise RuntimeError("the rows ran dry")
+        yield _sales(random.Random(7), 11, 1)[0]
+
+    with pytest.raises(error, match=MESSAGES[what]):
+        wh.load_rows("Sales", rows())
+    for i in wh.csps:
+        wh.heal(i)
+    expected = _loaded(km_big, None)
+    expected.inject_failure(member)
+    expected.load_rows("Sales", before)
+    expected.heal(member)
+    assert saved_digest(wh, tmp_path / "failed") == saved_digest(expected, tmp_path / "expected")
+
+
+@pytest.mark.parametrize("append_rows", [1, 4, 500])
+def test_a_quotient_by_zero_wins_over_its_rows_key(tmp_path, km_big, monkeypatch,
+                                                   append_rows):
+    """A row whose derived quotient divides by 0 and whose key is not a
+    whole number raises the quotient's OutOfRange, which names the key as
+    given; the rows before it stay stored."""
+    unit = DerivedColumn("Sales", "unit", "quotient", "price", "qty", scale=2)
+    monkeypatch.setattr(store_module, "APPEND_ROWS", append_rows)
+
+    def warehouse():
+        wh = Warehouse(km_big, w=3, weights=(1, 2, 1, 1, 3), bias=DEFAULT_BIAS)
+        wh.create_table(PRODUCT)
+        wh.create_table(SALES, derived=(unit,))
+        return wh
+
+    rows = _sales(random.Random(3), 1, 6)
+    rows[3].update(SaleNo=4.5, qty=0)
+    failed, expected = warehouse(), warehouse()
+    with pytest.raises(OutOfRange, match=r"^Sales\.unit of pk 4\.5: qty is 0$"):
+        failed.load_rows("Sales", rows)
+    expected.load_rows("Sales", rows[:3])
+    assert saved_digest(failed, tmp_path / "failed") \
+        == saved_digest(expected, tmp_path / "expected")
+
+
+@pytest.mark.parametrize("append_rows", [1, 4, 500])
+def test_a_reused_row_dict_stores_what_was_yielded(tmp_path, km_big, monkeypatch,
+                                                   append_rows):
+    """A generator that refills one dict for every row stores each row as
+    it was yielded, not the last one's values."""
+    monkeypatch.setattr(store_module, "APPEND_ROWS", append_rows)
+    rows = _sales(random.Random(8), 3, 12)
+
+    def refilled():
+        row = {}
+        for values in rows:
+            row.clear()
+            row.update(values)
+            yield row
+
+    wh = _loaded(km_big, None)
+    assert wh.load_rows("Sales", refilled()) == len(rows)
+    assert saved_digest(wh, tmp_path / "reused") \
+        == saved_digest(_loaded(km_big, rows), tmp_path / "copied")
+
+
 # a provider that fails while a batch's rows are read
 
 ONE = Schema("T", (Column("id", "key"), Column("v", "int")))
