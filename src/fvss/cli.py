@@ -180,12 +180,25 @@ _WHERE_OP = re.compile("<=|>=|!=|<|>|=")   # found leftmost, and there longest
 
 
 def _parse_where(raw: str):
+    """The (attr, op, value) filters of a --where text, comma-separated.
+    A value that opens a quote holds the commas up to the one after its
+    closing quote, so a quoted value may contain commas."""
     conds = []
-    for part in (p.strip() for p in raw.split(",") if p.strip()):
+    pieces = iter(raw.split(","))
+    for part in pieces:
+        part = part.strip()
+        if not part:
+            continue
         op = _WHERE_OP.search(part)
         if op is None:
             raise ConfigError(f"cannot parse filter {part!r}; expected attr=value")
-        conds.append((part[:op.start()].strip(), op[0], _parse_literal(part[op.end():].strip())))
+        value = part[op.end():].strip()
+        while value[:1] in ("'", '"') and (len(value) < 2 or value[-1] != value[0]):
+            more = next(pieces, None)
+            if more is None:
+                break
+            value = f"{value},{more}".strip()
+        conds.append((part[:op.start()].strip(), op[0], _parse_literal(value)))
     return tuple(conds)
 
 

@@ -33,9 +33,11 @@ What d is for a typed value is decided once, by typed_key: an int as is,
 a real as value * 10^scale rounded half to even, a date as its epoch day,
 a bool as 0/1, a string as itself. The index server orders by that key
 (its Type II indexes), a value's chunks are the key plus the bias or, for a
-string, its UTF-8 bytes, and one encoding gives both (encode_value, and
-record_values for a whole record); typed_value and decode turn them back
-into the plaintext. A number (int, real, date, bool, every cube measure)
+string, its UTF-8 bytes, and one encoding gives both: encode_value for a
+cube cell, and encode_rows for a batch of rows, a column at a time, with
+one kind dispatch per column and one range check per batch (an int
+column's values must be whole numbers); typed_value and decode turn them
+back into the plaintext. A number (int, real, date, bool, every cube measure)
 is one chunk and its share one int, wherever it is stored or passed; a
 string's chunks and shares are tuples, one per byte.
 """
@@ -114,6 +116,7 @@ class Schema(Immutable, _SchemaFields):
             _data=tuple(c for c in columns if c.kind in DATA_KINDS),
             _plain=tuple(c for c in columns if c.kind in PLAIN_KINDS),
             _record_fields=tuple((c.name, c.kind == "fk") for c in columns[1:]),
+            _strings=tuple(c.name for c in columns if c.kind == "string"),
         )
         return self
 
@@ -136,6 +139,10 @@ class Schema(Immutable, _SchemaFields):
 
     def plain_columns(self) -> tuple[Column, ...]:
         return self._plain
+
+    def strings(self) -> tuple[str, ...]:
+        """The names of the string columns, in schema order."""
+        return self._strings
 
     def record_fields(self) -> tuple[tuple[str, bool], ...]:
         """(name, is fk) of every non-key column, in schema order: the
@@ -233,12 +240,7 @@ def scaled_int(value, scale: int) -> int:
         value = Decimal(str(value))
     if not isinstance(value, Fraction):
         value = Fraction(value)
-    den = value.denominator
-    q, r = divmod(value.numerator * 10**scale, den)
-    # Fraction.__round__: halves go to the even neighbour
-    if 2 * r > den or (2 * r == den and q % 2):
-        q += 1
-    return q
+    return round_half_even(value.numerator * 10**scale, value.denominator)
 
 
 def decode(chunks, kind: str, *, scale: int = 0, bias: int = 0):
@@ -372,45 +374,151 @@ def share_value(d: int, pk: int, group: StorageGroup, km: KeyMaterial) -> dict[i
     return {i: (a * d + b * pk) % p for i, a, b in share_coefficients(group, km)}
 
 
+def whole_key(value, table: str, name: str) -> int:
+    """A value as its int when it is a whole number of any type (an int,
+    a bool, a whole float, Fraction or Decimal, numeric text): the key of
+    an int column's value, and of a key or fk within whole_number's
+    range. SchemaMismatch naming table.name when it is missing (None) or
+    not a whole number, never a truncation."""
+    if type(value) is int:
+        return value
+    try:
+        number = Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number.denominator != 1:
+        raise SchemaMismatch(f"{table}.{name} must be a whole number, got {value!r}")
+    return number.numerator
+
+
 def whole_number(value, table: str, name: str) -> int:
-    """A key or fk value as an int: SchemaMismatch naming table.name when
-    it is missing (None) or not a whole number, never a truncation, and
-    OutOfRange unless it fits the 8 unsigned bytes of a signature input."""
-    if type(value) is not int:
-        try:
-            number = Fraction(value)
-        except (TypeError, ValueError, OverflowError):
-            number = None
-        if number is None or number.denominator != 1:
-            raise SchemaMismatch(f"{table}.{name} must be a whole number, got {value!r}")
-        value = number.numerator
+    """A key or fk value as an int (whole_key), OutOfRange unless it fits
+    the 8 unsigned bytes of a signature input."""
+    value = whole_key(value, table, name)
     if not 0 <= value < 1 << 64:
         raise OutOfRange(f"{table}.{name} must lie in [0, 2^64), got {value}")
     return value
 
 
-def record_values(record: Mapping[str, object], schema: Schema, bias: int,
-                  p: int) -> tuple[list, list]:
-    """A record's non-key fields in record_fields order, encoded once
-    (encode_value): as a provider stores them before sharing (an fk as its
-    whole_number, a number's chunk as an int, a string's chunks as a
-    tuple, None for NULL), and as the index server orders them (the fk's
-    int, a number's, date's or bool's chunk minus the bias, a string's
-    text, None for NULL). The fks are checked first. SchemaMismatch for a
-    column the schema lacks."""
-    unknown = set(record) - schema._by_name.keys()
-    if unknown:
-        raise SchemaMismatch(f"unknown columns {sorted(unknown)} for {schema.table}")
-    fks = {f: whole_number(record.get(f), schema.table, f) for f, is_fk in schema.record_fields() if is_fk}
-    values, keys = [], []
-    for name, kind, scale, _ in schema.columns[1:]:
-        if kind == "fk":
-            key = chunks = fks[name]
-        else:
-            key, chunks = encode_value(record.get(name), kind, scale=scale, bias=bias, p=p)
-        values.append(chunks)
-        keys.append(key)
-    return values, keys
+def round_half_even(num: int, den: int) -> int:
+    """num/den, den > 0, rounded to the nearest integer, ties to even, as
+    Fraction.__round__ rounds it; num/den need not be in lowest terms."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q % 2):
+        q += 1
+    return q
+
+
+def _int_keys(rows, name: str, scale: int, table: str) -> list:
+    return [v if type(v) is int or v is None else whole_key(v, table, name)
+            for row in rows for v in [row.get(name)]]
+
+
+def _real_keys(rows, name: str, scale: int, table: str) -> list:
+    """scaled_int of each value, a Fraction's and an int's taken here."""
+    m, out = 10**scale, []
+    for row in rows:
+        v = row.get(name)
+        if type(v) is Fraction:
+            v = round_half_even(v.numerator * m, v.denominator)
+        elif type(v) is int:
+            v *= m
+        elif v is not None:
+            v = scaled_int(v, scale)
+        out.append(v)
+    return out
+
+
+# the typed_key of a column of rows, one function per kind; an int
+# column's values must be whole numbers
+_KEYS = {
+    "int": _int_keys,
+    "real": _real_keys,
+    "date": lambda rows, name, *_: [None if v is None else (v - _EPOCH).days
+                                    for row in rows for v in [row.get(name)]],
+    "bool": lambda rows, name, *_: [None if v is None else 1 if v else 0
+                                    for row in rows for v in [row.get(name)]],
+    "string": lambda rows, name, *_: [None if v is None else str(v)
+                                      for row in rows for v in [row.get(name)]],
+}
+
+
+def _number_chunks(numbers, rows, derived, bias: int, p: int) -> list[list]:
+    """The chunks (key plus the bias) of each number column (kind, name,
+    keys), all made and range-checked at once: one min and one max over
+    every chunk of the batch; OutOfRange for the first value outside
+    [0, p), column by column."""
+    n = len(rows)
+    flat = [None if k is None else k + bias for _, _, keys in numbers for k in keys]
+    present = flat if None not in flat else [c for c in flat if c is not None]
+    if present and (min(present) < 0 or max(present) >= p):
+        for kind, name, keys in numbers:
+            for j, k in enumerate(keys):
+                if k is not None and not 0 <= k + bias < p:
+                    v = derived[name][j] if name in derived else rows[j].get(name)
+                    raise OutOfRange(f"{kind} value {v!r} encodes to {k + bias}, outside [0, {p})")
+    return [flat[i * n:(i + 1) * n] for i in range(len(numbers))]
+
+
+def encode_rows(schema: Schema, rows: Sequence[dict], derived: Mapping[str, list],
+                bias: int, p: int) -> tuple[list, list]:
+    """The non-key fields of rows encoded a column at a time, one column
+    per record field (record_fields order) aligned with rows: as the
+    providers store them before sharing (an fk as its whole_number, a
+    number's chunk as an int, a string's chunks as a tuple, None for
+    NULL) and as the index server orders them (the fk's int, the
+    typed_key of a number, date, bool or string, None for NULL): the
+    chunks and keys encode_value gives each value, except that an int
+    column's value must be a whole number (whole_key). derived holds the
+    keys of the derived fields (an int, or at scale 0 a Fraction for a
+    value that is not whole), which stand in for the rows' own values.
+
+    Each check runs over every row, in this order: SchemaMismatch for a
+    column the schema lacks; each fk's whole_number; then each field's
+    keys in schema order; and OutOfRange for a number whose chunk lies
+    outside [0, p), checked as one min and max over the whole batch. A
+    one-row batch raises the error record by record encoding would: a
+    range error of an earlier field before a later field's key error.
+    """
+    table = schema.table
+    names = schema._by_name.keys()
+    for row in rows:
+        if not row.keys() <= names:
+            raise SchemaMismatch(f"unknown columns {sorted(row.keys() - names)} for {table}")
+    fks = {name: [v if type(v) is int and 0 <= v < 1 << 64 else whole_number(v, table, name)
+                  for row in rows for v in [row.get(name)]]
+           for name, is_fk in schema.record_fields() if is_fk}
+    keys, values, numbers = [], [], []
+    try:
+        for name, kind, scale, _ in schema.columns[1:]:
+            if kind == "fk":
+                column = chunks = fks[name]
+            else:
+                column = derived.get(name)
+                if column is None:
+                    to_keys = _KEYS.get(kind)
+                    column = (to_keys(rows, name, scale, table) if to_keys
+                              else [typed_key(row.get(name), kind, scale) for row in rows])
+                elif kind == "int":   # a scale-0 derived value must be whole too
+                    column = [v if type(v) is int or v is None else whole_key(v, table, name)
+                              for v in column]
+                chunks = None
+                if kind == "string":
+                    chunks = [None if k is None else tuple(k.encode("utf-8")) for k in column]
+                    if p <= 255:
+                        for k, c in zip(column, chunks):
+                            for byte in c or ():
+                                if byte >= p:
+                                    raise OutOfRange(f"byte {byte} of {k!r} >= p={p}")
+                else:
+                    numbers.append((kind, name, column))
+            keys.append(column)
+            values.append(chunks)
+    except Exception:
+        _number_chunks(numbers, rows, derived, bias, p)   # an earlier field's range comes first
+        raise
+    made = iter(_number_chunks(numbers, rows, derived, bias, p))
+    return [next(made) if chunks is None else chunks for chunks in values], keys
 
 
 def positions(seq, item) -> list[int]:
@@ -427,7 +535,7 @@ def share_columns(schema: Schema, pks: Sequence[int], bitmaps: Sequence[str], va
     """Share a batch of records column-wise.
 
     values holds, per record field, a column aligned with pks as
-    record_values gives it; bitmaps the records' storage groups. Returns,
+    encode_rows gives it; bitmaps the records' storage groups. Returns,
     per provider (ascending) that stores any of them, the pks it stores in
     order and its value columns: an fk as is, a number's chunk c as
     (A_i*c + B_i*pk) % p from share_coefficients, a string's chunks as a

@@ -25,10 +25,12 @@ Every record, base row or cube cell, is stored by one write,
 by one `CspStore.update_columns` call per provider (one signature-tree
 pass that touches each node once), new ones by one `append_columns` call
 per provider and one Type I batch; then one Type II batch per indexed
-attribute, of the order keys the caller gives. `load_rows` encodes each
-value once, for its share chunks and its order key
-(sharing.record_values), places the new records of a batch in one draw
-(sharing.storage_bitmaps), shares each APPEND_ROWS of rows as
+attribute, of the order keys the caller gives. `load_rows` keeps only
+what routing needs as each row arrives (a copy of it, its key, the
+failed-provider checks) and encodes each APPEND_ROWS of held rows a
+column at a time (_derived_keys in integers, then sharing.encode_rows
+for the share chunks and the order keys), places the new records of the
+batch in one draw (sharing.storage_bitmaps), shares them as
 A_i*c + B_i*pk from the chunks (sharing.share_columns) and writes the
 stored and the new ones. A field of many
 records is read by one gather, `Warehouse._gather` (an fk from the index
@@ -91,10 +93,11 @@ from .sharing import (
     Column,
     Schema,
     decode,
+    encode_rows,
     group_from_bitmap,
     linear_rows,
     positions,
-    record_values,
+    round_half_even,
     share_columns,
     solve_column,
     storage_bitmaps,
@@ -169,10 +172,10 @@ def _record_bytes(schema: Schema, pks, values) -> list[bytes]:
     a batch with an integer outside 8 unsigned bytes (its to_bytes
     raises)."""
     out, odd = [b""] * len(pks), range(len(pks))
-    if all(col.kind != "string" for col in schema.columns[1:]):
+    if not schema.strings():
         columns, nulls = [], set()
         for vals in values:
-            marks = positions(vals, None)
+            marks = positions(vals, None) if None in vals else None
             if marks:
                 nulls.update(marks)
                 vals = list(vals)
@@ -271,12 +274,13 @@ def _chunk_count(col: Column, vals: list) -> int:
     return len(vals) - vals.count(None)
 
 
-def _refuse_empty_strings(schema: Schema, row: dict):
+def _refuse_empty_strings(schema: Schema, rows):
     """An empty string encodes to no chunks, which a provider cannot store
-    apart from NULL; refuse the row before anything is written."""
-    for col in schema.data_columns():
-        if col.kind == "string" and row.get(col.name) == "":
-            raise OutOfRange(f"{schema.table}.{col.name}: an empty string cannot be shared")
+    apart from NULL; refuse the rows before anything is written, a string
+    column at a time."""
+    for name in schema.strings():
+        if "" in [row.get(name) for row in rows]:
+            raise OutOfRange(f"{schema.table}.{name}: an empty string cannot be shared")
 
 
 class CspStore:
@@ -370,7 +374,7 @@ class CspStore:
         self.plain[table] = {name: {} for name, is_fk in fields if is_fk}
         self.columns[table] = {name: {} for name, is_fk in fields if not is_fk}
         self.nulls[table] = {name: set() for name in self.columns[table]}
-        self.strings[table] = frozenset(c.name for c in schema.data_columns() if c.kind == "string")
+        self.strings[table] = frozenset(schema.strings())
         self._write(schema, pks, values)
 
     def _write(self, schema: Schema, pks, values):
@@ -686,7 +690,8 @@ _COMPARISONS = {"=": eq, "!=": ne, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": g
 
 
 class DerivedColumn(NamedTuple):
-    """Type III registration: an extra shared column derived at load time."""
+    """Type III registration: an extra shared column derived at load time
+    (_derived_keys computes it)."""
     table: str
     name: str
     kind: str          # square | product | quotient
@@ -694,24 +699,66 @@ class DerivedColumn(NamedTuple):
     y: str | None = None
     scale: int = 0     # decimal scale of the derived value
 
-    def compute(self, row: dict) -> Fraction | None:
-        xv = row.get(self.x)
-        if xv is None:
-            return None
-        x = xv if isinstance(xv, Fraction) else Fraction(str(xv))
-        if self.kind == "square":
-            return x * x
-        yv = row.get(self.y)
-        if yv is None:
-            return None
-        y = yv if isinstance(yv, Fraction) else Fraction(str(yv))
-        if self.kind == "product":
-            return x * y
-        if self.kind == "quotient":
-            # quotients rarely terminate; round to the registered scale
-            scaled = round(x / y * 10**self.scale)
-            return Fraction(scaled, 10**self.scale)
-        raise SchemaMismatch(f"unknown derived kind {self.kind!r}")
+
+def _ratio(value) -> tuple[int, int]:
+    """A derived column's source value as (numerator, denominator), read
+    exactly: an int or a Fraction as it is, anything else (a float, a
+    Decimal, text) through Fraction(str(value))."""
+    if type(value) is int:
+        return value, 1
+    if not isinstance(value, Fraction):
+        value = Fraction(str(value))
+    return value.numerator, value.denominator
+
+
+def _derived_keys(schema: Schema, derived, rows) -> dict[str, list]:
+    """Each derived column of rows, in registration order, as its order
+    keys (None where a source is NULL), computed in integers: a value is
+    an exact (numerator, denominator) pair, a square n^2/d^2, a product
+    of two pairs, a quotient x/y rounded half to even to the column's
+    scale, and its key that pair scaled and rounded half to even like a
+    real's (sharing.round_half_even, which needs no lowest terms), or, at
+    scale 0 (an int column), the whole number it is, or else the value as
+    a Fraction, which sharing.encode_rows refuses in its turn. A later
+    derived column reads an earlier one's exact values. OutOfRange naming
+    the table, the column and the pk as given for a quotient by 0;
+    SchemaMismatch for an unknown kind."""
+    exact, out = {}, {}
+    for d in derived:
+        xs = exact.get(d.x)
+        if xs is None:
+            xs = [None if v is None else _ratio(v) for row in rows for v in [row.get(d.x)]]
+        if d.kind == "square":
+            pairs = [None if x is None else (x[0] * x[0], x[1] * x[1]) for x in xs]
+        else:
+            ys = exact.get(d.y)
+            ys = ([None if x is None or v is None else _ratio(v)
+                   for x, row in zip(xs, rows) for v in [row.get(d.y)]] if ys is None
+                  else [None if x is None else y for x, y in zip(xs, ys)])
+            if d.kind == "product":
+                pairs = [None if y is None else (x[0] * y[0], x[1] * y[1]) for x, y in zip(xs, ys)]
+            elif d.kind == "quotient":
+                m, pairs = 10**d.scale, []
+                for row, x, y in zip(rows, xs, ys):
+                    if y is None:
+                        pairs.append(None)
+                        continue
+                    num, den = x[0] * y[1] * m, x[1] * y[0]
+                    if den == 0:
+                        raise OutOfRange(f"{schema.table}.{d.name} of pk {row.get(schema.key)}: "
+                                         f"{d.y} is 0")
+                    if den < 0:
+                        num, den = -num, -den
+                    pairs.append((round_half_even(num, den), m))
+            elif ys.count(None) == len(ys):
+                pairs = ys
+            else:
+                raise SchemaMismatch(f"unknown derived kind {d.kind!r}")
+        exact[d.name] = pairs
+        m = 10**d.scale
+        out[d.name] = [None if v is None else round_half_even(v[0] * m, v[1]) if d.scale
+                       else v[0] // v[1] if v[0] % v[1] == 0 else Fraction(*v) for v in pairs]
+    return out
 
 
 class TypeThreeRegistry:
@@ -864,15 +911,36 @@ class Warehouse:
 
     # loading records
 
-    def _with_derived(self, table: str, row: dict) -> dict:
-        full = dict(row)
-        for d in self.type3.for_table(table):
-            try:
-                full[d.name] = d.compute(full)
-            except ZeroDivisionError:
-                pk = row.get(self._schema(table).key)
-                raise OutOfRange(f"{table}.{d.name} of pk {pk}: {d.y} is 0") from None
-        return full
+    def _checked_before_key(self, schema: Schema, rows) -> dict[str, list]:
+        """The checks of rows that come before their keys': their derived
+        columns (_derived_keys, which it returns), then the empty-string
+        refusal."""
+        derived = _derived_keys(schema, self.type3.for_table(schema.table), rows)
+        _refuse_empty_strings(schema, rows)
+        return derived
+
+    def _encode(self, schema: Schema, rows) -> tuple[list, list]:
+        """(values, keys) of rows whose keys are checked, a column per
+        record field (sharing.encode_rows); a one-row batch raises the
+        first failing check of its row, in the order derived, empty
+        string, unknown column, fks, values."""
+        return encode_rows(schema, rows, self._checked_before_key(schema, rows), self.bias,
+                           self.km.p)
+
+    def _encoded_prefix(self, schema: Schema, rows) -> tuple[int, list, list, Exception | None]:
+        """(k, values, keys, error): the encoding of rows[:k], where row k
+        (0-based) is the first that fails to encode on its own and error
+        its error, or of every row and None. A batch that raises is
+        encoded a row at a time only to find that row."""
+        try:
+            return (len(rows), *self._encode(schema, rows), None)
+        except Exception:
+            for k, row in enumerate(rows):
+                try:
+                    self._encode(schema, [row])
+                except Exception as err:
+                    return (k, *self._encode(schema, rows[:k]), err)
+            raise
 
     def insert(self, table: str, row: dict) -> int:
         """Share one record out, as a batch of one; an existing primary key
@@ -885,20 +953,32 @@ class Warehouse:
         """Share rows out in order; the one write path of base tables.
         Returns the count.
 
-        Each row is checked and encoded once as it arrives (record_values):
-        its key and fks must be whole numbers and are kept as those ints,
-        and every field gives its share chunks and its Type II order key.
-        The records are held, then shared a batch at a time (share_columns)
-        and stored, once per APPEND_ROWS of them: the stored ones, each in
-        its own storage group, by one write, and the new ones, placed by
-        one storage_bitmaps call over the providers alive at that flush, by
-        another. A primary key repeated in the batch first stores the held
-        records. A row that raises stores the rows before it, so the store
-        is what loading them alone would have left; so does a stored key
-        with a failed storage-group member, which raises CspUnavailable as
-        it arrives, and a new key when fewer than n-t+2 providers are
-        alive, which raises NotEnoughAliveCsps as it arrives. A provider
-        that fails while the rows are read is left out of the placement of
+        As a row arrives, load_rows keeps a shallow copy of it (so a caller
+        that refills one dict stores what it yielded) and its key, which
+        must be a whole number and is kept as that int, and checks what
+        routing needs: a key repeated among the held rows first stores
+        them, a stored key whose storage group has a failed member raises
+        CspUnavailable, and a new key when fewer than n-t+2 providers are
+        alive raises NotEnoughAliveCsps. The held rows are encoded a column
+        at a time once per APPEND_ROWS of them (sharing.encode_rows): their
+        derived columns in exact integer arithmetic, the empty-string,
+        unknown-column and fk checks, and each field's share chunks and
+        Type II order keys, an int column's values as whole numbers. They
+        are then shared a batch at a time (share_columns) and stored: the
+        stored ones, each in its own storage group, by one write, and the
+        new ones, placed by one storage_bitmaps call over the providers
+        alive at that flush, by another.
+
+        The first row in arrival order that fails raises, and within it
+        its first failing check in this order: derived, empty string, key,
+        unknown column, fks, values (an arrival check of its own comes
+        after all of them). The rows before it are stored, so the store is
+        what loading them alone would have left, and no row after it is
+        stored; rows after it may still have been read from rows. An
+        arrival error (a key that is not a whole number, CspUnavailable,
+        NotEnoughAliveCsps, the iterator's own error) first encodes the
+        held rows, so an earlier row's error wins over it. A provider that
+        fails while the rows are read is left out of the placement of
         every later flush. A flush writes everywhere or nowhere
         (Warehouse.write), so held rows are not stored when their providers
         fail before it: held stored keys whose storage-group member failed
@@ -909,60 +989,87 @@ class Warehouse:
         """
         schema = self._schema(table)
         km = self.km
+        key = schema.key
         stored = self.type1.entries[table]
         indexed = [(name, f) for f, (name, _) in enumerate(schema.record_fields())
-                   if self.type2.is_indexed(table, name)]
-        old: list[tuple[int, list, list]] = []   # pk, field values, order keys of stored records
-        new: list[tuple[int, list, list]] = []   # the same of new records
-        held: set[int] = set()
+                   if (table, name) in self.type2.keys]
+        csps = list(self.csps.values())
+        group_size = km.n - km.t + 2
+        held: dict[int, tuple[dict, bool]] = {}   # pk -> (row, is it new), in arrival order
 
-        def flush():
-            # emptied first, so that a failure while storing cannot store them twice
-            batches = ((old[:], False), (new[:], True))
-            old.clear()
-            new.clear()
-            held.clear()
-            for batch, fresh in batches:
-                if batch:
-                    pks, values, keys = zip(*batch)
-                    bitmaps = (storage_bitmaps(pks, self.weights, self.alive_csps(), km) if fresh
-                               else list(map(stored.__getitem__, pks)))
-                    keys = list(zip(*keys))
-                    self.write(schema, pks, share_columns(schema, pks, bitmaps, list(zip(*values)), km),
-                               {name: keys[f] for name, f in indexed}, bitmaps if fresh else None)
+        def flush(arrival=None):
+            if not held:
+                return
+            pks = list(held)
+            batch, is_new = zip(*held.values())
+            held.clear()   # first, so that a failure while storing cannot store them twice
+            k, values, keys, refused = self._encoded_prefix(schema, batch)
+            error = refused or arrival
+            try:
+                self._store(schema, pks[:k], is_new[:k], values, keys, indexed)
+            except Exception as write_err:
+                if error is None:
+                    raise
+                raise error from write_err   # the row's error is the one to report
+            if refused is not None:
+                raise refused
 
         count = 0
         try:
             for row in rows:
-                full = self._with_derived(table, row)
-                _refuse_empty_strings(schema, full)
-                pk = whole_number(full.get(schema.key), table, schema.key)
-                values, keys = record_values(full, schema, self.bias, km.p)
+                row = dict(row)
+                try:
+                    pk = whole_number(row.get(key), table, key)
+                except (SchemaMismatch, OutOfRange):
+                    self._checked_before_key(schema, [row])   # these come first
+                    raise
                 if pk in held:
+                    self._encode(schema, [row])   # its own errors come before the flush's
                     flush()
                 bitmap = stored.get(pk)
-                if bitmap is None:
-                    storage_group_size(self.alive_csps(), km)   # placed at flush, refused now
-                    new.append((pk, values, keys))
-                else:
-                    for i in sorted(group_from_bitmap(bitmap).sg):
-                        if not self.csps[i].alive:
-                            raise CspUnavailable(
-                                f"CSP {i} stores pk {pk} of {table} and is failed; recover first"
-                            )
-                    old.append((pk, values, keys))
-                held.add(pk)
+                try:
+                    if bitmap is None:
+                        # placed at flush, refused now
+                        if sum([csp.alive for csp in csps]) < group_size:
+                            storage_group_size(self.alive_csps(), km)
+                    else:
+                        for i in sorted(group_from_bitmap(bitmap).sg):
+                            if not self.csps[i].alive:
+                                raise CspUnavailable(
+                                    f"CSP {i} stores pk {pk} of {table} and is failed; recover first"
+                                )
+                except (CspUnavailable, NotEnoughAliveCsps):
+                    self._encode(schema, [row])   # its own errors come first
+                    raise
+                held[pk] = row, bitmap is None
                 if len(held) >= APPEND_ROWS:
                     flush()
                 count += 1
         except BaseException as err:
-            try:
-                flush()
-            except Exception as flush_err:   # the row's error is the one to report
-                raise err from flush_err
+            flush(err)
             raise
         flush()
         return count
+
+    def _store(self, schema: Schema, pks, is_new, values, keys, indexed):
+        """Share and write encoded rows (_encode) keyed pks: the stored
+        ones (is_new False) in their storage groups by one write, then the
+        new ones, placed over the providers alive now, by another. indexed
+        gives (attribute, field index) of each Type II index."""
+        stored = self.type1.entries[schema.table]
+        for new in (False, True):
+            if new not in is_new:
+                continue
+            mine, columns, order_keys = pks, values, keys
+            if (not new) in is_new:   # a batch of both kinds: this kind's rows
+                mask = is_new if new else [not f for f in is_new]
+                mine = list(compress(pks, mask))
+                columns = [list(compress(column, mask)) for column in values]
+                order_keys = [list(compress(column, mask)) for column in keys]
+            bitmaps = (storage_bitmaps(mine, self.weights, self.alive_csps(), self.km) if new
+                       else list(map(stored.__getitem__, mine)))
+            self.write(schema, mine, share_columns(schema, mine, bitmaps, columns, self.km),
+                       {name: order_keys[f] for name, f in indexed}, bitmaps if new else None)
 
     def write(self, schema: Schema, pks, per_csp, keys, bitmaps=None):
         """Store records that are all new or all stored, the one write path

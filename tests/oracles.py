@@ -19,7 +19,7 @@ from pathlib import Path
 
 from fvss.cost import _rat, reference_pricing
 from fvss.errors import EmptyInput, NotIndexed, OutOfRange, SchemaMismatch
-from fvss.sharing import DATA_KINDS, PLAIN_KINDS, scaled_int
+from fvss.sharing import DATA_KINDS, PLAIN_KINDS
 from fvss.store import _PICKS
 
 _EPOCH = date(1970, 1, 1)
@@ -457,6 +457,63 @@ def type2_fast_path(text):
 # write path once ran.
 
 
+def with_derived(wh, table, row):
+    """Warehouse._with_derived as load_rows once ran it on each row as it
+    arrived: a copy of row with every derived column of table computed,
+    in registration order, by DerivedColumn.compute through Fraction; a
+    quotient by 0 is OutOfRange naming the table, column and pk."""
+    full = dict(row)
+    for d in wh.type3.for_table(table):
+        try:
+            full[d.name] = DerivedColumn(*d).compute(full)
+        except ZeroDivisionError:
+            pk = row.get(wh.schemas[table].key)
+            raise OutOfRange(f"{table}.{d.name} of pk {pk}: {d.y} is 0") from None
+    return full
+
+
+def refuse_empty_strings(schema, row):
+    """store._refuse_empty_strings of one row: OutOfRange for the first
+    string column whose value is the empty string."""
+    for col in schema.data_columns():
+        if col.kind == "string" and row.get(col.name) == "":
+            raise OutOfRange(f"{schema.table}.{col.name}: an empty string cannot be shared")
+
+
+def encode_row(wh, schema, row):
+    """Warehouse.load_rows's encoding of one row with a checked key, as it
+    once ran record by record: with_derived, refuse_empty_strings, the
+    unknown-column check, each fk's whole_number, then each field's
+    chunks (encode_chunks, as an int for a number) and order key
+    (order_key) in schema order, an int column's value refused unless
+    it is a whole number. Returns (values, keys), one per record field."""
+    from fvss.sharing import whole_number
+
+    full = with_derived(wh, schema.table, row)
+    refuse_empty_strings(schema, full)
+    unknown = set(full) - {c.name for c in schema.columns}
+    if unknown:
+        raise SchemaMismatch(f"unknown columns {sorted(unknown)} for {schema.table}")
+    fks = {c.name: whole_number(full.get(c.name), schema.table, c.name)
+           for c in schema.columns if c.kind == "fk"}
+    values, keys = [], []
+    for col in schema.columns[1:]:
+        value = full.get(col.name)
+        if col.kind == "fk":
+            values.append(fks[col.name])
+            keys.append(fks[col.name])
+            continue
+        if col.kind == "int" and value is not None:
+            number = Decimal(value) if isinstance(value, str) else value
+            if int(number) != number:
+                raise SchemaMismatch(
+                    f"{schema.table}.{col.name} must be a whole number, got {value!r}")
+        chunks = encode_chunks(value, col.kind, scale=col.scale, bias=wh.bias, p=wh.km.p)
+        values.append(None if value is None else chunks if col.kind == "string" else chunks[0])
+        keys.append(order_key(value, col))
+    return values, keys
+
+
 def per_record_load(wh, table, rows):
     """Warehouse.load_rows, one record at a time: each new row through
     share_record and a one-record put_shared_records per provider, then
@@ -464,14 +521,14 @@ def per_record_load(wh, table, rows):
     in its storage group and update_shared_record. Returns the count."""
     from fvss.errors import CspUnavailable
     from fvss.sharing import group_from_bitmap, share_record
-    from fvss.store import StoredRecord, _refuse_empty_strings
+    from fvss.store import StoredRecord
 
     schema = wh.schemas[table]
     alive = wh.alive_csps()
     count = 0
     for row in rows:
-        full = wh._with_derived(table, row)
-        _refuse_empty_strings(schema, full)
+        full = with_derived(wh, table, row)
+        refuse_empty_strings(schema, full)
         pk = int(full[schema.key])
         stored = wh.type1.has(table, pk)
         group = None
@@ -689,6 +746,14 @@ def parse_type2(text):
 # integer in one place (sharing.typed_key); these are the encoders and
 # decoders it replaced, kept as written: the share chunks and their
 # inverse, and the Type II order key and its inverse.
+
+
+def scaled_int(value, scale: int) -> int:
+    """round(value * 10^scale), ties to even, through Fraction.__round__:
+    a float through its shortest decimal repr, anything else exactly."""
+    if isinstance(value, float):
+        value = Decimal(str(value))
+    return round(Fraction(value) * 10**scale)
 
 
 def encode_chunks(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> tuple[int, ...]:

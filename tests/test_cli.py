@@ -416,12 +416,14 @@ def test_cube_where_selects_a_string_that_looks_like_a_number(site, capsys):
     """A --where value is read as its column's kind: on the string
     dimension category, "007" and "1.50" are strings, and neither selects
     "7" or "3/2". A filter splits at its leftmost operator, the longest
-    there, so a value may hold operator characters."""
+    there, so a value may hold operator characters, and filters split at
+    commas outside a quoted value, so a quoted value may hold commas."""
     (site / "products.csv").write_text(
         "ProdNo,pname,category\n10,Shirt,007\n11,Jacket,7\n12,Mug,1.50\n"
-        "13,Cup,a<b\n14,Bowl,x>=y\n")
+        "13,Cup,a<b\n14,Bowl,x>=y\n15,Pan,\"a,b\"\n")
     with (site / "sales.csv").open("a") as f:
-        f.write("4,13,2015,2,3.25,1,true,2015-02-01\n5,14,2015,3,4.75,1,false,2015-03-01\n")
+        f.write("4,13,2015,2,3.25,1,true,2015-02-01\n5,14,2015,3,4.75,1,false,2015-03-01\n"
+                "6,15,2014,4,2.50,1,true,2014-04-01\n")
     run(site, "init")
     run(site, "share", "Product", str(site / "products.csv"))
     run(site, "share", "Sales", str(site / "sales.csv"))
@@ -437,7 +439,10 @@ def test_cube_where_selects_a_string_that_looks_like_a_number(site, capsys):
                        ("category='a<b'", "2015,a<b,3.25,1,3.25\n"),
                        ("category='x>=y'", "2015,x>=y,4.75,1,4.75\n"),
                        ("yearid>=2015,category=x>=y", "2015,x>=y,4.75,1,4.75\n"),
-                       ("category<=a<b,yearid>2014", "2015,a<b,3.25,1,3.25\n")):
+                       ("category<=a<b,yearid>2014", "2015,a<b,3.25,1,3.25\n"),
+                       # a quoted value holds its commas
+                       ("category='a,b'", '2014,"a,b",2.5,1,2.5\n'),
+                       ('yearid=2014, category="a,b"', '2014,"a,b",2.5,1,2.5\n')):
         assert run(site, *args, "--where", where, capsys=capsys) == (0, header + row, "")
 
 

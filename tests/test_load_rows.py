@@ -11,6 +11,7 @@ rows make.
 import hashlib
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,8 @@ def _bad_rows():
         # a key or fk outside 8 unsigned bytes once half-wrote a provider
         ("key negative", {"SaleNo": -3}, OutOfRange),
         ("fk too large", {"ProdNo": 1 << 64}, OutOfRange),
+        # int() once truncated it to 2, and SUM(qty) answered quietly wrong
+        ("int not whole", {"qty": 2.7}, SchemaMismatch),
     ]
 
 
@@ -314,11 +317,10 @@ def test_held_new_keys_are_not_stored_when_too_few_providers_are_left(tmp_path, 
 # raises (a stored key with a failed member, too few providers alive, a
 # key that is not whole, the iterator's own) never wins over it
 
-ENCODE_ERRORS = {what: (patch, error) for what, patch, error in _bad_rows()
-                 if "SaleNo" not in patch}
 MESSAGES = {"price too large": r"^real value", "unknown column": r"^unknown columns",
             "empty string": r"^Sales\.memo: an empty string", "fk None": r"^Sales\.ProdNo ",
             "fk too large": r"^Sales\.ProdNo "}
+ENCODE_ERRORS = {what: (patch, error) for what, patch, error in _bad_rows() if what in MESSAGES}
 
 
 def _loaded(km, rows):
@@ -529,6 +531,37 @@ def test_key_and_fk_must_be_whole_numbers(km_big, column, value):
     with pytest.raises(SchemaMismatch, match=rf"^Sales\.{column} must be a whole number"):
         wh.load_rows("Sales", rows)
     assert wh.type1.pks("Sales") == [1]
+
+
+@pytest.mark.parametrize("value", [2.7, Fraction(5, 2), "2.5", Decimal("2.5"), "x", float("nan")])
+def test_an_int_value_must_be_a_whole_number(km_big, value):
+    """An int column's value that is not a whole number raises
+    SchemaMismatch naming the column, and the rows before it stay
+    stored; none is truncated, so SUM(qty) is never quietly wrong."""
+    rows = _sales(random.Random(4), 1, 3)
+    rows[1]["qty"] = value
+    wh = _warehouse(km_big, DEFAULT_BIAS)
+    with pytest.raises(SchemaMismatch, match=r"^Sales\.qty must be a whole number, got "):
+        wh.load_rows("Sales", rows)
+    assert wh.type1.pks("Sales") == [1]
+
+
+@pytest.mark.parametrize("value,whole", [("3", 3), (" 3 ", 3), (3.0, 3), (Fraction(6, 2), 3),
+                                         (Decimal("3.0"), 3), (True, 1)])
+def test_a_whole_int_value_of_another_type_is_stored_as_its_int(tmp_path, km_big, value, whole):
+    """An int column's value given as a whole number of another type is
+    stored, indexed and summed as that int: the saved store equals the
+    one loaded with the int."""
+    def loaded(changed):
+        rows = _sales(random.Random(4), 1, 5)
+        rows[2]["qty"] = changed
+        wh = _warehouse(km_big, DEFAULT_BIAS)
+        assert wh.load_rows("Sales", rows) == 5
+        return wh
+
+    odd = loaded(value)
+    assert saved_digest(odd, tmp_path / "odd") == saved_digest(loaded(whole), tmp_path / "int")
+    assert odd.reconstruct_record("Sales", 3)["qty"] == whole
 
 
 @pytest.mark.parametrize("insert", [False, True])

@@ -26,6 +26,7 @@ from fvss import P_DEFAULT, Column, DerivedColumn, Schema, Warehouse, init_parti
 from fvss.errors import OutOfRange, SchemaMismatch
 from fvss.sharing import typed_key
 
+from .oracles import with_derived
 from .test_write_path import assert_same_store
 
 KM = init_participants(5, 4, seed=bytes(range(32)), p=P_DEFAULT)
@@ -56,6 +57,8 @@ BAD = [
     ({"s": ""}, OutOfRange),
     ({"f": "x"}, SchemaMismatch),
     ({"colour": "red"}, SchemaMismatch),
+    ({"i": 2.7}, SchemaMismatch),           # int() once truncated these to 2
+    ({"i": Fraction(5, 2)}, SchemaMismatch),
 ]
 
 
@@ -116,6 +119,6 @@ def test_order_keys_are_typed_keys_and_a_bad_row_leaves_nothing(load):
                 with pytest.raises(error):
                     loaded.load_rows("t", good + [dict(batch[at], **patch)] + batch[at + 1:])
             reference.load_rows("t", good)
-            plain.update((row["k"], loaded._with_derived("t", row)) for row in good)
+            plain.update((row["k"], with_derived(loaded, "t", row)) for row in good)
     assert_same_store(loaded, reference)
     assert_order_keys(loaded, plain)
