@@ -41,6 +41,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import chain, filterfalse
 from operator import add, sub
 from typing import NamedTuple
 
@@ -653,23 +654,31 @@ def _plan_aggregate(agg: Aggregate, names, wh, fact: str) -> PlannedAgg:
 
 
 # execution: every aggregate is evaluated over all groups at once. The
-# groups of one evaluation are disjoint lists of distinct pks (GROUP BY
-# partitions the filter, and so does one cube lattice level), so each
+# groups of one evaluation are disjoint collections of distinct pks (GROUP
+# BY partitions the filter, and so does one cube lattice level), so each
 # provider is asked once per column over their union, and answers every
 # group's share sum in the same request; a query without GROUP BY is the
-# one-group case.
+# one-group case. A group stays the list _filter_pks and group_pks made,
+# in ascending pk order, from the filter to the providers' kernels, which
+# walk it in that order (store._walks); a query without a filter hands the
+# whole table over as Type I's own pk -> bitmap map, in its load order.
 
 
-def present_pks(wh: Warehouse, table: str, attr: str, groups, csps) -> list[set[int]]:
+def present_pks(wh: Warehouse, table: str, attr: str, groups, csps) -> list:
     """Per group, its records whose attr is present, per the NULL markers
     of the providers in csps, each asked once over the union of the
-    groups. All of them that store a record (per its Type I bitmap) must
-    agree on its marker, else InnerSignatureMismatch makes execute try
-    another reconstruction group, which holds at least two members of
-    every storage group."""
-    union = set().union(*groups)
+    groups: the group itself when no provider marks one of them, else a
+    list of its pks that are not marked, in the group's order (ascending
+    pk order, or Type I's for the whole table; see above). All the
+    providers that store a record (per its Type I bitmap) must agree on
+    its marker, else InnerSignatureMismatch makes execute try another
+    reconstruction group, which holds at least two members of every
+    storage group."""
+    union = groups[0] if len(groups) == 1 else list(chain.from_iterable(groups))
     reported = {i: wh.csps[i].null_pks(table, attr, union) for i in csps}
     nulls = set().union(*reported.values())
+    if not nulls:
+        return list(groups)
     absent = wh.type1.absent[table]
     # records marked NULL elsewhere that a provider stores but did not mark
     unmarked = set().union(*((nulls - reported[i]) - absent.get(i, set()) for i in csps))
@@ -677,9 +686,7 @@ def present_pks(wh: Warehouse, table: str, attr: str, groups, csps) -> list[set[
         raise InnerSignatureMismatch(
             f"pk {min(unmarked)} of {table}: NULL marks of {attr} disagree across CSPs"
         )
-    if len(groups) == 1:
-        return [union - nulls]   # the union is already the one group's own set
-    return [set(g) - nulls for g in groups]
+    return [list(filterfalse(nulls.__contains__, g)) for g in groups]
 
 
 # bias offsets, and pseudo-share corrections, one summed record adds to
@@ -713,7 +720,7 @@ def share_space_sums(wh: Warehouse, table: str, groups, csps, x: str,
 
 
 def summed_pks(wh: Warehouse, table: str, x: str, y: str | None, groups,
-               csps) -> list[set[int]]:
+               csps) -> list:
     """Per group, the records SUM(x) or SUM(x op y) adds up: those with x
     present, which for a pair must be exactly those with y present."""
     present = present_pks(wh, table, x, groups, csps)
@@ -726,7 +733,7 @@ def summed_pks(wh: Warehouse, table: str, x: str, y: str | None, groups,
 
 
 def share_space_parts(wh: Warehouse, table: str, agg: PlannedAgg, groups,
-                      csps) -> list[tuple[set[int], tuple[int, ...], int]]:
+                      csps) -> list[tuple[list[int], tuple[int, ...], int]]:
     """The share-space rule of SUM and COUNT, per group of pks: the records
     agg counts, each provider's share (csps order) of the share-space sum
     over them, and the plaintext c that completes the value mod p: minus
@@ -762,7 +769,7 @@ def pair_column(schema, x: str, y: str) -> Column:
     return col_x if col_x.kind == "real" else col_y
 
 
-def _sums(wh: Warehouse, table: str, agg: PlannedAgg, groups, rg) -> tuple[list, list[set[int]]]:
+def _sums(wh: Warehouse, table: str, agg: PlannedAgg, groups, rg) -> tuple[list, list]:
     """SUM(x) or SUM(x op y) over each group (share_space_parts), 0 for one
     with nothing to add, and the records each added up. Each sum is
     accepted only through its own inner-signature check (solve_sums)."""
@@ -821,7 +828,7 @@ def aggregate_groups(wh: Warehouse, table: str, agg: PlannedAgg, groups, rg) -> 
     sums, present = _sums(wh, table, agg, groups, rg)
     if fn == "sum":
         return sums
-    means = [Fraction(s) / len(g) if g else None for s, g in zip(sums, present)]
+    means = [Fraction(s, len(g)) if g else None for s, g in zip(sums, present)]
     if fn == "avg":
         return means
     live = [k for k, g in enumerate(present) if g]
@@ -829,22 +836,27 @@ def aggregate_groups(wh: Warehouse, table: str, agg: PlannedAgg, groups, rg) -> 
                          [groups[k] for k in live], rg)[0])
     out = [None] * len(groups)
     for k in live:
-        var = Fraction(next(squares)) / len(present[k]) - means[k] ** 2
+        var = Fraction(next(squares), len(present[k])) - means[k] ** 2
         out[k] = var if fn == "var" else _stddev(var)
     return out
 
 
-# one-group entry points
+# one-group entry points: pks is any iterable of pks, each counted once
+
+
+def _one_group(pks) -> list[list[int]]:
+    return [list(dict.fromkeys(pks))]
 
 
 def exec_sum(wh: Warehouse, table: str, attr: str, pks, rg):
     """SUM(attr) over the filtered records; 0 on an empty filter."""
-    return aggregate_groups(wh, table, PlannedAgg("sum", "plain", attr=attr), [pks], rg)[0]
+    return aggregate_groups(wh, table, PlannedAgg("sum", "plain", attr=attr), _one_group(pks),
+                            rg)[0]
 
 
 def exec_count(wh: Warehouse, table: str, attr: str | None, pks, rg) -> int:
     agg = PlannedAgg("count", "star") if attr is None else PlannedAgg("count", "plain", attr=attr)
-    return aggregate_groups(wh, table, agg, [list(set(pks))], rg)[0]
+    return aggregate_groups(wh, table, agg, _one_group(pks), rg)[0]
 
 
 def exec_minmax_count(wh: Warehouse, table: str, attr: str, fn: str, pks, rg):
@@ -852,7 +864,8 @@ def exec_minmax_count(wh: Warehouse, table: str, attr: str, fn: str, pks, rg):
     attr; COUNT never touches a provider."""
     if fn == "count":
         return exec_count(wh, table, attr, pks, rg)
-    value = aggregate_groups(wh, table, PlannedAgg(fn, "plain", attr=attr), [pks], rg)[0]
+    value = aggregate_groups(wh, table, PlannedAgg(fn, "plain", attr=attr), _one_group(pks),
+                             rg)[0]
     if value is None:
         raise EmptyInput(f"{fn.upper()}({attr}) over no values")
     return value
@@ -867,9 +880,11 @@ def _apply_pk_predicate(pks, op: str, operand) -> set[int]:
     return {pk for pk in pks if compare(pk, operand)}
 
 
-def _filter_pks(wh: Warehouse, plan: QueryPlan) -> set[int]:
+def _filter_pks(wh: Warehouse, plan: QueryPlan):
     """The fact pks every filter step keeps, from the first step's set on
-    (Warehouse.load refuses a Type II entry that Type I lacks)."""
+    (Warehouse.load refuses a Type II entry that Type I lacks), as a list
+    in ascending pk order; with no filter step, every fact pk, as Type I's
+    own pk -> bitmap map (not a copy: callers must not modify it)."""
     pks = None
     for step in plan.filter_steps:
         if step.route == "fact_pk":
@@ -884,7 +899,7 @@ def _filter_pks(wh: Warehouse, plan: QueryPlan) -> set[int]:
                 dim_pks = wh.type2.lookup(step.table, step.attr, step.op, step.operand)
             found = wh.type2.lookup(plan.fact, step.fk, "in", dim_pks)
         pks = found if pks is None else pks & found
-    return set(wh.type1.entries[plan.fact]) if pks is None else pks
+    return wh.type1.entries[plan.fact] if pks is None else sorted(pks)
 
 
 def group_key_fn(wh: Warehouse, fact: str, source: GroupSource):
@@ -905,19 +920,21 @@ def group_key_fn(wh: Warehouse, fact: str, source: GroupSource):
 
 
 def group_pks(wh: Warehouse, fact: str, sources, pks) -> dict[tuple, list[int]]:
-    """Fact pks grouped by their plaintext keys under the group sources.
-    Grouping runs on raw index keys; typed_value is injective per
-    column, so converting once per distinct key gives the same groups."""
+    """Fact pks grouped by their plaintext keys under the group sources,
+    each group a list in the order of pks. Grouping runs on raw index
+    keys, a source's own key for one source and a tuple of them for
+    several; typed_value is injective per column, so converting once per
+    distinct key gives the same groups."""
     pks = list(pks)
     columns = [group_key_fn(wh, fact, s)(pks) for s in sources]
-    raw: dict[tuple, list[int]] = {}
-    for pk, key in zip(pks, zip(*columns)):
-        members = raw.get(key)
-        if members is None:
-            raw[key] = [pk]
-        else:
-            members.append(pk)
+    raw: dict = {}
+    add = raw.setdefault
+    for pk, key in zip(pks, columns[0] if len(columns) == 1 else zip(*columns)):
+        add(key, []).append(pk)
     cols = [s.col for s in sources]
+    if len(cols) == 1:
+        kind, scale = cols[0].kind, cols[0].scale
+        return {(typed_value(key, kind, scale),): members for key, members in raw.items()}
     return {
         tuple(typed_value(k, c.kind, c.scale) for k, c in zip(key, cols)): members
         for key, members in raw.items()

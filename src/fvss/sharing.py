@@ -152,14 +152,18 @@ class Schema(Immutable, _SchemaFields):
 
 def typed_key(value, kind: str, scale: int = 0):
     """The plaintext key that stands for a typed value, None for None: an
-    int (or a key or fk) as is, a real as value * 10^scale rounded
+    int (or a key or fk) as the whole number it is (SchemaMismatch for one
+    that is not, never a truncation), a real as value * 10^scale rounded
     (scaled_int), a date as its epoch day, a bool as 0/1, a string as
     itself. Type II indexes order by it, shares are made of it
     (encode_value) and typed_value inverts it."""
     if value is None:
         return None
     if kind in ("int", "key", "fk"):
-        return int(value)
+        number = _whole(value)
+        if number is None:
+            raise SchemaMismatch(f"{kind} value {value!r} is not a whole number")
+        return number
     if kind == "real":
         return scaled_int(value, scale)
     if kind == "date":
@@ -380,15 +384,21 @@ def whole_key(value, table: str, name: str) -> int:
     an int column's value, and of a key or fk within whole_number's
     range. SchemaMismatch naming table.name when it is missing (None) or
     not a whole number, never a truncation."""
+    number = _whole(value)
+    if number is None:
+        raise SchemaMismatch(f"{table}.{name} must be a whole number, got {value!r}")
+    return number
+
+
+def _whole(value) -> int | None:
+    """value as an int when it is a whole number of any type, else None."""
     if type(value) is int:
         return value
     try:
         number = Fraction(value)
     except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or number.denominator != 1:
-        raise SchemaMismatch(f"{table}.{name} must be a whole number, got {value!r}")
-    return number.numerator
+        return None
+    return number.numerator if number.denominator == 1 else None
 
 
 def whole_number(value, table: str, name: str) -> int:
@@ -810,6 +820,8 @@ def share_record(
 ) -> ShareBundle:
     """Share one record: every data column chunk goes through share_value
     with the same storage group; keys stay plaintext; nulls are not shared.
+    A key, an fk or an int value that is not a whole number raises
+    SchemaMismatch (whole_key, typed_key) rather than being truncated.
 
     Pass group to pin the storage group (updates keep a record where it
     already lives; recovery re-shares in place).
@@ -817,10 +829,11 @@ def share_record(
     unknown = set(record) - schema._by_name.keys()
     if unknown:
         raise SchemaMismatch(f"unknown columns {sorted(unknown)} for {schema.table}")
-    pk = int(record[schema.key])  # type: ignore[arg-type]
+    pk = whole_key(record[schema.key], schema.table, schema.key)
     if group is None:
         group = select_storage_group(pk, weights, alive, km)
-    plain = {c.name: int(record[c.name]) for c in schema.plain_columns() if c.name != schema.key}  # type: ignore[arg-type]
+    plain = {c.name: whole_key(record[c.name], schema.table, c.name)
+             for c in schema.plain_columns() if c.name != schema.key}
     p = km.p
     # share_value per chunk, with B_i*pk folded once per record
     terms = [(i, a, b * pk % p) for i, a, b in share_coefficients(group, km)]

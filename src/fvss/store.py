@@ -283,6 +283,22 @@ def _refuse_empty_strings(schema: Schema, rows):
             raise OutOfRange(f"{schema.table}.{name}: an empty string cannot be shared")
 
 
+def _walks(keys, groups) -> list:
+    """Per group of pks, an iterator over its pks that keys (a set or a
+    dict) holds: the group walked in its own order, one probe of keys per
+    pk. A group that is itself a set or a dict and larger than keys (a
+    whole table, which query hands over as Type I's own pk -> bitmap map)
+    is probed instead, keys walked in their order. No pk is copied."""
+    if not keys:
+        return [()] * len(groups)
+    probe, size = keys.__contains__, len(keys)
+    return [filter(pks.__contains__, keys) if len(pks) > size and isinstance(pks, _PROBED)
+            else filter(probe, pks) for pks in groups]
+
+
+_PROBED = (dict, set, frozenset)
+
+
 class CspStore:
     """One provider: table slices as columns, its signature tree, failure
     state."""
@@ -479,22 +495,26 @@ class CspStore:
         return out
 
     def null_pks(self, table: str, attr: str, pks) -> set[int]:
-        """Primary keys among pks stored here whose attr is null."""
+        """Primary keys among pks (distinct) stored here whose attr is
+        null, found by one walk of pks in its order (_walks): 8 bytes per
+        key."""
         self._check_alive()
-        out = self.nulls.get(table, {}).get(attr, set()).intersection(pks)
+        out = set(_walks(self.nulls.get(table, {}).get(attr, ()), [pks])[0])
         self.bytes_transferred += len(out) * 8
         return out
 
     def share_sums(self, table: str, attr: str, groups) -> list[int]:
-        """Per group of pks, the sum mod p of this CSP's shares of the
-        numeric attr over the distinct pks of the group it stores with a
-        non-NULL attr, read from the share column: one request, 8 bytes
-        per sum."""
+        """Per group of distinct pks, the sum mod p of this CSP's shares of
+        the numeric attr over the pks of the group it stores with a
+        non-NULL attr, read from the share column by one walk of the group
+        in the order given (_walks): one request, 8 bytes per sum. query
+        gives each group in ascending pk order, and pks hash to
+        themselves, so the walk probes the column's slots in order."""
         self._check_alive()
         column = self.columns.get(table, {}).get(attr, {})
-        held, share, p = column.keys(), column.__getitem__, self.km.p
+        share, p = column.__getitem__, self.km.p
         self.bytes_transferred += 8 * len(groups)
-        return [sum(map(share, held & pks)) % p for pks in groups]
+        return [sum(map(share, held)) % p for held in _walks(column, groups)]
 
     def share_sum(self, table: str, attr: str, pks) -> int:
         """share_sums of one group."""
@@ -570,11 +590,12 @@ class TypeOneIndex:
         return list(self.entries[table])
 
     def pseudo_sums(self, table: str, groups, i: int, p: int) -> list[int]:
-        """Per group of pks, the sum mod p of its pks whose shares are NOT
-        stored at CSP i; this is the quantity fed to HE2 in share-space
-        aggregation."""
-        absent = self.absent.get(table, {}).get(i, set())
-        return [sum(absent.intersection(pks)) % p for pks in groups]
+        """Per group of distinct pks, the sum mod p of its pks whose shares
+        are NOT stored at CSP i, from one walk of the group in the order
+        given (_walks; query gives ascending pk order); this is the
+        quantity fed to HE2 in share-space aggregation."""
+        absent = self.absent.get(table, {}).get(i, ())
+        return [sum(held) % p for held in _walks(absent, groups)]
 
     def pseudo_sum(self, table: str, pks, i: int, p: int) -> int:
         """pseudo_sums of one group."""
@@ -653,21 +674,22 @@ class TypeTwoIndex:
         return set(compress(keys, hit))
 
     def aggregates(self, table: str, attr: str, fn: str, groups) -> list:
-        """Per group of pks, from one read of the pk -> key map: COUNT the
-        cardinality (non-null by construction), MAX/MIN/MEDIAN the pk of
-        the extremal or median record, None for a group with no indexed
-        record. Only the groups' records are visited."""
+        """Per group of distinct pks, from one walk of the group over the
+        pk -> key map (_walks): COUNT the cardinality (non-null by
+        construction), MAX/MIN/MEDIAN the pk of the extremal or median
+        record, None for a group with no indexed record. Only the groups'
+        records are visited."""
         keys = self._index(table, attr)
-        held = keys.keys()
-        if fn == "count":
-            return [len(held & pks) for pks in groups]
         pick = _PICKS.get(fn)
-        if pick is None:
+        if pick is None and fn != "count":
             raise EmptyInput(f"unknown index aggregate {fn!r}")
         out = []
-        for pks in groups:
-            hits = held & pks
-            out.append(pick([(keys[pk], pk) for pk in hits])[1] if hits else None)
+        for held in _walks(keys, groups):
+            hits = list(held)
+            if pick is None:
+                out.append(len(hits))
+            else:
+                out.append(pick(list(zip(map(keys.__getitem__, hits), hits)))[1] if hits else None)
         return out
 
     def aggregate(self, table: str, attr: str, fn: str, pks) -> int:
@@ -686,6 +708,7 @@ def _lower_median(ranked: list[tuple]):
 
 
 _PICKS = {"max": max, "min": min, "median": _lower_median}
+_NUMERIC = ("int", "real", "bool")   # the kinds a derived column reads
 _COMPARISONS = {"=": eq, "!=": ne, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
@@ -700,14 +723,21 @@ class DerivedColumn(NamedTuple):
     scale: int = 0     # decimal scale of the derived value
 
 
-def _ratio(value) -> tuple[int, int]:
-    """A derived column's source value as (numerator, denominator), read
-    exactly: an int or a Fraction as it is, anything else (a float, a
-    Decimal, text) through Fraction(str(value))."""
+def _ratio(value, table: str, name: str) -> tuple[int, int]:
+    """A derived column's source value, of table.name, as (numerator,
+    denominator), read exactly: an int or a Fraction as it is, a bool as
+    the 0/1 its column stores, anything else (a float, a Decimal, text)
+    through Fraction(str(value)); SchemaMismatch naming the column for a
+    value that reads as no number."""
     if type(value) is int:
         return value, 1
+    if type(value) is bool:
+        return int(value), 1
     if not isinstance(value, Fraction):
-        value = Fraction(str(value))
+        try:
+            value = Fraction(str(value))
+        except ValueError:
+            raise SchemaMismatch(f"{table}.{name} must be a number, got {value!r}") from None
     return value.numerator, value.denominator
 
 
@@ -727,12 +757,13 @@ def _derived_keys(schema: Schema, derived, rows) -> dict[str, list]:
     for d in derived:
         xs = exact.get(d.x)
         if xs is None:
-            xs = [None if v is None else _ratio(v) for row in rows for v in [row.get(d.x)]]
+            xs = [None if v is None else _ratio(v, schema.table, d.x)
+                  for row in rows for v in [row.get(d.x)]]
         if d.kind == "square":
             pairs = [None if x is None else (x[0] * x[0], x[1] * x[1]) for x in xs]
         else:
             ys = exact.get(d.y)
-            ys = ([None if x is None or v is None else _ratio(v)
+            ys = ([None if x is None or v is None else _ratio(v, schema.table, d.y)
                    for x, row in zip(xs, rows) for v in [row.get(d.y)]] if ys is None
                   else [None if x is None else y for x, y in zip(xs, ys)])
             if d.kind == "product":
@@ -883,12 +914,21 @@ class Warehouse:
     def _register(self, schema: Schema, index_attrs=(), derived=()) -> Schema:
         """Check a table, then file it in schemas, Type I, Type II (every
         fk and each of index_attrs) and Type III: a refused table leaves
-        nothing behind."""
+        nothing behind. Each derived column must read numeric (int, real,
+        bool) columns of the table or earlier derived columns, one for a
+        square and two otherwise."""
         if schema.table in self.schemas:
             raise DuplicateTable(schema.table)
+        numeric = {c.name for c in schema.columns if c.kind in _NUMERIC}
         for d in derived:
             if d.table != schema.table:
                 raise SchemaMismatch(f"derived column {d.name} targets {d.table}")
+            for source in (d.x,) if d.kind == "square" else (d.x, d.y):
+                if source not in numeric:
+                    raise SchemaMismatch(
+                        f"derived column {d.name} reads {source!r}, which is not a numeric "
+                        f"column of {schema.table} or an earlier derived column")
+            numeric.add(d.name)
         full = Schema(schema.table, (*schema.columns, *(
             Column(d.name, "real" if d.scale else "int", scale=d.scale) for d in derived)))
         missing = set(index_attrs) - {c.name for c in full.columns}
@@ -1096,16 +1136,22 @@ class Warehouse:
 
     # reconstruction
 
-    def _buckets(self, table: str, pks) -> dict[str, tuple[list[int], list[int]]]:
-        """The sequence pks by Type I bitmap: bitmap -> (their indices in
-        pks, the pks), each in order; UnknownRecordPosition for a pk with
-        no bitmap."""
-        out: dict[str, tuple[list[int], list[int]]] = {}
-        for k, pk in enumerate(pks):
-            idx, bucket = out.setdefault(self.type1.bitmap(table, pk), ([], []))
-            idx.append(k)
-            bucket.append(pk)
-        return out
+    def _buckets(self, table: str, pks: list[int]) -> dict[str, tuple[list[int], list[int]]]:
+        """The list pks by Type I bitmap: bitmap -> (their indices in pks,
+        the pks), each in order, the bitmaps in order of first appearance;
+        UnknownRecordPosition for the first pk with no bitmap. The bitmaps
+        are read in one C-level pass and each bucket's pks picked by its
+        indices in another; only the indices are filed one at a time."""
+        try:
+            bitmaps = list(map(self.type1.entries.get(table, {}).__getitem__, pks))
+        except KeyError as missing:
+            raise UnknownRecordPosition(f"no bitmap for {table} pk {missing.args[0]}") from None
+        indices: dict[str, list[int]] = {}
+        add = indices.setdefault
+        for k, bitmap in enumerate(bitmaps):
+            add(bitmap, []).append(k)
+        pick = pks.__getitem__
+        return {bitmap: (idx, list(map(pick, idx))) for bitmap, idx in indices.items()}
 
     def _gather(self, schema: Schema, name: str, pks, buckets, rg, x: int, refusal: str = "",
                 disagreement: type[Exception] = InnerSignatureMismatch) -> list:

@@ -1,6 +1,7 @@
 import datetime
 import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,7 +33,7 @@ from fvss.errors import (
     OutOfRange,
     SchemaMismatch,
 )
-from fvss.sharing import linear_rows
+from fvss.sharing import encode_value, linear_rows, typed_key
 
 from .conftest import SEED
 from .oracles import cell_chunk_shares, chunk_form, eval_poly, interpolate_at, interpolate_gauss
@@ -371,6 +372,28 @@ def test_share_record_rejects_unknown_columns(km_toy):
     with pytest.raises(SchemaMismatch):
         share_record(dict(ProdNo=1, bogus=5), _schema(),
                      (1, 1, 1, 1, 1), ALL, km_toy)
+
+
+def test_a_value_that_is_not_whole_is_refused_where_an_int_is_due(km_toy):
+    """typed_key, encode_value and share_record refuse an int, key or fk
+    value that is not a whole number rather than truncate it (2.7 used to
+    become 2), and read a whole one of any type as its int."""
+    for kind in ("int", "key", "fk"):
+        for value in (2.7, Fraction(5, 2), "2.5", Decimal("2.5"), "x"):
+            with pytest.raises(SchemaMismatch, match="not a whole number"):
+                typed_key(value, kind)
+        for value in (2, 2.0, Fraction(4, 2), "2", Decimal("2.00")):
+            assert typed_key(value, kind) == 2
+        assert type(typed_key(2.0, kind)) is int
+    with pytest.raises(SchemaMismatch):
+        encode_value(2.7, "int", p=P_DEFAULT)
+    assert encode_value(2.0, "int", p=P_DEFAULT) == (2, 2)
+    schema = Schema("s", (Column("k", "key"), Column("f", "fk"), Column("q", "int")))
+    for row in (dict(k=1, f=2, q=2.7), dict(k=1.5, f=2, q=3), dict(k=1, f=2.5, q=3)):
+        with pytest.raises(SchemaMismatch, match="whole number"):
+            share_record(row, schema, (1,) * 5, ALL, km_toy, bias=0)
+    bundle = share_record(dict(k=1.0, f=Fraction(2), q=3.0), schema, (1,) * 5, ALL, km_toy, bias=0)
+    assert (bundle.pk, bundle.plain) == (1, {"f": 2})
 
 
 def test_share_record_group_override(km_toy):

@@ -338,6 +338,51 @@ def test_derived_product_and_quotient(km_toy):
     assert wh.reconstruct_value("s", 1, "x/y") == Fraction(19, 100)  # 0.1875 -> 0.19
 
 
+DERIVED_BASE = Schema("s", (Column("id", "key"), Column("f", "fk"), Column("x", "int"),
+                            Column("r", "real", scale=1), Column("ok", "bool"),
+                            Column("name", "string")))
+
+
+@pytest.mark.parametrize("derived, source", [
+    ((DerivedColumn("s", "sq", "square", "qq"),), "qq"),
+    ((DerivedColumn("s", "sq", "square", "name"),), "name"),
+    ((DerivedColumn("s", "sq", "square", "f"),), "f"),
+    ((DerivedColumn("s", "sq", "square", "id"),), "id"),
+    ((DerivedColumn("s", "xy", "product", "x", "r2"),
+      DerivedColumn("s", "r2", "square", "r", scale=2)), "r2"),
+    ((DerivedColumn("s", "xy", "product", "x"),), "None"),
+], ids=["unknown", "string", "fk", "key", "later derived", "missing second"])
+def test_a_derived_column_must_read_numeric_columns(km_toy, derived, source):
+    """create_table refuses a derived column whose source is not an int,
+    real or bool column of the table or an earlier derived column, naming
+    it, and leaves nothing behind; a square over an unknown column used to
+    load and answer SUM 0."""
+    wh = Warehouse(km_toy, w=3, bias=0)
+    with pytest.raises(SchemaMismatch, match=f"reads '?{source}'?, which is not a numeric"):
+        wh.create_table(DERIVED_BASE, derived=derived)
+    assert wh.schemas == {} and wh.type3.for_table("s") == []
+
+
+def test_derived_columns_read_bools_and_earlier_derived_columns(km_toy):
+    """A bool source, and True given to an int source, read as the 0/1
+    their columns store; a derived column may read an earlier one; a
+    source value that is no number raises SchemaMismatch naming its
+    column, not a bare ValueError, and stores nothing."""
+    wh = Warehouse(km_toy, w=3, bias=0)
+    wh.create_table(DERIVED_BASE, derived=(
+        DerivedColumn("s", "x2", "square", "x"),
+        DerivedColumn("s", "x4", "square", "x2"),
+        DerivedColumn("s", "rok", "product", "r", "ok", scale=1),
+    ))
+    wh.load_rows("s", [dict(id=1, f=1, x=True, r=Fraction(5, 2), ok=True, name="a"),
+                       dict(id=2, f=1, x=3, r=1.5, ok=False, name="b")])
+    assert [(row["x2"], row["x4"], row["rok"]) for row in wh.reconstruct_table("s")] == [
+        (1, 1, Fraction(5, 2)), (9, 81, Fraction(0))]
+    with pytest.raises(SchemaMismatch, match="s.x must be a number, got 'a'"):
+        wh.load_rows("s", [dict(id=3, f=1, x="a", r=1, ok=True, name="c")])
+    assert wh.type1.pks("s") == [1, 2]
+
+
 # tamper plumbing
 
 
