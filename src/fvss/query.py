@@ -55,7 +55,7 @@ from .errors import (
     UnknownTable,
     UnsupportedFeature,
 )
-from .sharing import Column, solve_sums, text_value, typed_key, typed_value
+from .sharing import NUMBER_KINDS, Column, solve_sums, text_value, typed_key, typed_value
 from .store import _COMPARISONS, Warehouse
 
 AGG_FNS = ("sum", "avg", "var", "variance", "stddev", "count", "min", "max", "median")
@@ -599,9 +599,6 @@ def literal_key(raw, col: Column):
         raise SchemaMismatch(f"literal {raw!r} does not fit a {kind} column") from exc
 
 
-_SUMMABLE = ("int", "real", "bool")
-
-
 def _plan_aggregate(agg: Aggregate, names, wh, fact: str) -> PlannedAgg:
     fn = agg.fn
     if isinstance(agg.arg, Star):
@@ -616,7 +613,7 @@ def _plan_aggregate(agg: Aggregate, names, wh, fact: str) -> PlannedAgg:
         for r in (rx, ry):
             if r.table != fact:
                 raise UnsupportedFeature("aggregates run on the FROM table only")
-            if r.col.kind not in _SUMMABLE:
+            if r.col.kind not in NUMBER_KINDS:
                 raise UnsupportedFeature(f"cannot sum a {r.col.kind} column")
         if agg.arg.op in "+-":
             if rx.col.scale != ry.col.scale:
@@ -641,7 +638,7 @@ def _plan_aggregate(agg: Aggregate, names, wh, fact: str) -> PlannedAgg:
     if fn in ("min", "max", "median"):
         _require_index(wh, fact, r.name)
         return PlannedAgg(fn, "plain", attr=r.name)
-    if r.col.kind not in _SUMMABLE:
+    if r.col.kind not in NUMBER_KINDS:
         raise UnsupportedFeature(f"cannot {fn.upper()} a {r.col.kind} column")
     if fn in ("var", "stddev"):
         dcol = wh.type3.find(fact, "square", r.name)

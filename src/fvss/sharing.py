@@ -29,9 +29,10 @@ at least two reconstruction members hold stored shares of every record.
 A new record's storage group is a weighted draw keyed by the seed MAC of
 its pk; storage_bitmaps draws a batch of them through one digest loop.
 
-What d is for a typed value is decided once, by typed_key: an int as is,
-a real as value * 10^scale rounded half to even, a date as its epoch day,
-a bool as 0/1, a string as itself. The index server orders by that key
+What d is for a typed value is decided once, by typed_key: an int as the
+whole number it is (never truncated), a real as value * 10^scale rounded
+half to even, a date as its epoch day, a bool as 0/1, a string as
+itself. The index server orders by that key
 (its Type II indexes), a value's chunks are the key plus the bias or, for a
 string, its UTF-8 bytes, and one encoding gives both: encode_value for a
 cube cell, and encode_rows for a batch of rows, a column at a time, with
@@ -68,6 +69,9 @@ DEFAULT_BIAS = 1 << 40  # keeps negatives and small reals nonnegative pre-share
 
 PLAIN_KINDS = ("key", "fk")
 DATA_KINDS = ("int", "real", "string", "date", "bool")
+# the kinds whose values add up: SUM, AVG and VAR take them, and so does a
+# derived column
+NUMBER_KINDS = ("int", "real", "bool")
 
 
 class ReconstructionCounter:

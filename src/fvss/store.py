@@ -88,6 +88,7 @@ from .errors import (
 from .keyed import KeyMaterial
 from .sharing import (
     DEFAULT_BIAS,
+    NUMBER_KINDS,
     PLAIN_KINDS,
     RECONSTRUCTIONS,
     Column,
@@ -292,11 +293,9 @@ def _walks(keys, groups) -> list:
     if not keys:
         return [()] * len(groups)
     probe, size = keys.__contains__, len(keys)
-    return [filter(pks.__contains__, keys) if len(pks) > size and isinstance(pks, _PROBED)
+    return [filter(pks.__contains__, keys)
+            if len(pks) > size and isinstance(pks, (dict, set, frozenset))
             else filter(probe, pks) for pks in groups]
-
-
-_PROBED = (dict, set, frozenset)
 
 
 class CspStore:
@@ -708,7 +707,6 @@ def _lower_median(ranked: list[tuple]):
 
 
 _PICKS = {"max": max, "min": min, "median": _lower_median}
-_NUMERIC = ("int", "real", "bool")   # the kinds a derived column reads
 _COMPARISONS = {"=": eq, "!=": ne, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
@@ -919,7 +917,7 @@ class Warehouse:
         square and two otherwise."""
         if schema.table in self.schemas:
             raise DuplicateTable(schema.table)
-        numeric = {c.name for c in schema.columns if c.kind in _NUMERIC}
+        numeric = {c.name for c in schema.columns if c.kind in NUMBER_KINDS}
         for d in derived:
             if d.table != schema.table:
                 raise SchemaMismatch(f"derived column {d.name} targets {d.table}")
