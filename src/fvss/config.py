@@ -256,6 +256,8 @@ def load_config(path, env=None) -> AppConfig:
             raise ConfigError("[placement] weights must be numbers")
         if len(weights) != n:
             raise ConfigError(f"[placement] weights needs {n} entries, got {len(weights)}")
+        if not all(0 <= x < float("inf") for x in weights):
+            raise ConfigError("[placement] weights must be finite and not negative")
 
     w = 3
     if "sigtree" in parser and "w" in parser["sigtree"]:

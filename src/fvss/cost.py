@@ -18,6 +18,7 @@ from math import ceil
 from typing import NamedTuple
 
 from .errors import InvalidThreshold, OutOfRange, UnsupportedFeature
+from .sharing import inclusion_probabilities
 
 VM_POWERS = {            # records per second
     "sVM": 10**10,
@@ -98,7 +99,12 @@ def share_volume(scheme: str, n: int, t: int, volume, weights=None):
 
     Families: signed-full 2nV, full nV, multi-secret nV/(t-1), ramp nV/t,
     fvss (n-t+2)V. Per-provider volume splits evenly unless weights are
-    given (only meaningful for fvss, whose placement is free).
+    given. With weights, fvss bills provider i for V * pi_i, the share of
+    records placement stores there (sharing.inclusion_probabilities): a
+    provider whose weight would bill more than V is capped at V, and when
+    fewer than n-t+2 weights are positive the zero-weight providers that
+    fill in are billed V each. Another family splits its total in
+    proportion to the weights.
     """
     if not 2 <= t <= n:
         raise InvalidThreshold(f"need 2 <= t <= n, got t={t} n={n}")
@@ -119,7 +125,11 @@ def share_volume(scheme: str, n: int, t: int, volume, weights=None):
         w = tuple(_rat(x) for x in weights)
         if len(w) != n or any(x < 0 for x in w) or not sum(w):
             raise OutOfRange(f"need {n} non-negative weights with a positive sum")
-        per_csp = tuple(total * x / sum(w) for x in w)
+        if scheme == "fvss":
+            pi = inclusion_probabilities(w, range(1, n + 1), n - t + 2)
+            per_csp = tuple(v * pi[i] for i in range(1, n + 1))
+        else:
+            per_csp = tuple(total * x / sum(w) for x in w)
     return total, per_csp
 
 

@@ -42,6 +42,7 @@ import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain, filterfalse
+from math import ceil, floor
 from operator import add, sub
 from typing import NamedTuple
 
@@ -869,10 +870,18 @@ def exec_minmax_count(wh: Warehouse, table: str, attr: str, fn: str, pks, rg):
 
 
 def _apply_pk_predicate(pks, op: str, operand) -> set[int]:
+    """The members of pks (a set, or Type I's pk -> bitmap map) that
+    satisfy `pk op operand`. A `between` or `=` whose bounds hold fewer
+    integers than pks has members probes those integers against pks
+    instead of testing every pk."""
     if op == "in":
         return set(pks).intersection(operand)
-    if op == "between":
-        return {pk for pk in pks if operand[0] <= pk <= operand[1]}
+    if op in ("between", "="):
+        lo, hi = operand if op == "between" else (operand, operand)
+        first, last = ceil(lo), floor(hi)
+        if last - first < len(pks):
+            return set(filter(pks.__contains__, range(first, last + 1)))
+        return {pk for pk in pks if lo <= pk <= hi}
     compare = _COMPARISONS[op]
     return {pk for pk in pks if compare(pk, operand)}
 

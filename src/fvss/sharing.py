@@ -26,8 +26,13 @@ share-space SUMs are checked through the same row (`solve_sums`).
 
 Storage groups always have n-t+2 members and reconstruction groups t, so
 at least two reconstruction members hold stored shares of every record.
-A new record's storage group is a weighted draw keyed by the seed MAC of
-its pk; storage_bitmaps draws a batch of them through one digest loop.
+A new record's storage group is drawn by systematic sampling with
+probabilities proportional to size: provider i stores it with the exact
+probability pi_i = min(1, c * w_i) of inclusion_probabilities, the split
+cost.share_volume bills, from one keyed uniform, the seed MAC of its pk.
+storage_bitmaps places a batch of them through one draw-to-group map
+(systematic_groups) and one digest loop. Placement decides only where new
+records go: a stored record keeps its bitmap.
 
 What d is for a typed value is decided once, by typed_key: an int as the
 whole number it is (never truncated), a real as value * 10^scale rounded
@@ -45,11 +50,13 @@ string's chunks and shares are tuples, one per byte.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from datetime import date as _date, timedelta
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from math import ceil, floor
 from operator import mul
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -290,41 +297,104 @@ def storage_group_size(alive: Collection[int], km: KeyMaterial) -> int:
     return k
 
 
-def storage_bitmaps(pks: Sequence[int], weights: Sequence[float], alive: Iterable[int],
-                    km: KeyMaterial) -> list[str]:
-    """The bitmap of the n-t+2 CSPs that will store each record keyed
-    pks, in order.
+def _exact(x) -> Fraction:
+    """x as an exact Fraction: an int or Fraction as it is, anything else
+    (a float through its shortest decimal repr, a Decimal, numeric text)
+    through its text."""
+    return Fraction(x) if isinstance(x, (int, Fraction)) else Fraction(str(x))
 
-    Weighted sampling without replacement, keyed by a hash of the primary
-    key, so the choice is reproducible from the config alone: the k CSPs
-    with the largest u^(1/w) (Efraimidis and Spirakis), u uniform in
-    (0, 1) from the seed MAC of place|pk|i. Failed CSPs are never
-    selected; zero-weight CSPs are excluded unless too few weighted CSPs
-    are alive, in which case they fill in by ascending index, the same
-    group for every pk. The message tails and exponents are computed once
-    per batch and every MAC goes through one digest loop.
+
+def inclusion_probabilities(weights: Sequence, members: Iterable[int],
+                            k: int) -> dict[int, Fraction]:
+    """pi_i, the exact share of records whose storage group of k holds
+    provider i, for each of members (1-based providers, weights[i - 1]
+    each, taken exactly by _exact): min(1, c * w_i) over the members of
+    positive weight, with c such that the pi_i sum to k, found by capping
+    at 1 every member whose c * w_i reaches 1 and solving again for the
+    rest. When at most k members have a positive weight, each of them
+    and, by ascending index, the zero-weight members that fill the group
+    up to k have pi_i = 1, and the others 0. Placement draws by these
+    (systematic_groups) and cost.share_volume bills by them."""
+    exact = {i: _exact(weights[i - 1]) for i in sorted(set(members))}
+    rest = [i for i, w in exact.items() if w > 0]
+    pi = dict.fromkeys(exact, Fraction(0))
+    if len(rest) <= k:
+        chosen = rest + [i for i, w in exact.items() if w <= 0][:k - len(rest)]
+        pi.update(dict.fromkeys(chosen, Fraction(1)))
+        return pi
+    need = k
+    while True:
+        total = sum(exact[i] for i in rest)
+        capped = [i for i in rest if need * exact[i] >= total]   # c * w_i >= 1
+        if not capped:
+            break
+        pi.update(dict.fromkeys(capped, Fraction(1)))
+        rest = [i for i in rest if pi[i] == 0]
+        need -= len(capped)
+    pi.update({i: need * exact[i] / total for i in rest})
+    return pi
+
+
+def systematic_groups(weights: Sequence, alive: Iterable[int],
+                      km: KeyMaterial) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The storage group of a record as a function of its 64-bit draw v:
+    (cuts, bitmaps), the group of v being bitmaps[bisect_right(cuts, v)].
+
+    Randomized systematic sampling (Hartley and Rao; Tille, Sampling
+    Algorithms): the alive providers of positive pi_i
+    (inclusion_probabilities) are laid end to end on [0, k) in one keyed
+    order, ascending seed MAC of sysorder|i, provider i covering an
+    interval of length pi_i, and a record whose u is v / 2^64 is stored
+    by the k providers whose intervals hold u, u + 1, ..., u + k - 1.
+    Every pi_i is at most 1, so these are k distinct providers, and
+    provider i stores a record with probability exactly pi_i. The group
+    changes only where u passes the fractional part b of an interval's
+    end, so there are at most as many groups as placed providers; cuts
+    holds ceil(b * 2^64) of each such b > 0, ascending. NotEnoughAliveCsps
+    when fewer than k providers are alive. The exact arithmetic is
+    memoized by the weights and the keyed order of the alive providers.
     """
     alive = sorted(set(alive))
     k = storage_group_size(alive, km)
-    weighted = [i for i in alive if weights[i - 1] > 0]
-    if len(weighted) <= k:
-        chosen = weighted + [i for i in alive if i not in weighted][:k - len(weighted)]
-        return [_bitmap(chosen, km.n)] * len(pks)
-    tails = [str(i).encode() for i in weighted]
-    exponents = [1.0 / weights[i - 1] for i in weighted]
-    macs = km.seed_macs([head + tail for head in (f"place|{pk}|".encode() for pk in pks)
-                         for tail in tails])
-    from_bytes, bitmaps, out = int.from_bytes, {}, []
-    for per_pk in zip(*[iter(macs)] * len(weighted)):
-        # u = (v + 0.5) / 2^64 from the MAC's first 8 bytes v; the sort puts the largest first
-        scored = sorted([(-(((from_bytes(mac[:8], "big") + 0.5) / (1 << 64)) ** e), i)
-                         for mac, e, i in zip(per_pk, exponents, weighted)])
-        chosen = frozenset([i for _, i in scored[:k]])
-        bitmap = bitmaps.get(chosen)
-        if bitmap is None:
-            bitmap = bitmaps[chosen] = _bitmap(chosen, km.n)
-        out.append(bitmap)
-    return out
+    order = [i for _, i in sorted(zip(km.seed_macs([b"sysorder|%d" % i for i in alive]), alive))]
+    return _systematic_groups(tuple(weights), tuple(order), k, km.n)
+
+
+@lru_cache(maxsize=256)
+def _systematic_groups(weights: tuple, order: tuple[int, ...], k: int,
+                       n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    pi = inclusion_probabilities(weights, order, k)
+    starts, ends, end, placed = [], [], Fraction(0), [i for i in order if pi[i]]
+    for i in placed:
+        starts.append(end)
+        end += pi[i]
+        ends.append(end)
+    breaks = sorted({e - floor(e) for e in ends})   # 0 among them, as the last end is k
+    cuts = tuple(ceil(b * (1 << 64)) for b in breaks[1:])
+    # at u = b the points u + r lie in [b, b + k): i holds one when an integer lies in [lo-b, hi-b)
+    bitmaps = tuple(_bitmap([i for i, lo, hi in zip(placed, starts, ends)
+                             if ceil(lo - b) < hi - b], n) for b in breaks)
+    return cuts, bitmaps
+
+
+def storage_bitmaps(pks: Sequence[int], weights: Sequence, alive: Iterable[int],
+                    km: KeyMaterial) -> list[str]:
+    """The bitmap of the n-t+2 CSPs that will store each record keyed
+    pks, in order: systematic_groups' group of the draw v, the first 8
+    bytes of the seed MAC of sysplace|pk read big-endian, so the choice
+    is reproducible from the config alone. The map is built once per
+    call, and per pk there is one MAC, through one digest loop, and one
+    bisect. Failed CSPs are never selected, and provider i stores a
+    record with probability pi_i (inclusion_probabilities); when at most
+    n-t+2 weighted CSPs are alive, every pk gets the same group, filled
+    in by ascending index from the zero-weight ones, and no MAC is taken.
+    """
+    cuts, bitmaps = systematic_groups(weights, alive, km)
+    if not cuts:
+        return [bitmaps[0]] * len(pks)
+    from_bytes = int.from_bytes
+    return [bitmaps[bisect_right(cuts, from_bytes(mac[:8], "big"))]
+            for mac in km.seed_macs([b"sysplace|%d" % pk for pk in pks])]
 
 
 def select_storage_group(

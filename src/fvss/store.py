@@ -658,12 +658,15 @@ class TypeTwoIndex:
     def lookup(self, table: str, attr: str, op: str, operand) -> set[int]:
         """Primary keys whose order key k satisfies `k op operand`, from one
         pass over the index's map: `between` takes (lo, hi) and keeps
-        lo <= k <= hi, `in` takes an iterable of operands, and any other
-        operator compares through its `operator` function."""
+        lo <= k <= hi, `=` keeps k == operand, `in` takes an iterable of
+        operands, and any other operator compares through its `operator`
+        function."""
         keys = self._index(table, attr)
         if op == "between":
             lo, hi = operand
             return {pk for pk, key in keys.items() if lo <= key <= hi}
+        if op == "=":
+            return {pk for pk, key in keys.items() if key == operand}
         if op == "in":
             hit = map(frozenset(operand).__contains__, keys.values())
         elif op in _COMPARISONS:

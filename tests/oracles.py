@@ -9,6 +9,7 @@ propagation, aggregation in exact rational arithmetic on the plaintext.
 from __future__ import annotations
 
 import hmac
+import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -93,7 +94,9 @@ def _norm(v, kind):
 
 def _plain_literal(raw, kind):
     if kind in ("key", "fk", "int"):
-        return int(raw)
+        # exactly, so that a literal finer than the column's whole numbers equals none
+        value = Fraction(raw)
+        return value.numerator if value.denominator == 1 else value
     if kind == "bool":
         return raw if isinstance(raw, bool) else bool(int(raw))
     if kind == "date":
@@ -927,42 +930,83 @@ def cell_changes(wh, spec, stored, levels, refresh, rg):
     return pks, deltas, replacements
 
 
-# Placement reference. The package draws a batch of storage groups at
-# once (sharing.storage_bitmaps); this is the one-record draw it replaced,
-# kept as written.
+# Placement reference. The package places a batch of records at once
+# through a map from each record's 64-bit draw to its storage group
+# (sharing.systematic_groups, sharing.storage_bitmaps); this places one
+# record at a time, with exact Fractions, one hmac.digest per message and
+# a linear walk of the cumulative inclusion probabilities.
 
 
-def select_storage_group(pk, weights, alive, km):
-    """Pick the n-t+2 CSPs that will store this record's shares.
+def _exact_weight(w):
+    return Fraction(w) if isinstance(w, (int, Fraction)) else Fraction(str(w))
 
-    Weighted sampling without replacement, keyed by a hash of the primary
-    key, so the choice is reproducible from the config alone. Failed CSPs
-    are never selected; zero-weight CSPs are excluded unless too few
-    weighted CSPs are alive, in which case they fill in by ascending index.
-    """
+
+def inclusion_probabilities(weights, alive, k):
+    """pi_i = min(1, c * w_i) summing to k over the alive providers: c is
+    found by capping the m largest weights, for the smallest m that leaves
+    no uncapped c * w_i above 1; with at most k positive weights, those
+    and the first zero-weight providers by index get 1."""
+    alive = sorted(set(alive))
+    exact = {i: _exact_weight(weights[i - 1]) for i in alive}
+    weighted = [i for i in alive if exact[i] > 0]
+    if len(weighted) <= k:
+        chosen = weighted + [i for i in alive if i not in weighted][:k - len(weighted)]
+        return {i: Fraction(int(i in chosen)) for i in alive}
+    ranked = sorted(weighted, key=lambda i: exact[i], reverse=True)
+    for m in range(k):
+        c = Fraction(k - m) / sum(exact[i] for i in ranked[m:])
+        if c * exact[ranked[m]] <= 1:
+            return {i: min(Fraction(1), c * exact[i]) for i in alive}
+    raise AssertionError("no c found")
+
+
+def _placement_order(weights, alive, km):
+    """(k, pi, the providers of positive pi in their keyed order)."""
     from fvss.errors import NotEnoughAliveCsps
-    from fvss.sharing import StorageGroup
 
     k = km.n - km.t + 2
-    alive = set(alive)
-    if len(alive) < k:
-        raise NotEnoughAliveCsps(f"need {k} alive CSPs, have {len(alive)}")
-    # Efraimidis-Spirakis keys: top-k of u^(1/w), u uniform in (0, 1), is a weighted draw
-    scored = sorted(
-        (-(((int.from_bytes(hmac.digest(km.seed, f"place|{pk}|{i}".encode(), "sha256")[:8],
-                            "big") + 0.5) / (1 << 64))
-           ** (1.0 / weights[i - 1])), i)
-        for i in alive if weights[i - 1] > 0
-    )
-    chosen = [i for _, i in scored[:k]]
-    if len(chosen) < k:
-        for i in sorted(alive):
-            if i not in chosen:
-                chosen.append(i)
-            if len(chosen) == k:
-                break
+    if len(set(alive)) < k:
+        raise NotEnoughAliveCsps(f"need {k} alive CSPs, have {len(set(alive))}")
+    pi = inclusion_probabilities(weights, alive, k)
+    placed = [i for i in sorted(pi) if pi[i] > 0]
+    order = sorted(placed, key=lambda i: hmac.digest(km.seed, f"sysorder|{i}".encode(), "sha256"))
+    return k, pi, order
+
+
+def systematic_group_at(v, weights, alive, km):
+    """The storage group of the 64-bit draw v: the providers whose
+    intervals, laid end to end in the keyed order, hold u, u + 1, ...,
+    u + k - 1 for u = v / 2^64."""
+    from fvss.sharing import StorageGroup
+
+    k, pi, order = _placement_order(weights, alive, km)
+    point, end, chosen = Fraction(v, 1 << 64), Fraction(0), []
+    for i in order:
+        start, end = end, end + pi[i]
+        if start <= point < end:
+            chosen.append(i)
+            point += 1
+    assert len(chosen) == k
     sg = frozenset(chosen)
     return StorageGroup(sg, frozenset(range(1, km.n + 1)) - sg, km.n)
+
+
+def systematic_breakpoints(weights, alive, km):
+    """The draws v at which the group may change: 0 and ceil(b * 2^64) of
+    the fractional part b of each interval's end."""
+    _, pi, order = _placement_order(weights, alive, km)
+    out, end = {0}, Fraction(0)
+    for i in order:
+        end += pi[i]
+        out.add(math.ceil((end - math.floor(end)) * (1 << 64)))
+    return sorted(out)
+
+
+def systematic_storage_group(pk, weights, alive, km):
+    """The storage group of the record keyed pk: the group of the first 8
+    bytes, big-endian, of the seed MAC of sysplace|pk."""
+    v = int.from_bytes(hmac.digest(km.seed, f"sysplace|{pk}".encode(), "sha256")[:8], "big")
+    return systematic_group_at(v, weights, alive, km)
 
 
 # Record references. The package's value records are named tuples; these

@@ -223,10 +223,10 @@ def test_tamper_verify_recover_cycle(loaded, capsys):
 
 
 def test_verify_single_csp_and_table_scope(loaded, capsys):
-    run(loaded, "tamper", "3", "Product", "10", "pname")
-    code, out, _ = run(loaded, "verify", "--csp", "3", "--table", "Sales", capsys=capsys)
+    run(loaded, "tamper", "5", "Product", "10", "pname")
+    code, out, _ = run(loaded, "verify", "--csp", "5", "--table", "Sales", capsys=capsys)
     assert code == 0  # the tamper sits in Product, out of scope
-    code, out, _ = run(loaded, "verify", "--csp", "3", "--table", "Product", capsys=capsys)
+    code, out, _ = run(loaded, "verify", "--csp", "5", "--table", "Product", capsys=capsys)
     assert code == 2
     assert "Product" in out
 
@@ -303,7 +303,7 @@ def test_an_unknown_csp_exits_one_and_changes_nothing(loaded, capsys, argv):
      r"OutOfRange: Sales\[\d+\]\.price has no chunk 5: its share has 1"),
     (("2", "Sales", "1", "price", "--chunk", "-1"),
      r"OutOfRange: Sales\[\d+\]\.price has no chunk -1: its share has 1"),
-    (("3", "Product", "10", "pname", "--chunk", "7"),
+    (("5", "Product", "10", "pname", "--chunk", "7"),
      r"OutOfRange: Product\[\d+\]\.pname has no chunk 7: its share has 5"),
     (("2", "Sales", "1", "nope"), "SchemaMismatch: no column nope in Sales"),
     (("2", "Sales", "1", "ProdNo"), r"SchemaMismatch: Sales\.ProdNo is not a shared data column"),
@@ -694,6 +694,9 @@ def test_load_config_shapes(site):
     (lambda s: s.replace("n = 5", "n = five"), "integer"),
     (lambda s: s.replace("ProdNo key", "ProdNo uuid"), "kind"),
     (lambda s: s + "\n[placement]\nweights = 1, 2\n", "weights"),
+    (lambda s: s + "\n[placement]\nweights = 1, 1, inf, 1, 1\n", "finite"),
+    (lambda s: s + "\n[placement]\nweights = 1, nan, 1, 1, 1\n", "finite"),
+    (lambda s: s + "\n[placement]\nweights = 1, 1, 1, -1, 1\n", "negative"),
     (lambda s: s.replace("Product = category", "Typo = category"), "unknown tables"),
     (lambda s: s.replace("price_sq square price scale=4", "price_sq cube price"), "kind"),
     (lambda s: s.replace("measures = sum(price), count(*), avg(price)", "measures ="),

@@ -56,6 +56,32 @@ def test_share_volume_weighted_split_is_exact():
     assert per_csp == tuple(Fraction(w) for w in weights)
 
 
+def test_share_volume_bills_a_capped_provider_for_what_it_stores():
+    """At weights 1,1,2,2,4 provider 5's share of the records would pass 1:
+    placement stores every record there and the rest in proportion to
+    the weights, and the bill follows."""
+    total, per_csp = share_volume("fvss", 5, 4, 100, weights=(1, 1, 2, 2, 4))
+    assert total == 300
+    assert per_csp == tuple(100 * x for x in (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3),
+                                              Fraction(2, 3), 1))
+
+
+def test_share_volume_bills_the_zero_weight_providers_that_fill_in():
+    """With two positive weights and groups of three, placement fills every
+    group with the first zero-weight provider, which is billed for it."""
+    assert share_volume("fvss", 5, 4, 100, weights=(1, 0, 0, 0, 2)) \
+        == (300, (100, 100, 0, 0, 100))
+
+
+@given(n=st.integers(3, 8), data=st.data(), volume=st.integers(1, 10**6))
+def test_weighted_fvss_bill_splits_the_total_and_caps_each_provider(n, data, volume):
+    t = data.draw(st.integers(2, n))
+    weights = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n).filter(any))
+    total, per_csp = share_volume("fvss", n, t, volume, weights=weights)
+    assert sum(per_csp) == total == (n - t + 2) * volume
+    assert all(0 <= x <= volume for x in per_csp)
+
+
 def test_share_volume_rejects_bad_input():
     with pytest.raises(UnsupportedFeature):
         share_volume("mystery", 5, 4, 100)
