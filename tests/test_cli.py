@@ -550,8 +550,10 @@ SESSION = (
 )
 
 # sha256 of the session's argv, exit codes, stdout and stderr, with the
-# site directory written as {site}
-SESSION_DIGEST = "8c9aebed99a9b2fe061d6281735cb1f8144ad6e9578d089d2b346ea39ac6b3ce"
+# site directory written as {site}; re-captured when systematic placement
+# replaced the weighted draw, which changed only the per-provider count
+# lines of the three shares and the count of shares recover regenerates
+SESSION_DIGEST = "1d57abe35bc44b71dff85dc2d47332e91843590910d62b7904c4aaccd67d51ea"
 
 
 def test_golden_cli_session(site, capsys):
