@@ -18,7 +18,7 @@ from math import ceil
 from typing import NamedTuple
 
 from .errors import InvalidThreshold, OutOfRange, UnsupportedFeature
-from .sharing import inclusion_probabilities
+from .sharing import _exact as _rat, inclusion_probabilities
 
 VM_POWERS = {            # records per second
     "sVM": 10**10,
@@ -27,12 +27,6 @@ VM_POWERS = {            # records per second
 }
 
 SCHEMES = ("signed-full", "full", "multi-secret", "ramp", "fvss")
-
-
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(str(x))
 
 
 def cents(amount) -> Decimal:
