@@ -301,7 +301,7 @@ def cmd_init(cfg: AppConfig, args, out) -> int:
 
 
 def _share_counts(wh: Warehouse) -> dict[int, int]:
-    return {i: sum(map(len, csp.pks.values())) for i, csp in wh.csps.items()}
+    return {i: sum(len(csp.held_pks(table)) for table in wh.schemas) for i, csp in wh.csps.items()}
 
 
 def cmd_share(cfg: AppConfig, args, out) -> int:

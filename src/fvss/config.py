@@ -47,9 +47,10 @@ from .cost import PricingPolicy, reference_pricing
 from .cube import MEASURE_FNS, CubeHierarchy, CubeMeasure, CubeSpec, cube_table_spec
 from .errors import ConfigError
 from .field import P_DEFAULT
+from .index import DerivedColumn
 from .keyed import KeyMaterial, init_participants
 from .sharing import DATA_KINDS, Column, Schema
-from .store import DerivedColumn, Warehouse
+from .store import Warehouse
 
 _DERIVED_KINDS = ("square", "product", "quotient")
 

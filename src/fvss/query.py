@@ -56,8 +56,9 @@ from .errors import (
     UnknownTable,
     UnsupportedFeature,
 )
+from .index import _COMPARISONS
 from .sharing import NUMBER_KINDS, Column, solve_sums, text_value, typed_key, typed_value
-from .store import _COMPARISONS, Warehouse
+from .store import Warehouse
 
 AGG_FNS = ("sum", "avg", "var", "variance", "stddev", "count", "min", "max", "median")
 
@@ -658,7 +659,7 @@ def _plan_aggregate(agg: Aggregate, names, wh, fact: str) -> PlannedAgg:
 # group's share sum in the same request; a query without GROUP BY is the
 # one-group case. A group stays the list _filter_pks and group_pks made,
 # in ascending pk order, from the filter to the providers' kernels, which
-# walk it in that order (store._walks); a query without a filter hands the
+# walk it in that order (provider._walks); a query without a filter hands the
 # whole table over as Type I's own pk -> bitmap map, in its load order.
 
 

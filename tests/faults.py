@@ -1,6 +1,6 @@
 """Fault injection the package has no entry point for."""
 
-from fvss.store import StoredRecord
+from fvss.provider import StoredRecord
 
 from .oracles import get_record
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from fvss.cost import _rat, reference_pricing
 from fvss.errors import EmptyInput, NotIndexed, OutOfRange, SchemaMismatch
 from fvss.sharing import DATA_KINDS, PLAIN_KINDS
-from fvss.store import _PICKS
+from fvss.index import _PICKS
 
 _EPOCH = date(1970, 1, 1)
 _KEY = itemgetter(0)    # order key of a Type II (key, pk) entry
@@ -389,10 +389,10 @@ def solve_column(rows, pks, columns, sg, rg, km, table="", refusal="",
 
 
 def record_bytes(schema, pks, values):
-    """store._record_bytes a field at a time, in chunk-tuple form: pk,
+    """provider._record_bytes a field at a time, in chunk-tuple form: pk,
     then every non-key field, 8-byte big-endian per integer, a single
     0xFF for null."""
-    from fvss.store import _NULL_BYTES
+    from fvss.provider import _NULL_BYTES
 
     parts = [[pk.to_bytes(8, "big") for pk in pks]]
     for (_, is_fk), vals in zip(schema.record_fields(), values):
@@ -441,10 +441,10 @@ def share_columns(schema, pks, bitmaps, values, km):
 
 
 def type2_fast_path(text):
-    """store._parse_type2's old test for its column-wise read: the entries
+    """index._parse_type2's old test for its column-wise read: the entries
     of a file of integer keys that _type2_text writes again byte for
     byte, else None."""
-    from fvss.store import _BRACKETS, _type2_text
+    from fvss.index import _BRACKETS, _type2_text
 
     tokens = text.translate(_BRACKETS).split()
     try:
@@ -519,12 +519,12 @@ def encode_row(wh, schema, row):
 
 def per_record_load(wh, table, rows):
     """Warehouse.load_rows, one record at a time: each new row through
-    share_record and a one-record put_shared_records per provider, then
+    share_record and put_shared_record per provider, then
     its Type I bitmap and Type II keys; a stored key through share_record
     in its storage group and update_shared_record. Returns the count."""
     from fvss.errors import CspUnavailable
     from fvss.sharing import group_from_bitmap, share_record
-    from fvss.store import StoredRecord
+    from fvss.provider import StoredRecord
 
     schema = wh.schemas[table]
     alive = wh.alive_csps()
@@ -551,7 +551,7 @@ def per_record_load(wh, table, rows):
             if stored:
                 csp.update_shared_record(schema, csp.position_of(table, pk), rec)
             else:
-                csp.put_shared_records(schema, [rec])
+                csp.put_shared_record(schema, rec)
         if not stored:
             type1_set(wh.type1, table, pk, bundle.bitmap)
         for col in [c for c in schema.columns[1:] if wh.type2.is_indexed(table, c.name)]:
@@ -607,7 +607,7 @@ def per_cell_rewrite(wh, schema, pks, deltas, replacements, refresh):
 def get_record(csp, table, pos):
     """CspStore.get_record: the record at pos as a StoredRecord, counting
     the 64 bytes a record that fetch_records counts."""
-    csp._check_alive()
+    csp.check_alive()
     pk = csp._pk_at(table, pos)
     csp.bytes_transferred += 64
     return csp._record(table, pk)
@@ -654,7 +654,7 @@ def interpolate_at(xs, ys, x, p):
 def _shares_text(schema, pks, values):
     """The records as .shares lines: tab-separated decimal fields, share
     chunks comma-joined, the NULL literal for nulls."""
-    from fvss.store import NULL_LITERAL
+    from fvss.provider import NULL_LITERAL
 
     cols = [map(str, pks)]
     for (_, is_fk), vals in zip(schema.record_fields(), values):
@@ -667,7 +667,7 @@ def _shares_text(schema, pks, values):
 def _parse_shares(schema, text):
     """Inverse of _shares_text: (pks, values) of a .shares file."""
     from fvss.errors import SchemaMismatch
-    from fvss.store import NULL_LITERAL
+    from fvss.provider import NULL_LITERAL
 
     fields = schema.record_fields()
     rows = [line.split("\t") for line in text.splitlines() if line]
@@ -1166,7 +1166,7 @@ class PlannedAgg:
     square: str | None = None       # derived x^2 column backing var/stddev
 
 
-# store.TypeTwoIndex as it was before it kept one pk -> key map per index:
+# index.TypeTwoIndex as it was before it kept one pk -> key map per index:
 # a sorted (key, pk) list maintained beside the map by bisect deletes,
 # insort and extend + sort, the reference of tests/test_type_two.py
 class TypeTwoIndex:

@@ -222,11 +222,22 @@ def test_tamper_verify_recover_cycle(loaded, capsys):
     assert run(loaded, "verify")[0] == 0
 
 
+def _holder(site, table, pk) -> str:
+    """A provider that stores the record, read from its Type I bitmap, so
+    that a test does not depend on where placement put it."""
+    for line in (site / "warehouse" / "index" / "type1.bitmap").read_text().splitlines():
+        name, key, bitmap = line.split("\t")
+        if (name, key) == (table, str(pk)):
+            return str(bitmap.index("1") + 1)
+    raise AssertionError(f"no bitmap for {table} pk {pk}")
+
+
 def test_verify_single_csp_and_table_scope(loaded, capsys):
-    run(loaded, "tamper", "5", "Product", "10", "pname")
-    code, out, _ = run(loaded, "verify", "--csp", "5", "--table", "Sales", capsys=capsys)
+    csp = _holder(loaded, "Product", 10)
+    run(loaded, "tamper", csp, "Product", "10", "pname")
+    code, out, _ = run(loaded, "verify", "--csp", csp, "--table", "Sales", capsys=capsys)
     assert code == 0  # the tamper sits in Product, out of scope
-    code, out, _ = run(loaded, "verify", "--csp", "5", "--table", "Product", capsys=capsys)
+    code, out, _ = run(loaded, "verify", "--csp", csp, "--table", "Product", capsys=capsys)
     assert code == 2
     assert "Product" in out
 
@@ -299,19 +310,20 @@ def test_an_unknown_csp_exits_one_and_changes_nothing(loaded, capsys, argv):
 
 
 @pytest.mark.parametrize("argv,err", [
-    (("2", "Sales", "1", "price", "--chunk", "5"),
+    (("Sales", "1", "price", "--chunk", "5"),
      r"OutOfRange: Sales\[\d+\]\.price has no chunk 5: its share has 1"),
-    (("2", "Sales", "1", "price", "--chunk", "-1"),
+    (("Sales", "1", "price", "--chunk", "-1"),
      r"OutOfRange: Sales\[\d+\]\.price has no chunk -1: its share has 1"),
-    (("5", "Product", "10", "pname", "--chunk", "7"),
+    (("Product", "10", "pname", "--chunk", "7"),
      r"OutOfRange: Product\[\d+\]\.pname has no chunk 7: its share has 5"),
-    (("2", "Sales", "1", "nope"), "SchemaMismatch: no column nope in Sales"),
-    (("2", "Sales", "1", "ProdNo"), r"SchemaMismatch: Sales\.ProdNo is not a shared data column"),
+    (("Sales", "1", "nope"), "SchemaMismatch: no column nope in Sales"),
+    (("Sales", "1", "ProdNo"), r"SchemaMismatch: Sales\.ProdNo is not a shared data column"),
 ], ids=["int chunk 5", "chunk -1", "string past its end", "unknown attribute", "fk"])
 def test_tamper_of_what_no_share_holds_exits_one_and_changes_nothing(loaded, capsys, argv,
                                                                       err):
+    """Each tamper names a provider that stores the record (_holder)."""
     before = _store_files(loaded)
-    code, out, got = run(loaded, "tamper", *argv, capsys=capsys)
+    code, out, got = run(loaded, "tamper", _holder(loaded, *argv[:2]), *argv, capsys=capsys)
     assert (code, out) == (1, "")
     assert re.fullmatch(err + "\n", got)
     assert _store_files(loaded) == before   # no .lock left behind either

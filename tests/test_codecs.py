@@ -24,19 +24,10 @@ from hypothesis import strategies as st
 
 from fvss import DEFAULT_BIAS, P_DEFAULT, Column, Schema
 from fvss.errors import OutOfRange, SchemaMismatch
+from fvss.index import TypeOneIndex, _bitmaps_text, _parse_type2, _read_bitmaps, _type2_text
+from fvss.provider import _parse_shares, _parse_triples, _shares_text, _triples_text
 from fvss.sharing import decode, encode_chunks, typed_key, typed_value
 from fvss.sigtree import WaryTree
-from fvss.store import (
-    TypeOneIndex,
-    _bitmaps_text,
-    _parse_shares,
-    _parse_triples,
-    _parse_type2,
-    _read_bitmaps,
-    _shares_text,
-    _triples_text,
-    _type2_text,
-)
 
 from . import oracles
 

@@ -684,7 +684,7 @@ def test_refresh_deltas_equal_the_old_delta_rule(km_big, monkeypatch):
     times k, each plus the cell's zero-sharing. The new facts have NULL
     qty values, in existing cells and in new ones."""
     import fvss.cube as cube_module
-    from fvss.store import _shares_text
+    from fvss.provider import _shares_text
 
     later = [_sale(14, 11, 2014, 3, 700, 56, None), _sale(15, 10, 2013, 2, 300, 24, 2),
              _sale(16, 13, 2015, 2, 450, 36, None)]

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from fvss import Column, Schema, Warehouse
 from fvss.errors import EmptyInput, UnknownRecordPosition
+from fvss.index import TypeOneIndex, TypeTwoIndex
 from fvss.query import execute, parse
 from fvss.sharing import encode_chunks, group_from_bitmap, share_value, typed_key
-from fvss.store import TypeOneIndex, TypeTwoIndex
 
 from .oracles import PlainWarehouse, type1_set
 

@@ -20,8 +20,8 @@ import fvss.store as store_module
 from fvss import DEFAULT_BIAS, Column, DerivedColumn, Schema, Warehouse
 from fvss.cube import CubeHierarchy, CubeMeasure, CubeSpec, cube_build, cube_refresh
 from fvss.errors import CspUnavailable, NotEnoughAliveCsps, OutOfRange, SchemaMismatch
+from fvss.provider import CspStore
 from fvss.query import execute
-from fvss.store import CspStore
 
 PRODUCT = Schema("Product", (
     Column("ProdNo", "key"),

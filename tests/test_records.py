@@ -23,11 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvss import (P_DEFAULT, config, cost, cube, init_participants, keyed, query, sharing,
-                  sigtree, store)
+from fvss import (P_DEFAULT, config, cost, cube, index, init_participants, keyed, provider, query,
+                  sharing, sigtree, store)
 from fvss.errors import OutOfRange, SchemaMismatch
+from fvss.provider import StoredRecord
 from fvss.sigtree import BreachReport
-from fvss.store import StoredRecord
 
 from . import oracles
 
@@ -230,7 +230,7 @@ def test_derived_column_equals_its_reference(pair, row):
     that is not whole stays a Fraction (which the encoding refuses); a
     quotient by 0, which compute raises as ZeroDivisionError, is
     OutOfRange naming the pk."""
-    new, ref = _same_pair(store.DerivedColumn, oracles.DerivedColumn, pair)
+    new, ref = _same_pair(index.DerivedColumn, oracles.DerivedColumn, pair)
     for n, r in zip(new, ref):
         if type(n) is tuple:
             continue
@@ -287,7 +287,7 @@ def _records():
         spec, spec.hierarchies[0], spec.measures[0], layout, *layout.stored,
         cost.reference_pricing(), cost.sharing_profiles()[0], report, *report.lines,
         *cost.storage_comparison(),
-        sigtree.BreachEntry("S", 3, ((0, 0),)), store.DerivedColumn("S", "sq", "square", "qty"),
+        sigtree.BreachEntry("S", 3, ((0, 0),)), index.DerivedColumn("S", "sq", "square", "qty"),
         KM, config.AppConfig(5, 4, P_DEFAULT, SEED, Path("root")),
     ]
 
@@ -296,7 +296,7 @@ def _record_types():
     """Every named-tuple record class the package defines, less the field
     bases of the ones that add construction logic."""
     found = {
-        obj for mod in (query, sharing, cube, cost, sigtree, store, keyed, config)
+        obj for mod in (query, sharing, cube, cost, sigtree, provider, index, store, keyed, config)
         for obj in vars(mod).values()
         if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == mod.__name__
     }

@@ -25,9 +25,10 @@ from fvss.errors import (
     UnknownRecordPosition,
     UnknownTable,
 )
+from fvss.index import TypeOneIndex
+from fvss.provider import StoredRecord
 from fvss.query import execute, parse
 from fvss.sharing import typed_key
-from fvss.store import StoredRecord, TypeOneIndex
 
 from .faults import drop_record
 from .oracles import PlainWarehouse, get_record, triples, type1_set
@@ -935,6 +936,43 @@ def test_type2_entry_for_a_pk_type1_lacks_fails_at_load(tmp_path, km_big):
                        match=r"^index/type2/product\.qty\.idx names product pk 999999, "
                              r"which Type I lacks$"):
         _reload(tmp_path, km_big)
+
+
+def _edit_first_bitmap(root, bitmap):
+    path = root / "index" / "type1.bitmap"
+    lines = path.read_text().splitlines()
+    table, pk, _ = lines[0].split("\t")
+    lines[0] = f"{table}\t{pk}\t{bitmap}"
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("bitmap", ["1111", "111111", "11x10", "00000", "10001", ""],
+                         ids=["4 bits", "6 bits", "not a bit", "no ones", "2 ones", "empty"])
+def test_type1_bitmap_of_another_shape_fails_at_load(tmp_path, km_big, bitmap):
+    """Every record is stored by n-t+2 providers, a cube cell by all n, so
+    a bitmap that is not n characters of 0 or 1 with at least n-t+2 ones
+    is a torn or edited file: load refuses it, where it used to load and
+    make every SUM raise InnerSignatureMismatch after trying each
+    reconstruction group."""
+    _saved(tmp_path, km_big)
+    _edit_first_bitmap(tmp_path, bitmap)
+    with pytest.raises(SchemaMismatch, match=rf"^index/type1\.bitmap: bitmap '{bitmap}' is not 5 "
+                                             r"characters of 0 or 1 with at least 3 ones$"):
+        _reload(tmp_path, km_big)
+
+
+def test_type1_bitmap_with_ones_in_range_loads_and_verify_reports_it(tmp_path, km_big):
+    """A bitmap of the right shape that names providers which do not store
+    the record loads; verify reports it as misplaced at those providers."""
+    wh = _saved(tmp_path, km_big)
+    pk = next(iter(wh.type1.entries["product"]))
+    old = wh.type1.bitmap("product", pk)
+    _edit_first_bitmap(tmp_path, "11111")
+    back = _reload(tmp_path, km_big)
+    assert back.type1.bitmap("product", pk) == "11111"
+    reports = back.verify_all()
+    assert {i for i, report in reports.items() if not report.ok} == \
+        {i for i, bit in enumerate(old, 1) if bit == "0"}
 
 
 # malformed saved files, and signature trees parsed on first use

@@ -1,6 +1,6 @@
 """Randomized equivalence of the one-map Type II index.
 
-`store.TypeTwoIndex` keeps one pk -> order key map per indexed attribute
+`index.TypeTwoIndex` keeps one pk -> order key map per indexed attribute
 and nothing else: a lookup scans the map once, comparing through
 `operator` functions, and the sorted (key, pk) entries that save writes
 are sorted from it on each call. The battery runs random programs against
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from fvss import P_DEFAULT, Column, Schema, Warehouse, init_participants
 from fvss.errors import EmptyInput, NotIndexed
-from fvss.store import TypeTwoIndex, _type2_text
+from fvss.index import TypeTwoIndex, _type2_text
 
 from . import oracles
 
