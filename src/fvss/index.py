@@ -9,6 +9,16 @@ On disk, under <root>/index/:
     type1.bitmap        table, pk, bitmap lines
     type2/<t>.<a>.idx   one JSON [key, pk] entry per line, in (key, pk)
                         order; exactly one file per configured index
+
+save keeps the text it wrote, per table for Type I (its part of
+type1.bitmap) and per index for Type II (its .idx file), about the size
+of those files, and writes it again at the next save. TypeOneIndex.set_many
+and TypeTwoIndex.insert_many, which every write of a table or an index
+passes through (Type I's load too), and TypeTwoIndex.load drop it, so the
+next save formats it anew; create_table and register file no entries. A
+change that does not go through these methods (an edit of type1.entries
+or of a value_map after a save, say) is not seen by the next save. load
+keeps no text.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ class TypeOneIndex:
     def __init__(self):
         self.entries: dict[str, dict[int, str]] = {}
         self.absent: dict[str, dict[int, set[int]]] = {}
+        self.kept: dict[str, str] = {}   # table -> its type1.bitmap lines as save wrote them
 
     def create_table(self, table: str):
         self.entries.setdefault(table, {})
@@ -37,7 +48,9 @@ class TypeOneIndex:
 
     def set_many(self, table: str, pks: list[int], bitmaps: list[str]):
         """File each (pk, bitmap) pair in order, a bitmap at a time in
-        C-level passes; the pks are distinct and new to the table."""
+        C-level passes; the pks are distinct and new to the table. Drops
+        the table's kept text."""
+        self.kept.pop(table, None)
         entries = self.entries.setdefault(table, {})
         absent = self.absent.setdefault(table, {})
         entries.update(zip(pks, bitmaps))
@@ -75,14 +88,25 @@ class TypeOneIndex:
         return self.pseudo_sums(table, [pks], i, p)[0]
 
     def save(self, idx, tables):
-        text = "".join(_bitmaps_text(table, self.entries[table]) for table in tables)
-        (idx / "type1.bitmap").write_text(text)
+        """Write idx/type1.bitmap: each table's kept lines, formatted and
+        kept where a write has dropped them."""
+        kept = self.kept
+        for table in tables:
+            if table not in kept:
+                kept[table] = _bitmaps_text(table, self.entries[table])
+        (idx / "type1.bitmap").write_text("".join([kept[table] for table in tables]))
 
     def load(self, idx, n: int, t: int):
-        """File idx/type1.bitmap (_read_bitmaps); SchemaMismatch unless
-        each bitmap is n characters of 0 or 1 with at least n-t+2 ones, as
-        every storage group and cube cell has."""
+        """File idx/type1.bitmap (_read_bitmaps); SchemaMismatch for a line
+        of a table that create_table has not filed (index/tables does not
+        list it), and unless each bitmap is n characters of 0 or 1 with at
+        least n-t+2 ones, as every storage group and cube cell has."""
+        known = set(self.entries)
         _read_bitmaps(self, (idx / "type1.bitmap").read_text())
+        unknown = [table for table in self.entries if table not in known]
+        if unknown:
+            raise SchemaMismatch(f"index/type1.bitmap: table {unknown[0]!r} "
+                                 f"is not in index/tables")
         least = n - t + 2
         for bitmap in set(chain.from_iterable(map(dict.values, self.entries.values()))):
             if len(bitmap) != n or bitmap.strip("01") or bitmap.count("1") < least:
@@ -102,6 +126,7 @@ class TypeTwoIndex:
 
     def __init__(self):
         self.keys: dict[tuple[str, str], dict[int, object]] = {}
+        self.kept: dict[tuple[str, str], str] = {}   # index -> its .idx text as save wrote it
 
     def register(self, table: str, attr: str):
         self.keys.setdefault((table, attr), {})
@@ -136,8 +161,9 @@ class TypeTwoIndex:
 
     def insert_many(self, table: str, attr: str, pairs):
         """Index each (key, pk) of pairs, whose pks are distinct, under its
-        key, or drop it for a None key."""
+        key, or drop it for a None key. Drops the index's kept text."""
         keys = self._index(table, attr)
+        self.kept.pop((table, attr), None)
         for key, pk in pairs:
             if key is None:
                 keys.pop(pk, None)
@@ -192,10 +218,14 @@ class TypeTwoIndex:
         return got
 
     def save(self, t2):
-        """Write one .idx file per index under t2, an empty one too."""
+        """Write one .idx file per index under t2, an empty one too: its
+        kept text, formatted and kept where a write has dropped it."""
         t2.mkdir(exist_ok=True)
+        kept = self.kept
         for table, attr in self.keys:
-            (t2 / f"{table}.{attr}.idx").write_text(_type2_text(self.entries(table, attr)))
+            if (table, attr) not in kept:
+                kept[table, attr] = _type2_text(self.entries(table, attr))
+            (t2 / f"{table}.{attr}.idx").write_text(kept[table, attr])
 
     def load(self, t2, schemas, type1: TypeOneIndex):
         """Read each index from its file under t2. SchemaMismatch when the
@@ -213,6 +243,7 @@ class TypeTwoIndex:
             # the file is in (key, pk) order, so save's sort of an unchanged index is linear
             text = (t2 / name).read_text()
             keys = self.keys[table, attr] = {pk: key for key, pk in _parse_type2(text)}
+            self.kept.pop((table, attr), None)
             held = type1.entries[table].keys()
             if schemas[table].column(attr).kind == "fk" and keys.keys() != held:
                 raise SchemaMismatch(f"index/type2/{name} does not hold every {table} record")

@@ -18,6 +18,15 @@ On disk, under <root>/csp<i>/ (all integers decimal text):
     <table>.sigtree    record-layer (level, index, value)
     _tables.sigtree    table order plus table-layer triples
     state              alive flag and bytes_transferred (of its reads)
+
+save keeps the text it wrote for every file but state (CspStore.kept),
+about the size of those files, and writes it again at the next save;
+_write, which every write of a table passes through (appends, updates,
+create_table, reset_table and load alike), and tamper drop that table's
+texts and _tables.sigtree's, so the next save formats them anew. A
+change that does not go through these methods (an edit of csp.columns
+or csp.plain after a save, say) is not seen by the next save. load keeps
+no text.
 """
 
 from __future__ import annotations
@@ -224,6 +233,7 @@ class CspStore:
         self._sigtree = SignatureTree(index, w, km)
         # saved trees not parsed yet: (_tables.sigtree text, table -> .sigtree text)
         self.saved_trees: tuple[str, dict[str, str]] | None = None
+        self.kept: dict[str, str] = {}   # file name -> the text save wrote, until a write drops it
         self.bytes_transferred = 0
 
     @property
@@ -302,8 +312,10 @@ class CspStore:
     def _write(self, schema: Schema, pks, values):
         """File each value under its pk (pks distinct): an fk in its
         column, a share in its share column or, when NULL, in the
-        attribute's NULL set, and out of the other one."""
+        attribute's NULL set, and out of the other one. Drops the table's
+        kept text first."""
         table = schema.table
+        self._drop_kept(table)
         plain, columns, nulls = self.plain[table], self.columns[table], self.nulls[table]
         for (name, is_fk), vals in zip(schema.record_fields(), values):
             if is_fk:
@@ -320,6 +332,11 @@ class CspStore:
                 column.update(zip(pks, vals))
             if null:
                 null.difference_update(column.keys() & pks)
+
+    def _drop_kept(self, table: str):
+        """Forget the text save kept for table's files and _tables.sigtree."""
+        for name in (f"{table}.shares", f"{table}.sigtree", "_tables.sigtree"):
+            self.kept.pop(name, None)
 
     def append_columns(self, schema: Schema, pks, values) -> int:
         """Append new records in order, given as a batch (pks and value
@@ -435,6 +452,7 @@ class CspStore:
             raise OutOfRange(f"{table}[{pos}].{attr} has no chunk {chunk}:"
                              f" its share has {len(mutated)}")
         mutated[chunk] = (mutated[chunk] + delta) % self.km.p
+        self._drop_kept(table)
         column[pk] = tuple(mutated) if string else mutated[0]
 
     def reset_table(self, schema: Schema, pks: list[int], values: list[list]):
@@ -454,14 +472,23 @@ class CspStore:
         return self.sigtree.verify(leaves, scope)
 
     def save(self, d, schemas: dict[str, Schema]):
-        """Write each table's .shares and .sigtree, then _tables.sigtree and state, under d."""
+        """Write each table's .shares and .sigtree, then _tables.sigtree and
+        state, under d: the kept text of each file but state, formatted
+        and kept where a write has dropped it."""
         d.mkdir(parents=True, exist_ok=True)
-        sigtree = self.sigtree
+        kept = self.kept
         for table, schema in schemas.items():
-            (d / f"{table}.shares").write_text(_shares_text(schema, *self.slice_values(schema)))
-            (d / f"{table}.sigtree").write_text(_triples_text(sigtree.record_trees[table].levels))
-        (d / "_tables.sigtree").write_text("\t".join(["tables"] + sigtree.table_order) + "\n"
-                                           + _triples_text(sigtree.table_layer.levels))
+            shares, tree = f"{table}.shares", f"{table}.sigtree"
+            if shares not in kept:   # tree first: a malformed saved tree raises, keeping neither
+                kept[tree] = _triples_text(self.sigtree.record_trees[table].levels)
+                kept[shares] = _shares_text(schema, *self.slice_values(schema))
+            (d / shares).write_text(kept[shares])
+            (d / tree).write_text(kept[tree])
+        if "_tables.sigtree" not in kept:
+            sigtree = self.sigtree
+            kept["_tables.sigtree"] = ("\t".join(["tables"] + sigtree.table_order) + "\n"
+                                       + _triples_text(sigtree.table_layer.levels))
+        (d / "_tables.sigtree").write_text(kept["_tables.sigtree"])
         (d / "state").write_text(f"alive\t{int(self.alive)}\n"
                                  f"bytes_transferred\t{self.bytes_transferred}\n")
 

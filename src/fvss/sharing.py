@@ -527,11 +527,12 @@ _KEYS = {
 }
 
 
-def _number_chunks(numbers, rows, derived, bias: int, p: int) -> list[list]:
+def _number_chunks(numbers, rows, exact, bias: int, p: int) -> list[list]:
     """The chunks (key plus the bias) of each number column (kind, name,
     keys), all made and range-checked at once: one min and one max over
     every chunk of the batch; OutOfRange for the first value outside
-    [0, p), column by column."""
+    [0, p), column by column, naming the row's value or, for a derived
+    column, its exact value (a Fraction of its pair in exact)."""
     n = len(rows)
     flat = [None if k is None else k + bias for _, _, keys in numbers for k in keys]
     present = flat if None not in flat else [c for c in flat if c is not None]
@@ -539,13 +540,13 @@ def _number_chunks(numbers, rows, derived, bias: int, p: int) -> list[list]:
         for kind, name, keys in numbers:
             for j, k in enumerate(keys):
                 if k is not None and not 0 <= k + bias < p:
-                    v = derived[name][j] if name in derived else rows[j].get(name)
+                    v = Fraction(*exact[name][j]) if name in exact else rows[j].get(name)
                     raise OutOfRange(f"{kind} value {v!r} encodes to {k + bias}, outside [0, {p})")
     return [flat[i * n:(i + 1) * n] for i in range(len(numbers))]
 
 
 def encode_rows(schema: Schema, rows: Sequence[dict], derived: Mapping[str, list],
-                bias: int, p: int) -> tuple[list, list]:
+                exact: Mapping[str, list], bias: int, p: int) -> tuple[list, list]:
     """The non-key fields of rows encoded a column at a time, one column
     per record field (record_fields order) aligned with rows: as the
     providers store them before sharing (an fk as its whole_number, a
@@ -555,7 +556,9 @@ def encode_rows(schema: Schema, rows: Sequence[dict], derived: Mapping[str, list
     chunks and keys encode_value gives each value, except that an int
     column's value must be a whole number (whole_key). derived holds the
     keys of the derived fields (an int, or at scale 0 a Fraction for a
-    value that is not whole), which stand in for the rows' own values.
+    value that is not whole), which stand in for the rows' own values,
+    and exact their exact values as (numerator, denominator) pairs,
+    which a range error names.
 
     Each check runs over every row, in this order: SchemaMismatch for a
     column the schema lacks; each fk's whole_number; then each field's
@@ -599,9 +602,9 @@ def encode_rows(schema: Schema, rows: Sequence[dict], derived: Mapping[str, list
             keys.append(column)
             values.append(chunks)
     except Exception:
-        _number_chunks(numbers, rows, derived, bias, p)   # an earlier field's range comes first
+        _number_chunks(numbers, rows, exact, bias, p)   # an earlier field's range comes first
         raise
-    made = iter(_number_chunks(numbers, rows, derived, bias, p))
+    made = iter(_number_chunks(numbers, rows, exact, bias, p))
     return [next(made) if chunks is None else chunks for chunks in values], keys
 
 

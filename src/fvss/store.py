@@ -93,7 +93,7 @@ def _ratio(value, table: str, name: str) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def _derived_keys(schema: Schema, derived, rows) -> dict[str, list]:
+def _derived_keys(schema: Schema, derived, rows, exact: dict = None) -> dict[str, list]:
     """Each derived column of rows, in registration order, as its order
     keys (None where a source is NULL), computed in integers: a value is
     an exact (numerator, denominator) pair, a square n^2/d^2, a product
@@ -104,8 +104,10 @@ def _derived_keys(schema: Schema, derived, rows) -> dict[str, list]:
     a Fraction, which sharing.encode_rows refuses in its turn. A later
     derived column reads an earlier one's exact values. OutOfRange naming
     the table, the column and the pk as given for a quotient by 0;
-    SchemaMismatch for an unknown kind."""
-    exact, out = {}, {}
+    SchemaMismatch for an unknown kind. exact, if given, receives each
+    derived column's exact values as (numerator, denominator) pairs (a
+    quotient's rounded to its scale), which error messages show."""
+    exact, out = {} if exact is None else exact, {}
     for d in derived:
         xs = exact.get(d.x)
         if xs is None:
@@ -280,20 +282,21 @@ class Warehouse:
 
     # loading records
 
-    def _checked_before_key(self, schema: Schema, rows) -> dict[str, list]:
+    def _checked_before_key(self, schema: Schema, rows) -> tuple[dict, dict]:
         """The checks of rows that come before their keys': their derived
-        columns (_derived_keys, which it returns), then the empty-string
-        refusal."""
-        derived = _derived_keys(schema, self.type3.for_table(schema.table), rows)
+        columns (_derived_keys, whose keys and exact values it returns),
+        then the empty-string refusal."""
+        exact = {}
+        derived = _derived_keys(schema, self.type3.for_table(schema.table), rows, exact)
         _refuse_empty_strings(schema, rows)
-        return derived
+        return derived, exact
 
     def _encode(self, schema: Schema, rows) -> tuple[list, list]:
         """(values, keys) of rows whose keys are checked, a column per
         record field (sharing.encode_rows); a one-row batch raises the
         first failing check of its row, in the order derived, empty
         string, unknown column, fks, values."""
-        return encode_rows(schema, rows, self._checked_before_key(schema, rows), self.bias,
+        return encode_rows(schema, rows, *self._checked_before_key(schema, rows), self.bias,
                            self.km.p)
 
     def _encoded_prefix(self, schema: Schema, rows) -> tuple[int, list, list, Exception | None]:
@@ -640,7 +643,10 @@ class Warehouse:
     def save(self, root) -> None:
         """Write the whole simulated deployment under root as plain text:
         each provider's files under csp<i>/, the index server's under
-        index/, then the tables file."""
+        index/, then the tables file. Each role writes the text it kept
+        from its last save for every file no write has changed since, and
+        formats the rest; the state files and the tables file are always
+        formatted."""
         root = Path(root)
         for i, csp in self.csps.items():
             csp.save(root / f"csp{i}", self.schemas)

@@ -340,6 +340,14 @@ def test_query_over_a_type1_file_that_files_a_record_twice_exits_one(loaded, cap
     assert err == f"SchemaMismatch: index/type1.bitmap: a {table} pk on two lines\n"
 
 
+def test_query_over_a_type1_line_of_an_unlisted_table_exits_one(loaded, capsys):
+    path = loaded / "warehouse" / "index" / "type1.bitmap"
+    path.write_text(path.read_text() + "nosuch\t1\t11100\n")
+    code, out, err = run(loaded, "query", "SELECT COUNT(*) FROM Sales", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "SchemaMismatch: index/type1.bitmap: table 'nosuch' is not in index/tables\n"
+
+
 def test_verify_failed_csp_is_an_availability_error(loaded, capsys):
     run(loaded, "fail", "2")
     code, _, err = run(loaded, "verify", "--csp", "2", capsys=capsys)

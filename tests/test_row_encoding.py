@@ -148,3 +148,20 @@ def test_column_encoding_equals_the_per_row_reference(case):
     assert (type(error), str(error)) == (type(want_error), str(want_error))
     assert values == want_values
     assert keys == want_keys
+
+
+def test_a_derived_value_out_of_range_is_named_exactly():
+    """A derived product whose key falls outside [0, p) is refused naming
+    its exact value, as the per-row reference does, not its scaled key."""
+    schema = Schema("t", (Column("k", "key"), Column("f0", "fk", fk_table="p"),
+                          Column("x", "real"), Column("y", "real")))
+    derived = (DerivedColumn("t", "d", "product", "x", "y", 2),)
+    rows = [{"k": 0, "f0": 0, "x": 1, "y": 2},
+            {"k": 1, "f0": 1, "x": Fraction(-10**6, 7), "y": Fraction(10**6, 7)}]
+    wh = Warehouse(KM, w=3)
+    full = wh.create_table(schema, derived=derived)
+    count, _, _, error = wh._encoded_prefix(full, rows)
+    want_count, _, _, want_error = _reference(wh, full, rows)
+    assert count == want_count == 1
+    assert f"real value {Fraction(-10**12, 49)!r} encodes to" in str(error)
+    assert (type(error), str(error)) == (type(want_error), str(want_error))

@@ -961,6 +961,18 @@ def test_type1_bitmap_of_another_shape_fails_at_load(tmp_path, km_big, bitmap):
         _reload(tmp_path, km_big)
 
 
+def test_type1_line_of_a_table_not_in_index_tables_fails_at_load(tmp_path, km_big):
+    """A type1.bitmap line of a table that index/tables does not list is a
+    torn or edited file: load refuses it, where it used to file the line
+    and let the next save drop it silently."""
+    _saved(tmp_path, km_big)
+    path = tmp_path / "index" / "type1.bitmap"
+    path.write_text(path.read_text() + "nosuch\t1\t11100\n")
+    with pytest.raises(SchemaMismatch,
+                       match=r"^index/type1\.bitmap: table 'nosuch' is not in index/tables$"):
+        _reload(tmp_path, km_big)
+
+
 def test_type1_bitmap_with_ones_in_range_loads_and_verify_reports_it(tmp_path, km_big):
     """A bitmap of the right shape that names providers which do not store
     the record loads; verify reports it as misplaced at those providers."""
