@@ -9,8 +9,10 @@ sum is one C-level pass over a flat dict) beside the set of pks whose
 value is NULL. A share of a number is one int, of a string a tuple of
 one chunk per UTF-8 byte. Its methods are its interface: the warehouse
 reads only alive, index and bytes_transferred besides, and hands it pks,
-fks, attribute names, share columns and leaf signatures, never a
-plaintext, order key or chunk (tests/test_provider_boundary.py).
+fks, attribute names, share columns, and leaf signatures and table-layer
+markers, never a plaintext, order key or chunk, and never a key: the
+client signs every record (Warehouse.sign), so a provider cannot re-sign
+a share it changed (tests/test_provider_boundary.py).
 
 On disk, under <root>/csp<i>/ (all integers decimal text):
     <table>.shares     tab-separated records, share lists comma-joined,
@@ -26,13 +28,11 @@ create_table, reset_table and load alike), and tamper drop that table's
 texts and _tables.sigtree's, so the next save formats them anew. A
 change that does not go through these methods (an edit of csp.columns
 or csp.plain after a save, say) is not seen by the next save. load keeps
-no text.
+no text, and parses the trees at their first use (CspStore.sigtree).
 """
 
 from __future__ import annotations
 
-import struct
-from functools import lru_cache
 from itertools import repeat
 
 from .errors import (
@@ -43,12 +43,10 @@ from .errors import (
     UnknownRecordPosition,
     UnknownTable,
 )
-from .keyed import KeyMaterial
 from .sharing import Schema, positions
 from .sigtree import BreachReport, SignatureTree, WaryTree
 
 NULL_LITERAL = "NULL"
-_NULL_BYTES = b"\xff"   # a NULL field in a record's signature input
 
 
 class StoredRecord:
@@ -81,49 +79,6 @@ def _unpack(schema: Schema, rec: StoredRecord) -> list[list]:
     """rec's field values as a batch of one, one list per non-key field."""
     return [[rec.plain[name] if is_fk else rec.shares.get(name)]
             for name, is_fk in schema.record_fields()]
-
-
-@lru_cache(maxsize=64)
-def _packer(count: int):
-    """struct's pack of count 8-byte big-endian unsigned integers."""
-    return struct.Struct(f">{count}Q").pack
-
-
-def _field_bytes(value) -> bytes:
-    """One field of a signature input: 8 bytes big-endian per integer, a
-    single 0xFF for null."""
-    if value is None:
-        return _NULL_BYTES
-    if type(value) is tuple:
-        return b"".join([c.to_bytes(8, "big") for c in value])
-    return value.to_bytes(8, "big")
-
-
-def _record_bytes(schema: Schema, pks, values) -> list[bytes]:
-    """Signature input of each record: pk, then every non-key field in
-    schema order, 8-byte big-endian per integer, a single 0xFF for null.
-    A record of integers only is one _packer call; a record that holds a
-    NULL or a string is encoded a field at a time, as is every record of
-    a batch with an integer outside 8 unsigned bytes (its to_bytes
-    raises)."""
-    out, odd = [b""] * len(pks), range(len(pks))
-    if not schema.strings():
-        columns, nulls = [], set()
-        for vals in values:
-            marks = positions(vals, None) if None in vals else None
-            if marks:
-                nulls.update(marks)
-                vals = list(vals)
-                for k in marks:
-                    vals[k] = 0
-            columns.append(vals)
-        try:
-            out, odd = list(map(_packer(len(values) + 1), pks, *columns)), nulls
-        except struct.error:
-            pass
-    for k in odd:
-        out[k] = pks[k].to_bytes(8, "big") + b"".join([_field_bytes(vals[k]) for vals in values])
-    return out
 
 
 # The text codecs work a column at a time: a writer formats whole columns
@@ -217,11 +172,11 @@ def _walks(keys, groups) -> list:
 
 class CspStore:
     """One provider: table slices as columns, its signature tree, failure
-    state."""
+    state. It holds no key: the client hands it every leaf signature."""
 
-    def __init__(self, index: int, w: int, km: KeyMaterial):
+    def __init__(self, index: int, w: int, p: int):
         self.index = index
-        self.km = km
+        self.p = p
         self.alive = True
         self.pks: dict[str, list[int]] = {}                # table -> pks by position
         self.positions: dict[str, dict[int, int]] = {}     # table -> pk -> position
@@ -230,7 +185,7 @@ class CspStore:
         self.columns: dict[str, dict[str, dict[int, int | tuple[int, ...]]]] = {}
         self.nulls: dict[str, dict[str, set[int]]] = {}    # table -> attr -> NULL pks
         self.strings: dict[str, frozenset[str]] = {}       # table -> its string attributes
-        self._sigtree = SignatureTree(index, w, km)
+        self._sigtree = SignatureTree(w, p)
         # saved trees not parsed yet: (_tables.sigtree text, table -> .sigtree text)
         self.saved_trees: tuple[str, dict[str, str]] | None = None
         self.kept: dict[str, str] = {}   # file name -> the text save wrote, until a write drops it
@@ -243,7 +198,7 @@ class CspStore:
         neither checks nor changes them never builds one; a malformed
         file raises its ValueError at every use until then."""
         if self.saved_trees is not None:
-            self._sigtree = _parse_sigtree(self.index, self._sigtree.w, self.km, *self.saved_trees)
+            self._sigtree = _parse_sigtree(self._sigtree.w, self.p, *self.saved_trees)
             self.saved_trees = None
         return self._sigtree
 
@@ -252,11 +207,12 @@ class CspStore:
         if not self.alive:
             raise CspUnavailable(f"CSP {self.index} is failed")
 
-    def create_table(self, schema: Schema):
+    def create_table(self, schema: Schema, marker: int):
+        """An empty slice of the table, its layer leaf the client's marker."""
         if schema.table in self.pks:
             raise DuplicateTable(schema.table)
         self._set_slice(schema, [], [[] for _ in schema.record_fields()])
-        self.sigtree.create_table(schema.table)
+        self.sigtree.create_table(schema.table, marker)
 
     @property
     def tables(self) -> dict[str, list[StoredRecord]]:
@@ -289,7 +245,7 @@ class CspStore:
         return pks, self._values(schema, pks)
 
     def _values(self, schema: Schema, pks) -> list[list]:
-        """The field values of the records keyed pks, one column per field."""
+        """The field values of the records at pks, one column per field."""
         plain, columns = self.plain[schema.table], self.columns[schema.table]
         return [
             list(map(plain[name].__getitem__, pks)) if is_fk
@@ -338,10 +294,11 @@ class CspStore:
         for name in (f"{table}.shares", f"{table}.sigtree", "_tables.sigtree"):
             self.kept.pop(name, None)
 
-    def append_columns(self, schema: Schema, pks, values) -> int:
+    def append_columns(self, schema: Schema, pks, values, sigs) -> int:
         """Append new records in order, given as a batch (pks and value
-        columns): pks, positions and columns, and one signature-tree
-        extension. Returns the position of the first."""
+        columns) with their leaf signatures: pks, positions and columns,
+        and one signature-tree extension. Returns the position of the
+        first."""
         self.check_alive()
         table = schema.table
         held = self.held_pks(table)
@@ -349,37 +306,37 @@ class CspStore:
         held.extend(pks)
         self.positions[table].update(zip(pks, range(start, len(held))))
         self._write(schema, pks, values)
-        self.sigtree.insert_records(table, _record_bytes(schema, pks, values))
+        self.sigtree.insert_records(table, sigs)
         return start
 
-    def update_columns(self, schema: Schema, pks, values):
-        """Overwrite the stored records keyed pks (distinct) with a batch
-        of values: one write of the columns, one signature-tree pass that
-        touches each node once. Nothing changes when a pk is not stored
-        here."""
+    def update_columns(self, schema: Schema, pks, values, sigs):
+        """Overwrite the stored records at pks (distinct) with a batch of
+        values and their leaf signatures: one write of the columns, one
+        signature-tree pass that touches each node once. Nothing changes
+        when a pk is not stored here."""
         self.check_alive()
         table = schema.table
         self._require_held(table, pks)
         positions = list(map(self.positions[table].__getitem__, pks))
         self._write(schema, pks, values)
-        self.sigtree.update_records(table, positions, _record_bytes(schema, pks, values))
+        self.sigtree.update_records(table, positions, sigs)
 
     def fetch_records(self, schema: Schema, pks) -> list[list]:
-        """The stored values of the records keyed pks, as value columns: 64 bytes a record."""
+        """The stored values of the records at pks, as value columns: 64 bytes a record."""
         self.check_alive()
         table = schema.table
         self._require_held(table, pks)
         self.bytes_transferred += 64 * len(pks)
         return self._values(schema, pks)
 
-    def put_shared_record(self, schema: Schema, rec: StoredRecord) -> int:
-        """append_columns of one record."""
-        return self.append_columns(schema, [rec.pk], _unpack(schema, rec))
+    def put_shared_record(self, schema: Schema, rec: StoredRecord, sig: int) -> int:
+        """append_columns of one record and its leaf signature."""
+        return self.append_columns(schema, [rec.pk], _unpack(schema, rec), [sig])
 
-    def update_shared_record(self, schema: Schema, pos: int, rec: StoredRecord):
-        """Overwrite the record at pos with rec's values."""
+    def update_shared_record(self, schema: Schema, pos: int, rec: StoredRecord, sig: int):
+        """Overwrite the record at pos with rec's values and leaf signature."""
         self.check_alive()
-        self.update_columns(schema, [self._pk_at(schema.table, pos)], _unpack(schema, rec))
+        self.update_columns(schema, [self._pk_at(schema.table, pos)], _unpack(schema, rec), [sig])
 
     def position_of(self, table: str, pk: int) -> int:
         pos = self.positions.get(table, {}).get(pk)
@@ -429,7 +386,7 @@ class CspStore:
         themselves, so the walk probes the column's slots in order."""
         self.check_alive()
         column = self.columns.get(table, {}).get(attr, {})
-        share, p = column.__getitem__, self.km.p
+        share, p = column.__getitem__, self.p
         self.bytes_transferred += 8 * len(groups)
         return [sum(map(share, held)) % p for held in _walks(column, groups)]
 
@@ -451,25 +408,21 @@ class CspStore:
         if not 0 <= chunk < len(mutated):
             raise OutOfRange(f"{table}[{pos}].{attr} has no chunk {chunk}:"
                              f" its share has {len(mutated)}")
-        mutated[chunk] = (mutated[chunk] + delta) % self.km.p
+        mutated[chunk] = (mutated[chunk] + delta) % self.p
         self._drop_kept(table)
         column[pk] = tuple(mutated) if string else mutated[0]
 
-    def reset_table(self, schema: Schema, pks: list[int], values: list[list]):
-        """Replace a table slice wholesale (recovery path); rebuilds the
-        record tree and patches the table layer by delta."""
-        table = schema.table
+    def reset_table(self, schema: Schema, pks: list[int], values: list[list], sigs):
+        """Replace a table slice wholesale with its leaf signatures
+        (recovery path); rebuilds the record tree and patches the table
+        layer by delta."""
         self._set_slice(schema, pks, values)
-        tree = self.sigtree
-        old_root = tree.record_trees[table].root
-        leaves = self.km.hf_stars(self.index, _record_bytes(schema, pks, values))
-        tree.record_trees[table] = WaryTree.from_leaves(tree.w, tree.p, leaves)
-        new_root = tree.record_trees[table].root
-        tree.table_layer.add_delta(tree.table_pos[table], new_root - old_root)
+        self.sigtree.reset_records(schema.table, sigs)
 
-    def verify(self, leaves: dict[str, list[int]], scope="whole") -> BreachReport:
-        """SignatureTree.verify against table -> leaves recomputed from the records."""
-        return self.sigtree.verify(leaves, scope)
+    def verify(self, leaves: dict[str, list[int]], marker: int, scope="whole") -> BreachReport:
+        """SignatureTree.verify against table -> leaves recomputed from the
+        records and the client's marker."""
+        return self.sigtree.verify(leaves, marker, scope)
 
     def save(self, d, schemas: dict[str, Schema]):
         """Write each table's .shares and .sigtree, then _tables.sigtree and
@@ -536,15 +489,14 @@ def _parse_triples(lines) -> tuple[list[int], list[int], list[int]]:
     return list(map(int, flat[0::3])), list(map(int, flat[1::3])), list(map(int, flat[2::3]))
 
 
-def _parse_sigtree(csp: int, w: int, km: KeyMaterial, layer_text: str,
-                   texts: dict[str, str]) -> SignatureTree:
+def _parse_sigtree(w: int, p: int, layer_text: str, texts: dict[str, str]) -> SignatureTree:
     """A provider's signature trees from its saved _tables.sigtree text and
     the .sigtree text of each table."""
-    tree = SignatureTree(csp, w, km)
+    tree = SignatureTree(w, p)
     layer_lines = layer_text.splitlines()
     tree.table_order = layer_lines[0].split("\t")[1:]
     tree.table_pos = {name: j for j, name in enumerate(tree.table_order)}
-    tree.table_layer = WaryTree.from_triples(w, km.p, *_parse_triples(layer_lines[1:]))
+    tree.table_layer = WaryTree.from_triples(w, p, *_parse_triples(layer_lines[1:]))
     for t, text in texts.items():
-        tree.record_trees[t] = WaryTree.from_triples(w, km.p, *_parse_triples(text.splitlines()))
+        tree.record_trees[t] = WaryTree.from_triples(w, p, *_parse_triples(text.splitlines()))
     return tree

@@ -3,13 +3,14 @@
 Every internal node holds the mod-p sum of its children, so the root is
 the sum of all leaf signatures. Two layers: a record tree per table whose
 leaves are HF*_i(record bytes), and a table layer whose leaf j carries
-HF*_i(0) plus the j-th table's record-signature total. A tree grows
-only through `WaryTree.extend` (one leaf is a batch of one) and changes
-only by deltas; a batch of appends or of updates changes each touched
-node once, one update its root path. Verification walks top-down and only
-descends into children whose stored sum disagrees with an authoritative
-recomputation, which pins a breach to its exact leaf in about w * depth
-comparisons.
+the marker HF*_i(0^8) plus the j-th table's record-signature total. The
+tree takes these leaf signatures and markers from the client and holds
+no key. A tree grows only through `WaryTree.extend` (one leaf is a batch
+of one) and changes only by deltas; a batch of appends or of updates
+changes each touched node once, one update its root path. Verification
+walks top-down and only descends into children whose stored sum
+disagrees with an authoritative recomputation, which pins a breach to
+its exact leaf in about w * depth comparisons.
 
 The tree is deliberately not hash-chained: additivity is what lets a
 record update touch O(depth) nodes, and compensating double edits are the
@@ -22,9 +23,6 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .errors import DuplicateTable, UnknownRecordPosition, UnknownTable
-from .keyed import KeyMaterial
-
-_EMPTY_MARKER_BYTES = (0).to_bytes(8, "big")
 
 
 class WaryTree:
@@ -185,59 +183,55 @@ class BreachReport:
 class SignatureTree:
     """Both layers for one CSP, plus verification against recomputed leaves."""
 
-    def __init__(self, csp: int, w: int, km: KeyMaterial):
-        self.csp = csp
+    def __init__(self, w: int, p: int):
         self.w = w
-        self.km = km
-        self.p = km.p
-        self.table_layer = WaryTree(w, km.p)
+        self.p = p
+        self.table_layer = WaryTree(w, p)
         self.record_trees: dict[str, WaryTree] = {}
         self.table_pos: dict[str, int] = {}
         self.table_order: list[str] = []
 
     @property
-    def empty_marker(self) -> int:
-        return self.km.hf_star(self.csp, _EMPTY_MARKER_BYTES)
-
-    @property
     def root(self) -> int:
         return self.table_layer.root
 
-    def record_sig(self, record_bytes: bytes) -> int:
-        return self.km.hf_star(self.csp, record_bytes)
-
-    def create_table(self, table: str):
+    def create_table(self, table: str, marker: int):
         if table in self.record_trees:
             raise DuplicateTable(table)
         self.record_trees[table] = WaryTree(self.w, self.p)
-        self.table_pos[table] = self.table_layer.extend([self.empty_marker])
+        self.table_pos[table] = self.table_layer.extend([marker])
         self.table_order.append(table)
 
-    def insert_records(self, table: str, records_bytes) -> int:
-        """Append one leaf per record, in order, and add their signature
+    def insert_records(self, table: str, sigs) -> int:
+        """Append one leaf per record signature, in order, and add their
         total to the table's layer leaf; returns the first position."""
         tree = self._tree(table)
-        sigs = self.km.hf_stars(self.csp, records_bytes)
         pos = tree.extend(sigs)
         self.table_layer.add_delta(self.table_pos[table], sum(sigs))
         return pos
 
-    def insert_record(self, table: str, record_bytes: bytes) -> int:
-        return self.insert_records(table, [record_bytes])
+    def insert_record(self, table: str, sig: int) -> int:
+        return self.insert_records(table, [sig])
 
-    def update_records(self, table: str, positions, records_bytes):
-        """Re-sign the records at positions (distinct) from their new
-        bytes: one pass over the record tree, then one patch of the
-        table's layer leaf by the total change."""
+    def update_records(self, table: str, positions, sigs):
+        """Set the leaves at positions (distinct) to their new signatures:
+        one pass over the record tree, then one patch of the table's layer
+        leaf by the total change."""
         tree = self._tree(table)
         p = self.p
-        deltas = [(g, (sig - tree.leaf(g)) % p)
-                  for g, sig in zip(positions, self.km.hf_stars(self.csp, records_bytes))]
+        deltas = [(g, (sig - tree.leaf(g)) % p) for g, sig in zip(positions, sigs)]
         tree.add_deltas(deltas)
         self.table_layer.add_delta(self.table_pos[table], sum(d for _, d in deltas))
 
-    def update_record(self, table: str, g: int, new_record_bytes: bytes):
-        self.update_records(table, [g], [new_record_bytes])
+    def update_record(self, table: str, g: int, sig: int):
+        self.update_records(table, [g], [sig])
+
+    def reset_records(self, table: str, sigs):
+        """Replace a table's record tree by one over sigs, patching its
+        layer leaf by the change of root."""
+        old_root = self._tree(table).root
+        tree = self.record_trees[table] = WaryTree.from_leaves(self.w, self.p, sigs)
+        self.table_layer.add_delta(self.table_pos[table], tree.root - old_root)
 
     def _tree(self, table: str) -> WaryTree:
         try:
@@ -247,13 +241,10 @@ class SignatureTree:
 
     # verification
 
-    def verify(
-        self,
-        authoritative: dict[str, list[int]],
-        scope: str = "whole",
-    ) -> BreachReport:
+    def verify(self, authoritative: dict[str, list[int]], marker: int,
+               scope: str = "whole") -> BreachReport:
         """Compare stored sums against trees rebuilt from authoritative leaf
-        signatures, descending only where they disagree.
+        signatures and the marker, descending only where they disagree.
 
         scope is "whole" (every table) or a table name. authoritative maps
         table -> leaf signatures recomputed from the actual stored records;
@@ -269,7 +260,7 @@ class SignatureTree:
         if scope == "whole":
             auth_tables = {t: auth_tree(t) for t in self.table_order}
             layer_leaves = [
-                (self.empty_marker + auth_tables[t].root) % self.p
+                (marker + auth_tables[t].root) % self.p
                 for t in self.table_order
             ]
             auth_layer = WaryTree.from_leaves(self.w, self.p, layer_leaves)

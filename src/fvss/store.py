@@ -13,7 +13,9 @@ table registry, in creation order.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, compress, zip_longest
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from .errors import (
 )
 from .index import TypeOneIndex, TypeThreeRegistry, TypeTwoIndex
 from .keyed import KeyMaterial
-from .provider import CspStore, _record_bytes
+from .provider import CspStore
 from .sharing import (
     DEFAULT_BIAS,
     NUMBER_KINDS,
@@ -43,6 +45,7 @@ from .sharing import (
     encode_rows,
     group_from_bitmap,
     linear_rows,
+    positions,
     round_half_even,
     share_columns,
     solve_column,
@@ -56,6 +59,9 @@ from .sigtree import BreachEntry, BreachReport
 # the bound keeps memory flat on big loads, and loading 5,000 rows as one
 # batch made later set-heavy reads in the same process about 4% slower
 APPEND_ROWS = 500
+
+_NULL_BYTES = b"\xff"         # a NULL field in a record's signature input
+_MARKER_BYTES = bytes(8)      # a table-layer leaf adds HF*_i of this to its records' total
 
 
 def _chunk_count(col: Column, vals: list) -> int:
@@ -146,6 +152,49 @@ def _derived_keys(schema: Schema, derived, rows, exact: dict = None) -> dict[str
     return out
 
 
+@lru_cache(maxsize=64)
+def _packer(count: int):
+    """struct's pack of count 8-byte big-endian unsigned integers."""
+    return struct.Struct(f">{count}Q").pack
+
+
+def _field_bytes(value) -> bytes:
+    """One field of a signature input: 8 bytes big-endian per integer, a
+    single 0xFF for null."""
+    if value is None:
+        return _NULL_BYTES
+    if type(value) is tuple:
+        return b"".join([c.to_bytes(8, "big") for c in value])
+    return value.to_bytes(8, "big")
+
+
+def _record_bytes(schema: Schema, pks, values) -> list[bytes]:
+    """Signature input of each record: pk, then every non-key field in
+    schema order, 8-byte big-endian per integer, a single 0xFF for null.
+    A record of integers only is one _packer call; a record that holds a
+    NULL or a string is encoded a field at a time, as is every record of
+    a batch with an integer outside 8 unsigned bytes (its to_bytes
+    raises)."""
+    out, odd = [b""] * len(pks), range(len(pks))
+    if not schema.strings():
+        columns, nulls = [], set()
+        for vals in values:
+            marks = positions(vals, None) if None in vals else None
+            if marks:
+                nulls.update(marks)
+                vals = list(vals)
+                for k in marks:
+                    vals[k] = 0
+            columns.append(vals)
+        try:
+            out, odd = list(map(_packer(len(values) + 1), pks, *columns)), nulls
+        except struct.error:
+            pass
+    for k in odd:
+        out[k] = pks[k].to_bytes(8, "big") + b"".join([_field_bytes(vals[k]) for vals in values])
+    return out
+
+
 class Warehouse:
     """Data-owner view over the n simulated CSPs plus the index server.
 
@@ -161,7 +210,7 @@ class Warehouse:
         self.weights = tuple(weights) if weights is not None else (1.0,) * km.n
         self.bias = DEFAULT_BIAS if bias is None else bias
         self.svm_prices = tuple(svm_prices) if svm_prices is not None else None
-        self.csps = {i: CspStore(i, w, km) for i in range(1, km.n + 1)}
+        self.csps = {i: CspStore(i, w, km.p) for i in range(1, km.n + 1)}
         self.type1 = TypeOneIndex()
         self.type2 = TypeTwoIndex()
         self.type3 = TypeThreeRegistry()
@@ -276,8 +325,8 @@ class Warehouse:
 
     def create_table(self, schema: Schema, index_attrs=(), derived=()) -> Schema:
         full = self._register(schema, index_attrs, derived)
-        for csp in self.csps.values():
-            csp.create_table(full)
+        for i, csp in self.csps.items():
+            csp.create_table(full, self.km.hf_star(i, _MARKER_BYTES))
         return full
 
     # loading records
@@ -460,7 +509,8 @@ class Warehouse:
             self.csps[i].check_alive()
         for i, (mine, values) in per_csp.items():
             csp = self.csps[i]
-            (csp.update_columns if bitmaps is None else csp.append_columns)(schema, mine, values)
+            (csp.update_columns if bitmaps is None else csp.append_columns)(
+                schema, mine, values, self.sign(i, schema, mine, values))
         if bitmaps is not None:
             self.type1.set_many(table, pks, bitmaps)
         for name, column in keys.items():
@@ -558,10 +608,11 @@ class Warehouse:
 
     # integrity
 
-    def authoritative_sigs(self, i: int, table: str) -> list[int]:
-        """Leaf signatures recomputed from what the CSP actually stores."""
-        schema = self._schema(table)
-        return self.km.hf_stars(i, _record_bytes(schema, *self.csps[i].slice_values(schema)))
+    def sign(self, i: int, schema: Schema, pks, values) -> list[int]:
+        """Provider i's leaf signature HF*_i(_record_bytes) of each record of
+        a batch (pks and value columns). Only the client holds HF*_i, so
+        every write, recovery and verification signs here."""
+        return self.km.hf_stars(i, _record_bytes(schema, pks, values))
 
     def _misplaced(self, i: int, table: str) -> list[int]:
         """Positions at which CSP i's pk list differs from the pks Type I
@@ -577,7 +628,9 @@ class Warehouse:
         csp = self._csp(i)
         csp.check_alive()
         tables = list(self.schemas) if scope == "whole" else [scope]
-        report = csp.verify({t: self.authoritative_sigs(i, t) for t in tables}, scope)
+        schemas = list(map(self._schema, tables))
+        report = csp.verify({schema.table: self.sign(i, schema, *csp.slice_values(schema))
+                             for schema in schemas}, self.km.hf_star(i, _MARKER_BYTES), scope)
         flagged = {(e.table, e.position) for e in report.entries}
         for table in tables:
             for g in self._misplaced(i, table):
@@ -635,7 +688,8 @@ class Warehouse:
                                if col.kind != "fk")
             rebuilt[table] = pks, values
         for table, (pks, values) in rebuilt.items():
-            store.reset_table(self._schema(table), pks, values)
+            schema = self._schema(table)
+            store.reset_table(schema, pks, values, self.sign(target, schema, pks, values))
         return regenerated
 
     # persistence

@@ -2,7 +2,7 @@
 
 from fvss.provider import StoredRecord
 
-from .oracles import get_record
+from .oracles import get_record, record_sig
 
 
 def report_null(wh, i, table, pk, attr):
@@ -13,13 +13,15 @@ def report_null(wh, i, table, pk, attr):
     pos = csp.position_of(table, pk)
     rec = get_record(csp, table, pos)
     lie = StoredRecord(pk, rec.plain, {**rec.shares, attr: None})
-    csp.update_shared_record(wh.schemas[table], pos, lie)
+    schema = wh.schemas[table]
+    csp.update_shared_record(schema, pos, lie, record_sig(wh, i, schema, lie))
     return rec
 
 
 def restore_record(wh, i, table, rec):
     csp = wh.csps[i]
-    csp.update_shared_record(wh.schemas[table], csp.position_of(table, rec.pk), rec)
+    csp.update_shared_record(wh.schemas[table], csp.position_of(table, rec.pk), rec,
+                             record_sig(wh, i, wh.schemas[table], rec))
 
 
 def drop_record(wh, i, table, pk):

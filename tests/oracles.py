@@ -389,10 +389,10 @@ def solve_column(rows, pks, columns, sg, rg, km, table="", refusal="",
 
 
 def record_bytes(schema, pks, values):
-    """provider._record_bytes a field at a time, in chunk-tuple form: pk,
+    """store._record_bytes a field at a time, in chunk-tuple form: pk,
     then every non-key field, 8-byte big-endian per integer, a single
     0xFF for null."""
-    from fvss.provider import _NULL_BYTES
+    from fvss.store import _NULL_BYTES
 
     parts = [[pk.to_bytes(8, "big") for pk in pks]]
     for (_, is_fk), vals in zip(schema.record_fields(), values):
@@ -549,9 +549,10 @@ def per_record_load(wh, table, rows):
             })
             csp = wh.csps[i]
             if stored:
-                csp.update_shared_record(schema, csp.position_of(table, pk), rec)
+                csp.update_shared_record(schema, csp.position_of(table, pk), rec,
+                                         record_sig(wh, i, schema, rec))
             else:
-                csp.put_shared_record(schema, rec)
+                csp.put_shared_record(schema, rec, record_sig(wh, i, schema, rec))
         if not stored:
             type1_set(wh.type1, table, pk, bundle.bitmap)
         for col in [c for c in schema.columns[1:] if wh.type2.is_indexed(table, c.name)]:
@@ -595,7 +596,7 @@ def per_cell_rewrite(wh, schema, pks, deltas, replacements, refresh):
                 rec.shares[attr] = (rec.shares[attr] + columns[i - 1][k]) % p
             for attr, shares in reshared.items():
                 rec.shares[attr] = None if shares is None else shares[i]
-            csp.update_shared_record(schema, pos, rec)
+            csp.update_shared_record(schema, pos, rec, record_sig(wh, i, schema, rec))
 
 
 # The one-item provider, index and tree calls the package had beside its
@@ -611,6 +612,14 @@ def get_record(csp, table, pos):
     pk = csp._pk_at(table, pos)
     csp.bytes_transferred += 64
     return csp._record(table, pk)
+
+
+def record_sig(wh, i, schema, rec):
+    """Provider i's leaf signature of the StoredRecord rec, as the client
+    signs it: Warehouse.sign of a batch of one."""
+    from fvss.provider import _unpack
+
+    return wh.sign(i, schema, [rec.pk], _unpack(schema, rec))[0]
 
 
 def type1_set(index, table, pk, bitmap):

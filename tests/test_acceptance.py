@@ -404,26 +404,28 @@ def _assert_additive(tree):
 @pytest.mark.parametrize("w", (2, 3, 4))
 def test_signature_tree_matches_brute_force_after_1000_ops(km_big, w):
     rnd = random.Random(w)
-    st = SignatureTree(1, w, km_big)
-    st.create_table("t0")
+    marker = km_big.hf_star(1, bytes(8))
+    st = SignatureTree(w, km_big.p)
+    st.create_table("t0", marker)
     sizes = {"t0": 0}
     for _ in range(1000):
         roll = rnd.random()
         if roll < 0.05:
             name = f"t{len(sizes)}"
-            st.create_table(name)
+            st.create_table(name, marker)
             sizes[name] = 0
         elif roll < 0.65 or not any(sizes.values()):
             table = rnd.choice(sorted(sizes))
-            st.insert_record(table, rnd.randbytes(12))
+            st.insert_record(table, km_big.hf_star(1, rnd.randbytes(12)))
             sizes[table] += 1
         else:
             table = rnd.choice([t for t, c in sizes.items() if c])
-            st.update_record(table, rnd.randrange(sizes[table]), rnd.randbytes(12))
+            st.update_record(table, rnd.randrange(sizes[table]),
+                             km_big.hf_star(1, rnd.randbytes(12)))
     _assert_additive(st.table_layer)
     for table, tree in st.record_trees.items():
         _assert_additive(tree)
-        total = (st.empty_marker + sum(tree.levels[0])) % st.p
+        total = (marker + sum(tree.levels[0])) % st.p
         assert st.table_layer.leaf(st.table_pos[table]) == total
 
 

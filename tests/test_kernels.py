@@ -2,7 +2,7 @@
 
 A number's share is one int and a string's a tuple of chunks, and the
 store solves, signs and shares them a column at a time
-(`sharing.solve_column`, `provider._record_bytes`, `sharing.share_columns`)
+(`sharing.solve_column`, `store._record_bytes`, `sharing.share_columns`)
 and reads an integer-keyed Type II file after one compiled match
 (`index._parse_type2`). Each battery checks a kernel against the
 per-value loop it replaced in `tests/oracles.py`, which works on chunk
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from fvss import P_DEFAULT, Column, Schema, init_participants
 from fvss.errors import InnerSignatureMismatch, MissingShare
 from fvss.index import _TYPE2_INTS, _parse_type2
-from fvss.provider import _record_bytes
+from fvss.store import _record_bytes
 from fvss.sharing import (
     group_from_bitmap,
     linear_rows,

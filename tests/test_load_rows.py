@@ -610,9 +610,9 @@ def test_a_batch_of_stored_keys_is_one_update_per_member(km_big, monkeypatch):
     calls = Counter()
     update_columns = CspStore.update_columns
 
-    def counted(csp, schema, pks, values):
+    def counted(csp, schema, pks, values, sigs):
         calls[csp.index] += 1
-        return update_columns(csp, schema, pks, values)
+        return update_columns(csp, schema, pks, values, sigs)
 
     monkeypatch.setattr(CspStore, "update_columns", counted)
     changed = [dict(row, qty=7, memo="new") for row in rows[:8]]

@@ -32,7 +32,7 @@ from fvss.query import (
 )
 
 from .faults import report_null
-from .oracles import PlainWarehouse, eval_poly, get_record, interpolate_gauss
+from .oracles import PlainWarehouse, eval_poly, get_record, interpolate_gauss, record_sig
 
 FIG9 = """SELECT SUM(S.price+S.tax) AS sumprice, P.prodName FROM Sale AS S
 JOIN Product AS P ON S.ProdNo=P.ProdNo
@@ -608,7 +608,7 @@ def test_chunk_count_liar_rotates_row_reads(km_big):
     pos = csp.position_of("t", 3)
     rec = get_record(csp, "t", pos)
     rec.shares["s"] = rec.shares["s"][:-1]
-    csp.update_shared_record(wh.schemas["t"], pos, rec)
+    csp.update_shared_record(wh.schemas["t"], pos, rec, record_sig(wh, liar, wh.schemas["t"], rec))
     text = "SELECT pk, s FROM t"
     want = list(enumerate(words, 1))
     assert execute(wh, text)[1] == want

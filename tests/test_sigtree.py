@@ -154,51 +154,61 @@ def test_extend_keeps_a_corrupted_node_corrupted():
 # two-layer signature trees
 
 
+def _sig(km, blob):
+    """CSP 2's leaf signature of blob, as the client computes it."""
+    return km.hf_star(2, blob)
+
+
+def _marker(km):
+    """CSP 2's table-layer marker, as the client computes it."""
+    return km.hf_star(2, bytes(8))
+
+
 def _tree(km, tables=("a",)):
-    st = SignatureTree(2, 3, km)
+    st = SignatureTree(3, km.p)
     for t in tables:
-        st.create_table(t)
+        st.create_table(t, _marker(km))
     return st
 
 
 def test_duplicate_table_rejected(km_toy):
     st = _tree(km_toy)
     with pytest.raises(DuplicateTable):
-        st.create_table("a")
+        st.create_table("a", _marker(km_toy))
 
 
 def test_unknown_table_rejected(km_toy):
     st = _tree(km_toy)
     with pytest.raises(UnknownTable):
-        st.insert_record("zzz", b"x")
+        st.insert_record("zzz", _sig(km_toy, b"x"))
 
 
 def test_table_leaf_is_marker_plus_record_sum(km_toy):
     st = _tree(km_toy, ("a", "b"))
     blobs = [b"r1", b"r2", b"r3"]
     for blob in blobs:
-        st.insert_record("a", blob)
-    want = (st.empty_marker + sum(st.record_sig(b) for b in blobs)) % km_toy.p
+        st.insert_record("a", _sig(km_toy, blob))
+    want = (_marker(km_toy) + sum(_sig(km_toy, b) for b in blobs)) % km_toy.p
     assert st.table_layer.leaf(0) == want
-    assert st.table_layer.leaf(1) == st.empty_marker  # b untouched
+    assert st.table_layer.leaf(1) == _marker(km_toy)  # b untouched
 
 
 def test_update_keeps_both_layers_consistent(km_toy):
     st = _tree(km_toy)
     for i in range(10):
-        st.insert_record("a", bytes([i]))
-    st.update_record("a", 3, b"patched")
-    auth = [st.record_sig(bytes([i])) if i != 3 else st.record_sig(b"patched")
+        st.insert_record("a", _sig(km_toy, bytes([i])))
+    st.update_record("a", 3, _sig(km_toy, b"patched"))
+    auth = [_sig(km_toy, bytes([i])) if i != 3 else _sig(km_toy, b"patched")
             for i in range(10)]
-    assert st.verify({"a": auth}).ok
+    assert st.verify({"a": auth}, _marker(km_toy)).ok
 
 
 def test_verify_clean_inspects_one_node(km_toy):
     st = _tree(km_toy, ("a", "b"))
     for i in range(20):
-        st.insert_record("a", bytes([i]))
-    auth = {"a": [st.record_sig(bytes([i])) for i in range(20)], "b": []}
-    report = st.verify(auth)
+        st.insert_record("a", _sig(km_toy, bytes([i])))
+    auth = {"a": [_sig(km_toy, bytes([i])) for i in range(20)], "b": []}
+    report = st.verify(auth, _marker(km_toy))
     assert report.ok
     assert report.inspected == 1
 
@@ -207,10 +217,10 @@ def test_single_tamper_in_81_leaves_inspects_thirteen(km_toy):
     st = _tree(km_toy)
     blobs = [bytes([i, i + 1]) for i in range(81)]
     for blob in blobs:
-        st.insert_record("a", blob)
-    auth = [st.record_sig(b) for b in blobs]
+        st.insert_record("a", _sig(km_toy, blob))
+    auth = [_sig(km_toy, b) for b in blobs]
     auth[53] = (auth[53] + 1) % km_toy.p  # stored side now looks tampered
-    report = st.verify({"a": auth})
+    report = st.verify({"a": auth}, _marker(km_toy))
     assert not report.ok
     assert [(e.table, e.position) for e in report.entries] == [("a", 53)]
     # 1 top comparison + 4 levels x 3 children on the way down
@@ -220,15 +230,15 @@ def test_single_tamper_in_81_leaves_inspects_thirteen(km_toy):
 def test_double_tamper_two_tables(km_toy):
     st = _tree(km_toy, ("a", "b"))
     for i in range(9):
-        st.insert_record("a", bytes([i]))
-        st.insert_record("b", bytes([i + 100]))
+        st.insert_record("a", _sig(km_toy, bytes([i])))
+        st.insert_record("b", _sig(km_toy, bytes([i + 100])))
     auth = {
-        "a": [st.record_sig(bytes([i])) for i in range(9)],
-        "b": [st.record_sig(bytes([i + 100])) for i in range(9)],
+        "a": [_sig(km_toy, bytes([i])) for i in range(9)],
+        "b": [_sig(km_toy, bytes([i + 100])) for i in range(9)],
     }
     auth["a"][2] = (auth["a"][2] + 1) % km_toy.p
     auth["b"][7] = (auth["b"][7] + 5) % km_toy.p
-    report = st.verify(auth)
+    report = st.verify(auth, _marker(km_toy))
     found = sorted((e.table, e.position) for e in report.entries)
     assert found == [("a", 2), ("b", 7)]
 
@@ -236,23 +246,23 @@ def test_double_tamper_two_tables(km_toy):
 def test_scoped_verify_single_table(km_toy):
     st = _tree(km_toy, ("a", "b"))
     for i in range(5):
-        st.insert_record("a", bytes([i]))
-    auth = [st.record_sig(bytes([i])) for i in range(5)]
-    assert st.verify({"a": auth}, scope="a").ok
+        st.insert_record("a", _sig(km_toy, bytes([i])))
+    auth = [_sig(km_toy, bytes([i])) for i in range(5)]
+    assert st.verify({"a": auth}, _marker(km_toy), scope="a").ok
     auth[0] = (auth[0] + 1) % km_toy.p
-    report = st.verify({"a": auth}, scope="a")
+    report = st.verify({"a": auth}, _marker(km_toy), scope="a")
     assert [(e.table, e.position) for e in report.entries] == [("a", 0)]
 
 
 def test_table_scope_localizes_a_single_position(km_toy):
     st = _tree(km_toy)
     for i in range(5):
-        st.insert_record("a", bytes([i]))
-    auth = [st.record_sig(bytes([i])) for i in range(5)]
-    report = st.verify({"a": auth}, scope="a")
+        st.insert_record("a", _sig(km_toy, bytes([i])))
+    auth = [_sig(km_toy, bytes([i])) for i in range(5)]
+    report = st.verify({"a": auth}, _marker(km_toy), scope="a")
     assert report.ok and report.inspected == 1
     auth[2] = (auth[2] + 1) % km_toy.p
-    report = st.verify({"a": auth}, scope="a")
+    report = st.verify({"a": auth}, _marker(km_toy), scope="a")
     assert not report.ok
     assert [(e.table, e.position) for e in report.entries] == [("a", 2)]
 
@@ -264,31 +274,31 @@ def test_leaf_count_mismatch_reports_each_missing_or_extra_position(km_big, stor
     st = _tree(km_big, ("a", "b"))
     blobs = [bytes([i]) for i in range(max(stored, held))]
     for blob in blobs[:stored]:
-        st.insert_record("a", blob)
-    auth = {"a": [st.record_sig(b) for b in blobs[:held]], "b": []}
+        st.insert_record("a", _sig(km_big, blob))
+    auth = {"a": [_sig(km_big, b) for b in blobs[:held]], "b": []}
     want = list(range(min(stored, held), max(stored, held)))
     for scope in ("whole", "a"):
-        report = st.verify(auth, scope)
+        report = st.verify(auth, _marker(km_big), scope)
         assert sorted((e.table, e.position) for e in report.entries) == [("a", g) for g in want]
 
 
 def test_stored_nodes_that_disagree_with_each_other_never_read_ok(km_big):
     st = _tree(km_big, ("a", "b"))
     for i in range(5):
-        st.insert_record("a", bytes([i]))
-    auth = {"a": [st.record_sig(bytes([i])) for i in range(5)], "b": []}
+        st.insert_record("a", _sig(km_big, bytes([i])))
+    auth = {"a": [_sig(km_big, bytes([i])) for i in range(5)], "b": []}
     st.record_trees["a"].levels[-1][0] += 1   # a root that is not its children's sum
-    report = st.verify(auth, "a")
+    report = st.verify(auth, _marker(km_big), "a")
     assert [(e.table, e.position) for e in report.entries] == [("a", None)]
     st.record_trees["a"].levels[-1][0] -= 1
     st.table_layer.add_delta(1, 7)           # b's layer leaf matches no records
-    report = st.verify(auth)
+    report = st.verify(auth, _marker(km_big))
     assert [(e.table, e.position) for e in report.entries] == [(None, None)]
 
 
 def test_leaf_out_of_range(km_toy):
     st = _tree(km_toy)
-    st.insert_record("a", b"only")
+    st.insert_record("a", _sig(km_toy, b"only"))
     with pytest.raises(UnknownRecordPosition):
         st.record_trees["a"].leaf(5)
 
@@ -296,6 +306,6 @@ def test_leaf_out_of_range(km_toy):
 def test_tamper_then_untamper_is_invisible(km_toy):
     # additive scheme: restoring the exact bytes restores the signature
     st = _tree(km_toy)
-    st.insert_record("a", b"v")
-    auth = [st.record_sig(b"v")]
-    assert st.verify({"a": auth}).ok
+    st.insert_record("a", _sig(km_toy, b"v"))
+    auth = [_sig(km_toy, b"v")]
+    assert st.verify({"a": auth}, _marker(km_toy)).ok

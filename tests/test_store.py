@@ -31,7 +31,7 @@ from fvss.query import execute, parse
 from fvss.sharing import typed_key
 
 from .faults import drop_record
-from .oracles import PlainWarehouse, get_record, triples, type1_set
+from .oracles import PlainWarehouse, get_record, record_sig, triples, type1_set
 
 
 PRODUCT = Schema("product", (
@@ -468,8 +468,9 @@ def test_recovery_restores_exact_slice(km_toy):
     for pos, rec in enumerate(want):
         zeroed = {a: c if c is None else tuple(0 for _ in c) if type(c) is tuple else 0
                   for a, c in rec.shares.items()}
-        store.update_shared_record(wh.schemas["product"], pos,
-                                   StoredRecord(rec.pk, rec.plain, zeroed))
+        zeroed = StoredRecord(rec.pk, rec.plain, zeroed)
+        store.update_shared_record(wh.schemas["product"], pos, zeroed,
+                                   record_sig(wh, target, wh.schemas["product"], zeroed))
     assert store.tables["product"] != want
     n = wh.recover_csp_shares(target)
     assert n > 0
@@ -514,7 +515,8 @@ def test_recovery_refuses_disagreeing_donors(km_toy, donor, fault):
     pos = store.position_of("product", pk)
     rec = get_record(store, "product", pos)
     rec.shares["prodName"] = None if fault == "null" else rec.shares["prodName"][:-1]
-    store.update_shared_record(wh.schemas["product"], pos, rec)
+    store.update_shared_record(wh.schemas["product"], pos, rec,
+                               record_sig(wh, donors[donor], wh.schemas["product"], rec))
     want = wh.csps[target].tables["product"]
     with pytest.raises(MissingShare, match="null marks" if fault == "null" else "chunk counts"):
         wh.recover_csp_shares(target)

@@ -102,7 +102,8 @@ def assert_same_store(batched, reference):
                 assert not column.keys() & csp.nulls[t][attr]
         if batched.csps[i].alive:
             for t in batched.schemas:
-                leaves = batched.authoritative_sigs(i, t)
+                schema = batched.schemas[t]
+                leaves = batched.sign(i, schema, *batched.csps[i].slice_values(schema))
                 assert batched.csps[i].sigtree.record_trees[t].levels \
                     == tree_levels(leaves, batched.w, KM.p)
             assert batched.verify_csp(i).ok
