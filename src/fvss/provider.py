@@ -196,9 +196,13 @@ class CspStore:
         """This provider's signature trees. Trees read from disk by
         Warehouse.load are parsed here, on first use, so a command that
         neither checks nor changes them never builds one; a malformed
-        file raises its ValueError at every use until then."""
+        file raises SchemaMismatch naming csp<i>/<file> at every use until
+        then."""
         if self.saved_trees is not None:
-            self._sigtree = _parse_sigtree(self._sigtree.w, self.p, *self.saved_trees)
+            try:
+                self._sigtree = _parse_sigtree(self._sigtree.w, self.p, *self.saved_trees)
+            except SchemaMismatch as err:
+                raise SchemaMismatch(f"csp{self.index}/{err}") from None
             self.saved_trees = None
         return self._sigtree
 
@@ -489,14 +493,29 @@ def _parse_triples(lines) -> tuple[list[int], list[int], list[int]]:
     return list(map(int, flat[0::3])), list(map(int, flat[1::3])), list(map(int, flat[2::3]))
 
 
+def _parse_tree(name: str, w: int, p: int, lines) -> WaryTree:
+    """The tree of a file's (level, index, value) lines; SchemaMismatch
+    naming the file for a line that is not three decimal integers or a
+    level whose indices do not run 0, 1, ..."""
+    try:
+        return WaryTree.from_triples(w, p, *_parse_triples(lines))
+    except ValueError as err:
+        raise SchemaMismatch(f"{name}: {err}") from None
+
+
 def _parse_sigtree(w: int, p: int, layer_text: str, texts: dict[str, str]) -> SignatureTree:
     """A provider's signature trees from its saved _tables.sigtree text and
-    the .sigtree text of each table."""
-    tree = SignatureTree(w, p)
+    the .sigtree text of each table (texts, in index/tables order);
+    SchemaMismatch naming the file for a malformed one, _tables.sigtree's
+    header included, which must be tables and then exactly those tables."""
     layer_lines = layer_text.splitlines()
-    tree.table_order = layer_lines[0].split("\t")[1:]
-    tree.table_pos = {name: j for j, name in enumerate(tree.table_order)}
-    tree.table_layer = WaryTree.from_triples(w, p, *_parse_triples(layer_lines[1:]))
+    if layer_lines[:1] != ["\t".join(["tables", *texts])]:
+        raise SchemaMismatch("_tables.sigtree: the header is not tables and the tables of"
+                             " index/tables, in order")
+    tree = SignatureTree(w, p)
+    tree.table_order = list(texts)
+    tree.table_pos = {name: j for j, name in enumerate(texts)}
+    tree.table_layer = _parse_tree("_tables.sigtree", w, p, layer_lines[1:])
     for t, text in texts.items():
-        tree.record_trees[t] = WaryTree.from_triples(w, p, *_parse_triples(text.splitlines()))
+        tree.record_trees[t] = _parse_tree(f"{t}.sigtree", w, p, text.splitlines())
     return tree

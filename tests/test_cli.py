@@ -348,6 +348,28 @@ def test_query_over_a_type1_line_of_an_unlisted_table_exits_one(loaded, capsys):
     assert err == "SchemaMismatch: index/type1.bitmap: table 'nosuch' is not in index/tables\n"
 
 
+@pytest.mark.parametrize("edit", ["a non-integer field", "a header naming a ghost table"])
+def test_verify_over_a_malformed_tree_prints_one_schema_mismatch_line(loaded, edit):
+    """In a cold process, as a user runs it: one SchemaMismatch line naming
+    the file, no traceback, exit 1."""
+    if edit == "a non-integer field":
+        path = next(path for path in sorted((loaded / "warehouse").glob("csp*/Product.sigtree"))
+                    if path.read_text())
+        path.write_text("x" + path.read_text())
+        error = "invalid literal for int() with base 10: 'x0'"
+    else:
+        path = loaded / "warehouse" / "csp2" / "_tables.sigtree"
+        path.write_text(path.read_text().replace("tables\tProduct", "tables\tProduct\tGhost", 1))
+        error = "the header is not tables and the tables of index/tables, in order"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-m", "fvss.cli", "--config", str(loaded / "fvss.ini"),
+                           "verify"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    where = f"{path.parent.name}/{path.name}"
+    assert (done.returncode, done.stderr) == (1, f"SchemaMismatch: {where}: {error}\n")
+    assert "Traceback" not in done.stdout
+
+
 def test_verify_failed_csp_is_an_availability_error(loaded, capsys):
     run(loaded, "fail", "2")
     code, _, err = run(loaded, "verify", "--csp", "2", capsys=capsys)

@@ -14,6 +14,13 @@ its chunk (the key plus the bias), a string's UTF-8 byte tuple (which is
 its chunk tuple), and the SUM of every cube cell, with their keys and
 chunks too.
 
+It also checks that no provider holds or is handed a key: no object
+reachable from any `CspStore`, through its attributes, its signature
+trees and their containers, and no argument of any call, is a
+`KeyMaterial`, a `KeyedSha256`, or bytes equal to the seed or to a
+signing key HF*_i (`hf_star_keys`). The client signs every record, so a
+provider cannot sign a share it changed.
+
 Primary and foreign keys cross by design, and so do positions and counts;
 bools (0/1) are left out of the check. Every other plaintext is drawn
 from a range disjoint from pks, fks, positions and counts (numbers of at
@@ -24,6 +31,7 @@ Run with `--hypothesis-profile ci` for the derandomized, longer battery.
 """
 
 import tempfile
+import types
 from collections.abc import KeysView, ValuesView
 from datetime import date, timedelta
 from fractions import Fraction
@@ -36,11 +44,13 @@ from fvss import DEFAULT_BIAS, P_DEFAULT, Column, DerivedColumn, Schema, Warehou
 from fvss import init_participants
 from fvss.cube import CubeHierarchy, CubeMeasure, CubeSpec, cube_build, cube_query, cube_refresh
 from fvss.cube import cube_table
+from fvss.keyed import KeyedSha256, KeyMaterial
 from fvss.provider import CspStore
 from fvss.query import execute
 from fvss.sharing import typed_key
 
 KM = init_participants(5, 4, seed=bytes(range(32)), p=P_DEFAULT)
+SECRETS = {KM.seed, *KM.hf_star_keys.values()}
 PRODUCT = Schema("Product", (
     Column("ProdNo", "key"),
     Column("pname", "string"),
@@ -154,24 +164,56 @@ def _atoms(value) -> list:
     return out
 
 
-def _guard(monkeypatch, plaintexts) -> set:
+def _keys(value) -> list:
+    """Every KeyMaterial, KeyedSha256 and bytes in SECRETS reachable from
+    value: walked through lists, tuples, sets, dicts and dict views, the
+    attributes of objects (__dict__ and __slots__), the object a bound
+    method is bound to and the cells a function closes over."""
+    out, seen, stack = [], set(), [value]
+    while stack:
+        v = stack.pop()
+        if id(v) in seen or isinstance(v, (int, str, type, types.ModuleType)):
+            continue
+        seen.add(id(v))
+        if isinstance(v, (KeyMaterial, KeyedSha256)) or (isinstance(v, bytes) and v in SECRETS):
+            out.append(v)
+        elif isinstance(v, dict):
+            stack.extend(v.keys())
+            stack.extend(v.values())
+        elif isinstance(v, (list, tuple, set, frozenset, KeysView, ValuesView)):
+            stack.extend(v)
+        elif isinstance(v, types.MethodType):
+            stack.append(v.__self__)
+        elif isinstance(v, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in v.__closure__ or ())
+        else:
+            stack.extend(getattr(v, "__dict__", {}).values())
+            stack.extend(getattr(v, name) for cls in type(v).__mro__
+                         for name in getattr(cls, "__slots__", ()) if hasattr(v, name))
+    return out
+
+
+def _guard(monkeypatch, plaintexts) -> tuple[set, dict]:
     """Wrap every public CspStore method so that a call whose arguments
-    (self left out) hold one of plaintexts fails at once, naming the
-    method and what it was handed. Returns the set the wrapped methods
-    add their names to as they are called."""
-    called = set()
+    (self left out) hold one of plaintexts or a key (_keys) fails at once,
+    naming the method and what it was handed. Returns the set the wrapped
+    methods add their names to as they are called, and id -> provider of
+    every provider called."""
+    called, providers = set(), {}
     for name, fn in list(vars(CspStore).items()):
         if name.startswith("_") or not callable(fn):
             continue
 
         def guarded(self, *args, _name=name, _fn=fn, **kwargs):
             called.add(_name)
+            providers[id(self)] = self
             leaked = [atom for atom in _atoms([args, kwargs]) if atom in plaintexts]
             assert not leaked, f"CSP {self.index} {_name} was handed {leaked[:3]}"
+            assert not _keys([args, kwargs]), f"CSP {self.index} {_name} was handed a key"
             return _fn(self, *args, **kwargs)
 
         monkeypatch.setattr(CspStore, name, guarded)
-    return called
+    return called, providers
 
 
 def _drive(root, products, facts, updates, fresh):
@@ -206,6 +248,9 @@ def test_no_plaintext_crosses_into_a_provider(store):
     # disjoint from pks (at most 300), fks, positions and counts by construction
     assert not {v for v in plaintexts if type(v) is int and v < 1000}
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
-        called = _guard(patch, plaintexts)
+        called, providers = _guard(patch, plaintexts)
         _drive(root, *store)
     assert called >= REACHED
+    # both stores' providers, the loaded ones with their trees parsed by verify_all
+    assert len(providers) == 2 * KM.n
+    assert not _keys(list(providers.values())), "a provider holds a key"

@@ -1071,6 +1071,10 @@ def test_malformed_state_file_fails_at_load(tmp_path, km_big, state, error):
         _reload(tmp_path, km_big)
 
 
+_HEADER = (r"^csp3/_tables\.sigtree: the header is not tables and the tables of index/tables,"
+           r" in order$")
+
+
 def _edit_tree(path, edit):
     lines = path.read_text().splitlines()
     if edit == "2 fields":
@@ -1091,16 +1095,17 @@ def _edit_tree(path, edit):
 @pytest.mark.parametrize("name", ["product.sigtree", "_tables.sigtree"])
 def test_malformed_tree_fails_at_first_use_and_queries_still_answer(tmp_path, km_big, edit,
                                                                       error, name):
-    """A load reads every tree but parses none: a malformed one raises its
-    ValueError when first used, by verify or save, every time, while a
-    query never parses one and answers as the plaintext does."""
+    """A load reads every tree but parses none: a malformed one raises
+    SchemaMismatch naming it when first used, by verify or save, every
+    time, while a query never parses one and answers as the plaintext
+    does."""
     _saved(tmp_path, km_big)
     _edit_tree(tmp_path / "csp3" / name, edit)
     back = _reload(tmp_path, km_big)
     for _ in range(2):
-        with pytest.raises(ValueError, match=error):
+        with pytest.raises(SchemaMismatch, match=error):
             back.verify_csp(3)
-        with pytest.raises(ValueError, match=error):
+        with pytest.raises(SchemaMismatch, match=error):
             back.save(tmp_path / "again")
     assert back.verify_csp(2).ok
     oracle = PlainWarehouse()
@@ -1109,6 +1114,36 @@ def test_malformed_tree_fails_at_first_use_and_queries_still_answer(tmp_path, km
                 "SELECT prodName, MAX(qty) FROM product WHERE price >= 2.0 GROUP BY prodName"):
         assert execute(back, sql)[1] == oracle.query(parse(sql))
     assert back.csps[3].saved_trees is not None
+
+
+@pytest.mark.parametrize("name,edit,error", [
+    ("product.sigtree", "a non-integer field",
+     r"^csp3/product\.sigtree: invalid literal for int\(\) with base 10: 'x0'$"),
+    ("_tables.sigtree", "empty", _HEADER),
+    ("_tables.sigtree", "tables\tproduct\tGhost", _HEADER),
+    ("_tables.sigtree", "nottables\tproduct", _HEADER),
+    ("_tables.sigtree", "tables", _HEADER),
+])
+def test_malformed_tree_raises_schema_mismatch_naming_the_file(tmp_path, km_big, name, edit,
+                                                                 error):
+    """A tree file that does not parse, or a _tables.sigtree whose header
+    is not tables and then exactly the tables of index/tables, raises
+    SchemaMismatch naming csp<i>/<file> at first use, and a query still
+    answers."""
+    wh = _saved(tmp_path, km_big)
+    path = tmp_path / "csp3" / name
+    lines = path.read_text().splitlines()
+    if edit == "a non-integer field":
+        lines[1] = "x" + lines[1]
+    elif edit == "empty":
+        lines = []
+    else:
+        lines[0] = edit
+    path.write_text("".join(line + "\n" for line in lines))
+    back = _reload(tmp_path, km_big)
+    with pytest.raises(SchemaMismatch, match=error):
+        back.verify_csp(3)
+    assert back.reconstruct_table("product") == wh.reconstruct_table("product")
 
 
 def test_load_then_save_to_the_same_root_keeps_every_byte(tmp_path, km_big):
