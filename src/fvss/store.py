@@ -2,13 +2,14 @@
 and the index server (index).
 
 Every record, base row or cube cell, is stored by one write,
-`Warehouse.write`, and a field of many records is read by one gather,
-`Warehouse._gather`, for reconstruction and recovery alike; every read
-picks its providers through `Warehouse.read_through`. `load_rows`
-encodes each APPEND_ROWS of held rows a column at a time (_derived_keys,
-then sharing.encode_rows). save and load call each role's own in turn;
-the client's one file, <root>/index/tables, lists its schemas, its one
-table registry, in creation order.
+`Warehouse.write`, and signed by one function, `Warehouse.sign`, as only
+the client holds the providers' signing keys; a field of many records is
+read by one gather, `Warehouse._gather`, for reconstruction and recovery
+alike; every read picks its providers through `Warehouse.read_through`.
+`load_rows` encodes each APPEND_ROWS of held rows a column at a time
+(_derived_keys, then sharing.encode_rows). save and load call each
+role's own in turn; the client's one file, <root>/index/tables, lists
+its schemas, its one table registry, in creation order.
 """
 
 from __future__ import annotations

@@ -309,3 +309,41 @@ def test_tamper_then_untamper_is_invisible(km_toy):
     st.insert_record("a", _sig(km_toy, b"v"))
     auth = [_sig(km_toy, b"v")]
     assert st.verify({"a": auth}, _marker(km_toy)).ok
+
+
+
+@given(st.integers(2, 4), st.integers(0, 3 * P),
+       st.lists(st.tuples(st.sampled_from("cinur"), st.integers(0, 2),
+                          st.lists(st.integers(0, 3 * P), max_size=12)), max_size=25))
+@settings(max_examples=150, deadline=None)
+def test_every_entry_point_keeps_both_layers_a_recomputation(w, marker, ops):
+    """create_table, insert_record(s), update_records and reset_records
+    over leaf signatures and a marker handed in, in any order: each record
+    tree equals its leaves' whole-level recomputation, each table's layer
+    leaf is the marker plus its leaves' sum, and verify reads ok."""
+    tree = SignatureTree(w, P)
+    leaves: dict[str, list[int]] = {}
+    for op, k, sigs in ops:
+        table = f"t{k}"
+        if table not in leaves:
+            tree.create_table(table, marker)
+            leaves[table] = []
+        held = leaves[table]
+        if op == "i" and sigs:
+            assert tree.insert_record(table, sigs[0]) == len(held)
+            held.append(sigs[0] % P)
+        elif op == "n":
+            assert tree.insert_records(table, sigs) == len(held)
+            held += [v % P for v in sigs]
+        elif op == "u" and held:
+            picked = dict(zip([v % len(held) for v in sigs], sigs))   # distinct positions
+            tree.update_records(table, list(picked), list(picked.values()))
+            for g, v in picked.items():
+                held[g] = v % P
+        elif op == "r":
+            tree.reset_records(table, sigs)
+            leaves[table] = [v % P for v in sigs]
+    for table, held in leaves.items():
+        _assert_matches_oracle(tree.record_trees[table], held, w)
+        assert tree.table_layer.leaf(tree.table_pos[table]) == (marker + sum(held)) % P
+    assert tree.verify(leaves, marker).ok
