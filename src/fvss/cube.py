@@ -52,7 +52,7 @@ from .errors import (
     UnsupportedFeature,
 )
 from .keyed import KeyMaterial
-from .sharing import Column, Schema, encode_value, pinned_coefficients, typed_value
+from .sharing import Column, Schema, encode_column, pinned_coefficients, typed_value
 from .store import Warehouse
 from .query import (
     GroupSource,
@@ -272,15 +272,10 @@ def share_cell_chunk(km: KeyMaterial, table: str, pk: int, attr: str,
     return {i: column[0] for i, column in enumerate(shares, 1)}
 
 
-def _encoded(wh: Warehouse, col: Column, value) -> tuple:
-    """(order key, chunks) of one cube cell value (encode_value)."""
-    return encode_value(value, col.kind, scale=col.scale, bias=wh.bias, p=wh.km.p)
-
-
 def _shared_column(km: KeyMaterial, table: str, attr: str, pks, chunks,
                    refresh: int | None = None) -> list[list]:
     """Every provider's column of shares, in provider order, of one cube
-    column's values by cell pk, given as their chunks (encode_value): an
+    column's values by cell pk, given as their chunks (encode_column): an
     int for a number, a tuple for a string, None for NULL. All the
     chunks are one share_cell_chunks batch."""
     triples = [(pk, k, c) for pk, value in zip(pks, chunks) if value is not None
@@ -366,16 +361,16 @@ def _new_cells(wh: Warehouse, schema: Schema, first: int, rows, dims) -> tuple:
     """Warehouse.write's arguments for the new cells' rows, numbered from
     first and stored at every provider: each value encoded once, for its
     shares (one _shared_column per cube column) and, for a dimension of
-    dims, its order key."""
+    dims, its order key, by one encode_column per cube column."""
     n = wh.km.n
     pks = list(range(first, first + len(rows)))
     shared, keys = [], {}
     for col in schema.columns[1:]:
-        encoded = [_encoded(wh, col, row.get(col.name)) for row in rows]
-        shared.append(_shared_column(wh.km, schema.table, col.name, pks,
-                                     [chunks for _, chunks in encoded]))
+        column, chunks = encode_column([row.get(col.name) for row in rows], col.kind,
+                                       scale=col.scale, bias=wh.bias, p=wh.km.p)
+        shared.append(_shared_column(wh.km, schema.table, col.name, pks, chunks))
         if col.name in dims:
-            keys[col.name] = [key for key, _ in encoded]
+            keys[col.name] = column
     per_csp = {i: (pks, [column[i - 1] for column in shared]) for i in range(1, n + 1)}
     return pks, per_csp, keys, ["1" * n] * len(pks)
 
@@ -389,9 +384,11 @@ def _rewritten_cells(wh: Warehouse, schema: Schema, pks, deltas: dict, replaceme
     cells' new values) re-shared under fillers keyed by the refresh. Its
     dimensions, and so its order keys, stay."""
     km, p = wh.km, wh.km.p
-    reshared = {name: _shared_column(km, schema.table, name, pks, [
-        _encoded(wh, schema.column(name), v)[1] for v in values], refresh)
-        for name, values in replacements.items()}
+    reshared = {}
+    for name, values in replacements.items():
+        col = schema.column(name)
+        reshared[name] = _shared_column(km, schema.table, name, pks, encode_column(
+            values, col.kind, scale=col.scale, bias=wh.bias, p=p)[1], refresh)
     names = [name for name, _ in schema.record_fields()]
     per_csp = {}
     for i in range(1, km.n + 1):

@@ -597,7 +597,7 @@ def literal_key(raw, col: Column):
                 key *= 10**col.scale
             return key.numerator if key.denominator == 1 else key
         return typed_key(raw, kind, col.scale)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, SchemaMismatch) as exc:
         raise SchemaMismatch(f"literal {raw!r} does not fit a {kind} column") from exc
 
 

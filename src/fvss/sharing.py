@@ -34,18 +34,19 @@ storage_bitmaps places a batch of them through one draw-to-group map
 (systematic_groups) and one digest loop. Placement decides only where new
 records go: a stored record keeps its bitmap.
 
-What d is for a typed value is decided once, by typed_key: an int as the
-whole number it is (never truncated), a real as value * 10^scale rounded
+What d is for a typed value is decided once, by the column code:
+typed_keys gives a column's keys with one kind dispatch (an int as the
+whole number it is, never truncated, a real as value * 10^scale rounded
 half to even, a date as its epoch day, a bool as 0/1, a string as
-itself. The index server orders by that key
-(its Type II indexes), a value's chunks are the key plus the bias or, for a
-string, its UTF-8 bytes, and one encoding gives both: encode_value for a
-cube cell, and encode_rows for a batch of rows, a column at a time, with
-one kind dispatch per column and one range check per batch (an int
-column's values must be whole numbers); typed_value and decode turn them
-back into the plaintext. A number (int, real, date, bool, every cube measure)
-is one chunk and its share one int, wherever it is stored or passed; a
-string's chunks and shares are tuples, one per byte.
+itself), refusing a value of no key by its column's name. The index
+server orders by that key (its Type II indexes); the chunks are the key
+plus the bias, range-checked by one min and max (_number_chunks), or a
+string's UTF-8 bytes (_string_chunks). encode_rows runs these a field at
+a time over a batch of rows, encode_column over one column (a cube's),
+and typed_key and encode_value over a column of one; typed_value and
+decode invert them. A number (int, real, date, bool, every cube measure)
+is one chunk and its share one int; a string's chunks and shares are
+tuples, one per byte.
 """
 
 from __future__ import annotations
@@ -162,28 +163,56 @@ class Schema(Immutable, _SchemaFields):
 
 
 def typed_key(value, kind: str, scale: int = 0):
-    """The plaintext key that stands for a typed value, None for None: an
-    int (or a key or fk) as the whole number it is (SchemaMismatch for one
-    that is not, never a truncation), a real as value * 10^scale rounded
-    (scaled_int), a date as its epoch day, a bool as 0/1, a string as
-    itself. Type II indexes order by it, shares are made of it
-    (encode_value) and typed_value inverts it."""
-    if value is None:
-        return None
+    """The plaintext key of a typed value: typed_keys of a column of one,
+    its errors naming the kind. typed_value inverts it."""
+    return typed_keys((value,), kind, scale)[0]
+
+
+def typed_keys(values: Iterable, kind: str, scale: int = 0, table: str | None = None,
+               name: str | None = None) -> list:
+    """The key of each of values, None for None, by one kind dispatch:
+    an int (or a key or fk) as the whole number it is (whole_key), a real
+    as value * 10^scale rounded half to even (scaled_int), a date as its
+    epoch day, a bool (True, False, 1 or 0) as 1 or 0, a string as
+    itself. SchemaMismatch, naming table.name or without a table the
+    kind, for a value that is not of the kind: no whole number, no finite
+    number, no datetime.date or no bool."""
+    name = name or kind
     if kind in ("int", "key", "fk"):
-        number = _whole(value)
-        if number is None:
-            raise SchemaMismatch(f"{kind} value {value!r} is not a whole number")
-        return number
+        return [v if type(v) is int or v is None else whole_key(v, table, name) for v in values]
     if kind == "real":
-        return scaled_int(value, scale)
+        m = 10**scale
+        return [v * m if type(v) is int
+                else round_half_even(v.numerator * m, v.denominator) if type(v) is Fraction
+                else v if v is None else scaled_int(v, scale, table, name) for v in values]
     if kind == "date":
-        return (value - _EPOCH).days
+        return [(v - _EPOCH).days if type(v) is _date
+                else v if v is None else _refuse(v, "a date", table, name) for v in values]
     if kind == "bool":
-        return int(bool(value))
+        return [v if v is None else 1 if v == 1 else 0 if v == 0
+                else _refuse(v, "a bool", table, name) for v in values]
     if kind == "string":
-        return str(value)
+        return [None if v is None else str(v) for v in values]
     raise SchemaMismatch(f"no typed key for kind {kind!r}")
+
+
+def _refuse(value, what: str, table: str | None, name: str):
+    """Raise the SchemaMismatch of a value its column has no key for."""
+    if table is None:
+        raise SchemaMismatch(f"{name} value {value!r} is not {what}")
+    raise SchemaMismatch(f"{table}.{name} must be {what}, got {value!r}")
+
+
+def scaled_int(value, scale: int, table: str | None = None, name: str = "real") -> int:
+    """round(value * 10^scale), ties to even, taken exactly: a float
+    through its shortest decimal repr, anything else (an int, Fraction,
+    Decimal or numeric text) through Fraction; refused (_refuse) when it
+    is no finite number."""
+    try:
+        value = Fraction(Decimal(str(value)) if isinstance(value, float) else value)
+    except (TypeError, ValueError, OverflowError):
+        _refuse(value, "a number", table, name)
+    return round_half_even(value.numerator * 10**scale, value.denominator)
 
 
 def typed_value(key, kind: str, scale: int = 0):
@@ -223,22 +252,9 @@ def text_value(text: str, kind: str):
 
 def encode_value(value, kind: str, *, scale: int = 0, bias: int = 0, p: int) -> tuple:
     """(order key, chunks) of a typed plaintext value, (None, None) for
-    None, from one encoding: the key is its typed_key, the chunks that key
-    offset by the bias, so negatives stay in [0, p), as one int, or for a
-    string a tuple of one chunk per UTF-8 byte."""
-    key = typed_key(value, kind, scale)
-    if key is None:
-        return None, None
-    if kind == "string":
-        raw = key.encode("utf-8")
-        for b in raw:
-            if b >= p:
-                raise OutOfRange(f"byte {b} of {value!r} >= p={p}")
-        return key, tuple(raw)
-    chunk = key + bias
-    if not 0 <= chunk < p:
-        raise OutOfRange(f"{kind} value {value!r} encodes to {chunk}, outside [0, {p})")
-    return key, chunk
+    None: encode_column of a column of one."""
+    (key,), (chunks,) = encode_column((value,), kind, scale=scale, bias=bias, p=p)
+    return key, chunks
 
 
 def encode_chunks(value, kind: str, *, scale: int = 0, bias: int = 0, p: int):
@@ -247,15 +263,45 @@ def encode_chunks(value, kind: str, *, scale: int = 0, bias: int = 0, p: int):
     return encode_value(value, kind, scale=scale, bias=bias, p=p)[1]
 
 
-def scaled_int(value, scale: int) -> int:
-    """round(value * 10^scale) to the nearest integer, ties to even, taken
-    exactly: floats through their shortest decimal repr, everything else
-    (int, Fraction, Decimal, numeric str) through Fraction."""
-    if isinstance(value, float):
-        value = Decimal(str(value))
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return round_half_even(value.numerator * 10**scale, value.denominator)
+def encode_column(values: Sequence, kind: str, *, scale: int = 0, bias: int = 0,
+                  p: int) -> tuple[list, list]:
+    """(order keys, chunks) of a column of typed plaintext values, None
+    for None, as encode_rows makes a field's (typed_keys, then
+    _string_chunks or _number_chunks), an error naming the kind."""
+    keys = typed_keys(values, kind, scale)
+    if kind == "string":
+        return keys, _string_chunks(keys, p)
+    return keys, _number_chunks([(kind, None, keys)], lambda _, j: values[j], bias, p)[0]
+
+
+def _string_chunks(keys, p: int) -> list:
+    """The chunks of each string key, a tuple of its UTF-8 bytes, None
+    for None; OutOfRange for the first byte that is not below p."""
+    chunks = [None if k is None else tuple(k.encode("utf-8")) for k in keys]
+    if p <= 255:
+        for k, c in zip(keys, chunks):
+            for byte in c or ():
+                if byte >= p:
+                    raise OutOfRange(f"byte {byte} of {k!r} >= p={p}")
+    return chunks
+
+
+def _number_chunks(numbers, shown, bias: int, p: int) -> list[list]:
+    """The chunks (key plus the bias, so that negatives stay in [0, p))
+    of each number column (kind, name, keys), all made and range-checked
+    at once: one min and one max over every chunk; OutOfRange for the
+    first value outside [0, p), column by column, naming shown(name, j),
+    the value whose key is keys[j]."""
+    n = len(numbers[0][2]) if numbers else 0
+    flat = [None if k is None else k + bias for _, _, keys in numbers for k in keys]
+    present = flat if None not in flat else [c for c in flat if c is not None]
+    if present and (min(present) < 0 or max(present) >= p):
+        for kind, name, keys in numbers:
+            for j, k in enumerate(keys):
+                if k is not None and not 0 <= k + bias < p:
+                    raise OutOfRange(f"{kind} value {shown(name, j)!r} encodes to {k + bias},"
+                                     f" outside [0, {p})")
+    return [flat[i * n:(i + 1) * n] for i in range(len(numbers))]
 
 
 def decode(chunks, kind: str, *, scale: int = 0, bias: int = 0):
@@ -452,27 +498,22 @@ def share_value(d: int, pk: int, group: StorageGroup, km: KeyMaterial) -> dict[i
     return {i: (a * d + b * pk) % p for i, a, b in share_coefficients(group, km)}
 
 
-def whole_key(value, table: str, name: str) -> int:
+def whole_key(value, table: str | None, name: str) -> int:
     """A value as its int when it is a whole number of any type (an int,
     a bool, a whole float, Fraction or Decimal, numeric text): the key of
-    an int column's value, and of a key or fk within whole_number's
-    range. SchemaMismatch naming table.name when it is missing (None) or
-    not a whole number, never a truncation."""
-    number = _whole(value)
-    if number is None:
-        raise SchemaMismatch(f"{table}.{name} must be a whole number, got {value!r}")
-    return number
-
-
-def _whole(value) -> int | None:
-    """value as an int when it is a whole number of any type, else None."""
+    an int column's value (typed_keys), and of a key or fk within
+    whole_number's range. SchemaMismatch naming table.name (or, without
+    a table, the kind name) when it is missing (None) or not a whole
+    number, never a truncation."""
     if type(value) is int:
         return value
     try:
         number = Fraction(value)
     except (TypeError, ValueError, OverflowError):
-        return None
-    return number.numerator if number.denominator == 1 else None
+        number = None
+    if number is None or number.denominator != 1:
+        _refuse(value, "a whole number", table, name)
+    return number.numerator
 
 
 def whole_number(value, table: str, name: str) -> int:
@@ -493,68 +534,17 @@ def round_half_even(num: int, den: int) -> int:
     return q
 
 
-def _int_keys(rows, name: str, scale: int, table: str) -> list:
-    return [v if type(v) is int or v is None else whole_key(v, table, name)
-            for row in rows for v in [row.get(name)]]
-
-
-def _real_keys(rows, name: str, scale: int, table: str) -> list:
-    """scaled_int of each value, a Fraction's and an int's taken here."""
-    m, out = 10**scale, []
-    for row in rows:
-        v = row.get(name)
-        if type(v) is Fraction:
-            v = round_half_even(v.numerator * m, v.denominator)
-        elif type(v) is int:
-            v *= m
-        elif v is not None:
-            v = scaled_int(v, scale)
-        out.append(v)
-    return out
-
-
-# the typed_key of a column of rows, one function per kind; an int
-# column's values must be whole numbers
-_KEYS = {
-    "int": _int_keys,
-    "real": _real_keys,
-    "date": lambda rows, name, *_: [None if v is None else (v - _EPOCH).days
-                                    for row in rows for v in [row.get(name)]],
-    "bool": lambda rows, name, *_: [None if v is None else 1 if v else 0
-                                    for row in rows for v in [row.get(name)]],
-    "string": lambda rows, name, *_: [None if v is None else str(v)
-                                      for row in rows for v in [row.get(name)]],
-}
-
-
-def _number_chunks(numbers, rows, exact, bias: int, p: int) -> list[list]:
-    """The chunks (key plus the bias) of each number column (kind, name,
-    keys), all made and range-checked at once: one min and one max over
-    every chunk of the batch; OutOfRange for the first value outside
-    [0, p), column by column, naming the row's value or, for a derived
-    column, its exact value (a Fraction of its pair in exact)."""
-    n = len(rows)
-    flat = [None if k is None else k + bias for _, _, keys in numbers for k in keys]
-    present = flat if None not in flat else [c for c in flat if c is not None]
-    if present and (min(present) < 0 or max(present) >= p):
-        for kind, name, keys in numbers:
-            for j, k in enumerate(keys):
-                if k is not None and not 0 <= k + bias < p:
-                    v = Fraction(*exact[name][j]) if name in exact else rows[j].get(name)
-                    raise OutOfRange(f"{kind} value {v!r} encodes to {k + bias}, outside [0, {p})")
-    return [flat[i * n:(i + 1) * n] for i in range(len(numbers))]
-
-
 def encode_rows(schema: Schema, rows: Sequence[dict], derived: Mapping[str, list],
                 exact: Mapping[str, list], bias: int, p: int) -> tuple[list, list]:
     """The non-key fields of rows encoded a column at a time, one column
     per record field (record_fields order) aligned with rows: as the
     providers store them before sharing (an fk as its whole_number, a
     number's chunk as an int, a string's chunks as a tuple, None for
-    NULL) and as the index server orders them (the fk's int, the
-    typed_key of a number, date, bool or string, None for NULL): the
-    chunks and keys encode_value gives each value, except that an int
-    column's value must be a whole number (whole_key). derived holds the
+    NULL) and as the index server orders them (the fk's int, the key of
+    a number, date, bool or string, None for NULL): per field, the keys
+    typed_keys gives the column of the rows' values, errors naming
+    table.name, and their chunks made by _string_chunks or, all number
+    columns at once, _number_chunks. derived holds the
     keys of the derived fields (an int, or at scale 0 a Fraction for a
     value that is not whole), which stand in for the rows' own values,
     and exact their exact values as (numerator, denominator) pairs,
@@ -575,6 +565,7 @@ def encode_rows(schema: Schema, rows: Sequence[dict], derived: Mapping[str, list
     fks = {name: [v if type(v) is int and 0 <= v < 1 << 64 else whole_number(v, table, name)
                   for row in rows for v in [row.get(name)]]
            for name, is_fk in schema.record_fields() if is_fk}
+    shown = lambda name, j: Fraction(*exact[name][j]) if name in exact else rows[j].get(name)
     keys, values, numbers = [], [], []
     try:
         for name, kind, scale, _ in schema.columns[1:]:
@@ -583,28 +574,20 @@ def encode_rows(schema: Schema, rows: Sequence[dict], derived: Mapping[str, list
             else:
                 column = derived.get(name)
                 if column is None:
-                    to_keys = _KEYS.get(kind)
-                    column = (to_keys(rows, name, scale, table) if to_keys
-                              else [typed_key(row.get(name), kind, scale) for row in rows])
+                    column = typed_keys((row.get(name) for row in rows), kind, scale, table, name)
                 elif kind == "int":   # a scale-0 derived value must be whole too
-                    column = [v if type(v) is int or v is None else whole_key(v, table, name)
-                              for v in column]
+                    column = typed_keys(column, kind, 0, table, name)
                 chunks = None
                 if kind == "string":
-                    chunks = [None if k is None else tuple(k.encode("utf-8")) for k in column]
-                    if p <= 255:
-                        for k, c in zip(column, chunks):
-                            for byte in c or ():
-                                if byte >= p:
-                                    raise OutOfRange(f"byte {byte} of {k!r} >= p={p}")
+                    chunks = _string_chunks(column, p)
                 else:
                     numbers.append((kind, name, column))
             keys.append(column)
             values.append(chunks)
     except Exception:
-        _number_chunks(numbers, rows, exact, bias, p)   # an earlier field's range comes first
+        _number_chunks(numbers, shown, bias, p)   # an earlier field's range comes first
         raise
-    made = iter(_number_chunks(numbers, rows, exact, bias, p))
+    made = iter(_number_chunks(numbers, shown, bias, p))
     return [next(made) if chunks is None else chunks for chunks in values], keys
 
 

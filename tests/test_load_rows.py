@@ -8,6 +8,7 @@ batch whose k-th row raises must leave exactly the store its first k-1
 rows make.
 """
 
+import datetime
 import hashlib
 import random
 from collections import Counter
@@ -22,6 +23,7 @@ from fvss.cube import CubeHierarchy, CubeMeasure, CubeSpec, cube_build, cube_ref
 from fvss.errors import CspUnavailable, NotEnoughAliveCsps, OutOfRange, SchemaMismatch
 from fvss.provider import CspStore
 from fvss.query import execute
+from fvss.sharing import encode_chunks, typed_key
 
 PRODUCT = Schema("Product", (
     Column("ProdNo", "key"),
@@ -552,6 +554,62 @@ def test_an_int_value_must_be_a_whole_number(km_big, value):
     with pytest.raises(SchemaMismatch, match=r"^Sales\.qty must be a whole number, got "):
         wh.load_rows("Sales", rows)
     assert wh.type1.pks("Sales") == [1]
+
+
+TYPED = Schema("T", (Column("k", "key"), Column("r", "real", scale=2), Column("d", "date"),
+                     Column("b", "bool")))
+
+
+def _typed_rows():
+    return [{"k": k, "r": Fraction(k, 4), "d": datetime.date(2020, 1, k), "b": k % 2 == 0}
+            for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("column,value,what", [
+    ("r", float("nan"), "a number"), ("r", float("inf"), "a number"),
+    ("r", float("-inf"), "a number"), ("r", Decimal("NaN"), "a number"),
+    ("r", "abc", "a number"), ("r", object(), "a number"),
+    ("d", "2020-01-02", "a date"), ("d", datetime.datetime(2020, 1, 2), "a date"),
+    ("d", 18263, "a date"),
+    ("b", "false", "a bool"), ("b", "true", "a bool"), ("b", 2, "a bool"),
+])
+def test_a_value_of_no_key_is_refused_naming_its_column(km_big, column, value, what):
+    """A real that is no finite number, a date that is not a
+    datetime.date and a bool that is not True, False, 1 or 0 raise
+    SchemaMismatch naming the column, as an int column's value that is not
+    whole does; the rows before it stay stored and nothing of it is. A
+    lone value of that kind (typed_key, encode_chunks) is refused naming
+    the kind."""
+    rows = _typed_rows()
+    rows[1][column] = value
+    wh = Warehouse(km_big, w=3, bias=DEFAULT_BIAS)
+    wh.create_table(TYPED, index_attrs=("r", "d", "b"))
+    with pytest.raises(SchemaMismatch, match=rf"^T\.{column} must be {what}, got "):
+        wh.load_rows("T", rows)
+    assert wh.type1.pks("T") == [1]
+    assert all(len(keys) == 1 for keys in wh.type2.keys.values())
+    kind = TYPED.column(column).kind
+    for encode in (lambda: typed_key(value, kind, 2),
+                   lambda: encode_chunks(value, kind, scale=2, bias=DEFAULT_BIAS, p=km_big.p)):
+        with pytest.raises(SchemaMismatch, match=rf"^{kind} value .* is not {what}$"):
+            encode()
+
+
+def test_a_bool_given_as_1_or_0_is_stored_as_true_or_false(tmp_path, km_big):
+    """1 and 0 in a bool column are the bools they equal: the saved store
+    equals the one loaded with True and False."""
+    def loaded(true, false):
+        rows = _typed_rows()
+        rows[0]["b"], rows[1]["b"] = true, false
+        wh = Warehouse(km_big, w=3, bias=DEFAULT_BIAS)
+        wh.create_table(TYPED, index_attrs=("b",))
+        wh.load_rows("T", rows)
+        return wh
+
+    ints = loaded(1, 0)
+    assert saved_digest(ints, tmp_path / "ints") == saved_digest(loaded(True, False),
+                                                                 tmp_path / "bools")
+    assert [ints.reconstruct_record("T", k)["b"] for k in (1, 2)] == [True, False]
 
 
 @pytest.mark.parametrize("value,whole", [("3", 3), (" 3 ", 3), (3.0, 3), (Fraction(6, 2), 3),
