@@ -28,7 +28,12 @@ create_table, reset_table and load alike), and tamper drop that table's
 texts and _tables.sigtree's, so the next save formats them anew. A
 change that does not go through these methods (an edit of csp.columns
 or csp.plain after a save, say) is not seen by the next save. load keeps
-no text, and parses the trees at their first use (CspStore.sigtree).
+no text, and parses the trees at their first use (CspStore.parse_trees),
+refusing a tree whose levels are not shaped as a fan-out w tree over its
+leaves and a table layer without one leaf per table. A write checks
+first (check_writable) that the trees parse and that the table's record
+tree has one leaf per record held, so that a malformed tree stops it
+before anything changes.
 """
 
 from __future__ import annotations
@@ -193,30 +198,47 @@ class CspStore:
 
     @property
     def sigtree(self) -> SignatureTree:
-        """This provider's signature trees. Trees read from disk by
-        Warehouse.load are parsed here, on first use, so a command that
-        neither checks nor changes them never builds one; a malformed
-        file raises SchemaMismatch naming csp<i>/<file> at every use until
-        then."""
+        """This provider's signature trees, parsed first (parse_trees)."""
+        self.parse_trees()
+        return self._sigtree
+
+    def parse_trees(self):
+        """Parse the trees Warehouse.load read, if it has not been done:
+        at their first use, so a command that neither checks nor changes
+        them never builds one. A malformed file (_parse_sigtree) raises
+        SchemaMismatch naming csp<i>/<file> at every use until then; each
+        write parses before it changes anything."""
         if self.saved_trees is not None:
             try:
                 self._sigtree = _parse_sigtree(self._sigtree.w, self.p, *self.saved_trees)
             except SchemaMismatch as err:
                 raise SchemaMismatch(f"csp{self.index}/{err}") from None
             self.saved_trees = None
-        return self._sigtree
 
     def check_alive(self):
         """CspUnavailable when this provider is failed."""
         if not self.alive:
             raise CspUnavailable(f"CSP {self.index} is failed")
 
+    def check_writable(self, table: str):
+        """What a write of table checks before it changes anything here:
+        check_alive, parse_trees, then SchemaMismatch naming
+        csp<i>/<table>.sigtree unless table's record tree has one leaf per
+        record held. verify reports such a tree as a breach, and recovery
+        (reset_table) rebuilds it."""
+        self.check_alive()
+        held, leaves = len(self.held_pks(table)), self.sigtree.record_trees[table].leaf_count
+        if held != leaves:
+            raise SchemaMismatch(f"csp{self.index}/{table}.sigtree: {leaves} leaves for the"
+                                 f" {held} records held")
+
     def create_table(self, schema: Schema, marker: int):
         """An empty slice of the table, its layer leaf the client's marker."""
         if schema.table in self.pks:
             raise DuplicateTable(schema.table)
+        tree = self.sigtree
         self._set_slice(schema, [], [[] for _ in schema.record_fields()])
-        self.sigtree.create_table(schema.table, marker)
+        tree.create_table(schema.table, marker)
 
     @property
     def tables(self) -> dict[str, list[StoredRecord]]:
@@ -303,8 +325,8 @@ class CspStore:
         columns) with their leaf signatures: pks, positions and columns,
         and one signature-tree extension. Returns the position of the
         first."""
-        self.check_alive()
         table = schema.table
+        self.check_writable(table)
         held = self.held_pks(table)
         start = len(held)
         held.extend(pks)
@@ -318,8 +340,8 @@ class CspStore:
         values and their leaf signatures: one write of the columns, one
         signature-tree pass that touches each node once. Nothing changes
         when a pk is not stored here."""
-        self.check_alive()
         table = schema.table
+        self.check_writable(table)
         self._require_held(table, pks)
         positions = list(map(self.positions[table].__getitem__, pks))
         self._write(schema, pks, values)
@@ -420,8 +442,9 @@ class CspStore:
         """Replace a table slice wholesale with its leaf signatures
         (recovery path); rebuilds the record tree and patches the table
         layer by delta."""
+        tree = self.sigtree
         self._set_slice(schema, pks, values)
-        self.sigtree.reset_records(schema.table, sigs)
+        tree.reset_records(schema.table, sigs)
 
     def verify(self, leaves: dict[str, list[int]], marker: int, scope="whole") -> BreachReport:
         """SignatureTree.verify against table -> leaves recomputed from the
@@ -493,21 +516,35 @@ def _parse_triples(lines) -> tuple[list[int], list[int], list[int]]:
     return list(map(int, flat[0::3])), list(map(int, flat[1::3])), list(map(int, flat[2::3]))
 
 
-def _parse_tree(name: str, w: int, p: int, lines) -> WaryTree:
+def _parse_tree(name: str, w: int, p: int, lines, tables: int | None = None) -> WaryTree:
     """The tree of a file's (level, index, value) lines; SchemaMismatch
-    naming the file for a line that is not three decimal integers or a
-    level whose indices do not run 0, 1, ..."""
+    naming the file for a line that is not three decimal integers, a
+    level whose indices do not run 0, 1, ..., a table layer without one
+    leaf per table (of tables, when given), or levels not shaped as a
+    tree of fan-out w over its leaves: ceil(below / w) nodes each, up to
+    one root. Whether each node is the sum of its children verify
+    checks."""
     try:
-        return WaryTree.from_triples(w, p, *_parse_triples(lines))
+        tree = WaryTree.from_triples(w, p, *_parse_triples(lines))
     except ValueError as err:
         raise SchemaMismatch(f"{name}: {err}") from None
+    if tables is not None and tree.leaf_count != tables:
+        raise SchemaMismatch(f"{name}: {tree.leaf_count} table-layer leaves for {tables} tables")
+    sizes, shape = list(map(len, tree.levels)), [tree.leaf_count]
+    while shape[-1] > 1:
+        shape.append(-(-shape[-1] // w))
+    if sizes != shape:
+        raise SchemaMismatch(f"{name}: levels of {sizes} nodes, where a tree of fan-out {w}"
+                             f" has {shape}")
+    return tree
 
 
 def _parse_sigtree(w: int, p: int, layer_text: str, texts: dict[str, str]) -> SignatureTree:
     """A provider's signature trees from its saved _tables.sigtree text and
     the .sigtree text of each table (texts, in index/tables order);
-    SchemaMismatch naming the file for a malformed one, _tables.sigtree's
-    header included, which must be tables and then exactly those tables."""
+    SchemaMismatch naming the file for a malformed one (_parse_tree),
+    _tables.sigtree's header included, which must be tables and then
+    exactly those tables."""
     layer_lines = layer_text.splitlines()
     if layer_lines[:1] != ["\t".join(["tables", *texts])]:
         raise SchemaMismatch("_tables.sigtree: the header is not tables and the tables of"
@@ -515,7 +552,7 @@ def _parse_sigtree(w: int, p: int, layer_text: str, texts: dict[str, str]) -> Si
     tree = SignatureTree(w, p)
     tree.table_order = list(texts)
     tree.table_pos = {name: j for j, name in enumerate(texts)}
-    tree.table_layer = _parse_tree("_tables.sigtree", w, p, layer_lines[1:])
+    tree.table_layer = _parse_tree("_tables.sigtree", w, p, layer_lines[1:], len(texts))
     for t, text in texts.items():
         tree.record_trees[t] = _parse_tree(f"{t}.sigtree", w, p, text.splitlines())
     return tree

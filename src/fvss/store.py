@@ -325,6 +325,11 @@ class Warehouse:
         return full
 
     def create_table(self, schema: Schema, index_attrs=(), derived=()) -> Schema:
+        """Register a table and give every provider an empty slice of it,
+        after parsing every provider's saved trees (CspStore.parse_trees)
+        so that a malformed one changes nothing."""
+        for csp in self.csps.values():
+            csp.parse_trees()
         full = self._register(schema, index_attrs, derived)
         for i, csp in self.csps.items():
             csp.create_table(full, self.km.hf_star(i, _MARKER_BYTES))
@@ -503,11 +508,12 @@ class Warehouse:
         call. Then keys (attribute -> order keys aligned with pks, for each
         indexed attribute the write sets) go to Type II in one batch per
         attribute. pks are distinct. CspUnavailable, before anything is
-        written, when a provider of per_csp is failed: a write stores
-        everywhere or nowhere."""
+        written, when a provider of per_csp is failed, and SchemaMismatch
+        when one's trees are malformed (CspStore.check_writable): a write
+        stores everywhere or nowhere."""
         table = schema.table
         for i in per_csp:
-            self.csps[i].check_alive()
+            self.csps[i].check_writable(table)
         for i, (mine, values) in per_csp.items():
             csp = self.csps[i]
             (csp.update_columns if bitmaps is None else csp.append_columns)(

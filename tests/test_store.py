@@ -1,3 +1,4 @@
+import copy
 import datetime
 import random
 import shutil
@@ -1144,6 +1145,106 @@ def test_malformed_tree_raises_schema_mismatch_naming_the_file(tmp_path, km_big,
     with pytest.raises(SchemaMismatch, match=error):
         back.verify_csp(3)
     assert back.reconstruct_table("product") == wh.reconstruct_table("product")
+
+
+TABLE_A = Schema("a", (Column("k", "key"), Column("v", "int")))
+TABLE_B = Schema("b", (Column("k", "key"), Column("v", "int")))
+
+
+def _two_tables(root, km, rows=20, w=3):
+    """Tables a (rows rows) and b (empty), saved under root and loaded
+    back at fan-out w."""
+    wh = Warehouse(km, w=3)
+    for schema in (TABLE_A, TABLE_B):
+        wh.create_table(schema, index_attrs=("v",))
+    wh.load_rows("a", [{"k": k, "v": 10 * k} for k in range(1, rows + 1)])
+    wh.save(root)
+    return lambda: Warehouse.load(root, km, [(TABLE_A, ("v",), ()), (TABLE_B, ("v",), ())], w=w)
+
+
+def _everything(wh):
+    """A copy of every provider's slices and every index entry."""
+    return copy.deepcopy(([(csp.pks, csp.plain, csp.columns, csp.nulls)
+                           for csp in wh.csps.values()],
+                          list(wh.schemas), wh.type1.entries, wh.type1.absent, wh.type2.keys))
+
+
+def _refused_with_no_change(wh, error, write):
+    before = _everything(wh)
+    with pytest.raises(SchemaMismatch, match=error):
+        write()
+    assert _everything(wh) == before
+
+
+def test_a_table_layer_without_a_leaf_per_table_refuses_every_write(tmp_path, km_big):
+    """A _tables.sigtree that lacks table b's layer leaf, its header and
+    root line intact, is refused at its first use: a load into b, a new
+    table and verify raise SchemaMismatch naming the file, and no provider
+    and no index has changed."""
+    reload = _two_tables(tmp_path, km_big, rows=8)
+    layer = tmp_path / "csp3" / "_tables.sigtree"
+    layer.write_text("".join(line + "\n" for line in layer.read_text().splitlines()
+                             if not line.startswith("0\t1\t")))
+    error = r"^csp3/_tables\.sigtree: 1 table-layer leaves for 2 tables$"
+    back = reload()
+    _refused_with_no_change(back, error, lambda: back.load_rows(
+        "b", [{"k": k, "v": k} for k in range(1, 11)]))
+    _refused_with_no_change(back, error, lambda: back.create_table(
+        Schema("c", (Column("k", "key"),))))
+    _refused_with_no_change(back, error, lambda: back.verify_csp(3))
+
+
+def test_an_unparsable_record_tree_refuses_new_and_in_place_writes(tmp_path, km_big):
+    """With csp3/a.sigtree unparsable, a load of new rows and an in-place
+    update of a record csp3 stores raise SchemaMismatch naming the file
+    before any provider or index changes, and the record reads back as it
+    was."""
+    reload = _two_tables(tmp_path, km_big)
+    tree = tmp_path / "csp3" / "a.sigtree"
+    tree.write_text("x" + tree.read_text())
+    back = reload()
+    error = r"^csp3/a\.sigtree: invalid literal for int\(\) with base 10: 'x0'$"
+    _refused_with_no_change(back, error, lambda: back.load_rows(
+        "a", [{"k": k, "v": k} for k in range(21, 41)]))
+    pk = next(pk for pk, bitmap in back.type1.entries["a"].items() if bitmap[2] == "1")
+    _refused_with_no_change(back, error, lambda: back.insert("a", {"k": pk, "v": 99}))
+    assert back.reconstruct_values("a", "v", [pk]) == [10 * pk]
+
+
+def test_trees_saved_at_another_fan_out_refuse_writes_and_verify(tmp_path, km_big):
+    """A store saved at w=3 and loaded at w=2 has record trees whose levels
+    are not those of fan-out 2: an update raises SchemaMismatch naming the
+    first member's tree before anything changes, and verify raises it
+    rather than report a breach in an intact store."""
+    back = _two_tables(tmp_path, km_big, w=2)()
+    pk = 3
+    first = back.type1.bitmap("a", pk).index("1") + 1
+    error = rf"^csp{first}/a\.sigtree: levels of \[.*\] nodes, where a tree of fan-out 2 has"
+    _refused_with_no_change(back, error, lambda: back.insert("a", {"k": pk, "v": 99}))
+    with pytest.raises(SchemaMismatch, match=r"^csp1/a\.sigtree: levels of "):
+        back.verify_csp(1)
+    assert back.reconstruct_values("a", "v", [pk]) == [30]
+
+
+def test_a_record_tree_that_does_not_cover_the_slice_refuses_writes(tmp_path, km_big):
+    """A .shares file with one record more than its tree has leaves
+    verifies as a breach at that record, and a write to the table raises
+    SchemaMismatch naming the provider's tree before anything changes;
+    recovery rebuilds the tree, and the table takes writes again."""
+    _saved(tmp_path, km_big)
+    shares = tmp_path / "csp1" / "product.shares"
+    lines = shares.read_text().splitlines()
+    extra = "\t".join(["999"] + lines[-1].split("\t")[1:])
+    shares.write_text("".join(line + "\n" for line in lines + [extra]))
+    back = _reload(tmp_path, km_big)
+    assert _breaches(back) == _clean_but(1, [("product", len(lines))])
+    new = [dict(ProdNo=400 + k, prodName="n", price=1.5, qty=k) for k in range(12)]
+    _refused_with_no_change(
+        back, rf"^csp1/product\.sigtree: {len(lines)} leaves for the {len(lines) + 1} records held$",
+        lambda: back.load_rows("product", new))
+    back.recover_csp_shares(1)
+    assert back.load_rows("product", new) == 12
+    assert all(report.ok for report in back.verify_all().values())
 
 
 def test_load_then_save_to_the_same_root_keeps_every_byte(tmp_path, km_big):
