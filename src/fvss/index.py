@@ -1,9 +1,13 @@
 """The trusted index server: Type I location bitmaps, Type II plaintext
 indices and the Type III derived-column registry.
 
-Type II order keys are sharing.typed_key, which also makes a value's
-share chunks, so this node is trusted by design. Its sets and maps are
-maintained on every write and rebuilt on load.
+Type II order keys are sharing.typed_keys, the column code that also
+makes a value's share chunks, so this node is trusted by design. Its
+sets and maps are maintained on every write and rebuilt on load, which
+refuses with SchemaMismatch naming the file a type1.bitmap line that is
+not a table, an integer pk and a bitmap, and an .idx line that is not a
+JSON [key, pk] pair of a key of its column's type (a str for a string
+column, an int otherwise) and an int pk.
 
 On disk, under <root>/index/:
     type1.bitmap        table, pk, bitmap lines
@@ -228,9 +232,12 @@ class TypeTwoIndex:
             (t2 / f"{table}.{attr}.idx").write_text(kept[table, attr])
 
     def load(self, t2, schemas, type1: TypeOneIndex):
-        """Read each index from its file under t2. SchemaMismatch when the
-        files are not exactly the indexes' (a torn or edited store), when
-        an fk index, which reads take every fk from, does not hold exactly
+        """Read each index from its file under t2. SchemaMismatch naming the
+        file when the files are not exactly the indexes' (a torn or edited
+        store), for a line that is not a JSON [key, pk] pair, a key that is
+        not of its column's type (a str for a string column, an int
+        otherwise) or a pk that is not an int (_parse_type2), when an fk
+        index, which reads take every fk from, does not hold exactly
         type1's records, or when any names a pk type1 lacks."""
         files = {f"{table}.{attr}.idx": (table, attr) for table, attr in self.keys}
         extra = sorted({path.name for path in t2.glob("*.idx")} - files.keys())
@@ -241,8 +248,15 @@ class TypeTwoIndex:
             if not (t2 / name).is_file():
                 raise SchemaMismatch(f"index/type2/{name} is missing for a configured index")
             # the file is in (key, pk) order, so save's sort of an unchanged index is linear
-            text = (t2 / name).read_text()
-            keys = self.keys[table, attr] = {pk: key for key, pk in _parse_type2(text)}
+            string = schemas[table].column(attr).kind == "string"
+            try:
+                entries = _parse_type2((t2 / name).read_text(), str if string else int)
+            except SchemaMismatch as err:
+                raise SchemaMismatch(f"index/type2/{name}: {err}") from None
+            except (ValueError, TypeError):
+                raise SchemaMismatch(f"index/type2/{name}: a line that is not a JSON [key, pk]"
+                                     " pair") from None
+            keys = self.keys[table, attr] = {pk: key for key, pk in entries}
             self.kept.pop((table, attr), None)
             held = type1.entries[table].keys()
             if schemas[table].column(attr).kind == "fk" and keys.keys() != held:
@@ -300,10 +314,19 @@ def _bitmaps_text(table: str, entries: dict[int, str]) -> str:
 
 def _read_bitmaps(type1: TypeOneIndex, text: str):
     """File each (table, pk, bitmap) line of text in order, as one
-    set_many per table; empty lines are skipped. SchemaMismatch when two
+    set_many per table; empty lines are skipped. SchemaMismatch for a
+    line of another width or a pk that is not an integer, and when two
     lines name one record."""
-    flat = _fields(list(filter(None, text.splitlines())), 3)
-    tables, pks, bitmaps = flat[0::3], list(map(int, flat[1::3])), flat[2::3]
+    try:
+        flat = _fields(list(filter(None, text.splitlines())), 3)
+    except ValueError:
+        raise SchemaMismatch("index/type1.bitmap: a line that is not a table, a pk and a bitmap"
+                             ) from None
+    try:
+        pks = list(map(int, flat[1::3]))
+    except ValueError:
+        raise SchemaMismatch("index/type1.bitmap: a pk that is not an integer") from None
+    tables, bitmaps = flat[0::3], flat[2::3]
     for table in dict.fromkeys(tables):
         rows = list(map(table.__eq__, tables))
         mine = list(compress(pks, rows))
@@ -327,13 +350,23 @@ _INT = r"(?:0|-?[1-9]\d*)"
 _TYPE2_INTS = re.compile(rf"(?:\[{_INT}, {_INT}\]\n)*", re.ASCII)
 
 
-def _parse_type2(text: str) -> list[tuple]:
+def _parse_type2(text: str, key_type: type | None = None) -> list[tuple]:
     """Inverse of _type2_text: the (key, pk) entries of an .idx file in file
     order. A file of integer keys that _type2_text would write again byte
     for byte (_TYPE2_INTS) is read as columns; any other goes through
-    json, empty lines skipped."""
+    json, empty lines skipped. With key_type (str or int), SchemaMismatch
+    unless each key is of that type and each pk an int, checked once for
+    the whole file where the columns read are all ints."""
     if _TYPE2_INTS.fullmatch(text):
         tokens = text.translate(_BRACKETS).split()
-        return list(zip(map(int, tokens[0::2]), map(int, tokens[1::2])))
-    lines = [line for line in text.splitlines() if line]
-    return [(key, pk) for key, pk in json.loads("[" + ",".join(lines) + "]")]
+        entries = list(zip(map(int, tokens[0::2]), map(int, tokens[1::2])))
+        if key_type is not str or not entries:
+            return entries
+    else:
+        lines = [line for line in text.splitlines() if line]
+        entries = [(key, pk) for key, pk in json.loads("[" + ",".join(lines) + "]")]
+        if key_type is None or all(type(key) is key_type and type(pk) is int
+                                   for key, pk in entries):
+            return entries
+    raise SchemaMismatch(f"a key that is not {'a string' if key_type is str else 'an integer'}"
+                         " or a pk that is not an integer")

@@ -348,6 +348,39 @@ def test_query_over_a_type1_line_of_an_unlisted_table_exits_one(loaded, capsys):
     assert err == "SchemaMismatch: index/type1.bitmap: table 'nosuch' is not in index/tables\n"
 
 
+def _quoted_first_key(text):
+    """The .idx text with its first entry's integer key written as a JSON string."""
+    key, rest = text[1:].split(",", 1)
+    return f'["{key}",{rest}'
+
+
+@pytest.mark.parametrize("name,edit,err", [
+    ("type1.bitmap", lambda text: text + "Sales\t1\n",
+     "index/type1.bitmap: a line that is not a table, a pk and a bitmap"),
+    ("type1.bitmap", lambda text: text + "Sales\tx\t11100\n",
+     "index/type1.bitmap: a pk that is not an integer"),
+    ("type2/Sales.qty.idx", lambda text: text + "[3, 4\n",
+     "index/type2/Sales.qty.idx: a line that is not a JSON [key, pk] pair"),
+    ("type2/Sales.qty.idx", lambda text: text + "[3, 4, 5]\n",
+     "index/type2/Sales.qty.idx: a line that is not a JSON [key, pk] pair"),
+    ("type2/Sales.qty.idx", _quoted_first_key,
+     "index/type2/Sales.qty.idx: a key that is not an integer or a pk that is not an integer"),
+    ("type2/Product.category.idx", lambda text: "[5" + text[text.index(","):],
+     "index/type2/Product.category.idx: a key that is not a string or a pk that is not an"
+     " integer"),
+], ids=["type1 two fields", "type1 pk not an integer", "idx bad JSON", "idx three items",
+        "idx string key in an int index", "idx int key in a string index"])
+def test_query_over_a_malformed_index_file_prints_one_line_and_exits_one(loaded, capsys, name,
+                                                                         edit, err):
+    """Each bad file is refused at load, before WHERE qty > 2 could
+    compare a string key with 2."""
+    path = loaded / "warehouse" / "index" / name
+    path.write_text(edit(path.read_text()))
+    code, out, got = run(loaded, "query", "SELECT COUNT(*) FROM Sales WHERE qty > 2",
+                         capsys=capsys)
+    assert (code, out, got) == (1, "", f"SchemaMismatch: {err}\n")
+
+
 @pytest.mark.parametrize("edit", ["a non-integer field", "a header naming a ghost table"])
 def test_verify_over_a_malformed_tree_prints_one_schema_mismatch_line(loaded, edit):
     """In a cold process, as a user runs it: one SchemaMismatch line naming
