@@ -248,9 +248,9 @@ class TypeTwoIndex:
             if not (t2 / name).is_file():
                 raise SchemaMismatch(f"index/type2/{name} is missing for a configured index")
             # the file is in (key, pk) order, so save's sort of an unchanged index is linear
-            string = schemas[table].column(attr).kind == "string"
+            kind = schemas[table].column(attr).kind
             try:
-                entries = _parse_type2((t2 / name).read_text(), str if string else int)
+                entries = _parse_type2((t2 / name).read_text(), str if kind == "string" else int)
             except SchemaMismatch as err:
                 raise SchemaMismatch(f"index/type2/{name}: {err}") from None
             except (ValueError, TypeError):
@@ -259,7 +259,7 @@ class TypeTwoIndex:
             keys = self.keys[table, attr] = {pk: key for key, pk in entries}
             self.kept.pop((table, attr), None)
             held = type1.entries[table].keys()
-            if schemas[table].column(attr).kind == "fk" and keys.keys() != held:
+            if kind == "fk" and keys.keys() != held:
                 raise SchemaMismatch(f"index/type2/{name} does not hold every {table} record")
             if not keys.keys() <= held:
                 raise SchemaMismatch(f"index/type2/{name} names {table} pk "
@@ -319,14 +319,10 @@ def _read_bitmaps(type1: TypeOneIndex, text: str):
     lines name one record."""
     try:
         flat = _fields(list(filter(None, text.splitlines())), 3)
+        tables, pks, bitmaps = flat[0::3], list(map(int, flat[1::3])), flat[2::3]
     except ValueError:
-        raise SchemaMismatch("index/type1.bitmap: a line that is not a table, a pk and a bitmap"
-                             ) from None
-    try:
-        pks = list(map(int, flat[1::3]))
-    except ValueError:
-        raise SchemaMismatch("index/type1.bitmap: a pk that is not an integer") from None
-    tables, bitmaps = flat[0::3], flat[2::3]
+        raise SchemaMismatch("index/type1.bitmap: a line that is not a table, an integer pk"
+                             " and a bitmap") from None
     for table in dict.fromkeys(tables):
         rows = list(map(table.__eq__, tables))
         mine = list(compress(pks, rows))

@@ -356,9 +356,9 @@ def _quoted_first_key(text):
 
 @pytest.mark.parametrize("name,edit,err", [
     ("type1.bitmap", lambda text: text + "Sales\t1\n",
-     "index/type1.bitmap: a line that is not a table, a pk and a bitmap"),
+     "index/type1.bitmap: a line that is not a table, an integer pk and a bitmap"),
     ("type1.bitmap", lambda text: text + "Sales\tx\t11100\n",
-     "index/type1.bitmap: a pk that is not an integer"),
+     "index/type1.bitmap: a line that is not a table, an integer pk and a bitmap"),
     ("type2/Sales.qty.idx", lambda text: text + "[3, 4\n",
      "index/type2/Sales.qty.idx: a line that is not a JSON [key, pk] pair"),
     ("type2/Sales.qty.idx", lambda text: text + "[3, 4, 5]\n",
