@@ -17,8 +17,8 @@ a share it changed (tests/test_provider_boundary.py).
 On disk, under <root>/csp<i>/ (all integers decimal text):
     <table>.shares     tab-separated records, share lists comma-joined,
                        NULL literal for nulls
-    <table>.sigtree    record-layer (level, index, value)
-    _tables.sigtree    table order plus table-layer triples
+    <table>.sigtree    the record tree's leaves, (0, index, value) lines
+    _tables.sigtree    table order plus the table layer's leaves
     state              alive flag and bytes_transferred (of its reads)
 
 save keeps the text it wrote for every file but state (CspStore.kept),
@@ -28,12 +28,13 @@ create_table, reset_table and load alike), and tamper drop that table's
 texts and _tables.sigtree's, so the next save formats them anew. A
 change that does not go through these methods (an edit of csp.columns
 or csp.plain after a save, say) is not seen by the next save. load keeps
-no text, and parses the trees at their first use (CspStore.parse_trees),
-refusing a tree whose levels are not shaped as a fan-out w tree over its
-leaves and a table layer without one leaf per table. A write checks
-first (check_writable) that the trees parse and that the table's record
-tree has one leaf per record held, so that a malformed tree stops it
-before anything changes.
+no text, and parses the trees at their first use (CspStore.parse_trees):
+it rebuilds the sums above each tree's leaves at its own fan-out, skips
+the upper levels older saves wrote, and refuses leaf indices that do not
+run 0, 1, ... and a table layer without one leaf per table. A write
+checks first (check_writable) that the trees parse and that the table's
+record tree has one leaf per record held, so that a malformed tree stops
+it before anything changes.
 """
 
 from __future__ import annotations
@@ -460,14 +461,14 @@ class CspStore:
         for table, schema in schemas.items():
             shares, tree = f"{table}.shares", f"{table}.sigtree"
             if shares not in kept:   # tree first: a malformed saved tree raises, keeping neither
-                kept[tree] = _triples_text(self.sigtree.record_trees[table].levels)
+                kept[tree] = _leaves_text(self.sigtree.record_trees[table].levels[0])
                 kept[shares] = _shares_text(schema, *self.slice_values(schema))
             (d / shares).write_text(kept[shares])
             (d / tree).write_text(kept[tree])
         if "_tables.sigtree" not in kept:
             sigtree = self.sigtree
             kept["_tables.sigtree"] = ("\t".join(["tables"] + sigtree.table_order) + "\n"
-                                       + _triples_text(sigtree.table_layer.levels))
+                                       + _leaves_text(sigtree.table_layer.levels[0]))
         (d / "_tables.sigtree").write_text(kept["_tables.sigtree"])
         (d / "state").write_text(f"alive\t{int(self.alive)}\n"
                                  f"bytes_transferred\t{self.bytes_transferred}\n")
@@ -500,59 +501,48 @@ def _parse_state(i: int, text: str) -> tuple[bool, int]:
     return alive == "1", int(moved)
 
 
-def _triples_text(levels) -> str:
-    """The (level, index, value) lines of a tree's node levels, leaves
-    first, each level in index order."""
-    return "".join(
-        "".join(map(f"{level}\t{{}}\t{{}}\n".format, range(len(nodes)), nodes))
-        for level, nodes in enumerate(levels)
-    )
+def _leaves_text(leaves) -> str:
+    """A tree's saved lines: the (level, index, value) line of each leaf,
+    level 0, in index order."""
+    return "".join(map("0\t{}\t{}\n".format, range(len(leaves)), leaves))
 
 
-def _parse_triples(lines) -> tuple[list[int], list[int], list[int]]:
-    """The levels, indices and values of the (level, index, value) lines,
-    as three aligned columns; empty lines are skipped."""
-    flat = _fields(list(filter(None, lines)), 3)
-    return list(map(int, flat[0::3])), list(map(int, flat[1::3])), list(map(int, flat[2::3]))
-
-
-def _parse_tree(name: str, w: int, p: int, lines, tables: int | None = None) -> WaryTree:
-    """The tree of a file's (level, index, value) lines; SchemaMismatch
-    naming the file for a line that is not three decimal integers, a
-    level whose indices do not run 0, 1, ..., a table layer without one
-    leaf per table (of tables, when given), or levels not shaped as a
-    tree of fan-out w over its leaves: ceil(below / w) nodes each, up to
-    one root. Whether each node is the sum of its children verify
-    checks."""
+def _parse_leaves(name: str, lines) -> list[int]:
+    """The leaf values of a tree file's (level, index, value) lines, in
+    index order, skipping empty lines and older saves' upper levels;
+    SchemaMismatch naming the file for a line that is not three decimal
+    integers, or the first triple of a negative level or out of 0, 1, ..."""
     try:
-        tree = WaryTree.from_triples(w, p, *_parse_triples(lines))
+        nums = list(map(int, _fields(list(filter(None, lines)), 3)))
     except ValueError as err:
         raise SchemaMismatch(f"{name}: {err}") from None
-    if tables is not None and tree.leaf_count != tables:
-        raise SchemaMismatch(f"{name}: {tree.leaf_count} table-layer leaves for {tables} tables")
-    sizes, shape = list(map(len, tree.levels)), [tree.leaf_count]
-    while shape[-1] > 1:
-        shape.append(-(-shape[-1] // w))
-    if sizes != shape:
-        raise SchemaMismatch(f"{name}: levels of {sizes} nodes, where a tree of fan-out {w}"
-                             f" has {shape}")
-    return tree
+    levels, indices = nums[0::3], nums[1::3]
+    if not any(levels) and indices == list(range(len(indices))):
+        return nums[2::3]
+    triples = [t for t in zip(levels, indices, nums[2::3]) if t[0] <= 0]
+    bad = next((t for k, t in enumerate(triples) if t[:2] != (0, k)), None)
+    if bad:
+        raise SchemaMismatch(f"{name}: non-contiguous triple ({bad[0]}, {bad[1]})")
+    return [t[2] for t in triples]
 
 
 def _parse_sigtree(w: int, p: int, layer_text: str, texts: dict[str, str]) -> SignatureTree:
-    """A provider's signature trees from its saved _tables.sigtree text and
-    the .sigtree text of each table (texts, in index/tables order);
-    SchemaMismatch naming the file for a malformed one (_parse_tree),
-    _tables.sigtree's header included, which must be tables and then
-    exactly those tables."""
+    """A provider's trees at fan-out w from the leaves (_parse_leaves) of
+    its _tables.sigtree text and each table's .sigtree text (texts, in
+    index/tables order); SchemaMismatch naming the file for a malformed
+    one, a table layer without one leaf per table, or a _tables.sigtree
+    header that is not tables and then exactly those tables."""
     layer_lines = layer_text.splitlines()
     if layer_lines[:1] != ["\t".join(["tables", *texts])]:
         raise SchemaMismatch("_tables.sigtree: the header is not tables and the tables of"
                              " index/tables, in order")
+    layer = _parse_leaves("_tables.sigtree", layer_lines[1:])
+    if len(layer) != len(texts):
+        raise SchemaMismatch(f"_tables.sigtree: {len(layer)} table-layer leaves for"
+                             f" {len(texts)} tables")
     tree = SignatureTree(w, p)
-    tree.table_order = list(texts)
-    tree.table_pos = {name: j for j, name in enumerate(texts)}
-    tree.table_layer = _parse_tree("_tables.sigtree", w, p, layer_lines[1:], len(texts))
-    for t, text in texts.items():
-        tree.record_trees[t] = _parse_tree(f"{t}.sigtree", w, p, text.splitlines())
+    for (t, text), marked_total in zip(texts.items(), layer):
+        tree.create_table(t, marked_total)
+        leaves = _parse_leaves(f"{t}.sigtree", text.splitlines())
+        tree.record_trees[t] = WaryTree.from_leaves(w, p, leaves)
     return tree

@@ -12,6 +12,9 @@ walks top-down and only descends into children whose stored sum
 disagrees with an authoritative recomputation, which pins a breach to
 its exact leaf in about w * depth comparisons.
 
+A provider saves only the leaves of both layers; `WaryTree.from_leaves`
+rebuilds the sums above them at the fan-out the store is loaded with.
+
 The tree is deliberately not hash-chained: additivity is what lets a
 record update touch O(depth) nodes, and compensating double edits are the
 inner signature's problem, not this layer's.
@@ -19,7 +22,6 @@ inner signature's problem, not this layer's.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .errors import DuplicateTable, UnknownRecordPosition, UnknownTable
@@ -39,31 +41,6 @@ class WaryTree:
     def from_leaves(cls, w: int, p: int, leaves) -> "WaryTree":
         tree = cls(w, p)
         tree.extend(leaves)
-        return tree
-
-    @classmethod
-    def from_triples(cls, w: int, p: int, levels, indices, values) -> "WaryTree":
-        """The tree whose node (levels[k], indices[k]) holds values[k] mod p,
-        given as three aligned columns, stably sorted by level and each
-        level taken as one slice; ValueError naming the first triple, in
-        the order given, whose level is negative or at which its level's
-        indices stop running 0, 1, ..."""
-        order = sorted(range(len(levels)), key=levels.__getitem__)
-        ranked = sorted(levels)   # the levels in that order
-        start = bisect_left(ranked, 0)
-        bad = order[:start]   # negative levels
-        runs = []
-        for level in range(ranked[-1] + 1 if ranked else 0):
-            run = order[start:bisect_right(ranked, level, start)]
-            if list(map(indices.__getitem__, run)) != list(range(len(run))):
-                bad.append(next(k for j, k in enumerate(run) if indices[k] != j))
-            runs.append(list(map(p.__rmod__, map(values.__getitem__, run))))
-            start += len(run)
-        if bad:
-            k = min(bad)
-            raise ValueError(f"non-contiguous triple ({levels[k]}, {indices[k]})")
-        tree = cls(w, p)
-        tree.levels = runs or tree.levels
         return tree
 
     @property
@@ -248,9 +225,11 @@ class SignatureTree:
 
         scope is "whole" (every table) or a table name. authoritative maps
         table -> leaf signatures recomputed from the actual stored records;
-        it must cover the scope. Every stored-node comparison counts toward
-        report.inspected, the top check included. A failed top check
-        always leaves at least one entry.
+        it must cover the scope. A table scope's one top check also needs
+        the table's layer leaf to be the marker plus the recomputed root,
+        which catches a record rolled back with its saved leaf. Every
+        stored-node comparison counts toward report.inspected, the top
+        check included. A failed top check always leaves at least one entry.
         """
         report = BreachReport()
 
@@ -276,7 +255,8 @@ class SignatureTree:
         else:
             top, auth = self._tree(scope), auth_tree(scope)
             report.inspected += 1
-            failed = top.root != auth.root
+            failed = (top.root != auth.root or self.table_layer.leaf(self.table_pos[scope])
+                      != (marker + auth.root) % self.p)
             if failed:
                 for g, rec_path in self._descend(top, auth, report):
                     report.entries.append(BreachEntry(scope, g, rec_path))

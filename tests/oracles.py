@@ -657,7 +657,7 @@ def interpolate_at(xs, ys, x, p):
 # Per-line text codecs. The store writes and parses its files a column at
 # a time; these are the codecs it used to run line by line, kept as
 # written, with Warehouse.save's and Warehouse.load's per-line Type I and
-# Type II loops and the per-triple tree builder.
+# Type II loops and the per-line tree leaf codec.
 
 
 def _shares_text(schema, pks, values):
@@ -691,32 +691,29 @@ def _parse_shares(schema, text):
     return list(map(int, cols[0])), values
 
 
-def _triples_text(triples):
-    return "".join(f"{level}\t{index}\t{value}\n" for level, index, value in triples)
+def leaves_text(leaves):
+    """provider._leaves_text, a line at a time: each leaf's (0, index,
+    value) line."""
+    return "".join(f"0\t{index}\t{value}\n" for index, value in enumerate(leaves))
 
 
-def _parse_triples(lines):
-    out = []
+def parse_leaves(name, lines):
+    """provider._parse_leaves, a line at a time: the level-0 values in
+    file order, each at the next index; lines of an upper level skipped,
+    the first bad line refused."""
+    leaves = []
     for line in lines:
-        if line:
-            level, index, value = line.split("\t")
-            out.append((int(level), int(index), int(value)))
-    return out
-
-
-def from_triples(w, p, triples):
-    """WaryTree.from_triples, one triple at a time."""
-    from fvss.sigtree import WaryTree
-
-    tree = WaryTree(w, p)
-    for level, idx, value in triples:
-        while level >= len(tree.levels):
-            tree.levels.append([])
-        nodes = tree.levels[level]
-        if idx != len(nodes):
-            raise ValueError(f"non-contiguous triple ({level}, {idx})")
-        nodes.append(value % p)
-    return tree
+        if not line:
+            continue
+        try:
+            level, index, value = map(int, line.split("\t"))
+        except ValueError as err:
+            raise SchemaMismatch(f"{name}: {err}") from None
+        if level < 0 or level == 0 and index != len(leaves):
+            raise SchemaMismatch(f"{name}: non-contiguous triple ({level}, {index})")
+        if level == 0:
+            leaves.append(value)
+    return leaves
 
 
 def bitmap_lines_text(type1, table_order):

@@ -5,8 +5,9 @@ The store writes and parses every saved file a column at a time. Each
 battery draws what a file holds, writes it with the store's codec and
 with the per-line reference in `tests/oracles.py`, and checks that the
 bytes are equal, that both parsers return the same thing (on hand-edited
-text too: empty lines, lines of the wrong width, triples out of order),
-and that parsing what was written gives back what was drawn.
+text too: empty lines, lines of the wrong width, gaps, and the upper tree
+levels older saves wrote, interleaved), and that parsing what was written
+gives back what was drawn.
 
 A typed value becomes its integer in one place (sharing.typed_key); the
 value battery checks share chunks, their decoding, Type II order keys
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from fvss import DEFAULT_BIAS, P_DEFAULT, Column, Schema
 from fvss.errors import OutOfRange, SchemaMismatch
 from fvss.index import TypeOneIndex, _bitmaps_text, _parse_type2, _read_bitmaps, _type2_text
-from fvss.provider import _parse_shares, _parse_triples, _shares_text, _triples_text
+from fvss.provider import _leaves_text, _parse_leaves, _parse_shares, _shares_text
 from fvss.sharing import decode, encode_chunks, typed_key, typed_value
 from fvss.sigtree import WaryTree
 
@@ -119,52 +120,76 @@ def trees(draw):
     return WaryTree.from_leaves(w, P, draw(st.lists(CHUNK, max_size=40)))
 
 
-def _load_tree(tree, text):
-    return WaryTree.from_triples(tree.w, P, *_parse_triples(text.splitlines())).levels
+def _older_save(tree, data):
+    """The lines an older save wrote for tree, every level's (level, index,
+    value) triples, as a random merge of the levels that keeps each
+    level's own order."""
+    queues = [[f"{level}\t{index}\t{value}" for index, value in enumerate(nodes)][::-1]
+              for level, nodes in enumerate(tree.levels)]
+    lines = []
+    while any(queues):
+        lines.append(data.draw(st.sampled_from([q for q in queues if q])).pop())
+    return lines
 
 
-def _reference_tree(tree, text):
-    return oracles.from_triples(tree.w, P, oracles._parse_triples(text.splitlines())).levels
+def _loaded(w, name, lines):
+    """The levels of the tree that the store's leaf parser gives at fan-out w."""
+    return WaryTree.from_leaves(w, P, _parse_leaves(name, lines)).levels
+
+
+def _reference(w, name, lines):
+    return oracles.tree_levels([v % P for v in oracles.parse_leaves(name, lines)], w, P)
 
 
 @settings(deadline=None)
-@given(trees())
-def test_tree_codec_equals_the_per_triple_reference(tree):
-    text = _triples_text(tree.levels)
-    assert text == oracles._triples_text(oracles.triples(tree))
-    assert _load_tree(tree, text) == _reference_tree(tree, text) == tree.levels
+@given(trees(), st.integers(2, 4))
+def test_tree_codec_equals_the_per_line_reference(tree, w):
+    """The saved text is one line per leaf and nothing else; parsed, it
+    gives back the leaves, and the tree rebuilt at any fan-out is the
+    whole-level recomputation."""
+    leaves = tree.levels[0]
+    text = _leaves_text(leaves)
+    assert text == oracles.leaves_text(leaves)
+    lines = text.splitlines()
+    assert _parse_leaves("t.sigtree", lines) == oracles.parse_leaves("t.sigtree", lines) == leaves
+    assert _loaded(w, "t.sigtree", lines) == _reference(w, "t.sigtree", lines) \
+        == oracles.tree_levels(leaves, w, P)
 
 
 @settings(deadline=None)
 @given(trees(), st.data())
-def test_tree_parser_equals_the_reference_on_edited_text(tree, data):
-    """Triples interleaved across levels, a gap in a level's indices, a
-    line of 2 or 4 fields, empty lines, values of p or more: the same
-    tree or the same ValueError as the per-triple reference."""
-    lines = _triples_text(tree.levels).splitlines()
-    edit = data.draw(st.sampled_from(("interleave", "gap", "width", "empty", "big")))
-    if edit == "interleave":
-        # a random merge of the levels that keeps each level's own order
-        queues = {}
-        for line in lines:
-            queues.setdefault(line.split("\t")[0], []).insert(0, line)
-        lines = []
-        while any(queues.values()):
-            level = data.draw(st.sampled_from([k for k, q in queues.items() if q]))
-            lines.append(queues[level].pop())
-    elif lines and edit == "gap":
-        del lines[data.draw(st.integers(0, len(lines) - 1))]
+def test_an_older_save_gives_the_leaves_of_its_leaf_lines(tree, data):
+    """Text an older save wrote, with every upper level interleaved among
+    the leaves, parses to the same leaves as the leaves-only text."""
+    lines = _older_save(tree, data)
+    assert _parse_leaves("t.sigtree", lines) == oracles.parse_leaves("t.sigtree", lines) \
+        == _parse_leaves("t.sigtree", _leaves_text(tree.levels[0]).splitlines())
+
+
+@settings(deadline=None)
+@given(trees(), st.booleans(), st.data())
+def test_tree_parser_equals_the_reference_on_edited_text(tree, older, data):
+    """Leaves-only or older text with a gap in the leaf indices, a line of
+    a negative level, a line of 2 or 4 fields, an empty line or a value of
+    p or more: the same tree or the same SchemaMismatch as the per-line
+    reference."""
+    lines = _older_save(tree, data) if older else _leaves_text(tree.levels[0]).splitlines()
+    edit = data.draw(st.sampled_from(("gap", "negative", "width", "empty", "big")))
+    at = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+    if lines and edit == "gap":
+        del lines[at]
+    elif edit == "negative":
+        lines.insert(at, f"-{data.draw(st.integers(1, 3))}\t0\t5")
     elif lines and edit == "width":
-        at = data.draw(st.integers(0, len(lines) - 1))
         fields = lines[at].split("\t")
         lines[at] = "\t".join(fields[:2] if data.draw(st.booleans()) else fields + ["5"])
     elif edit == "empty":
-        lines.insert(data.draw(st.integers(0, len(lines))), "")
+        lines.insert(at, "")
     elif lines:
-        level, index, value = lines[-1].split("\t")
-        lines[-1] = f"{level}\t{index}\t{int(value) + P}"
-    text = "".join(line + "\n" for line in lines)
-    assert _outcome(_load_tree, tree, text) == _outcome(_reference_tree, tree, text)
+        level, index, value = lines[at].split("\t")
+        lines[at] = f"{level}\t{index}\t{int(value) + P}"
+    w = data.draw(st.integers(2, 4))
+    assert _outcome(_loaded, w, "t.sigtree", lines) == _outcome(_reference, w, "t.sigtree", lines)
 
 
 # index/type1.bitmap
@@ -346,8 +371,10 @@ def test_order_keys_equal_the_reference(kind, scale, data):
 def test_tree_parser_refuses_a_negative_level():
     """A triple of level -1 is not contiguous with any level; the error
     names the first bad triple in file order."""
-    tree = WaryTree(3, P)
-    assert _outcome(_load_tree, tree, "0\t0\t5\n1\t0\t5\n-1\t0\t2\n0\t2\t1\n") \
-        == (ValueError, "non-contiguous triple (-1, 0)")
-    assert _outcome(_load_tree, tree, "0\t0\t5\n0\t2\t1\n-1\t0\t2\n") \
-        == (ValueError, "non-contiguous triple (0, 2)")
+    refused = (SchemaMismatch, "t.sigtree: non-contiguous triple ({})")
+    for text, triple in (("0\t0\t5\n1\t0\t5\n-1\t0\t2\n0\t2\t1\n", "-1, 0"),
+                         ("0\t0\t5\n0\t2\t1\n-1\t0\t2\n", "0, 2")):
+        lines = text.splitlines()
+        assert _outcome(_parse_leaves, "t.sigtree", lines) \
+            == _outcome(oracles.parse_leaves, "t.sigtree", lines) \
+            == (refused[0], refused[1].format(triple))

@@ -120,8 +120,10 @@ def saved_digest(wh, root) -> str:
 # Type II .idx files and index/tables stayed byte-identical, and
 # type1.bitmap, each provider's .shares, .sigtree, _tables.sigtree and
 # state (bytes read back) changed, the cube table's too, as its cells fold
-# in per-provider share sums
-GOLDEN_SAVED = "24f3861501e78f7449a380f8d5416685d8ba96c6756d11aea76705b7a77e5d0e"
+# in per-provider share sums; and re-captured when signature trees began
+# to be saved as their leaves only: every .sigtree and _tables.sigtree
+# file became its old header and level-0 lines, and no other file changed
+GOLDEN_SAVED = "3fe86bc002dd7f9ea13ac791e4586a41c6e8186120409add34666f424c98cf60"
 
 
 def test_golden_saved_store_digest(tmp_path, km_big):
@@ -165,8 +167,11 @@ def _build_string_cube(km, bias):
 # are keyed by their chunk index. Re-captured when systematic placement
 # replaced the weighted draw: the Type II .idx files and index/tables
 # stayed byte-identical, and the placement-dependent files (type1.bitmap,
-# .shares, .sigtree, _tables.sigtree, state) changed
-GOLDEN_STRING_CUBE = "8a2e10583c1663669d42c2865be33f58d6de56edc2ba3a39d4429657107af9c4"
+# .shares, .sigtree, _tables.sigtree, state) changed. Re-captured when
+# signature trees began to be saved as their leaves only: each .sigtree
+# and _tables.sigtree file kept its header and level-0 lines, and every
+# other file stayed byte-identical
+GOLDEN_STRING_CUBE = "513a525261414b49afa71338a555430bfebf06d522725945d7c6c646e2678f2d"
 
 
 def test_golden_string_dimension_cube_digest(tmp_path, km_big):

@@ -15,7 +15,7 @@ random sequences of:
 
 with a `save` after each step at even odds. After every save it checks
 each saved file, byte for byte, against what the codecs give from the
-roles' state with nothing kept (`_shares_text`, `_triples_text`,
+roles' state with nothing kept (`_shares_text`, `_leaves_text`,
 `_type2_text`, `_bitmaps_text`), and after every round trip the loaded
 store's answers to the analytics benchmark's query shapes (and the cube
 slices, while the cube holds every fact as it is) against
@@ -35,7 +35,7 @@ from fvss import P_DEFAULT, Column, DerivedColumn, Schema, Warehouse, init_parti
 from fvss.cube import CubeHierarchy, CubeMeasure, CubeSpec, cube_build, cube_query, cube_refresh
 from fvss.cube import cube_table_spec
 from fvss.index import _bitmaps_text, _type2_text
-from fvss.provider import _shares_text, _triples_text
+from fvss.provider import _leaves_text, _shares_text
 from fvss.query import execute, parse
 
 from .oracles import PlainWarehouse
@@ -101,9 +101,9 @@ def _fresh_texts(wh) -> dict[str, str]:
         tree = csp.sigtree
         for table, schema in wh.schemas.items():
             out[f"csp{i}/{table}.shares"] = _shares_text(schema, *csp.slice_values(schema))
-            out[f"csp{i}/{table}.sigtree"] = _triples_text(tree.record_trees[table].levels)
+            out[f"csp{i}/{table}.sigtree"] = _leaves_text(tree.record_trees[table].levels[0])
         out[f"csp{i}/_tables.sigtree"] = ("\t".join(["tables", *tree.table_order]) + "\n"
-                                          + _triples_text(tree.table_layer.levels))
+                                          + _leaves_text(tree.table_layer.levels[0]))
         out[f"csp{i}/state"] = (f"alive\t{int(csp.alive)}\n"
                                 f"bytes_transferred\t{csp.bytes_transferred}\n")
     out["index/type1.bitmap"] = "".join(_bitmaps_text(table, wh.type1.entries[table])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fvss import SignatureTree, WaryTree
 from fvss.errors import DuplicateTable, UnknownRecordPosition, UnknownTable
+from fvss.provider import _leaves_text, _parse_leaves
 
 from .oracles import tree_levels, triples
 
@@ -73,11 +74,16 @@ def test_zero_delta_is_identity():
 
 
 def test_triples_round_trip():
+    """A tree saved as its leaves' triples and rebuilt from them by
+    from_leaves has every level back; the triples of an older save, all
+    levels, give the same tree."""
     tree = WaryTree(3, P)
     for v in range(11):
         tree.extend([v * v % P])
-    rebuilt = WaryTree.from_triples(3, P, *zip(*triples(tree)))
-    assert [list(x) for x in rebuilt.levels] == [list(x) for x in tree.levels]
+    older = [f"{level}\t{idx}\t{value}" for level, idx, value in triples(tree)]
+    for lines in (_leaves_text(tree.levels[0]).splitlines(), older):
+        rebuilt = WaryTree.from_leaves(3, P, _parse_leaves("t.sigtree", lines))
+        assert rebuilt.levels == tree.levels == tree_levels(tree.levels[0], 3, P)
 
 
 def test_random_ops_match_oracle():

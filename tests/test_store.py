@@ -32,7 +32,7 @@ from fvss.query import execute, parse
 from fvss.sharing import typed_key
 
 from .faults import drop_record
-from .oracles import PlainWarehouse, get_record, record_sig, triples, type1_set
+from .oracles import PlainWarehouse, get_record, record_sig, tree_levels, triples, type1_set
 
 
 PRODUCT = Schema("product", (
@@ -1149,6 +1149,7 @@ def test_malformed_tree_raises_schema_mismatch_naming_the_file(tmp_path, km_big,
 
 TABLE_A = Schema("a", (Column("k", "key"), Column("v", "int")))
 TABLE_B = Schema("b", (Column("k", "key"), Column("v", "int")))
+TWO_TABLES = [(TABLE_A, ("v",), ()), (TABLE_B, ("v",), ())]
 
 
 def _two_tables(root, km, rows=20, w=3):
@@ -1159,7 +1160,7 @@ def _two_tables(root, km, rows=20, w=3):
         wh.create_table(schema, index_attrs=("v",))
     wh.load_rows("a", [{"k": k, "v": 10 * k} for k in range(1, rows + 1)])
     wh.save(root)
-    return lambda: Warehouse.load(root, km, [(TABLE_A, ("v",), ()), (TABLE_B, ("v",), ())], w=w)
+    return lambda: Warehouse.load(root, km, TWO_TABLES, w=w)
 
 
 def _everything(wh):
@@ -1211,19 +1212,81 @@ def test_an_unparsable_record_tree_refuses_new_and_in_place_writes(tmp_path, km_
     assert back.reconstruct_values("a", "v", [pk]) == [10 * pk]
 
 
-def test_trees_saved_at_another_fan_out_refuse_writes_and_verify(tmp_path, km_big):
-    """A store saved at w=3 and loaded at w=2 has record trees whose levels
-    are not those of fan-out 2: an update raises SchemaMismatch naming the
-    first member's tree before anything changes, and verify raises it
-    rather than report a breach in an intact store."""
-    back = _two_tables(tmp_path, km_big, w=2)()
+@pytest.mark.parametrize("w", [2, 4])
+def test_trees_saved_at_another_fan_out_load_at_it_and_verify_clean(tmp_path, km_big, w):
+    """A store saved at w=3 and loaded at w=2 or w=4 rebuilds every tree
+    from its saved leaves at the loading fan-out: each is its leaves'
+    whole-level recomputation, and every provider verifies clean. After an
+    in-place update, a save and a load back at w=3, every provider still
+    verifies clean and the record reads its new value."""
+    back = _two_tables(tmp_path / "w3", km_big, w=w)()
+    at_three = Warehouse.load(tmp_path / "w3", km_big, TWO_TABLES, w=3)
+    for i, csp in back.csps.items():
+        tree, saved = csp.sigtree, at_three.csps[i].sigtree
+        layers = [(tree.table_layer, saved.table_layer)] + [
+            (tree.record_trees[t], saved.record_trees[t]) for t in ("a", "b")]
+        for loaded, original in layers:
+            assert loaded.w == w
+            assert loaded.levels == tree_levels(original.levels[0], w, km_big.p)
+    assert all(report.ok for report in back.verify_all().values())
     pk = 3
-    first = back.type1.bitmap("a", pk).index("1") + 1
-    error = rf"^csp{first}/a\.sigtree: levels of \[.*\] nodes, where a tree of fan-out 2 has"
-    _refused_with_no_change(back, error, lambda: back.insert("a", {"k": pk, "v": 99}))
-    with pytest.raises(SchemaMismatch, match=r"^csp1/a\.sigtree: levels of "):
-        back.verify_csp(1)
-    assert back.reconstruct_values("a", "v", [pk]) == [30]
+    back.insert("a", {"k": pk, "v": 99})
+    back.save(tmp_path / "again")
+    again = Warehouse.load(tmp_path / "again", km_big, TWO_TABLES, w=3)
+    assert all(report.ok for report in again.verify_all().values())
+    assert again.verify_all("a") == back.verify_all("a")
+    assert again.reconstruct_values("a", "v", [pk]) == [99]
+
+
+def _rolled_back(root, km, names):
+    """The product data of 16 rows saved, one record then updated in place
+    and saved again under root/new, and, at the provider of its storage
+    group that holds the most records (12, so a record tree of 4 levels
+    at w=3), the lines of names (its .shares record line, its .sigtree
+    leaf line, or both) taken back from the earlier save; the store
+    loaded from root/new, that provider and the record's position."""
+    wh = _warehouse(km)
+    wh.load_rows("product", _rows() + MORE)
+    wh.save(root / "old")
+    wh.insert("product", dict(ProdNo=125, prodName="Boot", price=4.5, qty=2))
+    wh.save(root / "new")
+    holders = [i for i, bit in enumerate(wh.type1.bitmap("product", 125), 1) if bit == "1"]
+    i = max(holders, key=lambda i: len(wh.csps[i].pks["product"]))
+    g = wh.csps[i].position_of("product", 125)
+    for name in names:
+        old, new = ((root / d / f"csp{i}" / name).read_text().splitlines(keepends=True)
+                    for d in ("old", "new"))
+        assert old[g] != new[g]
+        new[g] = old[g]
+        (root / "new" / f"csp{i}" / name).write_text("".join(new))
+    return _reload(root / "new", km), i, g
+
+
+def test_a_record_rolled_back_with_its_leaf_is_a_breach_in_both_scopes(tmp_path, km_big):
+    """A record and its leaf line rolled back together from an earlier save
+    leave a record tree that agrees with itself; its table-layer leaf still
+    holds the later total, so the whole scope reports the table layer and
+    the table scope the record tree's root, each with no record position,
+    as when every level was saved."""
+    back, i, _ = _rolled_back(tmp_path, km_big, ("product.shares", "product.sigtree"))
+    whole, table = (copy.deepcopy(back.verify_csp(i, scope)) for scope in ("whole", "product"))
+    assert whole.entries == [(None, None, ((0, 0),))]
+    assert table.entries == [("product", None, ((3, 0),))]
+    assert all(report.ok for j, report in back.verify_all().items() if j != i)
+
+
+def test_a_leaf_line_edited_alone_is_localized_in_the_table_scope(tmp_path, km_big):
+    """A saved leaf line rolled back alone, its record as saved, gives a
+    record tree whose root is not the recomputed one: verify_csp(i, table)
+    pins it at its position. The whole scope compares only the table
+    layer, whose saved leaf still holds the right total, and reads OK
+    (README, threat model)."""
+    back, i, g = _rolled_back(tmp_path, km_big, ("product.sigtree",))
+    whole, table = (copy.deepcopy(back.verify_csp(i, scope)) for scope in ("whole", "product"))
+    depth = back.csps[i].sigtree.record_trees["product"].depth
+    path = tuple((level, g // 3 ** level) for level in reversed(range(depth)))
+    assert whole.ok
+    assert table.entries == [("product", g, path)]
 
 
 def test_a_record_tree_that_does_not_cover_the_slice_refuses_writes(tmp_path, km_big):
