@@ -263,6 +263,8 @@ def load_config(path, env=None) -> AppConfig:
     w = 3
     if "sigtree" in parser and "w" in parser["sigtree"]:
         w = _int("sigtree", "w", parser["sigtree"]["w"])
+        if w < 2:
+            raise ConfigError(f"[sigtree] w must be at least 2, got {w}")
 
     bias = None
     if "encoding" in parser and "bias" in parser["encoding"]:

@@ -29,6 +29,18 @@ def inv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the first 12 primes as bases, exact
+    for every n below 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1   # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in bases)
+
+
 class Polynomial:
     """Coefficient form, constant term first, trailing zeros trimmed."""
 

@@ -29,8 +29,8 @@ import warnings
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InvalidThreshold, UnknownParticipant
-from .field import P_DEFAULT
+from .errors import InvalidThreshold, OutOfRange, UnknownParticipant
+from .field import P_DEFAULT, is_prime
 
 HF1_RANGE = 1 << 20
 
@@ -207,11 +207,16 @@ def init_participants(n: int, t: int, seed: bytes, p: int = P_DEFAULT) -> KeyMat
     """Run the whole initialization: draw keys, IDs, scalars and the HF1 table.
 
     Deterministic from (n, t, seed, p). Raises InvalidThreshold unless
-    2 <= t <= n; warns when n >= 2t-2 because then n-t+2 >= t and one CSP
-    group reaches the reconstruction threshold on its own.
+    2 <= t <= n, and OutOfRange unless p is a prime with n+t+2 <= p < 2^64:
+    Fermat inverses need a prime, the n+t distinct participant values are
+    drawn from [2, p-1], and a draw takes 64 bits. Warns when n >= 2t-2
+    because then n-t+2 >= t and one CSP group reaches the reconstruction
+    threshold on its own.
     """
     if t < 2 or t > n:
         raise InvalidThreshold(f"need 2 <= t <= n, got t={t}, n={n}")
+    if not (n + t + 2 <= p < 1 << 64 and is_prime(p)):
+        raise OutOfRange(f"p must be a prime with n+t+2 = {n + t + 2} <= p < 2^64, got {p}")
     if n >= 2 * t - 2:
         warnings.warn(
             f"n={n} >= 2t-2={2 * t - 2}: a storage group holds >= t shares",

@@ -788,6 +788,29 @@ def test_config_rejections(site, mangle, hint):
         load_config(path)
 
 
+@pytest.mark.parametrize("w", ["1", "0"])
+def test_a_fan_out_below_two_is_a_config_error(site, capsys, w):
+    """[sigtree] w = 1 or 0 is refused when the config loads, so a command
+    prints one error line and exits 1, not a traceback."""
+    path = site / "fvss.ini"
+    path.write_text(path.read_text() + f"\n[sigtree]\nw = {w}\n")
+    with pytest.raises(ConfigError, match=rf"^\[sigtree\] w must be at least 2, got {w}$"):
+        load_config(path)
+    assert run(site, "init", capsys=capsys) \
+        == (1, "", f"ConfigError: [sigtree] w must be at least 2, got {w}\n")
+
+
+@pytest.mark.parametrize("p", [str(2**61), str(2**64 + 13), "7"])
+def test_a_modulus_that_is_not_a_prime_in_range_exits_one(site, capsys, p):
+    """[scheme] p that is composite, of 64 bits or more, or too small for
+    the participants' values is refused: one error line, exit 1, no store."""
+    path = site / "fvss.ini"
+    path.write_text(path.read_text().replace("t = 4\n", f"t = 4\np = {p}\n"))
+    assert run(site, "init", capsys=capsys) \
+        == (1, "", f"OutOfRange: p must be a prime with n+t+2 = 11 <= p < 2^64, got {p}\n")
+    assert not (site / "warehouse" / "index").exists()
+
+
 def test_config_missing_sections(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[scheme]\nn = 5\nt = 4\nseed = 00ff\n")

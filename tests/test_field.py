@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from fvss import P_DEFAULT, Polynomial, lagrange_interpolate, poly_eval
 from fvss.errors import DuplicateAbscissa, EmptyInput
-from fvss.field import lagrange_weights
+from fvss.field import is_prime, lagrange_weights
 
 from .oracles import eval_poly, interpolate_at, interpolate_gauss
 
@@ -143,3 +143,26 @@ def test_weights_reject_empty_and_duplicate_abscissas():
         lagrange_weights((1, 1), 0, P)
     with pytest.raises(DuplicateAbscissa):
         interpolate_at((4, 255), (2, 3), 0, P)  # 255 ≡ 4 (mod 251)
+
+
+def test_is_prime_equals_trial_division_below_20000():
+    def trial(n):
+        return n > 1 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-3, 20000) if is_prime(n)] == [n for n in range(-3, 20000)
+                                                            if trial(n)]
+
+
+@pytest.mark.parametrize("n,prime", [
+    (P_DEFAULT, True),
+    (2**64 - 59, True),                 # the largest prime below 2^64
+    (2**61, False),
+    (10**18, False),
+    (3**38, False),
+    (561, False),                       # a Carmichael number
+    (3215031751, False),                # a strong pseudoprime to bases 2, 3, 5 and 7
+    (3825123056546413051, False),       # a strong pseudoprime to the bases 2 to 23
+    (2**64 - 1, False),
+])
+def test_is_prime_on_large_primes_and_pseudoprimes(n, prime):
+    assert is_prime(n) is prime

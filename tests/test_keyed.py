@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvss import P_DEFAULT, PrivacyWarning, init_participants
-from fvss.errors import InvalidThreshold, UnknownParticipant
+from fvss.errors import InvalidThreshold, OutOfRange, UnknownParticipant
 from fvss.keyed import HF1_RANGE, KeyedSha256
 
 SEED = bytes(range(32))
@@ -36,6 +36,25 @@ def test_threshold_validation():
         init_participants(3, 5, seed=SEED)
     with pytest.raises(InvalidThreshold):
         init_participants(4, 1, seed=SEED)
+
+
+@pytest.mark.parametrize("p", [
+    2**61, 10**18, 3**38,   # composite: Fermat inverses are wrong, every value read back 0
+    2**64 + 13, 2**64 + 3,  # 64 bits or more: the draws' rejection bound is 0
+    7,                      # prime, but the 9 participant values do not fit in [2, 6]
+    2,                      # prime, no room for any value
+], ids=["2^61", "10^18", "3^38", "2^64+13", "2^64+3", "7", "2"])
+def test_a_modulus_that_is_not_a_prime_in_range_is_refused(p):
+    with pytest.raises(OutOfRange, match=rf"^p must be a prime with n\+t\+2 = 11 <= p < 2\^64,"
+                                         rf" got {p}$"):
+        init_participants(5, 4, seed=SEED, p=p)
+
+
+@pytest.mark.parametrize("p", [11, 13, 2**64 - 59])
+def test_the_primes_at_the_modulus_bounds_are_taken(p):
+    km = init_participants(5, 4, seed=SEED, p=p)
+    xs = [km.x_kd, km.x_ks] + [km.x_id(i) for i in range(1, 6)]
+    assert km.p == p and len(set(xs)) == 7
 
 
 def test_wide_threshold_warns():
