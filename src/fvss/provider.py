@@ -511,7 +511,8 @@ def _parse_leaves(name: str, lines) -> list[int]:
     """The leaf values of a tree file's (level, index, value) lines, in
     index order, skipping empty lines and older saves' upper levels;
     SchemaMismatch naming the file for a line that is not three decimal
-    integers, or the first triple of a negative level or out of 0, 1, ..."""
+    integers, or naming the first triple whose level is negative or whose
+    index breaks the leaves' run 0, 1, ..."""
     try:
         nums = list(map(int, _fields(list(filter(None, lines)), 3)))
     except ValueError as err:
@@ -521,7 +522,7 @@ def _parse_leaves(name: str, lines) -> list[int]:
         return nums[2::3]
     triples = [t for t in zip(levels, indices, nums[2::3]) if t[0] <= 0]
     bad = next((t for k, t in enumerate(triples) if t[:2] != (0, k)), None)
-    if bad:
+    if bad is not None:
         raise SchemaMismatch(f"{name}: non-contiguous triple ({bad[0]}, {bad[1]})")
     return [t[2] for t in triples]
 
