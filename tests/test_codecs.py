@@ -371,10 +371,9 @@ def test_order_keys_equal_the_reference(kind, scale, data):
 def test_tree_parser_refuses_a_negative_level():
     """A triple of level -1 is not contiguous with any level; the error
     names the first bad triple in file order."""
-    refused = (SchemaMismatch, "t.sigtree: non-contiguous triple ({})")
     for text, triple in (("0\t0\t5\n1\t0\t5\n-1\t0\t2\n0\t2\t1\n", "-1, 0"),
                          ("0\t0\t5\n0\t2\t1\n-1\t0\t2\n", "0, 2")):
         lines = text.splitlines()
         assert _outcome(_parse_leaves, "t.sigtree", lines) \
             == _outcome(oracles.parse_leaves, "t.sigtree", lines) \
-            == (refused[0], refused[1].format(triple))
+            == (SchemaMismatch, f"t.sigtree: non-contiguous triple ({triple})")

@@ -1234,7 +1234,6 @@ def test_trees_saved_at_another_fan_out_load_at_it_and_verify_clean(tmp_path, km
     back.save(tmp_path / "again")
     again = Warehouse.load(tmp_path / "again", km_big, TWO_TABLES, w=3)
     assert all(report.ok for report in again.verify_all().values())
-    assert again.verify_all("a") == back.verify_all("a")
     assert again.reconstruct_values("a", "v", [pk]) == [99]
 
 
