@@ -439,13 +439,14 @@ class CspStore:
         self._drop_kept(table)
         column[pk] = tuple(mutated) if string else mutated[0]
 
-    def reset_table(self, schema: Schema, pks: list[int], values: list[list], sigs):
+    def reset_table(self, schema: Schema, pks: list[int], values: list[list], sigs,
+                    marker: int):
         """Replace a table slice wholesale with its leaf signatures
-        (recovery path); rebuilds the record tree and patches the table
-        layer by delta."""
+        (recovery path); rebuilds the record tree and sets its table-layer
+        leaf from the client's marker."""
         tree = self.sigtree
         self._set_slice(schema, pks, values)
-        tree.reset_records(schema.table, sigs)
+        tree.reset_records(schema.table, sigs, marker)
 
     def verify(self, leaves: dict[str, list[int]], marker: int, scope="whole") -> BreachReport:
         """SignatureTree.verify against table -> leaves recomputed from the

@@ -203,12 +203,13 @@ class SignatureTree:
     def update_record(self, table: str, g: int, sig: int):
         self.update_records(table, [g], [sig])
 
-    def reset_records(self, table: str, sigs):
-        """Replace a table's record tree by one over sigs, patching its
-        layer leaf by the change of root."""
-        old_root = self._tree(table).root
+    def reset_records(self, table: str, sigs, marker: int):
+        """Replace a table's record tree by one over sigs and set its layer
+        leaf to the marker plus the new root, whatever it held before."""
+        self._tree(table)   # UnknownTable for a table it lacks
         tree = self.record_trees[table] = WaryTree.from_leaves(self.w, self.p, sigs)
-        self.table_layer.add_delta(self.table_pos[table], tree.root - old_root)
+        g = self.table_pos[table]
+        self.table_layer.add_delta(g, marker + tree.root - self.table_layer.leaf(g))
 
     def _tree(self, table: str) -> WaryTree:
         try:

@@ -694,9 +694,10 @@ class Warehouse:
                                for col, vals in zip(schema.columns[1:], values)
                                if col.kind != "fk")
             rebuilt[table] = pks, values
+        marker = self.km.hf_star(target, _MARKER_BYTES)
         for table, (pks, values) in rebuilt.items():
             schema = self._schema(table)
-            store.reset_table(schema, pks, values, self.sign(target, schema, pks, values))
+            store.reset_table(schema, pks, values, self.sign(target, schema, pks, values), marker)
         return regenerated
 
     # persistence

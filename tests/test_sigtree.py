@@ -347,7 +347,7 @@ def test_every_entry_point_keeps_both_layers_a_recomputation(w, marker, ops):
             for g, v in picked.items():
                 held[g] = v % P
         elif op == "r":
-            tree.reset_records(table, sigs)
+            tree.reset_records(table, sigs, marker)
             leaves[table] = [v % P for v in sigs]
     for table, held in leaves.items():
         _assert_matches_oracle(tree.record_trees[table], held, w)

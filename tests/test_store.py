@@ -1288,6 +1288,19 @@ def test_a_leaf_line_edited_alone_is_localized_in_the_table_scope(tmp_path, km_b
     assert table.entries == [("product", g, path)]
 
 
+@pytest.mark.parametrize("names", [("product.shares", "product.sigtree"), ("product.sigtree",)])
+def test_recovery_after_a_rolled_back_save_verifies_clean(tmp_path, km_big, names):
+    """Recovery rebuilds the rolled-back provider's record tree from its
+    peers and sets its table-layer leaf from the client's marker, not by
+    the change from a root the provider saved: every provider then
+    verifies clean in both scopes and the record reads its later value."""
+    back, i, _ = _rolled_back(tmp_path, km_big, names)
+    back.recover_csp_shares(i)
+    for scope in ("whole", "product"):
+        assert all(report.ok for report in back.verify_all(scope).values())
+    assert back.reconstruct_record("product", 125)["prodName"] == "Boot"
+
+
 def test_a_record_tree_that_does_not_cover_the_slice_refuses_writes(tmp_path, km_big):
     """A .shares file with one record more than its tree has leaves
     verifies as a breach at that record, and a write to the table raises
