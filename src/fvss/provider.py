@@ -39,7 +39,7 @@ it before anything changes.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 
 from .errors import (
     CspUnavailable,
@@ -518,14 +518,13 @@ def _parse_leaves(name: str, lines) -> list[int]:
         nums = list(map(int, _fields(list(filter(None, lines)), 3)))
     except ValueError as err:
         raise SchemaMismatch(f"{name}: {err}") from None
-    levels, indices = nums[0::3], nums[1::3]
-    if not any(levels) and indices == list(range(len(indices))):
-        return nums[2::3]
-    triples = [t for t in zip(levels, indices, nums[2::3]) if t[0] <= 0]
-    bad = next((t for k, t in enumerate(triples) if t[:2] != (0, k)), None)
-    if bad is not None:
+    levels = nums[0::3]
+    leaf = [level <= 0 for level in levels]
+    kept_levels, kept = list(compress(levels, leaf)), list(compress(nums[1::3], leaf))
+    if any(kept_levels) or kept != list(range(len(kept))):
+        bad = next(t for k, t in enumerate(zip(kept_levels, kept)) if t != (0, k))
         raise SchemaMismatch(f"{name}: non-contiguous triple ({bad[0]}, {bad[1]})")
-    return [t[2] for t in triples]
+    return list(compress(nums[2::3], leaf))
 
 
 def _parse_sigtree(w: int, p: int, layer_text: str, texts: dict[str, str]) -> SignatureTree:
