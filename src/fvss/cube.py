@@ -326,17 +326,12 @@ def _cells(by_key: dict[tuple, list[int]], flags) -> dict[tuple, list[int]]:
 
 
 def _cells_by_key(wh: Warehouse, spec: CubeSpec) -> dict[tuple, int]:
-    """Existing cube rows addressed by their (padded) dimension tuple."""
+    """Existing cube rows addressed by their (padded) dimension tuple,
+    grouped through the cube's own dimension sources."""
     table = cube_table(spec)
-    dims = [col for col, _ in _dim_sources(wh, spec)]
-    maps = [wh.type2.value_map(table, col.name) for col in dims]
-    out = {}
-    for pk in wh.type1.pks(table):
-        key = tuple(
-            typed_value(vm.get(pk), col.kind, col.scale) for vm, col in zip(maps, dims)
-        )
-        out[key] = pk
-    return out
+    sources = [group_source(wh, table, col.name) for col, _ in _dim_sources(wh, spec)]
+    cells = group_pks(wh, table, sources, wh.type1.pks(table))
+    return {key: pks[-1] for key, pks in cells.items()}
 
 
 def _level_rows(wh: Warehouse, spec: CubeSpec, dims, stored, groups: dict, cells, rg) -> list[dict]:

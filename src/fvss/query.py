@@ -359,7 +359,8 @@ def parse(text: str) -> Query:
 
 
 # planning: resolve names against the warehouse, route every piece of the
-# query either to the index server or to the per-provider share sums
+# query either to the index server or to the per-provider share sums; every
+# WHERE and GROUP BY attribute takes its route from group_source
 
 
 class Resolved(NamedTuple):
@@ -368,21 +369,18 @@ class Resolved(NamedTuple):
     col: Column
 
 
-class FilterStep(NamedTuple):
-    route: str            # fact_pk | fact_attr | dim_pk | dim_attr
-    table: str
-    attr: str | None
-    op: str
-    operand: object
-    fk: str | None = None  # fact column joining to the dim table
-
-
 class GroupSource(NamedTuple):
-    route: str            # pk | fk | fact_attr | dim_attr
+    route: str            # pk | fk | fact_attr | dim_pk | dim_attr
     table: str
     attr: str
     col: Column
-    fk: str | None = None
+    fk: str | None = None  # fact column joining to the dim table
+
+
+class FilterStep(NamedTuple):
+    source: GroupSource   # the route to the filtered attribute
+    op: str
+    operand: object
 
 
 class PlannedAgg(NamedTuple):
@@ -401,6 +399,7 @@ class PlannedItem(NamedTuple):
     group_index: int | None = None
     agg: PlannedAgg | None = None
     attr: Resolved | None = None
+    fk: str | None = None  # row mode: fact column joining to attr's dim table
 
 
 class QueryPlan(NamedTuple):
@@ -410,7 +409,6 @@ class QueryPlan(NamedTuple):
     group_sources: tuple[GroupSource, ...]
     items: tuple[PlannedItem, ...]
     row_mode: bool        # no aggregates: emit one row per matching record
-    join_fk: tuple[tuple[str, str], ...] = ()  # dim table -> fact fk column
 
 
 def plan(query: Query, wh: Warehouse) -> QueryPlan:
@@ -447,40 +445,22 @@ def plan(query: Query, wh: Warehouse) -> QueryPlan:
             )
         join_fk[join.table] = fk_side.name
 
-    def _dim_fk(table: str) -> str:
-        if table == fact:
-            raise AssertionError("not a dim table")
-        if table not in join_fk:
+    def _fk(table: str) -> str | None:   # None for the fact itself
+        if table != fact and table not in join_fk:
             raise UnsupportedFeature(f"{table} is referenced but not joined")
-        return join_fk[table]
+        return join_fk.get(table)
+
+    def _source(r: Resolved) -> GroupSource:
+        return group_source(wh, r.table, r.name, _fk(r.table))
 
     filter_steps = []
     for pred in query.where:
         r = _resolve(pred.attr, names, wh, fact)
-        schema = wh.schemas[r.table]
         operand = literal_operand(pred.operand, r.col, pred.op)
-        if r.table == fact:
-            if r.name == schema.key:
-                filter_steps.append(FilterStep("fact_pk", fact, None, pred.op, operand))
-            else:
-                _require_index(wh, fact, r.name)
-                filter_steps.append(FilterStep("fact_attr", fact, r.name, pred.op, operand))
-        else:
-            fk = _dim_fk(r.table)
-            if r.name == schema.key:
-                filter_steps.append(FilterStep("dim_pk", r.table, None, pred.op, operand, fk=fk))
-            else:
-                _require_index(wh, r.table, r.name)
-                filter_steps.append(FilterStep("dim_attr", r.table, r.name, pred.op, operand, fk=fk))
-
-    group_sources = []
-    for ref in query.group_by:
-        r = _resolve(ref, names, wh, fact)
-        fk = None if r.table == fact else _dim_fk(r.table)
-        group_sources.append(group_source(wh, r.table, r.name, fk))
+        filter_steps.append(FilterStep(_source(r), pred.op, operand))
+    group_sources = [_source(_resolve(ref, names, wh, fact)) for ref in query.group_by]
 
     has_agg = any(isinstance(item.expr, Aggregate) for item in query.select)
-    row_mode = not has_agg
 
     items = []
     for item in query.select:
@@ -508,13 +488,9 @@ def plan(query: Query, wh: Warehouse) -> QueryPlan:
                 )
             items.append(PlannedItem(header, "group", group_index=idx))
         else:
-            items.append(PlannedItem(header, "attr", attr=r))
-    if row_mode:
-        for it in items:
-            if it.kind == "attr" and it.attr.table != fact:
-                _dim_fk(it.attr.table)  # must be joined to be reachable
+            items.append(PlannedItem(header, "attr", attr=r, fk=_fk(r.table)))
     return QueryPlan(query, fact, tuple(filter_steps), tuple(group_sources),
-                     tuple(items), row_mode, tuple(sorted(join_fk.items())))
+                     tuple(items), not has_agg)
 
 
 def _resolve(ref: AttrRef, names, wh, fact: str) -> Resolved:
@@ -544,10 +520,10 @@ def _resolve(ref: AttrRef, names, wh, fact: str) -> Resolved:
 
 
 def group_source(wh: Warehouse, table: str, attr: str, fk: str | None = None) -> GroupSource:
-    """The route grouping fact records by table.attr takes (fk: the fact
-    column referencing table, None for the fact itself): keys and the
-    fact's fk columns read directly, others through their Type II index
-    (NotIndexed without one)."""
+    """The route from fact records to table.attr of WHERE steps, group
+    keys and cube cells (fk: the fact column referencing table, None for
+    the fact itself): keys and the fact's fk columns read directly, others
+    through their Type II index (NotIndexed without one)."""
     schema = wh.schemas[table]
     col = schema.column(attr)
     if attr == schema.key:
@@ -891,20 +867,21 @@ def _filter_pks(wh: Warehouse, plan: QueryPlan):
     """The fact pks every filter step keeps, from the first step's set on
     (Warehouse.load refuses a Type II entry that Type I lacks), as a list
     in ascending pk order; with no filter step, every fact pk, as Type I's
-    own pk -> bitmap map (not a copy: callers must not modify it)."""
+    own pk -> bitmap map (not a copy: callers must not modify it). A key
+    predicate tests Type I's pks, any other a Type II lookup; a dimension's
+    matches reach the facts through the fk's index."""
     pks = None
     for step in plan.filter_steps:
-        if step.route == "fact_pk":
+        source = step.source
+        if source.route == "pk":
             found = _apply_pk_predicate(wh.type1.entries[plan.fact] if pks is None else pks,
                                         step.op, step.operand)
-        elif step.route == "fact_attr":
-            found = wh.type2.lookup(plan.fact, step.attr, step.op, step.operand)
+        elif source.route == "dim_pk":
+            found = _apply_pk_predicate(wh.type1.entries[source.table], step.op, step.operand)
         else:
-            if step.route == "dim_pk":
-                dim_pks = _apply_pk_predicate(wh.type1.entries[step.table], step.op, step.operand)
-            else:
-                dim_pks = wh.type2.lookup(step.table, step.attr, step.op, step.operand)
-            found = wh.type2.lookup(plan.fact, step.fk, "in", dim_pks)
+            found = wh.type2.lookup(source.table, source.attr, step.op, step.operand)
+        if source.fk is not None:
+            found = wh.type2.lookup(plan.fact, source.fk, "in", found)
         pks = found if pks is None else pks & found
     return wh.type1.entries[plan.fact] if pks is None else sorted(pks)
 
@@ -956,19 +933,15 @@ def group_order(key: tuple) -> tuple:
 def _execute_with(wh: Warehouse, plan: QueryPlan, rg) -> list[tuple]:
     pks = _filter_pks(wh, plan)
     if plan.row_mode:
-        join_fk = dict(plan.join_fk)
-        fk_maps = {
-            fk: wh.type2.value_map(plan.fact, fk) for fk in join_fk.values()
-        }
         order = sorted(pks)
         columns = []
         for item in plan.items:
             r = item.attr
-            if r.table == plan.fact:
+            if item.fk is None:
                 columns.append(wh.reconstruct_values(plan.fact, r.name, order, rg))
                 continue
             # each referenced dimension record is reconstructed once
-            dim_pks = list(map(fk_maps[join_fk[r.table]].get, order))
+            dim_pks = list(map(wh.type2.value_map(plan.fact, item.fk).get, order))
             wanted = [pk for pk in dict.fromkeys(dim_pks) if pk is not None]
             values = dict(zip(wanted, wh.reconstruct_values(r.table, r.name, wanted, rg)))
             columns.append(list(map(values.get, dim_pks)))

@@ -4,8 +4,9 @@ Random fact rows joined to a random dimension table, with NULLs in the
 group attributes and the summed columns, are grouped by one or two
 sources drawn from every route the planner has (fact pk, fact fk, an
 indexed fact attribute of each display kind, dimension pk, indexed
-dimension attribute), under random WHERE filters that can leave groups
-empty or all-NULL. Up to 60 fact rows make GROUP BY F.id evaluate many
+dimension attribute), under random WHERE filters, one on each route,
+that can leave groups empty or all-NULL; filters and group keys share
+one set of route names. Up to 60 fact rows make GROUP BY F.id evaluate many
 groups at once. Shared answers must equal PlainWarehouse's row for row.
 """
 
@@ -56,8 +57,9 @@ AGGREGATES = ("SUM(F.v)", "COUNT(*)", "COUNT(F.v)", "AVG(F.v)", "MAX(F.a)",
 # VAR and STDDEV read the registered square of v; w has no Type II index,
 # so COUNT(F.w) counts through the providers' NULL marks
 SQUARE = DerivedColumn("F", "v2", "square", "v")
+# a filter's attribute takes the route SOURCES gives it as a group source
 FILTERS = ("", "F.a >= {k}", "D.cat IN ('x', 'y')", "F.id BETWEEN {k} AND {m}",
-           "D.did = {j}", "F.s != 'z'", "D.lvl < {j}")
+           "D.did = {j}", "F.s != 'z'", "D.lvl < {j}", "F.d = {j}")
 
 dims = st.lists(
     st.fixed_dictionaries({
@@ -131,4 +133,6 @@ def test_group_by_every_route_matches_plaintext(km_big, data, drawn):
         text = _sql(groups, aggs, where, k, m, j)
         qplan = plan(parse(text), wh)
         assert [s.route for s in qplan.group_sources] == [SOURCES[g] for g in groups]
+        routes = [SOURCES[where.split()[0]]] if where else []
+        assert [s.source.route for s in qplan.filter_steps] == routes
         assert execute(wh, qplan)[1] == oracle.query(parse(text)), text
