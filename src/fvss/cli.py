@@ -434,6 +434,9 @@ def cmd_cube(cfg: AppConfig, args, out) -> int:
 
 def cmd_cost_report(cfg: AppConfig, args, out) -> int:
     pricing = cfg.pricing
+    if pricing.n != 5:   # the sheets are the paper's, for five providers
+        raise ConfigError(
+            f"cost-report prints the five-provider sheet; [pricing] covers {pricing.n}")
 
     out.write("storage for 100 GB shared at (n=5, t=4), monthly\n")
     headers = ["scheme", "total_gb"] + [f"csp{i}_gb" for i in range(1, pricing.n + 1)] + ["usd"]

@@ -327,11 +327,15 @@ def _cells(by_key: dict[tuple, list[int]], flags) -> dict[tuple, list[int]]:
 
 def _cells_by_key(wh: Warehouse, spec: CubeSpec) -> dict[tuple, int]:
     """Existing cube rows addressed by their (padded) dimension tuple,
-    grouped through the cube's own dimension sources."""
+    grouped through the cube's own dimension sources; SchemaMismatch when
+    two rows share one."""
     table = cube_table(spec)
     sources = [group_source(wh, table, col.name) for col, _ in _dim_sources(wh, spec)]
     cells = group_pks(wh, table, sources, wh.type1.pks(table))
-    return {key: pks[-1] for key, pks in cells.items()}
+    for key, pks in cells.items():
+        if len(pks) > 1:
+            raise SchemaMismatch(f"{table} has cells {pks} of one dimension key {key}")
+    return {key: pk for key, (pk,) in cells.items()}
 
 
 def _level_rows(wh: Warehouse, spec: CubeSpec, dims, stored, groups: dict, cells, rg) -> list[dict]:

@@ -746,6 +746,24 @@ def test_cost_report_is_byte_identical_across_runs(site, capsys):
     assert first == second
 
 
+def test_cost_report_refuses_a_sheet_not_of_five_providers(tmp_path, capsys):
+    """The cost sheets are the paper's, for five providers: pricing for
+    three is one error line and exit 1, with nothing printed first."""
+    cfg = tmp_path / "three.ini"
+    cfg.write_text(
+        "[scheme]\nn = 3\nt = 3\nseed = " + SEED_HEX + "\n"
+        "[store]\nroot = " + str(tmp_path / "wh") + "\n"
+        "[pricing]\n"
+        "storage = 0.03, 0.04, 0.05\nsvm = 0.013, 0.059, 0.058\n"
+        "mvm = 0.026, 0.079, 0.163\nlvm = 0.053, 0.120, 0.230\n"
+        "[table:Product]\ncolumns = ProdNo key, pname string\n"
+    )
+    for output in ("table", "csv"):
+        code = cli.main(["--config", str(cfg), "cost-report", "--output", output])
+        assert (code, *capsys.readouterr()) == (1, "", (
+            "ConfigError: cost-report prints the five-provider sheet; [pricing] covers 3\n"))
+
+
 # config parsing details
 
 def test_load_config_shapes(site):

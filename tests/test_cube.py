@@ -529,6 +529,33 @@ def test_refresh_reads_every_level_before_writing(km_big):
         assert cube_query(wh, SPEC, level)[1] == oracle.query(level_sql(level))
 
 
+def test_refresh_refuses_two_cells_of_one_dimension_key(km_big, tmp_path):
+    """A saved cube whose index gives two cells one dimension key is
+    refused by a refresh, naming the cube table and the key, before
+    anything is written: folding new facts into one of the two would
+    leave the key's total split across two rows."""
+    wh = fill_warehouse(km_big, SALES_BASE)
+    cube_build(wh, SUM_SPEC)
+    wh.save(tmp_path)
+    table = cube_table(SUM_SPEC)
+    path = tmp_path / "index" / "type2" / f"{table}.yearid.idx"
+    assert path.read_text() == "[2013, 2]\n[2014, 3]\n"
+    path.write_text("[2013, 2]\n[2013, 3]\n")
+    specs = [(PRODUCT, ("category",), ()), (SALES, ("yearid", "monthid", "price", "qty"), ()),
+             cube_table_spec(wh, SUM_SPEC)]
+    back = Warehouse.load(tmp_path, km_big, specs, w=3)
+    back.insert("Sales", SALES_EXTRA[0])
+
+    def state():
+        return _cube_state(back, table), dict(back.type2.value_map(table, "yearid"))
+
+    before = state()
+    with pytest.raises(SchemaMismatch) as caught:
+        cube_refresh(back, SUM_SPEC, [11])
+    assert str(caught.value) == "cube:sums has cells [2, 3] of one dimension key (2013,)"
+    assert state() == before
+
+
 def test_build_needs_every_provider(km_big):
     wh = fill_warehouse(km_big, SALES_BASE)
     wh.inject_failure(4)
