@@ -6,8 +6,9 @@ sources drawn from every route the planner has (fact pk, fact fk, an
 indexed fact attribute of each display kind, dimension pk, indexed
 dimension attribute), under random WHERE filters, one on each route,
 that can leave groups empty or all-NULL; filters and group keys share
-one set of route names. Up to 60 fact rows make GROUP BY F.id evaluate many
-groups at once. Shared answers must equal PlainWarehouse's row for row.
+one set of route names. Up to 60 fact rows make GROUP BY F.id evaluate
+many groups at once. Shared answers must equal PlainWarehouse's row for
+row.
 """
 
 from datetime import date

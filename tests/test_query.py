@@ -225,19 +225,23 @@ def test_group_by_unindexed_dim_attr(planner_wh):
         plan(q, planner_wh)
 
 
-@pytest.mark.parametrize("where, error, message", [
-    # name resolution first, even before a malformed literal
-    ("nosuch > 'many'", SchemaMismatch, "no table in this query has a column nosuch"),
-    ("Shop.size > 'many'", UnknownTable, "Shop is not a table or alias in this query"),
+JOIN_SHOP = "JOIN Shop AS S ON Visit.ShopNo = S.ShopNo "
+
+
+@pytest.mark.parametrize("join, where, error, message", [
+    # name resolution first, even before a malformed literal; a table the
+    # query does not join is no name in it
+    (JOIN_SHOP, "nosuch > 'many'", SchemaMismatch, "no table in this query has a column nosuch"),
+    ("", "Shop.size > 'many'", UnknownTable, "Shop is not a table or alias in this query"),
     # then the literal, even on an attribute without an index
-    ("qty > 'many'", SchemaMismatch, "literal 'many' does not fit a int column"),
-    ("S.size > 'many'", SchemaMismatch, "literal 'many' does not fit a int column"),
-    ("S.ShopNo = 'many'", SchemaMismatch, "literal 'many' does not fit a key column"),
+    (JOIN_SHOP, "qty > 'many'", SchemaMismatch, "literal 'many' does not fit a int column"),
+    (JOIN_SHOP, "S.size > 'many'", SchemaMismatch, "literal 'many' does not fit a int column"),
+    (JOIN_SHOP, "S.ShopNo = 'many'", SchemaMismatch, "literal 'many' does not fit a key column"),
     # then the index
-    ("qty > 1", NotIndexed, "Visit.qty needs a Type II index for this query"),
-    ("S.size > 1", NotIndexed, "Shop.size needs a Type II index for this query"),
+    (JOIN_SHOP, "qty > 1", NotIndexed, "Visit.qty needs a Type II index for this query"),
+    (JOIN_SHOP, "S.size > 1", NotIndexed, "Shop.size needs a Type II index for this query"),
 ])
-def test_predicate_refusal_precedence(km_toy, where, error, message):
+def test_predicate_refusal_precedence(km_toy, join, where, error, message):
     """A predicate is refused at the first of name resolution, its literal
     and its attribute's index that fails, each with its own message."""
     wh = Warehouse(km_toy, bias=0)
@@ -245,11 +249,8 @@ def test_predicate_refusal_precedence(km_toy, where, error, message):
     wh.create_table(Schema("Visit", (Column("VisitNo", "key"),
                                      Column("ShopNo", "fk", fk_table="Shop"),
                                      Column("qty", "int"))))
-    sql = f"SELECT COUNT(*) FROM Visit JOIN Shop AS S ON Visit.ShopNo = S.ShopNo WHERE {where}"
-    if where.startswith("Shop."):   # Shop unjoined
-        sql = f"SELECT COUNT(*) FROM Visit WHERE {where}"
     with pytest.raises(error) as caught:
-        plan(parse(sql), wh)
+        plan(parse(f"SELECT COUNT(*) FROM Visit {join}WHERE {where}"), wh)
     assert str(caught.value) == message
 
 
