@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import fcntl
 import os
 import re
 import sys
@@ -211,63 +212,20 @@ def _parse_literal(text: str) -> str:
 
 # store plumbing
 
-def _lock(root: Path):
-    """Create root/.lock holding this process's pid. A lock left behind
-    by a process that is no longer running is taken over; any other
-    existing lock raises StoreLocked."""
+def _lock(root: Path) -> int:
+    """An open descriptor of root/.lock holding an exclusive flock on it;
+    StoreLocked when another process holds it. Closing the descriptor
+    releases the lock, and so does the end of the process, however it
+    ends. The file stays, empty, and nothing is written into it."""
     root.mkdir(parents=True, exist_ok=True)
     path = root / ".lock"
+    fd = os.open(path, os.O_CREAT | os.O_RDONLY)
     try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        _remove_stale_lock(path)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise _held(path) from None
-    os.write(fd, f"{os.getpid()}\n".encode())
-    os.close(fd)
-    return path
-
-
-def _held(path: Path) -> StoreLocked:
-    return StoreLocked(f"{path} exists; another invocation holds this store")
-
-
-def _pid_running(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)  # signal 0 sends nothing; it only checks the pid
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OverflowError):
-        return True
-    return True
-
-
-def _remove_stale_lock(path: Path):
-    """Remove a lock whose recorded pid names no running process. Text
-    that is not a pid, or a running holder, raises StoreLocked."""
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        return  # released since the failed create
-    try:
-        pid = int(text)
-    except ValueError:
-        raise _held(path) from None
-    if pid <= 0 or _pid_running(pid):
-        raise _held(path)
-    # Move it aside before deleting: if another invocation took the lock
-    # over since the read, its live lock is what moved, and it goes back.
-    aside = path.with_name(f".lock.{os.getpid()}")
-    try:
-        os.rename(path, aside)
-    except FileNotFoundError:
-        return
-    if aside.read_text() != text:
-        os.rename(aside, path)
-        raise _held(path)
-    aside.unlink()
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        raise StoreLocked(f"{path} is locked; another invocation holds this store") from None
+    return fd
 
 
 def _open_warehouse(cfg: AppConfig) -> Warehouse:
@@ -507,7 +465,7 @@ def run(argv, out) -> int:
     try:
         return handler(cfg, args, out)
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(lock)
 
 
 def main(argv=None) -> int:

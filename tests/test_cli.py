@@ -1,7 +1,9 @@
 import datetime
+import fcntl
 import hashlib
 import os
 import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -72,6 +74,9 @@ def run(site, *argv, capsys=None):
     code = cli.main(["--config", str(site / "fvss.ini"), *argv])
     out, err = capsys.readouterr() if capsys else ("", "")
     return code, out, err
+
+
+QUERY = ("query", "SELECT SUM(qty) FROM Sales")
 
 
 @pytest.fixture
@@ -305,7 +310,7 @@ def test_an_unknown_csp_exits_one_and_changes_nothing(loaded, capsys, argv):
     code, out, err = run(loaded, *argv, capsys=capsys)
     csp = next(arg for arg in argv if arg.isdigit())
     assert (code, out, err) == (1, "", f"UnknownParticipant: no CSP {csp}\n")
-    assert _store_files(loaded) == before   # no .lock left behind either
+    assert _store_files(loaded) == before   # the lock wrote nothing either
     assert run(loaded, "verify")[0] == 0
 
 
@@ -326,7 +331,7 @@ def test_tamper_of_what_no_share_holds_exits_one_and_changes_nothing(loaded, cap
     code, out, got = run(loaded, "tamper", _holder(loaded, *argv[:2]), *argv, capsys=capsys)
     assert (code, out) == (1, "")
     assert re.fullmatch(err + "\n", got)
-    assert _store_files(loaded) == before   # no .lock left behind either
+    assert _store_files(loaded) == before   # the lock wrote nothing either
     assert run(loaded, "verify")[0] == 0
 
 
@@ -644,29 +649,56 @@ def test_golden_cli_session(site, capsys):
 
 # locking
 
+def _locked(lock) -> str:
+    return f"StoreLocked: {lock} is locked; another invocation holds this store\n"
+
+
 def test_lock_blocks_second_invocation(loaded, capsys):
+    """A run while another open file description holds the flock is
+    refused; after the release the next run succeeds, and the .lock file
+    stays, empty."""
     lock = loaded / "warehouse" / ".lock"
-    lock.write_text("held\n")
-    code, _, err = run(loaded, "query", "SELECT SUM(qty) FROM Sales", capsys=capsys)
-    assert code == 1
-    assert "StoreLocked" in err
-    lock.unlink()
-    assert run(loaded, "query", "SELECT SUM(qty) FROM Sales")[0] == 0
-    assert not lock.exists()  # released after a normal run
-
-
-def test_lock_of_an_exited_process_is_taken_over(loaded, capsys):
-    lock = loaded / "warehouse" / ".lock"
-    lock.write_text(f"{os.getpid()}\n")  # a running holder still blocks
-    code, _, err = run(loaded, "query", "SELECT SUM(qty) FROM Sales", capsys=capsys)
-    assert code == 1 and "StoreLocked" in err
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    assert child.wait(timeout=60) == 0
-    lock.write_text(f"{child.pid}\n")
-    code, out, _ = run(loaded, "query", "SELECT SUM(qty) FROM Sales", capsys=capsys)
+    fd = os.open(lock, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert run(loaded, *QUERY, capsys=capsys) == (1, "", _locked(lock))
+    finally:
+        os.close(fd)
+    code, out, _ = run(loaded, *QUERY, capsys=capsys)
     assert code == 0 and out
-    assert not lock.exists()  # taken over, then released
-    assert [p.name for p in lock.parent.glob(".lock*")] == []
+    assert lock.read_bytes() == b""
+    assert [p.name for p in lock.parent.glob(".lock*")] == [".lock"]
+
+
+def test_lock_of_a_killed_holder_is_released(loaded, capsys):
+    """The kernel drops a killed process's lock: no stale lock is left."""
+    lock = loaded / "warehouse" / ".lock"
+    holder = ("import fcntl, os, sys, time\n"
+              "fcntl.flock(os.open(sys.argv[1], os.O_RDONLY), fcntl.LOCK_EX)\n"
+              "print('held', flush=True)\n"
+              "time.sleep(600)\n")
+    child = subprocess.Popen([sys.executable, "-c", holder, str(lock)],
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "held\n"
+        assert run(loaded, *QUERY, capsys=capsys) == (1, "", _locked(lock))
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    code, out, _ = run(loaded, *QUERY, capsys=capsys)
+    assert code == 0 and out
+    assert [p.name for p in lock.parent.glob(".lock*")] == [".lock"]
+
+
+def test_a_lock_file_naming_a_live_pid_does_not_block(loaded, capsys):
+    """Older versions wrote their pid into .lock; the text means nothing now."""
+    lock = loaded / "warehouse" / ".lock"
+    lock.write_text(f"{os.getpid()}\n")
+    code, out, err = run(loaded, *QUERY, capsys=capsys)
+    assert (code, err) == (0, "") and out
+    assert lock.read_text() == f"{os.getpid()}\n"
 
 
 # configuration and environment
