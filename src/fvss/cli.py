@@ -461,6 +461,8 @@ def run(argv, out) -> int:
     handler = _COMMANDS[args.command]
     if args.command in _NO_STORE:
         return handler(cfg, args, out)
+    if args.command != "init" and not (cfg.root / "index" / "tables").is_file():
+        raise ConfigError(f"no fvss store at {cfg.root}; run fvss init first")
     lock = _lock(cfg.root)
     try:
         return handler(cfg, args, out)

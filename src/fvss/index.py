@@ -34,7 +34,7 @@ from operator import eq, ge, gt, le, lt, ne
 from typing import NamedTuple
 
 from .errors import EmptyInput, NotIndexed, SchemaMismatch, UnknownRecordPosition, UnknownTable
-from .provider import _fields, _walks
+from .provider import _fields, _read_saved, _walks
 
 
 class TypeOneIndex:
@@ -106,7 +106,7 @@ class TypeOneIndex:
         list it), and unless each bitmap is n characters of 0 or 1 with at
         least n-t+2 ones, as every storage group and cube cell has."""
         known = set(self.entries)
-        _read_bitmaps(self, (idx / "type1.bitmap").read_text())
+        _read_bitmaps(self, _read_saved(idx, "type1.bitmap"))
         unknown = [table for table in self.entries if table not in known]
         if unknown:
             raise SchemaMismatch(f"index/type1.bitmap: table {unknown[0]!r} "
@@ -245,12 +245,11 @@ class TypeTwoIndex:
             raise SchemaMismatch(
                 f"index/type2/{extra[0]} is on disk but that index is not configured")
         for name, (table, attr) in files.items():
-            if not (t2 / name).is_file():
-                raise SchemaMismatch(f"index/type2/{name} is missing for a configured index")
+            text = _read_saved(t2.parent, f"type2/{name}")
             # the file is in (key, pk) order, so save's sort of an unchanged index is linear
             kind = schemas[table].column(attr).kind
             try:
-                entries = _parse_type2((t2 / name).read_text(), str if kind == "string" else int)
+                entries = _parse_type2(text, str if kind == "string" else int)
             except SchemaMismatch as err:
                 raise SchemaMismatch(f"index/type2/{name}: {err}") from None
             except (ValueError, TypeError):

@@ -93,6 +93,15 @@ def _unpack(schema: Schema, rec: StoredRecord) -> list[list]:
 # not per line (per value only for NULLs and shares of several chunks).
 
 
+def _read_saved(d, name: str) -> str:
+    """The text of the saved file d/name; SchemaMismatch naming it as
+    <d's name>/<name> when it is missing (a torn or edited store)."""
+    try:
+        return (d / name).read_text()
+    except FileNotFoundError:
+        raise SchemaMismatch(f"{d.name}/{name} is missing") from None
+
+
 def _fields(lines: list[str], width: int) -> list[str]:
     """The tab-separated fields of lines, all lines after each other; for
     a line of another width, the ValueError of unpacking it into width
@@ -476,14 +485,14 @@ class CspStore:
 
     def load(self, d, schemas: dict[str, Schema]):
         """Refill this provider from the files save wrote under d, trees
-        kept as text until first use; SchemaMismatch for a bad state or
-        .shares file."""
-        self.alive, self.bytes_transferred = _parse_state(self.index, (d / "state").read_text())
+        kept as text until first use; SchemaMismatch for a missing file
+        (_read_saved) or a bad state or .shares file."""
+        self.alive, self.bytes_transferred = _parse_state(self.index, _read_saved(d, "state"))
         trees = {}
         for table, schema in schemas.items():
-            self._set_slice(schema, *_parse_shares(schema, (d / f"{table}.shares").read_text()))
-            trees[table] = (d / f"{table}.sigtree").read_text()
-        self.saved_trees = (d / "_tables.sigtree").read_text(), trees
+            self._set_slice(schema, *_parse_shares(schema, _read_saved(d, f"{table}.shares")))
+            trees[table] = _read_saved(d, f"{table}.sigtree")
+        self.saved_trees = _read_saved(d, "_tables.sigtree"), trees
 
 
 def _parse_state(i: int, text: str) -> tuple[bool, int]:

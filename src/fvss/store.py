@@ -34,7 +34,7 @@ from .errors import (
 )
 from .index import TypeOneIndex, TypeThreeRegistry, TypeTwoIndex
 from .keyed import KeyMaterial
-from .provider import CspStore
+from .provider import CspStore, _read_saved
 from .sharing import (
     DEFAULT_BIAS,
     NUMBER_KINDS,
@@ -722,12 +722,13 @@ class Warehouse:
     def load(cls, root, km: KeyMaterial, table_specs, w: int = 3, weights=None,
              bias: int = None, svm_prices=None) -> "Warehouse":
         """Rebuild a Warehouse from disk, each role reading its own files
-        in save's order. table_specs: (schema, index_attrs, derived) as
+        in save's order, each through provider._read_saved (SchemaMismatch
+        naming a missing file). table_specs: (schema, index_attrs, derived) as
         passed to create_table; the on-disk tables file fixes the order."""
         root = Path(root)
         wh = cls(km, w=w, weights=weights, bias=bias, svm_prices=svm_prices)
         specs = {spec[0].table: spec for spec in table_specs}
-        for name in filter(None, (root / "index" / "tables").read_text().splitlines()):
+        for name in filter(None, _read_saved(root / "index", "tables").splitlines()):
             if name not in specs:
                 raise UnknownTable(f"{name} on disk but not configured")
             wh._register(*specs[name])

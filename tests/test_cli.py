@@ -301,6 +301,31 @@ def _store_files(site) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+@pytest.mark.parametrize("name", ["index/tables", "csp2/Sales.shares", "csp3/state",
+                                  "csp1/Sales.sigtree", "csp4/_tables.sigtree",
+                                  "index/type1.bitmap"])
+def test_a_store_missing_a_file_prints_one_line_and_exits_one(loaded, capsys, name):
+    """Every file load reads is named when it is missing; without the
+    tables file there is no store to name it in."""
+    root = loaded / "warehouse"
+    (root / name).unlink()
+    err = (f"ConfigError: no fvss store at {root}; run fvss init first\n"
+           if name == "index/tables" else f"SchemaMismatch: {name} is missing\n")
+    assert run(loaded, *QUERY, capsys=capsys) == (1, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    QUERY, ("verify",), ("fail", "2"), ("share", "Sales", "sales.csv"),
+    ("cube", "build", "by_year"),
+], ids=["query", "verify", "fail", "share", "cube"])
+def test_a_command_on_a_root_with_no_store_exits_one_and_creates_nothing(site, capsys, argv):
+    root = site / "warehouse"
+    argv = [str(site / a) if a.endswith(".csv") else a for a in argv]
+    assert run(site, *argv, capsys=capsys) == (
+        1, "", f"ConfigError: no fvss store at {root}; run fvss init first\n")
+    assert not root.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("fail", "9"), ("heal", "0"), ("tamper", "9", "Sales", "1", "price"),
     ("verify", "--csp", "9"), ("recover", "9"),

@@ -886,6 +886,15 @@ def test_missing_type2_file_is_a_schema_mismatch(tmp_path, km_big):
         _reload(tmp_path, km_big)
 
 
+def test_missing_tables_file_is_a_schema_mismatch(tmp_path, km_big):
+    wh = _warehouse(km_big)
+    wh.load_rows("product", _rows())
+    wh.save(tmp_path)
+    (tmp_path / "index" / "tables").unlink()
+    with pytest.raises(SchemaMismatch, match=r"^index/tables is missing$"):
+        _reload(tmp_path, km_big)
+
+
 def test_empty_type2_file_loads(tmp_path, km_big):
     wh = _warehouse(km_big)
     wh.save(tmp_path)
