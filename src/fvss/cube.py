@@ -52,7 +52,7 @@ from .errors import (
     UnsupportedFeature,
 )
 from .keyed import KeyMaterial
-from .sharing import Column, Schema, encode_column, pinned_coefficients, typed_value
+from .sharing import Column, Schema, encode_column, pinned_coefficients
 from .store import Warehouse
 from .query import (
     GroupSource,
@@ -331,7 +331,12 @@ def _cells_by_key(wh: Warehouse, spec: CubeSpec) -> dict[tuple, int]:
     two rows share one."""
     table = cube_table(spec)
     sources = [group_source(wh, table, col.name) for col, _ in _dim_sources(wh, spec)]
-    cells = group_pks(wh, table, sources, wh.type1.pks(table))
+    return _one_cell_each(table, group_pks(wh, table, sources, wh.type1.pks(table)))
+
+
+def _one_cell_each(table: str, cells: dict[tuple, list[int]]) -> dict[tuple, int]:
+    """The one cell pk of each dimension key; SchemaMismatch when two
+    cells share one."""
     for key, pks in cells.items():
         if len(pks) > 1:
             raise SchemaMismatch(f"{table} has cells {pks} of one dimension key {key}")
@@ -555,7 +560,14 @@ def cube_query(wh: Warehouse, spec: CubeSpec, level, where=(), rg=None):
             raise SchemaMismatch(f"{attr} is aggregated away at this level")
         pks &= wh.type2.lookup(table, attr, op, literal_operand(value, by_name[attr], op))
 
-    order = sorted(pks)
+    pks = sorted(pks)
+    if level:
+        groups = group_pks(wh, table, [group_source(wh, table, a) for a in level], pks)
+    else:   # the grand total: one group, of the cell whose every dimension is NULL
+        groups = {(): pks} if pks else {}
+    cells = _one_cell_each(table, groups)
+    keys = sorted(cells, key=group_order)
+    order = [cells[key] for key in keys]
     reads = _measure_layout(spec, wh.schemas[spec.table]).reads
 
     def measures(rg) -> list[list]:
@@ -569,10 +581,5 @@ def cube_query(wh: Warehouse, spec: CubeSpec, level, where=(), rg=None):
         return out
 
     values = wh.read_through(rg, measures)
-    rows = [
-        tuple(typed_value(maps[a].get(pk), by_name[a].kind, by_name[a].scale) for a in level)
-        + tuple(column[k] for column in values)
-        for k, pk in enumerate(order)
-    ]
-    rows.sort(key=lambda row: group_order(row[: len(level)]))
+    rows = [key + tuple(column[k] for column in values) for k, key in enumerate(keys)]
     return list(level) + [label for label, _ in reads], rows

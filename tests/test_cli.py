@@ -471,6 +471,19 @@ def test_cube_build_query_refresh(loaded, capsys):
     assert out.splitlines()[1] == "2014,50.25,2,25.125"
 
 
+def test_cube_query_refuses_two_cells_of_one_key(loaded, capsys):
+    """A saved cube whose Type II file gives two cells of one level the
+    same key is refused, as a refresh refuses it, not answered twice."""
+    assert run(loaded, "cube", "build", "by_year", capsys=capsys)[0] == 0
+    path = loaded / "warehouse" / "index" / "type2" / "cube:by_year.yearid.idx"
+    text = path.read_text()
+    assert "[2013, 4]\n" in text and "[2014, 5]\n" in text   # the cells of level yearid
+    path.write_text(text.replace("[2014, 5]", "[2013, 5]"))
+    code, out, err = run(loaded, "cube", "query", "by_year", "--level", "yearid", capsys=capsys)
+    assert (code, out, err) == (
+        1, "", "SchemaMismatch: cube:by_year has cells [4, 5] of one dimension key (2013,)\n")
+
+
 def test_cube_query_rotates_past_a_tampered_cell_share(loaded, capsys):
     assert run(loaded, "cube", "build", "by_year", capsys=capsys)[0] == 0
     args = ("cube", "query", "by_year", "--level", "yearid")
