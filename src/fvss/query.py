@@ -195,7 +195,11 @@ class _Parser:
         return tok
 
     def _fail(self, want: str):
+        """QuerySyntaxError naming want and the token found; UnsupportedFeature
+        when that token is a keyword fvss does not support (OR, NOT, HAVING, ...)."""
         tok = self.cur
+        if tok.kind == "kw" and tok.text in UNSUPPORTED_KEYWORDS:
+            raise UnsupportedFeature(f"{tok.text.upper()} is not supported")
         shown = tok.text or "end of query"
         raise QuerySyntaxError(f"expected {want} at position {tok.pos}, found {shown!r}")
 
@@ -212,10 +216,7 @@ class _Parser:
         return tok
 
     def _name(self) -> str:
-        tok = self.cur
-        if tok.kind == "kw" and tok.text in UNSUPPORTED_KEYWORDS:
-            raise UnsupportedFeature(f"{tok.text.upper()} is not supported")
-        if tok.kind != "ident":
+        if self.cur.kind != "ident":
             self._fail("a name")
         return self._advance().text
 
@@ -237,11 +238,7 @@ class _Parser:
         where = []
         if self._accept("kw", "where"):
             where.append(self._predicate())
-            while True:
-                if self.cur.kind == "kw" and self.cur.text in UNSUPPORTED_KEYWORDS:
-                    raise UnsupportedFeature(f"{self.cur.text.upper()} is not supported")
-                if not self._accept("kw", "and"):
-                    break
+            while self._accept("kw", "and"):
                 where.append(self._predicate())
         group_by = []
         if self._accept("kw", "group"):
@@ -250,8 +247,6 @@ class _Parser:
             while self._accept("symbol", ","):
                 group_by.append(self._attr())
         if self.cur.kind != "end":
-            if self.cur.kind == "kw" and self.cur.text in UNSUPPORTED_KEYWORDS:
-                raise UnsupportedFeature(f"{self.cur.text.upper()} is not supported")
             self._fail("end of query")
         return Query(tuple(select), table, alias, tuple(joins),
                      tuple(where), tuple(group_by))
@@ -324,8 +319,6 @@ class _Parser:
             self._expect("symbol", ")")
             return Predicate(attr, "in", tuple(items))
         tok = self.cur
-        if tok.kind == "kw" and tok.text in UNSUPPORTED_KEYWORDS:
-            raise UnsupportedFeature(f"{tok.text.upper()} is not supported")
         if tok.kind != "symbol" or tok.text not in ("=", "!=", "<>", "<", "<=", ">", ">="):
             self._fail("a comparison operator")
         op = self._advance().text

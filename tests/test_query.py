@@ -102,6 +102,24 @@ def test_or_rejected():
         parse("SELECT x FROM t WHERE a = 1 OR b = 2")
 
 
+@pytest.mark.parametrize("sql,word", [
+    ("SELECT SUM(qty OR price) FROM Sales", "OR"),
+    ("SELECT SUM(qty) FROM Sales WHERE qty BETWEEN 1 OR 3", "OR"),
+    ("SELECT SUM(qty) FROM Sales AS S JOIN Product AS P ON S.ProdNo OR P.ProdNo", "OR"),
+    ("SELECT SUM(qty) FROM Sales WHERE qty IN (1 OR 2)", "OR"),
+    ("SELECT x FROM having", "HAVING"),
+    ("SELECT x FROM t GROUP BY x HAVING x > 1", "HAVING"),
+    ("SELECT x FROM t WHERE a NOT IN (1)", "NOT"),
+], ids=["aggregate argument", "between bound", "join condition", "in list", "table name",
+        "after group by", "comparison operator"])
+def test_an_unsupported_keyword_is_named_wherever_it_stands(sql, word):
+    """Any place that finds an unsupported keyword where it expected
+    something else names the keyword, not a syntax error."""
+    with pytest.raises(UnsupportedFeature) as err:
+        parse(sql)
+    assert str(err.value) == f"{word} is not supported"
+
+
 def test_subquery_rejected():
     with pytest.raises(UnsupportedFeature, match="subqueries"):
         parse("SELECT x FROM t WHERE a = (SELECT b FROM u)")
