@@ -7,6 +7,9 @@ empty) and checks that every lattice level of the refreshed cube answers
 exactly as a cube built over all the facts at once, and as the plaintext
 `PlainWarehouse` answers the same GROUP BY. The cube sums a pair both
 ways, counts an attribute with NULLs, and keeps an AVG, a MIN and a MAX.
+Every level that keeps the attribute of one drawn predicate (any of the
+eight operators, on an int dimension or the string one) is also sliced
+with it as a WHERE, against the plaintext `WHERE ... GROUP BY`.
 
 Run with `--hypothesis-profile ci` for the derandomized, longer battery.
 """
@@ -51,11 +54,32 @@ def _warehouse():
     return wh
 
 
-def _level_sql(level):
+def _level_sql(level, where=""):
     group = ", ".join(level)
+    where = f" WHERE {where}" if where else ""
     if not level:
-        return parse(f"SELECT {MEASURE_SQL} FROM Sales")
-    return parse(f"SELECT {group}, {MEASURE_SQL} FROM Sales GROUP BY {group}")
+        return parse(f"SELECT {MEASURE_SQL} FROM Sales{where}")
+    return parse(f"SELECT {group}, {MEASURE_SQL} FROM Sales{where} GROUP BY {group}")
+
+
+@st.composite
+def predicates(draw):
+    """One (attr, op, operand) filter on a dimension, its values as query
+    text, some of them outside the facts' range or absent, and the same
+    predicate as SQL."""
+    attr = draw(st.sampled_from(("yearid", "monthid", "region")))
+    value = {"yearid": st.integers(2009, 2013).map(str), "monthid": st.integers(0, 4).map(str),
+             "region": st.sampled_from("mnst")}[attr]
+    sql = (lambda v: f"'{v}'") if attr == "region" else str
+    op = draw(st.sampled_from(("=", "!=", "<", "<=", ">", ">=", "between", "in")))
+    if op == "between":
+        lo, hi = draw(value), draw(value)
+        return (attr, op, (lo, hi)), f"{attr} BETWEEN {sql(lo)} AND {sql(hi)}"
+    if op == "in":
+        items = draw(st.lists(value, min_size=1, max_size=3))
+        return (attr, op, tuple(items)), f"{attr} IN ({', '.join(map(sql, items))})"
+    operand = draw(value)
+    return (attr, op, operand), f"{attr} {op} {sql(operand)}"
 
 
 @st.composite
@@ -75,9 +99,10 @@ def folds(draw):
 
 
 @settings(deadline=None)
-@given(folds())
-def test_refreshed_cube_answers_as_a_build_over_every_fact(case):
+@given(folds(), predicates())
+def test_refreshed_cube_answers_as_a_build_over_every_fact(case, predicate):
     facts, sizes = case
+    where, where_sql = predicate
     folded = _warehouse()
     start = 0
     for k, size in enumerate(sizes):
@@ -97,3 +122,6 @@ def test_refreshed_cube_answers_as_a_build_over_every_fact(case):
         got = cube_query(folded, SPEC, level)
         assert got == cube_query(built, SPEC, level), level
         assert got[1] == oracle.query(_level_sql(level)), level
+        if where[0] in level:
+            got = cube_query(folded, SPEC, level, where=(where,))
+            assert got[1] == oracle.query(_level_sql(level, where_sql)), (level, where_sql)
