@@ -219,7 +219,7 @@ def _lock(root: Path) -> int:
     ends. The file stays, empty, and nothing is written into it."""
     root.mkdir(parents=True, exist_ok=True)
     path = root / ".lock"
-    fd = os.open(path, os.O_CREAT | os.O_RDONLY)
+    fd = os.open(path, os.O_CREAT | os.O_RDONLY, 0o666)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
     except BlockingIOError:

@@ -723,8 +723,8 @@ class Warehouse:
              bias: int = None, svm_prices=None) -> "Warehouse":
         """Rebuild a Warehouse from disk, each role reading its own files
         in save's order, each through provider._read_saved (SchemaMismatch
-        naming a missing file). table_specs: (schema, index_attrs, derived) as
-        passed to create_table; the on-disk tables file fixes the order."""
+        naming a missing file). table_specs: (schema, index_attrs, derived)
+        as passed to create_table; the on-disk tables file fixes the order."""
         root = Path(root)
         wh = cls(km, w=w, weights=weights, bias=bias, svm_prices=svm_prices)
         specs = {spec[0].table: spec for spec in table_specs}
